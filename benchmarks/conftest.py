@@ -20,7 +20,7 @@ from repro.datasets import (
     generate_employees,
     generate_tpcbih,
 )
-from repro.rewriter import SnapshotMiddleware
+from repro.rewriter import QueryPipeline
 from repro.baselines import TemporalAlignmentEvaluator
 
 EMPLOYEE_SCALE = float(os.environ.get("REPRO_EMPLOYEE_SCALE", "0.1"))
@@ -38,8 +38,8 @@ def employee_database(employee_config):
 
 
 @pytest.fixture(scope="session")
-def employee_middleware(employee_config, employee_database):
-    return SnapshotMiddleware(employee_config.domain, database=employee_database)
+def employee_pipeline(employee_config, employee_database):
+    return QueryPipeline(employee_config.domain, database=employee_database)
 
 
 @pytest.fixture(scope="session")
@@ -58,8 +58,8 @@ def tpch_database(tpch_config):
 
 
 @pytest.fixture(scope="session")
-def tpch_middleware(tpch_config, tpch_database):
-    return SnapshotMiddleware(tpch_config.domain, database=tpch_database)
+def tpch_pipeline(tpch_config, tpch_database):
+    return QueryPipeline(tpch_config.domain, database=tpch_database)
 
 
 @pytest.fixture(scope="session")

@@ -11,43 +11,43 @@ import pytest
 
 from repro.baselines import NaiveSnapshotEvaluator
 from repro.datasets.workloads import EMPLOYEE_WORKLOAD
-from repro.rewriter import SnapshotMiddleware
+from repro.rewriter import QueryPipeline
 
 ABLATION_QUERIES = ("agg-1", "agg-2", "diff-2")
 
 
-def _middleware(employee_config, employee_database, **kwargs):
-    return SnapshotMiddleware(employee_config.domain, database=employee_database, **kwargs)
+def _pipeline(employee_config, employee_database, **kwargs):
+    return QueryPipeline(employee_config.domain, database=employee_database, **kwargs)
 
 
 @pytest.mark.parametrize("query_name", ABLATION_QUERIES)
 def test_optimized(benchmark, employee_config, employee_database, query_name):
-    middleware = _middleware(employee_config, employee_database)
+    pipeline = _pipeline(employee_config, employee_database)
     query = EMPLOYEE_WORKLOAD[query_name]()
     benchmark.extra_info["configuration"] = "optimized"
-    benchmark.pedantic(lambda: middleware.execute(query), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: pipeline.execute(query), rounds=1, iterations=1)
 
 
 @pytest.mark.parametrize("query_name", ABLATION_QUERIES)
 def test_per_operator_coalesce(benchmark, employee_config, employee_database, query_name):
-    middleware = _middleware(employee_config, employee_database, coalesce="per-operator")
+    pipeline = _pipeline(employee_config, employee_database, coalesce="per-operator")
     query = EMPLOYEE_WORKLOAD[query_name]()
     benchmark.extra_info["configuration"] = "per-operator coalesce"
-    benchmark.pedantic(lambda: middleware.execute(query), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: pipeline.execute(query), rounds=1, iterations=1)
 
 
 @pytest.mark.parametrize("query_name", ABLATION_QUERIES)
 def test_no_preaggregation(benchmark, employee_config, employee_database, query_name):
-    middleware = _middleware(employee_config, employee_database, use_temporal_aggregate=False)
+    pipeline = _pipeline(employee_config, employee_database, use_temporal_aggregate=False)
     query = EMPLOYEE_WORKLOAD[query_name]()
     benchmark.extra_info["configuration"] = "no pre-aggregation"
-    benchmark.pedantic(lambda: middleware.execute(query), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: pipeline.execute(query), rounds=1, iterations=1)
 
 
 def test_single_final_coalesce_is_not_slower(employee_config, employee_database):
     """The optimised plan should beat per-operator coalescing on the ablation set."""
-    optimized = _middleware(employee_config, employee_database)
-    unoptimized = _middleware(employee_config, employee_database, coalesce="per-operator")
+    optimized = _pipeline(employee_config, employee_database)
+    unoptimized = _pipeline(employee_config, employee_database, coalesce="per-operator")
     optimized_total = unoptimized_total = 0.0
     for name in ABLATION_QUERIES:
         query = EMPLOYEE_WORKLOAD[name]()
@@ -61,14 +61,14 @@ def test_single_final_coalesce_is_not_slower(employee_config, employee_database)
 
 
 def test_interval_encoding_beats_per_snapshot_evaluation(employee_config, employee_database):
-    """The point-wise oracle pays O(|T|); the middleware should be clearly faster."""
-    middleware = _middleware(employee_config, employee_database)
+    """The point-wise oracle pays O(|T|); the pipeline should be clearly faster."""
+    pipeline = _pipeline(employee_config, employee_database)
     naive = NaiveSnapshotEvaluator(employee_database, employee_config.domain)
     query = EMPLOYEE_WORKLOAD["agg-2"]()
     started = time.perf_counter()
-    middleware.execute(query)
-    middleware_seconds = time.perf_counter() - started
+    pipeline.execute(query)
+    pipeline_seconds = time.perf_counter() - started
     started = time.perf_counter()
     naive.execute(query)
     naive_seconds = time.perf_counter() - started
-    assert middleware_seconds < naive_seconds
+    assert pipeline_seconds < naive_seconds

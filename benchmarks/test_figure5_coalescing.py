@@ -11,7 +11,7 @@ import pytest
 
 from repro.algebra import Projection, RelationAccess
 from repro.experiments.figure5 import build_salary_table, run_figure5
-from repro.rewriter import SnapshotMiddleware
+from repro.rewriter import QueryPipeline
 from repro.temporal import TimeDomain
 
 SIZES = (1_000, 5_000, 20_000)
@@ -21,12 +21,12 @@ DOMAIN = TimeDomain(0, 120)
 @pytest.mark.parametrize("size", SIZES)
 def test_figure5_coalescing_runtime(benchmark, size):
     database = build_salary_table(size, DOMAIN)
-    middleware = SnapshotMiddleware(DOMAIN, database=database)
+    pipeline = QueryPipeline(DOMAIN, database=database)
     query = Projection.of_attributes(
         RelationAccess("materialized_salaries"), "ms_emp_no", "ms_salary"
     )
     result = benchmark.pedantic(
-        lambda: middleware.execute(query), rounds=3, iterations=1, warmup_rounds=1
+        lambda: pipeline.execute(query), rounds=3, iterations=1, warmup_rounds=1
     )
     benchmark.extra_info["input_rows"] = size
     benchmark.extra_info["output_rows"] = len(result)

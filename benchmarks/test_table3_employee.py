@@ -1,7 +1,7 @@
-"""Table 3 (top): Employee workload runtimes -- middleware (Seq) vs. native (Nat).
+"""Table 3 (top): Employee workload runtimes -- pipeline (Seq) vs. native (Nat).
 
 One benchmark per (query, system) pair, plus shape assertions mirroring the
-paper's findings: the rewriting middleware is competitive on joins and
+paper's findings: the rewriting pipeline is competitive on joins and
 substantially faster on the aggregation-heavy queries (thanks to the fused
 pre-aggregation + split), while native approaches additionally suffer from
 the AG/BD bugs flagged in the rightmost column of the paper's table.
@@ -19,10 +19,10 @@ NATIVE_QUERIES = ("join-3", "join-4", "agg-1", "agg-2", "agg-3", "diff-1", "diff
 
 
 @pytest.mark.parametrize("query_name", list(EMPLOYEE_WORKLOAD))
-def test_employee_seq(benchmark, employee_middleware, query_name):
+def test_employee_seq(benchmark, employee_pipeline, query_name):
     query = EMPLOYEE_WORKLOAD[query_name]()
-    benchmark.extra_info["system"] = "Seq (middleware)"
-    benchmark.pedantic(lambda: employee_middleware.execute(query), rounds=1, iterations=1)
+    benchmark.extra_info["system"] = "Seq (pipeline)"
+    benchmark.pedantic(lambda: employee_pipeline.execute(query), rounds=1, iterations=1)
 
 
 @pytest.mark.parametrize("query_name", list(NATIVE_QUERIES))
@@ -32,13 +32,13 @@ def test_employee_nat(benchmark, employee_native, query_name):
     benchmark.pedantic(lambda: employee_native.execute(query), rounds=1, iterations=1)
 
 
-def test_aggregation_queries_favour_middleware(employee_middleware, employee_native):
-    """agg-1/agg-2 are faster through the middleware (paper: orders of magnitude)."""
+def test_aggregation_queries_favour_pipeline(employee_pipeline, employee_native):
+    """agg-1/agg-2 are faster through the pipeline (paper: orders of magnitude)."""
     totals = {"seq": 0.0, "nat": 0.0}
     for name in ("agg-1", "agg-2"):
         query = EMPLOYEE_WORKLOAD[name]()
         started = time.perf_counter()
-        employee_middleware.execute(query)
+        employee_pipeline.execute(query)
         totals["seq"] += time.perf_counter() - started
         started = time.perf_counter()
         employee_native.execute(query)
@@ -46,13 +46,13 @@ def test_aggregation_queries_favour_middleware(employee_middleware, employee_nat
     assert totals["seq"] < totals["nat"]
 
 
-def test_join_queries_are_competitive(employee_middleware, employee_native):
+def test_join_queries_are_competitive(employee_pipeline, employee_native):
     """join-3/join-4 should be within a small factor of the native baseline."""
     seq = nat = 0.0
     for name in ("join-3", "join-4"):
         query = EMPLOYEE_WORKLOAD[name]()
         started = time.perf_counter()
-        employee_middleware.execute(query)
+        employee_pipeline.execute(query)
         seq += time.perf_counter() - started
         started = time.perf_counter()
         employee_native.execute(query)

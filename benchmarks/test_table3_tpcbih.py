@@ -1,9 +1,9 @@
 """Table 3 (bottom): TPC-BiH snapshot-query runtimes -- Seq vs. Nat.
 
 All nine TPC-H queries evaluated under snapshot semantics involve
-aggregation, which is why the paper reports the middleware 1-3 orders of
+aggregation, which is why the paper reports the pipeline 1-3 orders of
 magnitude ahead of PG-Nat on this workload.  The benchmarks time both
-systems per query; the shape assertion checks that the middleware wins on
+systems per query; the shape assertion checks that the pipeline wins on
 average across the workload.
 """
 
@@ -15,10 +15,10 @@ from repro.datasets.workloads import TPCH_WORKLOAD
 
 
 @pytest.mark.parametrize("query_name", list(TPCH_WORKLOAD))
-def test_tpch_seq(benchmark, tpch_middleware, query_name):
+def test_tpch_seq(benchmark, tpch_pipeline, query_name):
     query = TPCH_WORKLOAD[query_name]()
-    benchmark.extra_info["system"] = "Seq (middleware)"
-    benchmark.pedantic(lambda: tpch_middleware.execute(query), rounds=1, iterations=1)
+    benchmark.extra_info["system"] = "Seq (pipeline)"
+    benchmark.pedantic(lambda: tpch_pipeline.execute(query), rounds=1, iterations=1)
 
 
 @pytest.mark.parametrize("query_name", list(TPCH_WORKLOAD))
@@ -28,12 +28,12 @@ def test_tpch_nat(benchmark, tpch_native, query_name):
     benchmark.pedantic(lambda: tpch_native.execute(query), rounds=1, iterations=1)
 
 
-def test_middleware_wins_on_average(tpch_middleware, tpch_native):
+def test_pipeline_wins_on_average(tpch_pipeline, tpch_native):
     seq_total = nat_total = 0.0
     for factory in TPCH_WORKLOAD.values():
         query = factory()
         started = time.perf_counter()
-        tpch_middleware.execute(query)
+        tpch_pipeline.execute(query)
         seq_total += time.perf_counter() - started
         started = time.perf_counter()
         tpch_native.execute(query)
@@ -44,14 +44,14 @@ def test_middleware_wins_on_average(tpch_middleware, tpch_native):
 def test_scaling_is_roughly_linear():
     """Runtime grows roughly with the data (paper: linear from SF1 to SF10)."""
     from repro.datasets import TPCBiHConfig, generate_tpcbih
-    from repro.rewriter import SnapshotMiddleware
+    from repro.rewriter import QueryPipeline
 
     timings = []
     for scale in (0.05, 0.2):
         config = TPCBiHConfig(scale_factor=scale)
-        middleware = SnapshotMiddleware(config.domain, database=generate_tpcbih(config))
+        pipeline = QueryPipeline(config.domain, database=generate_tpcbih(config))
         query = TPCH_WORKLOAD["Q1"]()
         started = time.perf_counter()
-        middleware.execute(query)
+        pipeline.execute(query)
         timings.append(time.perf_counter() - started)
     assert timings[1] < timings[0] * 40  # 4x data, well under 40x time

@@ -45,7 +45,7 @@ def identical_results() -> None:
     for executor in ("row", "batch"):
         # The executor is a session-level switch; ``memory://?executor=batch``
         # in the DSN does the same thing as the keyword used below.
-        session = connect((0, 24), executor=executor)
+        session = connect(domain=(0, 24), executor=executor)
         salaries = session.load(
             "salaries", ["emp_no", "salary"], SALARIES
         )

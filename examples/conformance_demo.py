@@ -25,7 +25,7 @@ from repro.datasets.running_example import ASSIGN_ROWS, TIME_DOMAIN, WORKS_ROWS
 
 # -- Act 1: the running example conforms everywhere ---------------------------------
 
-session = connect(TIME_DOMAIN)
+session = connect(domain=TIME_DOMAIN)
 works = session.load("works", ["name", "skill"], WORKS_ROWS)
 assign = session.load("assign", ["mach", "req_skill"], ASSIGN_ROWS)
 
@@ -56,7 +56,7 @@ config = GeneratorConfig(
     null_endpoint_rate=0.1,       # periods that hold at no snapshot
     degenerate_rate=0.1,          # zero-length periods
 )
-generated = connect(config.domain, database=generate_catalog(config))
+generated = connect(domain=config.domain, database=generate_catalog(config))
 aggregation = (
     generated.table("R")
     .select(cat="r_cat", val="r_val")

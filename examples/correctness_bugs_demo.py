@@ -1,9 +1,10 @@
 """Demonstration of the AG and BD bugs in pre-existing approaches.
 
-Evaluates the paper's two introduction queries with (a) the snapshot
-middleware of this library, (b) an interval-preservation (ATSQL-style)
-baseline and (c) a temporal-alignment (PG-Nat-style) baseline, and prints a
-side-by-side comparison that makes the two correctness bugs visible:
+Evaluates the paper's two introduction queries with (a) a snapshot
+session of this library (:func:`repro.connect`), (b) an
+interval-preservation (ATSQL-style) baseline and (c) a temporal-alignment
+(PG-Nat-style) baseline, and prints a side-by-side comparison that makes
+the two correctness bugs visible:
 
 * the **aggregation gap (AG) bug** -- native approaches return no row for
   the time periods in which no SP worker is on duty, silently hiding the
@@ -17,6 +18,7 @@ Run with::
     python examples/correctness_bugs_demo.py
 """
 
+from repro import connect
 from repro.baselines import IntervalPreservationEvaluator, TemporalAlignmentEvaluator
 from repro.datasets.running_example import (
     TIME_DOMAIN,
@@ -25,13 +27,12 @@ from repro.datasets.running_example import (
     query_skillreq,
 )
 from repro.engine import Database
-from repro.rewriter import SnapshotMiddleware
 
 
 def evaluators():
     return {
-        "our approach (snapshot middleware)": lambda: SnapshotMiddleware(
-            TIME_DOMAIN, database=populate_database(Database())
+        "our approach (snapshot session)": lambda: connect(
+            domain=TIME_DOMAIN, database=populate_database(Database())
         ),
         "interval preservation (ATSQL-style)": lambda: IntervalPreservationEvaluator(
             populate_database(Database()), TIME_DOMAIN

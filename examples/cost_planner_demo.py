@@ -35,7 +35,7 @@ KEYS = 8
 
 def build_session(planner):
     """Fact (skewed FK), big (same skew), and a tiny selective dimension."""
-    session = connect((0, 128), planner=planner)
+    session = connect(domain=(0, 128), planner=planner)
     session.load(
         "fact",
         ["fk", "fval"],

@@ -1,9 +1,8 @@
 """The fluent session API end to end: Figure 1 on both backends.
 
-One ``connect()`` call replaces the middleware + operator-tree plumbing:
-lazy relations compile fluent chains to the logical algebra and execute --
-REWR, planner, backend, plan cache -- on the first terminal call.  The
-script reproduces the paper's running-example results (Figures 1b and 1c)
+One ``connect()`` call is all the plumbing there is: lazy relations
+compile fluent chains to the logical algebra and execute -- REWR, planner,
+backend, plan cache -- on the first terminal call.  The script reproduces the paper's running-example results (Figures 1b and 1c)
 through ``connect()`` on the in-memory engine *and* on SQLite, asserts both
 match the expected coalesced answers, and shows the plan cache skipping
 REWR on a repeated query.
@@ -39,7 +38,7 @@ EXPECTED_SKILLREQ_ROWS = Counter(
 def main() -> None:
     for backend in ("memory", "sqlite"):
         print(f"=== backend: {backend} " + "=" * 40)
-        session = connect(TIME_DOMAIN, backend=backend)
+        session = connect(domain=TIME_DOMAIN, backend=backend)
         works = session.load("works", ["name", "skill"], WORKS_ROWS)
         assign = session.load("assign", ["mach", "req_skill"], ASSIGN_ROWS)
 
@@ -90,7 +89,7 @@ def main() -> None:
         print()
 
     # One query checked against the abstract-model conformance oracle.
-    session = connect(TIME_DOMAIN)
+    session = connect(domain=TIME_DOMAIN)
     works = session.load("works", ["name", "skill"], WORKS_ROWS)
     report = works.where("skill = 'SP'").agg(cnt="count(*)").check()
     print(

@@ -24,7 +24,7 @@ from repro.datasets.workloads import employee_queries
 
 def main(scale: float = 0.05) -> None:
     config = EmployeesConfig(scale=scale)
-    session = connect(config.domain, database=generate_employees(config))
+    session = connect(domain=config.domain, database=generate_employees(config))
     print(f"Generated Employees database (scale={scale}):")
     for name, count in sorted(session.database.row_counts().items()):
         print(f"  {name:14s} {count:6d} period rows")

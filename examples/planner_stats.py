@@ -24,7 +24,7 @@ from repro.datasets.running_example import ASSIGN_ROWS, TIME_DOMAIN, WORKS_ROWS
 
 
 def main() -> None:
-    session = connect(TIME_DOMAIN)
+    session = connect(domain=TIME_DOMAIN)
     works = session.load("works", ["name", "skill"], WORKS_ROWS)
     assign = session.load("assign", ["mach", "req_skill"], ASSIGN_ROWS)
 

@@ -11,8 +11,8 @@ against the per-snapshot oracle:
   (snapshot bag difference; note the SP rows kept despite SP workers existing)
 
 The tail of the script shows that hand-built operator trees remain
-first-class citizens (``session.query``) and that the classic
-:class:`~repro.SnapshotMiddleware` is a thin layer over the same pipeline.
+first-class citizens: ``session.query`` wraps one as a lazy relation and
+``session.execute`` runs one directly, both through the session's pipeline.
 
 Run with::
 
@@ -25,7 +25,7 @@ from repro.algebra import AggregateSpec, Aggregation, Comparison, RelationAccess
 
 def main() -> None:
     # 1. Open a session over the paper's time domain (hours 0..23).
-    session = connect((0, 24))
+    session = connect(domain=(0, 24))
 
     # 2. Load the period relations of Figure 1a.  Each row ends with its
     #    validity period [begin, end).
@@ -84,9 +84,9 @@ def main() -> None:
         (AggregateSpec("count", None, "cnt"),),
     )
     assert sorted(session.query(tree).rows()) == sorted(onduty.rows())
-    print("\nsession.query(hand_built_tree) returns the same rows -- and the")
-    print("classic SnapshotMiddleware remains available as a thin layer:")
-    print(session.middleware().execute(tree).pretty(limit=3))
+    print("\nsession.query(hand_built_tree) returns the same rows -- and")
+    print("session.execute(hand_built_tree) hands back the period table:")
+    print(session.execute(tree).pretty(limit=3))
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ WORKS_ROWS = [
 
 
 def fresh_session(backend="memory", **kwargs):
-    session = connect((0, 24), backend=backend, **kwargs)
+    session = connect(domain=(0, 24), backend=backend, **kwargs)
     session.load("works", ["name", "skill"], WORKS_ROWS)
     return session
 
@@ -69,7 +69,7 @@ def main() -> None:
     #    the in-memory engine and via interrupt() on SQLite.
     # ------------------------------------------------------------------
     print("\n=== deadlines " + "=" * 40)
-    slow_session = connect((0, 100))
+    slow_session = connect(domain=(0, 100))
     n = 1200  # ~n^2 candidate pairs; far slower than the 20ms budget
     left = slow_session.load("l", ["a"], [(i, 0, 50) for i in range(n)])
     right = slow_session.load("r", ["b"], [(i, 0, 50) for i in range(n)])

@@ -10,8 +10,9 @@ Relations*, PVLDB 12(6), 2019:
   K-elements, i.e. elements of the period semiring ``K^T``
   (:mod:`repro.temporal`, :mod:`repro.logical_model`);
 * **implementation** -- SQL period relations on a multiset engine
-  (:mod:`repro.engine`) with the REWR query rewriting and the snapshot
-  middleware (:mod:`repro.rewriter`), a schema-aware planner
+  (:mod:`repro.engine`) with the REWR query rewriting and the query
+  pipeline that plays the paper's middleware (:mod:`repro.rewriter`), a
+  schema-aware planner
   (:mod:`repro.planner`: push-down through the temporal operators, join
   predicate normalisation feeding the engine's sort-merge interval join),
   plus pluggable execution backends (:mod:`repro.backends`): the in-memory
@@ -33,7 +34,7 @@ first terminal call::
 
     from repro import connect
 
-    session = connect((0, 24))                     # hours of 2018-01-01
+    session = connect("memory://?domain=0:24")     # hours of 2018-01-01
     works = session.load("works", ["name", "skill"], [
         ("Ann", "SP", 3, 10), ("Joe", "NS", 8, 16),
         ("Sam", "SP", 8, 16), ("Ann", "SP", 18, 20),
@@ -46,9 +47,9 @@ first terminal call::
 
 Re-executing ``onduty`` (or the same chain built again) hits the session's
 plan cache and skips REWR + planner entirely.  Hand-built operator trees
-remain first-class: ``session.query(operator_tree)`` wraps one, and the
-classic :class:`SnapshotMiddleware` stays available as a thin layer over
-the same execution pipeline.
+remain first-class: ``session.query(operator_tree)`` wraps one and runs it
+through the same :class:`~repro.rewriter.pipeline.QueryPipeline`
+(``session.pipeline``) -- the one execution path of the library.
 """
 
 from .api import (
@@ -67,14 +68,7 @@ from .abstract_model import (
     SnapshotKRelation,
     evaluate_snapshot_query,
 )
-from .backends import (
-    BatchBackend,
-    ExecutionBackend,
-    InMemoryBackend,
-    SQLiteBackend,
-    available_backends,
-    resolve_backend,
-)
+from .backends import BatchBackend, InMemoryBackend, SQLiteBackend
 from .conformance import (
     ConformanceError,
     ConformanceReport,
@@ -95,11 +89,10 @@ from .errors import (
     ReproError,
     ResourceLimitError,
 )
-from .execution import ExecutionPolicy
+from .execution import ExecutionBackend, ExecutionPolicy, available_backends
 from .faultinject import FaultInjectingBackend, FaultSchedule
 from .incremental import Delta, MaterializedView
 from .logical_model import PeriodDatabase, PeriodKRelation, evaluate_period_query
-from .rewriter import SnapshotMiddleware
 from .semirings import BOOLEAN, NATURAL, Semiring
 from .server import QueryServer
 from .temporal import Interval, PeriodSemiring, TemporalElement, TimeDomain
@@ -131,7 +124,6 @@ __all__ = [
     "PeriodKRelation",
     "PeriodDatabase",
     "evaluate_period_query",
-    "SnapshotMiddleware",
     "Database",
     "Table",
     "ExecutionBackend",
@@ -139,7 +131,6 @@ __all__ = [
     "BatchBackend",
     "SQLiteBackend",
     "available_backends",
-    "resolve_backend",
     "ReproError",
     "ParseError",
     "PlanError",

@@ -100,7 +100,7 @@ class Operator:
         ``annotations`` optionally maps ``id(node)`` to a suffix appended
         after that node's label (the cost planner's ``[strategy=... est=...
         act=...]`` readouts); the one-line-per-node shape is preserved.
-        Every evaluator-facing rendering (``SnapshotMiddleware.explain``,
+        Every evaluator-facing rendering (``QueryPipeline.explain``,
         the fluent API's ``TemporalRelation.explain``) builds on this; the
         output is pinned by tests, so treat changes as API changes.
         """

@@ -9,7 +9,7 @@ schema-aware planner, the chosen backend, and a rewritten-plan cache keyed
 by structural query hashes.
 
 >>> from repro.api import connect
->>> session = connect((0, 24))
+>>> session = connect("memory://?domain=0:24")
 >>> works = session.load("works", ["name", "skill"], [
 ...     ("Ann", "SP", 3, 10), ("Joe", "NS", 8, 16),
 ...     ("Sam", "SP", 8, 16), ("Ann", "SP", 18, 20),
@@ -19,10 +19,8 @@ by structural query hashes.
 
 Everything here is a thin layer: the plans it builds are exactly the
 operator trees the rest of the library consumes, so relations interoperate
-freely with hand-built queries (:meth:`Session.query`), the conformance
-harness (:meth:`TemporalRelation.check`) and the classic
-:class:`~repro.rewriter.middleware.SnapshotMiddleware`
-(:meth:`Session.middleware`).
+freely with hand-built queries (:meth:`Session.query`) and the conformance
+harness (:meth:`TemporalRelation.check`).
 """
 
 from .parser import ExpressionSyntaxError, as_expression, parse_expression

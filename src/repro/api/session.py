@@ -7,7 +7,7 @@ and a rewritten-plan cache -- and hands out lazy
 
     from repro import connect
 
-    session = connect((0, 24))                      # or TimeDomain(0, 24)
+    session = connect("memory://?domain=0:24")      # or connect(domain=(0, 24))
     works = session.load("works", ["name", "skill"], [
         ("Ann", "SP", 3, 10), ("Joe", "NS", 8, 16),
         ("Sam", "SP", 8, 16), ("Ann", "SP", 18, 20),
@@ -22,17 +22,18 @@ the planner are skipped entirely); :meth:`Session.cache_info` exposes the
 hit counters, and any DDL on the catalog invalidates stale entries via the
 catalog's schema version.
 
-The session shares its execution path -- a
-:class:`~repro.rewriter.pipeline.QueryPipeline` -- with the classic
-:class:`~repro.rewriter.middleware.SnapshotMiddleware`; :meth:`Session.middleware`
-returns that compatibility wrapper over the *same* pipeline for code that
-still wants the operator-tree interface.
+The session is a thin layer over one
+:class:`~repro.rewriter.pipeline.QueryPipeline` (:attr:`Session.pipeline`),
+the single execution path of the library; hand-built operator trees enter
+it through :meth:`Session.query` / :meth:`Session.execute`.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Optional,
@@ -55,7 +56,6 @@ from ..planner import (
     optimize as planner_optimize,
     reorder_joins,
 )
-from ..rewriter.middleware import SnapshotMiddleware
 from ..rewriter.periodenc import T_BEGIN, T_END
 from ..rewriter.pipeline import ExecutionInfo, PlanCacheInfo, QueryPipeline
 from ..rewriter.rewrite import SnapshotRewriter
@@ -176,8 +176,57 @@ def _dsn_bool(name: str, text: str) -> bool:
     return value
 
 
+def _parse_dsn_planner(text: str) -> "bool | str":
+    lowered = text.lower()
+    return lowered if lowered in ("syntactic", "cost") else _dsn_bool("planner", text)
+
+
+def _parse_dsn_executor(text: str) -> str:
+    if text not in ("row", "batch"):
+        raise FluentError(
+            f"DSN parameter executor= must be 'row' or 'batch', got {text!r}"
+        )
+    return text
+
+
+def _parse_dsn_workers(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise FluentError(
+            f"DSN parameter parallel_workers= must be an int, got {text!r}"
+        ) from exc
+
+
+#: DSN query parameter -> parser of its text; each overrides the
+#: :func:`connect` keyword of the same name.
+_DSN_PARSERS: Dict[str, Callable[[str], Any]] = {
+    "domain": _parse_dsn_domain,
+    "planner": _parse_dsn_planner,
+    "plan_cache": lambda text: _dsn_bool("plan_cache", text),
+    "coalesce": str,
+    "executor": _parse_dsn_executor,
+    "backend": str,
+    "parallel_workers": _parse_dsn_workers,
+}
+
+_LOCAL_DSN_PARAMS = ("domain", "planner", "plan_cache", "coalesce", "executor")
+
+#: Scheme -> the DSN parameters it can honour; anything else is rejected.
+_DSN_PARAMS: Dict[str, Tuple[str, ...]] = {
+    "memory": _LOCAL_DSN_PARAMS + ("backend", "parallel_workers"),
+    "sqlite": _LOCAL_DSN_PARAMS,
+    "repro": ("executor",),
+}
+
+#: The :func:`connect` keywords a ``repro://`` target honours: the policy
+#: applies client-side and the executor travels in every query frame; the
+#: rest configure a local pipeline the remote session does not have.
+_REMOTE_KEYWORDS = ("policy", "executor")
+
+
 def connect(
-    target: "Union[str, TimeDomain, Tuple[int, int], int, None]" = None,
+    target: Optional[str] = None,
     backend: "str | ExecutionBackend | None" = "memory",
     planner: "bool | str" = True,
     coalesce: str = "final",
@@ -205,161 +254,113 @@ def connect(
       :class:`~repro.server.QueryServer` (the domain comes from the
       server's welcome, never from the DSN).
 
-    Every return value satisfies :class:`SessionProtocol` and is a context
-    manager with idempotent ``close()``, so calling code is transport-
-    agnostic.
+    Without a DSN, ``connect(domain=(0, 24))`` opens a local in-memory
+    session.  Every return value satisfies :class:`SessionProtocol` and is
+    a context manager with idempotent ``close()``, so calling code is
+    transport-agnostic.
 
     The time domain of a local session comes from the DSN's ``domain=lo:hi``
-    query parameter or the ``domain=`` keyword (DSN wins); other recognised
+    query parameter or the ``domain=`` keyword (DSN wins); the other local
     DSN parameters -- ``planner=on|off|syntactic|cost`` (``cost`` enables
     the statistics-driven planner of :mod:`repro.planner.cost`),
-    ``coalesce=final|none|...``,
-    ``plan_cache=on|off``, ``executor=row|batch``, and on ``memory://``
-    also ``backend=name`` and ``parallel_workers=n`` -- likewise override
-    their keyword counterparts.
+    ``coalesce=final|none|...``, ``plan_cache=on|off``,
+    ``executor=row|batch``, and on ``memory://`` also ``backend=name`` and
+    ``parallel_workers=n`` -- likewise override their keyword counterparts.
 
-    .. deprecated:: passing the time domain *positionally*
-       (``connect((0, 24))``, ``connect(TimeDomain(0, 24))``,
-       ``connect(24)``) still works exactly as before -- it is the
-       pre-DSN keyword form -- but new code should prefer a DSN (or the
-       explicit ``domain=`` keyword).
-
-    Keyword parameters (``backend``, ``planner``, ``coalesce``,
-    ``use_temporal_aggregate``, ``database``, ``plan_cache``,
-    ``rewriter_cls``, ``policy``) keep their pre-DSN meanings; the ones
-    that configure local pipelines are rejected for ``repro://`` targets
-    only when they conflict (``policy`` applies client-side and is always
-    honoured).
+    A ``repro://`` target has no local pipeline to configure: it honours
+    only the ``executor=`` DSN parameter and the ``policy`` / ``executor``
+    keywords (the policy applies client-side).  Any other DSN parameter,
+    and any other keyword given a non-default value, raises
+    :class:`FluentError` instead of being silently ignored.
     """
+    keywords: Dict[str, Any] = {
+        "domain": domain,
+        "backend": backend,
+        "planner": planner,
+        "coalesce": coalesce,
+        "use_temporal_aggregate": use_temporal_aggregate,
+        "database": database,
+        "plan_cache": plan_cache,
+        "rewriter_cls": rewriter_cls,
+        "policy": policy,
+        "executor": executor,
+        "parallel_workers": parallel_workers,
+    }
     if target is not None and not isinstance(target, str):
-        # The deprecated positional-domain shim (see the docstring note).
-        if domain is not None:
-            raise FluentError(
-                "pass the domain once: positionally (deprecated) or as domain="
-            )
-        domain = target
-        target = None
-
+        raise FluentError(
+            f"connect() takes a DSN string (memory://?domain=lo:hi, "
+            f"sqlite:///path?domain=lo:hi, repro://host:port) or the time "
+            f"domain as the domain= keyword, not a positional {target!r}"
+        )
     if target is None:
         if domain is None:
             raise FluentError(
                 "connect needs a target: a DSN (memory://, sqlite:///path, "
                 "repro://host:port) or a time domain via domain="
             )
-        return _connect_local(
-            domain, backend, planner, coalesce, use_temporal_aggregate,
-            database, plan_cache, rewriter_cls, policy,
-            executor, parallel_workers,
-        )
+        return _connect_local(**keywords)
 
     parts = urlsplit(target)
     scheme = parts.scheme.lower()
+    if scheme not in _DSN_PARAMS:
+        raise FluentError(
+            f"unknown DSN scheme {parts.scheme!r} in {target!r}; expected "
+            "memory://, sqlite:///path or repro://host:port"
+        )
     params = {key: values[-1] for key, values in parse_qs(parts.query).items()}
-    if "domain" in params:
-        domain = _parse_dsn_domain(params.pop("domain"))
-    if "planner" in params:
-        raw = params.pop("planner")
-        lowered = raw.lower()
-        if lowered in ("syntactic", "cost"):
-            planner = lowered
-        else:
-            planner = _dsn_bool("planner", raw)
-    if "plan_cache" in params:
-        plan_cache = _dsn_bool("plan_cache", params.pop("plan_cache"))
-    if "coalesce" in params:
-        coalesce = params.pop("coalesce")
-    if "executor" in params:
-        executor = params.pop("executor")
-        if executor not in ("row", "batch"):
-            raise FluentError(
-                f"DSN parameter executor= must be 'row' or 'batch', got {executor!r}"
-            )
+    unsupported = sorted(set(params) - set(_DSN_PARAMS[scheme]))
+    if unsupported:
+        raise FluentError(f"unsupported {scheme}:// DSN parameter(s): {unsupported}")
+
+    for name, text in params.items():
+        keywords[name] = _DSN_PARSERS[name](text)
 
     if scheme == "repro":
-        if params:
+        ignored = sorted(
+            name
+            for name, value in keywords.items()
+            if name not in _REMOTE_KEYWORDS and value != _CONNECT_DEFAULTS[name]
+        )
+        if ignored:
             raise FluentError(
-                f"unsupported repro:// DSN parameter(s): {sorted(params)}"
+                f"a repro:// session cannot honour the local-only keyword(s) "
+                f"{ignored}; configure them on the server"
             )
         from ..client import RemoteSession
         from ..server.core import DEFAULT_PORT
 
         host = parts.hostname or "127.0.0.1"
         port = parts.port if parts.port is not None else DEFAULT_PORT
-        return RemoteSession(host, port, policy=policy, executor=executor)
+        return RemoteSession(host, port, policy=policy, executor=keywords["executor"])
 
-    if scheme == "memory":
-        if "backend" in params:
-            backend = params.pop("backend")
-        if "parallel_workers" in params:
-            raw = params.pop("parallel_workers")
-            try:
-                parallel_workers = int(raw)
-            except ValueError as exc:
-                raise FluentError(
-                    f"DSN parameter parallel_workers= must be an int, got {raw!r}"
-                ) from exc
-    elif scheme == "sqlite":
+    if scheme == "sqlite":
         path = parts.path
         if path.startswith("/"):
             # SQLAlchemy convention: sqlite:///rel.db is relative,
             # sqlite:////abs.db is absolute.
             path = path[1:]
         if not path:
-            raise FluentError(
-                "sqlite DSN needs a file path: sqlite:///path/to.db"
-            )
+            raise FluentError("sqlite DSN needs a file path: sqlite:///path/to.db")
         from ..backends.sqlite import SQLiteBackend
 
         # The pipeline owns the planner pass; see QueryPipeline._run_plan.
-        backend = SQLiteBackend.at_path(path, optimize=False)
-    else:
-        raise FluentError(
-            f"unknown DSN scheme {parts.scheme!r} in {target!r}; expected "
-            "memory://, sqlite:///path or repro://host:port"
-        )
-    if params:
-        raise FluentError(
-            f"unsupported {scheme}:// DSN parameter(s): {sorted(params)}"
-        )
-    if domain is None:
+        keywords["backend"] = SQLiteBackend.at_path(path, optimize=False)
+    if keywords["domain"] is None:
         raise FluentError(
             f"a {scheme}:// DSN needs a time domain: append ?domain=lo:hi "
             "or pass domain=(lo, hi)"
         )
-    return _connect_local(
-        domain, backend, planner, coalesce, use_temporal_aggregate,
-        database, plan_cache, rewriter_cls, policy,
-        executor, parallel_workers,
-    )
+    return _connect_local(**keywords)
 
 
-def _connect_local(
-    domain: "Union[TimeDomain, Tuple[int, int], int]",
-    backend: "str | ExecutionBackend | None",
-    planner: "bool | str",
-    coalesce: str,
-    use_temporal_aggregate: bool,
-    database: Optional[Database],
-    plan_cache: bool,
-    rewriter_cls: type[SnapshotRewriter],
-    policy: Optional[ExecutionPolicy],
-    executor: str = "row",
-    parallel_workers: Optional[int] = None,
-) -> "Session":
-    pipeline = QueryPipeline(
-        _as_domain(domain),
-        database=database,
-        coalesce=coalesce,
-        use_temporal_aggregate=use_temporal_aggregate,
-        optimize=planner,
-        backend=backend,
-        rewriter_cls=rewriter_cls,
-        plan_cache=plan_cache,
-        policy=policy,
-        executor=executor,
-        parallel_workers=parallel_workers,
-    )
-    return Session(pipeline)
+_CONNECT_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(connect).parameters.items()
+}
+
+
+def _connect_local(domain: Any, planner: "bool | str", **options: Any) -> "Session":
+    return Session(QueryPipeline(_as_domain(domain), optimize=planner, **options))
 
 
 class Session:
@@ -454,10 +455,6 @@ class Session:
     def execution_info(self) -> ExecutionInfo:
         """Lifetime ``(retries, timeouts, fallbacks)`` counters of this session."""
         return self._pipeline.execution_info()
-
-    def middleware(self) -> SnapshotMiddleware:
-        """The classic operator-tree interface over this session's pipeline."""
-        return SnapshotMiddleware.from_pipeline(self._pipeline)
 
     def __repr__(self) -> str:
         backend = self._pipeline.backend
@@ -583,10 +580,12 @@ class Session:
 
     def view(self, name: str) -> Any:
         """A registered :class:`~repro.incremental.MaterializedView` by name."""
+        self._ensure_open()
         return self._pipeline.view(name)
 
     def views(self) -> Tuple[str, ...]:
         """Names of the registered materialized views."""
+        self._ensure_open()
         return self._pipeline.view_names()
 
     def drop_view(self, name: str) -> None:

@@ -1,10 +1,9 @@
-"""The in-memory execution backend plus re-exports of the host contract.
+"""The in-memory execution backends: the engine of :mod:`repro.engine.executor`.
 
 The :class:`~repro.execution.ExecutionBackend` protocol and the backend
 registry live in :mod:`repro.execution` (below the rewriter, so the
-middleware and the fluent API import them without cycles); this module
-re-exports them for compatibility and contributes the default backend: the
-engine of :mod:`repro.engine.executor`.
+pipeline and the fluent API import them without cycles); this module
+contributes the two in-process implementations and registers them.
 """
 
 from __future__ import annotations
@@ -13,25 +12,11 @@ from typing import Dict, Optional
 
 from ..algebra.operators import Operator
 from ..engine.catalog import Database
+from ..engine.executor import execute as engine_execute
 from ..engine.table import Table
-from ..execution import (
-    BackendError,
-    ExecutionBackend,
-    QueryLimits,
-    available_backends,
-    register_backend,
-    resolve_backend,
-)
+from ..execution import QueryLimits, register_backend
 
-__all__ = [
-    "BackendError",
-    "ExecutionBackend",
-    "InMemoryBackend",
-    "BatchBackend",
-    "register_backend",
-    "resolve_backend",
-    "available_backends",
-]
+__all__ = ["InMemoryBackend", "BatchBackend"]
 
 
 class InMemoryBackend:
@@ -46,8 +31,6 @@ class InMemoryBackend:
         statistics: Optional[Dict[str, int]] = None,
         limits: Optional[QueryLimits] = None,
     ) -> Table:
-        from ..engine.executor import execute as engine_execute
-
         return engine_execute(plan, database, statistics, limits=limits)
 
     def __repr__(self) -> str:
@@ -76,8 +59,6 @@ class BatchBackend:
         statistics: Optional[Dict[str, int]] = None,
         limits: Optional[QueryLimits] = None,
     ) -> Table:
-        from ..engine.executor import execute as engine_execute
-
         return engine_execute(
             plan,
             database,

@@ -53,12 +53,12 @@ from ..algebra.operators import (
 )
 from ..algebra.sql import quote_identifier, sql_expression, sql_literal
 from ..engine.catalog import Database
+from ..errors import BackendError
 from ..rewriter.operators import (
     CoalesceOperator,
     SplitOperator,
     TemporalAggregateOperator,
 )
-from .base import BackendError
 
 __all__ = ["CompiledQuery", "SQLCompiler", "compile_plan"]
 

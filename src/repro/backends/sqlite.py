@@ -1,6 +1,6 @@
 """The SQLite execution backend: rewritten plans on a real DBMS.
 
-This realises the paper's deployment model end to end: the middleware
+This realises the paper's deployment model end to end: the pipeline
 rewrites a snapshot query into an ordinary multiset query, the compiler
 (:mod:`repro.backends.sqlcompile`) prints it as one SQL statement -- window
 functions included -- and a stock DBMS executes it over the PERIODENC
@@ -28,13 +28,13 @@ from ..datasets.sqlite_loader import connect_memory, load_database
 from ..engine.catalog import Database
 from ..engine.table import Table
 from ..errors import (
+    BackendError,
     BackendUnavailableError,
     QueryTimeoutError,
     ResourceLimitError,
 )
-from ..execution import QueryLimits
+from ..execution import QueryLimits, register_backend
 from ..planner import optimize as planner_optimize
-from .base import BackendError, register_backend
 from .sqlcompile import compile_plan
 
 __all__ = ["SQLiteBackend"]
@@ -93,9 +93,8 @@ class SQLiteBackend:
         """A session backend with the whole catalog loaded once up front.
 
         Pass ``optimize=False`` when every plan this backend will see is
-        already optimized (e.g. it only executes
-        :meth:`SnapshotMiddleware.rewrite` output), to avoid a redundant
-        planner pass per query.
+        already optimized (e.g. it only executes ``QueryPipeline.rewrite``
+        output), to avoid a redundant planner pass per query.
         """
         backend = cls(connect_memory(), optimize=optimize)
         load_database(backend._connection, database)

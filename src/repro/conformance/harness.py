@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..abstract_model.krelation import KRelation
 from ..algebra.operators import Operator
 from ..engine.catalog import Database
-from ..rewriter.middleware import SnapshotMiddleware
+from ..rewriter.pipeline import QueryPipeline
 from ..rewriter.rewrite import SnapshotRewriter
 from ..temporal.timedomain import TimeDomain
 from .oracle import distinct_time_points, oracle_at, referenced_tables
@@ -141,7 +141,7 @@ def _build_database(context: _Context, rows: Dict[str, List[Tuple[Any, ...]]]) -
 def _execute_decoded(
     context: _Context, database: Database, backend: str, optimize: "bool | str"
 ):
-    middleware = SnapshotMiddleware(
+    pipeline = QueryPipeline(
         context.domain,
         database=database,
         coalesce=context.coalesce,
@@ -150,7 +150,7 @@ def _execute_decoded(
         backend=None if backend == "memory" else backend,
         rewriter_cls=context.rewriter_cls,
     )
-    return middleware.execute_decoded(context.query)
+    return pipeline.execute_decoded(context.query)
 
 
 def _mismatch_at(

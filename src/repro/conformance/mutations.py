@@ -8,7 +8,7 @@ The mutation tests assert that :func:`repro.conformance.check_conformance`
 flags every one of them with a minimized counterexample; if a refactor ever
 makes a mutation pass, the harness itself has lost detection power.
 
-The mutants are injected through ``SnapshotMiddleware(rewriter_cls=...)``
+The mutants are injected through ``QueryPipeline(rewriter_cls=...)``
 and never touch production code paths.
 """
 

@@ -28,7 +28,7 @@ from ..algebra.operators import (
     Selection,
 )
 from ..engine.catalog import Database
-from ..rewriter.middleware import SnapshotMiddleware
+from ..rewriter.pipeline import QueryPipeline
 from ..temporal.timedomain import TimeDomain
 
 __all__ = [
@@ -74,15 +74,13 @@ EXPECTED_SKILLREQ: Dict[str, List[Tuple[int, int]]] = {
 }
 
 
-def load_running_example(
-    middleware: SnapshotMiddleware | None = None,
-) -> SnapshotMiddleware:
-    """Create (or populate) a middleware instance holding works and assign."""
-    if middleware is None:
-        middleware = SnapshotMiddleware(TIME_DOMAIN)
-    middleware.load_table("works", ["name", "skill"], WORKS_ROWS)
-    middleware.load_table("assign", ["mach", "req_skill"], ASSIGN_ROWS)
-    return middleware
+def load_running_example(pipeline: QueryPipeline | None = None) -> QueryPipeline:
+    """Create (or populate) a query pipeline holding works and assign."""
+    if pipeline is None:
+        pipeline = QueryPipeline(TIME_DOMAIN)
+    pipeline.load_table("works", ["name", "skill"], WORKS_ROWS)
+    pipeline.load_table("assign", ["mach", "req_skill"], ASSIGN_ROWS)
+    return pipeline
 
 
 def populate_database(database: Database) -> Database:

@@ -1,6 +1,5 @@
-"""Multiset engine substrate: tables, catalog, executor, window functions, optimizer."""
+"""Multiset engine substrate: tables, catalog, executor, window functions."""
 
-from ..planner import optimize
 from .catalog import DEFAULT_PERIOD, Database
 from .executor import ExecutionContext, ExecutorError, PhysicalOperator, execute
 from .table import Table, TableError
@@ -24,7 +23,6 @@ __all__ = [
     "ExecutionContext",
     "ExecutorError",
     "PhysicalOperator",
-    "optimize",
     "WindowSpec",
     "apply_window",
     "row_number",

@@ -523,7 +523,6 @@ def _join(
     chosen = "nested_loop"
     if interval is not None:
         chosen = "interval"
-        context.count("interval_joins")
         context.count("join_strategy.interval")
         _interval_join(
             left,
@@ -539,11 +538,9 @@ def _join(
         )
     elif equi_keys:
         chosen = "hash"
-        context.count("hash_joins")
         context.count("join_strategy.hash")
         _hash_join(left_rows, right_rows, schema, equi_keys, residual, out, context)
     else:
-        context.count("nested_loop_joins")
         context.count("join_strategy.nested_loop")
         _nested_loop_join(left_rows, right_rows, schema, predicate, out, context)
     if context.observations is not None and node is not None:

@@ -24,8 +24,7 @@ Physical choices:
 
 The strategy chosen per join is reported through the statistics mapping
 under ``join_strategy.interval`` / ``join_strategy.hash`` /
-``join_strategy.nested_loop`` (plus the historical ``hash_joins`` /
-``nested_loop_joins`` / ``interval_joins`` aliases).
+``join_strategy.nested_loop``.
 
 Every scalar expression on a hot path (selection predicates, projection
 columns, join residuals, aggregate arguments) is compiled once per plan
@@ -41,8 +40,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # avoids the runtime import cycle engine -> backends -> engine
-    from ..backends.base import ExecutionBackend
+if TYPE_CHECKING:
     from ..execution import Deadline, QueryLimits
 
 from ..abstract_model.krelation import aggregate_values
@@ -176,7 +174,6 @@ def execute(
     plan: Operator,
     database: Database,
     statistics: Dict[str, int] | None = None,
-    backend: "str | ExecutionBackend | None" = None,
     interval_join: bool = True,
     limits: "Optional[QueryLimits]" = None,
     executor: str = "row",
@@ -186,39 +183,27 @@ def execute(
 ) -> Table:
     """Execute a logical plan against the catalog and return a result table.
 
-    ``backend`` selects the execution host: ``None`` (or ``"memory"``) runs
-    the in-process engine below; any other registered backend name -- or an
-    :class:`~repro.backends.ExecutionBackend` instance, e.g. a session
-    :class:`~repro.backends.SQLiteBackend` reusing one connection -- routes
-    the plan through :mod:`repro.backends` instead.  ``interval_join=False``
-    disables the sort-merge interval join (in-memory engine only), forcing
-    the nested-loop/hash fallback for overlap predicates.  ``limits``
+    This is the in-process engine only; other execution hosts are reached
+    through :class:`~repro.rewriter.pipeline.QueryPipeline` or by calling a
+    :mod:`repro.backends` instance directly.  ``interval_join=False``
+    disables the sort-merge interval join, forcing the nested-loop/hash
+    fallback for overlap predicates.  ``limits``
     carries a per-execution deadline and row budget (see
     :class:`repro.execution.QueryLimits`), enforced cooperatively inside
-    the operator loops.  ``executor`` picks the physical engine for the
-    in-memory backend: ``"row"`` (tuple streaming, this module) or
+    the operator loops.  ``executor`` picks the physical engine:
+    ``"row"`` (tuple streaming, this module) or
     ``"batch"`` (columnar batches, :mod:`repro.engine.batch`), with
     ``parallel_workers`` sizing the batch engine's partitioned-join pool.
     ``parallel_threshold`` overrides the pool's engage threshold (the
     cost planner derives it from table statistics; ``None`` keeps the
     4096-row constant), and ``observations`` -- when a dict is passed --
     collects per-node ``actual_rows`` / ``join_strategy`` readouts for
-    ``explain()`` (in-memory engine only).
+    ``explain()``.
     """
     if executor not in ("row", "batch"):
         raise ExecutorError(
             f"unknown executor {executor!r}; expected 'row' or 'batch'"
         )
-    if backend is not None and backend != "memory":
-        from ..backends.base import resolve_backend
-        from ..execution import backend_accepts_limits
-
-        resolved = resolve_backend(backend)
-        if limits is None:
-            return resolved.execute(plan, database, statistics)
-        if backend_accepts_limits(resolved):
-            return resolved.execute(plan, database, statistics, limits=limits)
-        return limits.enforce_result(resolved.execute(plan, database, statistics))
     counter = None if statistics is None else Counter()
     context = ExecutionContext(
         database=database,
@@ -473,17 +458,14 @@ def _join(
         interval = None
     if interval is not None:
         chosen = "interval"
-        context.count("interval_joins")
         context.count("join_strategy.interval")
         _interval_join(left, right, equi_keys, interval, residual, result, context)
     elif equi_keys:
         chosen = "hash"
-        context.count("hash_joins")
         context.count("join_strategy.hash")
         _hash_join(left, right, equi_keys, residual, result, context)
     else:
         chosen = "nested_loop"
-        context.count("nested_loop_joins")
         context.count("join_strategy.nested_loop")
         _nested_loop_join(left, right, predicate, result, context)
     if context.observations is not None and node is not None:

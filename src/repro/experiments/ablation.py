@@ -24,7 +24,7 @@ from typing import Dict, List
 from ..baselines import NaiveSnapshotEvaluator
 from ..datasets.employees import EmployeesConfig, generate_employees
 from ..datasets.workloads import employee_queries
-from ..rewriter.middleware import SnapshotMiddleware
+from ..rewriter.pipeline import QueryPipeline
 from .report import format_seconds, format_table
 
 __all__ = ["run_ablation", "format_ablation"]
@@ -53,11 +53,11 @@ def run_ablation(
     }
 
     configurations = {
-        "optimized": SnapshotMiddleware(config.domain, database=database),
-        "per-operator-coalesce": SnapshotMiddleware(
+        "optimized": QueryPipeline(config.domain, database=database),
+        "per-operator-coalesce": QueryPipeline(
             config.domain, database=database, coalesce="per-operator"
         ),
-        "no-preaggregation": SnapshotMiddleware(
+        "no-preaggregation": QueryPipeline(
             config.domain, database=database, use_temporal_aggregate=False
         ),
     }
@@ -66,9 +66,9 @@ def run_ablation(
     for name, query in queries.items():
         row: Dict[str, object] = {"query": name}
         baseline_result = None
-        for label, middleware in configurations.items():
+        for label, pipeline in configurations.items():
             started = time.perf_counter()
-            result = middleware.execute_decoded(query)
+            result = pipeline.execute_decoded(query)
             row[label] = time.perf_counter() - started
             if baseline_result is None:
                 baseline_result = result

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Sequence
 
 from ..engine.catalog import Database
 from ..engine.executor import execute as engine_execute
-from ..rewriter.middleware import SnapshotMiddleware
+from ..rewriter.pipeline import QueryPipeline
 from ..algebra.operators import Projection, RelationAccess
 from ..temporal.timedomain import TimeDomain
 from .report import format_table
@@ -93,11 +93,11 @@ def run_figure5(
     domain = TimeDomain(0, months)
     for size in sizes:
         database = build_salary_table(size, domain, seed=seed)
-        middleware = SnapshotMiddleware(domain, database=database, executor=executor)
+        pipeline = QueryPipeline(domain, database=database, executor=executor)
         query = Projection.of_attributes(
             RelationAccess("materialized_salaries"), "ms_emp_no", "ms_salary"
         )
-        plan = middleware.rewrite(query)
+        plan = pipeline.rewrite(query)
         best = None
         output_rows = 0
         # Like timeit: collect up front and keep the collector out of the

@@ -36,7 +36,7 @@ from ..datasets.running_example import (
     query_skillreq,
 )
 from ..engine.catalog import Database
-from ..rewriter.middleware import SnapshotMiddleware
+from ..rewriter.pipeline import QueryPipeline
 from ..rewriter.periodenc import T_BEGIN, T_END
 from .report import format_table
 
@@ -44,7 +44,7 @@ __all__ = ["run_table1", "format_table1", "SYSTEMS"]
 
 #: System name -> factory building an evaluator over a populated catalog.
 SYSTEMS = {
-    "our-approach": lambda db: SnapshotMiddleware(TIME_DOMAIN, database=db),
+    "our-approach": lambda db: QueryPipeline(TIME_DOMAIN, database=db),
     "interval-preservation": lambda db: IntervalPreservationEvaluator(db, TIME_DOMAIN),
     "temporal-alignment": lambda db: TemporalAlignmentEvaluator(db, TIME_DOMAIN),
     "naive-per-snapshot": lambda db: NaiveSnapshotEvaluator(db, TIME_DOMAIN),

@@ -18,7 +18,7 @@ from typing import Dict, List
 from ..datasets.employees import EmployeesConfig, generate_employees
 from ..datasets.tpcbih import TPCBiHConfig, generate_tpcbih
 from ..datasets.workloads import employee_queries, tpch_queries
-from ..rewriter.middleware import SnapshotMiddleware
+from ..rewriter.pipeline import QueryPipeline
 from .report import format_table
 
 __all__ = ["run_table2_employee", "run_table2_tpch", "format_table2"]
@@ -37,10 +37,10 @@ def run_table2_employee(
     if seed is not None:
         config = replace(config, seed=seed)
     database = generate_employees(config)
-    middleware = SnapshotMiddleware(config.domain, database=database)
+    pipeline = QueryPipeline(config.domain, database=database)
     rows: List[Dict[str, object]] = []
     for name, query in employee_queries().items():
-        result = middleware.execute(query)
+        result = pipeline.execute(query)
         rows.append({"query": name, "result_rows": len(result)})
     return rows
 
@@ -54,10 +54,10 @@ def run_table2_tpch(
     if seed is not None:
         config = replace(config, seed=seed)
     database = generate_tpcbih(config)
-    middleware = SnapshotMiddleware(config.domain, database=database)
+    pipeline = QueryPipeline(config.domain, database=database)
     rows: List[Dict[str, object]] = []
     for name, query in tpch_queries().items():
-        result = middleware.execute(query)
+        result = pipeline.execute(query)
         rows.append({"query": name, "result_rows": len(result)})
     return rows
 

@@ -13,7 +13,7 @@ Employee workload and against PG-Nat on TPC-BiH.  The headline findings are:
 * native approaches additionally exhibit the AG/BD bugs on the flagged
   queries.
 
-Here ``Seq`` is :class:`SnapshotMiddleware` and ``Nat`` is the
+Here ``Seq`` is a :func:`repro.connect` session and ``Nat`` is the
 :class:`TemporalAlignmentEvaluator` baseline (the PG-Nat stand-in); the
 ``Seq-SQL`` column executes the same rewritten plans on the SQLite backend
 (the paper's actual deployment model: middleware over a host DBMS).  The
@@ -75,7 +75,7 @@ def _run_workload(
     # session-scoped, so the ``*-SQL`` run of each query reuses the plan the
     # ``*-Seq`` run just rewrote -- REWR and the planner drop out of the SQL
     # timing, which therefore isolates backend execution.
-    session = connect(domain, database=database)
+    session = connect(domain=domain, database=database)
     native = TemporalAlignmentEvaluator(database, domain)
     # The ``*-SQL`` column: the same rewritten plans executed on SQLite (the
     # paper's actual deployment model -- middleware over a host DBMS).  The

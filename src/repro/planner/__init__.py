@@ -1,7 +1,6 @@
 """repro.planner: schema-aware logical plan optimisation.
 
-The planner grew out of ``repro.engine.optimizer`` (which remains as a
-compatibility shim).  It provides:
+It provides:
 
 * **static schema inference** (:mod:`repro.planner.schema`) for every
   operator of the logical algebra *including* the rewriter's physical

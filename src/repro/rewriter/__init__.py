@@ -1,14 +1,12 @@
 """Snapshot middleware: PERIODENC encoding, temporal physical operators,
-the REWR rewriting and the user-facing :class:`SnapshotMiddleware`."""
+the REWR rewriting and the :class:`QueryPipeline` that executes it."""
 
-from .middleware import SnapshotMiddleware
 from .operators import CoalesceOperator, SplitOperator, TemporalAggregateOperator
 from .periodenc import T_BEGIN, T_END, period_decode, period_encode, period_schema
 from .pipeline import PlanCacheInfo, QueryPipeline
 from .rewrite import RewriteError, SnapshotRewriter
 
 __all__ = [
-    "SnapshotMiddleware",
     "QueryPipeline",
     "PlanCacheInfo",
     "SnapshotRewriter",

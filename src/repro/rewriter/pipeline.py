@@ -1,10 +1,16 @@
-"""The shared snapshot execution path: REWR + planner + backend dispatch.
+"""The snapshot execution path: REWR + planner + backend dispatch.
 
-:class:`QueryPipeline` is the single implementation behind both user-facing
-surfaces -- the classic :class:`~repro.rewriter.middleware.SnapshotMiddleware`
-and the fluent session API (:mod:`repro.api`).  It owns the catalog, the
-rewriter, the planner switch, the default execution backend and (optionally)
-a **rewritten-plan cache**:
+:class:`QueryPipeline` plays the role of the database middleware the paper
+builds: it sits in front of an ordinary multiset engine whose tables are SQL
+period relations, accepts non-temporal queries that should be interpreted
+under snapshot semantics (the ``SEQ VT (...)`` blocks of the paper's SQL
+extension), rewrites them with REWR and hands the rewritten plans to an
+execution backend.  It is the single implementation behind the fluent
+session API (:mod:`repro.api`), the query server, the conformance harness
+and the experiment drivers, and :meth:`QueryPipeline._run_plan` is the only
+place a plan is dispatched to a backend.  It owns the catalog, the
+rewriter, the planner switch, the default execution backend and
+(optionally) a **rewritten-plan cache**:
 
 * plans are keyed by the structural hash/equality of the logical query
   (every expression and operator node is an immutable, hashable dataclass),
@@ -25,6 +31,7 @@ not, because rewriting never looks at the data.
 from __future__ import annotations
 
 import copy
+from functools import partial
 from typing import Any, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from ..algebra.operators import Operator
@@ -81,9 +88,47 @@ class ExecutionInfo(NamedTuple):
 class QueryPipeline:
     """Rewrites snapshot queries and executes them on a backend.
 
-    Parameters mirror :class:`~repro.rewriter.middleware.SnapshotMiddleware`
-    (which delegates everything here); ``plan_cache=True`` additionally
-    memoises rewritten plans across executions.
+    Parameters
+    ----------
+    domain:
+        The time domain queries are interpreted over.
+    database:
+        An existing engine catalog to attach to (a fresh one when omitted).
+    coalesce:
+        ``"final"`` (default, single coalesce as the last step),
+        ``"per-operator"`` (the un-optimised scheme, used by the ablation
+        experiments) or ``"none"`` (skip coalescing; results remain
+        snapshot-equivalent but their encoding is not unique).
+    use_temporal_aggregate:
+        Use the fused pre-aggregation + split implementation of snapshot
+        aggregation (Section 9) instead of naive split-then-aggregate.
+    optimize:
+        Planner mode for rewritten plans: ``False``/``"off"``,
+        ``True``/``"syntactic"`` (the rule fixpoint) or ``"cost"``
+        (statistics-driven join reordering + strategy hints, see
+        :mod:`repro.planner.cost`).
+    backend:
+        Default execution host for rewritten plans: a registered backend
+        name (``"memory"``, ``"sqlite"``, ``"batch"``) or an
+        :class:`~repro.execution.ExecutionBackend` instance.  ``None`` keeps
+        the in-memory engine; :meth:`execute` can override per query.
+    rewriter_cls:
+        The :class:`~repro.rewriter.rewrite.SnapshotRewriter` subclass that
+        performs REWR; the conformance harness injects deliberately broken
+        rewrite rules through it (mutation testing of its detection power).
+    plan_cache:
+        Memoise rewritten plans across executions (off by default;
+        :func:`repro.connect` sessions turn it on).
+    policy:
+        Default :class:`~repro.execution.ExecutionPolicy` (deadline, row
+        budget, retries, failover); :meth:`execute` can override per query.
+    executor:
+        Physical executor for the in-memory engine: ``"row"`` (default,
+        tuple-at-a-time streaming) or ``"batch"`` (columnar batches with
+        the partitioned parallel interval join).  Ignored by SQL backends.
+    parallel_workers:
+        Worker-process count for the batch executor's partitioned interval
+        join; ``None`` keeps it serial.
     """
 
     def __init__(
@@ -107,22 +152,15 @@ class QueryPipeline:
         self.domain = domain
         self.database = database if database is not None else Database()
         self.period_semiring = PeriodSemiring(NATURAL, domain)
-        #: Planner switch: ``False``/``"off"`` disables planning, ``True``/
-        #: ``"syntactic"`` runs the rule fixpoint, ``"cost"`` additionally
-        #: reorders joins and stamps join strategies from table statistics.
         normalize_planner_mode(optimize)  # validate eagerly
         self.optimize = optimize
         self.backend = backend
         self.policy = policy
-        #: Physical engine for memory-backend plans: ``"row"`` streams
-        #: tuples, ``"batch"`` runs the columnar executor
-        #: (:mod:`repro.engine.batch`); ``parallel_workers`` sizes the batch
-        #: engine's partitioned interval-join pool.
         self.executor = executor
         self.parallel_workers = parallel_workers
         # Kept alongside the rewriter instance so callers that re-create the
         # configuration elsewhere (the conformance harness builds fresh
-        # middlewares per execution) can mirror this pipeline exactly.
+        # pipelines per execution) can mirror this pipeline exactly.
         self.coalesce = coalesce
         self.use_temporal_aggregate = use_temporal_aggregate
         self.rewriter_cls = rewriter_cls
@@ -345,8 +383,16 @@ class QueryPipeline:
         """
         chosen = backend if backend is not None else self.backend
         effective = policy if policy is not None else self.policy
+
+        # The one way this call reaches a backend: primary attempts, retries
+        # and the fallback all carry the same statistics and observations.
+        def run(target: "str | ExecutionBackend | None", limits: Optional[QueryLimits]) -> Table:
+            return self._run_plan(
+                plan, statistics, target, limits, observations=observations
+            )
+
         if effective is None:
-            return self._run_plan(plan, statistics, chosen, None, observations=observations)
+            return run(chosen, None)
 
         def observer(event: str) -> None:
             if event == "retry":
@@ -361,14 +407,9 @@ class QueryPipeline:
 
         fallback = None
         if effective.fallback_backend is not None:
-            fallback = lambda limits: self._run_plan(  # noqa: E731
-                plan, statistics, effective.fallback_backend, limits
-            )
+            fallback = partial(run, effective.fallback_backend)
         return run_with_policy(
-            effective,
-            lambda limits: self._run_plan(plan, statistics, chosen, limits),
-            fallback=fallback,
-            observer=observer,
+            effective, partial(run, chosen), fallback=fallback, observer=observer
         )
 
     def execute_limited(

@@ -136,7 +136,7 @@ class QueryServer:
             from ..api import connect
 
             session = connect(
-                domain,
+                domain=domain,
                 backend=backend,
                 planner=planner,
                 coalesce=coalesce,

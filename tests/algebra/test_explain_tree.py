@@ -3,7 +3,7 @@
 Every operator class -- the core RA^agg algebra *and* the rewriter's
 physical temporal operators -- must render as one stable line, and trees
 must use the box-drawing guides exactly as pinned here.  The fluent API's
-``explain()`` and ``SnapshotMiddleware.explain`` both build on this
+``explain()`` and ``QueryPipeline.explain`` both build on this
 rendering, so changes to it are API changes.
 """
 
@@ -125,9 +125,9 @@ class TestTreeRendering:
     def test_every_rewritten_plan_renders_one_line_per_node(self):
         from repro.datasets.running_example import load_running_example, query_onduty
 
-        middleware = load_running_example()
-        plan = middleware.rewrite(query_onduty())
-        rendered = middleware.explain(query_onduty())
+        pipeline = load_running_example()
+        plan = pipeline.rewrite(query_onduty())
+        rendered = pipeline.explain(query_onduty())
         assert rendered == plan.explain_tree()
         assert len(rendered.splitlines()) == sum(1 for _ in plan.walk())
 
@@ -168,7 +168,7 @@ class TestAnnotations:
     def test_session_explain_annotates_every_join_node(self):
         from repro.api import connect
 
-        session = connect((0, 24))
+        session = connect(domain=(0, 24))
         session.load(
             "works", ["name", "skill"], [("Ann", "SP", 3, 10), ("Joe", "NS", 8, 16)]
         )

@@ -1,4 +1,4 @@
-"""connect() DSN parsing: memory://, sqlite:///, repro://, and the legacy shim."""
+"""connect() DSN parsing: memory://, sqlite:///, repro://, and the domain= form."""
 
 from __future__ import annotations
 
@@ -44,6 +44,35 @@ class TestMemoryDsn:
         with pytest.raises(FluentError, match="unsupported"):
             connect("memory://?domain=0:8&compression=lz4")
 
+    def test_memory_only_param_rejected_on_sqlite(self, tmp_path):
+        with pytest.raises(FluentError, match="unsupported sqlite://"):
+            connect(f"sqlite:///{tmp_path / 'x.db'}?domain=0:8&backend=memory")
+
+    @pytest.mark.parametrize(
+        "query",
+        ["planner=off", "plan_cache=off&coalesce=none", "domain=0:5", "bogus=1"],
+    )
+    def test_repro_dsn_rejects_params_it_cannot_honour(self, query):
+        # Raised while parsing: no connection is attempted.
+        with pytest.raises(FluentError, match="unsupported repro://"):
+            connect(f"repro://127.0.0.1:1?{query}")
+
+    @pytest.mark.parametrize(
+        "keyword",
+        [
+            {"planner": False},
+            {"backend": "sqlite"},
+            {"plan_cache": False},
+            {"database": repro.Database()},
+            {"coalesce": "none"},
+            {"domain": (0, 5)},
+        ],
+        ids=lambda keyword: next(iter(keyword)),
+    )
+    def test_repro_dsn_rejects_local_only_keywords(self, keyword):
+        with pytest.raises(FluentError, match="local-only"):
+            connect("repro://127.0.0.1:1", **keyword)
+
     def test_malformed_domain_raises(self):
         with pytest.raises(FluentError, match="lo:hi"):
             connect("memory://?domain=eight")
@@ -83,23 +112,24 @@ class TestSqliteDsn:
             connect("sqlite://?domain=0:12")
 
 
-class TestLegacyShim:
-    """The pre-DSN keyword form keeps working (deprecated in the docstring)."""
-
+class TestTargetForms:
     @pytest.mark.parametrize("domain", [(0, 24), 24, TimeDomain(0, 24)])
-    def test_positional_domain_forms(self, domain):
-        session = connect(domain)
+    def test_domain_keyword_forms(self, domain):
+        session = connect(domain=domain)
         assert isinstance(session, Session)
         assert session.domain == TimeDomain(0, 24)
 
-    def test_positional_domain_with_keywords(self):
-        session = connect((0, 12), backend="sqlite", planner=False, plan_cache=False)
+    def test_domain_keyword_with_keywords(self):
+        session = connect(
+            domain=(0, 12), backend="sqlite", planner=False, plan_cache=False
+        )
         assert session.backend == "sqlite"
         assert session.planner is False
 
-    def test_domain_twice_raises(self):
-        with pytest.raises(FluentError, match="once"):
-            connect((0, 12), domain=(0, 24))
+    @pytest.mark.parametrize("domain", [(0, 24), 24, TimeDomain(0, 24)])
+    def test_positional_domain_raises_naming_both_forms(self, domain):
+        with pytest.raises(FluentError, match=r"memory://.*repro://.*domain= keyword"):
+            connect(domain)
 
     def test_no_target_no_domain_raises(self):
         with pytest.raises(FluentError, match="connect needs a target"):
@@ -109,17 +139,8 @@ class TestLegacyShim:
         with pytest.raises(FluentError, match="unknown DSN scheme"):
             connect("postgres://localhost/db")
 
-    def test_deprecation_is_documented_not_enforced(self):
-        # Docstring-only deprecation: no warning is emitted at runtime.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            connect((0, 24))
-        assert "deprecated" in connect.__doc__
-
     def test_every_transport_satisfies_the_protocol(self):
-        assert isinstance(connect((0, 24)), SessionProtocol)
+        assert isinstance(connect(domain=(0, 24)), SessionProtocol)
         assert issubclass(repro.RemoteSession, object)  # imported lazily below
         from repro.client import RemoteSession
 

@@ -7,8 +7,8 @@ pins, per drawn case:
   tree a hand-written construction builds (structural ``==``), and
 * **bag equality of results** -- executing the fluent relation on every
   configuration (memory and SQLite backends x planner on and off) returns
-  the same bag of period rows as the hand-built tree through the classic
-  :class:`SnapshotMiddleware` reference path.
+  the same bag of period rows as the hand-built tree through a bare,
+  uncached :class:`QueryPipeline` (the reference path).
 
 Together with the plan cache enabled in every fluent session here, this is
 the acceptance property of the fluent-API PR: the new front door changes
@@ -22,7 +22,7 @@ from typing import Callable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SnapshotMiddleware, connect
+from repro import connect
 from repro.algebra.expressions import Comparison, and_, attr, lit
 from repro.algebra.operators import (
     AggregateSpec,
@@ -247,7 +247,7 @@ def cases():
 
 
 def fresh_session(backend: str, planner: bool) -> Session:
-    session = connect(TIME_DOMAIN, backend=backend, planner=planner)
+    session = connect(domain=TIME_DOMAIN, backend=backend, planner=planner)
     session.load("works", ["name", "skill"], WORKS_ROWS)
     session.load("assign", ["mach", "req_skill"], ASSIGN_ROWS)
     return session
@@ -263,7 +263,7 @@ def test_fluent_plan_equals_hand_built_tree(case):
 @settings(max_examples=20, deadline=None)
 @given(case=cases())
 def test_fluent_results_match_reference_on_every_configuration(case):
-    # Reference: the hand-built tree through the classic middleware path.
+    # Reference: the hand-built tree through a bare, uncached pipeline.
     reference = Counter(load_running_example().execute(case.manual).rows)
     for backend, planner in CONFIGURATIONS:
         session = fresh_session(backend, planner)

@@ -11,18 +11,19 @@ from collections import Counter
 
 import pytest
 
-from repro import SnapshotMiddleware, connect
+from repro import connect
 from repro.datasets.running_example import (
     ASSIGN_ROWS,
     TIME_DOMAIN,
     WORKS_ROWS,
     query_onduty,
 )
+from repro.rewriter import QueryPipeline
 
 
 @pytest.fixture
 def session():
-    session = connect(TIME_DOMAIN)
+    session = connect(domain=TIME_DOMAIN)
     session.load("works", ["name", "skill"], WORKS_ROWS)
     session.load("assign", ["mach", "req_skill"], ASSIGN_ROWS)
     return session
@@ -219,7 +220,7 @@ class TestStatsEpochKeying:
 
 class TestCacheScope:
     def test_cache_disabled(self):
-        session = connect(TIME_DOMAIN, plan_cache=False)
+        session = connect(domain=TIME_DOMAIN, plan_cache=False)
         session.load("works", ["name", "skill"], WORKS_ROWS)
         statistics: dict = {}
         onduty(session).rows(statistics)
@@ -229,12 +230,12 @@ class TestCacheScope:
         assert statistics["rewrite.invocations"] == 2
         assert session.cache_info() == (0, 0, 0)
 
-    def test_middleware_stays_uncached_by_default(self):
-        middleware = SnapshotMiddleware(TIME_DOMAIN)
-        middleware.load_table("works", ["name", "skill"], WORKS_ROWS)
+    def test_bare_pipeline_stays_uncached_by_default(self):
+        pipeline = QueryPipeline(TIME_DOMAIN)
+        pipeline.load_table("works", ["name", "skill"], WORKS_ROWS)
         statistics: dict = {}
-        middleware.execute(query_onduty(), statistics)
-        middleware.execute(query_onduty(), statistics)
+        pipeline.execute(query_onduty(), statistics)
+        pipeline.execute(query_onduty(), statistics)
         assert statistics["rewrite.invocations"] == 2
         assert "plan_cache.hits" not in statistics
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SnapshotMiddleware, TimeDomain, connect
+from repro import ExecutionPolicy, TimeDomain, connect
 from repro.algebra.expressions import Comparison, attr, lit
 from repro.algebra.operators import (
     AggregateSpec,
@@ -29,7 +29,7 @@ from repro.engine.catalog import Database
 
 @pytest.fixture
 def session() -> Session:
-    session = connect(TIME_DOMAIN)
+    session = connect(domain=TIME_DOMAIN)
     session.load("works", ["name", "skill"], WORKS_ROWS)
     session.load("assign", ["mach", "req_skill"], ASSIGN_ROWS)
     return session
@@ -45,15 +45,15 @@ def expected_onduty_rows():
 
 class TestConnect:
     def test_domain_coercions(self):
-        assert connect(TimeDomain(0, 24)).domain == TimeDomain(0, 24)
-        assert connect((0, 24)).domain == TimeDomain(0, 24)
-        assert connect(24).domain == TimeDomain(0, 24)
+        assert connect(domain=TimeDomain(0, 24)).domain == TimeDomain(0, 24)
+        assert connect(domain=(0, 24)).domain == TimeDomain(0, 24)
+        assert connect(domain=24).domain == TimeDomain(0, 24)
         with pytest.raises(FluentError):
             connect("tomorrow")
 
     def test_attach_to_existing_catalog(self):
         database = populate_database(Database())
-        session = connect(TIME_DOMAIN, database=database)
+        session = connect(domain=TIME_DOMAIN, database=database)
         assert session.database is database
         assert sorted(session.table("works").rows()) == sorted(
             database.table("works").rows
@@ -133,7 +133,7 @@ class TestRunningExampleThroughFluentChains:
         assert snapshot == {("SP",): 1, ("NS",): 1}
 
     def test_sqlite_backend_agrees(self):
-        session = connect(TIME_DOMAIN, backend="sqlite")
+        session = connect(domain=TIME_DOMAIN, backend="sqlite")
         session.load("works", ["name", "skill"], WORKS_ROWS)
         onduty = session.table("works").where("skill = 'SP'").agg(cnt="count(*)")
         assert sorted(onduty.rows()) == expected_onduty_rows()
@@ -197,7 +197,7 @@ class TestValidation:
             session.table("works").join(session.table("assign"), overlaps=False)
 
     def test_cross_session_operands_are_rejected(self, session):
-        other = connect(TIME_DOMAIN)
+        other = connect(domain=TIME_DOMAIN)
         other.load("works", ["name", "skill"], WORKS_ROWS)
         with pytest.raises(FluentError, match="session"):
             session.table("works").union(other.table("works"))
@@ -207,13 +207,13 @@ class TestCoalesceAndCheck:
     def test_coalesce_marker_restores_unique_encoding(self):
         from collections import Counter
 
-        session = connect(TIME_DOMAIN, coalesce="none")
+        session = connect(domain=TIME_DOMAIN, coalesce="none")
         works = session.load("works", ["name", "skill"], WORKS_ROWS)
         raw = works.select("skill").union(works.select("skill"))
         # coalesce="none" leaves a non-canonical encoding; .coalesce()
         # restores exactly the unique normal form a coalesce="final"
         # session would produce...
-        canonical = connect(TIME_DOMAIN)
+        canonical = connect(domain=TIME_DOMAIN)
         canonical.load("works", ["name", "skill"], WORKS_ROWS)
         canonical_rows = (
             canonical.table("works")
@@ -251,7 +251,7 @@ class TestCoalesceAndCheck:
         # default one.
         from repro.conformance.mutations import BrokenDistinctRewriter
 
-        session = connect(TIME_DOMAIN, rewriter_cls=BrokenDistinctRewriter)
+        session = connect(domain=TIME_DOMAIN, rewriter_cls=BrokenDistinctRewriter)
         session.load("works", ["name", "skill"], WORKS_ROWS)
         report = (
             session.table("works").select("skill").distinct().check(
@@ -262,7 +262,11 @@ class TestCoalesceAndCheck:
 
 
 class TestExplain:
-    def test_explain_sections(self, session):
+    @pytest.mark.parametrize(
+        "policy", [None, ExecutionPolicy(retries=1)], ids=["no-policy", "policy"]
+    )
+    def test_explain_sections(self, session, policy):
+        session.policy = policy
         text = (
             session.table("works")
             .join(session.table("assign"), on="skill = req_skill")
@@ -275,23 +279,24 @@ class TestExplain:
         assert "planner rules fired:" in text
         assert "planner." in text
         assert "join_strategy.interval = 1" in text
+        assert "executed plan:" in text
+        assert "strategy=interval" in text and "actual_rows=" in text
         assert "plan cache:" in text
 
     def test_explain_with_planner_off(self):
-        session = connect(TIME_DOMAIN, planner=False)
+        session = connect(domain=TIME_DOMAIN, planner=False)
         session.load("works", ["name", "skill"], WORKS_ROWS)
         text = session.table("works").where("skill = 'SP'").explain()
         assert "planner: off" in text
         assert "optimized plan" not in text
 
 
-class TestMiddlewareInterop:
-    def test_middleware_shares_the_pipeline(self, session):
-        middleware = session.middleware()
-        assert isinstance(middleware, SnapshotMiddleware)
-        assert middleware.database is session.database
-        assert sorted(middleware.execute(query_onduty()).rows) == expected_onduty_rows()
-        # The middleware call above warmed the *shared* plan cache.
+class TestPipelineInterop:
+    def test_operator_trees_share_the_sessions_pipeline(self, session):
+        pipeline = session.pipeline
+        assert pipeline.database is session.database
+        assert sorted(pipeline.execute(query_onduty()).rows) == expected_onduty_rows()
+        # The pipeline call above warmed the *shared* plan cache.
         hits_before = session.cache_info().hits
         session.query(query_onduty()).rows()
         assert session.cache_info().hits == hits_before + 1

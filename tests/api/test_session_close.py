@@ -7,12 +7,13 @@ from repro.errors import BackendError, BackendUnavailableError
 
 
 def _session():
-    session = connect((0, 24))
+    session = connect(domain=(0, 24))
     session.load(
         "works",
         ["name", "skill"],
         [("Ann", "SP", 3, 10), ("Joe", "NS", 8, 16)],
     )
+    session.materialize(session.table("works").where("skill = 'SP'"), "sp_works")
     return session
 
 
@@ -40,8 +41,13 @@ class TestClose:
             lambda r: r.pretty(),
             lambda r: r.check(),
             lambda r: r.explain(),
+            lambda r: r.session.view("sp_works"),
+            lambda r: r.session.views(),
         ],
-        ids=["rows", "table", "decoded", "snapshot", "pretty", "check", "explain"],
+        ids=[
+            "rows", "table", "decoded", "snapshot", "pretty", "check", "explain",
+            "view", "views",
+        ],
     )
     def test_every_terminal_raises_after_close(self, terminal):
         session = _session()
@@ -67,7 +73,7 @@ class TestClose:
                 calls.append(plan)
                 raise AssertionError("closed session must not reach the backend")
 
-        session = connect((0, 24), backend=Spy())
+        session = connect(domain=(0, 24), backend=Spy())
         works = session.load("works", ["name"], [("Ann", 0, 5)])
         session.close()
         with pytest.raises(BackendUnavailableError):
@@ -86,7 +92,7 @@ class TestClose:
             def close(self):
                 closed.append(True)
 
-        session = connect((0, 24), backend=Closeable())
+        session = connect(domain=(0, 24), backend=Closeable())
         session.close()
         assert closed == [True]
 

@@ -31,7 +31,7 @@ from repro.algebra.operators import (
 from repro.conformance import assert_conformant
 from repro.datasets import GeneratorConfig, generate_catalog
 from repro.engine.catalog import Database
-from repro.rewriter.middleware import SnapshotMiddleware
+from repro.rewriter.pipeline import QueryPipeline
 from repro.temporal.timedomain import TimeDomain
 
 DOMAIN = TimeDomain(0, 16)
@@ -114,8 +114,8 @@ QUERIES = {
 @pytest.mark.parametrize("optimize", (True, False), ids=("planner", "no-planner"))
 def test_sqlite_compilation_matches_memory_engine(name, optimize):
     database = _database()
-    memory = SnapshotMiddleware(DOMAIN, database=database, optimize=optimize)
-    sqlite = SnapshotMiddleware(
+    memory = QueryPipeline(DOMAIN, database=database, optimize=optimize)
+    sqlite = QueryPipeline(
         DOMAIN, database=database, optimize=optimize, backend="sqlite"
     )
     query = QUERIES[name]
@@ -134,8 +134,8 @@ def test_adversarial_rows_conform_to_the_snapshot_oracle(name):
 
 def test_degenerate_and_null_rows_hold_at_no_snapshot():
     database = _database()
-    middleware = SnapshotMiddleware(DOMAIN, database=database)
-    decoded = middleware.execute_decoded(_normalised("adv", "a"))
+    pipeline = QueryPipeline(DOMAIN, database=database)
+    decoded = pipeline.execute_decoded(_normalised("adv", "a"))
     for point in DOMAIN.points():
         sliced = dict(decoded.timeslice(point))
         assert (("g1", 2)) not in sliced  # the degenerate row
@@ -155,7 +155,7 @@ def test_generated_adversarial_catalog_backends_agree():
         duplicate_rate=0.2,
     )
     database = generate_catalog(config)
-    memory = SnapshotMiddleware(config.domain, database=database)
+    memory = QueryPipeline(config.domain, database=database)
     query = Aggregation(
         _normalised("R", "r"),
         ("cat",),

@@ -26,8 +26,9 @@ from repro.algebra.operators import (
     Selection,
     Union,
 )
-from repro.backends import BackendError, SQLiteBackend, compile_plan
+from repro.backends import SQLiteBackend, compile_plan
 from repro.engine.catalog import Database
+from repro.errors import BackendError
 from repro.engine.executor import execute
 from repro.rewriter.operators import (
     CoalesceOperator,

@@ -16,13 +16,7 @@ import pytest
 
 from repro.algebra.expressions import Comparison, attr, lit
 from repro.algebra.operators import Distinct, Projection, RelationAccess, Selection
-from repro.backends import (
-    BackendError,
-    InMemoryBackend,
-    SQLiteBackend,
-    available_backends,
-    resolve_backend,
-)
+from repro.backends import InMemoryBackend, SQLiteBackend
 from repro.datasets.employees import EmployeesConfig, generate_employees
 from repro.datasets.running_example import (
     TIME_DOMAIN,
@@ -33,9 +27,10 @@ from repro.datasets.running_example import (
 from repro.datasets.tpcbih import TPCBiHConfig, generate_tpcbih
 from repro.datasets.workloads import EMPLOYEE_WORKLOAD, TPCH_WORKLOAD
 from repro.engine.catalog import Database
-from repro.engine.executor import execute
+from repro.errors import BackendError
+from repro.execution import available_backends, resolve_backend
 from repro.experiments.table1 import _fresh_database
-from repro.rewriter.middleware import SnapshotMiddleware
+from repro.rewriter.pipeline import QueryPipeline
 
 EMPLOYEE_CONFIG = EmployeesConfig(scale=0.05)
 TPCH_CONFIG = TPCBiHConfig(scale_factor=0.1)
@@ -63,18 +58,18 @@ def employee_database():
 
 @pytest.fixture(scope="module")
 def employee_setup(employee_database):
-    middleware = SnapshotMiddleware(EMPLOYEE_CONFIG.domain, database=employee_database)
+    pipeline = QueryPipeline(EMPLOYEE_CONFIG.domain, database=employee_database)
     backend = SQLiteBackend.for_database(employee_database)
-    yield middleware, backend
+    yield pipeline, backend
     backend.close()
 
 
 @pytest.fixture(scope="module")
 def tpch_setup():
     database = generate_tpcbih(TPCH_CONFIG)
-    middleware = SnapshotMiddleware(TPCH_CONFIG.domain, database=database)
+    pipeline = QueryPipeline(TPCH_CONFIG.domain, database=database)
     backend = SQLiteBackend.for_database(database)
-    yield middleware, backend
+    yield pipeline, backend
     backend.close()
 
 
@@ -102,18 +97,18 @@ class TestTable1Cases:
             "uniqueness": self.uniqueness_query,
         }
         database = _fresh_database(split_ann=split_ann)
-        middleware = SnapshotMiddleware(TIME_DOMAIN, database=database)
+        pipeline = QueryPipeline(TIME_DOMAIN, database=database)
         query = queries[case]()
         assert_equivalent(
-            middleware.execute(query), middleware.execute(query, backend="sqlite")
+            pipeline.execute(query), pipeline.execute(query, backend="sqlite")
         )
 
     def test_ag_gap_rows_present_on_sqlite(self):
         """The AG fix survives the SQL lowering: count-0 rows cover the gaps."""
-        middleware = SnapshotMiddleware(
+        pipeline = QueryPipeline(
             TIME_DOMAIN, database=populate_database(Database())
         )
-        result = middleware.execute(query_onduty(), backend="sqlite")
+        result = pipeline.execute(query_onduty(), backend="sqlite")
         zero_rows = [row for row in result.rows if row[0] == 0]
         covered = set()
         for _, begin, end in zero_rows:
@@ -122,10 +117,10 @@ class TestTable1Cases:
 
     def test_bd_multiplicities_present_on_sqlite(self):
         """The BD fix survives: SP requirement surplus appears with interval."""
-        middleware = SnapshotMiddleware(
+        pipeline = QueryPipeline(
             TIME_DOMAIN, database=populate_database(Database())
         )
-        result = middleware.execute(query_skillreq(), backend="sqlite")
+        result = pipeline.execute(query_skillreq(), backend="sqlite")
         sp_points = set()
         for skill, begin, end in result.rows:
             if skill == "SP":
@@ -138,8 +133,8 @@ class TestTable1Cases:
         results = []
         for split_ann in (False, True):
             database = _fresh_database(split_ann=split_ann)
-            middleware = SnapshotMiddleware(TIME_DOMAIN, database=database)
-            results.append(middleware.execute(query, backend="sqlite"))
+            pipeline = QueryPipeline(TIME_DOMAIN, database=database)
+            results.append(pipeline.execute(query, backend="sqlite"))
         assert canonical(results[0]) == canonical(results[1])
 
 
@@ -149,26 +144,26 @@ class TestTable1Cases:
 class TestEmployeeWorkload:
     @pytest.mark.parametrize("query_name", list(EMPLOYEE_WORKLOAD))
     def test_query_matches_engine(self, employee_setup, query_name):
-        middleware, backend = employee_setup
+        pipeline, backend = employee_setup
         query = EMPLOYEE_WORKLOAD[query_name]()
         assert_equivalent(
-            middleware.execute(query), middleware.execute(query, backend=backend)
+            pipeline.execute(query), pipeline.execute(query, backend=backend)
         )
 
 
 class TestTPCBiHWorkload:
     @pytest.mark.parametrize("query_name", list(TPCH_WORKLOAD))
     def test_query_matches_engine(self, tpch_setup, query_name):
-        middleware, backend = tpch_setup
+        pipeline, backend = tpch_setup
         query = TPCH_WORKLOAD[query_name]()
-        result = middleware.execute(query, backend=backend)
-        assert_equivalent(middleware.execute(query), result)
+        result = pipeline.execute(query, backend=backend)
+        assert_equivalent(pipeline.execute(query), result)
 
     def test_workload_produces_rows(self, tpch_setup):
         """Guard against vacuous green: the scale must exercise the queries."""
-        middleware, backend = tpch_setup
+        pipeline, backend = tpch_setup
         row_counts = {
-            name: len(middleware.execute(factory(), backend=backend))
+            name: len(pipeline.execute(factory(), backend=backend))
             for name, factory in TPCH_WORKLOAD.items()
         }
         non_empty = [name for name, count in row_counts.items() if count > 0]
@@ -185,7 +180,7 @@ class TestRewriterModes:
     @pytest.mark.parametrize("use_temporal_aggregate", [True, False])
     def test_onduty_decodes_identically(self, coalesce, use_temporal_aggregate):
         database = populate_database(Database())
-        middleware = SnapshotMiddleware(
+        pipeline = QueryPipeline(
             TIME_DOMAIN,
             database=database,
             coalesce=coalesce,
@@ -193,16 +188,16 @@ class TestRewriterModes:
         )
         # coalesce="none" leaves a non-canonical encoding; compare decoded
         # period relations (decoding coalesces), not raw rows.
-        memory = middleware.execute_decoded(query_onduty())
-        via_sqlite = middleware.execute_decoded(query_onduty(), backend="sqlite")
+        memory = pipeline.execute_decoded(query_onduty())
+        via_sqlite = pipeline.execute_decoded(query_onduty(), backend="sqlite")
         assert memory == via_sqlite
 
     def test_distinct_rewrite(self):
         database = populate_database(Database())
-        middleware = SnapshotMiddleware(TIME_DOMAIN, database=database)
+        pipeline = QueryPipeline(TIME_DOMAIN, database=database)
         query = Distinct(Projection.of_attributes(RelationAccess("works"), "skill"))
         assert_equivalent(
-            middleware.execute(query), middleware.execute(query, backend="sqlite")
+            pipeline.execute(query), pipeline.execute(query, backend="sqlite")
         )
 
 
@@ -223,29 +218,19 @@ class TestBackendSelection:
         with pytest.raises(BackendError):
             resolve_backend("oracle9i")
 
-    def test_executor_backend_parameter(self):
+    def test_pipeline_default_backend(self):
         database = populate_database(Database())
-        plan = Selection(
-            RelationAccess("works"), Comparison("=", attr("skill"), lit("SP"))
-        )
-        memory = execute(plan, database)
-        via_name = execute(plan, database, backend="sqlite")
-        via_memory_name = execute(plan, database, backend="memory")
-        assert canonical(memory) == canonical(via_name) == canonical(via_memory_name)
-
-    def test_middleware_default_backend(self):
-        database = populate_database(Database())
-        middleware = SnapshotMiddleware(TIME_DOMAIN, database=database, backend="sqlite")
-        reference = SnapshotMiddleware(TIME_DOMAIN, database=database)
-        assert canonical(middleware.execute(query_onduty())) == canonical(
+        pipeline = QueryPipeline(TIME_DOMAIN, database=database, backend="sqlite")
+        reference = QueryPipeline(TIME_DOMAIN, database=database)
+        assert canonical(pipeline.execute(query_onduty())) == canonical(
             reference.execute(query_onduty())
         )
 
     def test_sqlite_statistics(self):
         database = populate_database(Database())
-        middleware = SnapshotMiddleware(TIME_DOMAIN, database=database)
+        pipeline = QueryPipeline(TIME_DOMAIN, database=database)
         statistics: dict = {}
-        middleware.execute(query_onduty(), statistics=statistics, backend="sqlite")
+        pipeline.execute(query_onduty(), statistics=statistics, backend="sqlite")
         assert statistics["sqlite_statements"] == 1
         assert statistics["sqlite_result_rows"] > 0
         assert statistics["sqlite_rows_loaded"] > 0
@@ -268,8 +253,8 @@ class TestBackendSelection:
     def test_snapshot_reducibility_via_sqlite(self):
         """Timeslices of the SQLite result equal the abstract-model oracle."""
         database = populate_database(Database())
-        middleware = SnapshotMiddleware(TIME_DOMAIN, database=database)
-        decoded = middleware.execute_decoded(query_onduty(), backend="sqlite")
-        reference = middleware.execute_decoded(query_onduty())
+        pipeline = QueryPipeline(TIME_DOMAIN, database=database)
+        decoded = pipeline.execute_decoded(query_onduty(), backend="sqlite")
+        reference = pipeline.execute_decoded(query_onduty())
         for point in (0, 5, 9, 17, 23):
             assert decoded.timeslice(point) == reference.timeslice(point)

@@ -4,7 +4,7 @@ The central claims reproduced here are the ones behind Table 1 of the paper:
 the interval-preservation (ATSQL-style) baseline exhibits the aggregation
 gap and bag difference bugs, the temporal-alignment (PG-Nat-style) baseline
 exhibits the aggregation gap bug and evaluates difference with set
-semantics, while the middleware and the naive per-snapshot evaluator are
+semantics, while the pipeline and the naive per-snapshot evaluator are
 correct.  Positive relational algebra, on the other hand, is
 snapshot-reducible for every evaluator.
 """
@@ -33,7 +33,7 @@ from repro.datasets.running_example import (
     query_skillreq,
 )
 from repro.engine import Database
-from repro.rewriter import SnapshotMiddleware, T_BEGIN, T_END
+from repro.rewriter import QueryPipeline, T_BEGIN, T_END
 
 
 @pytest.fixture
@@ -41,8 +41,8 @@ def database():
     return populate_database(Database())
 
 
-def middleware(database):
-    return SnapshotMiddleware(TIME_DOMAIN, database=database)
+def pipeline(database):
+    return QueryPipeline(TIME_DOMAIN, database=database)
 
 
 class TestAggregationGapBug:
@@ -59,7 +59,7 @@ class TestAggregationGapBug:
         return reported
 
     def test_middleware_reports_zero_counts_over_gaps(self, database):
-        result = middleware(database).execute(query_onduty())
+        result = pipeline(database).execute(query_onduty())
         assert self.gap_counts(result) == {(0, 0), (16, 0), (20, 0)}
 
     def test_naive_reports_zero_counts_over_gaps(self, database):
@@ -86,10 +86,10 @@ class TestBagDifferenceBug:
         return points
 
     def test_middleware_returns_missing_sp_requirements(self, database):
-        result = middleware(database).execute(query_skillreq())
+        result = pipeline(database).execute(query_skillreq())
         assert self.sp_points(result) == {6, 7, 10, 11}
 
-    def test_naive_matches_middleware(self, database):
+    def test_naive_matches_pipeline(self, database):
         result = NaiveSnapshotEvaluator(database, TIME_DOMAIN).execute(query_skillreq())
         assert self.sp_points(result) == {6, 7, 10, 11}
 
@@ -119,8 +119,8 @@ class TestPositiveAlgebraIsCorrectEverywhere:
         "evaluator_cls",
         [IntervalPreservationEvaluator, TemporalAlignmentEvaluator, NaiveSnapshotEvaluator],
     )
-    def test_join_agrees_with_middleware(self, database, evaluator_cls):
-        expected = middleware(database).execute_decoded(self.QUERY)
+    def test_join_agrees_with_pipeline(self, database, evaluator_cls):
+        expected = pipeline(database).execute_decoded(self.QUERY)
         actual = evaluator_cls(database, TIME_DOMAIN).execute_decoded(self.QUERY)
         assert actual.snapshot_equivalent(expected)
 
@@ -128,9 +128,9 @@ class TestPositiveAlgebraIsCorrectEverywhere:
         "evaluator_cls",
         [IntervalPreservationEvaluator, TemporalAlignmentEvaluator, NaiveSnapshotEvaluator],
     )
-    def test_selection_agrees_with_middleware(self, database, evaluator_cls):
+    def test_selection_agrees_with_pipeline(self, database, evaluator_cls):
         query = Selection(RelationAccess("works"), Comparison("=", attr("skill"), lit("SP")))
-        expected = middleware(database).execute_decoded(query)
+        expected = pipeline(database).execute_decoded(query)
         actual = evaluator_cls(database, TIME_DOMAIN).execute_decoded(query)
         assert actual.snapshot_equivalent(expected)
 
@@ -176,11 +176,11 @@ class TestBaselineInfrastructure:
         )
         result = IntervalPreservationEvaluator(database, TIME_DOMAIN).execute_decoded(query)
         # For non-empty groups the baseline is correct.
-        expected = middleware(database).execute_decoded(query)
+        expected = pipeline(database).execute_decoded(query)
         assert result.snapshot_equivalent(expected)
 
-    def test_naive_execute_decoded_equals_middleware(self, database):
-        expected = middleware(database).execute_decoded(query_onduty())
+    def test_naive_execute_decoded_equals_pipeline(self, database):
+        expected = pipeline(database).execute_decoded(query_onduty())
         actual = NaiveSnapshotEvaluator(database, TIME_DOMAIN).execute_decoded(query_onduty())
         assert actual == expected
 

@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, settings
 
 from repro.datasets.running_example import (
     TIME_DOMAIN,
-    load_running_example,
     populate_database,
 )
 from repro.engine.catalog import Database
@@ -30,12 +29,6 @@ settings.load_profile("repro")
 def domain() -> TimeDomain:
     """A small time domain used by most unit tests (the paper's 24 hours)."""
     return TimeDomain(0, 24)
-
-
-@pytest.fixture
-def running_example_middleware():
-    """A SnapshotMiddleware loaded with the paper's works/assign relations."""
-    return load_running_example()
 
 
 @pytest.fixture

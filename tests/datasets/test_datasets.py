@@ -20,7 +20,7 @@ from repro.datasets.running_example import (
     WORKS_ROWS,
     load_running_example,
 )
-from repro.rewriter import SnapshotMiddleware
+from repro.rewriter import QueryPipeline
 
 
 class TestRunningExampleData:
@@ -38,9 +38,9 @@ class TestRunningExampleData:
         assert set(EXPECTED_SKILLREQ) == {"SP", "NS"}
 
     def test_load_running_example_registers_tables(self):
-        middleware = load_running_example()
-        assert "works" in middleware.database
-        assert "assign" in middleware.database
+        pipeline = load_running_example()
+        assert "works" in pipeline.database
+        assert "assign" in pipeline.database
 
 
 class TestEmployeesGenerator:
@@ -139,23 +139,23 @@ class TestWorkloads:
 
     def test_employee_queries_execute(self):
         config = EmployeesConfig(scale=0.02)
-        middleware = SnapshotMiddleware(config.domain, database=generate_employees(config))
+        pipeline = QueryPipeline(config.domain, database=generate_employees(config))
         for name, query in employee_queries().items():
-            result = middleware.execute(query)
+            result = pipeline.execute(query)
             assert result.schema[-2:] == ("t_begin", "t_end"), name
 
     def test_tpch_queries_execute(self):
         config = TPCBiHConfig(scale_factor=0.05)
-        middleware = SnapshotMiddleware(config.domain, database=generate_tpcbih(config))
+        pipeline = QueryPipeline(config.domain, database=generate_tpcbih(config))
         for name, query in tpch_queries().items():
-            result = middleware.execute(query)
+            result = pipeline.execute(query)
             assert result.schema[-2:] == ("t_begin", "t_end"), name
 
     def test_aggregation_queries_cover_gaps(self):
         """The ungrouped aggregations (agg-2, Q6, Q14, Q19) produce gap rows."""
         config = EmployeesConfig(scale=0.02)
-        middleware = SnapshotMiddleware(config.domain, database=generate_employees(config))
-        result = middleware.execute(employee_queries()["agg-2"])
+        pipeline = QueryPipeline(config.domain, database=generate_employees(config))
+        result = pipeline.execute(employee_queries()["agg-2"])
         assert len(result) > 0
 
     def test_employee_workload_matches_logical_model_at_tiny_scale(self):
@@ -165,9 +165,9 @@ class TestWorkloads:
 
         config = EmployeesConfig(scale=0.01)
         database = generate_employees(config)
-        middleware = SnapshotMiddleware(config.domain, database=database)
+        pipeline = QueryPipeline(config.domain, database=database)
 
-        logical = PeriodDatabase(middleware.period_semiring.base, config.domain)
+        logical = PeriodDatabase(pipeline.period_semiring.base, config.domain)
         for name in database.names():
             period = database.period_of(name)
             table = database.table(name)
@@ -186,6 +186,6 @@ class TestWorkloads:
 
         queries = employee_queries()
         for name in ("join-3", "agg-2", "agg-3", "diff-1"):
-            assert middleware.execute_decoded(queries[name]) == evaluate_period_query(
+            assert pipeline.execute_decoded(queries[name]) == evaluate_period_query(
                 queries[name], logical
             ), name

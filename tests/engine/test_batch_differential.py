@@ -24,7 +24,7 @@ from repro.algebra.operators import Join, RelationAccess, Rename
 from repro.datasets import GeneratorConfig, generate_catalog, generate_table
 from repro.engine.catalog import Database
 from repro.engine.executor import execute
-from repro.rewriter.middleware import SnapshotMiddleware
+from repro.rewriter.pipeline import QueryPipeline
 
 from tests.strategies import conformance_queries, generator_configs
 
@@ -39,10 +39,10 @@ def test_batch_executor_matches_row_on_generated_catalogs(config, query):
     """Batch == row on randomized plans x catalogs, planner on and off."""
     database = generate_catalog(config)
     for optimize in (True, False):
-        middleware = SnapshotMiddleware(
+        pipeline = QueryPipeline(
             config.domain, database=database, optimize=optimize
         )
-        plan = middleware.rewrite(query)
+        plan = pipeline.rewrite(query)
         row_result = execute(plan, database, executor="row")
         batch_statistics: Dict[str, int] = {}
         batch_result = execute(plan, database, batch_statistics, executor="batch")

@@ -88,7 +88,7 @@ class TestJoins:
             statistics,
         )
         assert len(result) == 3  # r1 matches the two duplicate s rows, r2 one
-        assert statistics.get("hash_joins") == 1
+        assert statistics.get("join_strategy.hash") == 1
 
     def test_theta_join_falls_back_to_nested_loop(self, database):
         statistics = {}
@@ -98,7 +98,7 @@ class TestJoins:
             statistics,
         )
         assert len(result) == 1  # only r_id=1 < s_id=2
-        assert statistics.get("nested_loop_joins") == 1
+        assert statistics.get("join_strategy.nested_loop") == 1
 
     def test_equality_with_residual(self, database):
         predicate = and_(

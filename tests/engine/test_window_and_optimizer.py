@@ -22,12 +22,12 @@ from repro.engine import (
     execute,
     lag,
     lead,
-    optimize,
     partition_rows,
     row_number,
     running_sum,
     sum_over_partition,
 )
+from repro.planner import optimize
 from repro.planner import available_attributes, split_conjuncts
 
 

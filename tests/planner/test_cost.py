@@ -197,7 +197,7 @@ class TestJoinReordering:
         from repro.api import connect
 
         def _session(planner):
-            session = connect((0, 64), planner=planner)
+            session = connect(domain=(0, 64), planner=planner)
             session.load(
                 "fact", ["fk"], [("k%d" % (i % 3), 0, 50) for i in range(60)]
             )

@@ -17,7 +17,7 @@ from typing import Dict
 from hypothesis import given, settings
 
 from repro.datasets import generate_catalog
-from repro.rewriter.middleware import SnapshotMiddleware
+from repro.rewriter.pipeline import QueryPipeline
 
 from tests.strategies import conformance_queries, generator_configs
 
@@ -31,10 +31,10 @@ def _bag(table) -> Counter:
 def test_cost_plans_match_syntactic_on_all_executors(config, query):
     database = generate_catalog(config)
     database.analyze()
-    syntactic = SnapshotMiddleware(
+    syntactic = QueryPipeline(
         config.domain, database=database, optimize="syntactic"
     )
-    cost = SnapshotMiddleware(config.domain, database=database, optimize="cost")
+    cost = QueryPipeline(config.domain, database=database, optimize="cost")
     for backend in (None, "batch", "sqlite"):
         baseline = syntactic.execute(query, backend=backend)
         statistics: Dict[str, int] = {}
@@ -48,10 +48,10 @@ def test_cost_plans_match_syntactic_on_all_executors(config, query):
 def test_cost_plans_match_without_statistics(config, query):
     """Cost mode must also be exact when ANALYZE was never run."""
     database = generate_catalog(config)
-    syntactic = SnapshotMiddleware(
+    syntactic = QueryPipeline(
         config.domain, database=database, optimize="syntactic"
     )
-    cost = SnapshotMiddleware(config.domain, database=database, optimize="cost")
+    cost = QueryPipeline(config.domain, database=database, optimize="cost")
     baseline = syntactic.execute(query)
     result = cost.execute(query)
     assert result.schema == baseline.schema

@@ -21,17 +21,17 @@ from tests.strategies import running_example_queries
 
 
 def _plans(query):
-    middleware = load_running_example()
-    rewritten = middleware._rewriter.rewrite(query)
-    optimized = optimize(rewritten, middleware.database)
-    return middleware, rewritten, optimized
+    pipeline = load_running_example()
+    rewritten = pipeline.rewriter.rewrite(query)
+    optimized = optimize(rewritten, pipeline.database)
+    return pipeline, rewritten, optimized
 
 
 @given(query=running_example_queries())
 def test_optimized_plans_match_on_memory_backend(query):
-    middleware, rewritten, optimized = _plans(query)
-    baseline = execute(rewritten, middleware.database)
-    result = execute(optimized, middleware.database)
+    pipeline, rewritten, optimized = _plans(query)
+    baseline = execute(rewritten, pipeline.database)
+    result = execute(optimized, pipeline.database)
     assert result.schema == baseline.schema
     assert Counter(result.rows) == Counter(baseline.rows)
 
@@ -39,10 +39,10 @@ def test_optimized_plans_match_on_memory_backend(query):
 @settings(max_examples=30, deadline=None)
 @given(query=running_example_queries())
 def test_optimized_plans_match_on_sqlite_backend(query):
-    middleware, rewritten, optimized = _plans(query)
-    baseline = execute(rewritten, middleware.database)
+    pipeline, rewritten, optimized = _plans(query)
+    baseline = execute(rewritten, pipeline.database)
     backend = SQLiteBackend()  # one-shot; optimizes internally by default
-    result = backend.execute(optimized, middleware.database)
+    result = backend.execute(optimized, pipeline.database)
     assert result.schema == baseline.schema
     assert Counter(result.rows) == Counter(baseline.rows)
 
@@ -52,15 +52,15 @@ def test_middleware_optimize_flag_respected_on_registry_backends():
     backend would otherwise re-run the planner and override the choice)."""
     from repro.datasets.running_example import query_onduty
 
-    middleware = load_running_example()
-    middleware.optimize = False
+    pipeline = load_running_example()
+    pipeline.optimize = False
     statistics: dict = {}
-    off = middleware.execute(query_onduty(), statistics=statistics, backend="sqlite")
+    off = pipeline.execute(query_onduty(), statistics=statistics, backend="sqlite")
     assert not any(key.startswith("planner.") for key in statistics)
 
-    middleware.optimize = True
+    pipeline.optimize = True
     statistics = {}
-    on = middleware.execute(query_onduty(), statistics=statistics, backend="sqlite")
+    on = pipeline.execute(query_onduty(), statistics=statistics, backend="sqlite")
     assert any(key.startswith("planner.") for key in statistics)
     assert Counter(on.rows) == Counter(off.rows)
 
@@ -69,7 +69,7 @@ def test_middleware_optimize_flag_respected_on_registry_backends():
 @given(query=running_example_queries())
 def test_interval_join_matches_fallback_strategies(query):
     """The sort-merge interval join is pinned to the nested-loop/hash result."""
-    middleware, rewritten, optimized = _plans(query)
-    with_interval = execute(optimized, middleware.database)
-    without_interval = execute(optimized, middleware.database, interval_join=False)
+    pipeline, rewritten, optimized = _plans(query)
+    with_interval = execute(optimized, pipeline.database)
+    without_interval = execute(optimized, pipeline.database, interval_join=False)
     assert Counter(with_interval.rows) == Counter(without_interval.rows)

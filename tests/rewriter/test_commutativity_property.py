@@ -13,32 +13,32 @@ from hypothesis import given, settings
 
 from repro.engine.catalog import Database
 from repro.logical_model import evaluate_period_query
-from repro.rewriter import SnapshotMiddleware, period_encode
+from repro.rewriter import QueryPipeline, period_encode
 
 from tests.strategies import PROPERTY_DOMAIN, period_databases, queries
 
 
-def middleware_for(database, **kwargs) -> SnapshotMiddleware:
-    """Load the logical-model database into a fresh middleware instance."""
+def pipeline_for(database, **kwargs) -> QueryPipeline:
+    """Load the logical-model database into a fresh pipeline instance."""
     catalog = Database()
-    middleware = SnapshotMiddleware(PROPERTY_DOMAIN, database=catalog, **kwargs)
+    pipeline = QueryPipeline(PROPERTY_DOMAIN, database=catalog, **kwargs)
     for name in database.names():
         catalog.register(period_encode(database.relation(name), name), period=("t_begin", "t_end"))
-    return middleware
+    return pipeline
 
 
 @given(database=period_databases(), query=queries())
 def test_rewritten_plan_matches_logical_model(database, query):
-    middleware = middleware_for(database)
-    assert middleware.execute_decoded(query) == evaluate_period_query(query, database)
+    pipeline = pipeline_for(database)
+    assert pipeline.execute_decoded(query) == evaluate_period_query(query, database)
 
 
 @settings(max_examples=25)
 @given(database=period_databases(), query=queries())
 def test_per_operator_coalescing_gives_same_result(database, query):
     """The single-final-coalesce optimisation does not change results."""
-    optimized = middleware_for(database).execute_decoded(query)
-    unoptimized = middleware_for(database, coalesce="per-operator").execute_decoded(query)
+    optimized = pipeline_for(database).execute_decoded(query)
+    unoptimized = pipeline_for(database, coalesce="per-operator").execute_decoded(query)
     assert optimized == unoptimized
 
 
@@ -46,8 +46,8 @@ def test_per_operator_coalescing_gives_same_result(database, query):
 @given(database=period_databases(), query=queries())
 def test_naive_aggregation_path_gives_same_result(database, query):
     """Fused pre-aggregation + split equals the naive split-then-aggregate plan."""
-    optimized = middleware_for(database).execute_decoded(query)
-    naive = middleware_for(database, use_temporal_aggregate=False).execute_decoded(query)
+    optimized = pipeline_for(database).execute_decoded(query)
+    naive = pipeline_for(database, use_temporal_aggregate=False).execute_decoded(query)
     assert optimized == naive
 
 
@@ -55,14 +55,14 @@ def test_naive_aggregation_path_gives_same_result(database, query):
 @given(database=period_databases(), query=queries())
 def test_uncoalesced_results_are_snapshot_equivalent(database, query):
     """Skipping coalescing loses uniqueness but not snapshot-equivalence."""
-    coalesced = middleware_for(database).execute_decoded(query)
-    raw = middleware_for(database, coalesce="none").execute_decoded(query)
+    coalesced = pipeline_for(database).execute_decoded(query)
+    raw = pipeline_for(database, coalesce="none").execute_decoded(query)
     assert raw.snapshot_equivalent(coalesced)
 
 
 @settings(max_examples=25)
 @given(database=period_databases(), query=queries())
 def test_optimizer_does_not_change_results(database, query):
-    with_optimizer = middleware_for(database).execute_decoded(query)
-    without_optimizer = middleware_for(database, optimize=False).execute_decoded(query)
+    with_optimizer = pipeline_for(database).execute_decoded(query)
+    without_optimizer = pipeline_for(database, optimize=False).execute_decoded(query)
     assert with_optimizer == without_optimizer

@@ -1,4 +1,4 @@
-"""Unit tests for the SnapshotMiddleware: Figure 1 end-to-end and API behaviour."""
+"""Unit tests for the QueryPipeline: Figure 1 end-to-end and API behaviour."""
 
 import pytest
 
@@ -27,13 +27,13 @@ from repro.datasets.running_example import (
 )
 from repro.errors import PlanError
 from repro.logical_model import PeriodKRelation
-from repro.rewriter import RewriteError, SnapshotMiddleware, T_BEGIN, T_END
+from repro.rewriter import QueryPipeline, RewriteError, T_BEGIN, T_END
 from repro.semirings import NATURAL
 from repro.temporal import Interval, TimeDomain
 
 
 @pytest.fixture
-def middleware():
+def pipeline():
     return load_running_example()
 
 
@@ -50,23 +50,23 @@ def result_mapping(table, value_columns):
 
 
 class TestRunningExample:
-    def test_qonduty_matches_figure_1b(self, middleware):
-        table = middleware.execute(query_onduty())
+    def test_qonduty_matches_figure_1b(self, pipeline):
+        table = pipeline.execute(query_onduty())
         mapping = result_mapping(table, ["cnt"])
         assert mapping == {
             (cnt,): set(intervals) for cnt, intervals in EXPECTED_ONDUTY.items()
         }
 
-    def test_qskillreq_matches_figure_1c(self, middleware):
-        table = middleware.execute(query_skillreq())
+    def test_qskillreq_matches_figure_1c(self, pipeline):
+        table = pipeline.execute(query_skillreq())
         mapping = result_mapping(table, ["skill"])
         assert mapping == {
             (skill,): set(intervals) for skill, intervals in EXPECTED_SKILLREQ.items()
         }
 
-    def test_result_is_coalesced_and_unique(self, middleware):
+    def test_result_is_coalesced_and_unique(self, pipeline):
         """Re-loading a fragmented but equivalent works table gives identical output."""
-        fragmented = SnapshotMiddleware(TIME_DOMAIN)
+        fragmented = QueryPipeline(TIME_DOMAIN)
         fragmented.load_table(
             "works",
             ["name", "skill"],
@@ -83,90 +83,90 @@ class TestRunningExample:
             ["mach", "req_skill"],
             [("M1", "SP", 3, 12), ("M2", "SP", 6, 14), ("M3", "NS", 3, 16)],
         )
-        original = middleware.execute(query_onduty())
+        original = pipeline.execute(query_onduty())
         other = fragmented.execute(query_onduty())
         assert sorted(original.rows) == sorted(other.rows)
 
-    def test_execute_decoded_returns_period_relation(self, middleware):
-        relation = middleware.execute_decoded(query_onduty())
+    def test_execute_decoded_returns_period_relation(self, pipeline):
+        relation = pipeline.execute_decoded(query_onduty())
         assert isinstance(relation, PeriodKRelation)
         assert relation.annotation((2,)).mapping == {Interval(8, 10): 1}
 
-    def test_execute_snapshot_slices_result(self, middleware):
-        snapshot = middleware.execute_snapshot(query_onduty(), 8)
+    def test_execute_snapshot_slices_result(self, pipeline):
+        snapshot = pipeline.execute_snapshot(query_onduty(), 8)
         assert snapshot.annotation((2,)) == 1
-        snapshot_gap = middleware.execute_snapshot(query_onduty(), 0)
+        snapshot_gap = pipeline.execute_snapshot(query_onduty(), 0)
         assert snapshot_gap.annotation((0,)) == 1
 
-    def test_explain_renders_plan(self, middleware):
-        text = middleware.explain(query_onduty())
-        assert text == middleware.rewrite(query_onduty()).explain_tree()
+    def test_explain_renders_plan(self, pipeline):
+        text = pipeline.explain(query_onduty())
+        assert text == pipeline.rewrite(query_onduty()).explain_tree()
         assert text.startswith("Coalesce(period=t_begin..t_end)")
         assert "└─ TemporalAggregate(group by (); count(__agg_arg_0) AS cnt)" in text
         assert "Relation(works)" in text
 
 
 class TestDataLoading:
-    def test_load_table_registers_period(self, middleware):
-        assert middleware.database.period_of("works") == (T_BEGIN, T_END)
+    def test_load_table_registers_period(self, pipeline):
+        assert pipeline.database.period_of("works") == (T_BEGIN, T_END)
 
     def test_load_period_relation_round_trip(self):
-        middleware = SnapshotMiddleware(TimeDomain(0, 10))
+        pipeline = QueryPipeline(TimeDomain(0, 10))
         relation = PeriodKRelation.from_periods(
-            middleware.period_semiring, ("x",), [((1,), 0, 5, 2)]
+            pipeline.period_semiring, ("x",), [((1,), 0, 5, 2)]
         )
-        middleware.load_period_relation("r", relation)
-        decoded = middleware.execute_decoded(Projection.of_attributes(RelationAccess("r"), "x"))
+        pipeline.load_period_relation("r", relation)
+        decoded = pipeline.execute_decoded(Projection.of_attributes(RelationAccess("r"), "x"))
         assert decoded == relation
 
     def test_custom_period_attribute_names(self):
-        middleware = SnapshotMiddleware(TimeDomain(0, 10))
-        middleware.load_table("r", ["x"], [(1, 0, 5)], period=("vt_s", "vt_e"))
-        result = middleware.execute(Projection.of_attributes(RelationAccess("r"), "x"))
+        pipeline = QueryPipeline(TimeDomain(0, 10))
+        pipeline.load_table("r", ["x"], [(1, 0, 5)], period=("vt_s", "vt_e"))
+        result = pipeline.execute(Projection.of_attributes(RelationAccess("r"), "x"))
         assert result.rows == [(1, 0, 5)]
         assert result.schema == ("x", T_BEGIN, T_END)
 
 
 class TestRewriteErrors:
-    def test_unknown_relation(self, middleware):
+    def test_unknown_relation(self, pipeline):
         with pytest.raises(RewriteError):
-            middleware.execute(RelationAccess("missing"))
+            pipeline.execute(RelationAccess("missing"))
 
-    def test_join_with_clashing_schemas(self, middleware):
+    def test_join_with_clashing_schemas(self, pipeline):
         with pytest.raises(RewriteError):
-            middleware.execute(Join(RelationAccess("works"), RelationAccess("works")))
+            pipeline.execute(Join(RelationAccess("works"), RelationAccess("works")))
 
-    def test_renaming_period_attributes_rejected(self, middleware):
+    def test_renaming_period_attributes_rejected(self, pipeline):
         with pytest.raises(RewriteError):
-            middleware.execute(Rename(RelationAccess("works"), ((T_BEGIN, "x"),)))
+            pipeline.execute(Rename(RelationAccess("works"), ((T_BEGIN, "x"),)))
 
-    def test_union_arity_mismatch(self, middleware):
+    def test_union_arity_mismatch(self, pipeline):
         plan = Union(
             Projection.of_attributes(RelationAccess("works"), "name"),
             Projection.of_attributes(RelationAccess("assign"), "mach", "req_skill"),
         )
         with pytest.raises(RewriteError):
-            middleware.execute(plan)
+            pipeline.execute(plan)
 
     def test_invalid_coalesce_mode(self):
         # A PlanError from the taxonomy; the broad except for callers that
         # predate it still works because the check below would catch it.
         with pytest.raises(PlanError):
-            SnapshotMiddleware(TIME_DOMAIN, coalesce="sometimes")
+            QueryPipeline(TIME_DOMAIN, coalesce="sometimes")
 
 
 class TestConfigurationVariants:
     @pytest.fixture
-    def variants(self, middleware):
-        database = middleware.database
+    def variants(self, pipeline):
+        database = pipeline.database
         return {
-            "default": middleware,
-            "per-operator": SnapshotMiddleware(TIME_DOMAIN, database, coalesce="per-operator"),
-            "no-coalesce": SnapshotMiddleware(TIME_DOMAIN, database, coalesce="none"),
-            "naive-aggregate": SnapshotMiddleware(
+            "default": pipeline,
+            "per-operator": QueryPipeline(TIME_DOMAIN, database, coalesce="per-operator"),
+            "no-coalesce": QueryPipeline(TIME_DOMAIN, database, coalesce="none"),
+            "naive-aggregate": QueryPipeline(
                 TIME_DOMAIN, database, use_temporal_aggregate=False
             ),
-            "no-optimizer": SnapshotMiddleware(TIME_DOMAIN, database, optimize=False),
+            "no-optimizer": QueryPipeline(TIME_DOMAIN, database, optimize=False),
         }
 
     @pytest.mark.parametrize(
@@ -185,20 +185,20 @@ class TestConfigurationVariants:
 
 
 class TestAdditionalOperators:
-    def test_distinct_is_per_snapshot(self, middleware):
+    def test_distinct_is_per_snapshot(self, pipeline):
         query = Distinct(Projection.of_attributes(RelationAccess("works"), "skill"))
-        decoded = middleware.execute_decoded(query)
+        decoded = pipeline.execute_decoded(query)
         assert decoded.annotation(("SP",)).mapping == {Interval(3, 16): 1, Interval(18, 20): 1}
 
-    def test_grouped_aggregation(self, middleware):
+    def test_grouped_aggregation(self, pipeline):
         query = Aggregation(
             RelationAccess("works"), ("skill",), (AggregateSpec("count", None, "cnt"),)
         )
-        decoded = middleware.execute_decoded(query)
+        decoded = pipeline.execute_decoded(query)
         assert decoded.annotation(("SP", 2)).mapping == {Interval(8, 10): 1}
         assert decoded.annotation(("NS", 1)).mapping == {Interval(8, 16): 1}
 
-    def test_union_all(self, middleware):
+    def test_union_all(self, pipeline):
         query = Union(
             Projection.of_attributes(RelationAccess("works"), "skill"),
             Rename(
@@ -206,6 +206,6 @@ class TestAdditionalOperators:
                 (("req_skill", "skill"),),
             ),
         )
-        decoded = middleware.execute_decoded(query)
+        decoded = pipeline.execute_decoded(query)
         # At hour 7, works has one SP and assign needs two SPs: multiplicity 3.
         assert decoded.timeslice(7).annotation(("SP",)) == 3

@@ -97,7 +97,7 @@ class TestPublicBoundaries:
     def test_fluent_chain_raises_taxonomy_error(self):
         from repro import connect
 
-        session = connect((0, 10))
+        session = connect(domain=(0, 10))
         with pytest.raises(ReproError):
             session.table("never_loaded")
         works = session.load("works", ["name"], [("Ann", 0, 5)])
@@ -106,16 +106,17 @@ class TestPublicBoundaries:
         with pytest.raises(ReproError):
             works.where("name =")
 
-    def test_middleware_bad_config_raises_taxonomy_error(self):
-        from repro import SnapshotMiddleware, TimeDomain
+    def test_pipeline_bad_config_raises_taxonomy_error(self):
+        from repro import TimeDomain
+        from repro.rewriter import QueryPipeline
 
         with pytest.raises(PlanError):
-            SnapshotMiddleware(TimeDomain(0, 5), coalesce="sometimes")
+            QueryPipeline(TimeDomain(0, 5), coalesce="sometimes")
 
     def test_executing_bad_plan_raises_taxonomy_error(self):
         from repro import connect
         from repro.algebra import RelationAccess
 
-        session = connect((0, 10))
+        session = connect(domain=(0, 10))
         with pytest.raises(ReproError):
             session.query(RelationAccess("missing")).rows()

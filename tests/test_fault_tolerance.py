@@ -25,7 +25,7 @@ ROWS = [("Ann", "SP", 3, 10), ("Joe", "NS", 8, 16), ("Sam", "SP", 8, 16)]
 
 
 def _session(backend="memory", **kwargs):
-    session = connect((0, 24), backend=backend, **kwargs)
+    session = connect(domain=(0, 24), backend=backend, **kwargs)
     session.load("works", ["name", "skill"], ROWS)
     return session
 
@@ -37,7 +37,7 @@ def _slow_relation(backend, n):
     grinds through ~n^2 candidate pairs -- reliably slower than the small
     deadlines used below, on both the memory engine and SQLite.
     """
-    session = connect((0, 100), backend=backend)
+    session = connect(domain=(0, 100), backend=backend)
     left = session.load("l", ["a"], [(i, 0, 50) for i in range(n)])
     right = session.load("r", ["b"], [(i, 0, 50) for i in range(n)])
     return left.join(right, on="a + b < -1")
@@ -255,7 +255,7 @@ class TestSQLiteFaultMapping:
 
     def test_interrupt_cancels_inflight_query(self):
         n = 3000
-        session = connect((0, 100), backend="sqlite")
+        session = connect(domain=(0, 100), backend="sqlite")
         left = session.load("l", ["a"], [(i, 0, 50) for i in range(n)])
         right = session.load("r", ["b"], [(i, 0, 50) for i in range(n)])
         backend = SQLiteBackend.for_database(session.database, optimize=False)

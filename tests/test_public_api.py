@@ -11,11 +11,11 @@ from repro import (
     PeriodDatabase,
     PeriodKRelation,
     PeriodSemiring,
-    SnapshotMiddleware,
     Table,
     TemporalElement,
     TimeDomain,
 )
+from repro.rewriter import QueryPipeline
 
 
 #: The pinned package-level API surface.  A failure here means an export was
@@ -52,7 +52,6 @@ EXPECTED_REPRO_EXPORTS = {
     "PeriodDatabase",
     "evaluate_period_query",
     # implementation level
-    "SnapshotMiddleware",
     "Database",
     "Table",
     "ExecutionBackend",
@@ -60,7 +59,6 @@ EXPECTED_REPRO_EXPORTS = {
     "BatchBackend",
     "SQLiteBackend",
     "available_backends",
-    "resolve_backend",
     # fault tolerance (error taxonomy, policies, fault injection)
     "ReproError",
     "ParseError",
@@ -149,10 +147,17 @@ class TestPublicSurface:
 
         ``repro.execution`` must never grow a *module-level* import of the
         layers above it (function-local imports for lazy registration are
-        fine) -- that is the invariant that lets the middleware and the
+        fine) -- that is the invariant that lets the pipeline and the
         fluent API import the backend contract without ``TYPE_CHECKING``
         guards.  Checked statically so a regression fails here, not as an
         ImportError at some unlucky caller.
+
+        The other half of the layering: exactly one module dispatches plans
+        to backends by name.  ``resolve_backend`` is imported by the
+        pipeline (``QueryPipeline._run_plan``) and nowhere else -- bar the
+        fault-injection *wrapper*, which resolves the inner backend it
+        wraps once, at construction, and is itself handed plans by the
+        pipeline.
         """
         import ast
         import pathlib
@@ -169,12 +174,16 @@ class TestPublicSurface:
                     assert "rewriter" not in alias.name
                     assert "backends" not in alias.name
 
-    def test_middleware_imports_the_backend_contract_at_runtime(self):
-        """No TYPE_CHECKING guard: the protocol is a real runtime import."""
-        from repro.execution import ExecutionBackend
-        from repro.rewriter import middleware
-
-        assert middleware.ExecutionBackend is ExecutionBackend
+        package = pathlib.Path(repro.__file__).parent
+        importers = {
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            if path.name != "execution.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and any(alias.name == "resolve_backend" for alias in node.names)
+        }
+        assert importers == {"rewriter/pipeline.py", "faultinject.py"}
 
 
 class TestReadmeQuickstart:
@@ -189,8 +198,8 @@ class TestReadmeQuickstart:
             lit,
         )
 
-        middleware = SnapshotMiddleware(TimeDomain(0, 24))
-        middleware.load_table(
+        pipeline = QueryPipeline(TimeDomain(0, 24))
+        pipeline.load_table(
             "works",
             ["name", "skill"],
             [
@@ -205,7 +214,7 @@ class TestReadmeQuickstart:
             (),
             (AggregateSpec("count", None, "cnt"),),
         )
-        table = middleware.execute(onduty)
+        table = pipeline.execute(onduty)
         assert (0, 0, 3) in table.rows
         assert (2, 8, 10) in table.rows
         assert "cnt" in table.pretty()
@@ -233,9 +242,9 @@ class TestCrossLayerIntegration:
         assert PeriodKRelation.encode(logical_db.period_semiring, oracle) == logical
 
         # implementation level
-        middleware = SnapshotMiddleware(domain)
-        middleware.load_period_relation("r", logical_db.relation("r"))
-        assert middleware.execute_decoded(query) == logical
+        pipeline = QueryPipeline(domain)
+        pipeline.load_period_relation("r", logical_db.relation("r"))
+        assert pipeline.execute_decoded(query) == logical
 
     def test_engine_objects_usable_directly(self):
         database = Database()
