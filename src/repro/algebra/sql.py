@@ -1,19 +1,33 @@
 """Printing scalar expressions as SQL text (the SQL backend's front end).
 
-:func:`sql_expression` renders an :class:`~repro.algebra.expressions.Expression`
-tree as an SQL scalar expression whose value on any row equals
-:meth:`Expression.evaluate` on that row (with Python booleans mapping to the
-SQL integers ``1``/``0``).  The printer targets the SQL-92 core plus
-``CASE``, which SQLite, PostgreSQL and DuckDB all share, so the same text is
-reusable by future backends.
+Two printers, one per place an expression can stand in a statement:
+
+* :func:`sql_expression` (*value context*: select lists, ``CASE`` arms,
+  aggregate arguments, anything under ``NOT``) renders an
+  :class:`~repro.algebra.expressions.Expression` as an SQL scalar whose
+  value on any row equals :meth:`Expression.evaluate` on that row (Python
+  booleans mapping to the SQL integers ``1``/``0``);
+* :func:`sql_predicate` (*filter context*: ``WHERE``) renders a predicate
+  that keeps exactly the rows on which ``evaluate`` is true.  A ``WHERE``
+  drops a row on ``UNKNOWN`` just as it does on 0, and ``AND``/``OR`` are
+  monotone, so a comparison reached only through ``AND``/``OR`` prints as
+  plain ``a op b`` -- which is what lets the host's planner see equi-join
+  keys and range bounds (index lookups, automatic indexes, reordering).
+
+Both target the SQL-92 core plus ``CASE``, which SQLite, PostgreSQL and
+DuckDB all share, so the same text is reusable by future backends.  Both
+take a ``column`` callable that renders an attribute name as a column
+reference (default: the quoted bare name) so a block with several ``FROM``
+items can qualify them.
 
 Matching the interpreter's semantics -- not ISO three-valued logic -- is the
 contract here, because the differential tests pin the SQL backend to the
 in-memory engine:
 
 * comparisons involving ``NULL`` evaluate to *false* (the interpreter's
-  simplification), so every comparison is wrapped in an explicit NULL guard
-  rather than left to SQL's ``UNKNOWN`` propagation;
+  simplification), so in value context every comparison is wrapped in an
+  explicit NULL guard rather than left to SQL's ``UNKNOWN`` propagation
+  (``NOT (a = b)`` must keep a row whose ``a`` is NULL);
 * operands of ``NOT``/``AND``/``OR`` that are not already two-valued
   predicates are normalised through the same guard, so ``NOT x`` over a
   NULL or numeric attribute matches Python's ``not bool(x)``;
@@ -37,7 +51,7 @@ boolean operands are expected to be predicates, numbers or NULL.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Callable
 
 from .expressions import (
     Arithmetic,
@@ -51,7 +65,13 @@ from .expressions import (
     Not,
 )
 
-__all__ = ["SQLPrintError", "quote_identifier", "sql_literal", "sql_expression"]
+__all__ = [
+    "SQLPrintError",
+    "quote_identifier",
+    "sql_literal",
+    "sql_expression",
+    "sql_predicate",
+]
 
 
 class SQLPrintError(Exception):
@@ -133,18 +153,44 @@ def _float_sql(value: float) -> str:
 #: Comparison operators; everything but ``!=`` prints as itself.
 _COMPARISON_SQL = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
+#: Renders an attribute name as a column reference.
+ColumnPrinter = Callable[[str], str]
 
-def sql_expression(expression: Expression) -> str:
+
+def sql_predicate(
+    expression: Expression, column: ColumnPrinter = quote_identifier
+) -> str:
+    """Render a predicate for a ``WHERE`` clause (filter context).
+
+    The clause keeps a row iff :meth:`Expression.evaluate` is true on it.
+    Comparisons reached through ``AND``/``OR`` only are printed bare:
+    a NULL operand makes them ``UNKNOWN`` where the interpreter says false,
+    and both drop the row.  Everything else (``NOT``, ``IS NULL``, a value
+    in boolean position) falls back to the two-valued value-context form.
+    """
+    if isinstance(expression, BooleanOp):
+        joiner = " AND " if expression.op == "and" else " OR "
+        return "(" + joiner.join(sql_predicate(o, column) for o in expression.operands) + ")"
+    if isinstance(expression, Comparison):
+        left = sql_expression(expression.left, column)
+        right = sql_expression(expression.right, column)
+        return f"{left} {_COMPARISON_SQL[expression.op]} {right}"
+    return _sql_boolean(expression, column)
+
+
+def sql_expression(
+    expression: Expression, column: ColumnPrinter = quote_identifier
+) -> str:
     """Render an expression as SQL text with the interpreter's semantics."""
     if isinstance(expression, Attribute):
-        return quote_identifier(expression.name)
+        return column(expression.name)
 
     if isinstance(expression, Literal):
         return sql_literal(expression.value)
 
     if isinstance(expression, Comparison):
-        left = sql_expression(expression.left)
-        right = sql_expression(expression.right)
+        left = sql_expression(expression.left, column)
+        right = sql_expression(expression.right, column)
         operator = _COMPARISON_SQL[expression.op]
         # NULL-guarded two-valued comparison: evaluates to 0, never UNKNOWN,
         # when either side is NULL -- exactly Expression.evaluate.
@@ -155,14 +201,14 @@ def sql_expression(expression: Expression) -> str:
 
     if isinstance(expression, BooleanOp):
         joiner = " AND " if expression.op == "and" else " OR "
-        return "(" + joiner.join(_sql_boolean(o) for o in expression.operands) + ")"
+        return "(" + joiner.join(_sql_boolean(o, column) for o in expression.operands) + ")"
 
     if isinstance(expression, Not):
-        return f"(NOT {_sql_boolean(expression.operand)})"
+        return f"(NOT {_sql_boolean(expression.operand, column)})"
 
     if isinstance(expression, Arithmetic):
-        left = sql_expression(expression.left)
-        right = sql_expression(expression.right)
+        left = sql_expression(expression.left, column)
+        right = sql_expression(expression.right, column)
         if expression.op == "/":
             # Python float division; the CAST also keeps NULL propagation
             # (CAST(NULL AS REAL) is NULL).
@@ -170,16 +216,16 @@ def sql_expression(expression: Expression) -> str:
         return f"({left} {expression.op} {right})"
 
     if isinstance(expression, FunctionCall):
-        return _sql_function(expression)
+        return _sql_function(expression, column)
 
     if isinstance(expression, IsNull):
         operator = "IS NOT NULL" if expression.negated else "IS NULL"
-        return f"({sql_expression(expression.operand)} {operator})"
+        return f"({sql_expression(expression.operand, column)} {operator})"
 
     raise SQLPrintError(f"cannot print {type(expression).__name__} as SQL")
 
 
-def _sql_boolean(expression: Expression) -> str:
+def _sql_boolean(expression: Expression, column: ColumnPrinter) -> str:
     """Render an expression for boolean context, two-valued like ``bool(x)``.
 
     Predicate nodes already evaluate to 0/1; anything else (an attribute, a
@@ -188,13 +234,13 @@ def _sql_boolean(expression: Expression) -> str:
     would otherwise propagate into dropped rows.
     """
     if isinstance(expression, (Comparison, BooleanOp, Not, IsNull)):
-        return sql_expression(expression)
-    value = sql_expression(expression)
+        return sql_expression(expression, column)
+    value = sql_expression(expression, column)
     return f"(CASE WHEN {value} IS NULL THEN 0 WHEN {value} THEN 1 ELSE 0 END)"
 
 
-def _sql_function(call: FunctionCall) -> str:
-    arguments = [sql_expression(a) for a in call.args]
+def _sql_function(call: FunctionCall, column: ColumnPrinter) -> str:
+    arguments = [sql_expression(a, column) for a in call.args]
     if call.name == "abs":
         return f"ABS({arguments[0]})"
     if call.name == "coalesce":

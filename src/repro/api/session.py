@@ -694,11 +694,18 @@ class Session:
         backend = self._pipeline.backend
         backend_name = getattr(backend, "name", backend) or "memory"
         sections += ["", f"execution (backend={backend_name!r}):"]
-        sections += (
-            [f"  {key} = {value}" for key, value in strategies.items()]
-            if strategies
-            else ["  (no joins)"]
-        )
+        # A host DBMS runs the plan wholesale; it reports its own plan
+        # (SQLiteBackend.explain: statement size + EXPLAIN QUERY PLAN)
+        # where the engine reports its join-strategy counters.
+        host_lines = self._pipeline.explain_host(executed)
+        if host_lines is not None:
+            sections += [f"  {line}" for line in host_lines]
+        else:
+            sections += (
+                [f"  {key} = {value}" for key, value in strategies.items()]
+                if strategies
+                else ["  (no joins)"]
+            )
         # Which physical executor actually ran (the engine counts one probe
         # per execution), plus the batch executor's partitioned-join counters.
         ran = [

@@ -7,39 +7,73 @@ the fused temporal aggregation of Section 9 -- are lowered to the paper's
 window-function formulations (running sums over +1/-1 interval events,
 ``LEAD`` to the next changepoint, per-group segmentation).
 
-Design notes:
+Design notes -- the statement is shaped so that the host's planner can do
+its job; a rewriting middleware is only as fast as the host is allowed to be:
 
-* the plan DAG is emitted as a **flat chain of CTEs** -- one ``WITH`` entry
-  per operator, each referencing its children by name -- rather than nested
-  derived tables: rewritten TPC-BiH plans nest 30+ operators deep, which
-  overflows SQLite's fixed parser stack when expressed as subqueries, and a
-  flat chain also keeps the generated text readable and deduplicates shared
-  sub-plans;
+* **one CTE per pipeline breaker.**  A sub-plan compiles to an open block,
+  ``SELECT columns FROM source WHERE filters`` over a single table or CTE,
+  and ``Rename`` / ``Projection`` / ``Selection`` only edit that block (the
+  column expressions and filter conjuncts are kept as expression trees over
+  the source's columns and printed when the block is consumed).  A block is
+  closed -- printed into a CTE body -- by the operator that consumes it:
+  a join, a set operation, an aggregation, ``DISTINCT`` or one of the
+  window sweeps.  The chain stays **flat** (a ``WITH`` list, each entry
+  naming its inputs; rewritten TPC-BiH plans nest 30+ operators deep, which
+  overflows SQLite's fixed parser stack when expressed as subqueries) and
+  is still one statement.  A projection that would copy a computed column
+  into further expressions closes the block first, so text size stays
+  linear in plan size;
+* **sub-plans are memoised structurally** (operators are frozen dataclasses)
+  and a CTE body that was already emitted is reused by name, so a sub-plan
+  the rewriter produced twice (``agg-join`` joins ``dept_emp`` with
+  ``salaries`` on both sides of its last join) is computed once by the host;
+* **filter vs value context.**  ``WHERE`` clauses are printed with
+  :func:`~repro.algebra.sql.sql_predicate`: comparisons reached through
+  ``AND``/``OR`` only are bare ``a op b`` (``UNKNOWN`` and 0 both drop the
+  row there), so equi-join keys and interval-overlap bounds are visible to
+  the host's planner.  Select lists, aggregate arguments and anything under
+  ``NOT`` keep the two-valued ``CASE`` guard of
+  :func:`~repro.algebra.sql.sql_expression`;
+* **join order is pinned.**  Inputs whose columns are plain column
+  references are inlined into the join's ``FROM`` (their filters join the
+  ``WHERE``), and the block is written ``outer CROSS JOIN inner`` with the
+  input estimated larger (:func:`repro.planner.cost.estimate_plan` over the
+  catalog's row counts and statistics) outside.  SQLite never reorders a
+  ``CROSS JOIN``; without statistics of its own it otherwise guesses, and
+  on a wrong guess (or on CTE inputs) runs the join as two nested full
+  scans.  With the order fixed it builds its automatic covering index on
+  the smaller input's equality key and probes it once per outer row;
 * bag semantics are preserved throughout: union is ``UNION ALL`` and bag
   difference (``EXCEPT ALL`` with multiplicities, which SQLite lacks) is
   expressed with window counts -- rows of both sides are tagged and
   numbered per value group, and a left row survives while its per-group row
   number exceeds the right side's count;
+* coalescing and the temporal aggregation of ``count``/``sum``/``avg`` share
+  one sweep: +/- events per interval end point, net per point, running
+  ``SUM ... OVER`` and ``LEAD`` to the next point.  ``min``/``max`` are not
+  invertible, so they keep the join of segments with the rows covering them;
 * multiplicities in the coalesce output (a changepoint with ``n`` open
   intervals emits ``n`` duplicate rows) come from a ``WITH RECURSIVE``
   counter joined on ``n <= open_count``;
 * value-group equality uses SQLite's NULL-safe ``IS`` comparison so NULL
   padding rows group exactly like the engine's Python ``None`` keys.
 
-The emitted dialect is SQLite's; the printer underneath
-(:mod:`repro.algebra.sql`) and the operator shapes here stick to widely
-shared SQL, so a PostgreSQL/DuckDB backend mostly needs to swap ``IS`` for
-``IS NOT DISTINCT FROM`` and the counter CTE for ``generate_series``.
+The emitted dialect is SQLite's (3.25 for window functions is the newest
+feature used); the printer underneath (:mod:`repro.algebra.sql`) and the
+operator shapes here stick to widely shared SQL, so a PostgreSQL/DuckDB
+backend mostly needs to swap ``IS`` for ``IS NOT DISTINCT FROM`` and the
+counter CTE for ``generate_series``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..algebra.expressions import Attribute, Comparison, Expression
 from ..algebra.operators import (
     Aggregation,
-    AggregateSpec,
     ConstantRelation,
     Difference,
     Distinct,
@@ -51,9 +85,17 @@ from ..algebra.operators import (
     Selection,
     Union,
 )
-from ..algebra.sql import quote_identifier, sql_expression, sql_literal
+from ..algebra.sql import (
+    ColumnPrinter,
+    quote_identifier,
+    sql_expression,
+    sql_literal,
+    sql_predicate,
+)
 from ..engine.catalog import Database
 from ..errors import BackendError
+from ..planner.cost import estimate_plan
+from ..planner.rules import substitute
 from ..rewriter.operators import (
     CoalesceOperator,
     SplitOperator,
@@ -61,6 +103,16 @@ from ..rewriter.operators import (
 )
 
 __all__ = ["CompiledQuery", "SQLCompiler", "compile_plan"]
+
+#: Aliases of the two inputs inside a join block.
+_LEFT, _RIGHT = "__l", "__r"
+
+#: Helper columns the lowerings below add inside their CTEs (``__g0``..,
+#: ``__a0``.. per group attribute / aggregate); no plan attribute may use one.
+_RESERVED = re.compile(r"__(ts|sign|open|next|n|side|rn|rcnt|rid|pt|b|e|[gans]\d+)")
+
+#: Aggregates the +/- event sweep can maintain (invertible under deletion).
+_SWEEPABLE = ("count", "sum", "avg")
 
 
 @dataclass(frozen=True)
@@ -71,12 +123,49 @@ class CompiledQuery:
     schema: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class _Rel:
-    """A compiled sub-plan: a FROM-able name (base table or CTE) + schema."""
+class _Block:
+    """An open ``SELECT columns FROM source WHERE filters`` (see Design notes)."""
 
-    name: str  # already quoted
-    schema: Tuple[str, ...]
+    __slots__ = ("source", "columns", "filters", "schema", "_edited")
+
+    def __init__(
+        self,
+        source: str,
+        columns: Tuple[Tuple[str, Expression], ...],
+        filters: Tuple[Expression, ...] = (),
+    ) -> None:
+        self.source = source  # quoted table or CTE name
+        self.columns = columns  # (output name, expression over the source's columns)
+        self.filters = filters  # conjuncts over the source's columns
+        self.schema = tuple(name for name, _ in columns)
+        # The columns that are not simply the source column of their name.
+        self._edited = {
+            name: expression
+            for name, expression in columns
+            if not (isinstance(expression, Attribute) and expression.name == name)
+        }
+
+    @classmethod
+    def over(cls, source: str, schema: Sequence[str]) -> "_Block":
+        return cls(source, tuple((name, Attribute(name)) for name in schema))
+
+    @property
+    def passes_through(self) -> bool:
+        """Every output column is the source column of the same name."""
+        return not self._edited
+
+    @property
+    def plain(self) -> bool:
+        """Every output column is a bare source column (possibly renamed)."""
+        return all(isinstance(e, Attribute) for e in self._edited.values())
+
+    def inline(self, expression: Expression) -> Expression:
+        """An expression over the output names, rewritten over the source's columns."""
+        return substitute(expression, self._edited) if self._edited else expression
+
+
+def _qualified(alias: str) -> ColumnPrinter:
+    return lambda name: f"{alias}.{quote_identifier(name)}"
 
 
 def compile_plan(plan: Operator, database: Database) -> CompiledQuery:
@@ -89,37 +178,39 @@ class SQLCompiler:
 
     def __init__(self, database: Database) -> None:
         self.database = database
-        self._names = 0
         self._ctes: List[Tuple[str, str]] = []  # (header, body)
-        self._memo: Dict[int, _Rel] = {}
+        self._emitted: Dict[str, str] = {}  # CTE body -> quoted name
+        self._memo: Dict[Operator, _Block] = {}
+        self._root: Optional[Operator] = None
+        self._estimates: Optional[Dict[int, float]] = None
 
     # -- plumbing --------------------------------------------------------------------------
 
-    def _fresh(self, stem: str) -> str:
-        """A generated identifier that cannot collide with user attributes."""
-        self._names += 1
-        return f"__{stem}_{self._names}"
-
-    def _cte(self, stem: str, body: str, header_columns: str = "") -> str:
-        """Append a CTE and return its quoted name."""
-        name = quote_identifier(self._fresh(stem))
-        self._ctes.append((name + header_columns, body))
+    def _cte(self, stem: str, body: str) -> str:
+        """The quoted name of a CTE with this body (appended unless emitted before)."""
+        name = self._emitted.get(body)
+        if name is None:
+            name = quote_identifier(f"__{stem}_{len(self._ctes) + 1}")
+            self._ctes.append((name, body))
+            self._emitted[body] = name
         return name
 
-    def _recursive_counter(self, bound_sql: str) -> Tuple[str, str]:
-        """A counter CTE ``1..bound`` (quoted name, quoted column)."""
-        n = quote_identifier(self._fresh("n"))
-        name = quote_identifier(self._fresh("mult"))
-        body = (
-            f"SELECT 1 UNION ALL SELECT {n} + 1 FROM {name} WHERE {n} < ({bound_sql})"
-        )
-        self._ctes.append((f"{name}({n})", body))
-        return name, n
+    def _recursive_counter(self, bound_sql: str) -> str:
+        """A counter CTE with one column ``__n`` = ``1..bound``; its quoted name."""
+        name = quote_identifier(f"__mult_{len(self._ctes) + 1}")
+        body = f"SELECT 1 UNION ALL SELECT __n + 1 FROM {name} WHERE __n < ({bound_sql})"
+        self._ctes.append((f"{name}(__n)", body))
+        return name
 
     @staticmethod
-    def _columns(names: Tuple[str, ...], qualifier: str = "") -> str:
-        prefix = qualifier + "." if qualifier else ""
-        return ", ".join(prefix + quote_identifier(n) for n in names)
+    def _columns(names: Sequence[str]) -> str:
+        return ", ".join(quote_identifier(n) for n in names)
+
+    @staticmethod
+    def _cell(expression: Expression, name: str) -> str:
+        text = sql_expression(expression)
+        quoted = quote_identifier(name)
+        return text if text == quoted else f"{text} AS {quoted}"
 
     @staticmethod
     def _null_safe_equal(left: str, right: str) -> str:
@@ -129,12 +220,67 @@ class SQLCompiler:
     def _check_schema(self, plan: Operator, schema: Tuple[str, ...]) -> None:
         if not schema:
             raise BackendError(f"cannot compile zero-column relation {plan!r} to SQL")
+        clash = [name for name in schema if _RESERVED.fullmatch(name)]
+        if clash:
+            raise BackendError(
+                f"attributes {clash} of {plan!r} collide with the compiler's helper columns"
+            )
+
+    # -- blocks ----------------------------------------------------------------------------
+
+    def _filter(self, block: _Block, predicate: Expression) -> _Block:
+        """``block`` with one more conjunct (given over its output names)."""
+        return _Block(block.source, block.columns, block.filters + (block.inline(predicate),))
+
+    def _project(
+        self, block: _Block, columns: Sequence[Tuple[Expression, str]]
+    ) -> _Block:
+        """``block`` with its select list replaced (expressions over its output names)."""
+        computed = {
+            name
+            for name, expression in block._edited.items()
+            if not isinstance(expression, Attribute) and expression.attributes()
+        }
+        if computed and any(
+            not isinstance(expression, Attribute)
+            and computed.intersection(expression.attributes())
+            for expression, _ in columns
+        ):
+            # Substituting would copy a computed column's text into every
+            # reference; close the block so the copies are references.
+            block = self._closed(block)
+        projected = tuple((name, block.inline(expression)) for expression, name in columns)
+        return _Block(block.source, projected, block.filters)
+
+    def _select(self, block: _Block, extra: Sequence[str] = (), head: str = "SELECT") -> str:
+        """The block as SQL text; ``extra`` cells are appended to the select list."""
+        cells = [self._cell(expression, name) for name, expression in block.columns]
+        return (
+            f"{head} {', '.join(cells + list(extra))} FROM {block.source}"
+            + self._where(sql_predicate(f) for f in block.filters)
+        )
+
+    @staticmethod
+    def _where(conjuncts: Iterable[str]) -> str:
+        conjuncts = list(conjuncts)
+        return "\nWHERE " + " AND ".join(conjuncts) if conjuncts else ""
+
+    def _name(self, block: _Block, stem: str = "sel") -> str:
+        """A FROM-able name whose columns are the block's schema (a CTE if need be)."""
+        if block.passes_through and not block.filters:
+            return block.source
+        return self._cte(stem, self._select(block))
+
+    def _closed(self, block: _Block) -> _Block:
+        """A fresh block over the result of ``block``."""
+        return _Block.over(self._name(block), block.schema)
 
     # -- entry point -------------------------------------------------------------------------
 
     def compile(self, plan: Operator) -> CompiledQuery:
-        relation = self._compile(plan)
-        body = f"SELECT {self._columns(relation.schema)} FROM {relation.name}"
+        self._root = plan
+        block = self._compile(plan)
+        body = self._select(block)
         if self._ctes:
             chain = ",\n".join(
                 f"{header} AS (\n{cte_body}\n)" for header, cte_body in self._ctes
@@ -144,30 +290,30 @@ class SQLCompiler:
             sql = f"WITH RECURSIVE {chain}\n{body}"
         else:
             sql = body
-        return CompiledQuery(sql, relation.schema)
+        return CompiledQuery(sql, block.schema)
 
     # -- dispatch ----------------------------------------------------------------------------
 
-    def _compile(self, plan: Operator) -> _Rel:
-        # Operators are immutable, so a sub-plan referenced twice (the
-        # rewriter reuses children, e.g. split(R, R)) compiles to one CTE.
-        memoised = self._memo.get(id(plan))
-        if memoised is not None:
-            return memoised
-        relation = self._compile_fresh(plan)
-        self._check_schema(plan, relation.schema)
-        self._memo[id(plan)] = relation
-        return relation
+    def _compile(self, plan: Operator) -> _Block:
+        # Operators are immutable and compare structurally, so a sub-plan
+        # that occurs twice -- shared (split(R, R)) or built twice by the
+        # rewriter -- compiles once.
+        block = self._memo.get(plan)
+        if block is None:
+            block = self._compile_fresh(plan)
+            self._check_schema(plan, block.schema)
+            self._memo[plan] = block
+        return block
 
-    def _compile_fresh(self, plan: Operator) -> _Rel:
+    def _compile_fresh(self, plan: Operator) -> _Block:
         if isinstance(plan, RelationAccess):
             return self._relation(plan)
         if isinstance(plan, ConstantRelation):
             return self._constant(plan)
         if isinstance(plan, Selection):
-            return self._selection(plan)
+            return self._filter(self._compile(plan.child), plan.predicate)
         if isinstance(plan, Projection):
-            return self._projection(plan)
+            return self._project(self._compile(plan.child), plan.columns)
         if isinstance(plan, Rename):
             return self._rename(plan)
         if isinstance(plan, Join):
@@ -190,18 +336,18 @@ class SQLCompiler:
 
     # -- leaves -------------------------------------------------------------------------------
 
-    def _relation(self, plan: RelationAccess) -> _Rel:
+    def _relation(self, plan: RelationAccess) -> _Block:
         if plan.name not in self.database:
             raise BackendError(f"unknown table {plan.name!r}")
         schema = self.database.table(plan.name).schema
-        return _Rel(quote_identifier(plan.name), schema)
+        return _Block.over(quote_identifier(plan.name), schema)
 
-    def _constant(self, plan: ConstantRelation) -> _Rel:
+    def _constant(self, plan: ConstantRelation) -> _Block:
         schema = tuple(plan.schema)
         self._check_schema(plan, schema)
         if not plan.rows:
             nulls = ", ".join(f"NULL AS {quote_identifier(n)}" for n in schema)
-            return _Rel(self._cte("const", f"SELECT {nulls} WHERE 0"), schema)
+            return _Block.over(self._cte("const", f"SELECT {nulls} WHERE 0"), schema)
         selects: List[str] = []
         for position, row in enumerate(plan.rows):
             if position == 0:
@@ -212,42 +358,28 @@ class SQLCompiler:
             else:
                 cells = ", ".join(sql_literal(v) for v in row)
             selects.append(f"SELECT {cells}")
-        return _Rel(self._cte("const", "\nUNION ALL\n".join(selects)), schema)
+        return _Block.over(self._cte("const", "\nUNION ALL\n".join(selects)), schema)
 
     # -- classical operators ------------------------------------------------------------------
 
-    def _selection(self, plan: Selection) -> _Rel:
-        child = self._compile(plan.child)
-        body = (
-            f"SELECT {self._columns(child.schema)} FROM {child.name}\n"
-            f"WHERE {sql_expression(plan.predicate)}"
-        )
-        return _Rel(self._cte("sel", body), child.schema)
-
-    def _projection(self, plan: Projection) -> _Rel:
-        child = self._compile(plan.child)
-        cells = ", ".join(
-            f"{sql_expression(expr)} AS {quote_identifier(name)}"
-            for expr, name in plan.columns
-        )
-        body = f"SELECT {cells} FROM {child.name}"
-        return _Rel(self._cte("proj", body), plan.output_names)
-
-    def _rename(self, plan: Rename) -> _Rel:
+    def _rename(self, plan: Rename) -> _Block:
         child = self._compile(plan.child)
         renames = dict(plan.renames)
         missing = set(renames) - set(child.schema)
         if missing:
             raise BackendError(f"cannot rename unknown attributes {sorted(missing)}")
-        cells = ", ".join(
-            f"{quote_identifier(old)} AS {quote_identifier(renames.get(old, old))}"
-            for old in child.schema
+        columns = tuple(
+            (renames.get(name, name), expression) for name, expression in child.columns
         )
-        body = f"SELECT {cells} FROM {child.name}"
-        schema = tuple(renames.get(name, name) for name in child.schema)
-        return _Rel(self._cte("ren", body), schema)
+        return _Block(child.source, columns, child.filters)
 
-    def _join(self, plan: Join) -> _Rel:
+    def _rows(self, plan: Operator) -> float:
+        """Estimated cardinality of a sub-plan of the plan being compiled."""
+        if self._estimates is None:
+            self._estimates = estimate_plan(self._root, self.database)
+        return self._estimates.get(id(plan), 0.0)
+
+    def _join(self, plan: Join) -> _Block:
         left = self._compile(plan.left)
         right = self._compile(plan.right)
         overlap = set(left.schema) & set(right.schema)
@@ -255,40 +387,60 @@ class SQLCompiler:
             raise BackendError(
                 f"join inputs share attributes {sorted(overlap)}; rename first"
             )
-        # Aliases allow the same relation name on both sides; the disjoint
-        # schemas keep unqualified attribute references unambiguous.
-        left_alias = quote_identifier(self._fresh("jl"))
-        right_alias = quote_identifier(self._fresh("jr"))
-        body = (
-            f"SELECT {self._columns(left.schema, left_alias)}, "
-            f"{self._columns(right.schema, right_alias)}\n"
-            f"FROM {left.name} AS {left_alias}, {right.name} AS {right_alias}"
-        )
+        # Pinned order (SQLite never reorders CROSS JOIN): the larger input
+        # outside, the smaller inside with bare columns for the index key.
+        sides = [(left, _LEFT), (right, _RIGHT)]
+        if self._rows(plan.right) > self._rows(plan.left):
+            sides.reverse()
+        (outer, outer_alias), (inner, inner_alias) = sides
+        if not inner.plain:
+            inner = self._closed(inner)
+        # Both inputs are inlined under fixed aliases (the same relation may
+        # sit on both sides); output names are disjoint, so each resolves to
+        # one expression over qualified source columns.
+        qualified: Dict[str, str] = {}
+        conjuncts: List[str] = []
+        for block, alias in ((outer, outer_alias), (inner, inner_alias)):
+            column = _qualified(alias)
+            for name, expression in block.columns:
+                qualified[name] = sql_expression(expression, column)
+            conjuncts += [sql_predicate(f, column) for f in block.filters]
         if plan.predicate is not None:
-            body += f"\nWHERE {sql_expression(plan.predicate)}"
-        return _Rel(self._cte("join", body), left.schema + right.schema)
+            conjuncts.append(
+                sql_predicate(
+                    plan.predicate,
+                    lambda name: qualified.get(name) or quote_identifier(name),
+                )
+            )
+        schema = left.schema + right.schema
+        cells = ", ".join(
+            f"{qualified[name]} AS {quote_identifier(name)}" for name in schema
+        )
+        body = (
+            f"SELECT {cells}\n"
+            f"FROM {outer.source} AS {outer_alias} CROSS JOIN {inner.source} AS {inner_alias}"
+            + self._where(conjuncts)
+        )
+        return _Block.over(self._cte("join", body), schema)
 
-    def _union(self, plan: Union) -> _Rel:
+    def _union(self, plan: Union) -> _Block:
         left = self._compile(plan.left)
         right = self._compile(plan.right)
         if len(left.schema) != len(right.schema):
             raise BackendError(
                 f"union-incompatible schemas {left.schema} and {right.schema}"
             )
-        body = (
-            f"SELECT {self._columns(left.schema)} FROM {left.name}\n"
-            f"UNION ALL\n"
-            f"SELECT {self._columns(right.schema)} FROM {right.name}"
-        )
-        return _Rel(self._cte("un", body), left.schema)
+        body = f"{self._select(left)}\nUNION ALL\n{self._select(right)}"
+        return _Block.over(self._cte("un", body), left.schema)
 
-    def _difference(self, plan: Difference) -> _Rel:
+    def _difference(self, plan: Difference) -> _Block:
         """``EXCEPT ALL`` via window counts (no multiset EXCEPT in SQLite).
 
-        Both sides are tagged and unioned; per value group, rows are
-        numbered per side and the right side's cardinality is a windowed sum
-        of the tags.  A left row survives iff its number exceeds that count
-        -- i.e. ``max(0, m - n)`` copies per group, the annotation monus.
+        Both sides are tagged and unioned (positionally: the right side's
+        names do not matter); per value group, rows are numbered per side
+        and the right side's cardinality is a windowed sum of the tags.  A
+        left row survives iff its number exceeds that count -- i.e.
+        ``max(0, m - n)`` copies per group, the annotation monus.
         """
         left = self._compile(plan.left)
         right = self._compile(plan.right)
@@ -296,20 +448,13 @@ class SQLCompiler:
             raise BackendError(
                 f"difference-incompatible schemas {left.schema} and {right.schema}"
             )
-        # Align the right side's column names positionally to the left's.
-        aligned = ", ".join(
-            f"{quote_identifier(old)} AS {quote_identifier(new)}"
-            for old, new in zip(right.schema, left.schema)
-        )
-        side = quote_identifier(self._fresh("side"))
-        rank = quote_identifier(self._fresh("rn"))
-        right_count = quote_identifier(self._fresh("rcnt"))
+        side, rank, right_count = "__side", "__rn", "__rcnt"
         columns = self._columns(left.schema)
         tagged = self._cte(
             "tagged",
-            f"SELECT {columns}, 0 AS {side} FROM {left.name}\n"
+            f"{self._select(left, [f'0 AS {side}'])}\n"
             f"UNION ALL\n"
-            f"SELECT {aligned}, 1 FROM {right.name}",
+            f"{self._select(right, ['1'])}",
         )
         ranked = self._cte(
             "ranked",
@@ -322,33 +467,42 @@ class SQLCompiler:
             f"SELECT {columns} FROM {ranked}\n"
             f"WHERE {side} = 0 AND {rank} > {right_count}"
         )
-        return _Rel(self._cte("diff", body), left.schema)
+        return _Block.over(self._cte("diff", body), left.schema)
 
-    def _aggregation(self, plan: Aggregation) -> _Rel:
+    def _aggregation(self, plan: Aggregation) -> _Block:
         child = self._compile(plan.child)
         unknown = set(plan.group_by) - set(child.schema)
         if unknown:
             raise BackendError(f"unknown group-by attributes {sorted(unknown)}")
-        cells = [quote_identifier(a) for a in plan.group_by]
-        cells += [
-            f"{self._aggregate_sql(spec)} AS {quote_identifier(spec.alias)}"
-            for spec in plan.aggregates
-        ]
-        body = f"SELECT {', '.join(cells)} FROM {child.name}"
-        if plan.group_by:
-            body += f"\nGROUP BY {self._columns(tuple(plan.group_by))}"
-        return _Rel(self._cte("agg", body), plan.output_names)
+        groups = [child.inline(Attribute(name)) for name in plan.group_by]
+        if not all(isinstance(group, Attribute) for group in groups):
+            # GROUP BY takes column references only (``GROUP BY 1`` would
+            # mean the first result column, not the constant).
+            child = self._closed(child)
+            groups = [Attribute(name) for name in plan.group_by]
+        cells = [self._cell(group, name) for group, name in zip(groups, plan.group_by)]
+        for spec in plan.aggregates:
+            argument = None if spec.argument is None else child.inline(spec.argument)
+            cells.append(
+                f"{self._aggregate_sql(spec.func, argument)} AS {quote_identifier(spec.alias)}"
+            )
+        body = f"SELECT {', '.join(cells)} FROM {child.source}" + self._where(
+            sql_predicate(f) for f in child.filters
+        )
+        if groups:
+            body += f"\nGROUP BY {', '.join(map(sql_expression, groups))}"
+        return _Block.over(self._cte("agg", body), plan.output_names)
 
     @staticmethod
-    def _aggregate_sql(spec: AggregateSpec) -> str:
-        if spec.argument is None:  # validated by AggregateSpec: count only
+    def _aggregate_sql(func: str, argument: Optional[Expression]) -> str:
+        if argument is None:  # validated by AggregateSpec: count only
             return "COUNT(*)"
-        return f"{spec.func.upper()}({sql_expression(spec.argument)})"
+        return f"{func.upper()}({sql_expression(argument)})"
 
-    def _distinct(self, plan: Distinct) -> _Rel:
+    def _distinct(self, plan: Distinct) -> _Block:
         child = self._compile(plan.child)
-        body = f"SELECT DISTINCT {self._columns(child.schema)} FROM {child.name}"
-        return _Rel(self._cte("dis", body), child.schema)
+        body = self._select(child, head="SELECT DISTINCT")
+        return _Block.over(self._cte("dis", body), child.schema)
 
     # -- temporal physical operators (Section 9 window SQL) -----------------------------------
 
@@ -364,61 +518,79 @@ class SQLCompiler:
                 )
         return begin, end
 
-    def _coalesce(self, plan: CoalesceOperator) -> _Rel:
+    def _proper(self, block: _Block, period: Tuple[str, str]) -> _Block:
+        """The block restricted to non-degenerate intervals (``begin < end``)."""
+        begin, end = period
+        return self._filter(block, Comparison("<", Attribute(begin), Attribute(end)))
+
+    def _sweep(
+        self,
+        src: str,
+        keys: Tuple[str, ...],
+        period: Tuple[str, str],
+        deltas: Sequence[Tuple[str, str]],
+        carried: Sequence[str] = (),
+        changepoints_only: bool = False,
+    ) -> str:
+        """The +/- event sweep shared by coalescing and temporal aggregation.
+
+        Every row of ``src`` contributes an event at its begin (``__sign``
+        = 1) and at its end (-1).  ``deltas`` -- ``(quoted name, expression
+        over __sign and the carried columns)`` -- are net-summed per (key,
+        point) and then accumulated along each key's points, so in the
+        returned CTE column ``name`` holds the running total *after* point
+        ``__ts`` and ``__next`` the key's following point (NULL at the last).
+        ``changepoints_only`` drops the points whose events cancel out.
+        """
+        begin, end = (quote_identifier(a) for a in period)
+        key_list = "".join(quote_identifier(k) + ", " for k in keys)
+        carried_list = "".join(", " + c for c in carried)
+        partition = f"PARTITION BY {self._columns(keys)} " if keys else ""
+        window = f"OVER ({partition}ORDER BY __ts)"
+        net = ", ".join(f"SUM({expression}) AS {name}" for name, expression in deltas)
+        points = self._cte(
+            "pts",
+            f"SELECT {key_list}__ts, {net} FROM (\n"
+            f"SELECT {key_list}{begin} AS __ts, 1 AS __sign{carried_list} FROM {src}\n"
+            f"UNION ALL\n"
+            f"SELECT {key_list}{end}, -1{carried_list} FROM {src}\n"
+            f")\n"
+            f"GROUP BY {key_list}__ts"
+            + (" HAVING SUM(__sign) <> 0" if changepoints_only else ""),
+        )
+        running = ",\n".join(f"  SUM({name}) {window} AS {name}" for name, _ in deltas)
+        return self._cte(
+            "sweep",
+            f"SELECT {key_list}__ts,\n{running},\n  LEAD(__ts) {window} AS __next\n"
+            f"FROM {points}",
+        )
+
+    def _coalesce(self, plan: CoalesceOperator) -> _Block:
         """Multiset coalescing as the paper's window-function subquery.
 
-        +1/-1 events per (value group, end point) are net-summed per point;
-        a running ``SUM ... OVER (PARTITION BY group ORDER BY point)`` gives
-        the number of open intervals after each changepoint, ``LEAD`` the
-        next changepoint, and a recursive counter joined on
-        ``n <= open_count`` restores the output multiplicities.
+        The sweep's running ``__open`` is the number of open intervals after
+        each changepoint (points whose events cancel are not changepoints
+        and are dropped); a recursive counter joined on ``n <= __open``
+        restores the output multiplicities.
         """
         child = self._compile(plan.child)
         begin, end = self._period_columns(plan, child.schema, plan.period)
         data = tuple(a for a in child.schema if a not in plan.period)
-        qb, qe = quote_identifier(begin), quote_identifier(end)
-
-        ts = quote_identifier(self._fresh("ts"))
-        sign = quote_identifier(self._fresh("sign"))
-        delta = quote_identifier(self._fresh("delta"))
-        open_count = quote_identifier(self._fresh("open"))
-        next_ts = quote_identifier(self._fresh("next"))
-
-        data_list = self._columns(data)
-        data_prefix = f"{data_list}, " if data else ""
-        partition = f"PARTITION BY {data_list} " if data else ""
-
-        src = self._cte(
-            "src",
-            f"SELECT {data_prefix}{qb}, {qe} FROM {child.name} WHERE {qb} < {qe}",
+        src = self._name(self._proper(child, plan.period), "src")
+        sweep = self._sweep(
+            src, data, plan.period, [("__open", "__sign")], changepoints_only=True
         )
-        points = self._cte(
-            "pts",
-            f"SELECT {data_prefix}{ts}, SUM({sign}) AS {delta} FROM (\n"
-            f"SELECT {data_prefix}{qb} AS {ts}, 1 AS {sign} FROM {src}\n"
-            f"UNION ALL\n"
-            f"SELECT {data_prefix}{qe}, -1 FROM {src}\n"
-            f")\n"
-            f"GROUP BY {data_prefix}{ts} HAVING SUM({sign}) <> 0",
-        )
-        sweep = self._cte(
-            "sweep",
-            f"SELECT {data_prefix}{ts},\n"
-            f"  SUM({delta}) OVER ({partition}ORDER BY {ts}) AS {open_count},\n"
-            f"  LEAD({ts}) OVER ({partition}ORDER BY {ts}) AS {next_ts}\n"
-            f"FROM {points}",
-        )
-        counter, n = self._recursive_counter(
-            f"SELECT COALESCE(MAX({open_count}), 0) FROM {sweep}"
-        )
+        counter = self._recursive_counter(f"SELECT COALESCE(MAX(__open), 0) FROM {sweep}")
+        data_prefix = "".join(quote_identifier(a) + ", " for a in data)
         body = (
-            f"SELECT {data_prefix}{ts} AS {qb}, {next_ts} AS {qe}\n"
-            f"FROM {sweep} JOIN {counter} ON {n} <= {open_count}\n"
-            f"WHERE {open_count} > 0"
+            f"SELECT {data_prefix}__ts AS {quote_identifier(begin)}, "
+            f"__next AS {quote_identifier(end)}\n"
+            f"FROM {sweep} JOIN {counter} ON __n <= __open\n"
+            f"WHERE __open > 0"
         )
-        return _Rel(self._cte("coal", body), data + plan.period)
+        return _Block.over(self._cte("coal", body), data + plan.period)
 
-    def _split(self, plan: SplitOperator) -> _Rel:
+    def _split(self, plan: SplitOperator) -> _Block:
         """``N_G(R1, R2)``: split left rows at all group end points.
 
         Left rows get a synthetic row id; the group's end points (from both
@@ -426,28 +598,28 @@ class SQLCompiler:
         inside a row's interval become its cut points, and ``LEAD`` over the
         per-row sorted boundary list yields the output segments.
         """
-        left = self._compile(plan.left)
-        right = self._compile(plan.right)
-        begin, end = self._period_columns(plan, left.schema, plan.period)
-        self._period_columns(plan, right.schema, plan.period)
+        left_block = self._compile(plan.left)
+        right_block = self._compile(plan.right)
+        schema = left_block.schema
+        begin, end = self._period_columns(plan, schema, plan.period)
+        self._period_columns(plan, right_block.schema, plan.period)
         for attribute in plan.group_by:
-            for side in (left, right):
-                if attribute not in side.schema:
+            for side in (schema, right_block.schema):
+                if attribute not in side:
                     raise BackendError(
-                        f"split group attribute {attribute!r} missing from {side.schema}"
+                        f"split group attribute {attribute!r} missing from {side}"
                     )
         qb, qe = quote_identifier(begin), quote_identifier(end)
+        left = self._name(left_block, "in")
+        right = self._name(right_block, "in")
 
-        rid = quote_identifier(self._fresh("rid"))
-        point = quote_identifier(self._fresh("pt"))
-        seg_begin = quote_identifier(self._fresh("b"))
-        seg_end = quote_identifier(self._fresh("e"))
-        group_aliases = [quote_identifier(self._fresh("g")) for _ in plan.group_by]
+        rid, point, seg_begin, seg_end = "__rid", "__pt", "__b", "__e"
+        group_aliases = [f"__g{position}" for position in range(len(plan.group_by))]
 
         rows = self._cte(
             "rows",
-            f"SELECT {self._columns(left.schema)}, ROW_NUMBER() OVER () AS {rid} "
-            f"FROM {left.name} WHERE {qb} < {qe}",
+            f"SELECT {self._columns(schema)}, ROW_NUMBER() OVER () AS {rid} "
+            f"FROM {left} WHERE {qb} < {qe}",
         )
 
         def endpoint_select(source: str, attribute: str) -> str:
@@ -462,7 +634,7 @@ class SQLCompiler:
             "pts",
             "\nUNION\n".join(
                 endpoint_select(source, attribute)
-                for source in (left.name, right.name)
+                for source in dict.fromkeys((left, right))
                 for attribute in (begin, end)
             ),
         )
@@ -496,7 +668,7 @@ class SQLCompiler:
         # Output columns keep the left schema order, with the period
         # attributes replaced in place by the segment bounds.
         output_cells = []
-        for attribute in left.schema:
+        for attribute in schema:
             if attribute == begin:
                 output_cells.append(f"{segments}.{seg_begin} AS {qb}")
             elif attribute == end:
@@ -508,36 +680,89 @@ class SQLCompiler:
             f"FROM {rows} JOIN {segments} ON {rows}.{rid} = {segments}.{rid}\n"
             f"WHERE {segments}.{seg_end} IS NOT NULL"
         )
-        return _Rel(self._cte("split", body), left.schema)
+        return _Block.over(self._cte("split", body), schema)
 
-    def _temporal_aggregate(self, plan: TemporalAggregateOperator) -> _Rel:
-        """Fused split + aggregation (Section 9) as segmentation + GROUP BY.
+    def _temporal_aggregate(self, plan: TemporalAggregateOperator) -> _Block:
+        """Fused split + aggregation (Section 9): one row per group and segment.
 
-        Each group's interval end points induce its segments (consecutive
-        points via ``LEAD``); a row is open on a whole segment iff its
-        interval covers it, so joining segments to rows on containment and
-        grouping by (group, segment) evaluates every aggregate per maximal
-        constant interval -- exactly the engine's sweep.
+        A group's interval end points cut the time line into segments; every
+        aggregate is evaluated over the rows open on a segment, and segments
+        with no open row produce nothing -- exactly the engine's sweep.
         """
         child = self._compile(plan.child)
-        begin, end = self._period_columns(plan, child.schema, plan.period)
+        self._period_columns(plan, child.schema, plan.period)
         for attribute in plan.group_by:
             if attribute not in child.schema:
                 raise BackendError(
                     f"aggregate group attribute {attribute!r} missing from {child.schema}"
                 )
-        qb, qe = quote_identifier(begin), quote_identifier(end)
-
-        point = quote_identifier(self._fresh("pt"))
-        seg_begin = quote_identifier(self._fresh("b"))
-        seg_end = quote_identifier(self._fresh("e"))
-        group_aliases = [quote_identifier(self._fresh("g")) for _ in plan.group_by]
-
-        src = self._cte(
-            "src",
-            f"SELECT {self._columns(child.schema)} FROM {child.name} "
-            f"WHERE {qb} < {qe}",
+        if all(spec.func in _SWEEPABLE for spec in plan.aggregates):
+            body = self._swept_aggregate(plan, child)
+        else:
+            body = self._segment_join_aggregate(plan, child)
+        schema = (
+            tuple(plan.group_by)
+            + tuple(spec.alias for spec in plan.aggregates)
+            + plan.period
         )
+        return _Block.over(self._cte("tagg", body), schema)
+
+    def _swept_aggregate(self, plan: TemporalAggregateOperator, child: _Block) -> str:
+        """``count``/``sum``/``avg`` from running totals (the engine's own method).
+
+        Per aggregate the sweep carries the number of open non-NULL
+        arguments and, for ``sum``/``avg``, their total; rows enter at their
+        begin and leave at their end.
+        """
+        keys = tuple(plan.group_by)
+        begin, end = plan.period
+        arguments = []  # (expression, helper column) per aggregate that has one
+        deltas = [("__open", "__sign")]
+        cells = []
+        for position, spec in enumerate(plan.aggregates):
+            if spec.argument is None:  # count(*): every open row
+                cells.append("__open")
+                continue
+            argument, count, total = f"__a{position}", f"__n{position}", f"__s{position}"
+            arguments.append((spec.argument, argument))
+            deltas.append((count, f"__sign * ({argument} IS NOT NULL)"))
+            if spec.func == "count":
+                cells.append(count)
+                continue
+            deltas.append((total, f"__sign * {argument}"))
+            if spec.func == "sum":
+                cells.append(f"CASE WHEN {count} > 0 THEN {total} END")
+            else:
+                cells.append(f"CAST({total} AS REAL) / {count}")
+        columns = [(Attribute(name), name) for name in keys + plan.period] + arguments
+        src = self._name(self._proper(self._project(child, columns), plan.period), "src")
+        sweep = self._sweep(src, keys, plan.period, deltas, [name for _, name in arguments])
+        output = [quote_identifier(name) for name in keys]
+        output += [
+            f"{cell} AS {quote_identifier(spec.alias)}"
+            for cell, spec in zip(cells, plan.aggregates)
+        ]
+        output += [
+            f"__ts AS {quote_identifier(begin)}",
+            f"__next AS {quote_identifier(end)}",
+        ]
+        return f"SELECT {', '.join(output)}\nFROM {sweep}\nWHERE __open > 0"
+
+    def _segment_join_aggregate(
+        self, plan: TemporalAggregateOperator, child: _Block
+    ) -> str:
+        """Any aggregate (``min``/``max`` included) by joining segments to rows.
+
+        Consecutive end points of a group (``LEAD``) are its segments; a row
+        is open on a whole segment iff its interval covers it, so joining
+        segments to rows on containment and grouping by (group, segment)
+        evaluates every aggregate per segment.
+        """
+        begin, end = plan.period
+        qb, qe = quote_identifier(begin), quote_identifier(end)
+        point, seg_begin, seg_end = "__pt", "__b", "__e"
+        group_aliases = [f"__g{position}" for position in range(len(plan.group_by))]
+        src = self._name(self._proper(child, plan.period), "src")
 
         def endpoint_select(attribute: str) -> str:
             cells = [
@@ -578,23 +803,16 @@ class SQLCompiler:
             for g, alias in zip(plan.group_by, group_aliases)
         ]
         output_cells += [
-            f"{self._aggregate_sql(spec)} AS {quote_identifier(spec.alias)}"
+            f"{self._aggregate_sql(spec.func, spec.argument)} AS {quote_identifier(spec.alias)}"
             for spec in plan.aggregates
         ]
         output_cells.append(f"{segments}.{seg_begin} AS {qb}")
         output_cells.append(f"{segments}.{seg_end} AS {qe}")
         group_by_cells = [f"{segments}.{alias}" for alias in group_aliases]
         group_by_cells += [f"{segments}.{seg_begin}", f"{segments}.{seg_end}"]
-
-        body = (
+        return (
             f"SELECT {', '.join(output_cells)}\n"
             f"FROM {segments} JOIN {src} ON {join_condition}\n"
             f"WHERE {segments}.{seg_end} IS NOT NULL\n"
             f"GROUP BY {', '.join(group_by_cells)}"
         )
-        schema = (
-            tuple(plan.group_by)
-            + tuple(spec.alias for spec in plan.aggregates)
-            + plan.period
-        )
-        return _Rel(self._cte("tagg", body), schema)

@@ -16,15 +16,20 @@ Two modes:
 * **session** (:meth:`SQLiteBackend.for_database`): the catalog is loaded
   once and the connection is reused across queries -- right for benchmarks,
   where load time would otherwise drown the query time being measured.
+  The copy follows the catalog: tables touched by DML (seen through
+  ``Database.add_dml_observer``) or replaced by DDL (a different
+  :class:`Table` object under the name) are re-loaded before the next
+  query that references them.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Dict, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..algebra.operators import Operator, RelationAccess
-from ..datasets.sqlite_loader import connect_memory, load_database
+from ..datasets.sqlite_loader import connect_memory, load_table
 from ..engine.catalog import Database
 from ..engine.table import Table
 from ..errors import (
@@ -63,6 +68,11 @@ class SQLiteBackend:
     ) -> None:
         self._connection = connection
         self._session_database: Optional[Database] = None
+        # Session mode: the Table object each SQLite copy was loaded from,
+        # and the names DML touched since.  Mutated in place only: the
+        # pipeline's shallow copies of a session backend share both.
+        self._loaded: Dict[str, Table] = {}
+        self._dirty: Set[str] = set()
         self.optimize = optimize
         self._active_connection: Optional[sqlite3.Connection] = None
         self._interrupt_requested = False
@@ -97,11 +107,17 @@ class SQLiteBackend:
         output), to avoid a redundant planner pass per query.
         """
         backend = cls(connect_memory(), optimize=optimize)
-        load_database(backend._connection, database)
         backend._session_database = database
+        backend._sync(backend._connection, database, database.names(), None)
+        database.add_dml_observer(backend._mark_dirty)
         return backend
 
+    def _mark_dirty(self, name: str, delta: Dict[Tuple[Any, ...], int]) -> None:
+        self._dirty.add(name)
+
     def close(self) -> None:
+        if self._session_database is not None:
+            self._session_database.remove_dml_observer(self._mark_dirty)
         if self._connection is not None:
             self._connection.close()
             self._connection = None
@@ -128,47 +144,8 @@ class SQLiteBackend:
         if self.optimize:
             plan = planner_optimize(plan, database, statistics)
         compiled = compile_plan(plan, database)
-        if self._connection is None and (
-            self._session_database is not None or self._sync_per_execute
-        ):
-            raise BackendUnavailableError("session backend has been closed")
-        if self._connection is not None:
-            if (
-                self._session_database is not None
-                and database is not self._session_database
-            ):
-                raise BackendError(
-                    "session backend is bound to a different catalog; "
-                    "use SQLiteBackend.for_database(database) for this one"
-                )
-            if self._sync_per_execute:
-                referenced = {
-                    node.name
-                    for node in plan.walk()
-                    if isinstance(node, RelationAccess)
-                }
-                loaded = load_database(
-                    self._connection, database, sorted(referenced)
-                )
-                if statistics is not None:
-                    statistics["sqlite_rows_loaded"] = (
-                        statistics.get("sqlite_rows_loaded", 0) + loaded
-                    )
-            rows = self._run(self._connection, compiled.sql, limits)
-        else:
-            referenced = {
-                node.name for node in plan.walk() if isinstance(node, RelationAccess)
-            }
-            connection = connect_memory()
-            try:
-                loaded = load_database(connection, database, sorted(referenced))
-                if statistics is not None:
-                    statistics["sqlite_rows_loaded"] = (
-                        statistics.get("sqlite_rows_loaded", 0) + loaded
-                    )
-                rows = self._run(connection, compiled.sql, limits)
-            finally:
-                connection.close()
+        with self._synced_connection(plan, database, statistics) as connection:
+            rows = self._run(connection, compiled.sql, limits)
         if statistics is not None:
             statistics["sqlite_statements"] = statistics.get("sqlite_statements", 0) + 1
             statistics["sqlite_result_rows"] = (
@@ -177,6 +154,92 @@ class SQLiteBackend:
         result = Table("sqlite", compiled.schema)
         result.rows = rows
         return result
+
+    def explain(self, plan: Operator, database: Database) -> List[str]:
+        """What the host does with ``plan``: statement size and its query plan.
+
+        The first line gives the compiled statement's length and CTE count;
+        the rest are SQLite's ``EXPLAIN QUERY PLAN`` rows, indented by
+        nesting.  Per join block, ``SCAN`` of one input and ``SEARCH ...
+        USING AUTOMATIC COVERING INDEX`` of the other is an index join; two
+        ``SCAN`` lines are a nested-loop cross product.
+        """
+        if self.optimize:
+            plan = planner_optimize(plan, database)
+        sql = compile_plan(plan, database).sql
+        with self._synced_connection(plan, database, None) as connection:
+            steps = self._run(connection, f"EXPLAIN QUERY PLAN {sql}")
+        lines = [f"statement: {len(sql)} chars, {sql.count(' AS (')} CTEs"]
+        depth = {0: 0}
+        for step, parent, _, detail in steps:
+            depth[step] = depth.get(parent, 0) + 1
+            lines.append("  " * depth[step] + detail)
+        return lines
+
+    @contextmanager
+    def _synced_connection(
+        self,
+        plan: Operator,
+        database: Database,
+        statistics: Optional[Dict[str, int]],
+    ) -> Iterator[sqlite3.Connection]:
+        """A connection holding current copies of the tables ``plan`` reads."""
+        referenced = sorted(
+            {node.name for node in plan.walk() if isinstance(node, RelationAccess)}
+        )
+        if self._connection is not None:
+            if self._sync_per_execute:  # file mode
+                stale = referenced
+            elif self._session_database is None:  # the caller's own connection
+                stale = []
+            elif database is not self._session_database:
+                raise BackendError(
+                    "session backend is bound to a different catalog; "
+                    "use SQLiteBackend.for_database(database) for this one"
+                )
+            else:
+                stale = [
+                    name
+                    for name in referenced
+                    if name in self._dirty
+                    or self._loaded.get(name) is not database.table(name)
+                ]
+            self._sync(self._connection, database, stale, statistics)
+            yield self._connection
+        elif self._session_database is not None or self._sync_per_execute:
+            raise BackendUnavailableError("session backend has been closed")
+        else:  # one-shot: a hermetic database per execution
+            connection = connect_memory()
+            try:
+                self._sync(connection, database, referenced, statistics)
+                yield connection
+            finally:
+                connection.close()
+
+    def _sync(
+        self,
+        connection: sqlite3.Connection,
+        database: Database,
+        names: Sequence[str],
+        statistics: Optional[Dict[str, int]],
+    ) -> None:
+        """(Re)load the named tables and record what the copies reflect."""
+        if not names:
+            return
+        loaded = 0
+        for name in names:
+            table = database.table(name)
+            # Cleared before reading the rows: DML racing with the load
+            # marks the table dirty again instead of being lost.
+            self._dirty.discard(name)
+            loaded += load_table(connection, table)
+            if self._session_database is not None:
+                self._loaded[name] = table
+        connection.commit()
+        if statistics is not None:
+            statistics["sqlite_rows_loaded"] = (
+                statistics.get("sqlite_rows_loaded", 0) + loaded
+            )
 
     def _run(
         self,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import copy
 from functools import partial
-from typing import Any, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..algebra.operators import Operator
 from ..engine.catalog import Database
@@ -463,6 +463,18 @@ class QueryPipeline:
                 parallel_threshold=threshold,
                 observations=observations,
             )
+        resolved = self._host(chosen)
+        if limits is None:
+            return resolved.execute(plan, self.database, statistics)
+        if backend_accepts_limits(resolved):
+            return resolved.execute(plan, self.database, statistics, limits=limits)
+        # Pre-fault-tolerance third-party backend: run unconstrained, then
+        # enforce the budget on the result (the deadline still trips here).
+        return limits.enforce_result(resolved.execute(plan, self.database, statistics))
+
+    @staticmethod
+    def _host(chosen: "str | ExecutionBackend") -> ExecutionBackend:
+        """The backend instance that runs pipeline-routed (already planned) plans."""
         resolved = resolve_backend(chosen)
         if getattr(resolved, "optimize", False):
             # The pipeline already applied (or deliberately skipped, with
@@ -475,13 +487,19 @@ class QueryPipeline:
             # its own setting.
             resolved = copy.copy(resolved)
             resolved.optimize = False
-        if limits is None:
-            return resolved.execute(plan, self.database, statistics)
-        if backend_accepts_limits(resolved):
-            return resolved.execute(plan, self.database, statistics, limits=limits)
-        # Pre-fault-tolerance third-party backend: run unconstrained, then
-        # enforce the budget on the result (the deadline still trips here).
-        return limits.enforce_result(resolved.execute(plan, self.database, statistics))
+        return resolved
+
+    def explain_host(self, plan: Operator) -> Optional[List[str]]:
+        """The default backend's own account of how it runs a rewritten plan.
+
+        Lines from the backend's ``explain(plan, database)`` (the SQLite
+        backend: statement size and ``EXPLAIN QUERY PLAN``); ``None`` for
+        the in-memory engine and for hosts without one.
+        """
+        if self.backend is None or self.backend == "memory":
+            return None
+        explain = getattr(self._host(self.backend), "explain", None)
+        return None if explain is None else explain(plan, self.database)
 
     def _count(self, statistics: Optional[Dict[str, int]], key: str) -> None:
         if statistics is not None:

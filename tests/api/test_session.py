@@ -14,6 +14,7 @@ from repro.algebra.operators import (
     Selection,
 )
 from repro.api import FluentError, Session, TemporalRelation
+from repro.backends import SQLiteBackend
 from repro.datasets.running_example import (
     ASSIGN_ROWS,
     EXPECTED_ONDUTY,
@@ -282,6 +283,26 @@ class TestExplain:
         assert "executed plan:" in text
         assert "strategy=interval" in text and "actual_rows=" in text
         assert "plan cache:" in text
+
+    @pytest.mark.parametrize("backend", ["sqlite", "session"])
+    def test_explain_on_sqlite_shows_the_hosts_query_plan(self, backend):
+        database = populate_database(Database())
+        if backend == "session":
+            backend = SQLiteBackend.for_database(database)
+        session = connect(domain=TIME_DOMAIN, database=database, backend=backend)
+        text = (
+            session.table("works")
+            .join(session.table("assign"), on="skill = req_skill")
+            .explain()
+        )
+        section = text.split("execution (backend='sqlite'):")[1].split("\n\n")[0]
+        assert "(no joins)" not in section
+        assert "statement: " in section and " CTEs" in section
+        # The equi+overlap join of REWR: one loop per input (which of them is
+        # an index SEARCH is pinned in tests/backends, per SQLite version).
+        steps = map(str.split, section.splitlines())
+        loops = [step for step in steps if step[1:2] in (["__l"], ["__r"])]
+        assert len(loops) == 2 and {step[0] for step in loops} <= {"SCAN", "SEARCH"}
 
     def test_explain_with_planner_off(self):
         session = connect(domain=TIME_DOMAIN, planner=False)

@@ -4,12 +4,16 @@ Every :class:`Expression` node kind is rendered by
 :func:`repro.algebra.sql.sql_expression` and evaluated by sqlite3 on a
 one-row table; the result must equal :meth:`Expression.evaluate` on the
 same row (with Python booleans mapping to SQL's 1/0, which compare equal).
+The filter-context printer (:func:`repro.algebra.sql.sql_predicate`) is
+held against :meth:`Expression.compile` through compiled ``Selection`` and
+``Join`` plans: SQLite must keep exactly the rows the interpreter keeps.
 """
 
 from __future__ import annotations
 
 import math
 import sqlite3
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -28,7 +32,16 @@ from repro.algebra.expressions import (
     lit,
     or_,
 )
-from repro.algebra.sql import SQLPrintError, quote_identifier, sql_expression, sql_literal
+from repro.algebra.operators import Join, RelationAccess, Selection
+from repro.algebra.sql import (
+    SQLPrintError,
+    quote_identifier,
+    sql_expression,
+    sql_literal,
+    sql_predicate,
+)
+from repro.backends import SQLiteBackend
+from repro.engine.catalog import Database
 
 
 def sqlite_eval(expression, row=None):
@@ -295,3 +308,125 @@ class TestRewriterShapes:
         row = {"lb": 0, "le": 5, "rb": 3, "re": 8}
         assert_roundtrip(begin, row)
         assert_roundtrip(end, row)
+
+
+# -- filter context: sql_predicate in WHERE clauses ----------------------------------------
+#
+# The differential below runs whole plans, so it also covers how the
+# compiler places the printed predicate: a Selection's WHERE over one table
+# and a Join's WHERE over two qualified inputs.
+
+NUMBERS = [None, 0, 1, 2, 3, 1.0, 2.5, -1.5]
+#: Join/selection keys of mixed storage classes: 1 and 1.0 are equal, '1' is not.
+KEYS = [None, 0, 1, 1.0, 2.5, "1", "x", ""]
+
+LEFT_SCHEMA = ("a", "b", "k")
+RIGHT_SCHEMA = ("c", "d", "m")
+
+
+def rows_strategy():
+    row = st.tuples(st.sampled_from(NUMBERS), st.sampled_from(NUMBERS), st.sampled_from(KEYS))
+    return st.lists(row, min_size=1, max_size=5)
+
+
+def predicates(numeric, keys):
+    """AND/OR/NOT trees over comparisons of the given attributes and literals.
+
+    Ordering comparisons stay on the numeric attributes (Python refuses to
+    order a number and a string; the engine would raise where SQLite sorts
+    by storage class); ``=``/``!=`` also range over the mixed-type keys.
+    """
+    numeric_operand = st.one_of(
+        st.sampled_from([attr(name) for name in numeric]),
+        st.sampled_from(NUMBERS).map(lit),
+    )
+    key_operand = st.one_of(
+        st.sampled_from([attr(name) for name in keys]), st.sampled_from(KEYS).map(lit)
+    )
+    comparison = st.one_of(
+        st.builds(
+            Comparison,
+            st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+            numeric_operand,
+            numeric_operand,
+        ),
+        st.builds(Comparison, st.sampled_from(["=", "!="]), key_operand, key_operand),
+        st.builds(IsNull, st.sampled_from([attr(name) for name in numeric + keys])),
+    )
+    return st.recursive(
+        comparison,
+        lambda inner: st.one_of(
+            st.builds(lambda x, y: and_(x, y), inner, inner),
+            st.builds(lambda x, y: or_(x, y), inner, inner),
+            st.builds(Not, inner),
+        ),
+        max_leaves=6,
+    )
+
+
+def sqlite_rows(plan, database):
+    return Counter(SQLiteBackend(optimize=False).execute(plan, database).rows)
+
+
+class TestFilterContext:
+    def test_comparisons_under_and_or_print_bare(self):
+        predicate = and_(
+            Comparison("=", attr("a"), attr("c")),
+            or_(Comparison("<", attr("b"), lit(3)), Not(Comparison("=", attr("k"), attr("m")))),
+        )
+        text = sql_predicate(predicate)
+        assert text.startswith('("a" = "c" AND ("b" < 3 OR (NOT (CASE WHEN')
+        # Under NOT the two-valued guard stays: UNKNOWN would drop the row.
+        assert text.count("CASE") == 1
+
+    def test_column_printer_qualifies_attributes(self):
+        predicate = Comparison("=", attr("a"), attr("c"))
+        assert sql_predicate(predicate, lambda name: f"t.{name}") == "t.a = t.c"
+        assert sql_expression(attr("a"), lambda name: f"t.{name}") == "t.a"
+
+    @given(rows=rows_strategy(), predicate=predicates(["a", "b"], ["k"]))
+    def test_selection_matches_interpreter(self, rows, predicate):
+        database = Database()
+        database.create_table("r", LEFT_SCHEMA, rows)
+        keep = predicate.compile(LEFT_SCHEMA)
+        expected = Counter(row for row in rows if keep(row))
+        assert sqlite_rows(Selection(RelationAccess("r"), predicate), database) == expected
+
+    @given(
+        left=rows_strategy(),
+        right=rows_strategy(),
+        predicate=predicates(["a", "b", "c", "d"], ["k", "m"]),
+    )
+    def test_join_predicate_matches_interpreter(self, left, right, predicate):
+        database = Database()
+        database.create_table("r", LEFT_SCHEMA, left)
+        database.create_table("s", RIGHT_SCHEMA, right)
+        keep = predicate.compile(LEFT_SCHEMA + RIGHT_SCHEMA)
+        expected = Counter(l + r for l in left for r in right if keep(l + r))
+        plan = Join(RelationAccess("r"), RelationAccess("s"), predicate)
+        assert sqlite_rows(plan, database) == expected
+
+    def test_null_join_keys_never_match(self):
+        database = Database()
+        database.create_table("r", LEFT_SCHEMA, [(1, 1, None), (2, 2, 1)])
+        database.create_table("s", RIGHT_SCHEMA, [(7, 7, None), (8, 8, 1)])
+        plan = Join(RelationAccess("r"), RelationAccess("s"), Comparison("=", attr("k"), attr("m")))
+        assert sqlite_rows(plan, database) == Counter({(2, 2, 1, 8, 8, 1): 1})
+
+    def test_negated_equality_keeps_rows_with_nulls(self):
+        # evaluate: (NULL = 1) is false, so NOT(...) is true and the row stays;
+        # bare three-valued SQL would have dropped it.
+        database = Database()
+        database.create_table("r", LEFT_SCHEMA, [(None, 1, "x"), (1, 1, "x"), (2, None, "x")])
+        plan = Selection(RelationAccess("r"), Not(Comparison("=", attr("a"), attr("b"))))
+        assert sqlite_rows(plan, database) == Counter({(None, 1, "x"): 1, (2, None, "x"): 1})
+
+    def test_mixed_type_keys_compare_without_coercion(self):
+        database = Database()
+        database.create_table("r", LEFT_SCHEMA, [(0, 0, 1), (0, 0, "1"), (0, 0, 1.0)])
+        database.create_table("s", RIGHT_SCHEMA, [(9, 9, 1), (9, 9, "1")])
+        plan = Join(RelationAccess("r"), RelationAccess("s"), Comparison("=", attr("k"), attr("m")))
+        matched = sqlite_rows(plan, database)
+        # 1 = 1 and 1.0 = 1 (numeric; one Counter key in Python too), '1' = '1'
+        # (text); a number never equals a string.
+        assert matched == Counter({(0, 0, 1, 9, 9, 1): 2, (0, 0, "1", 9, 9, "1"): 1})

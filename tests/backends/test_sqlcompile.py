@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from repro.algebra.expressions import Comparison, and_, attr, col_eq, lit
+from repro.algebra.expressions import Arithmetic, Comparison, and_, attr, col_eq, lit
 from repro.algebra.operators import (
     AggregateSpec,
     Aggregation,
@@ -272,6 +272,47 @@ class TestTemporalOperators:
         )
         assert_same(plan, database)
 
+    def test_decomposable_aggregates_run_as_one_sweep(self, database):
+        """count/sum/avg need no join of segments with the rows covering them."""
+        plan = TemporalAggregateOperator(
+            RelationAccess("r"),
+            ("x",),
+            (
+                AggregateSpec("count", None, "rows"),
+                AggregateSpec("count", attr("y"), "cnt"),
+                AggregateSpec("sum", attr("y"), "total"),
+                AggregateSpec("avg", attr("y"), "mean"),
+            ),
+        )
+        assert " JOIN " not in compile_plan(plan, database).sql
+        # Group b holds a NULL y next to a 3: counted in rows, not in cnt.
+        assert_same(plan, database)
+
+    def test_swept_sum_and_avg_of_all_null_segments_are_null(self, database):
+        db = Database()
+        db.create_table(
+            "m",
+            ["g", "v", "t_begin", "t_end"],
+            [("a", None, 0, 10), ("a", 2.5, 5, 8), ("a", 4, 5, 12), ("b", None, 1, 2)],
+            period=("t_begin", "t_end"),
+        )
+        plan = TemporalAggregateOperator(
+            RelationAccess("m"),
+            ("g",),
+            (AggregateSpec("sum", attr("v"), "total"), AggregateSpec("avg", attr("v"), "mean")),
+        )
+        mem, sql = run_both(plan, db)
+        assert Counter(mem.rows) == Counter(sql.rows)
+        assert ("a", None, None, 0, 5) in sql.rows and ("b", None, None, 1, 2) in sql.rows
+
+    def test_swept_aggregate_over_expression_arguments(self, database):
+        plan = TemporalAggregateOperator(
+            Selection(RelationAccess("r"), Comparison(">=", attr("t_end"), lit(5))),
+            ("x",),
+            (AggregateSpec("sum", Arithmetic("*", attr("y"), lit(2)), "doubled"),),
+        )
+        assert_same(plan, database)
+
 
 class TestCompilerMechanics:
     def test_deep_plans_stay_flat(self, database):
@@ -288,6 +329,72 @@ class TestCompilerMechanics:
         # The shared child appears as one CTE, referenced twice.
         assert compiled.sql.count('FROM "r"') == 1
         assert_same(plan, database)
+
+    def test_structurally_equal_subplans_compile_once(self, database):
+        """Memoisation is structural: equal sub-plans need not be one object."""
+
+        def joined():
+            return Join(RelationAccess("r"), RelationAccess("s"), col_eq("x", "u"))
+
+        first = Projection.of_attributes(joined(), "x", "v")
+        second = Projection.of_attributes(joined(), "x", "v")
+        assert first.child is not second.child
+        plan = Difference(first, second)
+        compiled = compile_plan(plan, database)
+        assert compiled.sql.count("CROSS JOIN") == 1
+        assert_same(plan, database)
+
+    def test_linear_chains_fuse_into_the_consuming_block(self, database):
+        """Rename / Projection / Selection edit a SELECT block; only breakers get CTEs."""
+        chain = Selection(
+            Rename(
+                Projection.of_attributes(
+                    Selection(RelationAccess("r"), Comparison(">", attr("y"), lit(0))),
+                    "x",
+                    "y",
+                ),
+                (("y", "z"),),
+            ),
+            Comparison("<", attr("z"), lit(3)),
+        )
+        compiled = compile_plan(chain, database)
+        assert compiled.sql == 'SELECT "x", "y" AS "z" FROM "r"\nWHERE "y" > 0 AND "y" < 3'
+        assert_same(chain, database)
+        assert compile_plan(Distinct(chain), database).sql.count(" AS (") == 1
+
+    def test_computed_columns_are_not_copied_into_later_expressions(self, database):
+        plan = RelationAccess("r")
+        for _ in range(12):
+            plan = Projection(
+                plan,
+                ((attr("x"), "x"), (Arithmetic("+", attr("y"), attr("y")), "y")),
+            )
+        compiled = compile_plan(plan, database)
+        assert len(compiled.sql) < 2_000  # linear; substitution would double per level
+        assert_same(plan, database)
+
+    def test_group_by_constant_column_is_not_positional(self, database):
+        constant = Projection(RelationAccess("r"), ((attr("y"), "y"), (lit(1), "one")))
+        plan = Aggregation(constant, ("one",), (AggregateSpec("sum", attr("y"), "total"),))
+        assert_same(plan, database)
+
+    def test_join_order_is_pinned_larger_input_outside(self, database):
+        db = Database()
+        db.create_table("big", ["k", "p"], [(i % 7, i) for i in range(50)])
+        db.create_table("small", ["j", "q"], [(i, i) for i in range(5)])
+        for plan in (
+            Join(RelationAccess("big"), RelationAccess("small"), col_eq("k", "j")),
+            Join(RelationAccess("small"), RelationAccess("big"), col_eq("j", "k")),
+        ):
+            assert 'FROM "big" AS' in compile_plan(plan, db).sql
+            assert 'CROSS JOIN "small" AS' in compile_plan(plan, db).sql
+            assert_same(plan, db)
+
+    def test_helper_column_names_are_reserved(self, database):
+        db = Database()
+        db.create_table("t", ["__ts", "t_begin", "t_end"], [(1, 0, 5)])
+        with pytest.raises(BackendError, match="helper columns"):
+            compile_plan(CoalesceOperator(RelationAccess("t")), db)
 
     def test_zero_column_relation_rejected(self, database):
         with pytest.raises(BackendError):

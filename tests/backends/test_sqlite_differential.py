@@ -10,13 +10,14 @@ produces.  Aggregate values that are floats are compared after rounding
 
 from __future__ import annotations
 
+import sqlite3
 from collections import Counter
 
 import pytest
 
 from repro.algebra.expressions import Comparison, attr, lit
-from repro.algebra.operators import Distinct, Projection, RelationAccess, Selection
-from repro.backends import InMemoryBackend, SQLiteBackend
+from repro.algebra.operators import Distinct, Join, Projection, RelationAccess, Selection
+from repro.backends import InMemoryBackend, SQLiteBackend, compile_plan
 from repro.datasets.employees import EmployeesConfig, generate_employees
 from repro.datasets.running_example import (
     TIME_DOMAIN,
@@ -24,12 +25,14 @@ from repro.datasets.running_example import (
     query_onduty,
     query_skillreq,
 )
+from repro.datasets.sqlite_loader import connect_memory, load_database
 from repro.datasets.tpcbih import TPCBiHConfig, generate_tpcbih
 from repro.datasets.workloads import EMPLOYEE_WORKLOAD, TPCH_WORKLOAD
 from repro.engine.catalog import Database
 from repro.errors import BackendError
 from repro.execution import available_backends, resolve_backend
 from repro.experiments.table1 import _fresh_database
+from repro.planner.rules import split_conjuncts
 from repro.rewriter.pipeline import QueryPipeline
 
 EMPLOYEE_CONFIG = EmployeesConfig(scale=0.05)
@@ -151,6 +154,14 @@ class TestEmployeeWorkload:
         )
 
 
+    def test_statements_use_no_syntax_newer_than_window_functions(self, employee_setup):
+        """The CI matrix starts at SQLite 3.37; 3.35's MATERIALIZED hints are out."""
+        pipeline, _ = employee_setup
+        for factory in EMPLOYEE_WORKLOAD.values():
+            sql = compile_plan(pipeline.rewrite(factory()), pipeline.database).sql
+            assert "MATERIALIZED" not in sql.upper()
+
+
 class TestTPCBiHWorkload:
     @pytest.mark.parametrize("query_name", list(TPCH_WORKLOAD))
     def test_query_matches_engine(self, tpch_setup, query_name):
@@ -168,6 +179,62 @@ class TestTPCBiHWorkload:
         }
         non_empty = [name for name, count in row_counts.items() if count > 0]
         assert len(non_empty) >= 6, row_counts
+
+
+# -- plan pin: every equi-join runs as an index join on the host --------------------------
+
+#: EXPLAIN QUERY PLAN wording and automatic-index choice are the host
+#: planner's; the pin is checked from the oldest SQLite of the CI matrix on.
+needs_modern_planner = pytest.mark.skipif(
+    sqlite3.sqlite_version_info < (3, 37),
+    reason=f"join plans are pinned for SQLite >= 3.37, found {sqlite3.sqlite_version}",
+)
+
+
+def has_equi_join(plan) -> bool:
+    return any(
+        isinstance(node, Join)
+        and node.predicate is not None
+        and any(
+            isinstance(conjunct, Comparison) and conjunct.op == "="
+            for conjunct in split_conjuncts(node.predicate)
+        )
+        for node in plan.walk()
+    )
+
+
+def join_blocks(backend, plan, database):
+    """Per join block of the host's plan, its loops over the ``__l``/``__r`` inputs."""
+    loops: dict = {}
+    stack: list = []
+    for line in backend.explain(plan, database)[1:]:
+        level = (len(line) - len(line.lstrip())) // 2
+        del stack[level - 1 :]
+        stack.append(line)
+        step = line.split()
+        if step[0] in ("SCAN", "SEARCH") and step[1] in ("__l", "__r"):
+            loops.setdefault(tuple(stack[:-1]), []).append(step[0])
+    return list(loops.values())
+
+
+@needs_modern_planner
+class TestJoinPlansArePinned:
+    def assert_index_joins(self, pipeline, backend, query):
+        plan = pipeline.rewrite(query)
+        if not has_equi_join(plan):
+            pytest.skip("no equality conjunct in any join of the rewritten plan")
+        blocks = join_blocks(backend, plan, pipeline.database)
+        assert blocks, "no join block found in the host plan"
+        for loops in blocks:
+            assert sorted(loops) == ["SCAN", "SEARCH"], blocks
+
+    @pytest.mark.parametrize("query_name", list(EMPLOYEE_WORKLOAD))
+    def test_employee_query(self, employee_setup, query_name):
+        self.assert_index_joins(*employee_setup, EMPLOYEE_WORKLOAD[query_name]())
+
+    @pytest.mark.parametrize("query_name", list(TPCH_WORKLOAD))
+    def test_tpcbih_query(self, tpch_setup, query_name):
+        self.assert_index_joins(*tpch_setup, TPCH_WORKLOAD[query_name]())
 
 
 # -- rewriter configurations (ablation modes) --------------------------------------------
@@ -249,6 +316,51 @@ class TestBackendSelection:
         # Must fail loudly, not silently degrade to load-per-query mode.
         with pytest.raises(BackendError):
             backend.execute(RelationAccess("works"), database)
+
+    def test_session_backend_follows_catalog_dml(self):
+        """A session backend re-loads what insert/delete touched (no stale reads)."""
+        database = populate_database(Database())
+        backend = SQLiteBackend.for_database(database)
+        plan = RelationAccess("works")
+        before = len(backend.execute(plan, database))
+        extra = [database.table("works").rows[0]] * 3
+        database.insert("works", extra)
+        assert len(backend.execute(plan, database)) == before + 3
+        database.delete("works", extra[:2])
+        assert_equivalent(
+            InMemoryBackend().execute(plan, database), backend.execute(plan, database)
+        )
+        statistics: dict = {}
+        backend.execute(plan, database, statistics)
+        assert "sqlite_rows_loaded" not in statistics  # clean tables are not re-loaded
+        backend.close()
+
+    def test_session_backend_follows_catalog_ddl(self):
+        """Replacing or creating a table (DDL) is seen by Table identity."""
+        database = populate_database(Database())
+        backend = SQLiteBackend.for_database(database)
+        database.create_table("works", ["name", "skill"], [("Zoe", "SP")])
+        assert backend.execute(RelationAccess("works"), database).rows == [("Zoe", "SP")]
+        database.create_table("fresh", ["x"], [(1,), (2,)])
+        assert sorted(backend.execute(RelationAccess("fresh"), database).rows) == [(1,), (2,)]
+        backend.close()
+
+    def test_callers_own_connection_is_queried_as_is(self):
+        """``SQLiteBackend(connection)`` never loads into a connection it was handed."""
+        database = populate_database(Database())
+        connection = connect_memory()
+        load_database(connection, database)
+        connection.execute('DELETE FROM "works"')
+        assert SQLiteBackend(connection).execute(RelationAccess("works"), database).rows == []
+        connection.close()
+
+    def test_close_unregisters_the_dml_observer(self):
+        database = populate_database(Database())
+        observers = list(database._observers)
+        backend = SQLiteBackend.for_database(database)
+        assert len(database._observers) == len(observers) + 1
+        backend.close()
+        assert database._observers == observers
 
     def test_snapshot_reducibility_via_sqlite(self):
         """Timeslices of the SQLite result equal the abstract-model oracle."""
