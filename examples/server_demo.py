@@ -38,7 +38,7 @@ EXPECTED_ONDUTY_ROWS = Counter(
 
 def main() -> None:
     # port=0 picks an ephemeral port; server.url is the DSN clients dial.
-    with QueryServer(domain=TIME_DOMAIN, port=0) as server:
+    with QueryServer(connect(domain=TIME_DOMAIN), port=0) as server:
         server.session.load("works", ["name", "skill"], WORKS_ROWS)
         url = server.url
         print(f"server listening at {url}")

@@ -56,7 +56,6 @@ from .api import (
     FluentError,
     GroupedRelation,
     Session,
-    SessionProtocol,
     TemporalRelation,
     connect,
     parse_expression,
@@ -77,7 +76,6 @@ from .conformance import (
     check_conformance,
 )
 from .engine import Database, Table
-from .client import RemoteSession
 from .errors import (
     BackendError,
     BackendUnavailableError,
@@ -103,8 +101,6 @@ __all__ = [
     "__version__",
     "connect",
     "Session",
-    "SessionProtocol",
-    "RemoteSession",
     "QueryServer",
     "TemporalRelation",
     "GroupedRelation",

@@ -21,16 +21,19 @@ Everything here is a thin layer: the plans it builds are exactly the
 operator trees the rest of the library consumes, so relations interoperate
 freely with hand-built queries (:meth:`Session.query`) and the conformance
 harness (:meth:`TemporalRelation.check`).
+
+There is one :class:`Session` class for every DSN.  What it can do is the
+verb table of :mod:`repro.server.verbs`; an in-process session runs a verb
+as a direct call on its pipeline, a ``repro://`` one as a frame exchange.
 """
 
 from .parser import ExpressionSyntaxError, as_expression, parse_expression
 from .relation import FluentError, GroupedRelation, TemporalRelation
-from .session import Session, SessionProtocol, connect
+from .session import Session, connect
 
 __all__ = [
     "connect",
     "Session",
-    "SessionProtocol",
     "TemporalRelation",
     "GroupedRelation",
     "FluentError",

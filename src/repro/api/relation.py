@@ -36,7 +36,7 @@ from ..algebra.operators import (
     Selection,
     Union as UnionAll,
 )
-from ..errors import ParseError
+from ..errors import FluentError
 from .parser import as_expression, parse_expression
 
 if TYPE_CHECKING:  # session imports relation; annotation only, no runtime cycle
@@ -47,14 +47,6 @@ __all__ = ["FluentError", "TemporalRelation", "GroupedRelation"]
 
 #: ``"func(argument)"`` aggregate shorthand, e.g. ``"count(*)"`` / ``"sum(val)"``.
 _AGGREGATE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*\((.*)\)\s*$", re.DOTALL)
-
-
-class FluentError(ParseError):
-    """Raised for malformed fluent chains (before any execution happens).
-
-    A :class:`~repro.errors.ParseError` (and hence still a ``ValueError``,
-    as before the taxonomy existed).
-    """
 
 
 def _aggregate_spec(alias: str, spec: Union[str, AggregateSpec, Expression]) -> AggregateSpec:
@@ -363,7 +355,9 @@ class TemporalRelation:
         outcome.  The query *is executed once* (on the session's backend) to
         observe the executor's counters.
         """
-        return self._session.explain_relation(self)
+        return self._session.call(
+            "explain", plan=self._plan, final_coalesce=self._final_coalesce
+        )
 
 
 class GroupedRelation:

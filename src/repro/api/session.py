@@ -22,47 +22,41 @@ the planner are skipped entirely); :meth:`Session.cache_info` exposes the
 hit counters, and any DDL on the catalog invalidates stale entries via the
 catalog's schema version.
 
-The session is a thin layer over one
-:class:`~repro.rewriter.pipeline.QueryPipeline` (:attr:`Session.pipeline`),
-the single execution path of the library; hand-built operator trees enter
-it through :meth:`Session.query` / :meth:`Session.execute`.
+There is one :class:`Session` class.  Everything it can do besides running
+a query is a *verb* of the table in :mod:`repro.server.verbs`
+(:meth:`Session.call`), and what differs between ``memory://`` /
+``sqlite://`` and ``repro://`` is only the transport underneath: in process
+a verb is a direct function call on one
+:class:`~repro.rewriter.pipeline.QueryPipeline` (:attr:`Session.pipeline`,
+the single execution path of the library), over the wire it is one frame
+exchange (:class:`~repro.client.WireTransport`).  Hand-built operator trees
+enter through :meth:`Session.query` / :meth:`Session.execute`.
 """
 
 from __future__ import annotations
 
 import inspect
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..algebra.operators import Operator, RelationAccess
+from ..client import WireTransport
 from ..engine.catalog import Database
 from ..engine.table import Table
 from ..errors import BackendUnavailableError
-from ..execution import ExecutionBackend, ExecutionPolicy
+from ..execution import ExecutionBackend, ExecutionInfo, ExecutionPolicy, backend_name
 from ..logical_model.period_relation import PeriodKRelation
-from ..planner import (
-    estimate_plan,
-    optimize as planner_optimize,
-    reorder_joins,
-)
-from ..rewriter.periodenc import T_BEGIN, T_END
-from ..rewriter.pipeline import ExecutionInfo, PlanCacheInfo, QueryPipeline
+from ..rewriter.periodenc import T_BEGIN, T_END, period_decode, period_encode
+from ..rewriter.pipeline import PlanCacheInfo, QueryPipeline
 from ..rewriter.rewrite import SnapshotRewriter
+from ..semirings.standard import NATURAL
+from ..server.core import DEFAULT_PORT
+from ..server.verbs import VERBS
+from ..temporal.period_semiring import PeriodSemiring
 from ..temporal.timedomain import TimeDomain
 from .relation import FluentError, TemporalRelation
 
-__all__ = ["connect", "Session", "SessionProtocol"]
+__all__ = ["connect", "Session"]
 
 
 def _as_domain(domain: Union[TimeDomain, Tuple[int, int], int]) -> TimeDomain:
@@ -76,84 +70,6 @@ def _as_domain(domain: Union[TimeDomain, Tuple[int, int], int]) -> TimeDomain:
     raise FluentError(
         f"domain must be a TimeDomain, a (min, max) pair or an int, got {domain!r}"
     )
-
-
-@runtime_checkable
-class SessionProtocol(Protocol):
-    """What every session -- local or remote -- promises.
-
-    Exactly the surface :class:`~repro.api.relation.TemporalRelation`
-    terminals call into, plus lifecycle; :class:`Session` and
-    :class:`~repro.client.RemoteSession` both satisfy it, so code written
-    against a ``memory://`` DSN runs unchanged against ``repro://host:port``.
-    """
-
-    @property
-    def closed(self) -> bool:
-        ...
-
-    @property
-    def domain(self) -> TimeDomain:
-        ...
-
-    def close(self) -> None:
-        ...
-
-    def table(self, name: str) -> TemporalRelation:
-        ...
-
-    def load(
-        self,
-        name: str,
-        schema: Iterable[str],
-        rows: Iterable[Sequence[Any]],
-        period: Tuple[str, str] = (T_BEGIN, T_END),
-    ) -> TemporalRelation:
-        ...
-
-    def query(self, plan: Operator) -> TemporalRelation:
-        ...
-
-    def execute(
-        self,
-        query: Operator,
-        statistics: Optional[Dict[str, int]] = None,
-        backend: Any = None,
-        final_coalesce: bool = False,
-        policy: Optional[ExecutionPolicy] = None,
-    ) -> Table:
-        ...
-
-    def execute_decoded(
-        self,
-        query: Operator,
-        statistics: Optional[Dict[str, int]] = None,
-        backend: Any = None,
-        final_coalesce: bool = False,
-        policy: Optional[ExecutionPolicy] = None,
-    ) -> PeriodKRelation:
-        ...
-
-    def check(self, query: Operator, **kwargs: Any) -> Any:
-        ...
-
-    def materialize(self, relation: TemporalRelation, name: str) -> Any:
-        ...
-
-    def analyze(self, table: Optional[str] = None) -> Dict[str, Any]:
-        ...
-
-    def explain_relation(self, relation: TemporalRelation) -> str:
-        ...
-
-    def cache_info(self) -> PlanCacheInfo:
-        ...
-
-    def clear_plan_cache(self) -> None:
-        ...
-
-    def execution_info(self) -> ExecutionInfo:
-        ...
 
 
 def _parse_dsn_domain(text: str) -> TimeDomain:
@@ -221,7 +137,7 @@ _DSN_PARAMS: Dict[str, Tuple[str, ...]] = {
 
 #: The :func:`connect` keywords a ``repro://`` target honours: the policy
 #: applies client-side and the executor travels in every query frame; the
-#: rest configure a local pipeline the remote session does not have.
+#: rest configure an in-process pipeline such a session does not have.
 _REMOTE_KEYWORDS = ("policy", "executor")
 
 
@@ -238,28 +154,27 @@ def connect(
     domain: "Union[TimeDomain, Tuple[int, int], int, None]" = None,
     executor: str = "row",
     parallel_workers: Optional[int] = None,
-) -> "SessionProtocol":
+) -> "Session":
     """Open a snapshot-semantics session: the transport-agnostic front door.
 
     ``target`` selects *where* queries execute, via a URL-style DSN:
 
-    * ``"memory://?domain=0:24"`` -- a local :class:`Session` on the
+    * ``"memory://?domain=0:24"`` -- an in-process session on the
       in-memory engine;
-    * ``"sqlite:///path/to.db?domain=0:24"`` -- a local :class:`Session`
+    * ``"sqlite:///path/to.db?domain=0:24"`` -- an in-process session
       executing on a durable file-backed SQLite database (three slashes =
       relative path, four = absolute), re-syncing queried tables per
       execution;
-    * ``"repro://host:port"`` -- a :class:`~repro.client.RemoteSession`
-      speaking the wire protocol to a
+    * ``"repro://host:port"`` -- a session speaking the wire protocol to a
       :class:`~repro.server.QueryServer` (the domain comes from the
       server's welcome, never from the DSN).
 
-    Without a DSN, ``connect(domain=(0, 24))`` opens a local in-memory
-    session.  Every return value satisfies :class:`SessionProtocol` and is
-    a context manager with idempotent ``close()``, so calling code is
+    Without a DSN, ``connect(domain=(0, 24))`` opens an in-process in-memory
+    session.  Every return value is the same :class:`Session` class -- a
+    context manager with idempotent ``close()`` -- so calling code is
     transport-agnostic.
 
-    The time domain of a local session comes from the DSN's ``domain=lo:hi``
+    The time domain of an in-process session comes from the DSN's ``domain=lo:hi``
     query parameter or the ``domain=`` keyword (DSN wins); the other local
     DSN parameters -- ``planner=on|off|syntactic|cost`` (``cost`` enables
     the statistics-driven planner of :mod:`repro.planner.cost`),
@@ -326,12 +241,11 @@ def connect(
                 f"a repro:// session cannot honour the local-only keyword(s) "
                 f"{ignored}; configure them on the server"
             )
-        from ..client import RemoteSession
-        from ..server.core import DEFAULT_PORT
-
         host = parts.hostname or "127.0.0.1"
         port = parts.port if parts.port is not None else DEFAULT_PORT
-        return RemoteSession(host, port, policy=policy, executor=keywords["executor"])
+        return Session(
+            WireTransport(host, port, policy=policy, executor=keywords["executor"])
+        )
 
     if scheme == "sqlite":
         path = parts.path
@@ -360,15 +274,66 @@ _CONNECT_DEFAULTS = {
 
 
 def _connect_local(domain: Any, planner: "bool | str", **options: Any) -> "Session":
-    return Session(QueryPipeline(_as_domain(domain), optimize=planner, **options))
+    pipeline = QueryPipeline(_as_domain(domain), optimize=planner, **options)
+    return Session(LocalTransport(pipeline))
+
+
+class LocalTransport:
+    """In process: a verb is one function call on the session's pipeline."""
+
+    def __init__(self, pipeline: QueryPipeline) -> None:
+        self.pipeline = pipeline
+        self.domain = pipeline.domain
+        # The pipeline's own methods, not wrappers around them.
+        self.query = pipeline.execute
+        self.execution_info = pipeline.execution_info
+
+    @property
+    def policy(self) -> Optional[ExecutionPolicy]:
+        return self.pipeline.policy
+
+    @policy.setter
+    def policy(self, value: Optional[ExecutionPolicy]) -> None:
+        self.pipeline.policy = value
+
+    @property
+    def executor(self) -> str:
+        return self.pipeline.executor
+
+    def describe(self) -> str:
+        return (
+            f"backend={backend_name(self.pipeline.backend)!r}, "
+            f"tables={list(self.pipeline.database.names())}"
+        )
+
+    def call(self, verb: str, **args: Any) -> Any:
+        return VERBS[verb].run(self.pipeline, **args)
+
+    def view(self, call: Callable[..., Any], name: str, view: Any = None) -> Any:
+        # The view object itself, by a direct lookup: ``session.view(name).rows()``
+        # is a 70 us operation (the benchmark's view_churn reads).
+        return view if view is not None else self.pipeline.view(name)
+
+    def close(self) -> None:
+        """Close a backend *instance* the session owns (e.g. session-mode SQLite)."""
+        close = getattr(self.pipeline.backend, "close", None)
+        if callable(close):
+            close()
 
 
 class Session:
-    """A connected snapshot-semantics session; build with :func:`connect`."""
+    """A connected snapshot-semantics session; build with :func:`connect`.
 
-    def __init__(self, pipeline: QueryPipeline) -> None:
-        self._pipeline = pipeline
+    Written once against :meth:`call` (the verbs of
+    :mod:`repro.server.verbs`) and :meth:`execute` (the one streaming verb);
+    the transport -- :class:`LocalTransport` or
+    :class:`~repro.client.WireTransport` -- decides where they run.
+    """
+
+    def __init__(self, transport: Any) -> None:
+        self._transport = transport
         self._closed = False
+        self._semiring = PeriodSemiring(NATURAL, transport.domain)
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -377,28 +342,32 @@ class Session:
         return self._closed
 
     def close(self) -> None:
-        """Close the session; every later execution raises immediately.
+        """Close the session; everything that reaches the transport raises afterwards.
 
-        After closing, all relation terminals (``.rows()``, ``.table()``,
-        ``.check()``, ``.explain()``, ...) raise
+        After closing, every verb and all relation terminals (``.rows()``,
+        ``.table()``, ``.check()``, ``.explain()``, ...) raise
         :class:`~repro.errors.BackendUnavailableError` without touching the
-        backend.  A backend *instance* owned by the session (one passed to
+        backend or the server; building lazy relations (:meth:`query`, fluent
+        chaining) still works.  The transport is closed too: a backend
+        *instance* owned by an in-process session (one passed to
         :func:`connect` with a ``close`` method, such as a session-mode
-        SQLite backend) is closed too.  Idempotent.
+        SQLite backend), or the connection of a ``repro://`` one.  Idempotent.
         """
         if self._closed:
             return
         self._closed = True
-        backend = self._pipeline.backend
-        close = getattr(backend, "close", None)
-        if callable(close):
-            close()
+        self._transport.close()
 
     def _ensure_open(self) -> None:
         if self._closed:
             raise BackendUnavailableError(
                 "session is closed; open a new one with repro.connect(...)"
             )
+
+    def call(self, verb: str, **args: Any) -> Any:
+        """Run one verb of :data:`repro.server.verbs.VERBS` on this session's transport."""
+        self._ensure_open()
+        return self._transport.call(verb, **args)
 
     def __enter__(self) -> "Session":
         return self
@@ -410,68 +379,87 @@ class Session:
 
     @property
     def domain(self) -> TimeDomain:
-        return self._pipeline.domain
+        return self._transport.domain
+
+    @property
+    def pipeline(self) -> QueryPipeline:
+        """The shared execution path (REWR + planner + backend + plan cache).
+
+        In-process sessions only: a ``repro://`` session's pipeline is the
+        server's.
+        """
+        return self._transport.pipeline
 
     @property
     def database(self) -> Database:
         """The engine catalog this session owns (or was attached to)."""
-        return self._pipeline.database
-
-    @property
-    def pipeline(self) -> QueryPipeline:
-        """The shared execution path (REWR + planner + backend + plan cache)."""
-        return self._pipeline
+        return self.pipeline.database
 
     @property
     def planner(self) -> "bool | str":
-        return self._pipeline.optimize
+        return self.pipeline.optimize
 
     @planner.setter
     def planner(self, value: "bool | str") -> None:
-        self._pipeline.optimize = value
+        self.pipeline.optimize = value
 
     @property
     def backend(self) -> "str | ExecutionBackend | None":
-        return self._pipeline.backend
+        return self.pipeline.backend
 
     @backend.setter
     def backend(self, value: "str | ExecutionBackend | None") -> None:
-        self._pipeline.backend = value
+        self.pipeline.backend = value
 
     @property
     def executor(self) -> str:
         """Physical executor of the in-memory engine: ``"row"`` or ``"batch"``."""
-        return self._pipeline.executor
+        return self._transport.executor
 
     @property
     def policy(self) -> Optional[ExecutionPolicy]:
         """The session-default execution policy (``None`` = unconstrained)."""
-        return self._pipeline.policy
+        return self._transport.policy
 
     @policy.setter
     def policy(self, value: Optional[ExecutionPolicy]) -> None:
-        self._pipeline.policy = value
+        self._transport.policy = value
 
     def execution_info(self) -> ExecutionInfo:
-        """Lifetime ``(retries, timeouts, fallbacks)`` counters of this session."""
-        return self._pipeline.execution_info()
+        """Lifetime ``(retries, timeouts, fallbacks)`` of this session's policy runs.
+
+        The policy's retries and failover run where the session is: in the
+        pipeline in process, client-side over ``repro://`` (they must
+        survive transport failures); :meth:`server_execution_info` is the
+        executing pipeline's own.
+        """
+        return self._transport.execution_info()
+
+    def server_execution_info(self) -> ExecutionInfo:
+        """The executing pipeline's lifetime fault-tolerance counters."""
+        return self.call("execution_info")
+
+    def tables(self) -> List[str]:
+        """The names of the catalog tables."""
+        return self.call("tables")
+
+    def ping(self) -> bool:
+        """Liveness probe (a round-trip over ``repro://``)."""
+        return self.call("ping")
 
     def __repr__(self) -> str:
-        backend = self._pipeline.backend
-        backend_name = getattr(backend, "name", backend) or "memory"
-        return (
-            f"Session(domain={self._pipeline.domain!r}, backend={backend_name!r}, "
-            f"tables={list(self.database.names())})"
-        )
+        state = "closed" if self._closed else self._transport.describe()
+        return f"Session(domain={self.domain!r}, {state})"
 
     # -- relations --------------------------------------------------------------------
 
     def table(self, name: str) -> TemporalRelation:
         """A lazy relation over a catalog table (must exist already)."""
-        if name not in self.database:
+        names = self.tables()
+        if name not in names:
             raise FluentError(
                 f"unknown table {name!r}; loaded tables: "
-                f"{sorted(self.database.names())} (use session.load(...) first)"
+                f"{sorted(names)} (use session.load(...) first)"
             )
         return TemporalRelation(self, RelationAccess(name))
 
@@ -488,13 +476,13 @@ class Session:
         are appended automatically (with the names given in ``period``) and
         each row is expected to end with its begin and end time points.
         """
-        self._pipeline.load_table(name, schema, rows, period)
+        self.call("load", name=name, schema=schema, rows=rows, period=period)
         return TemporalRelation(self, RelationAccess(name))
 
     def load_relation(self, name: str, relation: PeriodKRelation) -> TemporalRelation:
         """Register a logical-model relation (PERIODENC-encoded) and wrap it."""
-        self._pipeline.load_period_relation(name, relation)
-        return TemporalRelation(self, RelationAccess(name))
+        table = period_encode(relation, name)
+        return self.load(name, table.schema[:-2], table.rows)
 
     def query(self, plan: Operator) -> TemporalRelation:
         """Wrap a hand-built operator tree as a lazy relation.
@@ -517,9 +505,13 @@ class Session:
         final_coalesce: bool = False,
         policy: Optional[ExecutionPolicy] = None,
     ) -> Table:
-        """Evaluate a logical query under snapshot semantics; a period table."""
+        """Evaluate a logical query under snapshot semantics; a period table.
+
+        Over ``repro://`` backends are addressed by name, and ``statistics``
+        receives the server's per-request counters.
+        """
         self._ensure_open()
-        return self._pipeline.execute(query, statistics, backend, final_coalesce, policy)
+        return self._transport.query(query, statistics, backend, final_coalesce, policy)
 
     def execute_decoded(
         self,
@@ -530,29 +522,24 @@ class Session:
         policy: Optional[ExecutionPolicy] = None,
     ) -> PeriodKRelation:
         """Evaluate and decode into a period K-relation (N^T)."""
-        self._ensure_open()
-        return self._pipeline.execute_decoded(
-            query, statistics, backend, final_coalesce, policy
+        return period_decode(
+            self.execute(query, statistics, backend, final_coalesce, policy),
+            self._semiring,
         )
 
     def check(self, query: Operator, **kwargs: Any):
         """Snapshot-conformance check of one query against the oracle.
 
-        Runs :func:`repro.conformance.check_conformance` over this session's
-        catalog and domain, defaulting the rewriter configuration
-        (``rewriter_cls``, ``coalesce``, ``use_temporal_aggregate``) to the
-        *session's own* settings -- so the certified configuration is the one
-        this session actually executes.  Any keyword argument passes through
-        and overrides (``backends=``, ``optimize_modes=``, ``points=``,
-        ``rewriter_cls=``, ...).
+        Runs :func:`repro.conformance.check_conformance` over the executing
+        pipeline's catalog and domain, defaulting the rewriter configuration
+        (``rewriter_cls``, ``coalesce``, ``use_temporal_aggregate``) to that
+        pipeline's *own* settings -- so the certified configuration is the
+        one this session actually executes.  In process any keyword argument
+        passes through and overrides (``backends=``, ``optimize_modes=``,
+        ``points=``, ``rewriter_cls=``, ...); over ``repro://`` the JSON-able
+        subset :data:`repro.server.verbs.CHECK_OPTIONS` does.
         """
-        from ..conformance import check_conformance
-
-        self._ensure_open()
-        kwargs.setdefault("rewriter_cls", self._pipeline.rewriter_cls)
-        kwargs.setdefault("coalesce", self._pipeline.coalesce)
-        kwargs.setdefault("use_temporal_aggregate", self._pipeline.use_temporal_aggregate)
-        return check_conformance(query, self.database, self.domain, **kwargs)
+        return self.call("check", plan=query, options=kwargs)
 
     # -- materialized views -----------------------------------------------------------
 
@@ -562,46 +549,46 @@ class Session:
         The relation's rewritten plan is evaluated once and its contents
         registered as catalog table ``name`` (DDL -- cached plans
         invalidate); afterwards catalog DML (``session.insert`` /
-        ``session.delete``) keeps the view current by Z-set delta
-        propagation instead of re-execution.  Returns the
-        :class:`~repro.incremental.MaterializedView`, whose ``apply`` /
-        ``explain`` / ``verify`` expose the incremental counters
-        (``incremental.delta_rows``, ``incremental.resweep_groups``,
-        ``incremental.full_refresh``).
+        ``session.delete``, from *any* client of a server) keeps the view
+        current by Z-set delta propagation instead of re-execution.  Returns
+        the :class:`~repro.incremental.MaterializedView` itself in process
+        and a :class:`~repro.client.RemoteView` proxy over ``repro://``;
+        their ``apply`` / ``rows`` / ``verify`` / ``counters`` expose the
+        incremental counters (``incremental.delta_rows``,
+        ``incremental.resweep_groups``, ``incremental.full_refresh``).
         """
-        self._ensure_open()
         if not isinstance(relation, TemporalRelation):
             raise FluentError(
                 f"materialize expects a TemporalRelation, got {relation!r}"
             )
-        return self._pipeline.materialize(
-            relation.plan, name, final_coalesce=relation._final_coalesce
+        materialized = self.call(
+            "materialize",
+            name=name,
+            plan=relation.plan,
+            final_coalesce=relation._final_coalesce,
         )
+        return self._transport.view(self.call, name, materialized)
 
     def view(self, name: str) -> Any:
-        """A registered :class:`~repro.incremental.MaterializedView` by name."""
+        """A registered view by name (see :meth:`materialize` for what comes back)."""
         self._ensure_open()
-        return self._pipeline.view(name)
+        return self._transport.view(self.call, name)
 
     def views(self) -> Tuple[str, ...]:
         """Names of the registered materialized views."""
-        self._ensure_open()
-        return self._pipeline.view_names()
+        return self.call("view_info")
 
     def drop_view(self, name: str) -> None:
         """Unregister a view and drop its backing table (DDL)."""
-        self._ensure_open()
-        self._pipeline.drop_view(name)
+        self.call("drop_view", name=name)
 
     def insert(self, name: str, rows: Iterable[Sequence[Any]]) -> None:
         """Append rows to a catalog table (DML; feeds registered views)."""
-        self._ensure_open()
-        self.database.insert(name, rows)
+        self.call("insert", name=name, rows=rows)
 
     def delete(self, name: str, rows: Iterable[Sequence[Any]]) -> None:
         """Delete one copy per given row (DML; feeds registered views)."""
-        self._ensure_open()
-        self.database.delete(name, rows)
+        self.call("delete", name=name, rows=rows)
 
     # -- statistics -------------------------------------------------------------------
 
@@ -611,152 +598,24 @@ class Session:
         The ANALYZE step of the cost-based planner: builds a
         :class:`~repro.stats.TableStatistics` per table (row count, per-column
         distinct counts, endpoint histograms, interval-length quantiles and
-        overlap density), stores it in the catalog and returns the mapping
+        overlap density), stores it in the executing pipeline's catalog --
+        where its cost planner reads it -- and returns the mapping
         ``{table_name: TableStatistics}``.  Statistics on a table are dropped
         automatically when DML touches it; re-run ``analyze`` to refresh.
         Sessions with ``planner="cost"`` use them for join reordering,
         strategy selection and the batch executor's parallel threshold;
         other planner modes ignore them.
         """
-        self._ensure_open()
-        return self.database.analyze(table)
+        return self.call("analyze", name=table)
 
     # -- plan cache -------------------------------------------------------------------
 
     def cache_info(self) -> PlanCacheInfo:
-        """Lifetime ``(hits, misses, size)`` of the rewritten-plan cache."""
-        return self._pipeline.cache_info()
+        """Lifetime ``(hits, misses, size)`` of the rewritten-plan cache.
+
+        Over ``repro://`` the server's shared cache, all clients combined.
+        """
+        return self.call("cache_info")
 
     def clear_plan_cache(self) -> None:
-        self._pipeline.clear_plan_cache()
-
-    # -- explain ----------------------------------------------------------------------
-
-    def explain_relation(self, relation: TemporalRelation) -> str:
-        """The rendered pipeline for one relation; see ``TemporalRelation.explain``."""
-        self._ensure_open()
-        query = relation.plan
-        final_coalesce = relation._final_coalesce
-        mode = self._pipeline.planner_mode
-        sections = ["logical plan:", _indent(query.explain_tree())]
-
-        # Stage views (bypassing the cache so both stages are visible).
-        planner_statistics: Dict[str, int] = {}
-        staged = query
-        if mode == "cost":
-            staged = reorder_joins(
-                staged, self.database, planner_statistics, snapshot=True
-            )
-        rewritten = self._pipeline.rewriter.rewrite(staged)
-        if final_coalesce:
-            from ..rewriter.operators import CoalesceOperator
-
-            rewritten = CoalesceOperator(rewritten)
-        sections += ["", "REWR plan:", _indent(rewritten.explain_tree())]
-        if mode != "off":
-            optimized = planner_optimize(
-                rewritten, self.database, planner_statistics, mode=mode
-            )
-            sections += [
-                "",
-                "optimized plan (planner on):",
-                _indent(optimized.explain_tree()),
-            ]
-            rules = {
-                key: value
-                for key, value in sorted(planner_statistics.items())
-                if key.startswith("planner.")
-            }
-            sections += ["", "planner rules fired:"]
-            sections += (
-                [f"  {key} = {value}" for key, value in rules.items()]
-                if rules
-                else ["  (none)"]
-            )
-        else:
-            sections += ["", "planner: off"]
-
-        # One observed execution for the executor's strategy counters and the
-        # per-node row counts (this goes through the cache, warming it as a
-        # side effect).  Rewriting first keeps one plan object whose node
-        # identities line up with the recorded observations.
-        execution_statistics: Dict[str, int] = {}
-        observations: Dict[int, Dict[str, Any]] = {}
-        executed = self._pipeline.rewrite(query, execution_statistics, final_coalesce)
-        self._pipeline.execute_rewritten(
-            executed, execution_statistics, observations=observations
-        )
-        strategies = {
-            key: value
-            for key, value in sorted(execution_statistics.items())
-            if key.startswith("join_strategy.")
-        }
-        backend = self._pipeline.backend
-        backend_name = getattr(backend, "name", backend) or "memory"
-        sections += ["", f"execution (backend={backend_name!r}):"]
-        # A host DBMS runs the plan wholesale; it reports its own plan
-        # (SQLiteBackend.explain: statement size + EXPLAIN QUERY PLAN)
-        # where the engine reports its join-strategy counters.
-        host_lines = self._pipeline.explain_host(executed)
-        if host_lines is not None:
-            sections += [f"  {line}" for line in host_lines]
-        else:
-            sections += (
-                [f"  {key} = {value}" for key, value in strategies.items()]
-                if strategies
-                else ["  (no joins)"]
-            )
-        # Which physical executor actually ran (the engine counts one probe
-        # per execution), plus the batch executor's partitioned-join counters.
-        ran = [
-            name
-            for name in ("row", "batch")
-            if execution_statistics.get(f"executor.{name}")
-        ]
-        if ran:
-            sections += ["", f"executor: {', '.join(ran)}"]
-            partition_counters = {
-                key: value
-                for key, value in sorted(execution_statistics.items())
-                if key.startswith("batch.")
-            }
-            sections += [
-                f"  {key} = {value}" for key, value in partition_counters.items()
-            ]
-        if observations:
-            # Estimated vs observed cardinalities per node (the cost model's
-            # report card): joins additionally show the physical strategy the
-            # executor actually chose.  SQL backends run the plan wholesale
-            # and record nothing, so the section only appears for the
-            # in-memory engine.
-            estimates = estimate_plan(executed, self.database)
-            annotations: Dict[int, str] = {}
-            for node_id in set(estimates) | set(observations):
-                parts = []
-                strategy = observations.get(node_id, {}).get("join_strategy")
-                if strategy is not None:
-                    parts.append(f"strategy={strategy}")
-                estimate = estimates.get(node_id)
-                if estimate is not None:
-                    parts.append(f"estimated_rows={int(round(estimate))}")
-                actual = observations.get(node_id, {}).get("actual_rows")
-                if actual is not None:
-                    parts.append(f"actual_rows={int(actual)}")
-                if parts:
-                    annotations[node_id] = "[" + " ".join(parts) + "]"
-            sections += [
-                "",
-                "executed plan:",
-                _indent(executed.explain_tree(annotations)),
-            ]
-        if self._pipeline.caching:
-            if execution_statistics.get("plan_cache.hits"):
-                cache_line = "hit (REWR + planner skipped)"
-            else:
-                cache_line = "miss (plan now cached)"
-            sections += ["", f"plan cache: {cache_line}"]
-        return "\n".join(sections)
-
-
-def _indent(text: str, prefix: str = "  ") -> str:
-    return "\n".join(prefix + line for line in text.splitlines())
+        self.call("clear_cache")

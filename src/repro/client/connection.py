@@ -1,4 +1,4 @@
-"""The blocking transport under :class:`~repro.client.RemoteSession`.
+"""The blocking socket under :class:`~repro.client.WireTransport`.
 
 :class:`RemoteConnection` owns one TCP socket speaking the length-prefixed
 JSON protocol of :mod:`repro.server.protocol`.  Its failure mapping is the
@@ -66,10 +66,6 @@ class RemoteConnection:
 
     # -- lifecycle --------------------------------------------------------------------
 
-    @property
-    def connected(self) -> bool:
-        return self._socket is not None
-
     def close(self) -> None:
         """Drop the socket.  Idempotent; the next request reconnects."""
         sock, self._socket = self._socket, None
@@ -97,23 +93,20 @@ class RemoteConnection:
         try:
             self._send_raw({"type": "hello", "protocol": PROTOCOL_VERSION})
             welcome = self._recv_frame(deadline_seconds=self.connect_timeout)
+            if welcome.get("type") == "error":
+                raise error_from_frame(welcome)
+            if welcome.get("type") != "welcome":
+                raise ProtocolError(
+                    f"expected a welcome frame, got {welcome.get('type')!r}"
+                )
+            if welcome.get("protocol") != PROTOCOL_VERSION:
+                raise ProtocolError(
+                    f"server speaks protocol {welcome.get('protocol')!r}, "
+                    f"client speaks {PROTOCOL_VERSION}"
+                )
         except BaseException:
             self.close()
             raise
-        if welcome.get("type") == "error":
-            self.close()
-            raise error_from_frame(welcome)
-        if welcome.get("type") != "welcome":
-            self.close()
-            raise ProtocolError(
-                f"expected a welcome frame, got {welcome.get('type')!r}"
-            )
-        if welcome.get("protocol") != PROTOCOL_VERSION:
-            self.close()
-            raise ProtocolError(
-                f"server speaks protocol {welcome.get('protocol')!r}, "
-                f"client speaks {PROTOCOL_VERSION}"
-            )
         self.welcome = welcome
         return welcome
 
@@ -194,8 +187,12 @@ class RemoteConnection:
                 if kind == "row_chunk":
                     rows.extend(tuple(row) for row in frame.get("rows", ()))
                 elif kind == "result_end":
-                    statistics = frame.get("statistics") or {}
-                    return name, schema, rows, statistics
+                    if frame.get("rows") != len(rows):
+                        raise ProtocolError(
+                            f"result stream announced {frame.get('rows')!r} rows "
+                            f"but carried {len(rows)}"
+                        )
+                    return name, schema, rows, frame.get("statistics") or {}
                 elif kind == "error":
                     raise error_from_frame(frame)
                 else:

@@ -20,6 +20,7 @@ Class hierarchy::
 
     ReproError
     +-- ParseError (also ValueError)      permanent   malformed query text / fluent chain
+    |   +-- FluentError                   permanent   malformed fluent chain / session call
     +-- PlanError                         permanent   plan construction, rewrite, planning
     +-- QueryTimeoutError (also TimeoutError)
     |                                     permanent   deadline exhausted (a fresh call
@@ -48,6 +49,7 @@ from typing import Any
 __all__ = [
     "ReproError",
     "ParseError",
+    "FluentError",
     "PlanError",
     "BackendError",
     "BackendUnavailableError",
@@ -78,6 +80,14 @@ class ParseError(ReproError, ValueError):
     boundary historically raised ad-hoc ``ValueError`` subclasses
     (``ExpressionSyntaxError``, ``FluentError``), which now live under this
     class.
+    """
+
+
+class FluentError(ParseError):
+    """Raised for malformed fluent chains and session calls (before any execution).
+
+    A :class:`ParseError` (and hence still a ``ValueError``, as before the
+    taxonomy existed); re-exported by :mod:`repro.api`.
     """
 
 

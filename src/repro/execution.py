@@ -44,6 +44,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Protocol,
     Tuple,
@@ -67,13 +68,15 @@ __all__ = [
     "BackendUnavailableError",
     "Deadline",
     "ExecutionBackend",
+    "ExecutionInfo",
     "ExecutionPolicy",
+    "PolicyCounters",
     "QueryLimits",
     "register_backend",
     "resolve_backend",
     "available_backends",
     "backend_accepts_limits",
-    "run_with_policy",
+    "backend_name",
     "sleep_backoff",
 ]
 
@@ -289,66 +292,93 @@ def sleep_backoff(delay: float, deadline: Optional[Deadline]) -> None:
         time.sleep(delay)
 
 
-def run_with_policy(
-    policy: Optional[ExecutionPolicy],
-    attempt: "Callable[[Optional[QueryLimits]], Table]",
-    fallback: "Optional[Callable[[Optional[QueryLimits]], Table]]" = None,
-    observer: Optional[Callable[[str], None]] = None,
-) -> Table:
-    """Run one execution attempt under an :class:`ExecutionPolicy`.
+class ExecutionInfo(NamedTuple):
+    """A snapshot of :class:`PolicyCounters`.
 
-    The single implementation of the policy semantics, shared by
-    :class:`~repro.rewriter.pipeline.QueryPipeline` (attempts run a plan on
-    a backend) and the remote client (attempts send a query over the wire,
-    where a dropped connection surfaces as the transient
-    :class:`~repro.errors.BackendUnavailableError` -- so retry and failover
-    behave identically against local and remote backends):
-
-    * ``attempt(limits)`` performs one try under the policy's
-      :class:`QueryLimits` (one deadline and row budget cover the whole
-      call, retries and backoff sleeps included);
-    * *transient* failures (see :func:`repro.errors.is_transient`) are
-      retried up to ``policy.retries`` times with the policy's seeded
-      backoff delays;
-    * when the primary keeps failing with a
-      :class:`~repro.errors.BackendError`, ``fallback(limits)`` (when
-      given) runs once;
-    * :class:`~repro.errors.QueryTimeoutError` is permanent by design --
-      the deadline covers the whole call, so neither a retry nor the
-      fallback can beat it.
-
-    ``observer`` receives ``"retry"`` / ``"fallback"`` / ``"timeout"``
-    events so callers can maintain their statistics and lifetime counters.
+    Mirrors the per-call ``execution.retries`` / ``execution.timeouts`` /
+    ``execution.fallbacks`` statistics keys, accumulated across every
+    policy-governed execution one pipeline (or one ``repro://`` client) ran.
     """
-    if policy is None:
-        return attempt(None)
-    limits = policy.start_limits()
-    deadline = limits.deadline if limits is not None else None
-    delays = policy.backoff_delays()
-    attempt_number = 0
-    try:
-        while True:
-            try:
-                return attempt(limits)
-            except QueryTimeoutError:
-                raise
-            except Exception as error:
-                if is_transient(error) and attempt_number < policy.retries:
-                    delay = delays[attempt_number]
-                    attempt_number += 1
-                    if observer is not None:
-                        observer("retry")
-                    sleep_backoff(delay, deadline)
-                    continue
-                if fallback is not None and isinstance(error, BackendError):
-                    if observer is not None:
-                        observer("fallback")
-                    return fallback(limits)
-                raise
-    except QueryTimeoutError:
-        if observer is not None:
-            observer("timeout")
-        raise
+
+    retries: int
+    timeouts: int
+    fallbacks: int
+
+
+class PolicyCounters:
+    """Lifetime fault-tolerance counters, and the policy loop that bumps them."""
+
+    __slots__ = ("retries", "timeouts", "fallbacks")
+
+    def __init__(self) -> None:
+        self.retries = self.timeouts = self.fallbacks = 0
+
+    def info(self) -> ExecutionInfo:
+        return ExecutionInfo(self.retries, self.timeouts, self.fallbacks)
+
+    def run(
+        self,
+        policy: Optional[ExecutionPolicy],
+        attempt: "Callable[[Union[str, ExecutionBackend, None], Optional[QueryLimits]], Table]",
+        backend: "Union[str, ExecutionBackend, None]",
+        statistics: Optional[Dict[str, int]] = None,
+    ) -> Table:
+        """Run ``attempt(backend, limits)`` under an :class:`ExecutionPolicy`.
+
+        The single implementation of the policy semantics, shared by
+        :class:`~repro.rewriter.pipeline.QueryPipeline` (an attempt runs a
+        plan on a backend) and the ``repro://`` client (an attempt ships a
+        query frame, where a dropped connection surfaces as the transient
+        :class:`~repro.errors.BackendUnavailableError` -- so retry and
+        failover behave identically against local and remote backends):
+
+        * every attempt runs under the policy's :class:`QueryLimits` (one
+          deadline and row budget cover the whole call, retries and backoff
+          sleeps included);
+        * *transient* failures (see :func:`repro.errors.is_transient`) are
+          retried up to ``policy.retries`` times with the policy's seeded
+          backoff delays;
+        * when the primary keeps failing with a
+          :class:`~repro.errors.BackendError`, the attempt runs once more on
+          ``policy.fallback_backend`` (when set);
+        * :class:`~repro.errors.QueryTimeoutError` is permanent by design --
+          the deadline covers the whole call, so neither a retry nor the
+          fallback can beat it.
+
+        Retries, fallbacks and timeouts are counted here and, as
+        ``execution.*`` keys, into ``statistics``.
+        """
+        if policy is None:
+            return attempt(backend, None)
+        limits = policy.start_limits()
+        deadline = limits.deadline if limits is not None else None
+        delays = policy.backoff_delays()
+        try:
+            while True:
+                try:
+                    return attempt(backend, limits)
+                except QueryTimeoutError:
+                    raise
+                except Exception as error:
+                    if is_transient(error) and delays:
+                        self._count("retries", statistics)
+                        sleep_backoff(delays.pop(0), deadline)
+                        continue
+                    if policy.fallback_backend is not None and isinstance(
+                        error, BackendError
+                    ):
+                        self._count("fallbacks", statistics)
+                        return attempt(policy.fallback_backend, limits)
+                    raise
+        except QueryTimeoutError:
+            self._count("timeouts", statistics)
+            raise
+
+    def _count(self, event: str, statistics: Optional[Dict[str, int]]) -> None:
+        setattr(self, event, getattr(self, event) + 1)
+        if statistics is not None:
+            key = f"execution.{event}"
+            statistics[key] = statistics.get(key, 0) + 1
 
 
 # -- backend registry -----------------------------------------------------------------------------
@@ -378,6 +408,11 @@ def backend_accepts_limits(backend: ExecutionBackend) -> bool:
             cached = False
         _ACCEPTS_LIMITS_CACHE[key] = cached
     return cached
+
+
+def backend_name(backend: "Union[str, ExecutionBackend, None]") -> str:
+    """The name a backend argument goes by (``None`` is the in-memory engine)."""
+    return getattr(backend, "name", backend) or "memory"
 
 
 def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:

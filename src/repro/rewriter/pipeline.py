@@ -31,7 +31,6 @@ not, because rewriting never looks at the data.
 from __future__ import annotations
 
 import copy
-from functools import partial
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..algebra.operators import Operator
@@ -41,11 +40,12 @@ from ..errors import IncrementalError
 from ..engine.table import Table
 from ..execution import (
     ExecutionBackend,
+    ExecutionInfo,
     ExecutionPolicy,
+    PolicyCounters,
     QueryLimits,
     backend_accepts_limits,
     resolve_backend,
-    run_with_policy,
 )
 from ..logical_model.period_relation import PeriodKRelation
 from ..planner import (
@@ -70,19 +70,6 @@ class PlanCacheInfo(NamedTuple):
     hits: int
     misses: int
     size: int
-
-
-class ExecutionInfo(NamedTuple):
-    """Lifetime fault-tolerance counters of a pipeline.
-
-    Mirrors the per-call ``execution.retries`` / ``execution.timeouts`` /
-    ``execution.fallbacks`` statistics keys, accumulated across every
-    policy-governed execution this pipeline ran.
-    """
-
-    retries: int
-    timeouts: int
-    fallbacks: int
 
 
 class QueryPipeline:
@@ -175,9 +162,7 @@ class QueryPipeline:
         )
         self._cache_hits = 0
         self._cache_misses = 0
-        self._retries = 0
-        self._timeouts = 0
-        self._fallbacks = 0
+        self._policy_counters = PolicyCounters()
         self._views: "Dict[str, Any]" = {}
 
     # -- data loading -----------------------------------------------------------------
@@ -306,7 +291,7 @@ class QueryPipeline:
         cache is enabled and ``rewrite.invocations`` whenever REWR runs.
         """
         if self._cache is None:
-            return self._rewrite_uncached(query, statistics, final_coalesce)
+            return self.rewrite_stages(query, statistics, final_coalesce)[-1]
         key = self._cache_key(query, final_coalesce)
         cached = self._cache.get(key)
         if cached is not None:
@@ -316,7 +301,7 @@ class QueryPipeline:
                     statistics.get("plan_cache.hits", 0) + 1
                 )
             return cached
-        plan = self._rewrite_uncached(query, statistics, final_coalesce)
+        plan = self.rewrite_stages(query, statistics, final_coalesce)[-1]
         self._cache_misses += 1
         if statistics is not None:
             statistics["plan_cache.misses"] = (
@@ -325,12 +310,18 @@ class QueryPipeline:
         self._cache[key] = plan
         return plan
 
-    def _rewrite_uncached(
+    def rewrite_stages(
         self,
         query: Operator,
-        statistics: Optional[Dict[str, int]],
-        final_coalesce: bool,
-    ) -> Operator:
+        statistics: Optional[Dict[str, int]] = None,
+        final_coalesce: bool = False,
+    ) -> Tuple[Operator, ...]:
+        """One uncached rewrite, stage by stage; the last plan is what executes.
+
+        ``(REWR plan,)`` with the planner off, ``(REWR plan, planned plan)``
+        otherwise.  :meth:`rewrite` caches the last stage and ``explain()``
+        renders all of them, so what is shown is what runs.
+        """
         mode = self.planner_mode
         if mode == "cost":
             # Join reordering must happen on the *logical* query: REWR
@@ -344,9 +335,9 @@ class QueryPipeline:
             statistics["rewrite.invocations"] = (
                 statistics.get("rewrite.invocations", 0) + 1
             )
-        if mode != "off":
-            plan = planner_optimize(plan, self.database, statistics, mode=mode)
-        return plan
+        if mode == "off":
+            return (plan,)
+        return (plan, planner_optimize(plan, self.database, statistics, mode=mode))
 
     # -- execution --------------------------------------------------------------------
 
@@ -391,26 +382,7 @@ class QueryPipeline:
                 plan, statistics, target, limits, observations=observations
             )
 
-        if effective is None:
-            return run(chosen, None)
-
-        def observer(event: str) -> None:
-            if event == "retry":
-                self._retries += 1
-                self._count(statistics, "execution.retries")
-            elif event == "fallback":
-                self._fallbacks += 1
-                self._count(statistics, "execution.fallbacks")
-            elif event == "timeout":
-                self._timeouts += 1
-                self._count(statistics, "execution.timeouts")
-
-        fallback = None
-        if effective.fallback_backend is not None:
-            fallback = partial(run, effective.fallback_backend)
-        return run_with_policy(
-            effective, partial(run, chosen), fallback=fallback, observer=observer
-        )
+        return self._policy_counters.run(effective, run, chosen, statistics)
 
     def execute_limited(
         self,
@@ -501,17 +473,9 @@ class QueryPipeline:
         explain = getattr(self._host(self.backend), "explain", None)
         return None if explain is None else explain(plan, self.database)
 
-    def _count(self, statistics: Optional[Dict[str, int]], key: str) -> None:
-        if statistics is not None:
-            statistics[key] = statistics.get(key, 0) + 1
-
     def execution_info(self) -> ExecutionInfo:
         """Lifetime retry/timeout/fallback counters of this pipeline."""
-        return ExecutionInfo(
-            retries=self._retries,
-            timeouts=self._timeouts,
-            fallbacks=self._fallbacks,
-        )
+        return self._policy_counters.info()
 
     def execute_decoded(
         self,

@@ -1,13 +1,18 @@
 """The asyncio temporal query server and its wire protocol.
 
-``repro.server`` exposes three layers:
+``repro.server`` exposes four layers:
 
 * :mod:`repro.server.protocol` -- length-prefixed JSON framing plus the
   error-frame mapping onto the :mod:`repro.errors` taxonomy;
 * :mod:`repro.server.plans` -- the JSON codec for logical plans and scalar
   expressions (what actually crosses the wire);
+* :mod:`repro.server.verbs` -- the session verb table, the protocol
+  reference: every verb's in-process implementation, argument and reply
+  codecs and worker-pool flag, declared once for in-process sessions,
+  ``repro://`` sessions and the server's dispatch;
 * :mod:`repro.server.core` -- :class:`QueryServer`, the asyncio TCP server
-  multiplexing many clients over one shared catalog + plan cache.
+  multiplexing many clients over one in-process session's catalog + plan
+  cache (``QueryServer(connect(domain=(0, 24)))``).
 
 Run a server from the command line with ``python -m repro.server``.
 """

@@ -13,17 +13,8 @@ from __future__ import annotations
 import argparse
 import time
 
+from ..api import FluentError, connect
 from .core import DEFAULT_PORT, QueryServer
-
-
-def _parse_domain(text: str):
-    try:
-        lo, hi = text.split(":", 1)
-        return (int(lo), int(hi))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"domain must look like LO:HI (e.g. 0:100), got {text!r}"
-        ) from exc
 
 
 def main(argv=None) -> int:
@@ -35,8 +26,7 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
     parser.add_argument(
         "--domain",
-        type=_parse_domain,
-        default=(0, 100),
+        default="0:100",
         metavar="LO:HI",
         help="time domain [LO, HI) queries are interpreted over (default 0:100)",
     )
@@ -56,10 +46,16 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    try:
+        session = connect(
+            f"memory://?domain={args.domain}",
+            backend=args.backend,
+            planner=not args.no_planner,
+        )
+    except FluentError as error:
+        parser.error(str(error))
     server = QueryServer(
-        domain=args.domain,
-        backend=args.backend,
-        planner=not args.no_planner,
+        session,
         host=args.host,
         port=args.port,
         max_query_seconds=args.max_query_seconds,

@@ -26,9 +26,13 @@ The server runs its event loop on a dedicated daemon thread so synchronous
 callers (tests, benchmarks, examples) can drive it with plain
 ``start()`` / ``stop()`` or a ``with`` block::
 
-    with QueryServer(domain=(0, 24)) as server:
-        session = connect(server.url)      # a RemoteSession
+    with QueryServer(connect(domain=(0, 24))) as server:
+        session = connect(server.url)      # a Session, over the wire
         ...
+
+What a client can say is not written here: every frame other than the
+handshake, the streaming ``query`` and ``cancel`` is looked up in the verb
+table of :mod:`repro.server.verbs` and answered by :meth:`Verb.serve`.
 """
 
 from __future__ import annotations
@@ -39,13 +43,11 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import ProtocolError, QueryTimeoutError, ReproError
-from ..execution import Deadline, QueryLimits
+from ..execution import Deadline, QueryLimits, backend_name
 from ..rewriter.pipeline import QueryPipeline
-from .plans import plan_from_json, plan_to_json
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -54,75 +56,27 @@ from .protocol import (
     error_to_frame,
     read_frame_length,
 )
+from .verbs import QUERY, VERBS
 
 __all__ = ["QueryServer", "DEFAULT_PORT"]
 
 #: Default TCP port of ``repro://host`` DSNs without an explicit port.
 DEFAULT_PORT = 7464
 
-#: Keyword arguments a remote ``check`` request may pass through to
-#: :func:`repro.conformance.check_conformance` (the JSON-able subset).
-_CHECK_OPTIONS = (
-    "backends",
-    "optimize_modes",
-    "points",
-    "max_points",
-    "minimize",
-    "shrink_budget",
-)
-
-
-def _deltas_from_json(payload: Any) -> list:
-    """Decode the wire form of view deltas: ``[{relation, entries}, ...]``.
-
-    Each entry is a ``[row, weight]`` pair; rows come back as JSON arrays
-    and are restored to tuples (matching the plan codec's row fidelity).
-    """
-    from ..incremental import Delta
-
-    if not isinstance(payload, list):
-        raise ProtocolError("view_apply deltas must be a list")
-    deltas = []
-    for item in payload:
-        if not isinstance(item, dict) or "relation" not in item:
-            raise ProtocolError(f"malformed delta payload: {item!r}")
-        entries = [
-            (tuple(row), int(weight)) for row, weight in item.get("entries", ())
-        ]
-        deltas.append(Delta(item["relation"], entries))
-    return deltas
-
-
-@dataclass
-class _ActiveQuery:
-    """Event-loop-side handle on one in-flight request."""
-
-    deadline: Deadline
-
 
 class QueryServer:
     """A TCP query server over one shared session pipeline.
 
-    Build it over an existing :class:`~repro.api.Session` (sharing its
-    catalog and plan cache with in-process callers) or from session
-    arguments (``domain=``, ``backend=``, ``planner=``, ``database=``, ...)
-    to own a fresh one.  ``port=0`` (the default) binds an ephemeral port,
-    published as :attr:`port` / :attr:`url` once started.
+    Built over an in-process :class:`~repro.api.Session` (``connect(domain=...)``
+    and friends), whose catalog, plan cache and views it shares with
+    in-process callers of that session.  ``port=0`` (the default) binds an
+    ephemeral port, published as :attr:`port` / :attr:`url` once started.
     """
 
     def __init__(
         self,
-        session: Optional[Any] = None,
+        session: Any,
         *,
-        domain: Optional[Any] = None,
-        database: Optional[Any] = None,
-        backend: Optional[str] = "memory",
-        planner: "bool | str" = True,
-        coalesce: str = "final",
-        use_temporal_aggregate: bool = True,
-        plan_cache: bool = True,
-        executor: str = "row",
-        parallel_workers: Optional[int] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         max_workers: Optional[int] = None,
@@ -130,22 +84,6 @@ class QueryServer:
         max_query_seconds: float = 300.0,
         max_frame_bytes: int = MAX_FRAME_BYTES,
     ) -> None:
-        if session is None:
-            if domain is None:
-                raise ValueError("QueryServer needs a session or a domain")
-            from ..api import connect
-
-            session = connect(
-                domain=domain,
-                backend=backend,
-                planner=planner,
-                coalesce=coalesce,
-                use_temporal_aggregate=use_temporal_aggregate,
-                database=database,
-                plan_cache=plan_cache,
-                executor=executor,
-                parallel_workers=parallel_workers,
-            )
         self._session = session
         self._pipeline: QueryPipeline = session.pipeline
         self.host = host
@@ -162,14 +100,15 @@ class QueryServer:
         self._thread: Optional[threading.Thread] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._startup_error: Optional[BaseException] = None
-        self._active: Dict[Tuple[int, int], _ActiveQuery] = {}
+        #: The event loop's handle on each in-flight query: its deadline.
+        self._active: Dict[Tuple[int, int], Deadline] = {}
         self._connection_ids = itertools.count(1)
 
     # -- introspection ----------------------------------------------------------------
 
     @property
     def session(self) -> Any:
-        """The local session the server multiplexes (shared pipeline)."""
+        """The in-process session the server multiplexes (shared pipeline)."""
         return self._session
 
     @property
@@ -244,8 +183,8 @@ class QueryServer:
             loop.close()
 
     async def _shutdown(self) -> None:
-        for entry in list(self._active.values()):
-            entry.deadline.cancel()
+        for deadline in list(self._active.values()):
+            deadline.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -281,52 +220,44 @@ class QueryServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         connection_id = next(self._connection_ids)
-        lock = asyncio.Lock()
+        # One writer lock per connection: streamed queries interleave frames.
+        send = functools.partial(self._send, writer, asyncio.Lock())
         tasks: set = set()
         try:
             hello = await self._read_frame(reader)
             if hello is None:
                 return
             if hello.get("type") != "hello":
-                await self._send(
-                    writer,
-                    lock,
-                    error_to_frame(
-                        ProtocolError(
-                            f"expected a hello frame, got {hello.get('type')!r}"
-                        )
-                    ),
-                )
+                error = ProtocolError(f"expected a hello frame, got {hello.get('type')!r}")
+                await send(error_to_frame(error))
                 return
-            await self._send(writer, lock, self._welcome())
+            await send(self._welcome())
             while True:
                 try:
                     frame = await self._read_frame(reader)
                 except ProtocolError as error:
                     # Framing is broken beyond this point: report and hang up.
-                    await self._send(writer, lock, error_to_frame(error))
+                    await send(error_to_frame(error))
                     return
                 if frame is None:
                     return
                 kind = frame.get("type")
                 if kind == "query":
-                    task = asyncio.ensure_future(
-                        self._handle_query(connection_id, frame, writer, lock)
-                    )
+                    task = asyncio.ensure_future(self._handle_query(connection_id, frame, send))
                     tasks.add(task)
                     task.add_done_callback(tasks.discard)
                 elif kind == "cancel":
                     self._cancel(connection_id, frame.get("id"))
                 else:
-                    await self._handle_simple(frame, writer, lock)
+                    await self._handle_verb(frame, send)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             # A vanished client must not pin worker threads: expire every
             # deadline its in-flight queries still hold.
-            for (conn, qid), entry in list(self._active.items()):
+            for (conn, _request_id), deadline in list(self._active.items()):
                 if conn == connection_id:
-                    entry.deadline.cancel()
+                    deadline.cancel()
             for task in tasks:
                 task.cancel()
             writer.close()
@@ -339,15 +270,13 @@ class QueryServer:
         from .. import __version__ as _version
 
         pipeline = self._pipeline
-        backend = pipeline.backend
-        backend_name = getattr(backend, "name", backend) or "memory"
         return {
             "type": "welcome",
             "protocol": PROTOCOL_VERSION,
             "server": f"repro-server/{_version}",
             "domain": [pipeline.domain.min_point, pipeline.domain.max_point],
             "tables": list(pipeline.database.names()),
-            "backend": backend_name,
+            "backend": backend_name(pipeline.backend),
             "planner": pipeline.optimize,
             "coalesce": pipeline.coalesce,
             "executor": pipeline.executor,
@@ -358,266 +287,88 @@ class QueryServer:
     # -- query execution --------------------------------------------------------------
 
     def _cancel(self, connection_id: int, request_id: Any) -> None:
-        entry = self._active.get((connection_id, request_id))
-        if entry is not None:
-            entry.deadline.cancel()
+        deadline = self._active.get((connection_id, request_id))
+        if deadline is not None:
+            deadline.cancel()
 
     async def _handle_query(
-        self,
-        connection_id: int,
-        frame: Dict[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
+        self, connection_id: int, frame: Dict[str, Any], send: Callable[[Dict[str, Any]], Any]
     ) -> None:
         request_id = frame.get("id")
         deadline: Optional[Deadline] = None
         try:
-            plan = plan_from_json(frame["plan"])
-            final_coalesce = bool(frame.get("final_coalesce", False))
-            backend = frame.get("backend")
-            if backend is not None and not isinstance(backend, str):
-                raise ProtocolError("query backend override must be a backend name")
-            executor = frame.get("executor")
-            if executor is not None and executor not in ("row", "batch"):
-                raise ProtocolError(
-                    f"query executor override must be 'row' or 'batch', got {executor!r}"
-                )
-            timeout = frame.get("timeout_seconds")
-            seconds = (
-                min(float(timeout), self.max_query_seconds)
-                if timeout is not None
-                else self.max_query_seconds
-            )
+            args = QUERY.arguments(frame)
+            # The client policy's remaining deadline, capped by the server's.
+            cap = self.max_query_seconds
+            seconds = min(args.get("timeout_seconds", cap), cap)
             deadline = Deadline(max(0.0, seconds))
-            limits = QueryLimits(
-                deadline=deadline, row_budget=frame.get("max_result_rows")
-            )
-            chunk_rows = int(frame.get("chunk_rows") or self.chunk_rows)
+            limits = QueryLimits(deadline=deadline, row_budget=args.get("max_result_rows"))
+            chunk_rows = args.get("chunk_rows", self.chunk_rows)
             statistics: Dict[str, int] = {}
             schema_version = self._pipeline.database.schema_version
             key = (connection_id, request_id)
-            self._active[key] = _ActiveQuery(deadline)
+            self._active[key] = deadline
             try:
                 table = await asyncio.get_running_loop().run_in_executor(
                     self._executor,
                     functools.partial(
-                        self._pipeline.execute_limited,
-                        plan,
+                        QUERY.run,
+                        self._pipeline,
+                        args["plan"],
                         statistics,
-                        backend,
-                        final_coalesce,
+                        args.get("backend"),
+                        args.get("final_coalesce", False),
                         limits,
-                        executor,
+                        args.get("executor"),
                     ),
                 )
             finally:
                 self._active.pop(key, None)
         except (ReproError, KeyError, TypeError, ValueError) as error:
             cancelled = deadline.cancelled if deadline is not None else False
-            await self._send(
-                writer, lock, error_to_frame(error, request_id, cancelled=cancelled)
-            )
+            await send(error_to_frame(error, request_id, cancelled=cancelled))
             return
         statistics["server.schema_version"] = schema_version
-        await self._send(
-            writer,
-            lock,
+        await send(
             {
                 "type": "result_header",
                 "id": request_id,
                 "name": table.name,
                 "schema": list(table.schema),
-            },
+            }
         )
         rows = table.rows
         for start in range(0, len(rows), chunk_rows):
             if deadline.cancelled:
-                await self._send(
-                    writer,
-                    lock,
-                    error_to_frame(
-                        QueryTimeoutError("result streaming cancelled"),
-                        request_id,
-                        cancelled=True,
-                    ),
-                )
+                error = QueryTimeoutError("result streaming cancelled")
+                await send(error_to_frame(error, request_id, cancelled=True))
                 return
-            chunk = rows[start:start + chunk_rows]
-            await self._send(
-                writer,
-                lock,
-                {
-                    "type": "row_chunk",
-                    "id": request_id,
-                    "rows": [list(row) for row in chunk],
-                },
-            )
-        await self._send(
-            writer,
-            lock,
-            {
-                "type": "result_end",
-                "id": request_id,
-                "rows": len(rows),
-                "statistics": statistics,
-            },
+            chunk = [list(row) for row in rows[start:start + chunk_rows]]
+            await send({"type": "row_chunk", "id": request_id, "rows": chunk})
+        await send(
+            {"type": "result_end", "id": request_id, "rows": len(rows), "statistics": statistics}
         )
 
-    # -- simple request/response handlers ---------------------------------------------
+    # -- request/response verbs -------------------------------------------------------------------
 
-    async def _handle_simple(
-        self,
-        frame: Dict[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
+    async def _handle_verb(
+        self, frame: Dict[str, Any], send: Callable[[Dict[str, Any]], Any]
     ) -> None:
-        kind = frame.get("type")
         request_id = frame.get("id")
         try:
-            if kind in ("explain", "check", "materialize", "view_apply",
-                        "view_verify", "insert", "delete", "analyze"):
-                # These execute queries or propagate deltas through plans;
-                # keep the event loop responsive.
+            verb = VERBS.get(frame.get("type"))
+            if verb is None:
+                raise ProtocolError(f"unknown message type {frame.get('type')!r}")
+            serve = functools.partial(verb.serve, self._pipeline, frame)
+            if verb.pooled:
+                # Executes plans or propagates deltas: keep the event loop
+                # responsive.
                 payload = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, functools.partial(self._run_simple, frame)
+                    self._executor, serve
                 )
             else:
-                payload = self._run_simple(frame)
+                payload = serve()
         except (ReproError, KeyError, TypeError, ValueError) as error:
-            await self._send(writer, lock, error_to_frame(error, request_id))
+            await send(error_to_frame(error, request_id))
             return
-        message = {"type": "ok", "id": request_id}
-        message.update(payload)
-        await self._send(writer, lock, message)
-
-    def _run_simple(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        kind = frame.get("type")
-        pipeline = self._pipeline
-        if kind == "ping":
-            return {}
-        if kind == "tables":
-            return {"tables": list(pipeline.database.names())}
-        if kind == "load":
-            rows = [tuple(row) for row in frame["rows"]]
-            period = tuple(frame.get("period") or ("t_begin", "t_end"))
-            pipeline.load_table(frame["name"], frame["schema"], rows, period)
-            return {}
-        if kind == "cache_info":
-            info = pipeline.cache_info()
-            return {"hits": info.hits, "misses": info.misses, "size": info.size}
-        if kind == "clear_cache":
-            pipeline.clear_plan_cache()
-            return {}
-        if kind == "execution_info":
-            info = pipeline.execution_info()
-            return {
-                "retries": info.retries,
-                "timeouts": info.timeouts,
-                "fallbacks": info.fallbacks,
-            }
-        if kind == "explain":
-            from ..api.relation import TemporalRelation
-
-            relation = TemporalRelation(
-                self._session,
-                plan_from_json(frame["plan"]),
-                bool(frame.get("final_coalesce", False)),
-            )
-            return {"text": self._session.explain_relation(relation)}
-        if kind == "check":
-            return {"report": self._run_check(frame)}
-        if kind == "insert":
-            pipeline.database.insert(
-                frame["name"], [tuple(row) for row in frame["rows"]]
-            )
-            return {}
-        if kind == "delete":
-            pipeline.database.delete(
-                frame["name"], [tuple(row) for row in frame["rows"]]
-            )
-            return {}
-        if kind == "materialize":
-            view = pipeline.materialize(
-                plan_from_json(frame["plan"]),
-                frame["name"],
-                final_coalesce=bool(frame.get("final_coalesce", False)),
-            )
-            return {
-                "name": view.name,
-                "schema": list(view.schema),
-                "rows": len(view),
-                "base_relations": sorted(view.base_relations),
-            }
-        if kind == "view_apply":
-            view = pipeline.view(frame["name"])
-            statistics: Dict[str, int] = {}
-            view.apply(_deltas_from_json(frame["deltas"]), statistics)
-            return {"rows": len(view), "counters": statistics}
-        if kind == "view_rows":
-            view = pipeline.view(frame["name"])
-            return {
-                "schema": list(view.schema),
-                "rows": [list(row) for row in view.rows()],
-            }
-        if kind == "view_info":
-            if "name" not in frame:
-                return {"views": list(pipeline.view_names())}
-            view = pipeline.view(frame["name"])
-            return {
-                "name": view.name,
-                "schema": list(view.schema),
-                "rows": len(view),
-                "stale": view.stale,
-                "base_relations": sorted(view.base_relations),
-                "counters": dict(view.counters),
-            }
-        if kind == "view_verify":
-            return {"ok": pipeline.view(frame["name"]).verify()}
-        if kind == "analyze":
-            collected = pipeline.database.analyze(frame.get("name"))
-            return {
-                "statistics": {
-                    name: stats.to_dict() for name, stats in collected.items()
-                }
-            }
-        if kind == "drop_view":
-            pipeline.drop_view(frame["name"])
-            return {}
-        raise ProtocolError(f"unknown message type {kind!r}")
-
-    def _run_check(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        options = frame.get("options") or {}
-        unknown = set(options) - set(_CHECK_OPTIONS)
-        if unknown:
-            raise ProtocolError(
-                f"unsupported check option(s) {sorted(unknown)}; remote check "
-                f"accepts {list(_CHECK_OPTIONS)}"
-            )
-        report = self._session.check(plan_from_json(frame["plan"]), **options)
-        payload: Dict[str, Any] = {
-            "checks": report.checks,
-            "points": list(report.points),
-            "configurations": [list(pair) for pair in report.configurations],
-            "counterexample": None,
-        }
-        witness = report.counterexample
-        if witness is not None:
-            payload["counterexample"] = {
-                "backend": witness.backend,
-                "optimize": witness.optimize,
-                "point": witness.point,
-                "query": plan_to_json(witness.query),
-                "tables": {
-                    name: [list(row) for row in rows]
-                    for name, rows in witness.tables.items()
-                },
-                "expected": [
-                    [list(row), count] for row, count in witness.expected.items()
-                ],
-                "actual": [
-                    [list(row), count] for row, count in witness.actual.items()
-                ],
-                "error": witness.error,
-                "shrink_checks": witness.shrink_checks,
-            }
-        return payload
+        await send({"type": "ok", "id": request_id, **payload})

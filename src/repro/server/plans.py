@@ -1,9 +1,8 @@
 """JSON codec for logical plans and scalar expressions.
 
 The wire protocol ships *logical* operator trees -- exactly the plans the
-fluent API compiles to -- as plain JSON, so a
-:class:`~repro.client.RemoteSession` query is structurally identical to the
-local plan on arrival and hits the server's shared rewritten-plan cache
+fluent API compiles to -- as plain JSON, so a ``repro://`` session's query
+is structurally identical to the local plan on arrival and hits the server's shared rewritten-plan cache
 across clients (the structural hash of the decoded plan equals the hash of
 a locally built one).
 

@@ -15,13 +15,10 @@ Message flow (client -> server | server -> client)::
                                 | result_end {id, rows, statistics}
     cancel {id}                 | (the query answers with an error frame,
                                 |  code=QueryTimeoutError, cancelled=true)
-    load {name, schema, rows}   | ok {}
-    tables                      | ok {tables}
-    explain {plan, ...}         | ok {text}
-    check {plan, options}       | ok {report}
-    analyze {name?}             | ok {statistics}
-    cache_info / execution_info | ok {...}
-    clear_cache / ping          | ok {}
+    <verb> {id, arguments...}   | ok {id, result fields...}
+
+The verbs, their arguments and their result fields are the table in
+:mod:`repro.server.verbs` -- the protocol reference.
 
 Any request may instead be answered by an ``error`` frame carrying the
 class name of the server-side failure; :func:`error_to_frame` /

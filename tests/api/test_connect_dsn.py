@@ -7,7 +7,7 @@ import sqlite3
 import pytest
 
 import repro
-from repro import Session, SessionProtocol, TimeDomain, connect
+from repro import Session, TimeDomain, connect
 from repro.api.relation import FluentError
 
 ROWS = [(1, "a", 0, 5), (2, "b", 3, 9)]
@@ -138,24 +138,3 @@ class TestTargetForms:
     def test_unknown_scheme_raises(self):
         with pytest.raises(FluentError, match="unknown DSN scheme"):
             connect("postgres://localhost/db")
-
-    def test_every_transport_satisfies_the_protocol(self):
-        assert isinstance(connect(domain=(0, 24)), SessionProtocol)
-        assert issubclass(repro.RemoteSession, object)  # imported lazily below
-        from repro.client import RemoteSession
-
-        # Structural check: the protocol methods all exist on RemoteSession.
-        for method in (
-            "execute",
-            "execute_decoded",
-            "check",
-            "explain_relation",
-            "table",
-            "load",
-            "query",
-            "close",
-            "cache_info",
-            "clear_plan_cache",
-            "execution_info",
-        ):
-            assert callable(getattr(RemoteSession, method)), method

@@ -304,6 +304,28 @@ class TestExplain:
         loops = [step for step in steps if step[1:2] in (["__l"], ["__r"])]
         assert len(loops) == 2 and {step[0] for step in loops} <= {"SCAN", "SEARCH"}
 
+    @pytest.mark.parametrize("final_coalesce", [False, True], ids=["plain", "coalesced"])
+    @pytest.mark.parametrize("planner", ["off", "syntactic", "cost"])
+    def test_explain_shows_the_plan_that_executes(self, planner, final_coalesce):
+        """The last staged plan is the rewrite execution caches, not a re-staging."""
+        session = connect(domain=TIME_DOMAIN, planner=planner, coalesce="none")
+        works = session.load("works", ["name", "skill"], WORKS_ROWS)
+        assign = session.load("assign", ["mach", "req_skill"], ASSIGN_ROWS)
+        session.analyze()
+        relation = works.join(assign, on="skill = req_skill").where("skill = 'SP'")
+        if final_coalesce:
+            relation = relation.coalesce()
+        staged = [
+            section.split("\n", 1)[1]
+            for section in relation.explain().split("\n\n")
+            if section.startswith(("REWR plan:", "optimized plan"))
+        ]
+        executed = session.pipeline.rewrite(relation.plan, None, final_coalesce)
+        assert len(staged) == (1 if planner == "off" else 2)
+        assert staged[-1] == "\n".join(
+            "  " + line for line in executed.explain_tree().splitlines()
+        )
+
     def test_explain_with_planner_off(self):
         session = connect(domain=TIME_DOMAIN, planner=False)
         session.load("works", ["name", "skill"], WORKS_ROWS)

@@ -1,13 +1,27 @@
-"""Uniform closed-session behaviour: every terminal fails fast after close()."""
+"""Uniform closed-session behaviour: every verb fails fast after close().
+
+One rule for the one session class, checked on both transports: everything
+that reaches the transport raises, lazy builders do not.
+"""
 
 import pytest
 
-from repro import connect
+from repro import QueryServer, connect
+from repro.algebra.operators import RelationAccess
 from repro.errors import BackendError, BackendUnavailableError
+from repro.logical_model import PeriodKRelation
+from repro.semirings import NATURAL
+from repro.temporal import PeriodSemiring, TimeDomain
 
 
-def _session():
-    session = connect(domain=(0, 24))
+@pytest.fixture(params=["in-process", "repro"])
+def session(request):
+    if request.param == "repro":
+        server = QueryServer(connect(domain=(0, 24))).start()
+        request.addfinalizer(server.stop)
+        session = connect(server.url)
+    else:
+        session = connect(domain=(0, 24))
     session.load(
         "works",
         ["name", "skill"],
@@ -18,16 +32,15 @@ def _session():
 
 
 class TestClose:
-    def test_close_is_idempotent(self):
-        session = _session()
+    def test_close_is_idempotent(self, session):
         assert not session.closed
         session.close()
         assert session.closed
         session.close()  # no error
         assert session.closed
 
-    def test_context_manager_closes(self):
-        with _session() as session:
+    def test_context_manager_closes(self, session):
+        with session:
             assert session.table("works").rows()
         assert session.closed
 
@@ -43,26 +56,44 @@ class TestClose:
             lambda r: r.explain(),
             lambda r: r.session.view("sp_works"),
             lambda r: r.session.views(),
+            lambda r: r.session.load("more", ["v"], [(1, 0, 5)]),
+            lambda r: r.session.load_relation(
+                "more", PeriodKRelation(PeriodSemiring(NATURAL, TimeDomain(0, 24)), ("v",))
+            ),
+            lambda r: r.session.table("works"),
+            lambda r: r.session.cache_info(),
+            lambda r: r.session.clear_plan_cache(),
         ],
         ids=[
             "rows", "table", "decoded", "snapshot", "pretty", "check", "explain",
-            "view", "views",
+            "view", "views", "load", "load_relation", "session.table", "cache_info",
+            "clear_plan_cache",
         ],
     )
-    def test_every_terminal_raises_after_close(self, terminal):
-        session = _session()
+    def test_every_terminal_raises_after_close(self, session, terminal):
         relation = session.table("works")
         session.close()
         with pytest.raises(BackendUnavailableError, match="session is closed"):
             terminal(relation)
 
-    def test_closed_error_is_a_backend_error(self):
+    def test_closed_error_is_a_backend_error(self, session):
         """One ``except BackendError`` covers closed sessions too."""
-        session = _session()
+        relation = session.table("works")
         session.close()
         with pytest.raises(BackendError):
-            session.table("works").rows()
+            relation.rows()
 
+    def test_building_chains_on_closed_session_still_works(self, session):
+        """Only execution needs the transport; plan construction stays lazy."""
+        relation = session.table("works")
+        session.close()
+        chained = relation.where("skill = 'SP'").agg(cnt="count(*)")
+        assert session.query(RelationAccess("works")).plan == relation.plan
+        with pytest.raises(BackendUnavailableError):
+            chained.rows()
+
+
+class TestCloseInProcess:
     def test_execute_raises_immediately_without_touching_backend(self):
         calls = []
 
@@ -95,12 +126,3 @@ class TestClose:
         session = connect(domain=(0, 24), backend=Closeable())
         session.close()
         assert closed == [True]
-
-    def test_building_chains_on_closed_session_still_works(self):
-        """Only execution needs the backend; plan construction stays lazy."""
-        session = _session()
-        relation = session.table("works")
-        session.close()
-        chained = relation.where("skill = 'SP'").agg(cnt="count(*)")
-        with pytest.raises(BackendUnavailableError):
-            chained.rows()

@@ -219,3 +219,23 @@ class TestErrorFrames:
     def test_unknown_code_degrades_to_backend_error(self):
         rebuilt = error_from_frame({"type": "error", "code": "Weird", "message": "m"})
         assert isinstance(rebuilt, BackendError)
+
+
+class TestResultStreamIntegrity:
+    def test_client_rejects_a_stream_shorter_than_it_announces(self, monkeypatch):
+        """A fake server stream: one row arrives, ``result_end`` claims two."""
+        from repro.client import RemoteConnection
+
+        stream = iter(
+            [
+                {"type": "result_header", "id": 1, "name": "r", "schema": ["a"]},
+                {"type": "row_chunk", "id": 1, "rows": [[1]]},
+                {"type": "result_end", "id": 1, "rows": 2, "statistics": {}},
+            ]
+        )
+        connection = RemoteConnection("nowhere", 0)
+        monkeypatch.setattr(connection, "ensure_connected", lambda: {})
+        monkeypatch.setattr(connection, "_send_raw", lambda message: None)
+        monkeypatch.setattr(connection, "_recv_frame", lambda timeout: next(stream))
+        with pytest.raises(ProtocolError, match="announced 2 rows but carried 1"):
+            connection.run_query({"type": "query"})

@@ -69,10 +69,12 @@ WORKLOAD = {
 def sessions(request):
     backend, planner = request.param
     server = QueryServer(
-        domain=(0, CONFIG.domain_size),
-        database=generate_catalog(CONFIG),
-        backend=backend,
-        planner=planner,
+        connect(
+            domain=(0, CONFIG.domain_size),
+            database=generate_catalog(CONFIG),
+            backend=backend,
+            planner=planner,
+        )
     )
     local = connect(
         domain=(0, CONFIG.domain_size),

@@ -21,7 +21,7 @@ ROWS = [(key, f"cat{key % 3}", key * 2, key % 10, key % 10 + 5) for key in range
 
 @pytest.fixture(scope="module")
 def server():
-    with QueryServer(domain=(0, 32), max_workers=8) as running:
+    with QueryServer(connect(domain=(0, 32)), max_workers=8) as running:
         running.session.load("events", ["key", "cat", "val"], ROWS)
         yield running
 
@@ -89,7 +89,7 @@ register_backend(_StallingBackend.name, _StallingBackend)
 
 
 class _RawClient:
-    """A bare-frames client for driving the protocol below RemoteSession."""
+    """A bare-frames client for driving the protocol below the session."""
 
     def __init__(self, host: str, port: int) -> None:
         self.sock = socket.create_connection((host, port), timeout=30)
@@ -111,6 +111,53 @@ class _RawClient:
 
     def close(self) -> None:
         self.sock.close()
+
+
+class TestHostileFrames:
+    def query(self, chunk_rows) -> dict:
+        return {
+            "type": "query",
+            "id": 1,
+            "plan": plan_to_json(RelationAccess("events")),
+            "chunk_rows": chunk_rows,
+        }
+
+    @pytest.mark.parametrize("chunk_rows", [-5, 0, 2.5, "7", True])
+    def test_hostile_chunk_rows_is_a_protocol_error(self, server, chunk_rows):
+        """Not a header, no rows and a ``result_end`` announcing all of them."""
+        client = _RawClient(server.host, server.port)
+        try:
+            client.send(self.query(chunk_rows))
+            frame = client.recv()
+            assert (frame["type"], frame["id"]) == ("error", 1)
+            assert frame["code"] == "ProtocolError" and "chunk_rows" in frame["message"]
+            client.send({"type": "ping", "id": 2})  # the connection survives
+            assert client.recv()["type"] == "ok"
+        finally:
+            client.close()
+
+    def test_a_type_outside_the_verb_table_is_a_protocol_error(self, server):
+        client = _RawClient(server.host, server.port)
+        try:
+            client.send({"type": "shutdown", "id": 1})
+            frame = client.recv()
+            assert (frame["type"], frame["code"]) == ("error", "ProtocolError")
+            assert "unknown message type 'shutdown'" in frame["message"]
+        finally:
+            client.close()
+
+    def test_chunk_rows_sets_the_rows_per_chunk(self, server):
+        client = _RawClient(server.host, server.port)
+        try:
+            client.send(self.query(7))
+            assert client.recv()["type"] == "result_header"
+            chunks = []
+            while (frame := client.recv())["type"] == "row_chunk":
+                chunks.append(len(frame["rows"]))
+            assert chunks == [7, 7, 7, 7, 7, 5]
+            assert (frame["type"], frame["rows"]) == ("result_end", len(ROWS))
+        finally:
+            client.close()
 
 
 class TestCancellation:

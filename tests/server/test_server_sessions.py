@@ -1,16 +1,14 @@
-"""RemoteSession behavior: lifecycle, local-parity semantics, fault mapping."""
+"""Sessions over ``repro://``: lifecycle, in-process parity, fault mapping."""
 
 from __future__ import annotations
 
 import pytest
 
-import repro
 from repro import (
     BackendUnavailableError,
     ExecutionPolicy,
     PlanError,
     QueryServer,
-    RemoteSession,
     connect,
 )
 from repro.api.relation import FluentError
@@ -26,7 +24,7 @@ ROWS = [
 
 @pytest.fixture(scope="module")
 def server():
-    with QueryServer(domain=(0, 24)) as running:
+    with QueryServer(connect(domain=(0, 24))) as running:
         running.session.load("works", ["name", "skill"], ROWS)
         yield running
 
@@ -46,36 +44,11 @@ def local():
 
 
 class TestLifecycle:
-    def test_connect_repro_dsn_returns_remote_session(self, server):
-        session = connect(server.url)
-        try:
-            assert isinstance(session, RemoteSession)
-            assert isinstance(session, repro.SessionProtocol)
-            assert (session.domain.min_point, session.domain.max_point) == (0, 24)
-        finally:
-            session.close()
-
-    def test_context_manager_and_idempotent_close(self, server):
+    def test_connect_repro_dsn_returns_the_one_session_class(self, server, local):
         with connect(server.url) as session:
-            assert not session.closed
-            assert session.ping()
-        assert session.closed
-        session.close()  # idempotent
-        session.close()
-
-    def test_closed_terminals_raise_like_local(self, server, local):
-        remote = connect(server.url)
-        relation = remote.table("works")
-        remote.close()
-        with pytest.raises(BackendUnavailableError) as remote_error:
-            relation.rows()
-        closed_local = connect("memory://?domain=0:24")
-        closed_local.load("works", ["name", "skill"], ROWS)
-        local_relation = closed_local.table("works")
-        closed_local.close()
-        with pytest.raises(BackendUnavailableError) as local_error:
-            local_relation.rows()
-        assert str(remote_error.value) == str(local_error.value)
+            assert type(session) is type(local)
+            assert (session.domain.min_point, session.domain.max_point) == (0, 24)
+            assert not hasattr(session, "pipeline")  # it is the server's
 
     def test_dead_address_raises_transient(self):
         with pytest.raises(BackendUnavailableError) as error:
@@ -85,7 +58,7 @@ class TestLifecycle:
     def test_transparent_reconnect_after_transport_loss(self, remote):
         assert remote.table("works").where("skill = 'SP'").rows()
         # Simulate a dropped connection: the next request reconnects.
-        remote._connection.close()
+        remote._transport._connection.close()
         assert remote.table("works").where("skill = 'SP'").rows()
 
 

@@ -20,7 +20,7 @@ from repro.server import QueryServer
 
 @pytest.fixture
 def server():
-    with QueryServer(domain=(0, 100)) as running:
+    with QueryServer(connect(domain=(0, 100))) as running:
         yield running
 
 

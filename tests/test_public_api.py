@@ -27,8 +27,6 @@ EXPECTED_REPRO_EXPORTS = {
     # fluent session API (canonical front door)
     "connect",
     "Session",
-    "SessionProtocol",
-    "RemoteSession",
     "QueryServer",
     "TemporalRelation",
     "GroupedRelation",
@@ -86,7 +84,6 @@ EXPECTED_REPRO_EXPORTS = {
 EXPECTED_API_EXPORTS = {
     "connect",
     "Session",
-    "SessionProtocol",
     "TemporalRelation",
     "GroupedRelation",
     "FluentError",
@@ -184,6 +181,61 @@ class TestPublicSurface:
             and any(alias.name == "resolve_backend" for alias in node.names)
         }
         assert importers == {"rewriter/pipeline.py", "faultinject.py"}
+
+
+    def test_the_session_surface_is_stated_once(self):
+        """``repro.server.verbs`` is the only place that knows a verb's frame.
+
+        In ``repro.api``, ``repro.client`` and the server's dispatcher no
+        frame of a verb is built or recognised by hand and no plan is
+        encoded or decoded: the session calls verbs by name, the transports
+        and the server look them up in the table.  The frames the server
+        itself tells apart are the handshake, the streaming ``query`` and
+        ``cancel``; every other ``type`` it accepts is a table entry.
+        """
+        import ast
+        import pathlib
+
+        from repro.server.verbs import QUERY, VERBS
+
+        package = pathlib.Path(repro.__file__).parent
+        verbs = set(VERBS) | {QUERY.name}
+        assert "hello" not in verbs and "cancel" not in verbs
+        reference = package.parents[1] / "EXPERIMENTS.md"  # the hand-kept protocol table
+        if reference.exists():
+            missing = {verb for verb in verbs if f"`{verb}`" not in reference.read_text()}
+            assert not missing, f"EXPERIMENTS.md 'Query server' does not list {missing}"
+        for path in [
+            *package.glob("api/*.py"),
+            *package.glob("client/*.py"),
+            package / "server" / "core.py",
+        ]:
+            where = path.relative_to(package).as_posix()
+            told_apart = {"hello", "query", "cancel"} if where == "server/core.py" else set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Dict):
+                    built = {
+                        value.value
+                        for key, value in zip(node.keys, node.values)
+                        if isinstance(key, ast.Constant)
+                        and key.value == "type"
+                        and isinstance(value, ast.Constant)
+                    }
+                    assert not built & verbs, f"{where} builds a {built} frame by hand"
+                elif isinstance(node, ast.Compare):
+                    compared = {
+                        leaf.value
+                        for leaf in ast.walk(node)
+                        if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+                    }
+                    assert not (compared & (verbs | {"hello", "cancel"})) - told_apart, (
+                        f"{where} recognises {compared} by hand"
+                    )
+                elif isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                    name = getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+                    assert name not in ("plan_to_json", "plan_from_json"), (
+                        f"{where} touches the plan codec"
+                    )
 
 
 class TestReadmeQuickstart:
