@@ -67,7 +67,7 @@ from .abstract_model import (
     SnapshotKRelation,
     evaluate_snapshot_query,
 )
-from .backends import BatchBackend, InMemoryBackend, SQLiteBackend
+from .backends import InMemoryBackend, SQLiteBackend
 from .conformance import (
     ConformanceError,
     ConformanceReport,
@@ -124,7 +124,6 @@ __all__ = [
     "Table",
     "ExecutionBackend",
     "InMemoryBackend",
-    "BatchBackend",
     "SQLiteBackend",
     "available_backends",
     "ReproError",

@@ -41,6 +41,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..algebra.operators import Operator, RelationAccess
 from ..client import WireTransport
+from ..engine import ENGINE_NAME
 from ..engine.catalog import Database
 from ..engine.table import Table
 from ..errors import BackendUnavailableError
@@ -97,14 +98,6 @@ def _parse_dsn_planner(text: str) -> "bool | str":
     return lowered if lowered in ("syntactic", "cost") else _dsn_bool("planner", text)
 
 
-def _parse_dsn_executor(text: str) -> str:
-    if text not in ("row", "batch"):
-        raise FluentError(
-            f"DSN parameter executor= must be 'row' or 'batch', got {text!r}"
-        )
-    return text
-
-
 def _parse_dsn_workers(text: str) -> int:
     try:
         return int(text)
@@ -121,24 +114,23 @@ _DSN_PARSERS: Dict[str, Callable[[str], Any]] = {
     "planner": _parse_dsn_planner,
     "plan_cache": lambda text: _dsn_bool("plan_cache", text),
     "coalesce": str,
-    "executor": _parse_dsn_executor,
     "backend": str,
     "parallel_workers": _parse_dsn_workers,
 }
 
-_LOCAL_DSN_PARAMS = ("domain", "planner", "plan_cache", "coalesce", "executor")
+_LOCAL_DSN_PARAMS = ("domain", "planner", "plan_cache", "coalesce")
 
 #: Scheme -> the DSN parameters it can honour; anything else is rejected.
 _DSN_PARAMS: Dict[str, Tuple[str, ...]] = {
     "memory": _LOCAL_DSN_PARAMS + ("backend", "parallel_workers"),
     "sqlite": _LOCAL_DSN_PARAMS,
-    "repro": ("executor",),
+    "repro": (),
 }
 
 #: The :func:`connect` keywords a ``repro://`` target honours: the policy
-#: applies client-side and the executor travels in every query frame; the
-#: rest configure an in-process pipeline such a session does not have.
-_REMOTE_KEYWORDS = ("policy", "executor")
+#: applies client-side; the rest configure an in-process pipeline such a
+#: session does not have.
+_REMOTE_KEYWORDS = ("policy",)
 
 
 def connect(
@@ -152,7 +144,6 @@ def connect(
     rewriter_cls: type[SnapshotRewriter] = SnapshotRewriter,
     policy: Optional[ExecutionPolicy] = None,
     domain: "Union[TimeDomain, Tuple[int, int], int, None]" = None,
-    executor: str = "row",
     parallel_workers: Optional[int] = None,
 ) -> "Session":
     """Open a snapshot-semantics session: the transport-agnostic front door.
@@ -178,15 +169,15 @@ def connect(
     query parameter or the ``domain=`` keyword (DSN wins); the other local
     DSN parameters -- ``planner=on|off|syntactic|cost`` (``cost`` enables
     the statistics-driven planner of :mod:`repro.planner.cost`),
-    ``coalesce=final|none|...``, ``plan_cache=on|off``,
-    ``executor=row|batch``, and on ``memory://`` also ``backend=name`` and
-    ``parallel_workers=n`` -- likewise override their keyword counterparts.
+    ``coalesce=final|none|...``, ``plan_cache=on|off``, and on
+    ``memory://`` also ``backend=name`` and ``parallel_workers=n`` --
+    likewise override their keyword counterparts.
 
-    A ``repro://`` target has no local pipeline to configure: it honours
-    only the ``executor=`` DSN parameter and the ``policy`` / ``executor``
-    keywords (the policy applies client-side).  Any other DSN parameter,
-    and any other keyword given a non-default value, raises
-    :class:`FluentError` instead of being silently ignored.
+    A ``repro://`` target has no local pipeline to configure: it takes no
+    DSN parameter and honours only the ``policy`` keyword (which applies
+    client-side).  Any DSN parameter, and any other keyword given a
+    non-default value, raises :class:`FluentError` instead of being
+    silently ignored.
     """
     keywords: Dict[str, Any] = {
         "domain": domain,
@@ -198,7 +189,6 @@ def connect(
         "plan_cache": plan_cache,
         "rewriter_cls": rewriter_cls,
         "policy": policy,
-        "executor": executor,
         "parallel_workers": parallel_workers,
     }
     if target is not None and not isinstance(target, str):
@@ -225,7 +215,10 @@ def connect(
     params = {key: values[-1] for key, values in parse_qs(parts.query).items()}
     unsupported = sorted(set(params) - set(_DSN_PARAMS[scheme]))
     if unsupported:
-        raise FluentError(f"unsupported {scheme}:// DSN parameter(s): {unsupported}")
+        raise FluentError(
+            f"unsupported {scheme}:// DSN parameter(s): {unsupported}; "
+            f"{scheme}:// takes {list(_DSN_PARAMS[scheme]) or 'none'}"
+        )
 
     for name, text in params.items():
         keywords[name] = _DSN_PARSERS[name](text)
@@ -243,9 +236,7 @@ def connect(
             )
         host = parts.hostname or "127.0.0.1"
         port = parts.port if parts.port is not None else DEFAULT_PORT
-        return Session(
-            WireTransport(host, port, policy=policy, executor=keywords["executor"])
-        )
+        return Session(WireTransport(host, port, policy=policy))
 
     if scheme == "sqlite":
         path = parts.path
@@ -295,10 +286,6 @@ class LocalTransport:
     @policy.setter
     def policy(self, value: Optional[ExecutionPolicy]) -> None:
         self.pipeline.policy = value
-
-    @property
-    def executor(self) -> str:
-        return self.pipeline.executor
 
     def describe(self) -> str:
         return (
@@ -413,8 +400,12 @@ class Session:
 
     @property
     def executor(self) -> str:
-        """Physical executor of the in-memory engine: ``"row"`` or ``"batch"``."""
-        return self._transport.executor
+        """The name of the in-memory engine; read-only, the same on every transport.
+
+        Not a setting -- there is one engine.  The attribute exists because
+        the benchmark suite reads it to name the engine it probes.
+        """
+        return ENGINE_NAME
 
     @property
     def policy(self) -> Optional[ExecutionPolicy]:

@@ -52,18 +52,10 @@ class WireTransport:
         port: int,
         policy: Optional[ExecutionPolicy] = None,
         connect_timeout: float = 10.0,
-        executor: str = "row",
     ) -> None:
-        if executor not in ("row", "batch"):
-            raise FluentError(
-                f"unknown executor {executor!r}; expected 'row' or 'batch'"
-            )
         self._connection = RemoteConnection(host, port, connect_timeout)
         #: Session-default policy; its retries and failover run client-side.
         self.policy = policy
-        #: Physical executor requested in every query frame ("row"/"batch");
-        #: the server applies it when the plan runs on its in-memory engine.
-        self.executor = executor
         self._counters = PolicyCounters()
         # Fail fast on a dead address and learn the domain immediately.
         lo, hi = self._connection.ensure_connected()["domain"]
@@ -99,8 +91,6 @@ class WireTransport:
     ) -> Table:
         def run(target: Optional[Any], limits: Optional[QueryLimits]) -> Table:
             args = {"plan": plan, "final_coalesce": final_coalesce}
-            if self.executor != "row":
-                args["executor"] = self.executor
             if target is not None:
                 args["backend"] = backend_name(target)
                 if not isinstance(args["backend"], str):

@@ -1,7 +1,13 @@
-"""Multiset engine substrate: tables, catalog, executor, window functions."""
+"""Multiset engine substrate: tables, catalog, the engine, its row reference, window functions."""
 
 from .catalog import DEFAULT_PERIOD, Database
-from .executor import ExecutionContext, ExecutorError, PhysicalOperator, execute
+from .executor import (
+    ENGINE_NAME,
+    ExecutionContext,
+    ExecutorError,
+    PhysicalOperator,
+    execute,
+)
 from .table import Table, TableError
 from .window import (
     WindowSpec,
@@ -20,6 +26,7 @@ __all__ = [
     "Database",
     "DEFAULT_PERIOD",
     "execute",
+    "ENGINE_NAME",
     "ExecutionContext",
     "ExecutorError",
     "PhysicalOperator",

@@ -1,8 +1,10 @@
-"""Columnar batch execution: the vectorized twin of the row executor.
+"""Columnar batch execution: the in-memory engine's operators.
 
-Where :mod:`repro.engine.executor` streams Python row tuples through per-row
-closures, this module pushes whole :class:`ColumnarBatch` objects --
-per-attribute lists plus a multiplicity column -- through column kernels:
+Every plan :func:`repro.engine.executor.execute` is handed runs here.  Where
+the reference operators of :mod:`repro.engine.executor` stream Python row
+tuples through per-row closures, this module pushes whole
+:class:`ColumnarBatch` objects -- per-attribute lists plus a multiplicity
+column -- through column kernels:
 
 * selections evaluate the predicate once per batch via
   :meth:`~repro.algebra.expressions.Expression.compile_batch` and filter
@@ -17,11 +19,10 @@ per-attribute lists plus a multiplicity column -- through column kernels:
   helpers in :mod:`repro.engine.window`) that emit one output row per
   coalesced interval with a multiplicity instead of duplicating tuples.
 
-The row executor remains the reference semantics: batch output is bag-equal
-with row output for every plan (pinned by the batch differential suite and
-the conformance sweep), which is what makes switching executors a pure
-performance decision.  Selection is per session/query via
-``executor="batch"`` (see :func:`repro.engine.executor.execute`).
+The row operators remain the reference semantics: the output here is
+bag-equal with theirs for every plan (pinned by the reference differential
+suite, and by the delta-differential sweep step by step), and with the
+abstract model's (the conformance sweep).
 """
 
 from __future__ import annotations
@@ -123,30 +124,41 @@ class ColumnarBatch:
     def from_table(cls, table: Table, name: Optional[str] = None) -> "ColumnarBatch":
         """Columnarise a base table, caching the transpose on the table.
 
-        The transposed columns are the batch executor's storage layout, so
-        they are memoised on the table itself (keyed by the identity and
-        length of its rows list -- ``append``/``extend`` grow the list and
-        ``clone`` replaces it, so either invalidates the cache).  Kernels
-        never mutate columns in place, which makes sharing safe.
+        The transposed columns are the engine's storage layout, so they are
+        memoised on the table itself (keyed by the identity and length of
+        its rows list -- ``append``/``extend`` grow the list and ``clone``
+        replaces it, so either invalidates the cache).  Kernels never mutate
+        columns in place, which makes sharing safe.
+
+        The table may be appended to while this runs (the server executes
+        reads and DML on one thread pool over one catalog), so the columns,
+        the counts and the batch's row view are all taken from one copy of
+        the rows list, and that copy's length is the one recorded: a read
+        racing an insert sees the table before it or after it, and the next
+        read sees the longer list and transposes again.  What a reader sees
+        of the *in-place*, equal-length rewrite of a view's backing table
+        (``repro.incremental.view._RowStore``) is not decided here; it
+        belongs to the catalog's isolation contract (ROADMAP item 4a: one
+        of several admissible outcomes).
         """
         rows = table.rows
         cache = table._columns_cache
-        if cache is not None and cache[0] is rows and cache[1] == len(rows):
-            columns = cache[2]
-        else:
-            if rows:
+        if cache is None or cache[0] is not rows or len(cache[1]) != len(rows):
+            snapshot = rows[:]
+            if snapshot:
                 # zip(*rows) transposes at C speed; one list per attribute.
-                columns = [list(column) for column in zip(*rows)]
+                columns = [list(column) for column in zip(*snapshot)]
             else:
                 columns = [[] for _ in table.schema]
-            table._columns_cache = (rows, len(rows), columns)
+            cache = table._columns_cache = (rows, snapshot, columns)
+        _, snapshot, columns = cache
         return cls(
             name or table.name,
             table.schema,
             columns,
-            [1] * len(rows),
+            [1] * len(snapshot),
             all_ones=True,
-            rows=rows,
+            rows=snapshot,
         )
 
     @classmethod

@@ -76,9 +76,10 @@ class Table:
             raise TableError(f"duplicate attribute names in schema {self.schema}")
         self._index: Dict[str, int] = {name: i for i, name in enumerate(self.schema)}
         self.rows: List[Row] = []
-        # Memoised columnar transpose (rows identity, length, columns); owned
-        # by ColumnarBatch.from_table, invalidated by growth or replacement.
-        self._columns_cache: Optional[Tuple[List[Row], int, List[List[Any]]]] = None
+        # Memoised columnar transpose (rows identity, the copy of the rows it
+        # was taken from, columns); owned by ColumnarBatch.from_table,
+        # invalidated by growth or replacement.
+        self._columns_cache: Optional[Tuple[List[Row], List[Row], List[List[Any]]]] = None
         for row in rows:
             self.append(row)
 

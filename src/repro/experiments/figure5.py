@@ -79,13 +79,11 @@ def run_figure5(
     months: int = 120,
     repetitions: int = 1,
     seed: int = 7,
-    executor: str = "row",
 ) -> List[Dict[str, object]]:
     """Measure coalescing runtime per input size; returns one dict per size.
 
     ``seed`` feeds the salary-table generator, so a recorded run is
-    reproducible end to end from its ledger entry.  ``executor`` selects the
-    physical engine (``"row"`` or ``"batch"``); the snapshot rewrite runs
+    reproducible end to end from its ledger entry.  The snapshot rewrite runs
     once outside the timed region, so the figure measures the coalescing
     kernel (which the paper isolates), not the shared REWR front end.
     """
@@ -93,7 +91,7 @@ def run_figure5(
     domain = TimeDomain(0, months)
     for size in sizes:
         database = build_salary_table(size, domain, seed=seed)
-        pipeline = QueryPipeline(domain, database=database, executor=executor)
+        pipeline = QueryPipeline(domain, database=database)
         query = Projection.of_attributes(
             RelationAccess("materialized_salaries"), "ms_emp_no", "ms_salary"
         )
@@ -110,7 +108,7 @@ def run_figure5(
         try:
             for _ in range(max(1, repetitions)):
                 started = time.perf_counter()
-                table = engine_execute(plan, database, executor=executor)
+                table = engine_execute(plan, database)
                 elapsed = time.perf_counter() - started
                 best = elapsed if best is None else min(best, elapsed)
                 output_rows = len(table)

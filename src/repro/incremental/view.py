@@ -280,10 +280,9 @@ class MaterializedView:
         """Run one node through the engine by substituting child tables.
 
         The engine evaluates plans node-at-a-time anyway, so replacing the
-        children with constant relations reuses every executor kernel --
-        the sort-merge interval join, the batch sweep kernels when the
-        pipeline runs ``executor="batch"`` -- without a parallel
-        implementation of operator semantics.
+        children with constant relations reuses every engine kernel -- the
+        sort-merge interval join, the coalesce/split sweeps -- without a
+        parallel implementation of operator semantics.
         """
         substituted = node.operator.with_children(
             *(
@@ -295,7 +294,6 @@ class MaterializedView:
             substituted,
             self._pipeline.database,
             None,
-            executor=self._pipeline.executor,
             parallel_workers=self._pipeline.parallel_workers,
         )
 

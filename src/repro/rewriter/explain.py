@@ -62,15 +62,7 @@ def explain_query(
         sections += [f"  {line}" for line in host_lines]
     else:
         sections += _counters(execution_statistics, "join_strategy.") or ["  (no joins)"]
-    # Which physical executor actually ran (the engine counts one probe
-    # per execution), plus the batch executor's partitioned-join counters.
-    ran = [
-        name
-        for name in ("row", "batch")
-        if execution_statistics.get(f"executor.{name}")
-    ]
-    if ran:
-        sections += ["", f"executor: {', '.join(ran)}"]
+        # The engine's partitioned-join counters (partitions, pool fan-out).
         sections += _counters(execution_statistics, "batch.")
     if observations:
         # Estimated vs observed cardinalities per node (the cost model's

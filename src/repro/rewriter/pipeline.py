@@ -96,9 +96,10 @@ class QueryPipeline:
         :mod:`repro.planner.cost`).
     backend:
         Default execution host for rewritten plans: a registered backend
-        name (``"memory"``, ``"sqlite"``, ``"batch"``) or an
+        name (``"memory"``, ``"sqlite"``) or an
         :class:`~repro.execution.ExecutionBackend` instance.  ``None`` keeps
-        the in-memory engine; :meth:`execute` can override per query.
+        the in-memory engine -- there is one, the columnar engine behind
+        :func:`repro.engine.execute`; :meth:`execute` can override per query.
     rewriter_cls:
         The :class:`~repro.rewriter.rewrite.SnapshotRewriter` subclass that
         performs REWR; the conformance harness injects deliberately broken
@@ -109,13 +110,9 @@ class QueryPipeline:
     policy:
         Default :class:`~repro.execution.ExecutionPolicy` (deadline, row
         budget, retries, failover); :meth:`execute` can override per query.
-    executor:
-        Physical executor for the in-memory engine: ``"row"`` (default,
-        tuple-at-a-time streaming) or ``"batch"`` (columnar batches with
-        the partitioned parallel interval join).  Ignored by SQL backends.
     parallel_workers:
-        Worker-process count for the batch executor's partitioned interval
-        join; ``None`` keeps it serial.
+        Worker-process count for the in-memory engine's partitioned interval
+        join; ``None`` keeps it serial.  Ignored by SQL backends.
     """
 
     def __init__(
@@ -129,13 +126,8 @@ class QueryPipeline:
         rewriter_cls: type[SnapshotRewriter] = SnapshotRewriter,
         plan_cache: bool = False,
         policy: Optional[ExecutionPolicy] = None,
-        executor: str = "row",
         parallel_workers: Optional[int] = None,
     ) -> None:
-        if executor not in ("row", "batch"):
-            raise ValueError(
-                f"unknown executor {executor!r}; expected 'row' or 'batch'"
-            )
         self.domain = domain
         self.database = database if database is not None else Database()
         self.period_semiring = PeriodSemiring(NATURAL, domain)
@@ -143,7 +135,6 @@ class QueryPipeline:
         self.optimize = optimize
         self.backend = backend
         self.policy = policy
-        self.executor = executor
         self.parallel_workers = parallel_workers
         # Kept alongside the rewriter instance so callers that re-create the
         # configuration elsewhere (the conformance harness builds fresh
@@ -391,7 +382,6 @@ class QueryPipeline:
         backend: "str | ExecutionBackend | None" = None,
         final_coalesce: bool = False,
         limits: Optional[QueryLimits] = None,
-        executor: Optional[str] = None,
     ) -> Table:
         """One policy-free execution under externally owned :class:`QueryLimits`.
 
@@ -400,12 +390,10 @@ class QueryPipeline:
         it from the event loop while the worker thread executes
         (:meth:`repro.execution.Deadline.cancel`); retries and failover stay
         with the *client's* policy, which observes transport failures.
-        ``executor`` overrides the pipeline's physical executor for this one
-        request (the server forwards the query frame's ``executor`` field).
         """
         plan = self.rewrite(query, statistics, final_coalesce)
         chosen = backend if backend is not None else self.backend
-        return self._run_plan(plan, statistics, chosen, limits, executor)
+        return self._run_plan(plan, statistics, chosen, limits)
 
     def _run_plan(
         self,
@@ -413,13 +401,11 @@ class QueryPipeline:
         statistics: Optional[Dict[str, int]],
         chosen: "str | ExecutionBackend | None",
         limits: Optional[QueryLimits],
-        executor: Optional[str] = None,
         observations: Optional[Dict[int, Dict[str, Any]]] = None,
     ) -> Table:
         if chosen is None or chosen == "memory":
-            effective_executor = executor if executor is not None else self.executor
             threshold = None
-            if effective_executor == "batch" and (self.parallel_workers or 1) >= 2:
+            if (self.parallel_workers or 1) >= 2:
                 # Stats-driven parallel-engage decision: with ANALYZE data
                 # on the referenced tables this deviates from the 4096-row
                 # constant (dense overlap -> engage earlier); without
@@ -430,7 +416,6 @@ class QueryPipeline:
                 self.database,
                 statistics,
                 limits=limits,
-                executor=effective_executor,
                 parallel_workers=self.parallel_workers,
                 parallel_threshold=threshold,
                 observations=observations,

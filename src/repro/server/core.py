@@ -45,7 +45,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..errors import ProtocolError, QueryTimeoutError, ReproError
+from ..errors import ProtocolError, QueryTimeoutError
 from ..execution import Deadline, QueryLimits, backend_name
 from ..rewriter.pipeline import QueryPipeline
 from .protocol import (
@@ -279,7 +279,6 @@ class QueryServer:
             "backend": backend_name(pipeline.backend),
             "planner": pipeline.optimize,
             "coalesce": pipeline.coalesce,
-            "executor": pipeline.executor,
             "views": list(pipeline.view_names()),
             "max_frame_bytes": self.max_frame_bytes,
         }
@@ -319,35 +318,41 @@ class QueryServer:
                         args.get("backend"),
                         args.get("final_coalesce", False),
                         limits,
-                        args.get("executor"),
                     ),
                 )
             finally:
                 self._active.pop(key, None)
-        except (ReproError, KeyError, TypeError, ValueError) as error:
+            statistics["server.schema_version"] = schema_version
+            await send(
+                {
+                    "type": "result_header",
+                    "id": request_id,
+                    "name": table.name,
+                    "schema": list(table.schema),
+                }
+            )
+            rows = table.rows
+            for start in range(0, len(rows), chunk_rows):
+                if deadline.cancelled:
+                    raise QueryTimeoutError("result streaming cancelled")
+                chunk = [list(row) for row in rows[start:start + chunk_rows]]
+                await send({"type": "row_chunk", "id": request_id, "rows": chunk})
+            await send(
+                {
+                    "type": "result_end",
+                    "id": request_id,
+                    "rows": len(rows),
+                    "statistics": statistics,
+                }
+            )
+        except Exception as error:  # noqa: BLE001 - a request always gets an answer
+            # Whatever failed -- decoding the frame, the engine (any class:
+            # a ZeroDivisionError in a user expression is not a ReproError),
+            # encoding a row chunk mid-stream -- this request ends with an
+            # error frame and the connection stays usable; a silent task
+            # death would leave the client blocked on its next read.
             cancelled = deadline.cancelled if deadline is not None else False
             await send(error_to_frame(error, request_id, cancelled=cancelled))
-            return
-        statistics["server.schema_version"] = schema_version
-        await send(
-            {
-                "type": "result_header",
-                "id": request_id,
-                "name": table.name,
-                "schema": list(table.schema),
-            }
-        )
-        rows = table.rows
-        for start in range(0, len(rows), chunk_rows):
-            if deadline.cancelled:
-                error = QueryTimeoutError("result streaming cancelled")
-                await send(error_to_frame(error, request_id, cancelled=True))
-                return
-            chunk = [list(row) for row in rows[start:start + chunk_rows]]
-            await send({"type": "row_chunk", "id": request_id, "rows": chunk})
-        await send(
-            {"type": "result_end", "id": request_id, "rows": len(rows), "statistics": statistics}
-        )
 
     # -- request/response verbs -------------------------------------------------------------------
 
@@ -368,7 +373,6 @@ class QueryServer:
                 )
             else:
                 payload = serve()
-        except (ReproError, KeyError, TypeError, ValueError) as error:
+            await send({"type": "ok", "id": request_id, **payload})
+        except Exception as error:  # noqa: BLE001 - as in _handle_query
             await send(error_to_frame(error, request_id))
-            return
-        await send({"type": "ok", "id": request_id, **payload})

@@ -344,8 +344,8 @@ def _checked(name: str, accepts: Callable[[Any], bool], expected: str) -> Arg:
 
 #: Not in :data:`VERBS`: the server streams the reply instead of calling
 #: :meth:`Verb.serve`, and hands ``run`` limits built from the timeout and
-#: row-budget fields.  ``executor`` and ``backend`` override the server
-#: pipeline's for this one query; ``timeout_seconds`` and ``max_result_rows``
+#: row-budget fields.  ``backend`` overrides the server pipeline's for this
+#: one query; ``timeout_seconds`` and ``max_result_rows``
 #: are the client policy's remaining limits (the server caps the former);
 #: ``chunk_rows`` overrides the server's rows-per-``row_chunk`` -- with a
 #: step <= 0 the server would stream no rows at all yet still announce them
@@ -353,7 +353,6 @@ def _checked(name: str, accepts: Callable[[Any], bool], expected: str) -> Arg:
 QUERY = Verb("query", QueryPipeline.execute_limited, (
     _PLAN,
     _FINAL_COALESCE,
-    _checked("executor", ("row", "batch").__contains__, "'row' or 'batch'"),
     _checked("backend", lambda name: isinstance(name, str), "a backend name"),
     Arg("timeout_seconds", Codec(_same, float), required=False),
     Arg("max_result_rows", required=False),

@@ -48,25 +48,22 @@ pytestmark = pytest.mark.conformance
 def test_randomized_plans_conform_on_generated_catalogs(config, query):
     """200 randomized plan/dataset cases, all backends, planner on and off.
 
-    The matrix includes the columnar batch executor (the registered
-    ``"batch"`` backend) alongside the row engine and SQLite, so every case
-    certifies all three execution paths at every input changepoint.
+    Every case certifies both execution paths a session can select -- the
+    in-memory engine and SQLite -- at every input changepoint.
     """
     database = generate_catalog(config)
-    assert_conformant(
-        query, database, config.domain, backends=("memory", "sqlite", "batch")
-    )
+    assert_conformant(query, database, config.domain, backends=("memory", "sqlite"))
 
 
 @settings(max_examples=60)
 @given(config=generator_configs(), query=conformance_queries())
-def test_cost_planner_conforms_on_all_executors(config, query):
+def test_cost_planner_conforms_on_all_backends(config, query):
     """The cost-planner leg: ANALYZE first, then certify ``"cost"`` mode.
 
     Statistics make the cost plans non-trivial (reordering and strategy
     hints actually fire); the oracle check then certifies them at every
-    input changepoint on all three execution paths, side by side with the
-    syntactic planner.
+    input changepoint on both backends, side by side with the syntactic
+    planner.
     """
     database = generate_catalog(config)
     database.analyze()
@@ -74,7 +71,7 @@ def test_cost_planner_conforms_on_all_executors(config, query):
         query,
         database,
         config.domain,
-        backends=("memory", "sqlite", "batch"),
+        backends=("memory", "sqlite"),
         optimize_modes=("cost", True),
     )
 
@@ -154,6 +151,6 @@ def test_every_interval_profile_conforms_at_scale(profile, seed):
             query,
             database,
             config.domain,
-            backends=("memory", "sqlite", "batch"),
+            backends=("memory", "sqlite"),
             max_points=24,
         )

@@ -16,7 +16,10 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.algebra.expressions import Comparison, attr, lit
+from repro.algebra.operators import RelationAccess, Selection
 from repro.datasets.generator import GeneratorConfig, generate_table
+from repro.engine import Database, execute
 from repro.engine.batch import ColumnarBatch
 from repro.engine.table import Table
 
@@ -111,6 +114,41 @@ def test_generated_tables_round_trip_through_batches(config):
     table.append(("k0", None, None, 0, 0))
     fresh = ColumnarBatch.from_table(table)
     assert len(fresh.columns[0]) == len(table.rows)
+
+
+def test_an_insert_landing_mid_transpose_is_not_lost():
+    """A racing ``insert`` leaves ``from_table`` consistent, and the next read sees it.
+
+    Thread-free replay of the server's race (reads and DML share a thread
+    pool and a catalog): the first row is a tuple whose iterator -- which
+    the transpose asks for -- performs the insert, i.e. the insert lands
+    after the transpose started and before the cache entry is written.
+    The cache used to record the *new* length against the *old* columns, so
+    every later column-path read dropped the inserted rows.
+    """
+    database = Database()
+
+    class InsertsWhileTransposed(tuple):
+        fired = False
+
+        def __iter__(self):
+            if not InsertsWhileTransposed.fired:
+                InsertsWhileTransposed.fired = True
+                database.insert("t", [(100, 0, 4), (101, 0, 4)])
+            return super().__iter__()
+
+    table = database.create_table("t", ("a", "t_begin", "t_end"), [(i, 0, 4) for i in range(5)])
+    table.rows[0] = InsertsWhileTransposed(table.rows[0])
+
+    racing = ColumnarBatch.from_table(table)
+    assert InsertsWhileTransposed.fired and len(table.rows) == 7
+    # One consistent snapshot (here: the table before the insert) ...
+    assert len(racing) == len(racing.entry_rows()) == len(racing.columns[0]) == 5
+    # ... and the next read is not served the stale transpose.
+    plan = Selection(RelationAccess("t"), Comparison(">=", attr("a"), lit(100)))
+    expected = execute(plan, database, executor="row").rows
+    assert sorted(expected) == [(100, 0, 4), (101, 0, 4)]
+    assert sorted(execute(plan, database).rows) == sorted(expected)
 
 
 def test_empty_batch_both_directions():

@@ -24,7 +24,7 @@ KEYS = 400
 
 
 def _session():
-    session = connect(domain=(0, 128), executor="batch", parallel_workers=2)
+    session = connect(domain=(0, 128), parallel_workers=2)
     # Every interval spans the whole domain: overlap density 1.0, the
     # densest (and most parallel-worthy) shape there is.
     session.load(

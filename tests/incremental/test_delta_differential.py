@@ -6,18 +6,20 @@ conformance sweep, transposed to view maintenance): hypothesis generates
 synthetic generator, plans from the extended conformance grammar, streams
 mixing inserts and bag deletes against both base relations -- and after
 **every** applied delta asserts that the materialized view's contents
-bag-equal a full re-execution of its plan, on the row and columnar batch
-executors with the planner on and off.
+bag-equal a full re-execution of its plan, with the planner on and off.
 
-Two grounding mechanisms compose:
+Three grounding mechanisms compose:
 
 * per-configuration, ``view.verify()`` re-executes the rewritten plan from
   scratch through the same pipeline and bag-compares against the
   incrementally maintained Z-set (catches every delta-rule bug that
   diverges from the engine);
-* across configurations, the four views' contents are bag-compared against
-  each other (catches bugs shared between a delta rule and the matching
-  engine kernel of *one* executor/planner mode).
+* per-configuration, the view's rows are bag-compared with the *row
+  reference* run of the same plan on the current catalog
+  (``engine.execute(plan, executor="row")``: catches a bug shared between a
+  delta rule and the engine kernel it reuses);
+* across configurations, the two views' contents are bag-compared against
+  each other (catches bugs confined to one planner mode).
 
 Failures shrink: hypothesis minimizes the catalog config, the plan, and the
 delta stream together, so a red run ends with a minimal witness stream in
@@ -37,18 +39,14 @@ from hypothesis import strategies as st
 
 from repro import connect
 from repro.datasets import generate_catalog
+from repro.engine import execute as engine_execute
 
 from tests.strategies import conformance_queries, generator_configs
 
 pytestmark = pytest.mark.incremental
 
-#: The execution matrix every case runs under: executor x planner.
-CONFIGURATIONS = (
-    ("row", True),
-    ("row", False),
-    ("batch", True),
-    ("batch", False),
-)
+#: The execution matrix every case runs under: planner on and off.
+PLANNERS = (True, False)
 
 
 # -- delta-stream strategies -------------------------------------------------------------
@@ -125,20 +123,19 @@ def _concretize_delete(reference_rows, picks):
     stream=delta_streams(),
 )
 def test_view_bag_equals_full_reexecution_at_every_step(config, query, stream):
-    """After every delta, view == full re-execution, in all four configurations."""
+    """After every delta, view == full re-execution == the row reference, planner on and off."""
     sessions, views = [], []
     try:
-        for executor, planner in CONFIGURATIONS:
+        for planner in PLANNERS:
             session = connect(
                 domain=config.domain,
                 database=generate_catalog(config),
-                executor=executor,
                 planner=planner,
             )
             sessions.append(session)
             views.append(session.materialize(session.query(query), name="V"))
 
-        # The reference bag replays the stream once; all four catalogs start
+        # The reference bag replays the stream once; both catalogs start
         # identical (generator determinism), so the concrete DML is shared.
         reference = {
             name: list(sessions[0].database.table(name).rows) for name in ("R", "S")
@@ -157,19 +154,20 @@ def test_view_bag_equals_full_reexecution_at_every_step(config, query, stream):
                 for session in sessions:
                     session.delete(name, rows)
 
-            for (executor, planner), view in zip(CONFIGURATIONS, views):
+            for planner, session, view in zip(PLANNERS, sessions, views):
+                step = f"step {step_index} ({kind} {len(rows)} rows into {name})"
                 assert view.verify(), (
-                    f"step {step_index} ({kind} {len(rows)} rows into {name}): "
-                    f"view diverged from full re-execution on "
-                    f"executor={executor!r} planner={planner}\n{view.explain()}"
+                    f"{step}: view diverged from full re-execution with "
+                    f"planner={planner}\n{view.explain()}"
                 )
-            baseline = Counter(views[0].rows())
-            for (executor, planner), view in zip(CONFIGURATIONS[1:], views[1:]):
-                assert Counter(view.rows()) == baseline, (
-                    f"step {step_index}: view contents differ between "
-                    f"configurations {CONFIGURATIONS[0]} and "
-                    f"({executor!r}, {planner})"
+                reference_run = engine_execute(view.plan, session.database, executor="row")
+                assert Counter(view.rows()) == Counter(reference_run.rows), (
+                    f"{step}: view diverged from the row reference with "
+                    f"planner={planner}\n{view.explain()}"
                 )
+            assert Counter(views[0].rows()) == Counter(views[1].rows()), (
+                f"step {step_index}: view contents differ between planner on and off"
+            )
     finally:
         for session in sessions:
             session.close()

@@ -214,11 +214,10 @@ class TestLifecycle:
         assert "incremental.full_refresh = 1" in text
 
 
-class TestExecutorMatrix:
-    @pytest.mark.parametrize("executor", ["row", "batch"])
+class TestPlannerMatrix:
     @pytest.mark.parametrize("planner", [True, False])
-    def test_aggregate_view_under_all_configs(self, executor, planner):
-        with connect(domain=(0, 48), executor=executor, planner=planner) as session:
+    def test_aggregate_view_under_all_configs(self, planner):
+        with connect(domain=(0, 48), planner=planner) as session:
             session.load("R", ["k", "v"], ROWS_R)
             view = session.materialize(
                 session.table("R").group_by("k").agg(cnt="count(*)"), name="counts"

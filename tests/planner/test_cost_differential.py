@@ -1,12 +1,12 @@
-"""Property test: the cost planner never changes results, on any executor.
+"""Property test: the cost planner never changes results, on any backend.
 
 For randomized conformance-grammar plans over generated catalogs
 (adversarial interval shapes included), the ``planner="cost"`` pipeline --
 ANALYZE statistics, logical join reordering, strategy hints, and the
-stats-driven batch threshold -- must return exactly the bag the syntactic
-planner returns, on the in-memory row engine, the columnar batch executor,
-and the SQLite backend.  This is the standing safety net that keeps cost
-plans semantically inert: only the order and physical strategy may change.
+stats-driven parallel threshold -- must return exactly the bag the syntactic
+planner returns, on the in-memory engine and the SQLite backend.  This is
+the standing safety net that keeps cost plans semantically inert: only the
+order and physical strategy may change.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ def _bag(table) -> Counter:
 
 @settings(max_examples=60, deadline=None)
 @given(config=generator_configs(), query=conformance_queries())
-def test_cost_plans_match_syntactic_on_all_executors(config, query):
+def test_cost_plans_match_syntactic_on_all_backends(config, query):
     database = generate_catalog(config)
     database.analyze()
     syntactic = QueryPipeline(
         config.domain, database=database, optimize="syntactic"
     )
     cost = QueryPipeline(config.domain, database=database, optimize="cost")
-    for backend in (None, "batch", "sqlite"):
+    for backend in ("memory", "sqlite"):
         baseline = syntactic.execute(query, backend=backend)
         statistics: Dict[str, int] = {}
         result = cost.execute(query, statistics, backend=backend)

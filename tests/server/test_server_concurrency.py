@@ -229,3 +229,66 @@ class TestCancellation:
                     backend=_StallingBackend.name,
                     policy=policy,
                 )
+
+
+class TestEveryFailureIsAnswered:
+    """Whatever fails while running or streaming a request, the client hears of it.
+
+    An exception class the server did not anticipate used to kill the
+    request's task silently: no frame was sent and the client blocked on its
+    next read for ever.  Each case reads with a 5 s deadline, so a
+    regression fails instead of hanging.
+    """
+
+    @pytest.fixture(scope="class")
+    def failing(self):
+        with QueryServer(connect(domain=(0, 32)), chunk_rows=7) as running:
+            session = running.session
+            session.load("ratios", ["a", "b"], [(6, 3, 0, 4), (1, 0, 2, 6)])
+            # Row 20 of 40 carries a value JSON cannot encode.
+            session.load(
+                "odd", ["key", "val"], [(key, 1j if key == 20 else key, 0, 4) for key in range(40)]
+            )
+            yield running
+
+    @pytest.fixture
+    def client(self, failing):
+        client = _RawClient(failing.host, failing.port)
+        client.sock.settimeout(5)
+        yield client
+        client.close()
+
+    @staticmethod
+    def division(server) -> dict:
+        """``a / b`` over a table with one zero divisor: a ZeroDivisionError in the engine."""
+        return plan_to_json(server.session.table("ratios").select(q="a / b").plan)
+
+    def assert_answered_and_usable(self, client, request_id, mentions) -> None:
+        frame = client.recv()
+        assert (frame["type"], frame["id"], frame["code"]) == ("error", request_id, "BackendError")
+        assert mentions in frame["message"]
+        client.send({"type": "ping", "id": request_id + 1})
+        assert client.recv() == {"type": "ok", "id": request_id + 1}
+
+    def test_an_unanticipated_engine_error_ends_the_query(self, failing, client):
+        client.send({"type": "query", "id": 1, "plan": self.division(failing)})
+        self.assert_answered_and_usable(client, 1, "division by zero")
+
+    def test_an_unanticipated_error_in_a_pooled_verb(self, failing, client):
+        client.send({"type": "materialize", "id": 1, "name": "q", "plan": self.division(failing)})
+        self.assert_answered_and_usable(client, 1, "division by zero")
+
+    def test_a_row_that_cannot_be_encoded_ends_the_stream(self, failing, client):
+        client.send({"type": "query", "id": 1, "plan": plan_to_json(RelationAccess("odd"))})
+        assert client.recv()["type"] == "result_header"
+        assert [len(client.recv()["rows"]) for _ in range(2)] == [7, 7]
+        self.assert_answered_and_usable(client, 1, "not JSON serializable")
+
+    def test_the_session_raises_instead_of_hanging(self, failing):
+        from repro.errors import BackendError
+        from repro.execution import ExecutionPolicy
+
+        with connect(failing.url, policy=ExecutionPolicy(timeout_seconds=5)) as session:
+            with pytest.raises(BackendError, match="division by zero"):
+                session.table("ratios").select(q="a / b").rows()
+            assert session.ping()

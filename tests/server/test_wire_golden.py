@@ -40,7 +40,7 @@ Transcript = List[Tuple[str, bytes]]
 
 
 def _server() -> QueryServer:
-    return QueryServer(connect(domain=(0, 24), executor="row"))
+    return QueryServer(connect(domain=(0, 24)))
 
 
 def record(transcript: Transcript, monkeypatch) -> None:
@@ -93,9 +93,9 @@ GOLDEN: Transcript = [
     ),
     (
         '<',
-        b'\x00\x00\x00\xc5{"type":"welcome","protocol":1,"server":"repro-server/1.0.0","domain":[0,24],"ta'
-        b'bles":[],"backend":"memory","planner":true,"coalesce":"final","executor":"row","view'
-        b's":[],"max_frame_bytes":33554432}',
+        b'\x00\x00\x00\xb4{"type":"welcome","protocol":1,"server":"repro-server/1.0.0","domain":[0,24],"ta'
+        b'bles":[],"backend":"memory","planner":true,"coalesce":"final","views":[],"max_frame_'
+        b'bytes":33554432}',
     ),
     (
         '>',
@@ -149,11 +149,11 @@ GOLDEN: Transcript = [
     ),
     (
         '<',
-        b'\x00\x00\x01Z{"type":"result_end","id":5,"rows":3,"statistics":{"rewrite.invocations":1,"plan'
+        b'\x00\x00\x01\\{"type":"result_end","id":5,"rows":3,"statistics":{"rewrite.invocations":1,"plan'
         b'ner.pushdown_projection":1,"planner.projection_identity":1,"plan_cache.misses":1,"ex'
-        b'ecutor.row":1,"rows_filtered":1,"temporalaggregateoperator":1,"preaggregated_rows":2'
-        b',"coalesceoperator":1,"coalesce_input_rows":3,"coalesce_output_rows":3,"server.schem'
-        b'a_version":1}}',
+        b'ecutor.batch":1,"rows_filtered":1,"temporalaggregateoperator":1,"preaggregated_rows"'
+        b':2,"coalesceoperator":1,"coalesce_input_rows":3,"coalesce_output_rows":3,"server.sch'
+        b'ema_version":1}}',
     ),
     (
         '>',
@@ -186,14 +186,14 @@ GOLDEN: Transcript = [
     ),
     (
         '<',
-        b'\x00\x00\x02\x8a{"type":"ok","id":9,"text":"logical plan:\\n  Relation(works)\\n\\nREWR plan:\\n  Co'
+        b'\x00\x00\x02y{"type":"ok","id":9,"text":"logical plan:\\n  Relation(works)\\n\\nREWR plan:\\n  Co'
         b'alesce(period=t_begin..t_end)\\n  \\u2514\\u2500 Projection(name AS name, skill AS skil'
         b'l, t_begin AS t_begin, t_end AS t_end)\\n     \\u2514\\u2500 Relation(works)\\n\\noptimiz'
         b'ed plan (planner on):\\n  Coalesce(period=t_begin..t_end)\\n  \\u2514\\u2500 Relation(wo'
         b'rks)\\n\\nplanner rules fired:\\n  planner.projection_identity = 1\\n\\nexecution (backen'
-        b"d='memory'):\\n  (no joins)\\n\\nexecutor: row\\n\\nexecuted plan:\\n  Coalesce(period=t_b"
-        b'egin..t_end) [estimated_rows=1 actual_rows=2]\\n  \\u2514\\u2500 Relation(works) [estim'
-        b'ated_rows=2 actual_rows=2]\\n\\nplan cache: miss (plan now cached)"}',
+        b"d='memory'):\\n  (no joins)\\n\\nexecuted plan:\\n  Coalesce(period=t_begin..t_end) [est"
+        b'imated_rows=1 actual_rows=2]\\n  \\u2514\\u2500 Relation(works) [estimated_rows=2 actua'
+        b'l_rows=2]\\n\\nplan cache: miss (plan now cached)"}',
     ),
     (
         '>',

@@ -54,7 +54,6 @@ EXPECTED_REPRO_EXPORTS = {
     "Table",
     "ExecutionBackend",
     "InMemoryBackend",
-    "BatchBackend",
     "SQLiteBackend",
     "available_backends",
     # fault tolerance (error taxonomy, policies, fault injection)
@@ -236,6 +235,105 @@ class TestPublicSurface:
                     assert name not in ("plan_to_json", "plan_from_json"), (
                         f"{where} touches the plan codec"
                     )
+
+
+class TestOneEngine:
+    """The in-memory engine is not a setting: nothing outside ``repro.engine`` names one."""
+
+    def test_the_engine_selector_is_stated_once(self):
+        """``repro.engine.execute(..., executor=)`` is the only door to the row reference.
+
+        Outside ``repro/engine/`` no module holds ``"row"`` / ``"batch"`` as
+        a string of its own (an engine or backend name), takes or passes a
+        parameter called ``executor``, or reads an ``.executor`` attribute.
+        The one allow-listed name is the read-only ``Session.executor``
+        property: the frozen benchmark suite reads it to name the engine it
+        probes, so it stays -- returning ``repro.engine.ENGINE_NAME``.
+        """
+        import ast
+        import pathlib
+
+        package = pathlib.Path(repro.__file__).parent
+        defined = []
+        for path in package.rglob("*.py"):
+            where = path.relative_to(package).as_posix()
+            if where.startswith("engine/"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant):
+                    assert node.value not in ("row", "batch"), (
+                        f"{where}:{node.lineno} names an engine: {node.value!r}"
+                    )
+                elif isinstance(node, (ast.arg, ast.keyword)):
+                    assert node.arg != "executor", f"{where}:{node.lineno} threads executor="
+                elif isinstance(node, (ast.Attribute, ast.Name)):
+                    name = node.attr if isinstance(node, ast.Attribute) else node.id
+                    assert name != "executor", f"{where}:{node.lineno} uses {name!r}"
+                elif isinstance(node, ast.ClassDef):
+                    defined += [
+                        f"{where}:{node.name}.{member.name}"
+                        for member in node.body
+                        if getattr(member, "name", None) == "executor"
+                    ]
+        assert defined == ["api/session.py:Session.executor"]
+
+    def test_sessions_report_the_engine_and_cannot_set_it(self):
+        from repro.engine import ENGINE_NAME
+
+        with repro.connect(domain=(0, 8)) as session:
+            assert session.executor == ENGINE_NAME == "batch"
+            with pytest.raises(AttributeError):
+                session.executor = "row"
+            with repro.QueryServer(session) as server, repro.connect(server.url) as remote:
+                assert remote.executor == ENGINE_NAME
+
+    def test_connect_takes_no_executor(self, tmp_path):
+        with pytest.raises(TypeError, match="executor"):
+            repro.connect(domain=(0, 8), executor="row")
+        with pytest.raises(TypeError, match="executor"):
+            QueryPipeline(TimeDomain(0, 8), executor="batch")
+        for dsn in (
+            "memory://?domain=0:8&executor=batch",
+            f"sqlite:///{tmp_path / 'x.db'}?domain=0:8&executor=row",
+            "repro://127.0.0.1:1?executor=batch",  # raised while parsing: nothing is dialled
+        ):
+            scheme = dsn.split(":")[0]
+            expected = rf"unsupported {scheme}:// DSN parameter\(s\): \['executor'\]; {scheme}:// takes"
+            with pytest.raises(repro.FluentError, match=expected):
+                repro.connect(dsn)
+
+    def test_batch_is_not_a_backend_name(self):
+        # A superset check: other test modules register backends of their own.
+        names = repro.available_backends()
+        assert {"memory", "sqlite"} <= set(names) and "batch" not in names
+        with repro.connect(domain=(0, 8), backend="batch") as session:
+            relation = session.load("r", ["a"], [(1, 0, 4)])
+            with pytest.raises(
+                repro.BackendUnavailableError,
+                match=r"unknown backend 'batch'; available: \[.*'memory', 'sqlite'",
+            ):
+                relation.rows()
+
+    def test_an_old_clients_executor_field_is_ignored(self):
+        """A query frame still carrying ``"executor": "row"`` is answered normally."""
+        from repro.algebra.operators import RelationAccess
+        from repro.client import RemoteConnection
+        from repro.server.verbs import QUERY
+
+        with repro.connect(domain=(0, 8)) as session:
+            session.load("r", ["a"], [(1, 0, 4), (2, 2, 6)])
+            with repro.QueryServer(session) as server:
+                connection = RemoteConnection(server.host, server.port)
+                try:
+                    frame = QUERY.request({"plan": RelationAccess("r")})
+                    _, schema, rows, statistics = connection.run_query(
+                        {**frame, "executor": "row"}, 10.0
+                    )
+                finally:
+                    connection.close()
+        assert schema == ("a", "t_begin", "t_end")
+        assert sorted(rows) == [(1, 0, 4), (2, 2, 6)]
+        assert statistics.get("executor.batch") == 1 and "executor.row" not in statistics
 
 
 class TestReadmeQuickstart:
