@@ -1,0 +1,114 @@
+"""Where the whole-column kernels overtake the scalar sweeps (``KERNEL_CUTOVER``).
+
+    PYTHONPATH=src python benchmarks/kernel_cutover.py
+
+times the three operators of :mod:`repro.engine.kernels` -- keyed interval
+join, split, ``count``/``sum`` temporal aggregation -- on both routes at a
+ladder of input sizes and prints, per operator and input shape, the ratio
+scalar / kernel (above 1 the kernel wins).  Two shapes, the two the suite's
+workloads have: ``adhoc`` is ``adhoc_small``'s generator catalog grown to N
+rows (string categories, 16 join keys, mixed interval profile, 64-point
+domain), ``employee`` is Table 3's (int keys with ~5 rows each, year-long
+intervals over two decades).  The route is forced by moving the module
+constant, which nothing but this script and the tests may do; the table in
+EXPERIMENTS.md ("The engine and its reference") is this script's output.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from typing import Callable, Dict, List, Tuple
+
+from repro.algebra.expressions import Comparison, and_, attr
+from repro.algebra.operators import AggregateSpec, ConstantRelation, Join, Rename
+from repro.datasets.generator import GeneratorConfig, generate_rows
+from repro.engine import kernels
+from repro.engine.catalog import Database
+from repro.engine.executor import execute
+from repro.rewriter.operators import SplitOperator, TemporalAggregateOperator
+
+SIZES = (32, 64, 96, 128, 192, 256, 384, 512, 1024, 4096)
+SCHEMA = ("key", "cat", "val", "t_begin", "t_end")
+DATABASE = Database()
+
+
+def adhoc_rows(n: int, prefix: str) -> List[Tuple]:
+    config = GeneratorConfig(
+        rows=n, domain_size=64, seed=23, interval_profile="mixed",
+        duplicate_rate=0.1, groups=4, values=8, keys=16,
+    )
+    return list(generate_rows(config, prefix))
+
+
+def employee_rows(n: int, prefix: str) -> List[Tuple]:
+    rng = random.Random(f"{prefix}/{n}")
+    rows = []
+    for position in range(n):
+        begin = rng.randrange(0, 7000)
+        rows.append(
+            (10001 + position // 5, f"d{position % 9:03d}", rng.randrange(40000, 90000),
+             begin, begin + 365)
+        )
+    return rows
+
+
+def relation(rows, prefix: str = ""):
+    plan = ConstantRelation(SCHEMA, tuple(rows))
+    if prefix:
+        plan = Rename(plan, tuple((a, prefix + a) for a in SCHEMA))
+    return plan
+
+
+def plans(make: Callable[[int, str], List[Tuple]], n: int) -> Dict[str, object]:
+    """One plan per kernel with ``n`` input rows in total."""
+    left, right = make(n // 2, "l"), make(n - n // 2, "r")
+    overlap = and_(
+        Comparison("=", attr("l_key"), attr("r_key")),
+        and_(
+            Comparison("<", attr("l_t_begin"), attr("r_t_end")),
+            Comparison("<", attr("r_t_begin"), attr("l_t_end")),
+        ),
+    )
+    return {
+        "join": Join(relation(left, "l_"), relation(right, "r_"), overlap),
+        "split": SplitOperator(relation(left), relation(right), ("key",)),
+        "aggregate": TemporalAggregateOperator(
+            relation(left + right),
+            ("cat",),
+            (AggregateSpec("count", None, "cnt"), AggregateSpec("sum", attr("val"), "total")),
+        ),
+    }
+
+
+def best_ms(plan, cutover: int, repeats: int) -> float:
+    kernels.KERNEL_CUTOVER = cutover
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        execute(plan, DATABASE)
+        best = min(best, time.perf_counter() - started)
+    return best * 1000.0
+
+
+def main() -> None:
+    shipped = kernels.KERNEL_CUTOVER
+    print(f"scalar ms / kernel ms per operator (shipped cutover: {shipped} rows)")
+    print(f"{'shape':9s}{'operator':10s}" + "".join(f"{n:>7d}" for n in SIZES))
+    try:
+        for shape, make in (("adhoc", adhoc_rows), ("employee", employee_rows)):
+            by_size = [plans(make, n) for n in SIZES]
+            for operator in ("join", "split", "aggregate"):
+                cells = []
+                for n, built in zip(SIZES, by_size):
+                    repeats = max(5, 4000 // n)
+                    scalar = best_ms(built[operator], 10**9, repeats)
+                    kernel = best_ms(built[operator], 0, repeats)
+                    cells.append(f"{scalar / kernel:7.2f}")
+                print(f"{shape:9s}{operator:10s}" + "".join(cells))
+    finally:
+        kernels.KERNEL_CUTOVER = shipped
+
+
+if __name__ == "__main__":
+    main()

@@ -11,13 +11,18 @@ column -- through column kernels:
   every column with a single zipped comprehension;
 * projections of plain attribute references are **zero-copy** (the output
   batch shares the input columns);
-* the sort-merge interval join hoists the begin columns and bounds its
-  inner scans with ``bisect`` (see :mod:`repro.engine.parallel`), and can
-  fan its equality-key partitions out across a ``multiprocessing`` pool;
-* coalesce/split/temporal aggregation run batch-aware sweep kernels
-  (:func:`repro.temporal.coalesce.coalesce_columns` and the partition
-  helpers in :mod:`repro.engine.window`) that emit one output row per
-  coalesced interval with a multiplicity instead of duplicating tuples.
+* the interval join, split and ``count``/``sum``/``avg`` temporal
+  aggregation run as whole-column ``searchsorted`` sweeps over one packed
+  ``(key code, time)`` array per input (:mod:`repro.engine.kernels`; numpy,
+  optional), equality keys and multiplicities included;
+* what those kernels decline -- inputs below their cutover, NULL or
+  non-int end points, ``min``/``max``, no numpy -- runs the scalar sweeps:
+  the partitioned bisect join of :mod:`repro.engine.parallel` (which can
+  also fan its partitions out across a ``multiprocessing`` pool) and the
+  per-group helpers in :mod:`repro.engine.window`;
+* coalescing (:func:`repro.temporal.coalesce.coalesce_column_sets`) emits
+  one output row per maximal interval with a multiplicity instead of
+  duplicating tuples.
 
 The row operators remain the reference semantics: the output here is
 bag-equal with theirs for every plan (pinned by the reference differential
@@ -45,6 +50,7 @@ from ..algebra.operators import (
     Selection,
     Union,
 )
+from . import kernels as _kernels
 from . import parallel as _parallel
 from .executor import (
     ExecutionContext,
@@ -54,7 +60,7 @@ from .executor import (
     _extract_interval_pattern,
     _split_join_predicate,
 )
-from .table import Table
+from .table import Table, tuple_getter
 
 __all__ = ["ColumnarBatch", "execute_batch_plan"]
 
@@ -529,90 +535,86 @@ def _join(
     elif hint == "hash":
         interval = None
 
-    left_rows = left.expanded_rows()
-    right_rows = right.expanded_rows()
-    out: List[Row] = []
     chosen = "nested_loop"
     if interval is not None:
         chosen = "interval"
         context.count("join_strategy.interval")
-        _interval_join(
-            left,
-            right,
-            left_rows,
-            right_rows,
-            schema,
-            equi_keys,
-            interval,
-            residual,
-            out,
-            context,
+        result = _interval_join(
+            left, right, schema, equi_keys, interval, residual, context
         )
-    elif equi_keys:
-        chosen = "hash"
-        context.count("join_strategy.hash")
-        _hash_join(left_rows, right_rows, schema, equi_keys, residual, out, context)
     else:
-        context.count("join_strategy.nested_loop")
-        _nested_loop_join(left_rows, right_rows, schema, predicate, out, context)
+        left_rows = left.expanded_rows()
+        right_rows = right.expanded_rows()
+        out: List[Row] = []
+        if equi_keys:
+            chosen = "hash"
+            context.count("join_strategy.hash")
+            _hash_join(left_rows, right_rows, schema, equi_keys, residual, out, context)
+        else:
+            context.count("join_strategy.nested_loop")
+            _nested_loop_join(left_rows, right_rows, schema, predicate, out, context)
+        result = ColumnarBatch.from_rows("join", schema, out)
     if context.observations is not None and node is not None:
         context.observations.setdefault(id(node), {})["join_strategy"] = chosen
-    return ColumnarBatch.from_rows("join", schema, out)
+    return result
 
 
 def _interval_join(
     left: ColumnarBatch,
     right: ColumnarBatch,
-    left_rows: List[Row],
-    right_rows: List[Row],
     schema: Tuple[str, ...],
     keys: List[Tuple[int, int]],
     pattern,
     residual: Optional[Expression],
-    out: List[Row],
     context: ExecutionContext,
-) -> None:
-    """Partitioned batch interval join, parallel across processes when asked.
+) -> ColumnarBatch:
+    """Interval-overlap join: the whole-column kernel, else scalar partitions.
 
-    Partitions come from the equality conjuncts (one per distinct key) or,
-    without any, from fragment-replicate chunking of the left input.  The
-    pool engages only when the context explicitly requests ``>= 2`` workers
-    and the input is big enough to amortise process startup; otherwise every
-    partition runs the serial bisect sweep in this process.  The serial
-    no-equality-key case takes a vectorised column route (two searchsorted
-    range scans per overlap direction) when numpy is available and the
-    period columns are plain ints.
+    :func:`repro.engine.kernels.interval_join_vectorized` serves the join --
+    equality keys, multiplicities, residual and limits included -- whenever
+    the inputs reach the kernel cutover and no worker pool was asked for;
+    ``join_strategy.interval_vectorized`` counts those.  What it declines
+    (see that module) is partitioned by the equality conjuncts (one
+    partition per distinct key) or, without any and with a pool, by
+    fragment-replicate chunking of the left input, and every partition runs
+    the bisect sweep -- across the pool when the context explicitly requests
+    ``>= 2`` workers and the input is big enough to amortise process
+    startup.  ``batch.partitions`` counts the scalar partitions swept.
     """
     keep = residual.compile(schema) if residual is not None else None
-    checkpoint = context.checkpoint if context._limited else None
     lb, le = pattern.left_begin, pattern.left_end
     rb, re = pattern.right_begin, pattern.right_end
 
     workers = context.parallel_workers or 1
-    total = len(left_rows) + len(right_rows)
-    parallel_wanted = workers >= 2 and total >= context.parallel_threshold
-
-    if (
-        not keys
-        and not parallel_wanted
-        and not context._limited
-        and left.all_ones()
-        and right.all_ones()
-        and _parallel.interval_join_vectorized(
-            left.columns[lb],
-            left.columns[le],
-            right.columns[rb],
-            right.columns[re],
-            left_rows,
-            right_rows,
+    parallel_wanted = (
+        workers >= 2
+        and left.weight() + right.weight() >= context.parallel_threshold
+    )
+    if not parallel_wanted and _kernels.worthwhile(len(left) + len(right)):
+        left_columns, right_columns = left.columns, right.columns
+        served = _kernels.interval_join_vectorized(
+            [left_columns[index] for index, _ in keys],
+            [right_columns[index] for _, index in keys],
+            (left_columns[lb], left_columns[le]),
+            (right_columns[rb], right_columns[re]),
+            left.entry_rows(),
+            right.entry_rows(),
+            None if left.all_ones() else left.counts,
+            None if right.all_ones() else right.counts,
             keep,
-            out,
+            context.stage_checkpoint if context._limited else None,
         )
-    ):
-        context.count("batch.partitions", 1)
-        context.count("join_strategy.interval_vectorized")
-        return
+        if served is not None:
+            context.count("join_strategy.interval_vectorized")
+            rows, counts = served
+            if counts is None:
+                return ColumnarBatch.from_rows("join", schema, rows)
+            return ColumnarBatch("join", schema, None, counts, rows=rows)
 
+    left_rows = left.expanded_rows()
+    right_rows = right.expanded_rows()
+    out: List[Row] = []
+    checkpoint = context.checkpoint if context._limited else None
     if keys:
         partitions = _parallel.partition_by_keys(left_rows, right_rows, keys)
     elif parallel_wanted:
@@ -628,11 +630,12 @@ def _interval_join(
         )
         context.count("batch.parallel_workers", used)
         context.count("batch.parallel_partitions", len(partitions))
-        return
-    for left_part, right_part in partitions:
-        _parallel.interval_sweep(
-            left_part, right_part, lb, le, rb, re, keep, out, checkpoint
-        )
+    else:
+        for left_part, right_part in partitions:
+            _parallel.interval_sweep(
+                left_part, right_part, lb, le, rb, re, keep, out, checkpoint
+            )
+    return ColumnarBatch.from_rows("join", schema, out)
 
 
 def _hash_join(
@@ -644,12 +647,12 @@ def _hash_join(
     out: List[Row],
     context: ExecutionContext,
 ) -> None:
-    left_indexes = [li for li, _ri in keys]
-    right_indexes = [ri for _li, ri in keys]
+    left_key = tuple_getter([li for li, _ri in keys])
+    right_key = tuple_getter([ri for _li, ri in keys])
     # Same NULL-key exclusion as the row engine's hash join.
     buckets: Dict[Tuple[Any, ...], List[Row]] = {}
     for row in right_rows:
-        key = tuple(row[index] for index in right_indexes)
+        key = right_key(row)
         if None in key:
             continue
         buckets.setdefault(key, []).append(row)
@@ -659,7 +662,7 @@ def _hash_join(
     for left_row in left_rows:
         if limited:
             context.checkpoint(len(out))
-        key = tuple(left_row[index] for index in left_indexes)
+        key = left_key(left_row)
         if None in key:
             continue
         matches = buckets.get(key, empty)

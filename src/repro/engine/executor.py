@@ -145,6 +145,21 @@ class ExecutionContext:
             return
         if self.deadline is not None:
             self.deadline.poll()
+        self._check_budget(produced)
+
+    def stage_checkpoint(self, produced: int = 0) -> None:
+        """:meth:`checkpoint` for the boundaries between whole-column kernel stages.
+
+        A stage runs for milliseconds and an operator has a handful of them,
+        so the deadline's clock is read on every call rather than once per
+        ``Deadline.POLL_INTERVAL`` polls; ``produced`` may be a row count
+        the kernel is *about* to materialise.
+        """
+        if self.deadline is not None:
+            self.deadline.check()
+        self._check_budget(produced)
+
+    def _check_budget(self, produced: int) -> None:
         if self.row_budget is not None and produced > self.row_budget:
             raise ResourceLimitError(
                 f"operator produced {produced} rows, exceeding the "

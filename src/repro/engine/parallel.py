@@ -1,10 +1,13 @@
-"""Multi-core partitioned interval joins for the columnar batch executor.
+"""The engine's scalar interval join: partitions, the bisect sweep, the pool.
 
-The batch executor partitions a sort-merge interval join by its equality
-conjuncts (one partition per distinct key, as the row engine already does
-serially) or -- when the overlap predicate carries no equality conjunct --
-by fragment-replicate chunking of the left input.  This module runs those
-partitions across a :mod:`multiprocessing` pool.
+Joins that :mod:`repro.engine.kernels` serves never come here.  What does --
+inputs below the kernel cutover, NULL or non-int end points, a numpy-less
+install, an explicit worker pool -- is partitioned by the join's equality
+conjuncts (one partition per distinct key, as the row reference does) or,
+when the overlap predicate carries none and a pool was asked for, by
+fragment-replicate chunking of the left input.  Each partition runs
+:func:`interval_sweep`, in this process or across a :mod:`multiprocessing`
+pool.
 
 Design constraints that shaped the code:
 
@@ -21,11 +24,10 @@ Design constraints that shaped the code:
   polls its deadline between partition results, so cancellation is coarser
   in parallel mode (one partition, not one sweep step).
 
-The sweep kernel itself (:func:`interval_sweep`) is also the serial batch
-kernel: it differs from the row engine's sweep by hoisting the begin columns
-and replacing the inner scan bound with :func:`bisect.bisect_left` plus a
-list-comprehension emission, which is where the batch executor's join
-speedup comes from.
+:func:`interval_sweep` differs from the row reference's sweep by hoisting
+the begin columns, bounding the inner scan with :func:`bisect.bisect_left`
+and emitting through a list comprehension; it is the fallback, not where the
+engine's join speed comes from (that is the whole-column kernel).
 """
 
 from __future__ import annotations
@@ -35,16 +37,11 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-try:  # numpy is optional: interval_join_vectorized reports failure without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None  # type: ignore[assignment]
-
 from ..algebra.expressions import Expression
+from .table import tuple_getter
 
 __all__ = [
     "interval_sweep",
-    "interval_join_vectorized",
     "partition_by_keys",
     "chunk_partitions",
     "run_partitions_parallel",
@@ -123,137 +120,6 @@ def interval_sweep(
             j += 1
 
 
-def _expand_ranges(lo: Any, hi: Any) -> Tuple[Any, Any]:
-    """All (head, tail) index pairs with ``tail`` in ``[lo[head], hi[head])``.
-
-    The ranges come from two ``searchsorted`` calls, so each is contiguous;
-    repeat/cumsum/arange expand them into flat pair arrays at C speed.
-    """
-    np = _np
-    counts = np.maximum(hi - lo, 0)
-    total = int(counts.sum())
-    if not total:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    heads = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    tails = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo, counts)
-    return heads, tails
-
-
-def _int_column(column: Sequence[Any]) -> Any:
-    """The column as an int64 array, or None if that would bend semantics.
-
-    The arrays feed only comparisons (sorting and range location); the
-    output rows are built from the original tuples, so ``bool`` entries may
-    coerce (``True`` orders exactly like ``1`` under Python ``<`` too).
-    Anything numpy does not *infer* as int64 or bool -- floats (a forced
-    int64 cast would truncate them), NULLs, strings, arbitrary objects,
-    out-of-range ints -- is refused.
-    """
-    np = _np
-    try:
-        array = np.asarray(column)
-    except (OverflowError, TypeError, ValueError):
-        return None
-    if array.dtype == np.int64:
-        return array
-    if array.dtype == np.bool_:
-        return array.astype(np.int64)
-    return None
-
-
-def interval_join_vectorized(
-    left_begins: Sequence[Any],
-    left_ends: Sequence[Any],
-    right_begins: Sequence[Any],
-    right_ends: Sequence[Any],
-    left_rows: Sequence[Row],
-    right_rows: Sequence[Row],
-    keep: Optional[Callable[[Row], bool]],
-    out: List[Row],
-) -> bool:
-    """Whole-column interval join: every inner scan becomes a searchsorted.
-
-    Same pairing rule as :func:`interval_sweep` split into two disjoint
-    cases -- pairs whose left row starts first (ties included) and pairs
-    whose right row starts strictly first -- each solved for *all* head rows
-    at once: sort one side's begin column, locate every head's candidate
-    range with two vectorized ``searchsorted`` calls (the lower bounds run
-    over needles already in sorted order, which binary-searches markedly
-    faster), and expand the ranges to flat index pairs.  The other strict
-    comparison holds automatically for well-formed intervals; a per-pair
-    mask enforces it only when degenerate (``end <= begin``) intervals are
-    present.  Only the final tuple concatenation runs per output row.
-
-    Requires numpy and integer endpoint columns (NULL end points fall back
-    to the scalar sweep, which drops them); returns ``False`` without
-    touching ``out`` when the preconditions fail.
-    """
-    if _np is None:
-        return False
-    if not left_rows or not right_rows:
-        return True
-    np = _np
-    lb = _int_column(left_begins)
-    le = _int_column(left_ends)
-    rb = _int_column(right_begins)
-    re = _int_column(right_ends)
-    if lb is None or le is None or rb is None or re is None:
-        return False
-    left_order = np.argsort(lb)
-    right_order = np.argsort(rb)
-    sorted_lb = lb[left_order]
-    sorted_rb = rb[right_order]
-    # With no degenerate intervals the second overlap comparison is implied
-    # by the range bounds (rb >= lb and re > rb give re > lb), so the
-    # per-pair masks -- two gathers and two compares -- can be skipped.
-    check_degenerate = bool((le <= lb).any() or (re <= rb).any())
-
-    # Case A -- left head starts first (lb <= rb): candidates are the right
-    # rows with rb in [lb, le); the mask re-checks lb < re for degenerates.
-    heads, tails = _expand_ranges(
-        np.searchsorted(sorted_rb, sorted_lb, side="left"),
-        np.searchsorted(sorted_rb, le[left_order], side="left"),
-    )
-    left_a = left_order[heads]
-    right_a = right_order[tails]
-    if check_degenerate:
-        mask = re[right_a] > lb[left_a]
-        left_a, right_a = left_a[mask], right_a[mask]
-
-    # Case B -- right head starts strictly first (rb < lb): candidates are
-    # the left rows with lb in (rb, re); the mask re-checks rb < le.
-    heads, tails = _expand_ranges(
-        np.searchsorted(sorted_lb, sorted_rb, side="right"),
-        np.searchsorted(sorted_lb, re[right_order], side="left"),
-    )
-    left_b = left_order[tails]
-    right_b = right_order[heads]
-    if check_degenerate:
-        mask = le[left_b] > rb[right_b]
-        left_b, right_b = left_b[mask], right_b[mask]
-
-    left_index = np.concatenate([left_a, left_b]).tolist()
-    right_index = np.concatenate([right_a, right_b]).tolist()
-    if keep is None:
-        out.extend(
-            [
-                left_rows[i] + right_rows[j]
-                for i, j in zip(left_index, right_index)
-            ]
-        )
-    else:
-        out.extend(
-            [
-                combined
-                for i, j in zip(left_index, right_index)
-                if keep(combined := left_rows[i] + right_rows[j])
-            ]
-        )
-    return True
-
-
 def partition_by_keys(
     left_rows: Sequence[Row],
     right_rows: Sequence[Row],
@@ -265,18 +131,18 @@ def partition_by_keys(
     rows join no partition.  Keys present on only one side produce no
     partition (they cannot contribute output).
     """
-    left_indexes = [li for li, _ri in keys]
-    right_indexes = [ri for _li, ri in keys]
+    left_key = tuple_getter([li for li, _ri in keys])
+    right_key = tuple_getter([ri for _li, ri in keys])
     right_parts: dict[Tuple[Any, ...], List[Row]] = {}
     for row in right_rows:
-        key = tuple(row[index] for index in right_indexes)
+        key = right_key(row)
         if None in key:
             continue
         right_parts.setdefault(key, []).append(row)
     partitions: List[Partition] = []
     left_parts: dict[Tuple[Any, ...], List[Row]] = {}
     for row in left_rows:
-        key = tuple(row[index] for index in left_indexes)
+        key = left_key(row)
         if None in key:
             continue
         left_parts.setdefault(key, []).append(row)

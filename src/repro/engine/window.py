@@ -170,8 +170,10 @@ def apply_window(
 # -- columnar sweep helpers (batch executor) -------------------------------------------
 #
 # The split operator's batch path works on parallel columns instead of row
-# tuples; these two helpers are its sweep-line core.  They mirror the window
-# SQL exactly: endpoints are collected per group from *all* rows (NULL and
+# tuples; these two helpers are its scalar sweep-line core -- what runs below
+# the kernel cutover and for whatever :func:`repro.engine.kernels
+# .split_segments_vectorized` declines, and the definition that kernel is
+# tested against.  They mirror the window SQL exactly: endpoints are collected per group from *all* rows (NULL and
 # degenerate intervals included -- their points still cut other rows in the
 # row engine too), and a cut point only applies where ``begin < p < end``
 # holds under three-valued comparison (NULL cuts never do).

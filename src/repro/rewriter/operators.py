@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 
 from ..algebra.expressions import Attribute
 from ..algebra.operators import AggregateSpec, Operator, Projection
+from ..engine import kernels as _kernels
 from ..engine.executor import ExecutionContext, ExecutorError, PhysicalOperator
 from ..engine.table import Table, tuple_getter
 from ..engine.window import collect_group_endpoints, split_segments
@@ -314,11 +315,15 @@ class SplitOperator(PhysicalOperator):
     def execute_batch(
         self, children: Sequence["ColumnarBatch"], context: ExecutionContext
     ) -> "ColumnarBatch":
-        """Columnar split via the sweep helpers in :mod:`repro.engine.window`.
+        """Columnar split: each left row's interval is cut once, column-wise.
 
-        End points are collected per group from both children's columns,
-        then each left row's interval is cut once; data columns are rebuilt
-        with one index gather per attribute and multiplicities follow their
+        The cut points come from :func:`repro.engine.kernels
+        .split_segments_vectorized` (all groups in one sorted array of end
+        points, counted as ``batch.split_vectorized``) or, for what it
+        declines, from the per-group sweep helpers in
+        :mod:`repro.engine.window`.  Either way end points are collected per
+        group from both children's columns, data columns are rebuilt with
+        one index gather per attribute and multiplicities follow their
         source row (every duplicate splits identically).
         """
         from ..engine.batch import ColumnarBatch
@@ -330,25 +335,50 @@ class SplitOperator(PhysicalOperator):
                 raise ExecutorError(
                     f"split group attribute {attribute!r} missing from {left.schema}"
                 )
-        if context._limited:
+        limited = context._limited
+        if limited:
             context.checkpoint()
 
-        endpoints: Dict[Any, set] = {}
-        for batch in (left, right):
-            collect_group_endpoints(
-                _batch_group_keys(batch, self.group_by),
-                batch.columns[batch.column_index(begin_attr)],
-                batch.columns[batch.column_index(end_attr)],
-                into=endpoints,
-            )
-        row_indexes, piece_begins, piece_ends = split_segments(
-            _batch_group_keys(left, self.group_by),
-            left.columns[left.column_index(begin_attr)],
-            left.columns[left.column_index(end_attr)],
-            endpoints,
-        )
         begin_index = left.column_index(begin_attr)
         end_index = left.column_index(end_attr)
+        left_begins, left_ends = left.columns[begin_index], left.columns[end_index]
+        right_begins = right.columns[right.column_index(begin_attr)]
+        right_ends = right.columns[right.column_index(end_attr)]
+        segments = None
+        if _kernels.worthwhile(len(left) + len(right)):
+            segments = _kernels.split_segments_vectorized(
+                [left.columns[left.column_index(a)] for a in self.group_by],
+                left_begins,
+                left_ends,
+                [right.columns[right.column_index(a)] for a in self.group_by],
+                right_begins,
+                right_ends,
+                context.stage_checkpoint if limited else None,
+            )
+        if segments is not None:
+            context.count("batch.split_vectorized")
+        else:
+            left_keys = _batch_group_keys(left, self.group_by)
+            endpoints = collect_group_endpoints(left_keys, left_begins, left_ends)
+            collect_group_endpoints(
+                _batch_group_keys(right, self.group_by),
+                right_begins,
+                right_ends,
+                into=endpoints,
+            )
+            segments = split_segments(left_keys, left_begins, left_ends, endpoints)
+        row_indexes, piece_begins, piece_ends = segments
+        counts = (
+            [1] * len(row_indexes)
+            if left.all_ones()
+            else _kernels.gather(left.counts, row_indexes)
+        )
+        if limited:
+            # The pieces are three index columns so far: refuse an
+            # over-budget split before gathering any data column.
+            context.stage_checkpoint(
+                len(counts) if left.all_ones() else sum(counts)
+            )
         columns: List[List[Any]] = []
         for position, column in enumerate(left.columns):
             if position == begin_index:
@@ -356,14 +386,11 @@ class SplitOperator(PhysicalOperator):
             elif position == end_index:
                 columns.append(piece_ends)
             else:
-                columns.append([column[i] for i in row_indexes])
-        counts = left.counts
+                columns.append(_kernels.gather(column, row_indexes))
         result = ColumnarBatch(
-            "split", left.schema, columns, [counts[i] for i in row_indexes]
+            "split", left.schema, columns, counts, True if left.all_ones() else None
         )
         context.count("split_output_rows", result.weight())
-        if context._limited:
-            context.checkpoint(result.weight())
         return result
 
     def _endpoints_by_group(
@@ -492,10 +519,14 @@ class TemporalAggregateOperator(PhysicalOperator):
     ) -> "ColumnarBatch":
         """Columnar fused split + aggregation.
 
-        The pre-aggregation pass builds its bucket keys with one nested
-        ``zip`` over (group, argument, period) columns -- the key tuples are
-        constructed at C speed -- weighting each row by its multiplicity;
-        the per-group sweep is shared with the row path.
+        ``count``/``sum``/``avg`` over int columns run as one event
+        ``cumsum`` over all groups (:func:`repro.engine.kernels
+        .temporal_aggregate_vectorized`, counted as
+        ``batch.aggregate_vectorized``).  Anything that kernel declines --
+        ``min``/``max``, float arguments, NULL end points, small inputs --
+        pre-aggregates instead: bucket keys are built with one nested ``zip``
+        over (group, argument, period) columns, weighting each row by its
+        multiplicity, and the per-group sweep is shared with the row path.
         """
         from ..engine.batch import ColumnarBatch
 
@@ -503,6 +534,9 @@ class TemporalAggregateOperator(PhysicalOperator):
         begin_attr, end_attr = self.period
         n = len(batch.counts)
         schema = batch.schema
+        out_schema = (
+            self.group_by + tuple(spec.alias for spec in self.aggregates) + self.period
+        )
         group_columns = [batch.columns[batch.column_index(a)] for a in self.group_by]
         argument_columns = [
             [None] * n
@@ -512,8 +546,36 @@ class TemporalAggregateOperator(PhysicalOperator):
         ]
         begins = batch.columns[batch.column_index(begin_attr)]
         ends = batch.columns[batch.column_index(end_attr)]
-        if context._limited:
+        limited = context._limited
+        if limited:
             context.checkpoint()
+
+        if _kernels.worthwhile(n):
+            served = _kernels.temporal_aggregate_vectorized(
+                group_columns,
+                begins,
+                ends,
+                None if batch.all_ones() else batch.counts,
+                [
+                    (spec.func, None if spec.argument is None else column)
+                    for spec, column in zip(self.aggregates, argument_columns)
+                ],
+                context.stage_checkpoint if limited else None,
+            )
+            if served is not None:
+                context.count("batch.aggregate_vectorized")
+                group_rows, value_columns, out_begins, out_ends = served
+                columns = [
+                    _kernels.gather(column, group_rows) for column in group_columns
+                ]
+                columns += value_columns + [out_begins, out_ends]
+                return ColumnarBatch(
+                    "temporal_aggregation",
+                    out_schema,
+                    columns,
+                    [1] * len(out_begins),
+                    all_ones=True,
+                )
 
         buckets: Dict[Tuple[Any, ...], int] = {}
         get = buckets.get
@@ -537,14 +599,10 @@ class TemporalAggregateOperator(PhysicalOperator):
 
         rows: List[Tuple[Any, ...]] = []
         append = rows.append
-        limited = context._limited
         for group_key, facts in groups.items():
             if limited:
                 context.checkpoint(len(rows))
             self._sweep_group(group_key, facts, append)
-        out_schema = (
-            self.group_by + tuple(spec.alias for spec in self.aggregates) + self.period
-        )
         return ColumnarBatch.from_rows("temporal_aggregation", out_schema, rows)
 
     # -- sweep ---------------------------------------------------------------------------

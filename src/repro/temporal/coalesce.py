@@ -16,11 +16,7 @@ from __future__ import annotations
 from operator import ge as _int_ge
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-try:  # numpy is optional: every kernel below has a pure-Python twin.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None  # type: ignore[assignment]
-
+from ..engine import kernels as _kernels
 from .elements import TemporalElement
 from .intervals import Interval
 
@@ -32,11 +28,6 @@ __all__ = [
     "coalesce_columns",
     "coalesce_column_sets",
 ]
-
-#: Packed event codes must stay below 2**62 so the trailing delta bit keeps
-#: everything inside one signed 64-bit lane (numpy) / machine int (CPython).
-_PACK_LIMIT = 1 << 62
-
 
 def k_coalesce(element: TemporalElement) -> TemporalElement:
     """``CK(T)``: the unique K-coalesced normal form of a temporal element."""
@@ -204,7 +195,7 @@ def coalesce_column_sets(
     """
     if all_ones is None:
         all_ones = all(count == 1 for count in counts)
-    if _np is not None and all_ones:
+    if _kernels.np is not None and all_ones:
         fast = _coalesce_columns_numpy(key_columns, begins, ends)
         if fast is not None:
             return fast
@@ -238,85 +229,49 @@ def _coalesce_columns_numpy(
 ) -> Optional[Tuple[List[List[Any]], List[Any], List[Any], List[int]]]:
     """Fully vectorized multiset coalescing over int64 arrays.
 
-    Preconditions (checked here, ``None`` bails to the scalar paths): every
-    endpoint is a plain ``int`` -- the ``type`` scans reject ``bool``/
-    ``float`` exactly, because silently coercing them would change output
-    *values* even where hashing treats them as equal -- and every packed
-    code fits a signed 64-bit lane.
+    Preconditions (checked by the shared kernel helpers, ``None`` bails to
+    the scalar paths): every endpoint is a plain ``int`` -- ``bool``/
+    ``float`` are rejected exactly, because silently coercing them would
+    change output *values* even where hashing treats them as equal -- and
+    every packed code fits a signed 64-bit lane.
 
     The pipeline mirrors the scalar int fast path, one array op per step:
-    group ids come from range-packing all-int key columns into one code
-    per row and ``np.unique(..., return_inverse=True)`` (non-int keys fall
-    back to one dict pass, keeping the array sweep); events pack as
-    ``(gid * span + ts - lo) * 2 + begin_bit`` and sort as int64; runs
-    collapse with ``np.add.reduceat``; depths are one ``cumsum`` (each
-    group's deltas sum to zero, so depths never leak across groups); and
-    the output intervals are three mask selections.
+    group ids and the ``(gid, ts)`` packing come from
+    :func:`repro.engine.kernels.factorize` / :func:`~repro.engine.kernels
+    .pack_span` (the code the join, split and aggregation kernels run on);
+    events pack as ``(gid * span + ts - lo) * 2 + begin_bit`` and sort as
+    int64; runs collapse with ``np.add.reduceat``; depths are one ``cumsum``
+    (each group's deltas sum to zero, so depths never leak across groups);
+    the output intervals are three mask selections and their key columns
+    one gather at each group's first row.
     """
+    empty: Tuple[List[List[Any]], List[Any], List[Any], List[int]] = (
+        [[] for _ in key_columns], [], [], [],
+    )
     if not begins:
-        return [[] for _ in key_columns], [], [], []
-    if set(map(type, begins)) != {int} or set(map(type, ends)) != {int}:
+        return empty
+    np = _kernels.np
+    begin_array = _kernels.int_array(begins)
+    end_array = _kernels.int_array(ends)
+    if begin_array is None or end_array is None:
         return None
-    np = _np
-    try:
-        begin_array = np.asarray(begins, dtype=np.int64)
-        end_array = np.asarray(ends, dtype=np.int64)
-    except OverflowError:
-        return None
-
-    # -- group ids --------------------------------------------------------------------
-    group_keys: Optional[List[Hashable]] = None
-    packing: List[Tuple[int, int]] = []
-    if all(set(map(type, column)) == {int} for column in key_columns):
-        code = None
-        capacity = 1
-        try:
-            for column in key_columns:
-                array = np.asarray(column, dtype=np.int64)
-                low = int(array.min())
-                width = int(array.max()) - low + 1
-                capacity *= width
-                if capacity >= _PACK_LIMIT:
-                    return None
-                packing.append((low, width))
-                offset = array - low
-                code = offset if code is None else code * width + offset
-        except OverflowError:
-            return None
-        if code is None:  # no grouping attributes: one global group
-            unique_codes = np.zeros(1, dtype=np.int64)
-            gids = np.zeros(len(begin_array), dtype=np.int64)
-        else:
-            unique_codes, gids = np.unique(code, return_inverse=True)
-    else:
-        # Arbitrary hashable keys: one dict pass assigns dense ids in
-        # first-seen order, then the sweep stays vectorized.
-        if len(key_columns) == 1:
-            keys: Sequence[Hashable] = key_columns[0]
-        else:
-            keys = list(zip(*key_columns))
-        ids: Dict[Hashable, int] = {}
-        setdefault = ids.setdefault
-        gids = np.asarray(
-            [setdefault(key, len(ids)) for key in keys], dtype=np.int64
-        )
-        group_keys = list(ids)
-        unique_codes = np.empty(0, dtype=np.int64)
-    n_groups = len(group_keys) if group_keys is not None else len(unique_codes)
+    (gids,), n_groups = _kernels.factorize(
+        (key_columns,), (len(begin_array),), nulls_match=True
+    )
 
     # -- events -----------------------------------------------------------------------
     valid = begin_array < end_array
+    rows = None  # the surviving rows' original positions; None = all of them
     if not valid.all():
-        begin_array = begin_array[valid]
-        end_array = end_array[valid]
-        gids = gids[valid]
-        if not len(begin_array):
-            return [[] for _ in key_columns], [], [], []
-    lo = int(begin_array.min())
-    span = int(end_array.max()) - lo + 1
-    if n_groups * span >= _PACK_LIMIT:
+        rows = np.flatnonzero(valid)
+        if not len(rows):
+            return empty
+        begin_array, end_array, gids = begin_array[rows], end_array[rows], gids[rows]
+    packing = _kernels.pack_span(n_groups, (begin_array, end_array))
+    if packing is None:
         return None
-    base = gids.astype(np.int64) * span - lo
+    lo, span = packing
+    base = gids * span - lo
     codes = np.concatenate(
         [((base + begin_array) << 1) | 1, (base + end_array) << 1]
     )
@@ -325,15 +280,12 @@ def _coalesce_columns_numpy(
     # -- sweep ------------------------------------------------------------------------
     pairs = codes >> 1
     deltas = np.where((codes & 1) != 0, np.int64(1), np.int64(-1))
-    run_starts = np.empty(len(pairs), dtype=bool)
-    run_starts[0] = True
-    np.not_equal(pairs[1:], pairs[:-1], out=run_starts[1:])
-    starts = np.flatnonzero(run_starts)
+    starts = _kernels.run_starts(pairs)
     net = np.add.reduceat(deltas, starts)
     changed = net != 0
     change_pairs = pairs[starts[changed]]
     if not len(change_pairs):
-        return [[] for _ in key_columns], [], [], []
+        return empty
     depths = np.cumsum(net[changed])
     points = change_pairs % span + lo
     # A maximal interval spans changepoint k -> k+1 whenever k's depth is
@@ -345,32 +297,13 @@ def _coalesce_columns_numpy(
     out_counts = depths[:-1][open_mask]
     out_gids = (change_pairs // span)[:-1][open_mask]
 
-    # -- decode -----------------------------------------------------------------------
-    out_key_columns: List[List[Any]]
-    if group_keys is None:
-        per_group: List[Any] = [None] * len(key_columns)
-        remainder = unique_codes
-        for position in range(len(key_columns) - 1, -1, -1):
-            low, width = packing[position]
-            per_group[position] = remainder % width + low
-            remainder = remainder // width
-        out_key_columns = [
-            values[out_gids].tolist() for values in per_group
-        ]
-    else:
-        gid_list = out_gids.tolist()
-        if len(key_columns) == 1:
-            out_key_columns = [[group_keys[gid] for gid in gid_list]]
-        elif key_columns:
-            key_tuples = [group_keys[gid] for gid in gid_list]
-            if key_tuples:
-                out_key_columns = [list(column) for column in zip(*key_tuples)]
-            else:
-                out_key_columns = [[] for _ in key_columns]
-        else:
-            out_key_columns = []
+    # -- decode: every group prints under its first valid row's key --------------------
+    key_rows = _kernels.first_rows(gids, n_groups)[out_gids]
+    if rows is not None:
+        key_rows = rows[key_rows]
+    key_rows = key_rows.tolist()
     return (
-        out_key_columns,
+        [_kernels.gather(column, key_rows) for column in key_columns],
         out_begins.tolist(),
         out_ends.tolist(),
         out_counts.tolist(),

@@ -23,7 +23,9 @@ from repro.algebra.expressions import Comparison, and_, attr
 from repro.algebra.operators import Join, RelationAccess, Rename
 from repro.datasets import GeneratorConfig, generate_catalog, generate_table
 from repro.engine.catalog import Database
+from repro import connect
 from repro.engine.executor import execute
+from repro.engine.kernels import KERNEL_CUTOVER
 from repro.rewriter.pipeline import QueryPipeline
 
 from tests.strategies import conformance_queries, generator_configs
@@ -94,10 +96,10 @@ def test_parallel_partitioned_join_matches_row_and_counts_workers():
     assert statistics["batch.partitions"] >= 2
 
 
-def test_serial_batch_join_still_counts_partitions():
-    """Without a pool the partition counter still reports the key split."""
+def _keyed_overlap_join(rows: int):
+    """(database, plan) for ``L JOIN R ON l_key = r_key AND overlap``, ``rows`` per side."""
     config = GeneratorConfig(
-        rows=120, domain_size=64, seed=5, interval_profile="mixed", keys=4
+        rows=rows, domain_size=64, seed=5, interval_profile="mixed", keys=4
     )
     database = Database()
     for name, prefix in (("L", "l"), ("R", "r")):
@@ -113,15 +115,64 @@ def test_serial_batch_join_still_counts_partitions():
             Comparison("<", attr("r_begin"), attr("l_end")),
         ),
     )
-    plan = Join(left, right, predicate)
+    return database, Join(left, right, predicate)
+
+
+def test_serial_batch_join_still_counts_partitions():
+    """Below the kernel cutover the key split is swept partition by partition."""
+    database, plan = _keyed_overlap_join(rows=KERNEL_CUTOVER // 2 - 8)
 
     row_result = execute(plan, database, executor="row")
     statistics: Dict[str, int] = {}
     batch_result = execute(plan, database, statistics, executor="batch")
 
     assert _bag(batch_result) == _bag(row_result)
+    # batch.partitions = scalar partitions swept (one per distinct key here).
     assert statistics["batch.partitions"] >= 2
+    assert statistics["join_strategy.interval"] == 1
+    assert "join_strategy.interval_vectorized" not in statistics
     assert "join_strategy.interval_parallel" not in statistics
+
+
+def test_keyed_join_above_the_cutover_is_kernel_served_and_says_so():
+    """Every interval join counts as one; the kernel-served ones also as vectorized."""
+    pytest.importorskip("numpy")
+    database, plan = _keyed_overlap_join(rows=KERNEL_CUTOVER)
+
+    row_result = execute(plan, database, executor="row")
+    statistics: Dict[str, int] = {}
+    batch_result = execute(plan, database, statistics, executor="batch")
+
+    assert _bag(batch_result) == _bag(row_result)
+    assert len(batch_result) > 0
+    assert statistics["join_strategy.interval"] == 1
+    assert statistics["join_strategy.interval_vectorized"] == 1
+    # No scalar partition was swept, so the counter does not appear at all.
+    assert "batch.partitions" not in statistics
+
+
+def test_explain_names_the_route_each_temporal_operator_took():
+    """``execution (backend='memory')`` lists the kernel counters next to the strategies."""
+    pytest.importorskip("numpy")
+    rows = [(i % 9, i, i % 13, i % 13 + 4) for i in range(KERNEL_CUTOVER)]
+    with connect(domain=(0, 20)) as session:
+        works = session.load("works", ["w_key", "w_value"], rows)
+        other = session.load("other", ["o_key", "o_value"], rows)
+        joined = works.join(other, on="w_key = o_key").explain()
+        execution = joined[joined.index("execution (backend='memory')"):]
+        assert "join_strategy.interval = 1" in execution
+        assert "join_strategy.interval_vectorized = 1" in execution
+        assert "batch.partitions" not in execution
+        aggregated = works.group_by("w_key").agg(total="sum(w_value)").explain()
+        assert "batch.aggregate_vectorized = 1" in aggregated
+        difference = works.select("w_key").difference(other.select("o_key")).explain()
+        assert "batch.split_vectorized = " in difference
+
+        small = session.load("small", ["s_key", "s_value"], rows[:8])
+        scalar = small.join(other.where("o_value < 8"), on="s_key = o_key").explain()
+        assert "join_strategy.interval = 1" in scalar
+        assert "batch.partitions = " in scalar
+        assert "vectorized" not in scalar
 
 
 def _overlap_plan():
@@ -135,7 +186,7 @@ def _overlap_plan():
 
 
 def test_vectorized_overlap_join_matches_row_and_counts():
-    """The no-equality-key serial join takes the whole-column numpy route."""
+    """The zero-key case of the keyed kernel: one group, same route and counters."""
     pytest.importorskip("numpy")
     config = GeneratorConfig(
         rows=600, domain_size=512, seed=3, interval_profile="uniform", keys=4
@@ -153,8 +204,9 @@ def test_vectorized_overlap_join_matches_row_and_counts():
 
     assert _bag(batch_result) == _bag(row_result)
     assert len(batch_result) > 0
+    assert statistics["join_strategy.interval"] == 1
     assert statistics["join_strategy.interval_vectorized"] == 1
-    assert statistics["batch.partitions"] == 1
+    assert "batch.partitions" not in statistics
 
 
 def test_vectorized_overlap_join_exact_on_degenerate_and_null_intervals():

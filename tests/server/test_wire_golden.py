@@ -30,6 +30,7 @@ import pytest
 from repro import ConformanceReport, Counterexample, Delta, QueryServer, connect
 from repro.algebra.operators import RelationAccess
 from repro.client import RemoteConnection, connection
+from repro.engine.kernels import KERNEL_CUTOVER
 from repro.errors import IncrementalError
 from repro.server import core, protocol
 from repro.server.protocol import decode_frame, encode_frame
@@ -311,6 +312,12 @@ GOLDEN: Transcript = [
         b'ed views: []","transient":false,"id":21}',
     ),
 ]
+
+
+def test_golden_tables_sit_below_the_kernel_cutover():
+    """Statistics frames name the counters of the route taken ("preaggregated_rows");
+    the conversation's tables must stay on the scalar routes for the bytes to hold."""
+    assert 2 * (len(ROWS) + 2) < KERNEL_CUTOVER
 
 
 def test_session_speaks_the_golden_frames(monkeypatch):
