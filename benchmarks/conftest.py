@@ -11,6 +11,8 @@ the authors' server.  Scale can be raised through the environment variables
 from __future__ import annotations
 
 import os
+import time
+from typing import Callable, List
 
 import pytest
 
@@ -65,3 +67,30 @@ def tpch_pipeline(tpch_config, tpch_database):
 @pytest.fixture(scope="session")
 def tpch_native(tpch_config, tpch_database):
     return TemporalAlignmentEvaluator(tpch_database, tpch_config.domain)
+
+
+def _fastest(*runs: Callable[[], object], rounds: int = 3) -> List[float]:
+    """Fastest wall time of each callable, in seconds, for the shape assertions.
+
+    Every callable runs once untimed first: the first pipeline to scan a
+    table pays its column transpose (``Table._columns_cache``) for all the
+    others, so a single cold execution times the order of the calls, not the
+    plans.  Then come ``rounds`` timed passes, the order alternating so that
+    no side always runs on caches the other just warmed.
+    """
+    for run in runs:
+        run()
+    best = [float("inf")] * len(runs)
+    order = list(range(len(runs)))
+    for _ in range(rounds):
+        for position in order:
+            started = time.perf_counter()
+            runs[position]()
+            best[position] = min(best[position], time.perf_counter() - started)
+        order.reverse()
+    return best
+
+
+@pytest.fixture(scope="session")
+def fastest() -> Callable[..., List[float]]:
+    return _fastest

@@ -2,11 +2,11 @@
 
     PYTHONPATH=src python benchmarks/kernel_cutover.py
 
-times the three operators of :mod:`repro.engine.kernels` -- keyed interval
-join, split, ``count``/``sum`` temporal aggregation -- on both routes at a
-ladder of input sizes and prints, per operator and input shape, the ratio
-scalar / kernel (above 1 the kernel wins).  Two shapes, the two the suite's
-workloads have: ``adhoc`` is ``adhoc_small``'s generator catalog grown to N
+times the operators :func:`repro.engine.kernels.worthwhile` routes -- keyed
+interval join, split, ``count``/``sum`` temporal aggregation, coalescing --
+on both routes at a ladder of input sizes and prints, per operator and input
+shape, the ratio scalar / kernel (above 1 the kernel wins).  Two shapes, the
+two the suite's workloads have: ``adhoc`` is ``adhoc_small``'s generator catalog grown to N
 rows (string categories, 16 join keys, mixed interval profile, 64-point
 domain), ``employee`` is Table 3's (int keys with ~5 rows each, year-long
 intervals over two decades).  The route is forced by moving the module
@@ -26,7 +26,7 @@ from repro.datasets.generator import GeneratorConfig, generate_rows
 from repro.engine import kernels
 from repro.engine.catalog import Database
 from repro.engine.executor import execute
-from repro.rewriter.operators import SplitOperator, TemporalAggregateOperator
+from repro.rewriter.operators import CoalesceOperator, SplitOperator, TemporalAggregateOperator
 
 SIZES = (32, 64, 96, 128, 192, 256, 384, 512, 1024, 4096)
 SCHEMA = ("key", "cat", "val", "t_begin", "t_end")
@@ -78,6 +78,7 @@ def plans(make: Callable[[int, str], List[Tuple]], n: int) -> Dict[str, object]:
             ("cat",),
             (AggregateSpec("count", None, "cnt"), AggregateSpec("sum", attr("val"), "total")),
         ),
+        "coalesce": CoalesceOperator(relation(left + right)),
     }
 
 
@@ -98,7 +99,7 @@ def main() -> None:
     try:
         for shape, make in (("adhoc", adhoc_rows), ("employee", employee_rows)):
             by_size = [plans(make, n) for n in SIZES]
-            for operator in ("join", "split", "aggregate"):
+            for operator in ("join", "split", "aggregate", "coalesce"):
                 cells = []
                 for n, built in zip(SIZES, by_size):
                     repeats = max(5, 4000 // n)

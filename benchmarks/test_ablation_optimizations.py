@@ -5,8 +5,6 @@
 * interval-based evaluation vs. the per-snapshot (point-wise) oracle.
 """
 
-import time
-
 import pytest
 
 from repro.baselines import NaiveSnapshotEvaluator
@@ -44,31 +42,29 @@ def test_no_preaggregation(benchmark, employee_config, employee_database, query_
     benchmark.pedantic(lambda: pipeline.execute(query), rounds=1, iterations=1)
 
 
-def test_single_final_coalesce_is_not_slower(employee_config, employee_database):
+def test_single_final_coalesce_is_not_slower(employee_config, employee_database, fastest):
     """The optimised plan should beat per-operator coalescing on the ablation set."""
     optimized = _pipeline(employee_config, employee_database)
     unoptimized = _pipeline(employee_config, employee_database, coalesce="per-operator")
     optimized_total = unoptimized_total = 0.0
     for name in ABLATION_QUERIES:
         query = EMPLOYEE_WORKLOAD[name]()
-        started = time.perf_counter()
-        optimized.execute(query)
-        optimized_total += time.perf_counter() - started
-        started = time.perf_counter()
-        unoptimized.execute(query)
-        unoptimized_total += time.perf_counter() - started
+        optimized_seconds, unoptimized_seconds = fastest(
+            lambda: optimized.execute(query), lambda: unoptimized.execute(query)
+        )
+        optimized_total += optimized_seconds
+        unoptimized_total += unoptimized_seconds
     assert optimized_total <= unoptimized_total * 1.2
 
 
-def test_interval_encoding_beats_per_snapshot_evaluation(employee_config, employee_database):
+def test_interval_encoding_beats_per_snapshot_evaluation(
+    employee_config, employee_database, fastest
+):
     """The point-wise oracle pays O(|T|); the pipeline should be clearly faster."""
     pipeline = _pipeline(employee_config, employee_database)
     naive = NaiveSnapshotEvaluator(employee_database, employee_config.domain)
     query = EMPLOYEE_WORKLOAD["agg-2"]()
-    started = time.perf_counter()
-    pipeline.execute(query)
-    pipeline_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    naive.execute(query)
-    naive_seconds = time.perf_counter() - started
+    pipeline_seconds, naive_seconds = fastest(
+        lambda: pipeline.execute(query), lambda: naive.execute(query)
+    )
     assert pipeline_seconds < naive_seconds

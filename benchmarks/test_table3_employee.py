@@ -7,8 +7,6 @@ pre-aggregation + split), while native approaches additionally suffer from
 the AG/BD bugs flagged in the rightmost column of the paper's table.
 """
 
-import time
-
 import pytest
 
 from repro.datasets.workloads import EMPLOYEE_WORKLOAD
@@ -32,29 +30,27 @@ def test_employee_nat(benchmark, employee_native, query_name):
     benchmark.pedantic(lambda: employee_native.execute(query), rounds=1, iterations=1)
 
 
-def test_aggregation_queries_favour_pipeline(employee_pipeline, employee_native):
+def test_aggregation_queries_favour_pipeline(employee_pipeline, employee_native, fastest):
     """agg-1/agg-2 are faster through the pipeline (paper: orders of magnitude)."""
     totals = {"seq": 0.0, "nat": 0.0}
     for name in ("agg-1", "agg-2"):
         query = EMPLOYEE_WORKLOAD[name]()
-        started = time.perf_counter()
-        employee_pipeline.execute(query)
-        totals["seq"] += time.perf_counter() - started
-        started = time.perf_counter()
-        employee_native.execute(query)
-        totals["nat"] += time.perf_counter() - started
+        seq, nat = fastest(
+            lambda: employee_pipeline.execute(query), lambda: employee_native.execute(query)
+        )
+        totals["seq"] += seq
+        totals["nat"] += nat
     assert totals["seq"] < totals["nat"]
 
 
-def test_join_queries_are_competitive(employee_pipeline, employee_native):
+def test_join_queries_are_competitive(employee_pipeline, employee_native, fastest):
     """join-3/join-4 should be within a small factor of the native baseline."""
-    seq = nat = 0.0
+    seq_total = nat_total = 0.0
     for name in ("join-3", "join-4"):
         query = EMPLOYEE_WORKLOAD[name]()
-        started = time.perf_counter()
-        employee_pipeline.execute(query)
-        seq += time.perf_counter() - started
-        started = time.perf_counter()
-        employee_native.execute(query)
-        nat += time.perf_counter() - started
-    assert seq < nat * 5
+        seq, nat = fastest(
+            lambda: employee_pipeline.execute(query), lambda: employee_native.execute(query)
+        )
+        seq_total += seq
+        nat_total += nat
+    assert seq_total < nat_total * 5

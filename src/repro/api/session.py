@@ -98,15 +98,6 @@ def _parse_dsn_planner(text: str) -> "bool | str":
     return lowered if lowered in ("syntactic", "cost") else _dsn_bool("planner", text)
 
 
-def _parse_dsn_workers(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise FluentError(
-            f"DSN parameter parallel_workers= must be an int, got {text!r}"
-        ) from exc
-
-
 #: DSN query parameter -> parser of its text; each overrides the
 #: :func:`connect` keyword of the same name.
 _DSN_PARSERS: Dict[str, Callable[[str], Any]] = {
@@ -115,14 +106,13 @@ _DSN_PARSERS: Dict[str, Callable[[str], Any]] = {
     "plan_cache": lambda text: _dsn_bool("plan_cache", text),
     "coalesce": str,
     "backend": str,
-    "parallel_workers": _parse_dsn_workers,
 }
 
 _LOCAL_DSN_PARAMS = ("domain", "planner", "plan_cache", "coalesce")
 
 #: Scheme -> the DSN parameters it can honour; anything else is rejected.
 _DSN_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "memory": _LOCAL_DSN_PARAMS + ("backend", "parallel_workers"),
+    "memory": _LOCAL_DSN_PARAMS + ("backend",),
     "sqlite": _LOCAL_DSN_PARAMS,
     "repro": (),
 }
@@ -144,7 +134,6 @@ def connect(
     rewriter_cls: type[SnapshotRewriter] = SnapshotRewriter,
     policy: Optional[ExecutionPolicy] = None,
     domain: "Union[TimeDomain, Tuple[int, int], int, None]" = None,
-    parallel_workers: Optional[int] = None,
 ) -> "Session":
     """Open a snapshot-semantics session: the transport-agnostic front door.
 
@@ -170,8 +159,10 @@ def connect(
     DSN parameters -- ``planner=on|off|syntactic|cost`` (``cost`` enables
     the statistics-driven planner of :mod:`repro.planner.cost`),
     ``coalesce=final|none|...``, ``plan_cache=on|off``, and on
-    ``memory://`` also ``backend=name`` and ``parallel_workers=n`` --
-    likewise override their keyword counterparts.
+    ``memory://`` also ``backend=name`` -- likewise override their keyword
+    counterparts.  A backend *name* nobody registered raises
+    :class:`~repro.errors.BackendUnavailableError` here, not at the first
+    query.  Nothing tunes the in-memory engine: it takes no option.
 
     A ``repro://`` target has no local pipeline to configure: it takes no
     DSN parameter and honours only the ``policy`` keyword (which applies
@@ -189,7 +180,6 @@ def connect(
         "plan_cache": plan_cache,
         "rewriter_cls": rewriter_cls,
         "policy": policy,
-        "parallel_workers": parallel_workers,
     }
     if target is not None and not isinstance(target, str):
         raise FluentError(
@@ -593,9 +583,8 @@ class Session:
         where its cost planner reads it -- and returns the mapping
         ``{table_name: TableStatistics}``.  Statistics on a table are dropped
         automatically when DML touches it; re-run ``analyze`` to refresh.
-        Sessions with ``planner="cost"`` use them for join reordering,
-        strategy selection and the batch executor's parallel threshold;
-        other planner modes ignore them.
+        Sessions with ``planner="cost"`` use them for join reordering and
+        strategy selection; other planner modes ignore them.
         """
         return self.call("analyze", name=table)
 

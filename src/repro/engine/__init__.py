@@ -1,4 +1,4 @@
-"""Multiset engine substrate: tables, catalog, the engine, its row reference, window functions."""
+"""Multiset engine substrate: tables, catalog, the engine and its row reference."""
 
 from .catalog import DEFAULT_PERIOD, Database
 from .executor import (
@@ -9,16 +9,6 @@ from .executor import (
     execute,
 )
 from .table import Table, TableError
-from .window import (
-    WindowSpec,
-    apply_window,
-    lag,
-    lead,
-    partition_rows,
-    row_number,
-    running_sum,
-    sum_over_partition,
-)
 
 __all__ = [
     "Table",
@@ -30,12 +20,4 @@ __all__ = [
     "ExecutionContext",
     "ExecutorError",
     "PhysicalOperator",
-    "WindowSpec",
-    "apply_window",
-    "row_number",
-    "lag",
-    "lead",
-    "running_sum",
-    "sum_over_partition",
-    "partition_rows",
 ]

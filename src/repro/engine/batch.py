@@ -16,10 +16,9 @@ column -- through column kernels:
   ``(key code, time)`` array per input (:mod:`repro.engine.kernels`; numpy,
   optional), equality keys and multiplicities included;
 * what those kernels decline -- inputs below their cutover, NULL or
-  non-int end points, ``min``/``max``, no numpy -- runs the scalar sweeps:
-  the partitioned bisect join of :mod:`repro.engine.parallel` (which can
-  also fan its partitions out across a ``multiprocessing`` pool) and the
-  per-group helpers in :mod:`repro.engine.window`;
+  non-int end points, ``min``/``max``, no numpy -- runs their scalar twins
+  in :mod:`repro.engine.sweeps`: the partitioned bisect join and the
+  per-group split helpers;
 * coalescing (:func:`repro.temporal.coalesce.coalesce_column_sets`) emits
   one output row per maximal interval with a multiplicity instead of
   duplicating tuples.
@@ -51,7 +50,7 @@ from ..algebra.operators import (
     Union,
 )
 from . import kernels as _kernels
-from . import parallel as _parallel
+from . import sweeps as _sweeps
 from .executor import (
     ExecutionContext,
     ExecutorError,
@@ -524,7 +523,7 @@ def _join(
     hint = node.strategy if node is not None else None
     equi_keys, residual_conjuncts = _split_join_predicate(predicate, left, right)
     interval = None
-    if context.interval_join and hint in (None, "interval"):
+    if hint in (None, "interval"):
         interval, residual_conjuncts = _extract_interval_pattern(
             residual_conjuncts, left, right
         )
@@ -572,25 +571,17 @@ def _interval_join(
 
     :func:`repro.engine.kernels.interval_join_vectorized` serves the join --
     equality keys, multiplicities, residual and limits included -- whenever
-    the inputs reach the kernel cutover and no worker pool was asked for;
-    ``join_strategy.interval_vectorized`` counts those.  What it declines
-    (see that module) is partitioned by the equality conjuncts (one
-    partition per distinct key) or, without any and with a pool, by
-    fragment-replicate chunking of the left input, and every partition runs
-    the bisect sweep -- across the pool when the context explicitly requests
-    ``>= 2`` workers and the input is big enough to amortise process
-    startup.  ``batch.partitions`` counts the scalar partitions swept.
+    the inputs reach the kernel cutover; ``join_strategy.interval_vectorized``
+    counts those.  What it declines (see that module) is partitioned by the
+    equality conjuncts (one partition per distinct key; a join without any
+    is one partition) and every partition runs the bisect sweep.
+    ``batch.partitions`` counts the scalar partitions swept.
     """
     keep = residual.compile(schema) if residual is not None else None
     lb, le = pattern.left_begin, pattern.left_end
     rb, re = pattern.right_begin, pattern.right_end
 
-    workers = context.parallel_workers or 1
-    parallel_wanted = (
-        workers >= 2
-        and left.weight() + right.weight() >= context.parallel_threshold
-    )
-    if not parallel_wanted and _kernels.worthwhile(len(left) + len(right)):
+    if _kernels.worthwhile(len(left) + len(right)):
         left_columns, right_columns = left.columns, right.columns
         served = _kernels.interval_join_vectorized(
             [left_columns[index] for index, _ in keys],
@@ -616,25 +607,14 @@ def _interval_join(
     out: List[Row] = []
     checkpoint = context.checkpoint if context._limited else None
     if keys:
-        partitions = _parallel.partition_by_keys(left_rows, right_rows, keys)
-    elif parallel_wanted:
-        partitions = _parallel.chunk_left(left_rows, right_rows, workers)
+        partitions = _sweeps.partition_by_keys(left_rows, right_rows, keys)
     else:
         partitions = [(left_rows, right_rows)]
     context.count("batch.partitions", len(partitions))
-
-    if parallel_wanted and len(partitions) >= 2:
-        context.count("join_strategy.interval_parallel")
-        used = _parallel.run_partitions_parallel(
-            partitions, lb, le, rb, re, residual, schema, workers, out, checkpoint
+    for left_part, right_part in partitions:
+        _sweeps.interval_sweep(
+            left_part, right_part, lb, le, rb, re, keep, out, checkpoint
         )
-        context.count("batch.parallel_workers", used)
-        context.count("batch.parallel_partitions", len(partitions))
-    else:
-        for left_part, right_part in partitions:
-            _parallel.interval_sweep(
-                left_part, right_part, lb, le, rb, re, keep, out, checkpoint
-            )
     return ColumnarBatch.from_rows("join", schema, out)
 
 

@@ -97,19 +97,6 @@ class ExecutionContext:
 
     database: Database
     statistics: Counter | None = None
-    #: Allow the sort-merge interval join; ``False`` forces the historical
-    #: hash/nested-loop strategies (used by differential tests and the
-    #: overlap-join microbenchmark baseline).
-    interval_join: bool = True
-    #: Process count for the engine's partitioned interval join; ``None``
-    #: or ``1`` keeps it serial.  The reference operators ignore it.
-    parallel_workers: Optional[int] = None
-    #: Minimum combined join input size (rows) before the worker pool is
-    #: worth its startup cost.  The default is the historical constant;
-    #: the pipeline overrides it with the stats-driven estimate of
-    #: :func:`repro.planner.cost.parallel_engage_threshold` once the
-    #: referenced tables have been analyzed.
-    parallel_threshold: int = 4096
     #: Per-node execution observations keyed by ``id(plan node)``:
     #: ``actual_rows`` for every node, plus ``join_strategy`` on joins.
     #: ``None`` (the default) disables recording; ``explain()`` passes a
@@ -198,32 +185,27 @@ def execute(
     plan: Operator,
     database: Database,
     statistics: Dict[str, int] | None = None,
-    interval_join: bool = True,
     limits: "Optional[QueryLimits]" = None,
     executor: str = ENGINE_NAME,
-    parallel_workers: Optional[int] = None,
-    parallel_threshold: Optional[int] = None,
     observations: Optional[Dict[int, Dict[str, Any]]] = None,
 ) -> Table:
     """Execute a logical plan against the catalog and return a result table.
 
     This is the in-process engine only; other execution hosts are reached
     through :class:`~repro.rewriter.pipeline.QueryPipeline` or by calling a
-    :mod:`repro.backends` instance directly.  ``interval_join=False``
-    disables the sort-merge interval join, forcing the nested-loop/hash
-    fallback for overlap predicates.  ``limits``
+    :mod:`repro.backends` instance directly.  The engine takes no tuning
+    option: which join strategy runs follows from the predicate (or a
+    :attr:`~repro.algebra.operators.Join.strategy` hint on the node), and
+    whether a temporal operator runs its whole-column kernel or its scalar
+    twin from :func:`repro.engine.kernels.worthwhile`.  ``limits``
     carries a per-execution deadline and row budget (see
     :class:`repro.execution.QueryLimits`), enforced cooperatively inside
     the operator loops.  ``executor`` is the reference door, not a tuning
     knob: ``"batch"`` (the default) is the engine, columnar batches in
     :mod:`repro.engine.batch`; ``"row"`` runs this module's tuple-streaming
-    reference operators, for differential checks.  ``parallel_workers``
-    sizes the engine's partitioned-join pool.
-    ``parallel_threshold`` overrides the pool's engage threshold (the
-    cost planner derives it from table statistics; ``None`` keeps the
-    4096-row constant), and ``observations`` -- when a dict is passed --
-    collects per-node ``actual_rows`` / ``join_strategy`` readouts for
-    ``explain()``.
+    reference operators, for differential checks.  ``observations`` -- when
+    a dict is passed -- collects per-node ``actual_rows`` /
+    ``join_strategy`` readouts for ``explain()``.
     """
     if executor not in ("row", "batch"):
         raise ExecutorError(
@@ -233,14 +215,10 @@ def execute(
     context = ExecutionContext(
         database=database,
         statistics=counter,
-        interval_join=interval_join,
         deadline=limits.deadline if limits is not None else None,
         row_budget=limits.row_budget if limits is not None else None,
-        parallel_workers=parallel_workers,
         observations=observations,
     )
-    if parallel_threshold is not None:
-        context.parallel_threshold = parallel_threshold
     context.count(f"executor.{executor}")
     try:
         if executor == "batch":
@@ -470,7 +448,7 @@ def _join(
     hint = node.strategy if node is not None else None
     equi_keys, residual_conjuncts = _split_join_predicate(predicate, left, right)
     interval = None
-    if context.interval_join and hint in (None, "interval"):
+    if hint in (None, "interval"):
         interval, residual_conjuncts = _extract_interval_pattern(
             residual_conjuncts, left, right
         )

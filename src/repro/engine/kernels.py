@@ -19,14 +19,17 @@ and :func:`repro.temporal.coalesce.coalesce_column_sets` shares the
 factorise/pack half.  Multiplicities travel as a counts column; no kernel
 duplicates a tuple.
 
-Every kernel has a scalar twin (``parallel.partition_by_keys`` +
-``interval_sweep``, ``window.split_segments``, ``TemporalAggregateOperator
-._sweep_group``) that defines its result and serves what it declines by
-returning ``None``: NULL or non-``int`` end points (``bool``
+Every kernel has a scalar twin that defines its result and serves what it
+declines by returning ``None``: ``partition_by_keys`` + ``interval_sweep``
+and ``collect_group_endpoints`` + ``split_segments`` in
+:mod:`repro.engine.sweeps`, ``TemporalAggregateOperator._sweep_group`` and,
+for coalescing, the pure-Python paths of ``coalesce_columns``.  Declined are
+NULL or non-``int`` end points (``bool``
 and ``float`` included: the kernels would print them as ints), a packed code
 that would not fit (``codes * span >= 2**62``) and, for aggregation, any
 function but ``count``/``sum``/``avg``, a non-``int`` argument or a sum that
-could leave int64.  Callers ask :func:`worthwhile` first, which also covers
+could leave int64.  Every caller -- join, split, aggregation, coalescing --
+asks :func:`worthwhile` first and nothing else; that one rule also covers
 a numpy-less install: below :data:`KERNEL_CUTOVER` input rows the array
 set-up costs more than the scalar sweep (measured in EXPERIMENTS.md, "The
 engine and its reference").
@@ -69,10 +72,10 @@ Checkpoint = Optional[Callable[[int], None]]
 PACK_LIMIT = 1 << 62
 
 #: Combined input rows from which an operator tries its kernel.  Fixed, not
-#: settable: join and split cross over at 130-190 rows on both input shapes
-#: the benchmark has, aggregation near 40 (``benchmarks/kernel_cutover.py``,
-#: table in EXPERIMENTS.md); 256 is past all of them and keeps 32-row plans
-#: entirely scalar.
+#: settable: join, split and coalescing cross over at 110-190 rows on both
+#: input shapes the benchmark has, aggregation near 40
+#: (``benchmarks/kernel_cutover.py``, table in EXPERIMENTS.md); 256 is past
+#: all of them and keeps 32-row plans entirely scalar.
 KERNEL_CUTOVER = 256
 
 #: Candidate pairs the join kernel expands and materialises between two limit
@@ -254,7 +257,7 @@ def interval_join_vectorized(
 ) -> Optional[Tuple[List[Row], Optional[List[int]]]]:
     """Interval-overlap join on equal keys: every inner scan is a searchsorted.
 
-    Same pairing rule as :func:`repro.engine.parallel.interval_sweep` split
+    Same pairing rule as :func:`repro.engine.sweeps.interval_sweep` split
     into two disjoint cases -- pairs whose left row starts first (ties
     included) and pairs whose right row starts strictly first -- each solved
     for *all* head rows of *all* key groups at once: sort one side by packed
@@ -393,8 +396,8 @@ def split_segments_vectorized(
 ) -> Optional[Tuple[List[int], List[int], List[int]]]:
     """Cut every left interval at its group's end points, whole-column.
 
-    Vector twin of :func:`repro.engine.window.collect_group_endpoints` +
-    :func:`~repro.engine.window.split_segments`, with the same result
+    Vector twin of :func:`repro.engine.sweeps.collect_group_endpoints` +
+    :func:`~repro.engine.sweeps.split_segments`, with the same result
     ``(row_indexes, piece_begins, piece_ends)`` in the same order.  The
     distinct packed ``(group, end point)`` values of *both* inputs are
     sorted once; a row's own begin and end are among them, so its pieces

@@ -73,6 +73,7 @@ __all__ = [
     "PolicyCounters",
     "QueryLimits",
     "register_backend",
+    "check_backend_name",
     "resolve_backend",
     "available_backends",
     "backend_accepts_limits",
@@ -431,18 +432,21 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
+def check_backend_name(name: str) -> None:
+    """Raise :class:`BackendUnavailableError` unless ``name`` is registered."""
+    if name not in _REGISTRY:
+        _ensure_builtin_backends()
+    if name not in _REGISTRY:
+        raise BackendUnavailableError(
+            f"unknown backend {name!r}; available: {sorted(_REGISTRY)}"
+        )
+
+
 def resolve_backend(backend: "str | ExecutionBackend") -> ExecutionBackend:
     """Turn a backend name or instance into a backend instance."""
     if isinstance(backend, str):
-        factory = _REGISTRY.get(backend)
-        if factory is None:
-            _ensure_builtin_backends()
-            factory = _REGISTRY.get(backend)
-        if factory is None:
-            raise BackendUnavailableError(
-                f"unknown backend {backend!r}; available: {sorted(_REGISTRY)}"
-            )
-        return factory()
+        check_backend_name(backend)
+        return _REGISTRY[backend]()
     if isinstance(backend, ExecutionBackend):
         return backend
     raise BackendError(f"not a backend: {backend!r}")

@@ -290,12 +290,7 @@ class MaterializedView:
                 for child, rows in zip(node.children, child_rows)
             )
         )
-        return engine_execute(
-            substituted,
-            self._pipeline.database,
-            None,
-            parallel_workers=self._pipeline.parallel_workers,
-        )
+        return engine_execute(substituted, self._pipeline.database)
 
     # -- delta application --------------------------------------------------------------
 

@@ -24,12 +24,10 @@ join predicates so the executor's sort-merge interval join (see
 """
 
 from .cost import (
-    DEFAULT_PARALLEL_THRESHOLD,
     annotate_join_strategies,
     estimate_plan,
     estimate_rows,
     normalize_planner_mode,
-    parallel_engage_threshold,
     reorder_joins,
 )
 from .rules import optimize, split_conjuncts
@@ -40,11 +38,9 @@ __all__ = [
     "split_conjuncts",
     "available_attributes",
     "infer_schema",
-    "DEFAULT_PARALLEL_THRESHOLD",
     "annotate_join_strategies",
     "estimate_plan",
     "estimate_rows",
     "normalize_planner_mode",
-    "parallel_engage_threshold",
     "reorder_joins",
 ]

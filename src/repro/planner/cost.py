@@ -1,6 +1,6 @@
 """Cost-based planning over :mod:`repro.stats` interval statistics.
 
-Three planner phases consume the catalog's ANALYZE output:
+Two planner phases consume the catalog's ANALYZE output:
 
 * :func:`reorder_joins` -- runs on the *logical* plan (before REWR, whose
   period-intersection projections would otherwise hide the join tree),
@@ -11,10 +11,6 @@ Three planner phases consume the catalog's ANALYZE output:
   syntactic fixpoint and stamps each :class:`~repro.algebra.operators.Join`
   with the strategy (``interval`` / ``hash`` / ``nested_loop``) the cost
   model prefers; the executors obey the hint.
-* :func:`parallel_engage_threshold` -- replaces the batch executor's
-  hard-coded 4096-row parallel-engage constant with a stats-driven bound:
-  dense overlap joins emit many rows per input row, so the pool pays off on
-  smaller inputs.
 
 Cardinality estimation (:func:`estimate_plan`) follows the classic
 System-R recipe adapted to interval data: equality selectivity is
@@ -63,26 +59,12 @@ from .rules import split_conjuncts
 from .schema import infer_schema
 
 __all__ = [
-    "DEFAULT_PARALLEL_THRESHOLD",
     "normalize_planner_mode",
     "estimate_plan",
     "estimate_rows",
     "reorder_joins",
     "annotate_join_strategies",
-    "parallel_engage_threshold",
 ]
-
-#: The batch executor's historical parallel-engage constant (combined join
-#: input rows); used verbatim whenever no statistics exist.
-DEFAULT_PARALLEL_THRESHOLD = 4096
-
-#: Estimated rows the pool startup overhead is worth; the stats-driven
-#: threshold divides this by the estimated sweep work per input row.
-_POOL_STARTUP_ROWS = 1 << 20
-
-#: Clamp bounds of the stats-driven threshold.
-_MIN_PARALLEL_THRESHOLD = 256
-_MAX_PARALLEL_THRESHOLD = DEFAULT_PARALLEL_THRESHOLD * 16
 
 #: Textbook fallback selectivities when no statistics are available.
 _DEFAULT_ROWS = 1000.0
@@ -718,36 +700,3 @@ def _choose_strategy(plan: Join, database: Optional[Any]) -> Optional[str]:
     if keys:
         return "hash"
     return "nested_loop"
-
-
-# -- stats-driven parallel threshold ---------------------------------------------------------------
-
-
-def parallel_engage_threshold(
-    plan: Operator,
-    database: Optional[Any] = None,
-    default: int = DEFAULT_PARALLEL_THRESHOLD,
-) -> int:
-    """Combined join-input row count above which the batch pool engages.
-
-    Without statistics this is the historical ``4096`` constant.  With
-    statistics, the expected sweep output per input row is
-    ``overlap_density * row_count``; dividing the pool's startup budget by
-    that work estimate engages workers earlier on dense tables (where each
-    input row is expensive) and later on sparse ones.
-    """
-    if database is None:
-        return default
-    statistics = [
-        database.statistics_for(node.name)
-        for node in plan.walk()
-        if isinstance(node, RelationAccess)
-    ]
-    statistics = [s for s in statistics if s is not None]
-    if not statistics:
-        return default
-    density = max(s.overlap_density for s in statistics)
-    rows = max(s.row_count for s in statistics)
-    work_per_row = 1.0 + density * rows
-    threshold = int(_POOL_STARTUP_ROWS / work_per_row)
-    return max(_MIN_PARALLEL_THRESHOLD, min(_MAX_PARALLEL_THRESHOLD, threshold))

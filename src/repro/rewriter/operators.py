@@ -27,8 +27,8 @@ from ..algebra.expressions import Attribute
 from ..algebra.operators import AggregateSpec, Operator, Projection
 from ..engine import kernels as _kernels
 from ..engine.executor import ExecutionContext, ExecutorError, PhysicalOperator
+from ..engine.sweeps import collect_group_endpoints, split_segments
 from ..engine.table import Table, tuple_getter
-from ..engine.window import collect_group_endpoints, split_segments
 from ..temporal.coalesce import coalesce_column_sets
 from .periodenc import T_BEGIN, T_END
 
@@ -321,7 +321,7 @@ class SplitOperator(PhysicalOperator):
         .split_segments_vectorized` (all groups in one sorted array of end
         points, counted as ``batch.split_vectorized``) or, for what it
         declines, from the per-group sweep helpers in
-        :mod:`repro.engine.window`.  Either way end points are collected per
+        :mod:`repro.engine.sweeps`.  Either way end points are collected per
         group from both children's columns, data columns are rebuilt with
         one index gather per attribute and multiplicities follow their
         source row (every duplicate splits identically).

@@ -45,13 +45,13 @@ from ..execution import (
     PolicyCounters,
     QueryLimits,
     backend_accepts_limits,
+    check_backend_name,
     resolve_backend,
 )
 from ..logical_model.period_relation import PeriodKRelation
 from ..planner import (
     normalize_planner_mode,
     optimize as planner_optimize,
-    parallel_engage_threshold,
     reorder_joins,
 )
 from ..semirings.standard import NATURAL
@@ -96,7 +96,8 @@ class QueryPipeline:
         :mod:`repro.planner.cost`).
     backend:
         Default execution host for rewritten plans: a registered backend
-        name (``"memory"``, ``"sqlite"``) or an
+        name (``"memory"``, ``"sqlite"``; an unknown name raises here, not at
+        the first query) or an
         :class:`~repro.execution.ExecutionBackend` instance.  ``None`` keeps
         the in-memory engine -- there is one, the columnar engine behind
         :func:`repro.engine.execute`; :meth:`execute` can override per query.
@@ -110,9 +111,6 @@ class QueryPipeline:
     policy:
         Default :class:`~repro.execution.ExecutionPolicy` (deadline, row
         budget, retries, failover); :meth:`execute` can override per query.
-    parallel_workers:
-        Worker-process count for the in-memory engine's partitioned interval
-        join; ``None`` keeps it serial.  Ignored by SQL backends.
     """
 
     def __init__(
@@ -126,16 +124,16 @@ class QueryPipeline:
         rewriter_cls: type[SnapshotRewriter] = SnapshotRewriter,
         plan_cache: bool = False,
         policy: Optional[ExecutionPolicy] = None,
-        parallel_workers: Optional[int] = None,
     ) -> None:
         self.domain = domain
         self.database = database if database is not None else Database()
         self.period_semiring = PeriodSemiring(NATURAL, domain)
         normalize_planner_mode(optimize)  # validate eagerly
         self.optimize = optimize
+        if isinstance(backend, str):
+            check_backend_name(backend)  # likewise: not at the first query
         self.backend = backend
         self.policy = policy
-        self.parallel_workers = parallel_workers
         # Kept alongside the rewriter instance so callers that re-create the
         # configuration elsewhere (the conformance harness builds fresh
         # pipelines per execution) can mirror this pipeline exactly.
@@ -404,21 +402,8 @@ class QueryPipeline:
         observations: Optional[Dict[int, Dict[str, Any]]] = None,
     ) -> Table:
         if chosen is None or chosen == "memory":
-            threshold = None
-            if (self.parallel_workers or 1) >= 2:
-                # Stats-driven parallel-engage decision: with ANALYZE data
-                # on the referenced tables this deviates from the 4096-row
-                # constant (dense overlap -> engage earlier); without
-                # statistics it returns exactly the historical default.
-                threshold = parallel_engage_threshold(plan, self.database)
             return engine_execute(
-                plan,
-                self.database,
-                statistics,
-                limits=limits,
-                parallel_workers=self.parallel_workers,
-                parallel_threshold=threshold,
-                observations=observations,
+                plan, self.database, statistics, limits=limits, observations=observations
             )
         resolved = self._host(chosen)
         if limits is None:

@@ -14,6 +14,7 @@ import argparse
 import time
 
 from ..api import FluentError, connect
+from ..errors import BackendUnavailableError
 from .core import DEFAULT_PORT, QueryServer
 
 
@@ -52,7 +53,7 @@ def main(argv=None) -> int:
             backend=args.backend,
             planner=not args.no_planner,
         )
-    except FluentError as error:
+    except (FluentError, BackendUnavailableError) as error:
         parser.error(str(error))
     server = QueryServer(
         session,

@@ -182,9 +182,11 @@ def coalesce_column_sets(
 
     Takes the grouping attributes as separate columns instead of a
     pre-zipped key column and returns them the same way, which lets the
-    vectorized kernel skip tuple construction entirely: when numpy is
-    importable, every multiplicity is 1 and the endpoint columns are plain
-    ints, grouping, event sort and sweep all run as int64 array operations
+    vectorized kernel skip tuple construction entirely: when
+    :func:`repro.engine.kernels.worthwhile` says the input is big enough
+    (the rule every temporal operator asks; it is false without numpy),
+    every multiplicity is 1 and the endpoint columns are plain ints,
+    grouping, event sort and sweep all run as int64 array operations
     (see :func:`_coalesce_columns_numpy`).  Otherwise the keys are zipped
     and the scalar :func:`coalesce_columns` paths take over.
 
@@ -195,7 +197,7 @@ def coalesce_column_sets(
     """
     if all_ones is None:
         all_ones = all(count == 1 for count in counts)
-    if _kernels.np is not None and all_ones:
+    if all_ones and _kernels.worthwhile(len(begins)):
         fast = _coalesce_columns_numpy(key_columns, begins, ends)
         if fast is not None:
             return fast
@@ -267,7 +269,12 @@ def _coalesce_columns_numpy(
         if not len(rows):
             return empty
         begin_array, end_array, gids = begin_array[rows], end_array[rows], gids[rows]
-    packing = _kernels.pack_span(n_groups, (begin_array, end_array))
+    # A group's code becomes the index of its first valid row: as unique as
+    # the code was, it names the row the group prints under, and it sorts the
+    # groups the way the scalar twin lists them (which of 1 / 1.0 a later
+    # group-by prints follows that order).
+    gids = _kernels.first_rows(gids, n_groups)[gids]
+    packing = _kernels.pack_span(len(gids), (begin_array, end_array))
     if packing is None:
         return None
     lo, span = packing
@@ -295,10 +302,9 @@ def _coalesce_columns_numpy(
     out_begins = points[:-1][open_mask]
     out_ends = points[1:][open_mask]
     out_counts = depths[:-1][open_mask]
-    out_gids = (change_pairs // span)[:-1][open_mask]
 
     # -- decode: every group prints under its first valid row's key --------------------
-    key_rows = _kernels.first_rows(gids, n_groups)[out_gids]
+    key_rows = (change_pairs // span)[:-1][open_mask]
     if rows is not None:
         key_rows = rows[key_rows]
     key_rows = key_rows.tolist()

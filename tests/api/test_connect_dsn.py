@@ -36,6 +36,22 @@ class TestMemoryDsn:
         with connect("memory://?domain=0:8&backend=sqlite") as session:
             assert session.backend == "sqlite"
 
+    @pytest.mark.parametrize(
+        "open_session",
+        [
+            lambda: connect("memory://?domain=0:8&backend=nope"),
+            lambda: connect(domain=(0, 8), backend="nope"),
+        ],
+        ids=["dsn", "keyword"],
+    )
+    def test_unknown_backend_name_fails_at_connect(self, open_session):
+        """Like a bad planner or coalesce mode: not at the first query."""
+        with pytest.raises(
+            repro.BackendUnavailableError,
+            match=r"unknown backend 'nope'; available: \[.*'memory', 'sqlite'",
+        ):
+            open_session()
+
     def test_missing_domain_raises(self):
         with pytest.raises(FluentError, match="needs a time domain"):
             connect("memory://")

@@ -6,9 +6,9 @@ can produce: the hypothesis suite here drives randomized generator catalogs
 (adversarial shapes included -- NULL data, NULL end points, duplicates,
 degenerate intervals) through the deep conformance plan grammar, rewrites
 each query once, and executes the same physical plan on both executors with
-the planner on and off.  A separate case forces the partitioned interval
-join onto a two-process pool and pins the partition counters the
-``explain()`` surface reports.
+the planner on and off.  Separate cases pin which route the interval join
+took (kernel or scalar partitions) and the counters the ``explain()``
+surface reports for it.
 """
 
 from __future__ import annotations
@@ -53,49 +53,6 @@ def test_batch_executor_matches_row_on_generated_catalogs(config, query):
         assert batch_statistics["executor.batch"] == 1
 
 
-def test_parallel_partitioned_join_matches_row_and_counts_workers():
-    """The pooled partitioned interval join is exact and visibly parallel."""
-    config = GeneratorConfig(
-        rows=2400,
-        domain_size=2048,
-        seed=11,
-        interval_profile="uniform",
-        duplicate_rate=0.1,
-        null_endpoint_rate=0.05,
-        keys=6,
-    )
-    database = Database()
-    for name, prefix in (("L", "l"), ("R", "r")):
-        database.register(
-            generate_table(name, config, prefix), period=("t_begin", "t_end")
-        )
-    left = Rename(RelationAccess("L"), (("t_begin", "l_begin"), ("t_end", "l_end")))
-    right = Rename(RelationAccess("R"), (("t_begin", "r_begin"), ("t_end", "r_end")))
-    predicate = and_(
-        Comparison("=", attr("l_key"), attr("r_key")),
-        and_(
-            Comparison("<", attr("l_begin"), attr("r_end")),
-            Comparison("<", attr("r_begin"), attr("l_end")),
-        ),
-    )
-    plan = Join(left, right, predicate)
-
-    row_result = execute(plan, database, executor="row")
-    statistics: Dict[str, int] = {}
-    batch_result = execute(
-        plan, database, statistics, executor="batch", parallel_workers=2
-    )
-
-    assert _bag(batch_result) == _bag(row_result)
-    assert len(batch_result) > 0
-    # The acceptance gate: the pool really ran, across >= 2 worker
-    # processes, over the equality-key partitions.
-    assert statistics["join_strategy.interval_parallel"] == 1
-    assert statistics["batch.parallel_workers"] >= 2
-    assert statistics["batch.parallel_partitions"] >= 2
-    assert statistics["batch.partitions"] >= 2
-
-
 def _keyed_overlap_join(rows: int):
     """(database, plan) for ``L JOIN R ON l_key = r_key AND overlap``, ``rows`` per side."""
     config = GeneratorConfig(
@@ -131,7 +88,6 @@ def test_serial_batch_join_still_counts_partitions():
     assert statistics["batch.partitions"] >= 2
     assert statistics["join_strategy.interval"] == 1
     assert "join_strategy.interval_vectorized" not in statistics
-    assert "join_strategy.interval_parallel" not in statistics
 
 
 def test_keyed_join_above_the_cutover_is_kernel_served_and_says_so():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.algebra import Comparison, Join, RelationAccess, Selection, and_, attr, lit
 from repro.engine import Database, execute
 
+from tests.strategies import without_interval_join
+
 
 def bag(table):
     return Counter(table.rows)
@@ -41,14 +43,14 @@ class TestIntervalJoin:
         plan = Join(RelationAccess("l"), RelationAccess("r"), overlap_predicate())
         result = execute(plan, database, statistics)
         assert statistics.get("join_strategy.interval") == 1
-        baseline = execute(plan, database, interval_join=False)
+        baseline = execute(without_interval_join(plan), database)
         assert bag(result) == bag(baseline)
         assert len(result) > 0
 
     def test_disabled_interval_join_falls_back_to_nested_loop(self, database):
         statistics = {}
         plan = Join(RelationAccess("l"), RelationAccess("r"), overlap_predicate())
-        execute(plan, database, statistics, interval_join=False)
+        execute(without_interval_join(plan), database, statistics)
         assert statistics.get("join_strategy.nested_loop") == 1
         assert "join_strategy.interval" not in statistics
 
@@ -63,7 +65,7 @@ class TestIntervalJoin:
         )
         result = execute(plan, database, statistics)
         assert statistics.get("join_strategy.interval") == 1
-        baseline = execute(plan, database, interval_join=False)
+        baseline = execute(without_interval_join(plan), database)
         assert bag(result) == bag(baseline)
 
     def test_reversed_comparisons_are_normalised(self, database):
@@ -78,7 +80,7 @@ class TestIntervalJoin:
         statistics = {}
         result = execute(plan, database, statistics)
         assert statistics.get("join_strategy.interval") == 1
-        assert bag(result) == bag(execute(plan, database, interval_join=False))
+        assert bag(result) == bag(execute(without_interval_join(plan), database))
 
     def test_extra_residual_conjunct_filters_pairs(self, database):
         plan = Join(
@@ -89,7 +91,7 @@ class TestIntervalJoin:
         statistics = {}
         result = execute(plan, database, statistics)
         assert statistics.get("join_strategy.interval") == 1
-        assert bag(result) == bag(execute(plan, database, interval_join=False))
+        assert bag(result) == bag(execute(without_interval_join(plan), database))
 
     def test_single_direction_comparison_is_not_an_interval_join(self, database):
         plan = Join(
@@ -107,7 +109,7 @@ class TestIntervalJoin:
         db = make_database([(1, "a", 5, 5), (2, "a", 9, 7)], [(10, "a", 4, 6)])
         plan = Join(RelationAccess("l"), RelationAccess("r"), overlap_predicate())
         result = execute(plan, db)
-        baseline = execute(plan, db, interval_join=False)
+        baseline = execute(without_interval_join(plan), db)
         assert bag(result) == bag(baseline)
         assert (1, "a", 5, 5, 10, "a", 4, 6) in result.rows
 
@@ -118,7 +120,7 @@ class TestIntervalJoin:
         )
         plan = Join(RelationAccess("l"), RelationAccess("r"), overlap_predicate())
         result = execute(plan, db)
-        assert bag(result) == bag(execute(plan, db, interval_join=False))
+        assert bag(result) == bag(execute(without_interval_join(plan), db))
         assert all(row[0] == 3 and row[4] == 10 for row in result.rows)
 
     def test_null_equality_keys_never_match(self):
@@ -168,6 +170,6 @@ def test_interval_join_differential(left, right, with_key):
     plan = Join(RelationAccess("l"), RelationAccess("r"), predicate)
     statistics = {}
     sweep = execute(plan, db, statistics)
-    fallback = execute(plan, db, interval_join=False)
+    fallback = execute(without_interval_join(plan), db)
     assert statistics.get("join_strategy.interval") == 1
     assert bag(sweep) == bag(fallback)

@@ -4,7 +4,7 @@ The ``chained`` profile of :mod:`repro.datasets.generator` is the worst case
 for the sort-merge interval join -- long runs of mutually overlapping
 intervals, near-quadratic output.  On exactly this input the sweep must
 produce the same bag of rows as the historical strategies it replaced
-(``interval_join=False``), with the ``join_strategy.*`` statistics
+(every join hinted ``"hash"``), with the ``join_strategy.*`` statistics
 reporting which code path ran.
 """
 
@@ -18,6 +18,8 @@ from repro.algebra.operators import Join, RelationAccess
 from repro.datasets import GeneratorConfig, generate_table
 from repro.engine.catalog import Database
 from repro.engine.executor import execute
+
+from tests.strategies import without_interval_join
 
 CHAINED = GeneratorConfig(
     rows=150,
@@ -69,7 +71,7 @@ def test_pure_overlap_join_parity_and_statistics():
     fallback_stats: Dict[str, int] = {}
     interval_result = execute(plan, database, interval_stats)
     fallback_result = execute(
-        plan, database, fallback_stats, interval_join=False
+        without_interval_join(plan), database, fallback_stats
     )
 
     assert Counter(interval_result.rows) == Counter(fallback_result.rows)
@@ -94,7 +96,7 @@ def test_partitioned_overlap_join_parity_and_statistics():
     fallback_stats: Dict[str, int] = {}
     interval_result = execute(plan, database, interval_stats)
     fallback_result = execute(
-        plan, database, fallback_stats, interval_join=False
+        without_interval_join(plan), database, fallback_stats
     )
 
     assert Counter(interval_result.rows) == Counter(fallback_result.rows)
@@ -127,5 +129,5 @@ def test_degenerate_and_null_endpoints_join_identically():
     left, right = _renamed(database)
     plan = Join(left, right, _overlap("l_begin", "l_end", "r_begin", "r_end"))
     interval_result = execute(plan, database)
-    fallback_result = execute(plan, database, interval_join=False)
+    fallback_result = execute(without_interval_join(plan), database)
     assert Counter(interval_result.rows) == Counter(fallback_result.rows)

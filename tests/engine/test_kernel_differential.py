@@ -1,9 +1,9 @@
 """Each whole-column kernel against its scalar twin and the row reference.
 
-:mod:`repro.engine.kernels` serves the interval join, the split operator
-and ``count``/``sum``/``avg`` temporal aggregation above a fixed row-count
-cutover; below it, and for whatever a kernel declines, the scalar sweeps
-run.  The hypothesis sweeps here execute one physical plan three ways --
+:mod:`repro.engine.kernels` serves the interval join, the split operator,
+``count``/``sum``/``avg`` temporal aggregation and coalescing above a fixed
+row-count cutover; below it, and for whatever a kernel declines, the scalar
+sweeps run.  The hypothesis sweeps here execute one physical plan three ways --
 row reference, engine with the cutover at 0 (kernels wherever they accept)
 and engine with the kernels out of reach -- over NULL keys, NULL and
 degenerate end points, ``bool``/float/mixed/string/composite keys and
@@ -33,8 +33,12 @@ from repro.algebra.operators import (
 from repro.engine import kernels
 from repro.engine.catalog import Database
 from repro.engine.executor import ExecutionContext, execute
-from repro.engine.parallel import interval_sweep, partition_by_keys
-from repro.engine.window import collect_group_endpoints, split_segments
+from repro.engine.sweeps import (
+    collect_group_endpoints,
+    interval_sweep,
+    partition_by_keys,
+    split_segments,
+)
 from repro.errors import QueryTimeoutError, ResourceLimitError
 from repro.execution import Deadline, QueryLimits
 from repro.rewriter.operators import (
@@ -43,6 +47,7 @@ from repro.rewriter.operators import (
     TemporalAggregateOperator,
 )
 from repro.rewriter.pipeline import QueryPipeline
+from repro.temporal import coalesce as coalescing
 from repro.temporal.timedomain import TimeDomain
 
 pytest.importorskip("numpy")
@@ -270,6 +275,28 @@ def test_split_kernel_equals_its_scalar_twin_directly(data, n_keys):
     assert served == split_segments(group(left), left[3], left[4], endpoints)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=tables())
+def test_coalesce_kernel_matches_scalar_and_reference(data):
+    """No counter names coalescing's route: the twins are also compared directly."""
+    rows = data[0] + data[1]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _three_ways(CoalesceOperator(_relation(rows)), monkeypatch)
+    key_columns = [[row[i] for row in rows] for i in range(3)]
+    begins, ends = [row[3] for row in rows], [row[4] for row in rows]
+    served = coalescing._coalesce_columns_numpy(key_columns, begins, ends)
+    if not _plain_end_points(rows):
+        assert served is None
+        return
+    assert served is not None
+    kernel_keys, *kernel_periods = served
+    twin = coalescing.coalesce_columns(
+        list(zip(*key_columns)), begins, ends, [1] * len(rows)
+    )
+    # Same entries in the same order (groups by first valid row), printed alike.
+    assert repr((list(zip(*kernel_keys)), *kernel_periods)) == repr(twin)
+
+
 # -- routes: cutover, counters, explain -------------------------------------------------
 
 
@@ -278,7 +305,7 @@ def _keyed_rows(n: int, offset: int = 0):
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
-def test_cutover_decides_the_route_and_not_the_result(delta):
+def test_cutover_decides_the_route_and_not_the_result(delta, monkeypatch):
     total = kernels.KERNEL_CUTOVER + delta
     left_rows, right_rows = _keyed_rows(total // 2), _keyed_rows(total - total // 2, 1)
     expect_kernel = delta >= 0
@@ -310,6 +337,19 @@ def test_cutover_decides_the_route_and_not_the_result(delta):
     )
     assert ("batch.aggregate_vectorized" in statistics) == expect_kernel
     assert ("preaggregated_rows" in statistics) != expect_kernel
+
+    # Coalescing has no route counter; watch its kernel being called instead.
+    kernel, calls = coalescing._coalesce_columns_numpy, []
+
+    def watched(*columns):
+        calls.append(len(columns[1]))
+        return kernel(*columns)
+
+    monkeypatch.setattr(coalescing, "_coalesce_columns_numpy", watched)
+    coalesce = CoalesceOperator(_relation(left_rows + right_rows))
+    result = execute(coalesce, DATABASE)
+    assert Counter(result.rows) == Counter(execute(coalesce, DATABASE, executor="row").rows)
+    assert calls == ([total] if expect_kernel else [])
 
 
 def test_an_empty_side_is_served_without_work():
@@ -346,6 +386,22 @@ def test_equal_keys_of_different_types_print_under_the_first_valid_row(monkeypat
         reference = execute(plan, DATABASE, executor="row")
         assert Counter(map(repr, result.rows)) == Counter(map(repr, reference.rows))
         assert {repr(row[0]) for row in result.rows} == {"1.0", "2"}
+
+
+def test_coalescing_lists_its_groups_in_first_valid_row_order(monkeypatch):
+    """Which of 1 / 1.0 names a later group follows the order coalescing emits."""
+    monkeypatch.setattr(kernels, "KERNEL_CUTOVER", 0)
+    rows = [
+        (1, 1.0, None, 0, 0),  # degenerate: its group is first seen, not first valid
+        (1.0, 0.5, None, 0, 1),
+        (1, 0.5, None, 0, 1),
+        (1, 1.0, None, 0, 1),
+    ]
+    plan = TemporalAggregateOperator(
+        _relation(rows, coalesce=True), ("k1",), (AggregateSpec("count", None, "n"),)
+    )
+    reference = execute(plan, DATABASE, executor="row")
+    assert repr(execute(plan, DATABASE).rows) == repr(reference.rows) == "[(1.0, 3, 0, 1)]"
 
 
 def test_min_max_and_float_arguments_keep_the_scalar_sweep():

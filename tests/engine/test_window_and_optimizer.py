@@ -1,4 +1,4 @@
-"""Unit tests for window functions and the rule-based plan optimizer."""
+"""Unit tests for the rule-based plan optimizer."""
 
 import pytest
 
@@ -14,76 +14,9 @@ from repro.algebra import (
     attr,
     lit,
 )
-from repro.engine import (
-    Database,
-    Table,
-    WindowSpec,
-    apply_window,
-    execute,
-    lag,
-    lead,
-    partition_rows,
-    row_number,
-    running_sum,
-    sum_over_partition,
-)
+from repro.engine import Database, execute
 from repro.planner import optimize
 from repro.planner import available_attributes, split_conjuncts
-
-
-@pytest.fixture
-def events():
-    return Table(
-        "events",
-        ("grp", "ts", "delta"),
-        [("a", 3, 1), ("a", 1, 1), ("a", 5, -2), ("b", 2, 1), ("b", 4, -1)],
-    )
-
-
-class TestWindowFunctions:
-    def test_partition_rows(self, events):
-        partitions = partition_rows(events, ("grp",))
-        assert set(partitions) == {("a",), ("b",)}
-        assert len(partitions[("a",)]) == 3
-
-    def test_running_sum_ordered_within_partition(self, events):
-        result = apply_window(
-            events,
-            WindowSpec(partition_by=("grp",), order_by=("ts",)),
-            {"total": running_sum("delta")},
-        )
-        rows = {(r[0], r[1]): r[-1] for r in result.rows}
-        assert rows[("a", 1)] == 1
-        assert rows[("a", 3)] == 2
-        assert rows[("a", 5)] == 0
-        assert rows[("b", 4)] == 0
-
-    def test_row_number_lag_lead(self, events):
-        result = apply_window(
-            events,
-            WindowSpec(partition_by=("grp",), order_by=("ts",)),
-            {
-                "rn": row_number(),
-                "prev_ts": lag("ts", default=-1),
-                "next_ts": lead("ts"),
-            },
-        )
-        by_key = {(r[0], r[1]): r for r in result.rows}
-        assert by_key[("a", 1)][result.column_index("rn")] == 1
-        assert by_key[("a", 1)][result.column_index("prev_ts")] == -1
-        assert by_key[("a", 1)][result.column_index("next_ts")] == 3
-        assert by_key[("a", 5)][result.column_index("next_ts")] is None
-
-    def test_sum_over_partition(self, events):
-        result = apply_window(
-            events, WindowSpec(partition_by=("grp",)), {"grp_total": sum_over_partition("delta")}
-        )
-        totals = {row[0]: row[-1] for row in result.rows}
-        assert totals == {"a": 0, "b": 0}
-
-    def test_name_clash_rejected(self, events):
-        with pytest.raises(ValueError):
-            apply_window(events, WindowSpec(), {"delta": row_number()})
 
 
 class TestOptimizer:

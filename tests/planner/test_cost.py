@@ -19,12 +19,10 @@ from repro.algebra.operators import Join, Projection, RelationAccess, Selection
 from repro.engine.catalog import Database
 from repro.engine.executor import execute
 from repro.planner import (
-    DEFAULT_PARALLEL_THRESHOLD,
     annotate_join_strategies,
     estimate_plan,
     estimate_rows,
     normalize_planner_mode,
-    parallel_engage_threshold,
     reorder_joins,
 )
 from repro.server.plans import plan_from_json, plan_to_json
@@ -340,38 +338,3 @@ class TestStrategyHintPlumbing:
             )
             assert Counter(hinted.rows) == Counter(baseline.rows)
             assert statistics.get(f"join_strategy.{strategy}") == 1
-
-
-class TestParallelThreshold:
-    def test_without_statistics_the_historical_constant(self):
-        database = Database()
-        database.create_table("t", ("a", "t_begin", "t_end"), [(1, 0, 5)])
-        plan = RelationAccess("t")
-        assert parallel_engage_threshold(plan, database) == (
-            DEFAULT_PARALLEL_THRESHOLD
-        )
-        assert parallel_engage_threshold(plan, None) == DEFAULT_PARALLEL_THRESHOLD
-
-    def test_dense_statistics_lower_the_threshold(self):
-        database = Database()
-        database.create_table(
-            "dense",
-            ("a", "t_begin", "t_end"),
-            [(i, 0, 100) for i in range(600)],
-            period=("t_begin", "t_end"),
-        )
-        database.analyze()
-        threshold = parallel_engage_threshold(RelationAccess("dense"), database)
-        assert threshold < DEFAULT_PARALLEL_THRESHOLD
-
-    def test_sparse_statistics_raise_the_threshold(self):
-        database = Database()
-        database.create_table(
-            "sparse",
-            ("a", "t_begin", "t_end"),
-            [(i, i * 10, i * 10 + 1) for i in range(50)],
-            period=("t_begin", "t_end"),
-        )
-        database.analyze()
-        threshold = parallel_engage_threshold(RelationAccess("sparse"), database)
-        assert threshold > DEFAULT_PARALLEL_THRESHOLD

@@ -2,9 +2,9 @@
 
 For randomized conformance-grammar plans over generated catalogs
 (adversarial interval shapes included), the ``planner="cost"`` pipeline --
-ANALYZE statistics, logical join reordering, strategy hints, and the
-stats-driven parallel threshold -- must return exactly the bag the syntactic
-planner returns, on the in-memory engine and the SQLite backend.  This is
+ANALYZE statistics, logical join reordering and strategy hints -- must
+return exactly the bag the syntactic planner returns, on the in-memory
+engine and the SQLite backend.  This is
 the standing safety net that keeps cost plans semantically inert: only the
 order and physical strategy may change.
 """

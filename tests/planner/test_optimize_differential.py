@@ -17,7 +17,7 @@ from repro.datasets.running_example import load_running_example
 from repro.engine import execute
 from repro.planner import optimize
 
-from tests.strategies import running_example_queries
+from tests.strategies import running_example_queries, without_interval_join
 
 
 def _plans(query):
@@ -71,5 +71,5 @@ def test_interval_join_matches_fallback_strategies(query):
     """The sort-merge interval join is pinned to the nested-loop/hash result."""
     pipeline, rewritten, optimized = _plans(query)
     with_interval = execute(optimized, pipeline.database)
-    without_interval = execute(optimized, pipeline.database, interval_join=False)
+    without_interval = execute(without_interval_join(optimized), pipeline.database)
     assert Counter(with_interval.rows) == Counter(without_interval.rows)

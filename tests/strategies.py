@@ -432,3 +432,21 @@ def conformance_queries():
     )
 
     return st.one_of(nested, grouped, ungrouped, selected_aggregate)
+
+
+# -- plan helpers ----------------------------------------------------------------------------
+
+
+def without_interval_join(plan):
+    """``plan`` with every :class:`Join` hinted ``"hash"``.
+
+    Both executors then skip the interval-overlap pattern and run the hash
+    join on the equality conjuncts, or the nested loop when there are none:
+    the strategies the sort-merge interval join is checked against.
+    """
+    children = [without_interval_join(child) for child in plan.children()]
+    if children:
+        plan = plan.with_children(*children)
+    if isinstance(plan, Join):
+        plan = Join(plan.left, plan.right, plan.predicate, "hash")
+    return plan

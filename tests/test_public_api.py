@@ -306,13 +306,11 @@ class TestOneEngine:
         # A superset check: other test modules register backends of their own.
         names = repro.available_backends()
         assert {"memory", "sqlite"} <= set(names) and "batch" not in names
-        with repro.connect(domain=(0, 8), backend="batch") as session:
-            relation = session.load("r", ["a"], [(1, 0, 4)])
-            with pytest.raises(
-                repro.BackendUnavailableError,
-                match=r"unknown backend 'batch'; available: \[.*'memory', 'sqlite'",
-            ):
-                relation.rows()
+        with pytest.raises(
+            repro.BackendUnavailableError,
+            match=r"unknown backend 'batch'; available: \[.*'memory', 'sqlite'",
+        ):
+            repro.connect(domain=(0, 8), backend="batch")
 
     def test_an_old_clients_executor_field_is_ignored(self):
         """A query frame still carrying ``"executor": "row"`` is answered normally."""
@@ -334,6 +332,77 @@ class TestOneEngine:
         assert schema == ("a", "t_begin", "t_end")
         assert sorted(rows) == [(1, 0, 4), (2, 2, 6)]
         assert statistics.get("executor.batch") == 1 and "executor.row" not in statistics
+
+
+class TestNoTuningOption:
+    """The engine takes no tuning option; ``kernels.worthwhile`` alone picks kernel or twin."""
+
+    def test_execute_takes_catalog_limits_sinks_and_the_reference_door(self):
+        import dataclasses
+        import inspect
+
+        from repro.engine import ExecutionContext, execute
+
+        assert list(inspect.signature(execute).parameters) == [
+            "plan", "database", "statistics", "limits", "executor", "observations",
+        ]
+        assert [field.name for field in dataclasses.fields(ExecutionContext)] == [
+            "database", "statistics", "observations", "deadline", "row_budget",
+        ]
+
+    def test_the_worker_pool_keyword_is_gone_from_every_surface(self):
+        with pytest.raises(TypeError, match="parallel_workers"):
+            repro.connect(domain=(0, 8), parallel_workers=2)
+        with pytest.raises(TypeError, match="parallel_workers"):
+            QueryPipeline(TimeDomain(0, 8), parallel_workers=2)
+        with pytest.raises(
+            repro.FluentError,
+            match=r"unsupported memory:// DSN parameter\(s\): \['parallel_workers'\]",
+        ):
+            repro.connect("memory://?domain=0:8&parallel_workers=2")
+
+    def test_no_module_holds_a_pool_or_reads_numpy_to_pick_a_route(self):
+        """Nothing imports ``multiprocessing`` or names anything ``*parallel*``
+        (identifiers and strings; prose in docstrings may use the word), and
+        outside ``engine/kernels.py`` no condition mentions ``np``: whether a
+        kernel runs is ``kernels.worthwhile()``'s decision alone.
+        """
+        import ast
+        import pathlib
+
+        def names(node):
+            for field in ("id", "attr", "arg", "name", "module", "asname"):
+                value = getattr(node, field, None)
+                if isinstance(value, str):
+                    yield value
+
+        package = pathlib.Path(repro.__file__).parent
+        for path in package.rglob("*.py"):
+            where = path.relative_to(package).as_posix()
+            tree = ast.parse(path.read_text())
+            docstrings = {
+                id(node.body[0].value)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and ast.get_docstring(node, clean=False) is not None
+            }
+            for node in ast.walk(tree):
+                at = f"{where}:{getattr(node, 'lineno', '?')}"
+                for name in names(node):
+                    assert "parallel" not in name and "multiprocessing" not in name, (
+                        f"{at} names {name!r}"
+                    )
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    assert id(node) in docstrings or "parallel" not in node.value, (
+                        f"{at} holds {node.value!r}"
+                    )
+                if where == "engine/kernels.py":
+                    continue
+                condition = node if isinstance(node, ast.Compare) else getattr(node, "test", None)
+                if isinstance(condition, ast.AST):
+                    assert not any(
+                        name == "np" for part in ast.walk(condition) for name in names(part)
+                    ), f"{at} asks numpy, not kernels.worthwhile()"
 
 
 class TestReadmeQuickstart:
