@@ -45,7 +45,13 @@ from ..engine import ENGINE_NAME
 from ..engine.catalog import Database
 from ..engine.table import Table
 from ..errors import BackendUnavailableError
-from ..execution import ExecutionBackend, ExecutionInfo, ExecutionPolicy, backend_name
+from ..execution import (
+    ExecutionBackend,
+    ExecutionInfo,
+    ExecutionPolicy,
+    backend_name,
+    check_backend_name,
+)
 from ..logical_model.period_relation import PeriodKRelation
 from ..rewriter.periodenc import T_BEGIN, T_END, period_decode, period_encode
 from ..rewriter.pipeline import PlanCacheInfo, QueryPipeline
@@ -386,6 +392,8 @@ class Session:
 
     @backend.setter
     def backend(self, value: "str | ExecutionBackend | None") -> None:
+        if isinstance(value, str):
+            check_backend_name(value)  # like connect(): not at the first query
         self.pipeline.backend = value
 
     @property

@@ -3,25 +3,39 @@
 Every plan :func:`repro.engine.executor.execute` is handed runs here.  Where
 the reference operators of :mod:`repro.engine.executor` stream Python row
 tuples through per-row closures, this module pushes whole
-:class:`ColumnarBatch` objects -- per-attribute lists plus a multiplicity
-column -- through column kernels:
+:class:`ColumnarBatch` objects -- one typed
+:class:`~repro.engine.kernels.Column` per attribute plus a multiplicity
+column -- from operator to operator.  A column is its values list (all that
+scalar code sees, as ``batch.columns[i]``) and, once a kernel has asked, an
+int64 array or dictionary codes that the next kernel finds already there;
+either half may be missing until someone reads it.
 
-* selections evaluate the predicate once per batch via
-  :meth:`~repro.algebra.expressions.Expression.compile_batch` and filter
-  every column with a single zipped comprehension;
-* projections of plain attribute references are **zero-copy** (the output
-  batch shares the input columns);
-* the interval join, split and ``count``/``sum``/``avg`` temporal
-  aggregation run as whole-column ``searchsorted`` sweeps over one packed
-  ``(key code, time)`` array per input (:mod:`repro.engine.kernels`; numpy,
-  optional), equality keys and multiplicities included;
-* what those kernels decline -- inputs below their cutover, NULL or
-  non-int end points, ``min``/``max``, no numpy -- runs their scalar twins
-  in :mod:`repro.engine.sweeps`: the partitioned bisect join and the
-  per-group split helpers;
-* coalescing (:func:`repro.temporal.coalesce.coalesce_column_sets`) emits
-  one output row per maximal interval with a multiplicity instead of
-  duplicating tuples.
+* the interval join, split, all five temporal aggregates and coalescing run
+  as whole-column ``searchsorted`` sweeps over one packed ``(key code,
+  time)`` array per input (:mod:`repro.engine.kernels`; numpy, optional),
+  equality keys and multiplicities included.  They read the columns' typed
+  forms and hand their output arrays on as columns; the join returns index
+  pairs, and each output attribute is gathered when -- and only if -- it is
+  read (REWR's projection drops the duplicate key and all four raw end
+  points unread);
+* the operators that only move rows carry the forms along: projections of
+  plain attribute references and renames are **zero-copy** (the output
+  batch shares the input's column objects), REWR's period intersection
+  (``greatest``/``least`` of two int columns) is one array operation, and a
+  filtering selection gathers every column at the kept rows' index;
+* everything else drops to lists: selections and other projections
+  evaluate their expression once per batch via
+  :meth:`~repro.algebra.expressions.Expression.compile_batch` over the
+  value lists; union, difference, distinct, non-temporal aggregation and
+  the hash / nested-loop joins work on values or row tuples and emit plain
+  columns, whose forms the next kernel derives afresh;
+* what the kernels decline -- inputs below their cutover, NULL or non-int
+  end points, ``bool``/float aggregate arguments, no numpy -- runs their
+  scalar twins in :mod:`repro.engine.sweeps`: the partitioned bisect join
+  and the per-group split helpers.  Below the cutover, and without numpy,
+  no column ever has a typed form;
+* coalescing emits one output row per maximal interval with a multiplicity
+  instead of duplicating tuples.
 
 The row operators remain the reference semantics: the output here is
 bag-equal with theirs for every plan (pinned by the reference differential
@@ -32,10 +46,10 @@ abstract model's (the conformance sweep).
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..abstract_model.krelation import aggregate_values
-from ..algebra.expressions import Attribute, Expression
+from ..algebra.expressions import Attribute, Expression, FunctionCall
 from ..algebra.operators import (
     Aggregation,
     ConstantRelation,
@@ -51,6 +65,7 @@ from ..algebra.operators import (
 )
 from . import kernels as _kernels
 from . import sweeps as _sweeps
+from .kernels import Column
 from .executor import (
     ExecutionContext,
     ExecutorError,
@@ -66,42 +81,78 @@ __all__ = ["ColumnarBatch", "execute_batch_plan"]
 Row = Tuple[Any, ...]
 
 
+class _ValueLists:
+    """``batch.columns``: per-attribute value lists, each produced when first read."""
+
+    __slots__ = ("_typed",)
+
+    def __init__(self, typed: List[Column]) -> None:
+        self._typed = typed
+
+    def __len__(self) -> int:
+        return len(self._typed)
+
+    def __getitem__(self, position: int) -> List[Any]:
+        return self._typed[position].values
+
+    def __iter__(self) -> Iterator[List[Any]]:
+        return (column.values for column in self._typed)
+
+
 class ColumnarBatch:
     """A batch of rows stored column-wise, with per-row multiplicities.
 
-    ``columns`` holds one list per schema attribute; ``counts`` holds how
-    many copies of each (logical) row the batch represents.  All lists have
-    the same length.  Operators that only reorder or merge intervals (the
-    coalesce sweep above all) emit one entry with ``counts[i] > 1`` instead
-    of materialising duplicate tuples; everything else keeps counts at 1 and
-    takes the all-ones fast paths.
+    ``typed`` holds one :class:`~repro.engine.kernels.Column` per schema
+    attribute -- the values list plus whatever typed form a kernel derived
+    or handed over -- and ``columns`` shows the same attributes as plain
+    value lists, which is all scalar code ever sees; ``counts`` holds how
+    many copies of each (logical) row the batch represents.  All have the
+    same length.  A batch is built from lists *or* from columns
+    (``typed=True``: base-table scans, kernel outputs, whatever passes
+    those on), never a mix, and wraps its lists into columns only if a
+    kernel asks for ``typed``: a plan below the cutover moves bare lists.
+    Operators that only reorder or merge intervals (the coalesce sweep above
+    all) emit one entry with ``counts[i] > 1`` instead of materialising
+    duplicate tuples; everything else keeps counts at 1 and takes the
+    all-ones fast paths.
 
-    Columns may be shared between batches (projection is zero-copy), so
-    kernels must never mutate a column in place -- always build a new list.
+    Columns are shared between batches (projection is zero-copy, base-table
+    columns live on the table), so nothing may mutate a column or its values
+    list in place -- always build a new one.  A column's values list may not
+    exist yet (a kernel's output array, a join side gathered at the pair
+    indexes): reading ``columns[i]`` produces it, and an attribute nobody
+    reads is never built.
 
     A batch holds its entries in one or both of two layouts -- per-attribute
-    ``columns`` and row tuples (``entry_rows``) -- and transposes lazily from
+    columns and row tuples (``entry_rows``) -- and transposes lazily from
     whichever it has when the other is first asked for.  Operators that emit
-    row tuples (the joins above all) build row-backed batches, so a plan
-    that never reads the output column-wise skips the transpose entirely.
+    row tuples (hash and nested-loop joins, set difference) build row-backed
+    batches, so a plan that never reads the output column-wise skips the
+    transpose entirely.  ``rows`` may also be a zero-argument callable that
+    builds them when first asked: a kernel-served join hands over gathered
+    columns *and* a faster way to its row tuples than transposing those.
     """
 
-    __slots__ = ("name", "schema", "_columns", "counts", "_index", "_ones", "_rows")
+    __slots__ = (
+        "name", "schema", "_columns", "_is_typed", "counts", "_index", "_ones", "_rows",
+    )
 
     def __init__(
         self,
         name: str,
         schema: Sequence[str],
-        columns: Optional[List[List[Any]]],
+        columns: Union[List[List[Any]], List[Column], None],
         counts: List[int],
         all_ones: Optional[bool] = None,
-        rows: Optional[List[Row]] = None,
+        rows: Union[List[Row], Callable[[], List[Row]], None] = None,
+        typed: bool = False,
     ) -> None:
         if columns is None and rows is None:
             raise ExecutorError("a ColumnarBatch needs columns or rows")
         self.name = name
         self.schema: Tuple[str, ...] = tuple(schema)
         self._columns = columns
+        self._is_typed = typed
         self._rows = rows
         self.counts = counts
         # Tri-state all-ones cache: constructors that know the counts shape
@@ -110,8 +161,12 @@ class ColumnarBatch:
         self._index: Dict[str, int] = {a: i for i, a in enumerate(self.schema)}
 
     @property
-    def columns(self) -> List[List[Any]]:
-        """Per-attribute value lists, transposed from the rows on demand."""
+    def columns(self) -> Sequence[List[Any]]:
+        """Per-attribute value lists (what scalar code reads).
+
+        The batch's own lists, transposed from the rows on demand -- or,
+        over typed columns, a view that produces each list when indexed.
+        """
         columns = self._columns
         if columns is None:
             rows = self._rows
@@ -121,7 +176,21 @@ class ColumnarBatch:
             else:
                 columns = [[] for _ in self.schema]
             self._columns = columns
-        return columns
+        return _ValueLists(columns) if self._is_typed else columns
+
+    @property
+    def typed(self) -> List[Column]:
+        """One :class:`Column` per attribute (what kernels read), wrapped on demand."""
+        if not self._is_typed:
+            self._columns = [Column(values) for values in self.columns]
+            self._is_typed = True
+        return self._columns
+
+    def relabelled(self, name: str, schema: Sequence[str]) -> "ColumnarBatch":
+        """The same entries -- columns, rows and counts shared -- under another name and schema."""
+        return ColumnarBatch(
+            name, schema, self._columns, self.counts, self._ones, self._rows, self._is_typed
+        )
 
     # -- conversion -------------------------------------------------------------------
 
@@ -133,7 +202,10 @@ class ColumnarBatch:
         memoised on the table itself (keyed by the identity and length of
         its rows list -- ``append``/``extend`` grow the list and ``clone``
         replaces it, so either invalidates the cache).  Kernels never mutate
-        columns in place, which makes sharing safe.
+        columns in place, which makes sharing safe.  The typed forms live on
+        those same :class:`Column` objects -- derived from this entry's
+        snapshot the first time a kernel asks, never from ``table.rows`` --
+        so one table version is scanned once and its arrays die with it.
 
         The table may be appended to while this runs (the server executes
         reads and DML on one thread pool over one catalog), so the columns,
@@ -152,18 +224,23 @@ class ColumnarBatch:
             snapshot = rows[:]
             if snapshot:
                 # zip(*rows) transposes at C speed; one list per attribute.
-                columns = [list(column) for column in zip(*snapshot)]
+                columns = [Column(list(column)) for column in zip(*snapshot)]
             else:
-                columns = [[] for _ in table.schema]
+                columns = [Column([]) for _ in table.schema]
             cache = table._columns_cache = (rows, snapshot, columns)
         _, snapshot, columns = cache
+        # A table below the cutover scans as bare lists, like everything
+        # else in a small plan; should a kernel want it after all (joined
+        # with a big table), wrapping and scanning it afresh costs nothing.
+        typed = _kernels.worthwhile(len(snapshot))
         return cls(
             name or table.name,
             table.schema,
-            columns,
+            columns if typed else [column.values for column in columns],
             [1] * len(snapshot),
             all_ones=True,
             rows=snapshot,
+            typed=typed,
         )
 
     @classmethod
@@ -181,13 +258,14 @@ class ColumnarBatch:
         """
         rows = self._rows
         if rows is None:
-            columns = self._columns
-            assert columns is not None
-            if columns:
+            columns = self.columns
+            if len(columns):
                 rows = list(zip(*columns))
             else:
                 rows = [()] * len(self.counts)
             self._rows = rows
+        elif callable(rows):
+            rows = self._rows = rows()
         return rows
 
     def expanded_rows(self) -> List[Row]:
@@ -217,7 +295,7 @@ class ColumnarBatch:
         """Whether every multiplicity is 1 (cached after the first scan)."""
         ones = self._ones
         if ones is None:
-            ones = self._ones = all(count == 1 for count in self.counts)
+            ones = self._ones = self.counts.count(1) == len(self.counts)
         return ones
 
     def weight(self) -> int:
@@ -283,16 +361,7 @@ def _execute_node(
         if batch is None:
             batch = ColumnarBatch.from_table(table)
             scans[id(table)] = batch
-        if plan.alias:
-            return ColumnarBatch(
-                plan.alias,
-                batch.schema,
-                batch._columns,
-                batch.counts,
-                batch._ones,
-                rows=batch._rows,
-            )
-        return batch
+        return batch.relabelled(plan.alias, batch.schema) if plan.alias else batch
 
     if isinstance(plan, ConstantRelation):
         return ColumnarBatch.from_rows("constant", plan.schema, plan.rows)
@@ -341,23 +410,30 @@ def _selection(
     mask = predicate.compile_batch(batch.schema)(batch.columns, len(batch.counts))
     if all(mask):
         context.count("rows_filtered", 0)
-        return ColumnarBatch(
-            "selection",
-            batch.schema,
-            batch._columns,
-            batch.counts,
-            batch._ones,
-            rows=batch._rows,
-        )
-    columns = [
-        [value for value, keep in zip(column, mask) if keep]
-        for column in batch.columns
-    ]
+        return batch.relabelled("selection", batch.schema)
+    # Above the kernel cutover every column is gathered at the kept rows'
+    # index -- its typed forms follow and its values list is filtered only
+    # if someone reads it; below it, one zipped comprehension per column.
+    columns: Union[List[Column], List[List[Any]]]
+    typed = _kernels.worthwhile(len(mask))
+    if typed:
+        kept = _kernels.kept_rows(mask)
+        columns = [Column.gathered(column, kept) for column in batch.typed]
+    else:
+        columns = [
+            [value for value, keep in zip(column, mask) if keep]
+            for column in batch.columns
+        ]
     counts = [count for count, keep in zip(batch.counts, mask) if keep]
     context.count("rows_filtered", len(batch.counts) - len(counts))
     # A subset of an all-ones counts column stays all ones; otherwise unknown.
     return ColumnarBatch(
-        "selection", batch.schema, columns, counts, True if batch._ones else None
+        "selection",
+        batch.schema,
+        columns,
+        counts,
+        True if batch._ones else None,
+        typed=typed,
     )
 
 
@@ -366,30 +442,49 @@ def _projection(
 ) -> ColumnarBatch:
     schema = tuple(name for _, name in columns)
     n = len(batch.counts)
-    out_columns: List[List[Any]] = []
+    # From the cutover on REWR's period intersection runs on (and hands on)
+    # arrays; typed in is typed out in any case.
+    arrays = _kernels.worthwhile(n)
+    typed = arrays or batch._is_typed
+    source = batch.typed if typed else batch.columns
+    out_columns: List[Any] = []
     for expression, _name in columns:
         if isinstance(expression, Attribute):
-            # Zero-copy: reuse the input column object.
-            out_columns.append(batch.columns[batch.column_index(expression.name)])
-        else:
-            out_columns.append(
-                expression.compile_batch(batch.schema)(batch.columns, n)
-            )
-    return ColumnarBatch("projection", schema, out_columns, batch.counts, batch._ones)
+            # Zero-copy: reuse the input column object, typed forms and all.
+            out_columns.append(source[batch.column_index(expression.name)])
+            continue
+        column = _period_bound(expression, batch) if arrays else None
+        if column is None:
+            column = expression.compile_batch(batch.schema)(batch.columns, n)
+            if typed:
+                column = Column(column)
+        out_columns.append(column)
+    return ColumnarBatch(
+        "projection", schema, out_columns, batch.counts, batch._ones, typed=typed
+    )
+
+
+def _period_bound(expression: Expression, batch: ColumnarBatch) -> Optional[Column]:
+    """REWR's ``greatest(a, b)`` / ``least(a, b)`` over two int columns, as one array op."""
+    if (
+        isinstance(expression, FunctionCall)
+        and expression.name in ("greatest", "least")
+        and len(expression.args) == 2
+        and all(isinstance(argument, Attribute) for argument in expression.args)
+    ):
+        first, second = (
+            batch.typed[batch.column_index(argument.name)] for argument in expression.args
+        )
+        return _kernels.period_bound(expression.name == "greatest", first, second)
+    return None
 
 
 def _rename(batch: ColumnarBatch, renames: Dict[str, str]) -> ColumnarBatch:
     missing = set(renames) - set(batch.schema)
     if missing:
         raise ExecutorError(f"cannot rename unknown attributes {sorted(missing)}")
-    schema = tuple(renames.get(name, name) for name in batch.schema)
-    return ColumnarBatch(
-        batch.name,
-        schema,
-        batch._columns,
-        batch.counts,
-        batch._ones,
-        rows=batch._rows,
+    return batch.relabelled(
+        batch.name, tuple(renames.get(name, name) for name in batch.schema)
     )
 
 
@@ -436,7 +531,9 @@ def _except_all(left: ColumnarBatch, right: ColumnarBatch) -> ColumnarBatch:
         if count > 0:
             rows.append(row)
             counts.append(count)
-    return ColumnarBatch("except_all", left.schema, None, counts, rows=rows)
+    return ColumnarBatch(
+        "except_all", left.schema, None, counts, counts.count(1) == len(counts), rows=rows
+    )
 
 
 def _distinct(batch: ColumnarBatch) -> ColumnarBatch:
@@ -572,24 +669,40 @@ def _interval_join(
     :func:`repro.engine.kernels.interval_join_vectorized` serves the join --
     equality keys, multiplicities, residual and limits included -- whenever
     the inputs reach the kernel cutover; ``join_strategy.interval_vectorized``
-    counts those.  What it declines (see that module) is partitioned by the
+    counts those.  It answers with index pairs: the output batch's columns
+    are the inputs' gathered at them, late, and its row tuples -- should a
+    parent ask for rows instead -- one :func:`~repro.engine.kernels
+    .paired_rows` call.  What it declines (see that module) is partitioned by the
     equality conjuncts (one partition per distinct key; a join without any
     is one partition) and every partition runs the bisect sweep.
     ``batch.partitions`` counts the scalar partitions swept.
     """
-    keep = residual.compile(schema) if residual is not None else None
     lb, le = pattern.left_begin, pattern.left_end
     rb, re = pattern.right_begin, pattern.right_end
 
     if _kernels.worthwhile(len(left) + len(right)):
-        left_columns, right_columns = left.columns, right.columns
+        left_typed, right_typed = left.typed, right.typed
+
+        def gathered(left_index: Any, right_index: Any) -> List[Column]:
+            columns = [Column.gathered(column, left_index) for column in left_typed]
+            columns += [Column.gathered(column, right_index) for column in right_typed]
+            return columns
+
+        keep = None
+        if residual is not None:
+            # Evaluated column-wise on one block of candidate pairs at a
+            # time: only the attributes the residual names are gathered.
+            evaluate = residual.compile_batch(schema)
+
+            def keep(left_index: Any, right_index: Any) -> Sequence[Any]:
+                columns = _ValueLists(gathered(left_index, right_index))
+                return evaluate(columns, len(left_index))
+
         served = _kernels.interval_join_vectorized(
-            [left_columns[index] for index, _ in keys],
-            [right_columns[index] for _, index in keys],
-            (left_columns[lb], left_columns[le]),
-            (right_columns[rb], right_columns[re]),
-            left.entry_rows(),
-            right.entry_rows(),
+            [left_typed[index] for index, _ in keys],
+            [right_typed[index] for _, index in keys],
+            (left_typed[lb], left_typed[le]),
+            (right_typed[rb], right_typed[re]),
             None if left.all_ones() else left.counts,
             None if right.all_ones() else right.counts,
             keep,
@@ -597,11 +710,20 @@ def _interval_join(
         )
         if served is not None:
             context.count("join_strategy.interval_vectorized")
-            rows, counts = served
-            if counts is None:
-                return ColumnarBatch.from_rows("join", schema, rows)
-            return ColumnarBatch("join", schema, None, counts, rows=rows)
+            left_index, right_index, counts = served
+            return ColumnarBatch(
+                "join",
+                schema,
+                gathered(left_index, right_index),
+                [1] * len(left_index) if counts is None else counts,
+                True if counts is None else None,
+                rows=lambda: _kernels.paired_rows(
+                    left.entry_rows(), left_index, right.entry_rows(), right_index
+                ),
+                typed=True,
+            )
 
+    keep = residual.compile(schema) if residual is not None else None
     left_rows = left.expanded_rows()
     right_rows = right.expanded_rows()
     out: List[Row] = []

@@ -1,21 +1,35 @@
-"""Whole-column kernels under the three temporal operators (numpy, optional).
+"""Typed columns and the whole-column kernels over them (numpy, optional).
 
-REWR's joins, splits and temporal aggregates all ask one question: *which
-entries of group g fall in the time range [a, b)?*  This module answers it
-for every row at once.  The group/equality-key columns are factorised to
-dense int codes (:func:`factorize`), ``(code, time)`` is packed into one
-sortable int64 -- ``code * span + time - lo``, see :func:`pack_span` -- and a
-range of one group's entries is then two ``searchsorted`` calls over the
-sorted packed array, expanded to flat index pairs by :func:`expand_ranges`.
-On top of that primitive sit
+**The column knows its typed form.**  A :class:`Column` is one attribute of
+a batch: its ``values`` list (what scalar code and ``.rows()`` read) and,
+lazily and at most once, a typed form -- an exact int64 array when every
+entry is an ``int`` (plus a validity mask when some are NULL), dict-equality
+codes with their dictionary otherwise.  :func:`_int_form` and
+:func:`_code_form` are the only places a values list is scanned into arrays.
+Base-table columns live in the table's ``_columns_cache`` entry, so a table
+version is scanned once however many operators and queries read it; a column
+*gathered* from another at an index array (a join side, a split, a filtering
+selection, a group's first row) gets its forms by gathering the source's and
+produces ``values`` only if someone asks; a kernel's output column is born
+from its array and ``.tolist()``-ed on the same condition.
+
+**The kernels.**  REWR's joins, splits and temporal aggregates all ask one
+question: *which entries of group g fall in the time range [a, b)?*  The
+group/equality-key columns are factorised to dense int codes
+(:func:`factorize`), ``(code, time)`` is packed into one sortable int64 --
+``code * span + time - lo``, see :func:`pack_span` -- and a range of one
+group's entries is then two ``searchsorted`` calls over the sorted packed
+array, expanded to flat index pairs by :func:`expand_ranges`.  On top of
+that primitive sit
 
 * :func:`interval_join_vectorized` -- the interval-overlap join with any
-  number of equality keys (zero included),
+  number of equality keys (zero included), as index pairs,
 * :func:`split_segments_vectorized` -- the split operator's cut points,
 * :func:`temporal_aggregate_vectorized` -- ``count``/``sum``/``avg`` over the
-  segments between a group's end points, as one ``cumsum`` over its events,
+  segments between a group's end points as one ``cumsum`` over its events,
+  ``min``/``max`` as a range-update sweep over the same points,
 
-and :func:`repro.temporal.coalesce.coalesce_column_sets` shares the
+and :func:`repro.temporal.coalesce.coalesce_vectorized` shares the
 factorise/pack half.  Multiplicities travel as a counts column; no kernel
 duplicates a tuple.
 
@@ -24,15 +38,17 @@ declines by returning ``None``: ``partition_by_keys`` + ``interval_sweep``
 and ``collect_group_endpoints`` + ``split_segments`` in
 :mod:`repro.engine.sweeps`, ``TemporalAggregateOperator._sweep_group`` and,
 for coalescing, the pure-Python paths of ``coalesce_columns``.  Declined are
-NULL or non-``int`` end points (``bool``
-and ``float`` included: the kernels would print them as ints), a packed code
-that would not fit (``codes * span >= 2**62``) and, for aggregation, any
-function but ``count``/``sum``/``avg``, a non-``int`` argument or a sum that
-could leave int64.  Every caller -- join, split, aggregation, coalescing --
-asks :func:`worthwhile` first and nothing else; that one rule also covers
-a numpy-less install: below :data:`KERNEL_CUTOVER` input rows the array
-set-up costs more than the scalar sweep (measured in EXPERIMENTS.md, "The
-engine and its reference").
+NULL or non-``int`` end points (``bool`` and ``float`` included: the kernels
+would print them as ints), a packed code that would not fit
+(``codes * span >= 2**62``) and, for aggregation, a ``sum``/``avg``/``min``/
+``max`` argument that is not ``int``-or-NULL (``bool``/``float``, or past
+int64) or a sum that could leave int64.  Every caller -- join, split,
+aggregation, coalescing, and the two operators that merely carry forms along
+(a filtering selection, REWR's period intersection) -- asks
+:func:`worthwhile` first and nothing else; that one rule also covers a
+numpy-less install, where no column ever has a typed form: below
+:data:`KERNEL_CUTOVER` input rows the array set-up costs more than the
+scalar sweep (measured in EXPERIMENTS.md, "The engine and its reference").
 
 This is the one module that imports numpy; it imports nothing else from the
 package, so :mod:`repro.temporal` may import it too.
@@ -41,7 +57,7 @@ package, so :mod:`repro.temporal` may import it too.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 try:  # optional: every kernel declines without it and the scalar twin runs
     import numpy as np
@@ -51,14 +67,17 @@ except ImportError:  # the CI leg without numpy runs this branch
 __all__ = [
     "KERNEL_CUTOVER",
     "worthwhile",
-    "int_array",
+    "Column",
     "factorize",
     "pack_span",
     "first_rows",
     "run_starts",
     "gather",
+    "kept_rows",
     "expand_ranges",
+    "period_bound",
     "interval_join_vectorized",
+    "paired_rows",
     "split_segments_vectorized",
     "temporal_aggregate_vectorized",
 ]
@@ -72,20 +91,22 @@ Checkpoint = Optional[Callable[[int], None]]
 PACK_LIMIT = 1 << 62
 
 #: Combined input rows from which an operator tries its kernel.  Fixed, not
-#: settable: join, split and coalescing cross over at 110-190 rows on both
-#: input shapes the benchmark has, aggregation near 40
+#: settable: join, split, coalescing and ``min``/``max`` aggregation cross
+#: over at 60-190 rows on both input shapes the benchmark has,
+#: ``count``/``sum``/``avg`` aggregation near 40
 #: (``benchmarks/kernel_cutover.py``, table in EXPERIMENTS.md); 256 is past
 #: all of them and keeps 32-row plans entirely scalar.
 KERNEL_CUTOVER = 256
 
-#: Candidate pairs the join kernel expands and materialises between two limit
-#: checks.  Small enough that a block's freshly built tuples (~0.5 MB) are
-#: still cached when they are appended to the result -- on a 2M-row join
-#: result 65536-pair blocks cost 15 % more than these (EXPERIMENTS.md) --
-#: and it bounds the index arrays alive at once however large the result is.
-PAIR_BLOCK = 1 << 12
+#: Candidate pairs the join kernel expands between two limit checks.  A block
+#: is index arrays only (16 bytes a pair), so its size trades per-block numpy
+#: overhead against how long a residual-heavy join runs between two looks at
+#: the deadline and how many rejected candidates are alive at once
+#: (EXPERIMENTS.md, "The engine and its reference").
+PAIR_BLOCK = 1 << 14
 
 _NONE = type(None)
+_UNSET: Any = object()
 
 
 def worthwhile(rows: int) -> bool:
@@ -93,25 +114,186 @@ def worthwhile(rows: int) -> bool:
     return np is not None and rows >= KERNEL_CUTOVER
 
 
-# -- the primitive: factorise, pack, expand ---------------------------------------------
+# -- the column -------------------------------------------------------------------------
 
 
-def int_array(column: Sequence[Any]) -> Any:
-    """The column as an int64 array, or ``None`` unless every entry is an ``int``.
+def _int_form(values: List[Any]) -> Optional[Tuple[Any, Any]]:
+    """``(int64 array, validity mask)`` of a values list, or ``None``.
 
-    The ``type`` scan is exact on purpose: ``None`` has no array form, and
+    The mask is ``None`` when every entry is an ``int``; NULL entries read 0
+    under a ``False`` mask bit.  The ``type`` scan is exact on purpose:
     ``bool``/``float`` entries would come back *out* of a kernel as ints.
     """
-    if not set(map(type, column)) <= {int}:
+    if values and type(values[0]) not in (int, _NONE):
+        return None  # the common miss (a string column) without the scan
+    types = set(map(type, values))
+    if not types <= {int, _NONE}:
         return None
     try:
-        return np.asarray(column, dtype=np.int64)
+        if _NONE not in types:
+            return np.asarray(values, dtype=np.int64), None
+        valid = np.asarray([value is not None for value in values], dtype=bool)
+        return np.asarray([value or 0 for value in values], dtype=np.int64), valid
     except OverflowError:
         return None
 
 
+def _code_form(values: List[Any]) -> Tuple[Any, Dict[Any, int]]:
+    """``(codes, dictionary)``: equal codes exactly where a ``dict`` finds the values equal.
+
+    The dictionary maps each distinct value (NULL included) to its code, in
+    first-seen order.  It says which values are *equal*, never what a row
+    prints: ``1``, ``1.0`` and ``True`` share one code.
+    """
+    # Two passes at C speed -- distinct values in first-seen order, then one
+    # lookup per row -- around a Python loop over the distinct values only.
+    dictionary: Dict[Any, int] = dict.fromkeys(values)  # type: ignore[arg-type]
+    for code, value in enumerate(dictionary):
+        dictionary[value] = code
+    codes = np.fromiter(map(dictionary.__getitem__, values), np.int64, len(values))
+    return codes, dictionary
+
+
+def _all_int(form: Any) -> bool:
+    """Whether an int form has been derived and has no NULL entry."""
+    return form is not _UNSET and form is not None and form[1] is None
+
+
+class Column:
+    """One attribute of a batch: a ``values`` list and, lazily, its typed form.
+
+    Built one of three ways -- around a values list (``Column(values)``),
+    around an int64 array a kernel produced (``Column(ints=array)``), or as
+    the rows ``at`` of another column (:meth:`gathered`).  Whichever parts
+    are missing are derived on first use and kept: ``values`` by
+    ``.tolist()`` or by gathering the source's list, the int form by one
+    exact type scan or by gathering the source's array, the codes by one
+    dict pass or by gathering the source's codes (the dictionary is shared).
+    Nothing here is ever mutated once derived, so columns may be shared
+    between batches, queries and threads.
+    """
+
+    __slots__ = ("_values", "_ints", "_codes", "_source", "_at")
+
+    def __init__(self, values: Optional[List[Any]] = None, ints: Any = None) -> None:
+        self._values = values
+        self._ints: Any = _UNSET if ints is None else (ints, None)
+        self._codes: Optional[Tuple[Any, Dict[Any, int]]] = None
+        self._source: Optional[Column] = None
+        self._at: Any = None
+
+    @classmethod
+    def gathered(cls, source: "Column", at: Any) -> "Column":
+        """``source`` at the int64 index array ``at``; nothing is read yet."""
+        column = cls()
+        column._source = source
+        column._at = at
+        return column
+
+    def __len__(self) -> int:
+        if self._values is not None:
+            return len(self._values)
+        if self._source is not None:
+            return len(self._at)
+        return len(self._ints[0])
+
+    def _origin(self) -> Tuple["Column", Any]:
+        """``(source, at)``, with a chain of unread gathers folded into one index."""
+        source, at = self._source, self._at
+        assert source is not None
+        while source._values is None and source._source is not None:
+            at = source._at[at]
+            source = source._source
+        self._source, self._at = source, at
+        return source, at
+
+    @property
+    def values(self) -> List[Any]:
+        """The column as a Python list of Python values (shared: never mutate)."""
+        values = self._values
+        if values is None:
+            held, source, at = self._ints, None, None
+            if not _all_int(held) and self._source is not None:
+                source, at = self._origin()
+                held = source._ints  # read it only if someone derived it already
+            if _all_int(held):
+                values = (held[0] if at is None else held[0][at]).tolist()
+            else:
+                values = gather(source.values, at.tolist())
+            self._values = values
+        return values
+
+    def nullable_ints(self) -> Optional[Tuple[Any, Any]]:
+        """``(int64 array, validity mask or None)``, or ``None`` unless int-or-NULL typed.
+
+        A gathered column answers from its source's form alone: rows picked
+        out of a column that is not int typed are not scanned again (they
+        take the scalar route even if they happen to be all ints).
+        """
+        form = self._ints
+        if form is _UNSET:
+            if self._source is None:
+                form = _int_form(self.values)
+            else:
+                source, at = self._origin()
+                form = source.nullable_ints()
+                if form is not None:
+                    array, valid = form
+                    if valid is not None:
+                        valid = valid[at]
+                        if valid.all():
+                            valid = None
+                    form = (array[at], valid)
+            self._ints = form
+        return form
+
+    def ints(self) -> Any:
+        """The column as an int64 array, or ``None`` unless every entry is an ``int``."""
+        form = self.nullable_ints()
+        return form[0] if _all_int(form) else None
+
+    def codes(self) -> Tuple[Any, Dict[Any, int]]:
+        """Dict-equality codes of the rows and the value -> code dictionary."""
+        coded = self._codes
+        if coded is None:
+            if self._source is not None:
+                source, at = self._origin()
+                codes, dictionary = source.codes()
+                coded = (codes[at], dictionary)
+            else:
+                coded = _code_form(self.values)
+            self._codes = coded
+        return coded
+
+
+def gather(column: Sequence[Any], indexes: Sequence[int]) -> List[Any]:
+    """``[column[i] for i in indexes]`` over Python lists, at C speed."""
+    return list(map(column.__getitem__, indexes))
+
+
+def kept_rows(mask: Sequence[Any]) -> Any:
+    """Index array of a selection mask's truthy entries (Python truthiness)."""
+    return np.asarray(list(compress(range(len(mask)), mask)), dtype=np.int64)
+
+
+def period_bound(latest: bool, first: Column, second: Column) -> Optional[Column]:
+    """``greatest``/``least`` of two all-int columns as one array operation.
+
+    REWR's period intersection above every join.  ``None`` unless both
+    columns are int typed (a NULL end point takes the expression's own NULL
+    rules, i.e. the scalar path).
+    """
+    left, right = first.ints(), second.ints()
+    if left is None or right is None:
+        return None
+    return Column(ints=(np.maximum if latest else np.minimum)(left, right))
+
+
+# -- the primitive: factorise, pack, expand ---------------------------------------------
+
+
 def factorize(
-    column_sets: Sequence[Sequence[Sequence[Any]]],
+    column_sets: Sequence[Sequence[Column]],
     lengths: Sequence[int],
     nulls_match: bool,
 ) -> Tuple[List[Any], int]:
@@ -125,62 +307,80 @@ def factorize(
     ``nulls_match=False`` is the join reading of SQL NULL: a row with a NULL
     key gets a code no row of another input has.
 
-    All-``int`` key columns are range-packed arithmetically and made dense
-    with ``np.unique`` only when the packed range is sparser than the rows;
-    anything else takes one dict pass in first-seen order.
+    Each key position contributes one digit per row, taken from the columns'
+    typed forms (:func:`_digits`: no key column is scanned here that was
+    scanned before); the digits combine mixed-radix and are made dense with
+    ``np.unique`` whenever the radix product is sparser than the rows.
     """
-    arity = len(column_sets[0])
-    if not arity:
+    if not column_sets[0]:
         return [np.zeros(n, dtype=np.int64) for n in lengths], 1
-    packed = _range_pack(column_sets, arity)
-    if packed is not None:
-        codes, n_codes = packed
-        return np.split(codes, np.cumsum(lengths)[:-1]), n_codes
-    ids: dict = {}
-    setdefault = ids.setdefault
-    per_input: List[List[int]] = []
-    for columns in column_sets:
-        keys = columns[0] if arity == 1 else zip(*columns)
-        if nulls_match:
-            per_input.append([setdefault(key, len(ids)) for key in keys])
-        elif arity == 1:
-            per_input.append(
-                [-1 if key is None else setdefault(key, len(ids)) for key in keys]
-            )
-        else:
-            per_input.append(
-                [-1 if None in key else setdefault(key, len(ids)) for key in keys]
-            )
-    result = []
-    for position, codes in enumerate(per_input):
-        array = np.asarray(codes, dtype=np.int64)
-        array[array < 0] = len(ids) + position
-        result.append(array)
-    return result, len(ids) + (0 if nulls_match else len(per_input))
-
-
-def _range_pack(
-    column_sets: Sequence[Sequence[Sequence[Any]]], arity: int
-) -> Optional[Tuple[Any, int]]:
-    """Mixed-radix code of all-int key columns over the concatenated inputs."""
-    codes = None
+    codes = nulls = None
     capacity = 1
-    for position in range(arity):
-        arrays = [int_array(columns[position]) for columns in column_sets]
-        if any(array is None for array in arrays):
-            return None
-        digits = np.concatenate(arrays)
+    for columns in zip(*column_sets):
+        digits, width, null = _digits(columns)
+        if null is not None and not nulls_match:
+            nulls = digits == null if nulls is None else nulls | (digits == null)
+        if codes is None:
+            codes, capacity = digits, width
+            continue
+        if capacity * width >= PACK_LIMIT:
+            codes, capacity = _dense(codes)
+            digits, width = _dense(digits)
+        codes = codes * width + digits
+        capacity *= width
+    if capacity > len(codes):
+        codes, capacity = _dense(codes)
+    if len(lengths) == 1:
+        return [codes], capacity  # possibly the column's own codes: read-only
+    cuts = np.cumsum(lengths)[:-1]
+    per_input = np.split(codes, cuts)
+    if nulls is not None and nulls.any():
+        # ``codes`` is this call's own array (a concatenation), so the NULL
+        # rows can be renumbered in place: one fresh code per input.
+        for position, (array, mask) in enumerate(zip(per_input, np.split(nulls, cuts))):
+            array[mask] = capacity + position
+        capacity += len(per_input)
+    return per_input, capacity
+
+
+def _digits(columns: Sequence[Column]) -> Tuple[Any, int, Optional[int]]:
+    """One key position of every input: ``(digits, width, NULL's digit or None)``.
+
+    The digits of all inputs are concatenated and lie in ``[0, width)``.
+    All-int columns are offset by their minimum; otherwise each column's
+    dict-equality codes are used, a second input's dictionary being mapped
+    into the first's value by value -- O(distinct values), not O(rows).
+    """
+    arrays = [column.ints() for column in columns]
+    if all(array is not None for array in arrays):
+        digits = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         low = int(digits.min())
         width = int(digits.max()) - low + 1
-        capacity *= width
-        if capacity >= PACK_LIMIT:
-            return None
-        digits -= low
-        codes = digits if codes is None else codes * width + digits
-    if capacity > len(codes):
-        uniques, codes = np.unique(codes, return_inverse=True)
-        capacity = len(uniques)
-    return codes, capacity
+        if width >= PACK_LIMIT:
+            return (*_dense(digits), None)
+        return digits - low, width, None
+    first = columns[0].codes()[1]
+    merged = first
+    parts = []
+    for column in columns:
+        codes, dictionary = column.codes()
+        if dictionary is not first:
+            if merged is first:
+                merged = dict(first)  # a column's dictionary is never extended
+            setdefault = merged.setdefault
+            remap = np.asarray(
+                [setdefault(value, len(merged)) for value in dictionary], dtype=np.int64
+            )
+            codes = remap[codes]
+        parts.append(codes)
+    digits = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return digits, len(merged), merged.get(None)
+
+
+def _dense(codes: Any) -> Tuple[Any, int]:
+    """The codes renumbered ``0..n-1`` in sorted order, and ``n``."""
+    uniques, inverse = np.unique(codes, return_inverse=True)
+    return inverse, len(uniques)
 
 
 def pack_span(n_codes: int, times: Sequence[Any]) -> Optional[Tuple[int, int]]:
@@ -218,11 +418,6 @@ def run_starts(sorted_codes: Any) -> Any:
     return np.flatnonzero(boundary)
 
 
-def gather(column: Sequence[Any], indexes: Sequence[int]) -> List[Any]:
-    """``[column[i] for i in indexes]`` over Python lists, at C speed."""
-    return list(map(column.__getitem__, indexes))
-
-
 def expand_ranges(lo: Any, hi: Any) -> Tuple[Any, Any]:
     """All (head, tail) index pairs with ``tail`` in ``[lo[head], hi[head])``.
 
@@ -244,18 +439,16 @@ def expand_ranges(lo: Any, hi: Any) -> Tuple[Any, Any]:
 
 
 def interval_join_vectorized(
-    left_keys: Sequence[Sequence[Any]],
-    right_keys: Sequence[Sequence[Any]],
-    left_period: Tuple[Sequence[Any], Sequence[Any]],
-    right_period: Tuple[Sequence[Any], Sequence[Any]],
-    left_rows: Sequence[Row],
-    right_rows: Sequence[Row],
+    left_keys: Sequence[Column],
+    right_keys: Sequence[Column],
+    left_period: Tuple[Column, Column],
+    right_period: Tuple[Column, Column],
     left_counts: Optional[Sequence[int]],
     right_counts: Optional[Sequence[int]],
-    keep: Optional[Callable[[Row], bool]],
+    keep: Optional[Callable[[Any, Any], Sequence[Any]]],
     checkpoint: Checkpoint = None,
-) -> Optional[Tuple[List[Row], Optional[List[int]]]]:
-    """Interval-overlap join on equal keys: every inner scan is a searchsorted.
+) -> Optional[Tuple[Any, Any, Optional[List[int]]]]:
+    """Interval-overlap join on equal keys, as index pairs.
 
     Same pairing rule as :func:`repro.engine.sweeps.interval_sweep` split
     into two disjoint cases -- pairs whose left row starts first (ties
@@ -266,25 +459,34 @@ def interval_join_vectorized(
     sorted order, which binary-searches markedly faster) and expand the
     ranges to flat index pairs.  The other strict comparison holds
     automatically for well-formed intervals; a per-pair mask enforces it
-    only when degenerate (``end <= begin``) intervals are present.  Only the
-    final tuple concatenation runs per output row, in blocks of
-    :data:`PAIR_BLOCK` candidate pairs with a limit check -- deadline, and
-    the row budget against the pair count -- before each block is built.
+    only when degenerate (``end <= begin``) intervals are present.
 
-    Inputs are batch entries: ``*_keys`` the equality-key columns (zero
-    allowed), ``*_period`` the (begin, end) columns, ``*_rows`` the entry
-    tuples and ``*_counts`` their multiplicities (``None`` = all ones).
-    Returns ``(rows, counts)`` with ``counts`` ``None`` when all ones, or
-    ``None`` (declined) as the module docstring lists.
+    ``*_keys`` are the equality-key columns (zero allowed), ``*_period`` the
+    (begin, end) columns and ``*_counts`` the multiplicities (``None`` = all
+    ones).  Returns ``(left_index, right_index, counts)`` -- output entry k
+    is left row ``left_index[k]`` beside right row ``right_index[k]``,
+    ``counts`` (Python ints: a product may not wrap) ``None`` when all ones
+    -- or ``None`` (declined) as the module docstring lists.  No row is
+    built and no data column touched: the caller gathers what it reads.
+
+    Candidates are expanded :data:`PAIR_BLOCK` at a time.  Before each block
+    ``checkpoint`` sees the deadline and the rows produced so far -- plus,
+    without a residual, the block's own pairs, so an over-budget join is
+    refused while all that exists of it is index arrays -- and ``keep``, the
+    caller's residual, maps a block's ``(left_index, right_index)`` to a
+    mask of the pairs that stay, so a join that keeps few of its candidates
+    holds one block of them at a time.
     """
-    if not left_rows or not right_rows:
-        return [], None
-    lb, le = int_array(left_period[0]), int_array(left_period[1])
-    rb, re = int_array(right_period[0]), int_array(right_period[1])
+    n_left, n_right = len(left_period[0]), len(right_period[0])
+    if not n_left or not n_right:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, None
+    lb, le = left_period[0].ints(), left_period[1].ints()
+    rb, re = right_period[0].ints(), right_period[1].ints()
     if lb is None or le is None or rb is None or re is None:
         return None
     (left_codes, right_codes), n_codes = factorize(
-        (left_keys, right_keys), (len(left_rows), len(right_rows)), nulls_match=False
+        (left_keys, right_keys), (n_left, n_right), nulls_match=False
     )
     packing = pack_span(n_codes, (lb, le, rb, re))
     if packing is None:
@@ -325,13 +527,9 @@ def interval_join_vectorized(
     weighted = left_counts is not None or right_counts is not None
     if weighted:
         # Python ints: a product of multiplicities may not wrap.
-        left_weights = np.asarray(left_counts or [1] * len(left_rows), dtype=object)
-        right_weights = np.asarray(right_counts or [1] * len(right_rows), dtype=object)
-    # Object arrays of the row tuples: a fancy-indexed ``+`` concatenates a
-    # whole block of pairs in C, whatever the pairs-per-head density.
-    left_objects = np.fromiter(left_rows, dtype=object, count=len(left_rows))
-    right_objects = np.fromiter(right_rows, dtype=object, count=len(right_rows))
-    rows: List[Row] = []
+        left_weights = np.asarray(left_counts or [1] * n_left, dtype=object)
+        right_weights = np.asarray(right_counts or [1] * n_right, dtype=object)
+    left_blocks, right_blocks = [], []
     counts: List[int] = []
     produced = 0
     for heads_are_right, (head_order, tail_order, first, last) in enumerate(cases):
@@ -350,25 +548,46 @@ def interval_join_vectorized(
                 else None
             )
             if checkpoint is not None:
-                # Without a residual the pairs *are* the output: refuse an
-                # over-budget join before building this block's tuples.
                 pairs = len(left_index) if weights is None else sum(weights)
                 checkpoint(produced + (pairs if keep is None else 0))
-            block = (left_objects[left_index] + right_objects[right_index]).tolist()
             if keep is not None:
-                if weights is None:
-                    block = list(filter(keep, block))
-                else:
-                    kept = list(map(keep, block))
-                    block = list(compress(block, kept))
-                    weights = list(compress(weights, kept))
-            rows += block
+                kept = kept_rows(keep(left_index, right_index))
+                left_index, right_index = left_index[kept], right_index[kept]
+                if weights is not None:
+                    weights = gather(weights, kept.tolist())
+            left_blocks.append(left_index)
+            right_blocks.append(right_index)
             if weights is None:
-                produced += len(block)
+                produced += len(left_index)
             else:
                 counts += weights
                 produced += sum(weights)
-    return rows, counts if weighted else None
+    return (
+        np.concatenate(left_blocks),
+        np.concatenate(right_blocks),
+        counts if weighted else None,
+    )
+
+
+def paired_rows(
+    left_rows: Sequence[Row], left_index: Any, right_rows: Sequence[Row], right_index: Any
+) -> List[Row]:
+    """``left_rows[i] + right_rows[j]`` for every index pair of a join.
+
+    The one way a kernel-served join becomes row tuples.  Object arrays of
+    the input tuples: a fancy-indexed ``+`` concatenates a block of pairs in
+    C, whatever the pairs-per-head density -- 2.6x faster on a 2 M-row
+    result than transposing ten gathered columns (EXPERIMENTS.md) -- in
+    blocks of :data:`PAIR_BLOCK` so a block's new tuples are still cached
+    when they are appended.
+    """
+    left = np.fromiter(left_rows, dtype=object, count=len(left_rows))
+    right = np.fromiter(right_rows, dtype=object, count=len(right_rows))
+    rows: List[Row] = []
+    for start in range(0, len(left_index), PAIR_BLOCK):
+        stop = start + PAIR_BLOCK
+        rows += (left[left_index[start:stop]] + right[right_index[start:stop]]).tolist()
+    return rows
 
 
 def _pair_blocks(first: Any, last: Any) -> List[Tuple[int, int]]:
@@ -386,31 +605,32 @@ def _pair_blocks(first: Any, last: Any) -> List[Tuple[int, int]]:
 
 
 def split_segments_vectorized(
-    left_keys: Sequence[Sequence[Any]],
-    left_begins: Sequence[Any],
-    left_ends: Sequence[Any],
-    right_keys: Sequence[Sequence[Any]],
-    right_begins: Sequence[Any],
-    right_ends: Sequence[Any],
+    left_keys: Sequence[Column],
+    left_begins: Column,
+    left_ends: Column,
+    right_keys: Sequence[Column],
+    right_begins: Column,
+    right_ends: Column,
     checkpoint: Checkpoint = None,
-) -> Optional[Tuple[List[int], List[int], List[int]]]:
+) -> Optional[Tuple[Any, Column, Column]]:
     """Cut every left interval at its group's end points, whole-column.
 
     Vector twin of :func:`repro.engine.sweeps.collect_group_endpoints` +
     :func:`~repro.engine.sweeps.split_segments`, with the same result
-    ``(row_indexes, piece_begins, piece_ends)`` in the same order.  The
-    distinct packed ``(group, end point)`` values of *both* inputs are
-    sorted once; a row's own begin and end are among them, so its pieces
-    are the consecutive pairs of one contiguous slice -- two exact
-    ``searchsorted`` hits and one :func:`expand_ranges`.  Degenerate rows
-    contribute cut points and vanish, as in the scalar path.
+    ``(row_indexes, piece_begins, piece_ends)`` in the same order -- the row
+    indexes as an int64 array to gather the data columns at, the pieces as
+    int columns.  The distinct packed ``(group, end point)`` values of
+    *both* inputs are sorted once; a row's own begin and end are among them,
+    so its pieces are the consecutive pairs of one contiguous slice -- two
+    exact ``searchsorted`` hits and one :func:`expand_ranges`.  Degenerate
+    rows contribute cut points and vanish, as in the scalar path.
     """
-    lb, le = int_array(left_begins), int_array(left_ends)
-    rb, re = int_array(right_begins), int_array(right_ends)
+    lb, le = left_begins.ints(), left_ends.ints()
+    rb, re = right_begins.ints(), right_ends.ints()
     if lb is None or le is None or rb is None or re is None:
         return None
     if not len(lb):
-        return [], [], []
+        return lb, Column(ints=lb), Column(ints=lb)
     (left_codes, right_codes), n_codes = factorize(
         (left_keys, right_keys), (len(lb), len(rb)), nulls_match=True
     )
@@ -424,11 +644,11 @@ def split_segments_vectorized(
     right_base = right_codes * span - lo
     left_begin_codes = left_base + lb
     left_end_codes = left_base + le
-    points = np.unique(
-        np.concatenate(
-            [left_begin_codes, left_end_codes, right_base + rb, right_base + re]
-        )
+    points = np.concatenate(
+        [left_begin_codes, left_end_codes, right_base + rb, right_base + re]
     )
+    points.sort()
+    points = points[run_starts(points)]
     if checkpoint is not None:
         checkpoint(0)
     rows = np.flatnonzero(lb < le)
@@ -438,23 +658,25 @@ def split_segments_vectorized(
     )
     row_indexes = rows[heads]
     base = left_base[row_indexes]
-    piece_begins = points[tails] - base
-    piece_ends = points[tails + 1] - base
-    return row_indexes.tolist(), piece_begins.tolist(), piece_ends.tolist()
+    return (
+        row_indexes,
+        Column(ints=points[tails] - base),
+        Column(ints=points[tails + 1] - base),
+    )
 
 
 # -- (3) temporal aggregation -----------------------------------------------------------
 
 
 def temporal_aggregate_vectorized(
-    key_columns: Sequence[Sequence[Any]],
-    begins: Sequence[Any],
-    ends: Sequence[Any],
+    key_columns: Sequence[Column],
+    begins: Column,
+    ends: Column,
     counts: Optional[Sequence[int]],
-    aggregates: Sequence[Tuple[str, Optional[Sequence[Any]]]],
+    aggregates: Sequence[Tuple[str, Optional[Column]]],
     checkpoint: Checkpoint = None,
-) -> Optional[Tuple[List[int], List[List[Any]], List[int], List[int]]]:
-    """``count``/``sum``/``avg`` per segment between a group's end points.
+) -> Optional[Tuple[Any, List[Column], Column, Column]]:
+    """The five aggregates per segment between a group's end points.
 
     Vector twin of ``TemporalAggregateOperator._sweep_group``: every valid
     row becomes a ``+`` event at its begin and a ``-`` event at its end,
@@ -462,25 +684,28 @@ def temporal_aggregate_vectorized(
     with ``np.add.reduceat`` and one ``cumsum`` gives the state after each
     point (a group's deltas sum to zero, so nothing leaks into the next
     group).  A segment runs from a point with open rows to the next point.
+    ``min``/``max`` are not invertible, so they sweep differently: a row is
+    a range of its group's segments, and :func:`_segment_extremes` folds
+    every row's value into the segments it covers.
 
     ``aggregates`` pairs each function with its evaluated argument column
     (``None`` for ``count(*)``); ``counts`` are the row multiplicities
-    (``None`` = all ones).  Sums are exact int64 -- the kernel declines when
+    (``None`` = all ones).  A NULL argument keeps its row open and takes no
+    part in the value; a segment with no non-NULL argument prints ``None``
+    (0 for ``count``).  Sums are exact int64 -- the kernel declines when
     ``max|value| * total multiplicity`` could leave the lane -- and ``avg``
     divides Python ints, so every value equals the scalar sweep's bit for
     bit.  Returns ``(group_rows, value_columns, begins, ends)`` where
     ``group_rows[k]`` indexes the first valid input row of segment k's
     group (gather the group-by columns there), or ``None`` (declined).
     """
-    b, e = int_array(begins), int_array(ends)
+    b, e = begins.ints(), ends.ints()
     if b is None or e is None:
         return None
     rows = np.flatnonzero(b < e)
-    empty: Tuple[List[int], List[List[Any]], List[int], List[int]] = (
-        [], [[] for _ in aggregates], [], [],
-    )
     if not len(rows):
-        return empty
+        nothing = Column(ints=rows)
+        return rows, [nothing for _ in aggregates], nothing, nothing
     weights = (
         np.ones(len(rows), dtype=np.int64)
         if counts is None
@@ -489,39 +714,34 @@ def temporal_aggregate_vectorized(
     total_weight = int(weights.sum())
 
     # One int64 measure per running quantity; measure 0 counts open rows.
+    # plan: (func, count measure, sum measure or -- min/max -- argument slot).
     measures = [weights]
-    plan: List[Tuple[str, int, int]] = []  # (func, count measure, sum measure)
+    arguments: List[Tuple[Any, Any]] = []  # (values, present) of the valid rows
+    plan: List[Tuple[str, int, int]] = []
     for func, column in aggregates:
-        if func not in ("count", "sum", "avg"):
-            return None
-        count_at = sum_at = 0
+        count_at = value_at = 0
         if column is not None:
-            types = set(map(type, column))
-            present = None
-            if _NONE in types:
-                present = np.asarray([v is not None for v in column])[rows]
+            form = column.nullable_ints()
+            if func != "count" and form is None:
+                return None
+            present = _present(column) if form is None else form[1]
+            if present is not None:
+                present = present[rows]
                 measures.append(weights * present)
                 count_at = len(measures) - 1
-            if func != "count":
-                if not types <= {int, _NONE}:
-                    return None
-                try:
-                    values = np.asarray(
-                        column if present is None else [v or 0 for v in column],
-                        dtype=np.int64,
-                    )[rows]
-                except OverflowError:
-                    return None
+            if func in ("sum", "avg"):
+                values = form[0][rows]
                 largest = max(abs(int(values.max())), abs(int(values.min())))
                 if largest * total_weight >= PACK_LIMIT:
                     return None
                 measures.append(weights * values)
-                sum_at = len(measures) - 1
-        plan.append((func, count_at, sum_at))
+                value_at = len(measures) - 1
+            elif func != "count":
+                arguments.append((form[0][rows], present))
+                value_at = len(arguments) - 1
+        plan.append((func, count_at, value_at))
 
-    (codes,), n_codes = factorize(
-        (key_columns,), (len(b),), nulls_match=True
-    )
+    (codes,), n_codes = factorize((key_columns,), (len(b),), nulls_match=True)
     codes, b, e = codes[rows], b[rows], e[rows]
     packing = pack_span(n_codes, (b, e))
     if packing is None:
@@ -546,24 +766,85 @@ def temporal_aggregate_vectorized(
     open_points = np.flatnonzero(states[0][:-1] > 0)
     if checkpoint is not None:
         checkpoint(len(open_points))
+    if arguments:
+        # A row spans the segments from its begin's point up to its end's.
+        first_segment = np.searchsorted(points, base + b)
+        last_segment = np.searchsorted(points, base + e)
     groups = points[open_points] // span
     group_rows = rows[first_rows(codes, n_codes)[groups]]
     segment_begins = points[open_points] - groups * span + lo
     segment_ends = points[open_points + 1] - groups * span + lo
-    value_columns: List[List[Any]] = []
-    for func, count_at, sum_at in plan:
-        held = states[count_at][open_points].tolist()
+    value_columns: List[Column] = []
+    for func, count_at, value_at in plan:
+        held = states[count_at][open_points]
         if func == "count":
-            value_columns.append(held)
+            value_columns.append(Column(ints=held))
             continue
-        sums = states[sum_at][open_points].tolist()
+        if func == "avg":
+            sums = states[value_at][open_points].tolist()
+            value_columns.append(
+                Column([s / c if c else None for s, c in zip(sums, held.tolist())])
+            )
+            continue
         if func == "sum":
-            value_columns.append([s if c else None for s, c in zip(sums, held)])
+            values = states[value_at][open_points]
         else:
-            value_columns.append([s / c if c else None for s, c in zip(sums, held)])
+            argument, present = arguments[value_at]
+            chosen = slice(None) if present is None else np.flatnonzero(present)
+            values = _segment_extremes(
+                func == "max",
+                first_segment[chosen],
+                last_segment[chosen],
+                argument[chosen],
+                len(points),
+            )[open_points]
+        if count_at and not held.all():
+            values = [v if c else None for v, c in zip(values.tolist(), held.tolist())]
+            value_columns.append(Column(values))
+        else:
+            value_columns.append(Column(ints=values))
     return (
-        group_rows.tolist(),
+        group_rows,
         value_columns,
-        segment_begins.tolist(),
-        segment_ends.tolist(),
+        Column(ints=segment_begins),
+        Column(ints=segment_ends),
     )
+
+
+def _present(column: Column) -> Any:
+    """Which rows of a column that is not int typed are non-NULL (``None`` = all)."""
+    codes, dictionary = column.codes()
+    null = dictionary.get(None)
+    return None if null is None else codes != null
+
+
+def _segment_extremes(
+    largest: bool, first: Any, last: Any, values: Any, n_segments: int
+) -> Any:
+    """Per segment, the max (or min) value over the rows covering it.
+
+    Row r covers segments ``[first[r], last[r])`` (never empty) and carries
+    ``values[r]``.  A reverse sparse table, one level alive at a time: a
+    range of length L is two overlapping blocks of ``2**k <= L`` segments,
+    so each row is folded into two cells of level k (``ufunc.at``), and
+    pushing level k down onto level k-1 -- a block is its two half blocks,
+    one array operation per level -- leaves every segment's answer at level
+    0.  Segments no row covers keep the identity; the caller reads only
+    segments it knows to be covered.
+    """
+    pick = np.maximum if largest else np.minimum
+    limits = np.iinfo(np.int64)
+    cells = np.full(n_segments, limits.min if largest else limits.max, dtype=np.int64)
+    if not len(first):
+        return cells
+    # frexp is exact: length = m * 2**e with m in [0.5, 1), so k = e - 1.
+    levels = np.frexp((last - first).astype(np.float64))[1] - 1
+    for level in range(int(levels.max()), -1, -1):
+        rows = np.flatnonzero(levels == level)
+        if len(rows):
+            pick.at(cells, first[rows], values[rows])
+            pick.at(cells, last[rows] - (1 << level), values[rows])
+        if level:
+            half = 1 << (level - 1)
+            cells[half:] = pick(cells[half:], cells[:-half])
+    return cells

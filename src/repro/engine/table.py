@@ -77,9 +77,10 @@ class Table:
         self._index: Dict[str, int] = {name: i for i, name in enumerate(self.schema)}
         self.rows: List[Row] = []
         # Memoised columnar transpose (rows identity, the copy of the rows it
-        # was taken from, columns); owned by ColumnarBatch.from_table,
-        # invalidated by growth or replacement.
-        self._columns_cache: Optional[Tuple[List[Row], List[Row], List[List[Any]]]] = None
+        # was taken from, one engine.kernels.Column per attribute -- which is
+        # also where that version's typed forms live); owned by
+        # ColumnarBatch.from_table, invalidated by growth or replacement.
+        self._columns_cache: Optional[Tuple[List[Row], List[Row], List[Any]]] = None
         for row in rows:
             self.append(row)
 

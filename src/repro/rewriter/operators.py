@@ -29,7 +29,7 @@ from ..engine import kernels as _kernels
 from ..engine.executor import ExecutionContext, ExecutorError, PhysicalOperator
 from ..engine.sweeps import collect_group_endpoints, split_segments
 from ..engine.table import Table, tuple_getter
-from ..temporal.coalesce import coalesce_column_sets
+from ..temporal.coalesce import coalesce_column_sets, coalesce_vectorized
 from .periodenc import T_BEGIN, T_END
 
 if TYPE_CHECKING:  # engine.batch imports this module's host package lazily
@@ -178,33 +178,61 @@ class CoalesceOperator(PhysicalOperator):
     def execute_batch(
         self, children: Sequence["ColumnarBatch"], context: ExecutionContext
     ) -> "ColumnarBatch":
-        """Columnar coalescing via :func:`repro.temporal.coalesce.coalesce_column_sets`.
+        """Columnar coalescing: one entry per maximal interval, with its count.
 
         Same sweep as :meth:`execute`, but the input multiplicity column
         feeds the +1/-1 events directly and each maximal interval comes back
         as *one* batch entry carrying its open-interval count -- no
         duplicate tuples are materialised until the batch leaves the engine.
-        The kernel takes and returns the grouping attributes as columns, so
-        the vectorized path never builds key tuples at all.
+        All-ones inputs at the kernel cutover run :func:`repro.temporal
+        .coalesce.coalesce_vectorized` over the columns' typed forms
+        (counted as ``batch.coalesce_vectorized``; the grouping attributes
+        come back gathered at each group's first row, never as key tuples);
+        what it declines, and everything else, runs the scalar sweeps of
+        :func:`~repro.temporal.coalesce.coalesce_column_sets` on the value
+        lists.
         """
         from ..engine.batch import ColumnarBatch
 
         (batch,) = children
         begin_attr, end_attr = self.period
         data = tuple(a for a in batch.schema if a not in self.period)
-        begins = batch.columns[batch.column_index(begin_attr)]
-        ends = batch.columns[batch.column_index(end_attr)]
-        data_columns = [batch.columns[batch.column_index(a)] for a in data]
-        if context._limited:
+        begin_at, end_at = batch.column_index(begin_attr), batch.column_index(end_attr)
+        data_at = [batch.column_index(a) for a in data]
+        limited = context._limited
+        if limited:
             context.checkpoint()
-        out_data, out_begins, out_ends, out_counts = coalesce_column_sets(
-            data_columns, begins, ends, batch.counts, all_ones=batch.all_ones()
+        served = None
+        if batch.all_ones() and _kernels.worthwhile(len(batch)):
+            typed = batch.typed
+            served = coalesce_vectorized(
+                [typed[index] for index in data_at],
+                typed[begin_at],
+                typed[end_at],
+                context.stage_checkpoint if limited else None,
+            )
+        vectorized = served is not None
+        if vectorized:
+            context.count("batch.coalesce_vectorized")
+        else:
+            columns = batch.columns
+            served = coalesce_column_sets(
+                [columns[index] for index in data_at],
+                columns[begin_at],
+                columns[end_at],
+                batch.counts,
+            )
+        out_data, out_begins, out_ends, out_counts = served
+        result = ColumnarBatch(
+            "coalesce",
+            data + self.period,
+            [*out_data, out_begins, out_ends],
+            out_counts,
+            typed=vectorized,
         )
-        columns = out_data + [out_begins, out_ends]
-        result = ColumnarBatch("coalesce", data + self.period, columns, out_counts)
         context.count("coalesce_input_rows", batch.weight())
         context.count("coalesce_output_rows", result.weight())
-        if context._limited:
+        if limited:
             context.checkpoint(result.weight())
         return result
 
@@ -323,8 +351,10 @@ class SplitOperator(PhysicalOperator):
         declines, from the per-group sweep helpers in
         :mod:`repro.engine.sweeps`.  Either way end points are collected per
         group from both children's columns, data columns are rebuilt with
-        one index gather per attribute and multiplicities follow their
-        source row (every duplicate splits identically).
+        one index gather per attribute (on the kernel route a lazy one: the
+        typed forms follow, the values of an attribute nobody reads are
+        never gathered) and multiplicities follow their source row (every
+        duplicate splits identically).
         """
         from ..engine.batch import ColumnarBatch
 
@@ -341,33 +371,39 @@ class SplitOperator(PhysicalOperator):
 
         begin_index = left.column_index(begin_attr)
         end_index = left.column_index(end_attr)
-        left_begins, left_ends = left.columns[begin_index], left.columns[end_index]
-        right_begins = right.columns[right.column_index(begin_attr)]
-        right_ends = right.columns[right.column_index(end_attr)]
+        right_begin_index = right.column_index(begin_attr)
+        right_end_index = right.column_index(end_attr)
         segments = None
         if _kernels.worthwhile(len(left) + len(right)):
+            left_typed, right_typed = left.typed, right.typed
             segments = _kernels.split_segments_vectorized(
-                [left.columns[left.column_index(a)] for a in self.group_by],
-                left_begins,
-                left_ends,
-                [right.columns[right.column_index(a)] for a in self.group_by],
-                right_begins,
-                right_ends,
+                [left_typed[left.column_index(a)] for a in self.group_by],
+                left_typed[begin_index],
+                left_typed[end_index],
+                [right_typed[right.column_index(a)] for a in self.group_by],
+                right_typed[right_begin_index],
+                right_typed[right_end_index],
                 context.stage_checkpoint if limited else None,
             )
-        if segments is not None:
+        vectorized = segments is not None
+        if vectorized:
             context.count("batch.split_vectorized")
+            at, piece_begins, piece_ends = segments
+            row_indexes = at.tolist()
         else:
+            left_columns, right_columns = left.columns, right.columns
+            left_begins, left_ends = left_columns[begin_index], left_columns[end_index]
             left_keys = _batch_group_keys(left, self.group_by)
             endpoints = collect_group_endpoints(left_keys, left_begins, left_ends)
             collect_group_endpoints(
                 _batch_group_keys(right, self.group_by),
-                right_begins,
-                right_ends,
+                right_columns[right_begin_index],
+                right_columns[right_end_index],
                 into=endpoints,
             )
-            segments = split_segments(left_keys, left_begins, left_ends, endpoints)
-        row_indexes, piece_begins, piece_ends = segments
+            row_indexes, piece_begins, piece_ends = split_segments(
+                left_keys, left_begins, left_ends, endpoints
+            )
         counts = (
             [1] * len(row_indexes)
             if left.all_ones()
@@ -379,16 +415,23 @@ class SplitOperator(PhysicalOperator):
             context.stage_checkpoint(
                 len(counts) if left.all_ones() else sum(counts)
             )
-        columns: List[List[Any]] = []
-        for position, column in enumerate(left.columns):
+        columns: List[Any] = []
+        for position, column in enumerate(left.typed if vectorized else left.columns):
             if position == begin_index:
                 columns.append(piece_begins)
             elif position == end_index:
                 columns.append(piece_ends)
+            elif vectorized:
+                columns.append(_kernels.Column.gathered(column, at))
             else:
                 columns.append(_kernels.gather(column, row_indexes))
         result = ColumnarBatch(
-            "split", left.schema, columns, counts, True if left.all_ones() else None
+            "split",
+            left.schema,
+            columns,
+            counts,
+            True if left.all_ones() else None,
+            typed=vectorized,
         )
         context.count("split_output_rows", result.weight())
         return result
@@ -416,8 +459,9 @@ class TemporalAggregateOperator(PhysicalOperator):
     standard aggregation grouped by ``(G, t_begin, t_end)``, this operator
     sweeps each group's interval end points once, maintaining running
     aggregate state, and emits one result row per segment between
-    consecutive end points.  ``count``/``sum``/``avg`` are maintained
-    incrementally; ``min``/``max`` keep a multiset of open values.
+    consecutive end points.  In that per-group sweep (the row path, and the
+    twin of the whole-column kernel) ``count``/``sum``/``avg`` are maintained
+    incrementally and ``min``/``max`` keep a multiset of open values.
 
     ``count(*)`` must have been pre-rewritten to ``count(A)`` over a
     constant attribute (Fig. 4's rule), so ``NULL`` padding rows added for
@@ -519,11 +563,11 @@ class TemporalAggregateOperator(PhysicalOperator):
     ) -> "ColumnarBatch":
         """Columnar fused split + aggregation.
 
-        ``count``/``sum``/``avg`` over int columns run as one event
-        ``cumsum`` over all groups (:func:`repro.engine.kernels
+        All five aggregates over int-or-NULL arguments run as whole-column
+        sweeps over every group's events at once (:func:`repro.engine.kernels
         .temporal_aggregate_vectorized`, counted as
         ``batch.aggregate_vectorized``).  Anything that kernel declines --
-        ``min``/``max``, float arguments, NULL end points, small inputs --
+        ``bool``/float arguments, NULL end points, small inputs --
         pre-aggregates instead: bucket keys are built with one nested ``zip``
         over (group, argument, period) columns, weighting each row by its
         multiplicity, and the per-group sweep is shared with the row path.
@@ -537,50 +581,57 @@ class TemporalAggregateOperator(PhysicalOperator):
         out_schema = (
             self.group_by + tuple(spec.alias for spec in self.aggregates) + self.period
         )
-        group_columns = [batch.columns[batch.column_index(a)] for a in self.group_by]
-        argument_columns = [
-            [None] * n
-            if spec.argument is None
-            else spec.argument.compile_batch(schema)(batch.columns, n)
-            for spec in self.aggregates
-        ]
-        begins = batch.columns[batch.column_index(begin_attr)]
-        ends = batch.columns[batch.column_index(end_attr)]
+        begin_index = batch.column_index(begin_attr)
+        end_index = batch.column_index(end_attr)
+        group_indexes = [batch.column_index(a) for a in self.group_by]
         limited = context._limited
         if limited:
             context.checkpoint()
 
         if _kernels.worthwhile(n):
+            typed = batch.typed
+            group_columns = [typed[index] for index in group_indexes]
             served = _kernels.temporal_aggregate_vectorized(
                 group_columns,
-                begins,
-                ends,
+                typed[begin_index],
+                typed[end_index],
                 None if batch.all_ones() else batch.counts,
-                [
-                    (spec.func, None if spec.argument is None else column)
-                    for spec, column in zip(self.aggregates, argument_columns)
-                ],
+                [(spec.func, self._argument(spec, batch)) for spec in self.aggregates],
                 context.stage_checkpoint if limited else None,
             )
             if served is not None:
                 context.count("batch.aggregate_vectorized")
                 group_rows, value_columns, out_begins, out_ends = served
                 columns = [
-                    _kernels.gather(column, group_rows) for column in group_columns
+                    _kernels.Column.gathered(column, group_rows) for column in group_columns
                 ]
                 columns += value_columns + [out_begins, out_ends]
                 return ColumnarBatch(
                     "temporal_aggregation",
                     out_schema,
                     columns,
-                    [1] * len(out_begins),
+                    [1] * len(group_rows),
                     all_ones=True,
+                    typed=True,
                 )
 
+        columns = batch.columns
+        argument_lists = [
+            [None] * n
+            if spec.argument is None
+            else spec.argument.compile_batch(schema)(columns, n)
+            for spec in self.aggregates
+        ]
         buckets: Dict[Tuple[Any, ...], int] = {}
         get = buckets.get
         for key, count in zip(
-            zip(*group_columns, *argument_columns, begins, ends), batch.counts
+            zip(
+                *(columns[index] for index in group_indexes),
+                *argument_lists,
+                columns[begin_index],
+                columns[end_index],
+            ),
+            batch.counts,
         ):
             begin, end = key[-2], key[-1]
             if begin is None or end is None or begin >= end:
@@ -604,6 +655,16 @@ class TemporalAggregateOperator(PhysicalOperator):
                 context.checkpoint(len(rows))
             self._sweep_group(group_key, facts, append)
         return ColumnarBatch.from_rows("temporal_aggregation", out_schema, rows)
+
+    @staticmethod
+    def _argument(spec: AggregateSpec, batch: "ColumnarBatch") -> Optional[_kernels.Column]:
+        """The aggregate's argument as a typed column (``None`` for ``count(*)``)."""
+        if spec.argument is None:
+            return None
+        if isinstance(spec.argument, Attribute):
+            return batch.typed[batch.column_index(spec.argument.name)]
+        evaluate = spec.argument.compile_batch(batch.schema)
+        return _kernels.Column(evaluate(batch.columns, len(batch)))
 
     # -- sweep ---------------------------------------------------------------------------
 

@@ -9,14 +9,22 @@ tests can speak in the paper's terms (``CK``, ``CP``, ``CPI``) and adds a
 batch helper for coalescing whole annotation dictionaries.  Normal forms
 are memoised per element, so batch-coalescing already-coalesced annotations
 (e.g. the outputs of period-semiring arithmetic) costs nothing.
+
+The engine's coalesce operator is served from here too, in two routes:
+:func:`coalesce_vectorized` sweeps typed columns
+(:class:`repro.engine.kernels.Column`) as int64 arrays and hands its output
+arrays on as columns; :func:`coalesce_column_sets` / :func:`coalesce_columns`
+are its scalar twins over plain value lists, which define the result and
+serve whatever the kernel declines.
 """
 
 from __future__ import annotations
 
 from operator import ge as _int_ge
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..engine import kernels as _kernels
+from ..engine.kernels import Column
 from .elements import TemporalElement
 from .intervals import Interval
 
@@ -27,6 +35,7 @@ __all__ = [
     "coalesce_annotations",
     "coalesce_columns",
     "coalesce_column_sets",
+    "coalesce_vectorized",
 ]
 
 def k_coalesce(element: TemporalElement) -> TemporalElement:
@@ -176,31 +185,19 @@ def coalesce_column_sets(
     begins: Sequence[Any],
     ends: Sequence[Any],
     counts: Sequence[int],
-    all_ones: Optional[bool] = None,
 ) -> Tuple[List[List[Any]], List[Any], List[Any], List[int]]:
     """Column-in/column-out flavour of :func:`coalesce_columns`.
 
-    Takes the grouping attributes as separate columns instead of a
-    pre-zipped key column and returns them the same way, which lets the
-    vectorized kernel skip tuple construction entirely: when
-    :func:`repro.engine.kernels.worthwhile` says the input is big enough
-    (the rule every temporal operator asks; it is false without numpy),
-    every multiplicity is 1 and the endpoint columns are plain ints,
-    grouping, event sort and sweep all run as int64 array operations
-    (see :func:`_coalesce_columns_numpy`).  Otherwise the keys are zipped
-    and the scalar :func:`coalesce_columns` paths take over.
-
-    ``all_ones`` is an optional caller hint (``ColumnarBatch`` caches it)
-    that skips re-scanning the counts column; pass ``None`` when unknown.
+    Takes the grouping attributes as separate value lists instead of a
+    pre-zipped key column and returns them the same way.  This is the
+    scalar route of :class:`repro.rewriter.CoalesceOperator`: the operator
+    tries :func:`coalesce_vectorized` first when
+    :func:`repro.engine.kernels.worthwhile` says so (the rule every temporal
+    operator asks) and every multiplicity is 1, and comes here with whatever
+    that declines.
 
     Returns ``(key_columns, begins, ends, counts)`` of the coalesced rows.
     """
-    if all_ones is None:
-        all_ones = all(count == 1 for count in counts)
-    if all_ones and _kernels.worthwhile(len(begins)):
-        fast = _coalesce_columns_numpy(key_columns, begins, ends)
-        if fast is not None:
-            return fast
     n = len(begins)
     keys: Sequence[Hashable]
     if len(key_columns) == 1:
@@ -224,14 +221,15 @@ def coalesce_column_sets(
     return out_key_columns, out_begins, out_ends, out_counts
 
 
-def _coalesce_columns_numpy(
-    key_columns: Sequence[Sequence[Any]],
-    begins: Sequence[Any],
-    ends: Sequence[Any],
-) -> Optional[Tuple[List[List[Any]], List[Any], List[Any], List[int]]]:
-    """Fully vectorized multiset coalescing over int64 arrays.
+def coalesce_vectorized(
+    key_columns: Sequence[Column],
+    begins: Column,
+    ends: Column,
+    checkpoint: Optional[Callable[[int], None]] = None,
+) -> Optional[Tuple[List[Column], Column, Column, List[int]]]:
+    """Multiset coalescing of an all-ones batch, fully over int64 arrays.
 
-    Preconditions (checked by the shared kernel helpers, ``None`` bails to
+    Preconditions (checked on the columns' typed forms, ``None`` bails to
     the scalar paths): every endpoint is a plain ``int`` -- ``bool``/
     ``float`` are rejected exactly, because silently coercing them would
     change output *values* even where hashing treats them as equal -- and
@@ -244,17 +242,18 @@ def _coalesce_columns_numpy(
     events pack as ``(gid * span + ts - lo) * 2 + begin_bit`` and sort as
     int64; runs collapse with ``np.add.reduceat``; depths are one ``cumsum``
     (each group's deltas sum to zero, so depths never leak across groups);
-    the output intervals are three mask selections and their key columns
-    one gather at each group's first row.
+    the output intervals are three mask selections -- handed on as int
+    columns -- and their key columns the inputs gathered at each group's
+    first valid row.  ``checkpoint`` is polled between the stages.
     """
-    empty: Tuple[List[List[Any]], List[Any], List[Any], List[int]] = (
-        [[] for _ in key_columns], [], [], [],
-    )
-    if not begins:
-        return empty
     np = _kernels.np
-    begin_array = _kernels.int_array(begins)
-    end_array = _kernels.int_array(ends)
+    nothing = Column(ints=np.empty(0, dtype=np.int64))
+    empty: Tuple[List[Column], Column, Column, List[int]] = (
+        [nothing for _ in key_columns], nothing, nothing, [],
+    )
+    if not len(begins):
+        return empty
+    begin_array, end_array = begins.ints(), ends.ints()
     if begin_array is None or end_array is None:
         return None
     (gids,), n_groups = _kernels.factorize(
@@ -278,11 +277,15 @@ def _coalesce_columns_numpy(
     if packing is None:
         return None
     lo, span = packing
+    if checkpoint is not None:
+        checkpoint(0)
     base = gids * span - lo
     codes = np.concatenate(
         [((base + begin_array) << 1) | 1, (base + end_array) << 1]
     )
     codes.sort()
+    if checkpoint is not None:
+        checkpoint(0)
 
     # -- sweep ------------------------------------------------------------------------
     pairs = codes >> 1
@@ -299,19 +302,18 @@ def _coalesce_columns_numpy(
     # positive; each group's last changepoint has depth 0 (deltas sum to
     # zero), so positive-depth rows never pair across group boundaries.
     open_mask = depths[:-1] > 0
-    out_begins = points[:-1][open_mask]
-    out_ends = points[1:][open_mask]
     out_counts = depths[:-1][open_mask]
+    if checkpoint is not None:
+        checkpoint(int(out_counts.sum()))
 
     # -- decode: every group prints under its first valid row's key --------------------
     key_rows = (change_pairs // span)[:-1][open_mask]
     if rows is not None:
         key_rows = rows[key_rows]
-    key_rows = key_rows.tolist()
     return (
-        [_kernels.gather(column, key_rows) for column in key_columns],
-        out_begins.tolist(),
-        out_ends.tolist(),
+        [Column.gathered(column, key_rows) for column in key_columns],
+        Column(ints=points[:-1][open_mask]),
+        Column(ints=points[1:][open_mask]),
         out_counts.tolist(),
     )
 

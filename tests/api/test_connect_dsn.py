@@ -52,6 +52,18 @@ class TestMemoryDsn:
         ):
             open_session()
 
+    def test_unknown_backend_name_fails_at_assignment(self):
+        """``session.backend = name`` is the third way in, checked like the other two."""
+        with connect(domain=(0, 8)) as session:
+            with pytest.raises(
+                repro.BackendUnavailableError,
+                match=r"unknown backend 'nope'; available: \[.*'memory', 'sqlite'",
+            ):
+                session.backend = "nope"
+            assert session.backend == "memory"
+            session.backend = "sqlite"
+            assert session.backend == "sqlite"
+
     def test_missing_domain_raises(self):
         with pytest.raises(FluentError, match="needs a time domain"):
             connect("memory://")

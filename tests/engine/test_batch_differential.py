@@ -118,9 +118,15 @@ def test_explain_names_the_route_each_temporal_operator_took():
         execution = joined[joined.index("execution (backend='memory')"):]
         assert "join_strategy.interval = 1" in execution
         assert "join_strategy.interval_vectorized = 1" in execution
+        assert "batch.coalesce_vectorized = 1" in execution
         assert "batch.partitions" not in execution
         aggregated = works.group_by("w_key").agg(total="sum(w_value)").explain()
         assert "batch.aggregate_vectorized = 1" in aggregated
+        # A few dozen segments: the final coalesce is below the cutover, and says so.
+        assert "batch.coalesce_vectorized" not in aggregated
+        extremes = works.group_by("w_key").agg(top="max(w_value)", low="min(w_value)").explain()
+        assert "batch.aggregate_vectorized = 1" in extremes
+        assert "preaggregated_rows" not in extremes
         difference = works.select("w_key").difference(other.select("o_key")).explain()
         assert "batch.split_vectorized = " in difference
 

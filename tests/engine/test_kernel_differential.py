@@ -1,16 +1,17 @@
 """Each whole-column kernel against its scalar twin and the row reference.
 
 :mod:`repro.engine.kernels` serves the interval join, the split operator,
-``count``/``sum``/``avg`` temporal aggregation and coalescing above a fixed
-row-count cutover; below it, and for whatever a kernel declines, the scalar
-sweeps run.  The hypothesis sweeps here execute one physical plan three ways --
-row reference, engine with the cutover at 0 (kernels wherever they accept)
-and engine with the kernels out of reach -- over NULL keys, NULL and
-degenerate end points, ``bool``/float/mixed/string/composite keys and
-``counts > 1`` inputs, and demand the same bag.  The fixed cases pin the
-routes (which counter fires at cutover -1/0/+1, under limits, on overflow)
-and the digest-sensitive arithmetic (``avg`` above 2**53, ``sum`` at the
-int64 edge).
+the five temporal aggregates and coalescing above a fixed row-count cutover,
+over typed columns that one kernel hands the next; below it, and for
+whatever a kernel declines, the scalar sweeps run.  The hypothesis sweeps
+here execute one physical plan three ways -- row reference, engine with the
+cutover at 0 (kernels wherever they accept) and engine with the kernels out
+of reach -- over NULL keys, NULL and degenerate end points,
+``bool``/float/mixed/string/composite keys, NULL and int64-edge aggregate
+arguments and ``counts > 1`` inputs, singly and chained behind a join, and
+demand the same bag printed the same way.  The fixed cases pin the routes
+(which counter fires at cutover -1/0/+1, under limits, on overflow) and the
+digest-sensitive arithmetic (``avg`` above 2**53, ``sum`` at the int64 edge).
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.expressions import Comparison, and_, attr
+from repro.algebra.expressions import Comparison, FunctionCall, and_, attr
 from repro.algebra.operators import (
     AggregateSpec,
     ConstantRelation,
+    Difference,
     Join,
+    Projection,
     RelationAccess,
     Rename,
 )
@@ -75,6 +78,8 @@ NULLABLE_END_POINTS = st.one_of(
     END_POINTS, st.tuples(st.none(), st.integers(0, 12)), st.tuples(st.integers(0, 12), st.none())
 )
 VALUES = st.one_of(st.integers(-5, 5), st.none())
+#: What a result may hold: the suite's digests print ``repr``s, so no numpy scalar.
+PLAIN_TYPES = {int, float, str, bool, type(None)}
 
 
 @st.composite
@@ -117,6 +122,11 @@ def _join_plan(left_rows, right_rows, n_keys: int, residual: bool, coalesce: boo
     )
 
 
+def _columns(rows, width: int = len(SCHEMA)):
+    """The rows as the kernels take them: one typed Column per attribute."""
+    return [kernels.Column([row[i] for row in rows]) for i in range(width)]
+
+
 def _plain_end_points(*tables_of_rows) -> bool:
     """No NULL end point anywhere: nothing a kernel may decline (bar the functions)."""
     return all(
@@ -139,9 +149,8 @@ def _three_ways(plan, monkeypatch) -> Dict[str, int]:
     assert Counter(scalar.rows) == reference
     # Equal as bags is not enough for the digests: 1, 1.0 and True are equal.
     assert Counter(map(repr, with_kernels.rows)) == Counter(map(repr, scalar.rows))
-    for name in ("join_strategy.interval_vectorized", "batch.split_vectorized",
-                 "batch.aggregate_vectorized"):
-        assert name not in scalar_statistics
+    assert {type(value) for row in with_kernels.rows for value in row} <= PLAIN_TYPES
+    assert not any(name.endswith("_vectorized") for name in scalar_statistics)
     return statistics
 
 
@@ -190,6 +199,9 @@ AGGREGATES = st.lists(
             AggregateSpec("avg", attr("v"), "mean"),
             AggregateSpec("sum", attr("k2"), "ktotal"),
             AggregateSpec("max", attr("v"), "top"),
+            AggregateSpec("min", attr("v"), "low"),
+            AggregateSpec("max", attr("k2"), "ktop"),
+            AggregateSpec("min", attr("k2"), "klow"),
         ]
     ),
     min_size=1,
@@ -211,8 +223,8 @@ def test_aggregate_kernel_matches_scalar_and_reference(data, n_keys, aggregates,
     with pytest.MonkeyPatch.context() as monkeypatch:
         statistics = _three_ways(plan, monkeypatch)
     plain_arguments = all(
-        spec.func != "max" and (spec.func == "count" or spec.alias != "ktotal" or all(
-            type(row[1]) in (int, type(None)) for row in rows))
+        spec.func == "count" or spec.argument != attr("k2") or all(
+            type(row[1]) in (int, type(None)) for row in rows)
         for spec in aggregates
     )
     if _plain_end_points(rows) and plain_arguments:
@@ -229,22 +241,25 @@ def test_join_kernel_equals_its_scalar_twin_directly(data, n_keys):
     right_rows = [row for row in right_rows if valid(row)]
     left_counts = [1 + position % 3 for position in range(len(left_rows))]
     keys = [(0, 0), (1, 1)][:n_keys]
+    left, right = _columns(left_rows), _columns(right_rows)
     served = kernels.interval_join_vectorized(
-        [[row[i] for row in left_rows] for i, _ in keys],
-        [[row[i] for row in right_rows] for _, i in keys],
-        ([row[3] for row in left_rows], [row[4] for row in left_rows]),
-        ([row[3] for row in right_rows], [row[4] for row in right_rows]),
-        left_rows,
-        right_rows,
+        [left[i] for i, _ in keys],
+        [right[i] for _, i in keys],
+        (left[3], left[4]),
+        (right[3], right[4]),
         left_counts,
         None,
         None,
     )
     assert served is not None
-    rows, counts = served
+    left_index, right_index, counts = served
+    assert left_index.dtype == right_index.dtype == "int64"
+    assert counts is None or set(map(type, counts)) <= {int}
     kernel_bag: Counter = Counter()
-    for row, count in zip(rows, counts or [1] * len(rows)):
-        kernel_bag[row] += count
+    for l, r, count in zip(
+        left_index.tolist(), right_index.tolist(), counts or [1] * len(left_index)
+    ):
+        kernel_bag[left_rows[l] + right_rows[r]] += count
 
     expanded = [row for row, count in zip(left_rows, left_counts) for _ in range(count)]
     out: list = []
@@ -261,14 +276,16 @@ def test_join_kernel_equals_its_scalar_twin_directly(data, n_keys):
 def test_split_kernel_equals_its_scalar_twin_directly(data, n_keys):
     """Same triple, same order: (row indexes, piece begins, piece ends)."""
     left_rows, right_rows = data
-    columns = lambda rows: [[row[i] for row in rows] for i in range(5)]  # noqa: E731
-    left, right = columns(left_rows), columns(right_rows)
+    left, right = _columns(left_rows), _columns(right_rows)
     served = kernels.split_segments_vectorized(
         left[:n_keys], left[3], left[4], right[:n_keys], right[3], right[4]
     )
+    left, right = ([column.values for column in side] for side in (left, right))
     if any(type(t) is not int for t in left[3] + left[4] + right[3] + right[4]):
         assert served is None
         return
+    row_indexes, piece_begins, piece_ends = served
+    served = (row_indexes.tolist(), piece_begins.values, piece_ends.values)
     group = lambda c: list(zip(*c[:n_keys])) if n_keys else [()] * len(c[3])  # noqa: E731
     endpoints = collect_group_endpoints(group(left), left[3], left[4])
     collect_group_endpoints(group(right), right[3], right[4], into=endpoints)
@@ -278,23 +295,166 @@ def test_split_kernel_equals_its_scalar_twin_directly(data, n_keys):
 @settings(max_examples=150, deadline=None)
 @given(data=tables())
 def test_coalesce_kernel_matches_scalar_and_reference(data):
-    """No counter names coalescing's route: the twins are also compared directly."""
+    """Three ways through the operator, and the kernel against its twin directly."""
     rows = data[0] + data[1]
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _three_ways(CoalesceOperator(_relation(rows)), monkeypatch)
-    key_columns = [[row[i] for row in rows] for i in range(3)]
-    begins, ends = [row[3] for row in rows], [row[4] for row in rows]
-    served = coalescing._coalesce_columns_numpy(key_columns, begins, ends)
+        statistics = _three_ways(CoalesceOperator(_relation(rows)), monkeypatch)
+    *key_columns, begins, ends = _columns(rows)
+    served = coalescing.coalesce_vectorized(key_columns, begins, ends)
     if not _plain_end_points(rows):
         assert served is None
         return
-    assert served is not None
-    kernel_keys, *kernel_periods = served
+    assert served is not None and statistics["batch.coalesce_vectorized"] == 1
+    kernel_keys, kernel_begins, kernel_ends, kernel_counts = served
     twin = coalescing.coalesce_columns(
-        list(zip(*key_columns)), begins, ends, [1] * len(rows)
+        list(zip(*(column.values for column in key_columns))),
+        begins.values,
+        ends.values,
+        [1] * len(rows),
     )
     # Same entries in the same order (groups by first valid row), printed alike.
-    assert repr((list(zip(*kernel_keys)), *kernel_periods)) == repr(twin)
+    kernel = (
+        list(zip(*(column.values for column in kernel_keys))),
+        kernel_begins.values,
+        kernel_ends.values,
+        kernel_counts,
+    )
+    assert repr(kernel) == repr(twin)
+
+
+#: The int64 edge, its neighbours and NULL: min/max have no sum to overflow.
+EDGE_VALUES = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1, None])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 2), EDGE_VALUES, END_POINTS).map(
+            lambda r: (r[0], "x", r[1], r[2][0], r[2][1])
+        ),
+        max_size=14,
+    ),
+    grouped=st.booleans(),
+    coalesce=st.booleans(),
+)
+def test_min_max_kernel_at_the_int64_edge(rows, grouped, coalesce):
+    """NULL arguments stay open rows, all-NULL segments print None, nothing wraps."""
+    plan = TemporalAggregateOperator(
+        _relation(rows, coalesce=coalesce),
+        ("k1",) if grouped else (),
+        (
+            AggregateSpec("min", attr("v"), "low"),
+            AggregateSpec("max", attr("v"), "top"),
+            AggregateSpec("count", attr("v"), "held"),
+            AggregateSpec("count", None, "open"),
+        ),
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        statistics = _three_ways(plan, monkeypatch)
+    assert statistics["batch.aggregate_vectorized"] == 1
+
+
+# -- chains: what one kernel hands the next ---------------------------------------------
+
+#: REWR's projection above a join: some attributes dropped, the period intersected.
+INTERSECTION = (
+    (attr("l_k1"), "k1"),
+    (attr("r_k2"), "k2"),
+    (attr("l_v"), "v"),
+    (FunctionCall("greatest", (attr("l_t_begin"), attr("r_t_begin"))), "t_begin"),
+    (FunctionCall("least", (attr("l_t_end"), attr("r_t_end"))), "t_end"),
+)
+
+
+def _second_join(joined, other):
+    predicate = and_(
+        Comparison("=", attr("k1"), attr("o_k1")),
+        and_(
+            Comparison("<", attr("t_begin"), attr("o_t_end")),
+            Comparison("<", attr("o_t_begin"), attr("t_end")),
+        ),
+    )
+    return Join(joined, Rename(other, tuple((a, f"o_{a}") for a in SCHEMA)), predicate)
+
+
+CHAINS = {
+    "coalesce": lambda joined, other: CoalesceOperator(joined),
+    "aggregate": lambda joined, other: TemporalAggregateOperator(
+        joined,
+        ("k1",),
+        (
+            AggregateSpec("count", None, "n"),
+            AggregateSpec("sum", attr("v"), "total"),
+            AggregateSpec("max", attr("v"), "top"),
+        ),
+    ),
+    "grand total": lambda joined, other: TemporalAggregateOperator(
+        joined, (), (AggregateSpec("min", attr("v"), "low"), AggregateSpec("avg", attr("v"), "mean"))
+    ),
+    "split": lambda joined, other: SplitOperator(joined, other, ("k1", "k2")),
+    "split under": lambda joined, other: SplitOperator(other, joined, ("k2",)),
+    "difference": lambda joined, other: Difference(joined, other),
+    "join": _second_join,
+}
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    data=tables(max_rows=10),
+    n_keys=st.integers(0, 2),
+    residual=st.booleans(),
+    coalesce=st.booleans(),
+    then=st.sampled_from(sorted(CHAINS)),
+)
+def test_a_join_hands_its_typed_columns_to_the_next_operator(
+    data, n_keys, residual, coalesce, then
+):
+    """join -> project -> {coalesce, aggregate, split, difference, join}, three ways.
+
+    The kernel join's output columns are gathered late and carry their
+    source's forms; the projection intersects the period as arrays; the
+    next operator reads forms, values or row tuples as it likes.  Bags must
+    equal the row reference's on both routes.  The routes list a join's
+    output in different orders, and a group prints under its first valid
+    row's key (1, 1.0 and True are one group): so each route's ``repr``s are
+    compared with the reference run over *that route's* intermediate rows.
+    """
+    joined = Projection(_join_plan(*data, n_keys, residual, coalesce), INTERSECTION)
+    plan = CHAINS[then](joined, _relation(data[1]))
+    reference = Counter(execute(plan, DATABASE, executor="row").rows)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for cutover in (0, 10**9):
+            monkeypatch.setattr(kernels, "KERNEL_CUTOVER", cutover)
+            statistics: Dict[str, int] = {}
+            result = execute(plan, DATABASE, statistics)
+            assert Counter(result.rows) == reference
+            assert {type(value) for row in result.rows for value in row} <= PLAIN_TYPES
+            if cutover:
+                assert not any(name.endswith("_vectorized") for name in statistics)
+            elif _plain_end_points(*data):
+                assert statistics["join_strategy.interval_vectorized"] >= 1
+            handed = execute(joined, DATABASE)
+            replayed = CHAINS[then](
+                ConstantRelation(handed.schema, tuple(handed.rows)), _relation(data[1])
+            )
+            expected = execute(replayed, DATABASE, executor="row")
+            assert Counter(map(repr, result.rows)) == Counter(map(repr, expected.rows))
+
+
+def test_residual_and_weighted_joins_take_the_index_pair_path():
+    """Above the cutover, through the engine: a residual and counts on both sides."""
+    n = kernels.KERNEL_CUTOVER
+    # Every row twice: coalescing folds the copies into counts of 2.
+    left_rows, right_rows = _keyed_rows(n) * 2, _keyed_rows(n, 1) * 2
+    for residual, coalesce in ((True, False), (False, True), (True, True)):
+        plan = Projection(_join_plan(left_rows, right_rows, 1, residual, coalesce), INTERSECTION)
+        statistics: Dict[str, int] = {}
+        result = execute(plan, DATABASE, statistics)
+        assert statistics["join_strategy.interval_vectorized"] == 1
+        assert "batch.partitions" not in statistics
+        reference = execute(plan, DATABASE, executor="row")
+        assert len(result.rows) > n
+        assert Counter(map(repr, result.rows)) == Counter(map(repr, reference.rows))
 
 
 # -- routes: cutover, counters, explain -------------------------------------------------
@@ -305,7 +465,7 @@ def _keyed_rows(n: int, offset: int = 0):
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
-def test_cutover_decides_the_route_and_not_the_result(delta, monkeypatch):
+def test_cutover_decides_the_route_and_not_the_result(delta):
     total = kernels.KERNEL_CUTOVER + delta
     left_rows, right_rows = _keyed_rows(total // 2), _keyed_rows(total - total // 2, 1)
     expect_kernel = delta >= 0
@@ -338,18 +498,11 @@ def test_cutover_decides_the_route_and_not_the_result(delta, monkeypatch):
     assert ("batch.aggregate_vectorized" in statistics) == expect_kernel
     assert ("preaggregated_rows" in statistics) != expect_kernel
 
-    # Coalescing has no route counter; watch its kernel being called instead.
-    kernel, calls = coalescing._coalesce_columns_numpy, []
-
-    def watched(*columns):
-        calls.append(len(columns[1]))
-        return kernel(*columns)
-
-    monkeypatch.setattr(coalescing, "_coalesce_columns_numpy", watched)
     coalesce = CoalesceOperator(_relation(left_rows + right_rows))
-    result = execute(coalesce, DATABASE)
+    statistics = {}
+    result = execute(coalesce, DATABASE, statistics)
     assert Counter(result.rows) == Counter(execute(coalesce, DATABASE, executor="row").rows)
-    assert calls == ([total] if expect_kernel else [])
+    assert ("batch.coalesce_vectorized" in statistics) == expect_kernel
 
 
 def test_an_empty_side_is_served_without_work():
@@ -404,14 +557,27 @@ def test_coalescing_lists_its_groups_in_first_valid_row_order(monkeypatch):
     assert repr(execute(plan, DATABASE).rows) == repr(reference.rows) == "[(1.0, 3, 0, 1)]"
 
 
-def test_min_max_and_float_arguments_keep_the_scalar_sweep():
-    rows = [(i % 5, "x", i * 0.5, i % 9, i % 9 + 2) for i in range(kernels.KERNEL_CUTOVER)]
-    for spec in (AggregateSpec("max", attr("k1"), "top"), AggregateSpec("sum", attr("v"), "s")):
-        plan = TemporalAggregateOperator(_relation(rows), ("k1",), (spec,))
-        statistics: Dict[str, int] = {}
-        result = execute(plan, DATABASE, statistics)
-        assert "batch.aggregate_vectorized" not in statistics
-        assert Counter(result.rows) == Counter(execute(plan, DATABASE, executor="row").rows)
+def test_float_bool_and_big_int_arguments_keep_the_scalar_sweep():
+    """What ``sum``/``avg``/``min``/``max`` decline: any argument the kernel would print wrongly."""
+    n = kernels.KERNEL_CUTOVER
+    arguments = {
+        "float": lambda i: i * 0.5,
+        "bool": lambda i: i % 2 == 0,
+        "past int64": lambda i: 2**63 + i,
+        "mixed 1 / 1.0": lambda i: (1, 1.0)[i % 2],
+    }
+    for func in ("sum", "avg", "min", "max"):
+        for kind, value in arguments.items():
+            rows = [(i % 5, "x", value(i), i % 9, i % 9 + 2) for i in range(n)]
+            plan = TemporalAggregateOperator(
+                _relation(rows), ("k1",), (AggregateSpec(func, attr("v"), "out"),)
+            )
+            statistics: Dict[str, int] = {}
+            result = execute(plan, DATABASE, statistics)
+            assert "batch.aggregate_vectorized" not in statistics, (func, kind)
+            assert Counter(map(repr, result.rows)) == Counter(
+                map(repr, execute(plan, DATABASE, executor="row").rows)
+            ), (func, kind)
 
 
 def test_a_span_that_would_overflow_the_packed_code_declines():
@@ -432,9 +598,10 @@ def test_a_span_that_would_overflow_the_packed_code_declines():
         result = execute(plan, DATABASE, statistics)
         assert not any(name.endswith("_vectorized") for name in statistics), statistics
         assert Counter(result.rows) == Counter(execute(plan, DATABASE, executor="row").rows)
-    assert kernels.pack_span(4, [kernels.int_array([0, far + 9])]) is None
+    times = [kernels.Column([0, far + 9]).ints()]
+    assert kernels.pack_span(4, times) is None
     # One group fits the same span: the decline is the product, not the span.
-    assert kernels.pack_span(1, [kernels.int_array([0, far + 9])]) == (0, far + 10)
+    assert kernels.pack_span(1, times) == (0, far + 10)
 
 
 def test_avg_above_2_53_and_sum_at_the_int64_edge_equal_the_reference_exactly():
@@ -500,30 +667,47 @@ def test_kernels_serve_limited_executions():
     assert Counter(limited.rows) == Counter(pipeline.execute(query).rows)
 
 
-class _Unbuildable(tuple):
-    """A row that fails the test if anyone concatenates it into an output tuple."""
-
-    def __add__(self, other):
-        raise AssertionError("the kernel built a tuple before checking the budget")
-
-
-def test_a_tiny_row_budget_stops_the_join_before_any_tuple_is_built():
+def test_a_tiny_row_budget_stops_the_join_before_any_tuple_is_built(monkeypatch):
+    """... and before any output column exists, even lazily: all there is are index arrays."""
+    gathers = []
+    gathered = kernels.Column.gathered.__func__
+    monkeypatch.setattr(
+        kernels.Column,
+        "gathered",
+        classmethod(lambda cls, source, at: gathers.append(len(at)) or gathered(cls, source, at)),
+    )
     statistics: Dict[str, int] = {}
     with pytest.raises(ResourceLimitError, match="exceeding the 1000-row budget"):
         execute(_limited_join(), DATABASE, statistics, limits=QueryLimits(row_budget=1000))
-    # Both inputs fit the budget; the join was refused, never counted as served.
+    # Both inputs fit the budget; the join was refused, never counted as served,
+    # and refused on the pair count: no output column existed yet, not even lazily.
     assert statistics["join_strategy.interval"] == 1
     assert "join_strategy.interval_vectorized" not in statistics
+    assert gathers == []
+    execute(_limited_join(), DATABASE, limits=QueryLimits(row_budget=10**6))
+    assert gathers and gathers[0] > 1000
 
-    rows = _keyed_rows(kernels.KERNEL_CUTOVER)
-    columns = [[row[i] for row in rows] for i in range(5)]
+    # Called directly: refused on the first block's pair count, weights or not; a
+    # residual is the kernel's to ask about each block, and what it drops is no output.
+    columns = _columns(_keyed_rows(kernels.KERNEL_CUTOVER))
+    arguments = ([columns[0]], [columns[0]], (columns[3], columns[4]), (columns[3], columns[4]))
     context = ExecutionContext(DATABASE, row_budget=1000)
     with pytest.raises(ResourceLimitError):
-        kernels.interval_join_vectorized(
-            [columns[0]], [columns[0]], (columns[3], columns[4]), (columns[3], columns[4]),
-            [_Unbuildable(row) for row in rows], rows, None, None, None,
-            context.stage_checkpoint,
-        )
+        kernels.interval_join_vectorized(*arguments, None, None, None, context.stage_checkpoint)
+    ones = [1] * kernels.KERNEL_CUTOVER
+    with pytest.raises(ResourceLimitError):
+        kernels.interval_join_vectorized(*arguments, ones, None, None, context.stage_checkpoint)
+    blocks = []
+
+    def keep_none(left_index, right_index):
+        blocks.append(len(left_index))
+        return [False] * len(left_index)
+
+    left_index, right_index, counts = kernels.interval_join_vectorized(
+        *arguments, None, None, keep_none, context.stage_checkpoint
+    )
+    assert len(left_index) == len(right_index) == 0 and counts is None
+    assert sum(blocks) > 1000
 
 
 def test_an_expired_deadline_stops_a_kernel_between_stages():
@@ -534,23 +718,32 @@ def test_an_expired_deadline_stops_a_kernel_between_stages():
         polls_seen.append(produced)
         deadline.check()
 
-    rows = _keyed_rows(kernels.KERNEL_CUTOVER)
-    columns = [[row[i] for row in rows] for i in range(5)]
-    arguments = ([columns[0]], [columns[0]], (columns[3], columns[4]), (columns[3], columns[4]),
-                 rows, rows, None, None, None)
-    assert kernels.interval_join_vectorized(*arguments, checkpoint) is not None
-    assert len(polls_seen) >= 3  # a check between every pair of stages
+    columns = _columns(_keyed_rows(kernels.KERNEL_CUTOVER))
+    key, value, begins, ends = [columns[0]], columns[2], columns[3], columns[4]
+    calls = {
+        "join": lambda: kernels.interval_join_vectorized(
+            key, key, (begins, ends), (begins, ends), None, None, None, checkpoint
+        ),
+        "split": lambda: kernels.split_segments_vectorized(
+            key, begins, ends, key, begins, ends, checkpoint
+        ),
+        "count": lambda: kernels.temporal_aggregate_vectorized(
+            key, begins, ends, None, [("count", None)], checkpoint
+        ),
+        "max": lambda: kernels.temporal_aggregate_vectorized(
+            key, begins, ends, None, [("max", value)], checkpoint
+        ),
+        "coalesce": lambda: coalescing.coalesce_vectorized(key, begins, ends, checkpoint),
+    }
+    for name, call in calls.items():
+        del polls_seen[:]
+        assert call() is not None, name
+        # A check between every pair of stages.
+        assert len(polls_seen) >= (3 if name == "join" else 2), name
     deadline.expires_at = float("-inf")
-    with pytest.raises(QueryTimeoutError):
-        kernels.interval_join_vectorized(*arguments, checkpoint)
-    with pytest.raises(QueryTimeoutError):
-        kernels.split_segments_vectorized(
-            [columns[0]], columns[3], columns[4], [columns[0]], columns[3], columns[4], checkpoint
-        )
-    with pytest.raises(QueryTimeoutError):
-        kernels.temporal_aggregate_vectorized(
-            [columns[0]], columns[3], columns[4], None, [("count", None)], checkpoint
-        )
+    for name, call in calls.items():
+        with pytest.raises(QueryTimeoutError):
+            call()
     # Through the engine: an already expired deadline is a timeout, not a result.
     with pytest.raises(QueryTimeoutError):
         execute(_limited_join(), DATABASE, limits=QueryLimits(deadline=Deadline(0.0)))
