@@ -1,4 +1,4 @@
-"""Incremental materialized temporal views: Z-set deltas instead of re-execution.
+"""Incremental materialized temporal views: dirty partitions instead of re-execution.
 
 The paper's rewriting re-executes the whole plan on every query; this demo
 shows the `repro.incremental` subsystem maintaining a registered view under
@@ -6,12 +6,11 @@ a stream of catalog changes instead:
 
 1. materialize a coalesced grouped temporal aggregate as a view;
 2. feed it catalog DML (``session.insert`` / ``session.delete``) -- each
-   mutation becomes a signed-row Z-set delta propagated through
-   per-operator rules (linear pass-through, the bilinear join rule,
-   dirty-group resweeps for the temporal operators);
-3. read the maintenance counters off ``view.explain()``: deltas processed,
-   groups reswept, and -- the headline -- zero full refreshes after the
-   initial build;
+   mutation becomes a signed-row Z-set delta, and the view re-runs its
+   pinned plan on the partitions (here: the skills) the delta touches;
+3. read how it is maintained off ``view.explain()``: the partition key,
+   deltas processed, partitions recomputed, and -- the headline -- zero
+   full refreshes after the initial build;
 4. verify: the view must bag-equal a from-scratch re-execution of its plan
    (the same oracle discipline as `.check()`), and DDL on a base table
    invalidates the view exactly like a plan-cache entry;
@@ -48,8 +47,8 @@ def main() -> None:
     print(view.table().pretty())
 
     # -- 2. DML becomes deltas -------------------------------------------------------
-    # Catalog mutations propagate as signed-row Z-set deltas; nothing is
-    # re-executed from scratch.
+    # Catalog mutations arrive as signed-row Z-set deltas; only the
+    # partitions they touch are recomputed.
     session.insert("works", [("Zoe", "SP", 0, 6), ("Max", "NS", 2, 9)])
     session.delete("works", [("Joe", "NS", 8, 16)])
     print("== after insert x2 + delete x1")
@@ -57,6 +56,7 @@ def main() -> None:
 
     # -- 3. the counters tell the story ----------------------------------------------
     print(view.explain())
+    assert "partitioned by (skill): works.skill" in view.explain()
     assert view.counters["incremental.full_refresh"] == 1  # only the build
     assert view.counters["incremental.delta_rows"] >= 3
 

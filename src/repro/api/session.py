@@ -539,12 +539,17 @@ class Session:
         registered as catalog table ``name`` (DDL -- cached plans
         invalidate); afterwards catalog DML (``session.insert`` /
         ``session.delete``, from *any* client of a server) keeps the view
-        current by Z-set delta propagation instead of re-execution.  Returns
-        the :class:`~repro.incremental.MaterializedView` itself in process
-        and a :class:`~repro.client.RemoteView` proxy over ``repro://``;
-        their ``apply`` / ``rows`` / ``verify`` / ``counters`` expose the
-        incremental counters (``incremental.delta_rows``,
-        ``incremental.resweep_groups``, ``incremental.full_refresh``).
+        current by re-running its plan on the partitions a write touches
+        instead of re-executing it whole; ``insert`` / ``delete`` naming the
+        view's own backing table raise :class:`~repro.errors.IncrementalError`.
+        Returns the :class:`~repro.incremental.MaterializedView` itself in
+        process and a :class:`~repro.client.RemoteView` proxy over
+        ``repro://``; their ``apply`` / ``rows`` / ``verify`` / ``counters``
+        expose the incremental counters: ``incremental.delta_rows`` (delta
+        entries applied), ``incremental.resweep_groups`` (dirty partitions
+        recomputed), ``incremental.consolidated_rows`` (delta entries that
+        cancelled a stored input row) and ``incremental.full_refresh``
+        (rebuilds: the registration, then one per DDL on a base table).
         """
         if not isinstance(relation, TemporalRelation):
             raise FluentError(

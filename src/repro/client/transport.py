@@ -128,7 +128,7 @@ class RemoteView:
     The :class:`~repro.incremental.MaterializedView` surface (``apply`` /
     ``rows`` / ``table`` / ``counters`` / ``stale`` / ``verify``) as a proxy
     over the ``view_*`` verbs, each call one round-trip; the view itself --
-    its delta propagation state and backing table -- lives on the server
+    its partitioned inputs and backing table -- lives on the server
     and is shared by every connected client.
     """
 

@@ -212,11 +212,7 @@ class ColumnarBatch:
         the counts and the batch's row view are all taken from one copy of
         the rows list, and that copy's length is the one recorded: a read
         racing an insert sees the table before it or after it, and the next
-        read sees the longer list and transposes again.  What a reader sees
-        of the *in-place*, equal-length rewrite of a view's backing table
-        (``repro.incremental.view._RowStore``) is not decided here; it
-        belongs to the catalog's isolation contract (ROADMAP item 4a: one
-        of several admissible outcomes).
+        read sees the longer list and transposes again.
         """
         rows = table.rows
         cache = table._columns_cache

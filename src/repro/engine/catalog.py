@@ -144,22 +144,28 @@ class Database:
         removing = Counter(tuple(row) for row in rows)
         if not removing:
             return
-        available = Counter(table.rows)
-        missing = sorted(
-            str(row) for row, count in removing.items() if available[row] < count
-        )
+        held = table.rows
+        # One membership pass over the table; the budget then walks only the
+        # candidates, taking the first ``count`` copies of each doomed row.
+        budget = dict(removing)
+        doomed = []
+        for position in [p for p, row in enumerate(held) if row in budget]:
+            row = held[position]
+            if budget[row]:
+                budget[row] -= 1
+                doomed.append(position)
+        missing = sorted(str(row) for row, short in budget.items() if short)
         if missing:
             raise TableError(
                 f"cannot delete from {name!r}: row(s) not present "
                 f"(or not often enough): {missing[:3]}"
             )
-        budget = dict(removing)
-        kept = []
-        for row in table.rows:
-            if budget.get(row, 0) > 0:
-                budget[row] -= 1
-            else:
-                kept.append(row)
+        kept: List[Tuple[Any, ...]] = []
+        start = 0
+        for position in doomed:
+            kept += held[start:position]
+            start = position + 1
+        kept += held[start:]
         # Replace (not mutate) the row list so the memoised columnar
         # transpose -- keyed on the list's identity -- invalidates.
         table.rows = kept

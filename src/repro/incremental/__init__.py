@@ -1,9 +1,12 @@
 """Incremental view maintenance over snapshot-rewritten plans.
 
 Z-set deltas (the integer-semiring specialization of the abstract model's
-K-relations) propagate through the rewritten physical plans instead of
-re-executing them; see :mod:`repro.incremental.delta` for the delta
-currency and :mod:`repro.incremental.view` for the per-operator rules.
+K-relations) name the rows a write adds and removes; a view re-runs its
+rewritten physical plan on the partitions those rows touch instead of
+re-executing it whole.  See :mod:`repro.incremental.delta` for the delta
+currency, :mod:`repro.incremental.partition` for how a plan's partition key
+is read off the planner's push-down rules, and :mod:`repro.incremental.view`
+for the view itself.
 
 The front doors are ``session.materialize(relation, name=...)`` and
 :meth:`repro.rewriter.pipeline.QueryPipeline.materialize`; catalog DML

@@ -1,65 +1,59 @@
-"""Materialized temporal views maintained by Z-set delta propagation.
+"""Materialized temporal views maintained by re-running dirty partitions.
 
 A :class:`MaterializedView` pins one rewritten snapshot plan (REWR +
-planner output, exactly what the pipeline would execute) and keeps, per
-plan node, the node's output as a consolidated Z-set.  Feeding a base-table
-:class:`~repro.incremental.Delta` propagates bottom-up through
-per-operator delta rules instead of re-executing the plan:
+planner output, exactly what the pipeline would execute).  Everything REWR
+adds is defined *per group* -- coalescing per set of value-equivalent rows,
+the split and the fused temporal aggregation per grouping -- so restricting
+the view to some values of its **partition key** commutes with the whole
+plan: the key is the set of output attributes a selection could sink on to
+every leaf (:mod:`repro.incremental.partition` asks the planner).  The view
+therefore keeps three things:
 
-* **linear** operators (selection, projection, rename, union) map the
-  delta through the same compiled kernels the executor uses -- a delta row
-  passes or projects exactly like a stored row;
-* the **bilinear** join applies the DBSP product rule
-  ``d(L >< R) = dL >< R' + L' >< dR - dL >< dR`` (primes are post-delta
-  states), each term evaluated by the engine's join machinery -- including
-  the sort-merge interval join for REWR's overlap predicates -- over the
-  *distinct* rows of each side, with multiplicities multiplied outside;
-* **difference** and **distinct** are re-derived pointwise on the dirty
-  rows only (monus and indicator over the children's multiplicities);
-* the non-linear temporal operators (coalesce, split, temporal
-  aggregation) and grouped aggregation **re-sweep only the dirty groups**:
-  the group keys touched by the delta select a slice of the child state,
-  the node's own kernel re-runs on that slice, and the result replaces the
-  matching slice of the stored output.  The sweep kernels already bound
-  their work to the endpoint windows of the rows they are given, so a
-  dirty group costs its own rows, not the relation.
+* per leaf of the plan, its own copy of the rows that leaf reads, as
+  ``key -> {row: count}`` (what a *detached* delta stream is applied to;
+  occurrences of one relation keyed by the same attributes share it);
+* the result, as ``key -> [rows]``;
+* nothing per operator.
 
-Every propagation step consolidates (cancels matched +/- multiplicities
-and drops zeros), so view state stays a bag.  The view's contents are
-registered as a catalog table -- registration is DDL (it bumps
-``Database.schema_version`` and invalidates cached plans), while
-:meth:`MaterializedView.apply` is DML and does not.  DDL after
-registration marks the view stale; the next delta triggers one counted
-full refresh instead of an incorrect propagation.
+A :class:`~repro.incremental.Delta` updates the input partitions it
+touches, the pinned plan runs **once** through the engine over the rows of
+those dirty partitions alone, and their output partitions are swapped.  A
+plan that admits no key -- an ungrouped aggregate, a join with no equality
+on a surviving attribute, an operator the planner cannot see through -- is
+the same code with one partition: every delta re-executes it.
+
+The contents are registered as a catalog table -- registration is DDL (it
+bumps ``Database.schema_version`` and invalidates cached plans), while
+:meth:`MaterializedView.apply` is DML and does not: it *replaces* the
+table's row list, so a reader holding the old list keeps a whole pre-write
+snapshot.  DDL after registration marks the view stale; the next delta
+triggers one counted full refresh instead of an incorrect propagation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
-
-from ..algebra.operators import (
-    Aggregation,
-    ConstantRelation,
-    Difference,
-    Distinct,
-    Join,
-    Operator,
-    Projection,
-    RelationAccess,
-    Rename,
-    Selection,
-    Union as UnionOp,
+from itertools import chain, repeat, starmap
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
 )
+
+from ..algebra.operators import ConstantRelation, Operator, RelationAccess
 from ..engine.executor import execute as engine_execute
 from ..engine.table import Table, tuple_getter
 from ..errors import IncrementalError
-from ..rewriter.operators import (
-    CoalesceOperator,
-    SplitOperator,
-    TemporalAggregateOperator,
-)
 from ..rewriter.periodenc import T_BEGIN, T_END
-from .delta import Delta, Row, ZSet, add_into, expand_rows, zset_diff, zset_of
+from .delta import Delta, Row, ZSet, add_into, zset_of
+from .partition import partition_key as infer_partition_key
 
 if TYPE_CHECKING:
     from ..rewriter.pipeline import QueryPipeline
@@ -74,63 +68,39 @@ COUNTER_KEYS = (
     "incremental.consolidated_rows",
 )
 
-
-class _NodeState:
-    """One plan node's materialized output (a consolidated Z-set) plus
-    schema, the base relations feeding it, and memoised compiled kernels."""
-
-    __slots__ = ("operator", "children", "schema", "state", "base_names", "compiled")
-
-    def __init__(self, operator: Operator, children: List["_NodeState"]) -> None:
-        self.operator = operator
-        self.children = children
-        self.schema: Tuple[str, ...] = ()
-        self.state: ZSet = {}
-        self.base_names: frozenset = frozenset().union(
-            *(child.base_names for child in children)
-        ) if children else frozenset()
-        self.compiled: Dict[str, Any] = {}
+Key = Tuple[Any, ...]
 
 
-class _RowStore:
-    """The view's backing row list, maintained in O(delta) per apply.
+class _Leaf:
+    """The rows a leaf of the pinned plan reads, partitioned by the view's key."""
 
-    Keeps ``rows`` (the list the catalog table exposes) plus a row ->
-    positions index; removals swap with the tail so both stay consistent
-    without rebuilding the list.
-    """
+    __slots__ = ("label", "schema", "attributes", "key_of", "partitions")
 
-    __slots__ = ("rows", "positions")
+    def __init__(
+        self,
+        label: str,
+        schema: Tuple[str, ...],
+        attributes: Tuple[str, ...],
+        rows: Iterable[Row],
+    ) -> None:
+        self.label = label
+        self.schema = schema
+        #: The leaf attributes holding the view's partition key, in key order.
+        self.attributes = attributes
+        self.key_of: Callable[[Row], Key] = tuple_getter(
+            [schema.index(attribute) for attribute in attributes]
+        )
+        self.partitions: Dict[Key, ZSet] = {}
+        key_of, partitions = self.key_of, self.partitions
+        for row in rows:
+            partition = partitions.setdefault(key_of(row), {})
+            partition[row] = partition.get(row, 0) + 1
 
-    def __init__(self, rows: List[Row]) -> None:
-        self.rows = rows
-        self.positions: Dict[Row, List[int]] = {}
-        for position, row in enumerate(rows):
-            self.positions.setdefault(row, []).append(position)
-
-    def add(self, row: Row, count: int) -> None:
-        slots = self.positions.setdefault(row, [])
-        for _ in range(count):
-            slots.append(len(self.rows))
-            self.rows.append(row)
-
-    def remove(self, row: Row, count: int) -> None:
-        slots = self.positions.get(row, [])
-        if len(slots) < count:
-            raise IncrementalError(
-                f"view backing store lost track of row {row!r}"
-            )
-        for _ in range(count):
-            position = slots.pop()
-            last = len(self.rows) - 1
-            moved = self.rows[last]
-            if position != last:
-                self.rows[position] = moved
-                moved_slots = self.positions[moved]
-                moved_slots[moved_slots.index(last)] = position
-            self.rows.pop()
-        if not slots:
-            self.positions.pop(row, None)
+    def rows_of(self, keys: Iterable[Key]) -> Tuple[Row, ...]:
+        """The rows (multiplicities expanded) of the given partitions."""
+        partitions = self.partitions
+        held = (partitions[key].items() for key in keys if key in partitions)
+        return tuple(chain.from_iterable(starmap(repeat, chain.from_iterable(held))))
 
 
 class MaterializedView:
@@ -138,9 +108,10 @@ class MaterializedView:
 
     Build through :meth:`repro.rewriter.pipeline.QueryPipeline.materialize`
     (or ``session.materialize(relation, name=...)``); the constructor runs
-    one full evaluation, materializes per-node states and registers the
-    result as catalog table ``name`` (with period metadata when the output
-    carries ``t_begin``/``t_end``), so other queries can reference it.
+    one full evaluation, partitions inputs and result by the plan's
+    partition key and registers the result as catalog table ``name`` (with
+    period metadata when the output carries ``t_begin``/``t_end``), so other
+    queries can reference it.
     """
 
     def __init__(
@@ -155,39 +126,35 @@ class MaterializedView:
         self._pipeline = pipeline
         self._final_coalesce = final_coalesce
         self.counters: Dict[str, int] = {key: 0 for key in COUNTER_KEYS}
-        self._plan: Optional[Operator] = None
-        self._root: Optional[_NodeState] = None
-        self._table: Optional[Table] = None
-        self._store: Optional[_RowStore] = None
-        self._base_tables: Dict[str, Table] = {}
         self.refresh()
 
     # -- introspection ----------------------------------------------------------------
 
     @property
     def schema(self) -> Tuple[str, ...]:
-        assert self._root is not None
-        return self._root.schema
+        return self._table.schema
 
     @property
     def plan(self) -> Operator:
         """The rewritten/optimized physical plan this view maintains."""
-        assert self._plan is not None
         return self._plan
+
+    @property
+    def partition_key(self) -> Tuple[str, ...]:
+        """The output attributes the view is partitioned by (``()``: one partition)."""
+        return self._key
 
     @property
     def base_relations(self) -> frozenset:
         """Names of the catalog tables whose deltas this view consumes."""
-        assert self._root is not None
-        return self._root.base_names
+        return frozenset(self._base_tables)
 
     def table(self) -> Table:
         """The backing catalog table (live view contents)."""
-        assert self._table is not None
         return self._table
 
     def rows(self) -> List[Row]:
-        return list(self.table().rows)
+        return list(self._table.rows)
 
     @property
     def stale(self) -> bool:
@@ -206,7 +173,7 @@ class MaterializedView:
         return False
 
     def __len__(self) -> int:
-        return len(self.table().rows)
+        return len(self._table.rows)
 
     def __repr__(self) -> str:
         return (
@@ -215,9 +182,17 @@ class MaterializedView:
         )
 
     def explain(self) -> str:
-        """The pinned physical plan plus the view's lifetime counters."""
+        """The pinned physical plan, how it is maintained, the lifetime counters."""
         lines = [f"materialized view {self.name!r}:"]
         lines += ["  " + line for line in self.plan.explain_tree().splitlines()]
+        if self._key:
+            held = "; ".join(
+                ", ".join(f"{leaf.label}.{attribute}" for attribute in leaf.attributes)
+                for leaf in dict.fromkeys(self._leaves)
+            )
+            lines.append(f"partitioned by ({', '.join(self._key)}): {held}")
+        else:
+            lines.append("unpartitioned: every delta re-executes the plan")
         lines += ["", "incremental counters:"]
         lines += [
             f"  {key} = {value}" for key, value in sorted(self.counters.items())
@@ -225,10 +200,9 @@ class MaterializedView:
         return "\n".join(lines)
 
     def verify(self) -> bool:
-        """Bag-compare the maintained contents against full re-execution."""
+        """Bag-compare the rows readers get against full re-execution."""
         fresh = self._pipeline.execute_rewritten(self.plan)
-        assert self._root is not None
-        return zset_of(fresh.rows) == self._root.state
+        return zset_of(fresh.rows) == zset_of(self._table.rows)
 
     # -- refresh ----------------------------------------------------------------------
 
@@ -240,57 +214,49 @@ class MaterializedView:
         itself DDL (the schema version bumps, invalidating cached plans).
         """
         pipeline = self._pipeline
+        database = pipeline.database
         self._plan = pipeline.rewrite(self.query, final_coalesce=self._final_coalesce)
-        self._root = self._build_node(self._plan)
-        self._base_tables = {
-            name: pipeline.database.table(name) for name in self._root.base_names
-        }
-        rows = expand_rows(self._root.state)
-        period = (
-            (T_BEGIN, T_END)
-            if T_BEGIN in self._root.schema and T_END in self._root.schema
-            else None
+        self._key, held = infer_partition_key(self._plan, database)
+        self._leaves: List[_Leaf] = []
+        self._readers: Dict[str, List[_Leaf]] = {}
+        self._base_tables: Dict[str, Table] = {}
+        # REWR reads a relation once per split input: occurrences keyed by
+        # the same attributes share one copy.
+        shared: Dict[Tuple[str, Tuple[str, ...]], _Leaf] = {}
+        occurrences = [node for node in self._plan.walk() if not node.children()]
+        for operator, attributes in zip(occurrences, held):
+            if isinstance(operator, RelationAccess):
+                leaf = shared.get((operator.name, attributes))
+                if leaf is None:
+                    source = database.table(operator.name)
+                    self._base_tables[operator.name] = source
+                    leaf = _Leaf(operator.name, source.schema, attributes, source.rows)
+                    shared[operator.name, attributes] = leaf
+                    self._readers.setdefault(operator.name, []).append(leaf)
+            else:  # a ConstantRelation: its rows never change, but are sliced alike
+                leaf = _Leaf("constant", operator.schema, attributes, operator.rows)
+            self._leaves.append(leaf)
+        result = engine_execute(self._plan, database)
+        self._key_of: Callable[[Row], Key] = tuple_getter(
+            [result.schema.index(attribute) for attribute in self._key]
         )
-        self._table = pipeline.database.create_table(
-            self.name, self._root.schema, rows, period=period
+        self._result = self._by_key(result.rows)
+        schema = result.schema
+        period = (T_BEGIN, T_END) if T_BEGIN in schema and T_END in schema else None
+        self._table = database.create_table(
+            self.name, schema, self._flattened(), period=period
         )
-        # The store owns the backing table's row list from here on; apply()
-        # mutates it in place (DML) without re-registering (DDL).
-        self._store = _RowStore(self._table.rows)
         self.counters["incremental.full_refresh"] += 1
 
-    def _build_node(self, operator: Operator) -> _NodeState:
-        children = [self._build_node(child) for child in operator.children()]
-        node = _NodeState(operator, children)
-        if isinstance(operator, RelationAccess):
-            table = self._pipeline.database.table(operator.name)
-            node.schema = table.schema
-            node.state = zset_of(table.rows)
-            node.base_names = frozenset((operator.name,))
-        elif isinstance(operator, ConstantRelation):
-            node.schema = operator.schema
-            node.state = zset_of(operator.rows)
-        else:
-            table = self._evaluate(node, [expand_rows(c.state) for c in children])
-            node.schema = table.schema
-            node.state = zset_of(table.rows)
-        return node
+    def _by_key(self, rows: Iterable[Row]) -> Dict[Key, List[Row]]:
+        grouped: Dict[Key, List[Row]] = {}
+        key_of = self._key_of
+        for row in rows:
+            grouped.setdefault(key_of(row), []).append(row)
+        return grouped
 
-    def _evaluate(self, node: _NodeState, child_rows: List[List[Row]]) -> Table:
-        """Run one node through the engine by substituting child tables.
-
-        The engine evaluates plans node-at-a-time anyway, so replacing the
-        children with constant relations reuses every engine kernel -- the
-        sort-merge interval join, the coalesce/split sweeps -- without a
-        parallel implementation of operator semantics.
-        """
-        substituted = node.operator.with_children(
-            *(
-                ConstantRelation(child.schema, tuple(rows))
-                for child, rows in zip(node.children, child_rows)
-            )
-        )
-        return engine_execute(substituted, self._pipeline.database)
+    def _flattened(self) -> List[Row]:
+        return list(chain.from_iterable(self._result.values()))
 
     # -- delta application --------------------------------------------------------------
 
@@ -299,10 +265,10 @@ class MaterializedView:
         deltas: Union[Delta, Iterable[Delta]],
         statistics: Optional[Dict[str, int]] = None,
     ) -> "MaterializedView":
-        """Propagate base-table deltas through the plan (DML; no DDL bump).
+        """Bring the view up to date with base-table deltas (DML; no DDL bump).
 
         ``deltas`` is one :class:`Delta` or an iterable of them; batches
-        against the same relation merge before propagation.  The caller is
+        against the same relation merge first.  The caller is
         responsible for the base tables themselves -- `Database.insert` /
         ``Database.delete`` feed registered views automatically, while
         calling ``apply`` directly maintains the view against a *detached*
@@ -330,7 +296,7 @@ class MaterializedView:
                 batch = []
         base: Dict[str, ZSet] = {}
         for delta in batch:
-            if delta.relation not in self.base_relations:
+            if delta.relation not in self._readers:
                 raise IncrementalError(
                     f"view {self.name!r} does not read relation "
                     f"{delta.relation!r}; it maintains {sorted(self.base_relations)}"
@@ -338,12 +304,11 @@ class MaterializedView:
             add_into(base.setdefault(delta.relation, {}), delta.entries)
         base = {name: zset for name, zset in base.items() if zset}
         if base:
+            self._check(base)
             self.counters["incremental.delta_rows"] += sum(
                 len(zset) for zset in base.values()
             )
-            assert self._root is not None
-            root_delta = self._propagate(self._root, base)
-            self._sync_backing(root_delta)
+            self._recompute(self._absorb(base))
         if statistics is not None:
             for key in COUNTER_KEYS:
                 gained = self.counters[key] - before.get(key, 0)
@@ -353,235 +318,80 @@ class MaterializedView:
 
     def _observe_dml(self, name: str, delta: Dict[Row, int]) -> None:
         """Catalog DML observer: route relevant mutations in as deltas."""
-        if name == self.name or name not in self.base_relations:
-            return
-        self._apply(Delta(name, dict(delta)), None, delta_in_catalog=True)
+        if name in self._readers:
+            self._apply(Delta(name, delta), None, delta_in_catalog=True)
 
-    def _sync_backing(self, root_delta: ZSet) -> None:
-        store = self._store
-        table = self._table
-        assert store is not None and table is not None
-        if not root_delta:
-            return
-        for row, weight in root_delta.items():
-            if weight > 0:
-                store.add(row, weight)
-            elif weight < 0:
-                store.remove(row, -weight)
-        # In-place mutation can leave the length unchanged (a swap of
-        # equal-weight inserts and deletes), which the memoised columnar
-        # transpose keyed on (identity, length) would not notice.
-        table._columns_cache = None
+    def _check(self, base: Dict[str, ZSet]) -> None:
+        """Refuse the whole batch before anything is touched.
 
-    # -- propagation rules --------------------------------------------------------------
-
-    def _propagate(self, node: _NodeState, base: Dict[str, ZSet]) -> ZSet:
-        operator = node.operator
-        if isinstance(operator, RelationAccess):
-            delta = dict(base.get(operator.name, ()))
-            self._apply_node_delta(node, delta)
-            return delta
-        if not node.base_names & base.keys():
-            return {}
-        child_deltas = [self._propagate(child, base) for child in node.children]
-        delta = self._node_delta(node, child_deltas)
-        self._apply_node_delta(node, delta)
-        return delta
-
-    def _apply_node_delta(self, node: _NodeState, delta: ZSet) -> None:
-        if not delta:
-            return
-        self.counters["incremental.consolidated_rows"] += add_into(
-            node.state, delta, require_nonnegative=True
-        )
-
-    def _node_delta(self, node: _NodeState, child_deltas: List[ZSet]) -> ZSet:
-        operator = node.operator
-
-        if isinstance(operator, Selection):
-            (delta,) = child_deltas
-            keep = node.compiled.get("predicate")
-            if keep is None:
-                keep = node.compiled["predicate"] = operator.predicate.compile(
-                    node.children[0].schema
-                )
-            return {row: weight for row, weight in delta.items() if keep(row)}
-
-        if isinstance(operator, Projection):
-            (delta,) = child_deltas
-            columns = node.compiled.get("columns")
-            if columns is None:
-                child_schema = node.children[0].schema
-                columns = node.compiled["columns"] = tuple(
-                    expression.compile(child_schema)
-                    for expression, _name in operator.columns
-                )
-            out: ZSet = {}
-            get = out.get
-            for row, weight in delta.items():
-                projected = tuple(column(row) for column in columns)
-                out[projected] = get(projected, 0) + weight
-            return {row: weight for row, weight in out.items() if weight}
-
-        if isinstance(operator, Rename):
-            (delta,) = child_deltas
-            return dict(delta)
-
-        if isinstance(operator, UnionOp):
-            left, right = child_deltas
-            out = dict(left)
-            add_into(out, right)
-            return out
-
-        if isinstance(operator, Join):
-            return self._join_delta(node, child_deltas)
-
-        if isinstance(operator, Difference):
-            left_state = node.children[0].state
-            right_state = node.children[1].state
-            dirty = set(child_deltas[0]) | set(child_deltas[1])
-            self.counters["incremental.resweep_groups"] += len(dirty)
-            delta = {}
-            for row in dirty:
-                fresh = max(0, left_state.get(row, 0) - right_state.get(row, 0))
-                change = fresh - node.state.get(row, 0)
-                if change:
-                    delta[row] = change
-            return delta
-
-        if isinstance(operator, Distinct):
-            child_state = node.children[0].state
-            dirty = set(child_deltas[0])
-            self.counters["incremental.resweep_groups"] += len(dirty)
-            delta = {}
-            for row in dirty:
-                fresh = 1 if child_state.get(row, 0) > 0 else 0
-                change = fresh - node.state.get(row, 0)
-                if change:
-                    delta[row] = change
-            return delta
-
-        if isinstance(operator, Aggregation):
-            return self._resweep(node, child_deltas, operator.group_by, (0,))
-
-        if isinstance(operator, TemporalAggregateOperator):
-            return self._resweep(node, child_deltas, operator.group_by, (0,))
-
-        if isinstance(operator, CoalesceOperator):
-            data = tuple(
-                attribute
-                for attribute in node.children[0].schema
-                if attribute not in operator.period
-            )
-            return self._resweep(node, child_deltas, data, (0,))
-
-        if isinstance(operator, SplitOperator):
-            return self._resweep(node, child_deltas, operator.group_by, (0, 1))
-
-        # Unknown operator (a future physical operator): fall back to a
-        # whole-node recompute -- correct for anything deterministic.
-        return self._resweep(node, child_deltas, (), ())
-
-    # -- bilinear join ------------------------------------------------------------------
-
-    def _join_delta(self, node: _NodeState, child_deltas: List[ZSet]) -> ZSet:
-        left_delta, right_delta = child_deltas
-        left_node, right_node = node.children
-        out: ZSet = {}
-        # d(L><R) = dL >< R' + L' >< dR - dL >< dR, all against post-delta
-        # states (children were consolidated before this node runs).
-        self._join_term(node, left_delta, right_node.state, +1, out)
-        self._join_term(node, left_node.state, right_delta, +1, out)
-        self._join_term(node, left_delta, right_delta, -1, out)
-        return {row: weight for row, weight in out.items() if weight}
-
-    def _join_term(
-        self,
-        node: _NodeState,
-        left: ZSet,
-        right: ZSet,
-        sign: int,
-        out: ZSet,
-    ) -> None:
-        if not left or not right:
-            return
-        # The engine joins the *distinct* rows of each side (every input row
-        # appears once), then each matched pair's weight is the product of
-        # the side multiplicities -- keeping the join kernels (sort-merge
-        # interval join included) oblivious to Z-set annotations.
-        table = self._evaluate(node, [list(left), list(right)])
-        n_left = len(node.children[0].schema)
-        get = out.get
-        for row in table.rows:
-            weight = sign * left[row[:n_left]] * right[row[n_left:]]
-            if weight:
-                out[row] = get(row, 0) + weight
-
-    # -- dirty-group resweep ------------------------------------------------------------
-
-    def _resweep(
-        self,
-        node: _NodeState,
-        child_deltas: List[ZSet],
-        key_attributes: Tuple[str, ...],
-        keyed_children: Tuple[int, ...],
-    ) -> ZSet:
-        """Recompute a non-linear node on its dirty group slice only.
-
-        ``key_attributes`` partition both the node's inputs and its output
-        (all four operators routed here emit their grouping attributes
-        unchanged); groups touched by no delta can therefore not change.
-        An empty key -- ungrouped aggregation, coalescing a relation with
-        no data attributes, an unknown operator -- degenerates to one
-        whole-node group.
+        Every leaf reading a relation holds a full copy of it, so the first
+        one answers for all of them.
         """
-        children = node.children
-        if not key_attributes:
-            fresh = zset_of(
-                self._evaluate(
-                    node, [expand_rows(child.state) for child in children]
-                ).rows
-            )
-            self.counters["incremental.resweep_groups"] += 1
-            return zset_diff(fresh, node.state)
+        for name, entries in base.items():
+            leaf = self._readers[name][0]
+            arity, key_of, partitions = len(leaf.schema), leaf.key_of, leaf.partitions
+            for row, weight in entries.items():
+                if len(row) != arity:
+                    raise IncrementalError(
+                        f"delta row {row!r} does not match schema {leaf.schema} "
+                        f"of relation {name!r}"
+                    )
+                if weight < 0:
+                    held = partitions.get(key_of(row), {}).get(row, 0)
+                    if held + weight < 0:
+                        raise IncrementalError(
+                            f"delta drives multiplicity of row {row!r} to "
+                            f"{held + weight}; deleting a row that is not present?"
+                        )
 
-        getters = node.compiled.get("resweep_getters")
-        if getters is None:
-            child_getters = tuple(
-                tuple_getter([child.schema.index(a) for a in key_attributes])
-                for child in children
-            )
-            out_getter = tuple_getter(
-                [node.schema.index(a) for a in key_attributes]
-            )
-            getters = node.compiled["resweep_getters"] = (child_getters, out_getter)
-        child_getters, out_getter = getters
+    def _absorb(self, base: Dict[str, ZSet]) -> Set[Key]:
+        """Fold a checked batch into the input partitions; the keys it touched."""
+        dirty: Set[Key] = set()
+        cancelled = 0
+        for name, entries in base.items():
+            for leaf in self._readers[name]:
+                key_of, partitions = leaf.key_of, leaf.partitions
+                for row, weight in entries.items():
+                    key = key_of(row)
+                    dirty.add(key)
+                    partition = partitions.get(key)
+                    if partition is None:
+                        partition = partitions[key] = {}
+                    count = partition.get(row, 0) + weight
+                    if count:
+                        partition[row] = count
+                        continue
+                    cancelled += 1
+                    del partition[row]
+                    if not partition:
+                        del partitions[key]
+        self.counters["incremental.consolidated_rows"] += cancelled
+        return dirty
 
-        dirty = set()
-        for position in keyed_children:
-            getter = child_getters[position]
-            for row in child_deltas[position]:
-                dirty.add(getter(row))
-        if not dirty:
-            return {}
+    def _recompute(self, dirty: Set[Key]) -> None:
+        """Run the pinned plan over the dirty partitions and swap their output."""
         self.counters["incremental.resweep_groups"] += len(dirty)
-
-        restricted_inputs = []
-        for position, child in enumerate(children):
-            getter = child_getters[position]
-            restricted_inputs.append(
-                expand_rows(
-                    {
-                        row: weight
-                        for row, weight in child.state.items()
-                        if getter(row) in dirty
-                    }
-                )
-            )
-        fresh = zset_of(self._evaluate(node, restricted_inputs).rows)
-        stale_slice = {
-            row: weight
-            for row, weight in node.state.items()
-            if out_getter(row) in dirty
+        slices = {
+            leaf: ConstantRelation(leaf.schema, leaf.rows_of(dirty))
+            for leaf in set(self._leaves)
         }
-        return zset_diff(fresh, stale_slice)
+        plan = _with_leaves(self._plan, iter([slices[leaf] for leaf in self._leaves]))
+        fresh = self._by_key(engine_execute(plan, self._pipeline.database).rows)
+        result = self._result
+        for key in dirty:
+            if key in fresh:
+                result[key] = fresh[key]
+            else:
+                result.pop(key, None)
+        # A new list, never an in-place rewrite: the memoised columnar
+        # transpose is keyed on the list's identity, and a reader that took
+        # the old list keeps exactly the rows from before this write.
+        self._table.rows = self._flattened()
+
+
+def _with_leaves(plan: Operator, leaves: Iterator[Operator]) -> Operator:
+    """``plan`` with its leaves replaced, in depth-first order, from ``leaves``."""
+    children = plan.children()
+    if not children:
+        return next(leaves)
+    return plan.with_children(*[_with_leaves(child, leaves) for child in children])

@@ -30,11 +30,12 @@ from .cost import (
     normalize_planner_mode,
     reorder_joins,
 )
-from .rules import optimize, split_conjuncts
+from .rules import optimize, push_selections, split_conjuncts
 from .schema import available_attributes, infer_schema
 
 __all__ = [
     "optimize",
+    "push_selections",
     "split_conjuncts",
     "available_attributes",
     "infer_schema",

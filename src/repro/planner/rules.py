@@ -54,7 +54,7 @@ from .schema import available_attributes, infer_schema
 if TYPE_CHECKING:  # duck-typed at runtime (see planner.schema)
     from ..engine.catalog import Database
 
-__all__ = ["optimize", "split_conjuncts", "substitute"]
+__all__ = ["optimize", "push_selections", "split_conjuncts", "substitute"]
 
 #: Safety bound on fixpoint rounds (each round is already monotone).
 _MAX_ROUNDS = 10
@@ -138,6 +138,16 @@ def substitute(expression: Expression, mapping: Mapping[str, Expression]) -> Exp
 
 
 # -- selection push-down ---------------------------------------------------------------------
+
+
+def push_selections(plan: Operator, database: "Optional[Database]" = None) -> Operator:
+    """One selection push-down pass on its own (no fixpoint, no projection rules).
+
+    The entry point for code that needs to know *where a selection may go*
+    rather than an optimised plan: partition-key inference for materialized
+    views (:mod:`repro.incremental.partition`) probes operators through it.
+    """
+    return _push_selections(plan, database, Counter())
 
 
 def _push_selections(

@@ -187,7 +187,8 @@ class QueryPipeline:
         version and so invalidates cached plans -- views invalidate like
         plan-cache entries), and the view subscribes to catalog DML so
         subsequent :meth:`~repro.engine.catalog.Database.insert` /
-        ``delete`` propagate as Z-set deltas instead of re-executing.
+        ``delete`` re-run the plan on the partitions they touch instead of
+        re-executing it whole.
         Returns the :class:`~repro.incremental.MaterializedView`.
         """
         from ..incremental.view import MaterializedView
@@ -221,6 +222,27 @@ class QueryPipeline:
         self.database.remove_dml_observer(view._observe_dml)
         del self._views[name]
         self.database.drop_table(name)
+
+    def insert(self, name: str, rows: Iterable[Sequence[Any]]) -> None:
+        """Catalog DML: append rows to a table (feeds registered views)."""
+        self._refuse_view_dml(name)
+        self.database.insert(name, rows)
+
+    def delete(self, name: str, rows: Iterable[Sequence[Any]]) -> None:
+        """Catalog DML: delete one copy per given row (feeds registered views)."""
+        self._refuse_view_dml(name)
+        self.database.delete(name, rows)
+
+    def _refuse_view_dml(self, name: str) -> None:
+        # A view's backing table holds what its plan derives: rows written
+        # into it directly would be served until the next delta replaces
+        # them, and match no base table.
+        if name in self._views:
+            raise IncrementalError(
+                f"{name!r} is the backing table of a materialized view; write "
+                f"to {sorted(self._views[name].base_relations)} or feed the "
+                "view Deltas through apply()"
+            )
 
     # -- plan cache -------------------------------------------------------------------
 

@@ -288,10 +288,8 @@ VERBS: Dict[str, Verb] = {verb.name: verb for verb in (
     Verb("tables", lambda pipeline: list(pipeline.database.names()), result=_reply("tables")),
     Verb("load", QueryPipeline.load_table,
          (_NAME, Arg("schema", NAMES), _ROWS, Arg("period", NAMES, required=False))),
-    Verb("insert", lambda pipeline, name, rows: pipeline.database.insert(name, rows),
-         (_NAME, _ROWS), pooled=True),
-    Verb("delete", lambda pipeline, name, rows: pipeline.database.delete(name, rows),
-         (_NAME, _ROWS), pooled=True),
+    Verb("insert", QueryPipeline.insert, (_NAME, _ROWS), pooled=True),
+    Verb("delete", QueryPipeline.delete, (_NAME, _ROWS), pooled=True),
     Verb("analyze", lambda pipeline, name=None: pipeline.database.analyze(name), (_ANY_NAME,),
          _reply("statistics",
                 lambda collected: {name: stats.to_dict() for name, stats in collected.items()},

@@ -82,6 +82,28 @@ class TestDatabase:
         database.insert("t", [(2,), (3,)])
         assert database.row_counts() == {"t": 3}
 
+    def test_delete_takes_the_first_copies_and_keeps_the_surviving_order(self):
+        database = Database()
+        table = database.create_table("t", ("a",), [(1,), (2,), (1,), (3,), (1,), (2,)])
+        before = table.rows
+        database.delete("t", [(1,), [1], (3,)])  # two of three copies, by any sequence
+        assert table.rows == [(2,), (1,), (2,)]
+        assert table.rows is not before and len(before) == 6  # replaced, not rewritten
+        database.delete("t", [])
+        assert table.rows == [(2,), (1,), (2,)]
+
+    def test_delete_of_more_copies_than_present_removes_nothing(self):
+        database = Database()
+        table = database.create_table("t", ("a",), [(1,), (2,), (1,)])
+        seen = []
+        database.add_dml_observer(lambda name, delta: seen.append(delta))
+        before = table.rows
+        with pytest.raises(TableError, match=r"not often enough\): \['\(1,\)', '\(9,\)'\]"):
+            database.delete("t", [(1,), (1,), (1,), (2,), (9,)])
+        assert table.rows is before and before == [(1,), (2,), (1,)] and not seen
+        database.delete("t", [(1,), (1,)])
+        assert table.rows == [(2,)] and seen == [{(1,): -2}]
+
     def test_drop_table(self):
         database = Database()
         database.create_table("t", ("a",), [])

@@ -103,8 +103,9 @@ def test_insert_and_delete_are_seen_by_the_next_kernel_served_query(derivations)
     assert len(derivations) == 3 * 5
 
 
-def test_a_view_rewritten_in_place_at_equal_length_is_not_served_stale_forms():
-    """``_RowStore`` swaps rows inside the list it shares with the catalog table."""
+def test_a_view_write_at_equal_length_replaces_the_list_and_the_forms(derivations):
+    """``view.apply`` never rewrites the backing list in place: a reader holding
+    the old list keeps a whole pre-write snapshot, the next query derives anew."""
     pytest.importorskip("numpy")
     with connect(domain=(0, 20)) as session:
         works = session.load("works", ["name", "value"], _rows(2 * N))
@@ -113,15 +114,20 @@ def test_a_view_rewritten_in_place_at_equal_length_is_not_served_stale_forms():
         backing = database.table("v")
         plan = _top_per_name("v")
         before = _kernel_served(plan, database)
-        rows_list, length = backing.rows, len(backing.rows)
-        assert length >= N
+        held, snapshot = backing.rows, list(backing.rows)
+        assert len(held) >= N
+        del derivations[:]
+        assert _kernel_served(plan, database) == before and derivations == []
 
         old = next(row for row in backing.rows if row[0] == "n3")
         new = ("n3", 10**6) + old[2:]
         view.apply(Delta("works", {old: -1, new: 1}))
-        assert backing.rows is rows_list and len(backing.rows) == length
+        assert backing.rows is not held and len(backing.rows) == len(held)
+        assert held == snapshot, "the list a reader took before the write changed"
         after = _kernel_served(plan, database)
         assert after != before and any("1000000" in row for row in after)
+        # Served from forms derived over the new list, not from cached ones.
+        assert len(derivations) == 5 and {n for _, n in derivations} == {len(held)}
 
 
 def test_a_write_landing_while_a_form_is_derived_does_not_tear_it(derivations):

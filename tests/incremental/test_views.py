@@ -194,6 +194,31 @@ class TestErrors:
             view.apply([Delta("R", {("a", 1, 0, 10): -5})])
 
 
+    def test_dml_on_a_backing_table_is_refused_before_any_change(self, session):
+        # At the parent both writes succeeded: the insert showed up in the
+        # view, and the delete replaced the backing list -- after which no
+        # base-table write ever reached a reader again, yet verify() (which
+        # compared internal state) kept answering True.
+        view = session.materialize(session.table("R").where("v >= 2"), name="big")
+        before = Counter(view.rows())
+        with pytest.raises(IncrementalError, match="backing table"):
+            session.insert("big", [("q", 9, 0, 5)])
+        with pytest.raises(IncrementalError, match="backing table"):
+            session.delete("big", [("b", 2, 5, 20)])
+        assert Counter(view.rows()) == before and view.verify()
+        session.insert("R", [("c", 9, 0, 5)])  # the view is still attached
+        assert ("c", 9, 0, 5) in session.table("big").rows() and view.verify()
+
+    def test_verify_compares_the_rows_readers_get(self, session):
+        view = session.materialize(session.table("R").where("v >= 2"), name="big")
+        # Below the session nothing knows about views: a direct catalog
+        # write lands in the list readers are served, and verify() says so.
+        session.database.insert("big", [("q", 9, 0, 5)])
+        assert ("q", 9, 0, 5) in view.rows() and not view.verify()
+        session.insert("R", [("c", 9, 0, 5)])  # the next delta rebuilds the list
+        assert ("q", 9, 0, 5) not in view.rows() and view.verify()
+
+
 class TestLifecycle:
     def test_views_listing_and_drop(self, session):
         session.materialize(session.table("R"), name="one")
@@ -212,6 +237,13 @@ class TestLifecycle:
         text = view.explain()
         assert "incremental.delta_rows" in text
         assert "incremental.full_refresh = 1" in text
+        # One line after the plan says how the view is maintained.
+        plan_lines = view.plan.explain_tree().count("\n") + 1
+        assert text.splitlines()[1 + plan_lines] == "partitioned by (k, v): R.k, R.v"
+        assert view.partition_key == ("k", "v")
+        ungrouped = session.materialize(session.table("R").agg(n="count(*)"), name="n")
+        assert "\nunpartitioned: every delta re-executes the plan\n" in ungrouped.explain()
+        assert ungrouped.partition_key == ()
 
 
 class TestPlannerMatrix:

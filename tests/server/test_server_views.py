@@ -104,3 +104,16 @@ class TestRemoteViews:
         with pytest.raises(IncrementalError):
             view.apply([Delta.inserts("S", [("q", 1, 0, 1)])])
         assert view.verify()  # the failed frames left the view untouched
+
+    def test_dml_on_a_backing_table_is_an_error_frame(self, server, session):
+        view = make_view(session)
+        before = Counter(view.rows())
+        with pytest.raises(IncrementalError, match="backing table"):
+            session.insert("v_cnt", [("q", 1, 0, 5)])
+        with pytest.raises(IncrementalError, match="backing table"):
+            session.delete("v_cnt", [before.most_common(1)[0][0]])
+        assert Counter(view.rows()) == before and view.verify()
+        # Still attached: another client's base-table write reaches it.
+        with connect(f"repro://127.0.0.1:{server.port}") as other:
+            other.insert("R", [("c", 9, 0, 50)])
+        assert any(row[0] == "c" for row in view.rows()) and view.verify()

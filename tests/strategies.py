@@ -348,6 +348,21 @@ def generator_configs(max_rows: int = 10, domain: TimeDomain = PROPERTY_DOMAIN):
     )
 
 
+def _nested_set_operations(base, predicates):
+    """Union / difference / distinct / selection stacked over ``base`` (same-shape plans)."""
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            pairs.map(lambda lr: Union(*lr)),
+            pairs.map(lambda lr: Difference(*lr)),
+            children.map(Distinct),
+            st.tuples(children, predicates).map(lambda cp: Selection(*cp)),
+        )
+
+    return st.recursive(base, extend, max_leaves=3)
+
+
 def conformance_queries():
     """RA^agg plans for the conformance sweeps: deeper than :func:`queries`.
 
@@ -396,16 +411,7 @@ def conformance_queries():
         ]
     )
 
-    def extend(children):
-        pairs = st.tuples(children, children)
-        return st.one_of(
-            pairs.map(lambda lr: Union(*lr)),
-            pairs.map(lambda lr: Difference(*lr)),
-            children.map(Distinct),
-            st.tuples(children, predicates).map(lambda cp: Selection(*cp)),
-        )
-
-    nested = st.recursive(base, extend, max_leaves=3)
+    nested = _nested_set_operations(base, predicates)
 
     aggregate_specs = st.sampled_from(
         [
@@ -432,6 +438,70 @@ def conformance_queries():
     )
 
     return st.one_of(nested, grouped, ungrouped, selected_aggregate)
+
+
+def partitionable_queries():
+    """Plans whose views are partitioned: every operator keeps the join key.
+
+    The shapes :func:`conformance_queries` mostly lacks -- its join drops the
+    key it joined on, so a view over it is one partition.  Here every base
+    is normalised to ``(key, cat, val)`` with the key first: a relation, a
+    selection of one, or the equi-join on the key; set operations, duplicate
+    elimination and selections are stacked over those (all key-preserving by
+    position), and the top is the plan itself, a projection that keeps the
+    key, or an aggregate grouped by it.
+    """
+
+    def keyed(relation, prefix):
+        return Projection(
+            relation,
+            tuple((attr(f"{prefix}_{name}"), name) for name in ("key", "cat", "val")),
+        )
+
+    base = st.sampled_from(
+        [
+            keyed(RelationAccess("R"), "r"),
+            keyed(RelationAccess("S"), "s"),
+            keyed(Selection(RelationAccess("R"), Comparison(">", attr("r_val"), lit(1))), "r"),
+            keyed(Selection(RelationAccess("S"), Comparison("!=", attr("s_cat"), lit("g0"))), "s"),
+            Projection(
+                Join(
+                    RelationAccess("R"),
+                    RelationAccess("S"),
+                    Comparison("=", attr("r_key"), attr("s_key")),
+                ),
+                ((attr("s_key"), "key"), (attr("r_cat"), "cat"), (attr("s_val"), "val")),
+            ),
+        ]
+    )
+    predicates = st.sampled_from(
+        [
+            Comparison("=", attr("key"), lit("k1")),
+            Comparison("!=", attr("cat"), lit("g1")),
+            Comparison("<=", attr("val"), lit(2)),
+        ]
+    )
+
+    nested = _nested_set_operations(base, predicates)
+    aggregates = st.sampled_from(
+        [
+            (AggregateSpec("count", None, "cnt"),),
+            (AggregateSpec("count", None, "cnt"), AggregateSpec("sum", attr("val"), "total")),
+            (AggregateSpec("max", attr("val"), "highest"),),
+        ]
+    )
+    groupings = st.sampled_from([("key",), ("key", "cat"), ("cat", "key")])
+    return st.one_of(
+        nested,
+        nested.map(lambda q: Projection.of_attributes(q, "cat", "key")),
+        st.tuples(nested, groupings, aggregates).map(lambda qga: Aggregation(*qga)),
+        nested.map(
+            lambda q: Selection(
+                Aggregation(q, ("key",), (AggregateSpec("count", None, "cnt"),)),
+                Comparison(">", attr("cnt"), lit(1)),
+            )
+        ),
+    )
 
 
 # -- plan helpers ----------------------------------------------------------------------------

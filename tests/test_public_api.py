@@ -277,6 +277,27 @@ class TestOneEngine:
                     ]
         assert defined == ["api/session.py:Session.executor"]
 
+    def test_only_the_engine_writes_a_tables_column_cache(self):
+        """``Table._columns_cache`` is invalidated by replacing ``table.rows``, never by hand.
+
+        Outside ``repro/engine/`` nothing assigns (or deletes) the attribute:
+        a writer that mutated a row list in place and reset the cache itself
+        would bring back the equal-length rewrite no reader can detect.
+        """
+        import ast
+        import pathlib
+
+        package = pathlib.Path(repro.__file__).parent
+        for path in package.rglob("*.py"):
+            where = path.relative_to(package).as_posix()
+            if where.startswith("engine/"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr == "_columns_cache":
+                    assert isinstance(node.ctx, ast.Load), (
+                        f"{where}:{node.lineno} writes a table's column cache"
+                    )
+
     def test_sessions_report_the_engine_and_cannot_set_it(self):
         from repro.engine import ENGINE_NAME
 
