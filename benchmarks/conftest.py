@@ -73,7 +73,7 @@ def _fastest(*runs: Callable[[], object], rounds: int = 3) -> List[float]:
     """Fastest wall time of each callable, in seconds, for the shape assertions.
 
     Every callable runs once untimed first: the first pipeline to scan a
-    table pays its column transpose (``Table._columns_cache``) for all the
+    table pays its column transpose (kept on the ``TableVersion``) for all the
     others, so a single cold execution times the order of the calls, not the
     plans.  Then come ``rounds`` timed passes, the order alternating so that
     no side always runs on caches the other just warmed.

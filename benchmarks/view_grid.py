@@ -11,13 +11,14 @@ join conjunct) -- and for every table size and churn share, one write of
 
 * **maintained**: ``view.apply(delta)`` + ``view.rows()``, or
 * **re-executed**: the catalog DML + one execution of the query, *first*
-  after the write (the write dropped the table's cached columnar forms)
-  and *warm* (a second execution, forms cached).
+  after the write (it reads the typed forms the write carried into the new
+  table version, and derives what it could not) and *warm* (a second
+  execution of the same version).
 
 Each number is the fastest of ``--repeats`` delete/insert pairs, per write,
 in ms; deltas are applied detached, so every pair nets to zero and
-``view.verify()`` must hold at the end of every row.  The table in
-EXPERIMENTS.md ("Incremental views") is this script's output.
+``view.verify()`` must hold at the end of every row.  The tables in
+EXPERIMENTS.md ("Incremental views", "Table versions") are this script's output.
 """
 
 from __future__ import annotations

@@ -16,22 +16,22 @@ Two modes:
 * **session** (:meth:`SQLiteBackend.for_database`): the catalog is loaded
   once and the connection is reused across queries -- right for benchmarks,
   where load time would otherwise drown the query time being measured.
-  The copy follows the catalog: tables touched by DML (seen through
-  ``Database.add_dml_observer``) or replaced by DDL (a different
-  :class:`Table` object under the name) are re-loaded before the next
-  query that references them.
+  The copy follows the catalog: every query reads one
+  :meth:`~repro.engine.catalog.Database.snapshot`, and a referenced table
+  whose version there is not the one its copy was loaded from -- DML or DDL
+  happened -- is re-loaded from that version first.
 """
 
 from __future__ import annotations
 
 import sqlite3
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterator, List, Optional
 
 from ..algebra.operators import Operator, RelationAccess
 from ..datasets.sqlite_loader import connect_memory, load_table
 from ..engine.catalog import Database
-from ..engine.table import Table
+from ..engine.table import Table, TableVersion
 from ..errors import (
     BackendError,
     BackendUnavailableError,
@@ -68,11 +68,10 @@ class SQLiteBackend:
     ) -> None:
         self._connection = connection
         self._session_database: Optional[Database] = None
-        # Session mode: the Table object each SQLite copy was loaded from,
-        # and the names DML touched since.  Mutated in place only: the
-        # pipeline's shallow copies of a session backend share both.
-        self._loaded: Dict[str, Table] = {}
-        self._dirty: Set[str] = set()
+        # Session mode: the id of the table version each SQLite copy was
+        # loaded from.  Mutated in place only: the pipeline's shallow copies
+        # of a session backend share it.
+        self._loaded: Dict[str, int] = {}
         self.optimize = optimize
         self._active_connection: Optional[sqlite3.Connection] = None
         self._interrupt_requested = False
@@ -108,16 +107,10 @@ class SQLiteBackend:
         """
         backend = cls(connect_memory(), optimize=optimize)
         backend._session_database = database
-        backend._sync(backend._connection, database, database.names(), None)
-        database.add_dml_observer(backend._mark_dirty)
+        backend._sync(backend._connection, database.snapshot().values(), None)
         return backend
 
-    def _mark_dirty(self, name: str, delta: Dict[Tuple[Any, ...], int]) -> None:
-        self._dirty.add(name)
-
     def close(self) -> None:
-        if self._session_database is not None:
-            self._session_database.remove_dml_observer(self._mark_dirty)
         if self._connection is not None:
             self._connection.close()
             self._connection = None
@@ -184,9 +177,13 @@ class SQLiteBackend:
         statistics: Optional[Dict[str, int]],
     ) -> Iterator[sqlite3.Connection]:
         """A connection holding current copies of the tables ``plan`` reads."""
-        referenced = sorted(
-            {node.name for node in plan.walk() if isinstance(node, RelationAccess)}
-        )
+        snapshot = database.snapshot()
+        referenced = [
+            snapshot[name]
+            for name in sorted(
+                {node.name for node in plan.walk() if isinstance(node, RelationAccess)}
+            )
+        ]
         if self._connection is not None:
             if self._sync_per_execute:  # file mode
                 stale = referenced
@@ -199,19 +196,18 @@ class SQLiteBackend:
                 )
             else:
                 stale = [
-                    name
-                    for name in referenced
-                    if name in self._dirty
-                    or self._loaded.get(name) is not database.table(name)
+                    version
+                    for version in referenced
+                    if self._loaded.get(version.name) != version.id
                 ]
-            self._sync(self._connection, database, stale, statistics)
+            self._sync(self._connection, stale, statistics)
             yield self._connection
         elif self._session_database is not None or self._sync_per_execute:
             raise BackendUnavailableError("session backend has been closed")
         else:  # one-shot: a hermetic database per execution
             connection = connect_memory()
             try:
-                self._sync(connection, database, referenced, statistics)
+                self._sync(connection, referenced, statistics)
                 yield connection
             finally:
                 connection.close()
@@ -219,22 +215,17 @@ class SQLiteBackend:
     def _sync(
         self,
         connection: sqlite3.Connection,
-        database: Database,
-        names: Sequence[str],
+        versions: Collection[TableVersion],
         statistics: Optional[Dict[str, int]],
     ) -> None:
-        """(Re)load the named tables and record what the copies reflect."""
-        if not names:
+        """(Re)load the given table versions and record what the copies reflect."""
+        if not versions:
             return
         loaded = 0
-        for name in names:
-            table = database.table(name)
-            # Cleared before reading the rows: DML racing with the load
-            # marks the table dirty again instead of being lost.
-            self._dirty.discard(name)
-            loaded += load_table(connection, table)
+        for version in versions:
+            loaded += load_table(connection, version.as_table())
             if self._session_database is not None:
-                self._loaded[name] = table
+                self._loaded[version.name] = version.id
         connection.commit()
         if statistics is not None:
             statistics["sqlite_rows_loaded"] = (

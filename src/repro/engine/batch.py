@@ -74,7 +74,7 @@ from .executor import (
     _extract_interval_pattern,
     _split_join_predicate,
 )
-from .table import Table, tuple_getter
+from .table import Table, TableVersion, tuple_getter
 
 __all__ = ["ColumnarBatch", "execute_batch_plan"]
 
@@ -117,7 +117,7 @@ class ColumnarBatch:
     all-ones fast paths.
 
     Columns are shared between batches (projection is zero-copy, base-table
-    columns live on the table), so nothing may mutate a column or its values
+    columns live on the table version), so nothing may mutate a column or its values
     list in place -- always build a new one.  A column's values list may not
     exist yet (a kernel's output array, a join side gathered at the pair
     indexes): reading ``columns[i]`` produces it, and an attribute nobody
@@ -196,46 +196,35 @@ class ColumnarBatch:
 
     @classmethod
     def from_table(cls, table: Table, name: Optional[str] = None) -> "ColumnarBatch":
-        """Columnarise a base table, caching the transpose on the table.
+        """Columnarise a table as it is now: :meth:`from_version` of its current version."""
+        return cls.from_version(table.version, name)
 
-        The transposed columns are the engine's storage layout, so they are
-        memoised on the table itself (keyed by the identity and length of
-        its rows list -- ``append``/``extend`` grow the list and ``clone``
-        replaces it, so either invalidates the cache).  Kernels never mutate
-        columns in place, which makes sharing safe.  The typed forms live on
-        those same :class:`Column` objects -- derived from this entry's
-        snapshot the first time a kernel asks, never from ``table.rows`` --
-        so one table version is scanned once and its arrays die with it.
+    @classmethod
+    def from_version(
+        cls, version: TableVersion, name: Optional[str] = None
+    ) -> "ColumnarBatch":
+        """A scan of one table version.
 
-        The table may be appended to while this runs (the server executes
-        reads and DML on one thread pool over one catalog), so the columns,
-        the counts and the batch's row view are all taken from one copy of
-        the rows list, and that copy's length is the one recorded: a read
-        racing an insert sees the table before it or after it, and the next
-        read sees the longer list and transposes again.
+        The transposed columns are the engine's storage layout, so they live
+        on the version: transposed on its first scan, an attribute read from
+        then on.  Kernels never mutate columns in place, which makes sharing
+        safe.  The typed forms live on those same :class:`Column` objects --
+        derived the first time a kernel asks, or carried over from the
+        version DML built this one from -- and die with the version.  The
+        batch's row view is the version's rows, copied if someone asks.
         """
-        rows = table.rows
-        cache = table._columns_cache
-        if cache is None or cache[0] is not rows or len(cache[1]) != len(rows):
-            snapshot = rows[:]
-            if snapshot:
-                # zip(*rows) transposes at C speed; one list per attribute.
-                columns = [Column(list(column)) for column in zip(*snapshot)]
-            else:
-                columns = [Column([]) for _ in table.schema]
-            cache = table._columns_cache = (rows, snapshot, columns)
-        _, snapshot, columns = cache
+        columns = version.columns()
         # A table below the cutover scans as bare lists, like everything
         # else in a small plan; should a kernel want it after all (joined
         # with a big table), wrapping and scanning it afresh costs nothing.
-        typed = _kernels.worthwhile(len(snapshot))
+        typed = _kernels.worthwhile(version.count)
         return cls(
-            name or table.name,
-            table.schema,
+            name or version.name,
+            version.schema,
             columns if typed else [column.values for column in columns],
-            [1] * len(snapshot),
+            [1] * version.count,
             all_ones=True,
-            rows=snapshot,
+            rows=version.rows,
             typed=typed,
         )
 
@@ -327,7 +316,7 @@ def execute_batch_plan(plan: Operator, context: ExecutionContext) -> Table:
 
 
 def _execute(
-    plan: Operator, context: ExecutionContext, scans: Dict[int, ColumnarBatch]
+    plan: Operator, context: ExecutionContext, scans: Dict[str, ColumnarBatch]
 ) -> ColumnarBatch:
     context.checkpoint()
     result = _execute_node(plan, context, scans)
@@ -341,7 +330,7 @@ def _execute(
 
 
 def _execute_node(
-    plan: Operator, context: ExecutionContext, scans: Dict[int, ColumnarBatch]
+    plan: Operator, context: ExecutionContext, scans: Dict[str, ColumnarBatch]
 ) -> ColumnarBatch:
     if isinstance(plan, PhysicalOperator):
         children = [_execute(child, context, scans) for child in plan.children()]
@@ -349,14 +338,11 @@ def _execute_node(
         return plan.execute_batch(children, context)
 
     if isinstance(plan, RelationAccess):
-        table = context.database.table(plan.name)
-        # Columnarising a base table costs one transpose; plans produced by
-        # the snapshot rewrite scan the same table several times, so cache
-        # the batch per physical table for the duration of this run.
-        batch = scans.get(id(table))
+        # Plans produced by the snapshot rewrite scan the same table several
+        # times: one batch (its row view, its wrapped lists) per table and run.
+        batch = scans.get(plan.name)
         if batch is None:
-            batch = ColumnarBatch.from_table(table)
-            scans[id(table)] = batch
+            batch = scans[plan.name] = ColumnarBatch.from_version(context.snapshot[plan.name])
         return batch.relabelled(plan.alias, batch.schema) if plan.alias else batch
 
     if isinstance(plan, ConstantRelation):

@@ -4,17 +4,30 @@
 connects to.  Besides table storage it records, per table, which pair of
 attributes holds the validity period -- the piece of metadata the user has
 to supply for each relation accessed inside a ``SEQ VT (...)`` block.
+
+Versions: what the catalog stores per table is an immutable
+:class:`~repro.engine.table.TableVersion`; DML builds the successor from it.
+Snapshots: :meth:`Database.snapshot` is the name -> version map published by
+the last completed write, read once per query and never changed afterwards.
+Writers: every write -- DML, DDL, ``analyze``, view registration and
+maintenance -- runs inside :meth:`Database.writing`, one re-entrant lock, and
+the outermost block publishes once; readers never take it.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from collections import Counter
+from contextlib import contextmanager
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -22,7 +35,7 @@ from typing import (
     Tuple,
 )
 
-from .table import Table, TableError
+from .table import Table, TableError, TableVersion
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (stats uses Table)
     from ..stats import TableStatistics
@@ -33,6 +46,13 @@ __all__ = ["Database", "DEFAULT_PERIOD"]
 DEFAULT_PERIOD: Tuple[str, str] = ("t_begin", "t_end")
 
 
+class _Versions(Dict[str, TableVersion]):
+    """A snapshot's name -> version entries; a missing name is an unknown table."""
+
+    def __missing__(self, name: str) -> TableVersion:
+        raise TableError(f"unknown table {name!r}")
+
+
 class Database:
     """A catalog of multiset tables plus per-table period metadata."""
 
@@ -40,6 +60,13 @@ class Database:
         self._tables: Dict[str, Table] = {}
         self._periods: Dict[str, Tuple[str, str]] = {}
         self._schema_version = 0
+        # The writer lock, how deep the holding thread is inside writing()
+        # blocks, and what readers see: the map the last outermost block
+        # published (None: a table was written to behind the catalog's back,
+        # the next snapshot() publishes first).
+        self._lock = threading.RLock()
+        self._depth = 0
+        self._published: Optional[Mapping[str, TableVersion]] = MappingProxyType(_Versions())
         # DML observers: callables ``(table_name, {row: signed_count})``
         # invoked after every insert/delete.  Materialized views
         # (:mod:`repro.incremental`) subscribe here so row-level DML turns
@@ -49,13 +76,9 @@ class Database:
         self._observers: List[Callable[[str, Dict[Tuple[Any, ...], int]], None]] = []
         # ANALYZE output (repro.stats).  ``_stats_epoch`` counts every
         # change to the stored statistics; cost-based plan caches key on it
-        # the way syntactic caches key on ``schema_version``.  The DML
-        # observer that drops stale statistics is registered lazily on the
-        # first ``analyze()`` so stats-free catalogs keep the fast
-        # no-observer insert path.
+        # the way syntactic caches key on ``schema_version``.
         self._statistics: Dict[str, "TableStatistics"] = {}
         self._stats_epoch = 0
-        self._stats_observer_active = False
 
     @property
     def schema_version(self) -> int:
@@ -87,12 +110,15 @@ class Database:
                 raise TableError(
                     f"period attributes {period} not in schema {table.schema}"
                 )
-            self._periods[name] = (begin, end)
-        else:
-            self._periods.pop(name, None)
-        self._tables[name] = table
-        self._schema_version += 1
-        self._drop_statistics(name)
+        table._written = weakref.WeakMethod(self._written_directly)
+        with self.writing():
+            if period is not None:
+                self._periods[name] = (begin, end)
+            else:
+                self._periods.pop(name, None)
+            self._tables[name] = table
+            self._schema_version += 1
+            self._drop_statistics(name)
         return table
 
     def register(self, table: Table, period: Optional[Tuple[str, str]] = None) -> Table:
@@ -100,10 +126,59 @@ class Database:
         return self.create_table(table.name, table.schema, table.rows, period)
 
     def drop_table(self, name: str) -> None:
-        self._tables.pop(name, None)
-        self._periods.pop(name, None)
-        self._schema_version += 1
-        self._drop_statistics(name)
+        with self.writing():
+            self._tables.pop(name, None)
+            self._periods.pop(name, None)
+            self._schema_version += 1
+            self._drop_statistics(name)
+
+    # -- versions, snapshots, the writer lock ---------------------------------------------------
+
+    @contextmanager
+    def writing(self) -> Iterator[None]:
+        """Serialise with every other writer; publish once, when the outermost block ends.
+
+        Everything written inside one outermost block -- a base-table write
+        and the view updates its observers make -- becomes visible to
+        :meth:`snapshot` together.  Re-entrant; never taken by a query.
+        """
+        with self._lock:
+            self._depth += 1
+            try:
+                yield
+            finally:
+                self._depth -= 1
+                if not self._depth:
+                    self._publish()
+
+    def snapshot(self) -> Mapping[str, TableVersion]:
+        """The table versions a query starting now reads, all of them, for as long as it runs."""
+        published = self._published
+        if published is None:
+            with self._lock:
+                published = self._publish()
+        return published
+
+    def _publish(self) -> Mapping[str, TableVersion]:
+        working, published = self.working(), self._published
+        if published is None or published != working:  # a refused write publishes nothing
+            published = self._published = MappingProxyType(working)
+        return published
+
+    def working(self) -> Dict[str, TableVersion]:
+        """The versions current right now, unpublished writes of the lock's holder included.
+
+        What a writer reads its own writes from (a view refreshing inside a
+        DML call); everyone else reads :meth:`snapshot`.
+        """
+        return _Versions({name: table.version for name, table in self._tables.items()})
+
+    def _written_directly(self) -> None:
+        # ``table.append`` / ``table.rows = ...`` on a catalog table.  Inside
+        # a writing() block the publish is still to come; outside one, the
+        # published map is out of date until the next snapshot() replaces it.
+        if not self._depth:
+            self._published = None
 
     # -- DML -----------------------------------------------------------------------------------
 
@@ -126,11 +201,20 @@ class Database:
             callback(name, delta)
 
     def insert(self, name: str, rows: Iterable[Sequence]) -> None:
-        table = self.table(name)
-        added = [tuple(row) for row in rows]
-        table.extend(added)
-        if self._observers and added:
-            self._notify_dml(name, dict(Counter(added)))
+        """Append rows: all of them, or -- on a malformed row -- none.
+
+        DML: the schema version is untouched, observers receive the rows
+        with positive multiplicities.
+        """
+        with self.writing():
+            table = self.table(name)
+            added = table.checked(rows)
+            if not added:
+                return
+            table._install(table.version.appended(added))
+            self._drop_statistics(name)
+            if self._observers:
+                self._notify_dml(name, dict(Counter(added)))
 
     def delete(self, name: str, rows: Iterable[Sequence]) -> None:
         """Remove one copy per given row (bag semantics).
@@ -140,37 +224,17 @@ class Database:
         :meth:`insert` this is DML: the schema version is untouched, and
         observers receive the rows with negative multiplicities.
         """
-        table = self.table(name)
         removing = Counter(tuple(row) for row in rows)
         if not removing:
             return
-        held = table.rows
-        # One membership pass over the table; the budget then walks only the
-        # candidates, taking the first ``count`` copies of each doomed row.
-        budget = dict(removing)
-        doomed = []
-        for position in [p for p, row in enumerate(held) if row in budget]:
-            row = held[position]
-            if budget[row]:
-                budget[row] -= 1
-                doomed.append(position)
-        missing = sorted(str(row) for row, short in budget.items() if short)
-        if missing:
-            raise TableError(
-                f"cannot delete from {name!r}: row(s) not present "
-                f"(or not often enough): {missing[:3]}"
-            )
-        kept: List[Tuple[Any, ...]] = []
-        start = 0
-        for position in doomed:
-            kept += held[start:position]
-            start = position + 1
-        kept += held[start:]
-        # Replace (not mutate) the row list so the memoised columnar
-        # transpose -- keyed on the list's identity -- invalidates.
-        table.rows = kept
-        if self._observers:
-            self._notify_dml(name, {row: -count for row, count in removing.items()})
+        with self.writing():
+            table = self.table(name)
+            version = table.version
+            doomed = version.positions(removing)
+            table._install(version.without(doomed))
+            self._drop_statistics(name)
+            if self._observers:
+                self._notify_dml(name, {row: -count for row, count in removing.items()})
 
     # -- lookup -----------------------------------------------------------------------------------
 
@@ -215,26 +279,24 @@ class Database:
 
         Returns the freshly collected :class:`~repro.stats.TableStatistics`
         by table name.  Statistics live in the catalog until DML touches
-        the table (a lazily registered DML observer drops them -- the same
-        hook materialized views subscribe to) or DDL replaces it.
+        the table (:meth:`insert` / :meth:`delete` drop them) or DDL
+        replaces it.
         """
         from ..stats import collect_table_statistics
 
-        names = (table,) if table is not None else self.names()
         collected: Dict[str, "TableStatistics"] = {}
-        for name in names:
-            statistics = collect_table_statistics(
-                self.table(name), self._periods.get(name)
-            )
-            self.set_statistics(name, statistics)
-            collected[name] = statistics
+        with self.writing():  # the names are read inside: no table is dropped under the loop
+            names = (table,) if table is not None else self.names()
+            for name in names:
+                statistics = collect_table_statistics(
+                    self.table(name), self._periods.get(name)
+                )
+                self.set_statistics(name, statistics)
+                collected[name] = statistics
         return collected
 
     def set_statistics(self, name: str, statistics: "TableStatistics") -> None:
         """Store ANALYZE output for ``name`` and bump the stats epoch."""
-        if not self._stats_observer_active:
-            self.add_dml_observer(self._invalidate_statistics)
-            self._stats_observer_active = True
         self._statistics[name] = statistics
         self._stats_epoch += 1
 
@@ -246,11 +308,8 @@ class Database:
         """A read-only view of every stored table statistic."""
         return dict(self._statistics)
 
-    def _invalidate_statistics(self, name: str, delta: Dict[Tuple[Any, ...], int]) -> None:
-        # DML observer: the row counts / histograms no longer describe the
-        # table, so drop them rather than serve stale estimates.
-        self._drop_statistics(name)
-
     def _drop_statistics(self, name: str) -> None:
+        # After DML or DDL the row counts / histograms no longer describe the
+        # table: dropped rather than served stale.
         if self._statistics.pop(name, None) is not None:
             self._stats_epoch += 1

@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from ..execution import Deadline, QueryLimits
@@ -71,7 +71,7 @@ from ..algebra.operators import (
     Union,
 )
 from .catalog import Database
-from .table import Table, tuple_getter
+from .table import Table, TableVersion, tuple_getter
 
 __all__ = ["ENGINE_NAME", "ExecutionContext", "PhysicalOperator", "execute", "ExecutorError"]
 
@@ -108,10 +108,16 @@ class ExecutionContext:
     #: budget bounding runaway plans.
     deadline: "Optional[Deadline]" = None
     row_budget: Optional[int] = None
+    #: The table versions every ``RelationAccess`` of this run reads: the
+    #: catalog's :meth:`~repro.engine.catalog.Database.snapshot`, taken once,
+    #: here -- writes that land while the plan runs are the next query's.
+    snapshot: Optional[Mapping[str, TableVersion]] = None
 
     def __post_init__(self) -> None:
         if self.statistics is not None and not isinstance(self.statistics, Counter):
             self.statistics = Counter(self.statistics)
+        if self.snapshot is None:
+            self.snapshot = self.database.snapshot()
         # Precomputed so the unlimited (default) checkpoint is one branch.
         self._limited = self.deadline is not None or self.row_budget is not None
 
@@ -253,10 +259,7 @@ def _execute_node(plan: Operator, context: ExecutionContext) -> Table:
         return plan.execute(children, context)
 
     if isinstance(plan, RelationAccess):
-        table = context.database.table(plan.name)
-        if plan.alias:
-            return Table(plan.alias, table.schema, table.rows)
-        return table
+        return context.snapshot[plan.name].as_table(plan.alias)
 
     if isinstance(plan, ConstantRelation):
         return Table("constant", plan.schema, plan.rows)

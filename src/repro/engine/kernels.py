@@ -6,12 +6,15 @@ lazily and at most once, a typed form -- an exact int64 array when every
 entry is an ``int`` (plus a validity mask when some are NULL), dict-equality
 codes with their dictionary otherwise.  :func:`_int_form` and
 :func:`_code_form` are the only places a values list is scanned into arrays.
-Base-table columns live in the table's ``_columns_cache`` entry, so a table
-version is scanned once however many operators and queries read it; a column
-*gathered* from another at an index array (a join side, a split, a filtering
-selection, a group's first row) gets its forms by gathering the source's and
-produces ``values`` only if someone asks; a kernel's output column is born
-from its array and ``.tolist()``-ed on the same condition.
+Base-table columns live on the :class:`~repro.engine.table.TableVersion`
+they describe, so a version is scanned once however many operators and
+queries read it, and DML hands the forms on: the successor's column is
+:meth:`Column.extended` by the inserted tail or the :meth:`Column.kept` rows
+of a delete -- only the tail is ever scanned again.  A column *gathered*
+from another at an index array (a join side, a split, a filtering selection,
+a group's first row) gets its forms by gathering the source's and produces
+``values`` only if someone asks; a kernel's output column is born from its
+array and ``.tolist()``-ed on the same condition.
 
 **The kernels.**  REWR's joins, splits and temporal aggregates all ask one
 question: *which entries of group g fall in the time range [a, b)?*  The
@@ -74,6 +77,7 @@ __all__ = [
     "run_starts",
     "gather",
     "kept_rows",
+    "rows_except",
     "expand_ranges",
     "period_bound",
     "interval_join_vectorized",
@@ -162,25 +166,33 @@ def _all_int(form: Any) -> bool:
 class Column:
     """One attribute of a batch: a ``values`` list and, lazily, its typed form.
 
-    Built one of three ways -- around a values list (``Column(values)``),
-    around an int64 array a kernel produced (``Column(ints=array)``), or as
-    the rows ``at`` of another column (:meth:`gathered`).  Whichever parts
-    are missing are derived on first use and kept: ``values`` by
-    ``.tolist()`` or by gathering the source's list, the int form by one
-    exact type scan or by gathering the source's array, the codes by one
-    dict pass or by gathering the source's codes (the dictionary is shared).
-    Nothing here is ever mutated once derived, so columns may be shared
-    between batches, queries and threads.
+    Built one of four ways -- around a values list (``Column(values)``),
+    around an int64 array a kernel produced (``Column(ints=array)``), as the
+    rows ``at`` of another column (:meth:`gathered`), or as a stored table
+    column's successor under DML (:meth:`extended`, :meth:`kept`).  Whichever
+    parts are missing are derived on first use and kept: ``values`` by
+    ``.tolist()``, by gathering the source's list or by reading the stored
+    rows, the int form by one exact type scan or by gathering the source's
+    array, the codes by one dict pass or by gathering the source's codes
+    (the dictionary is shared).  Nothing here is ever mutated once derived,
+    so columns may be shared between batches, queries and threads.
     """
 
-    __slots__ = ("_values", "_ints", "_codes", "_source", "_at")
+    __slots__ = ("_values", "_ints", "_codes", "_source", "_at", "_load")
 
-    def __init__(self, values: Optional[List[Any]] = None, ints: Any = None) -> None:
+    def __init__(
+        self,
+        values: Optional[List[Any]] = None,
+        ints: Any = None,
+        load: Optional[Callable[[], List[Any]]] = None,
+    ) -> None:
         self._values = values
         self._ints: Any = _UNSET if ints is None else (ints, None)
         self._codes: Optional[Tuple[Any, Dict[Any, int]]] = None
         self._source: Optional[Column] = None
         self._at: Any = None
+        #: Reads the values list of a stored column the first time it is asked for.
+        self._load = load
 
     @classmethod
     def gathered(cls, source: "Column", at: Any) -> "Column":
@@ -190,12 +202,75 @@ class Column:
         column._at = at
         return column
 
+    def extended(self, tail: Sequence[Any], load: Callable[[], List[Any]]) -> "Column":
+        """This column followed by ``tail``: the successor of a stored column under an insert.
+
+        Whatever form was derived here is carried by scanning the tail alone,
+        under :func:`_int_form`'s and :func:`_code_form`'s own rules: an int
+        column that receives anything but an ``int`` or NULL is known not to
+        be one, a new value gets the dictionary's next code (the dictionary
+        is copied first -- this column keeps its own).  What was never asked
+        for here is not derived; ``load()`` reads the values list if someone
+        asks.  The new column holds no reference to this one.
+        """
+        column = Column(load=load)
+        form = self._ints
+        if form is None:
+            column._ints = None
+        elif form is not _UNSET:
+            added = _int_form(list(tail))
+            if added is None:
+                column._ints = None
+            else:
+                (array, valid), (tail_array, tail_valid) = form, added
+                if valid is not None or tail_valid is not None:
+                    valid = np.concatenate(
+                        [
+                            np.ones(len(array), dtype=bool) if valid is None else valid,
+                            np.ones(len(tail), dtype=bool) if tail_valid is None else tail_valid,
+                        ]
+                    )
+                column._ints = (np.concatenate([array, tail_array]), valid)
+        if self._codes is not None:
+            codes, dictionary = self._codes
+            unseen = [value for value in dict.fromkeys(tail) if value not in dictionary]
+            if unseen:
+                dictionary = dict(dictionary)
+                for value in unseen:
+                    dictionary[value] = len(dictionary)
+            tail_codes = np.fromiter(map(dictionary.__getitem__, tail), np.int64, len(tail))
+            column._keep_codes(np.concatenate([codes, tail_codes]), dictionary)
+        return column
+
+    def kept(self, at: Any, load: Callable[[], List[Any]]) -> "Column":
+        """The rows ``at`` of this column: the successor of a stored column under a delete.
+
+        The forms derived here are gathered exactly as :meth:`gathered`
+        would gather them, now, so that the new column can let go of this one.
+        """
+        column = Column.gathered(self, at)
+        if self._ints is not _UNSET:
+            column.nullable_ints()
+        if self._codes is not None:
+            column._keep_codes(self._codes[0][at], self._codes[1])
+        column._source = column._at = None
+        column._load = load
+        return column
+
+    def _keep_codes(self, codes: Any, dictionary: Dict[Any, int]) -> None:
+        # A carried dictionary only grows (a delete leaves its entries behind):
+        # once it is larger than the column, deriving it afresh is the cheaper pass.
+        if len(dictionary) <= len(codes):
+            self._codes = (codes, dictionary)
+
     def __len__(self) -> int:
         if self._values is not None:
             return len(self._values)
         if self._source is not None:
             return len(self._at)
-        return len(self._ints[0])
+        if self._ints is not _UNSET and self._ints is not None:
+            return len(self._ints[0])
+        return len(self.values)
 
     def _origin(self) -> Tuple["Column", Any]:
         """``(source, at)``, with a chain of unread gathers folded into one index."""
@@ -218,6 +293,8 @@ class Column:
                 held = source._ints  # read it only if someone derived it already
             if _all_int(held):
                 values = (held[0] if at is None else held[0][at]).tolist()
+            elif source is None:
+                values = self._load()
             else:
                 values = gather(source.values, at.tolist())
             self._values = values
@@ -274,6 +351,13 @@ def gather(column: Sequence[Any], indexes: Sequence[int]) -> List[Any]:
 def kept_rows(mask: Sequence[Any]) -> Any:
     """Index array of a selection mask's truthy entries (Python truthiness)."""
     return np.asarray(list(compress(range(len(mask)), mask)), dtype=np.int64)
+
+
+def rows_except(count: int, doomed: Sequence[int]) -> Any:
+    """Index array of ``range(count)`` without the positions ``doomed``."""
+    keep = np.ones(count, dtype=bool)
+    keep[np.asarray(doomed, dtype=np.int64)] = False
+    return np.flatnonzero(keep)
 
 
 def period_bound(latest: bool, first: Column, second: Column) -> Optional[Column]:

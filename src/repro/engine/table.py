@@ -5,10 +5,22 @@ The paper's implementation layer runs on an ordinary relational DBMS storing
 a tuple is kept in two regular attributes.  This module provides that
 storage abstraction.  A :class:`Table` is simply a schema plus a list of
 value tuples -- duplicates are meaningful (bag semantics) and order is not.
+
+What a query reads is a :class:`TableVersion`: one state of a table, fixed
+when it was created -- a row count, the row list it is a prefix of and,
+from the first scan on, one :class:`~repro.engine.kernels.Column` per
+attribute with whatever typed forms the kernels derived.  A ``Table`` is the
+mutable cell that names the current one.  Catalog DML
+(:meth:`repro.engine.catalog.Database.insert` / ``delete``) builds the
+successor *from* its predecessor -- :meth:`TableVersion.appended`,
+:meth:`TableVersion.without` -- so the forms are carried and only the rows
+that changed are scanned; any other write (``table.append``, ``table.rows =
+...``) simply starts a version with nothing derived yet.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count, islice
 from operator import itemgetter
 from typing import (
     Any,
@@ -24,8 +36,10 @@ from typing import (
 )
 
 from ..errors import PlanError
+from . import kernels as _kernels
+from .kernels import Column
 
-__all__ = ["Table", "TableError", "tuple_getter"]
+__all__ = ["Table", "TableVersion", "TableError", "tuple_getter"]
 
 Row = Tuple[Any, ...]
 
@@ -54,15 +68,141 @@ class TableError(PlanError):
     """
 
 
+#: Version ids: unique per process, so "is this the state I loaded?" is one
+#: comparison that stays right after the version itself is gone.
+_VERSION_IDS = count(1)
+
+
+class TableVersion:
+    """One state of a table, never changed once a reader can see it.
+
+    The version is the first ``count`` rows of ``_rows``.  The list may be
+    the very one a later version extends (an insert appends in place, behind
+    every earlier version's count), so every read here is bounded by
+    ``count``; a delete gives its successor a new list.  ``columns()`` is the
+    engine's storage layout -- transposed on the first scan, each column's
+    typed forms derived at most once -- and the one thing a version memoises.
+
+    :meth:`appended` and :meth:`without` build the successor of the *current*
+    version of a table; the catalog calls them under its writer lock.  A
+    successor holds no reference to its predecessor: a version dies with its
+    last reader.
+    """
+
+    __slots__ = ("id", "name", "schema", "count", "_rows", "_columns", "__weakref__")
+
+    def __init__(
+        self,
+        name: str,
+        schema: Tuple[str, ...],
+        rows: List[Row],
+        columns: Optional[List[Column]] = None,
+    ) -> None:
+        self.id = next(_VERSION_IDS)
+        self.name = name
+        self.schema = schema
+        self.count = len(rows)
+        self._rows = rows
+        self._columns = columns
+
+    def rows(self) -> List[Row]:
+        """This version's rows, as a list of the caller's own."""
+        return self._rows[: self.count]
+
+    def as_table(self, name: Optional[str] = None) -> "Table":
+        """A private :class:`Table` of this version's rows (row reference, SQLite loading)."""
+        table = Table(name or self.name, self.schema)
+        table.rows = self.rows()
+        return table
+
+    def columns(self) -> List[Column]:
+        """One :class:`Column` per attribute (shared: never mutate)."""
+        columns = self._columns
+        if columns is None:
+            rows = self.rows()
+            if rows:
+                # zip(*rows) transposes at C speed; one list per attribute.
+                columns = [Column(list(column)) for column in zip(*rows)]
+            else:
+                columns = [Column([]) for _ in self.schema]
+            self._columns = columns
+        return columns
+
+    def positions(self, removing: Mapping[Row, int]) -> List[int]:
+        """Where the first ``count`` copies of each row of ``removing`` sit, ascending.
+
+        :class:`TableError` when some row is not held that often.
+        """
+        # One membership pass over the table (``compress`` stops with the
+        # range, at this version's count); the budget then walks only the
+        # candidates, taking the first ``count`` copies of each doomed row.
+        held = self._rows
+        budget = dict(removing)
+        doomed = []
+        for position in compress(range(self.count), map(budget.__contains__, held)):
+            row = held[position]
+            if budget[row]:
+                budget[row] -= 1
+                doomed.append(position)
+        missing = sorted(str(row) for row, short in budget.items() if short)
+        if missing:
+            raise TableError(
+                f"cannot delete from {self.name!r}: row(s) not present "
+                f"(or not often enough): {missing[:3]}"
+            )
+        return doomed
+
+    def appended(self, tail: List[Row]) -> "TableVersion":
+        """The version after inserting ``tail`` (non-empty rows of this schema).
+
+        The rows go into the same list, behind this version's count -- no
+        reader of this or any earlier version looks there.
+        """
+        rows, columns = self._rows, None
+        if self._columns is not None and _kernels.worthwhile(self.count):
+            count = self.count + len(tail)
+            columns = [
+                column.extended(values, _stored(rows, count, position))
+                for position, (column, values) in enumerate(zip(self._columns, zip(*tail)))
+            ]
+        rows[self.count :] = tail
+        return TableVersion(self.name, self.schema, rows, columns)
+
+    def without(self, doomed: Sequence[int]) -> "TableVersion":
+        """The version after deleting the rows at the ascending positions ``doomed``."""
+        held = self._rows
+        kept: List[Row] = []
+        start = 0
+        for position in doomed:
+            kept += held[start:position]
+            start = position + 1
+        kept += held[start : self.count]
+        columns = None
+        if self._columns is not None and _kernels.worthwhile(self.count):
+            at = _kernels.rows_except(self.count, doomed)
+            columns = [
+                column.kept(at, _stored(kept, len(kept), position))
+                for position, column in enumerate(self._columns)
+            ]
+        return TableVersion(self.name, self.schema, kept, columns)
+
+
+def _stored(rows: List[Row], count: int, position: int) -> Callable[[], List[Any]]:
+    """Reads one attribute off a version's rows, once someone asks a carried column for values."""
+    return lambda: list(map(itemgetter(position), islice(rows, count)))
+
+
 class Table:
     """A named multiset relation with a fixed schema.
 
     Rows are stored as tuples in schema order.  The class offers just enough
     relational plumbing for the physical operators (column lookup, row/dict
     conversion, appends); query logic lives in :mod:`repro.engine.executor`.
+    ``rows`` is a real list; ``version`` is the :class:`TableVersion` of its
+    current contents, started afresh by every write made through this class.
     """
 
-    __slots__ = ("name", "schema", "rows", "_index", "_columns_cache")
+    __slots__ = ("name", "schema", "_rows", "_index", "_version", "_written")
 
     def __init__(
         self,
@@ -75,14 +215,12 @@ class Table:
         if len(set(self.schema)) != len(self.schema):
             raise TableError(f"duplicate attribute names in schema {self.schema}")
         self._index: Dict[str, int] = {name: i for i, name in enumerate(self.schema)}
-        self.rows: List[Row] = []
-        # Memoised columnar transpose (rows identity, the copy of the rows it
-        # was taken from, one engine.kernels.Column per attribute -- which is
-        # also where that version's typed forms live); owned by
-        # ColumnarBatch.from_table, invalidated by growth or replacement.
-        self._columns_cache: Optional[Tuple[List[Row], List[Row], List[Any]]] = None
-        for row in rows:
-            self.append(row)
+        self._rows: List[Row] = []
+        self._version: Optional[TableVersion] = None
+        #: Set by the catalog that holds this table (weakly: a table does not keep
+        #: its catalog alive), to be told of writes that do not go through it.
+        self._written: Optional[Callable[[], Optional[Callable[[], None]]]] = None
+        self.extend(rows)
 
     # -- construction ---------------------------------------------------------------------
 
@@ -101,23 +239,59 @@ class Table:
     def clone(self, name: str | None = None) -> "Table":
         """A shallow copy (rows are immutable tuples, so sharing is safe)."""
         table = self.empty_copy(name)
-        table.rows = list(self.rows)
+        table.rows = list(self._rows)
         return table
+
+    # -- rows and versions ------------------------------------------------------------------
+
+    @property
+    def rows(self) -> List[Row]:
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: List[Row]) -> None:
+        self._rows = rows
+        self._changed()
+
+    @property
+    def version(self) -> TableVersion:
+        """The version of the current rows (engine-internal; queries read a catalog snapshot)."""
+        version = self._version
+        if version is None:
+            version = self._version = TableVersion(self.name, self.schema, self._rows)
+        return version
+
+    def _install(self, version: TableVersion) -> None:
+        """Catalog DML: make a successor built from :attr:`version` the current one."""
+        self._rows = version._rows
+        self._version = version
+
+    def _changed(self) -> None:
+        self._version = None
+        written = self._written and self._written()
+        if written:
+            written()
 
     # -- mutation ---------------------------------------------------------------------------
 
+    def checked(self, rows: Iterable[Sequence[Any]]) -> List[Row]:
+        """``rows`` as tuples of this table's arity: the whole batch, or :class:`TableError`."""
+        checked = [tuple(row) for row in rows]
+        arity = len(self.schema)
+        for row in checked:
+            if len(row) != arity:
+                raise TableError(
+                    f"row arity {len(row)} does not match schema arity {arity} "
+                    f"of table {self.name!r}"
+                )
+        return checked
+
     def append(self, row: Sequence[Any]) -> None:
-        row = tuple(row)
-        if len(row) != len(self.schema):
-            raise TableError(
-                f"row arity {len(row)} does not match schema arity {len(self.schema)} "
-                f"of table {self.name!r}"
-            )
-        self.rows.append(row)
+        self.extend((row,))
 
     def extend(self, rows: Iterable[Sequence[Any]]) -> None:
-        for row in rows:
-            self.append(row)
+        self._rows.extend(self.checked(rows))
+        self._changed()
 
     # -- lookup ------------------------------------------------------------------------------
 

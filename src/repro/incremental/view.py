@@ -24,10 +24,11 @@ the same code with one partition: every delta re-executes it.
 
 The contents are registered as a catalog table -- registration is DDL (it
 bumps ``Database.schema_version`` and invalidates cached plans), while
-:meth:`MaterializedView.apply` is DML and does not: it *replaces* the
-table's row list, so a reader holding the old list keeps a whole pre-write
-snapshot.  DDL after registration marks the view stale; the next delta
-triggers one counted full refresh instead of an incorrect propagation.
+:meth:`MaterializedView.apply` is DML and does not: it gives the table a new
+row list inside the catalog's writer lock, published together with the
+base-table write that caused it, so no query sees one without the other.
+DDL after registration marks the view stale; the next delta triggers one
+counted full refresh instead of an incorrect propagation.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from typing import (
 )
 
 from ..algebra.operators import ConstantRelation, Operator, RelationAccess
-from ..engine.executor import execute as engine_execute
+from ..engine.batch import execute_batch_plan
+from ..engine.executor import ExecutionContext, execute as engine_execute
 from ..engine.table import Table, tuple_getter
 from ..errors import IncrementalError
 from ..rewriter.periodenc import T_BEGIN, T_END
@@ -154,7 +156,9 @@ class MaterializedView:
         return self._table
 
     def rows(self) -> List[Row]:
-        return list(self._table.rows)
+        """The view's rows as of the last published write (what a query of the table reads)."""
+        published = self._pipeline.database.snapshot().get(self.name)
+        return (published or self._table.version).rows()
 
     @property
     def stale(self) -> bool:
@@ -212,41 +216,47 @@ class MaterializedView:
         Runs on registration, and again whenever a delta arrives after DDL
         invalidated the pinned plan.  Registering the backing table is
         itself DDL (the schema version bumps, invalidating cached plans).
+        Inside the catalog's writer lock, possibly in the middle of the DML
+        call that found the view stale: the plan runs on the catalog's
+        *working* versions, that call's own unpublished write included.
         """
         pipeline = self._pipeline
         database = pipeline.database
-        self._plan = pipeline.rewrite(self.query, final_coalesce=self._final_coalesce)
-        self._key, held = infer_partition_key(self._plan, database)
-        self._leaves: List[_Leaf] = []
-        self._readers: Dict[str, List[_Leaf]] = {}
-        self._base_tables: Dict[str, Table] = {}
-        # REWR reads a relation once per split input: occurrences keyed by
-        # the same attributes share one copy.
-        shared: Dict[Tuple[str, Tuple[str, ...]], _Leaf] = {}
-        occurrences = [node for node in self._plan.walk() if not node.children()]
-        for operator, attributes in zip(occurrences, held):
-            if isinstance(operator, RelationAccess):
-                leaf = shared.get((operator.name, attributes))
-                if leaf is None:
-                    source = database.table(operator.name)
-                    self._base_tables[operator.name] = source
-                    leaf = _Leaf(operator.name, source.schema, attributes, source.rows)
-                    shared[operator.name, attributes] = leaf
-                    self._readers.setdefault(operator.name, []).append(leaf)
-            else:  # a ConstantRelation: its rows never change, but are sliced alike
-                leaf = _Leaf("constant", operator.schema, attributes, operator.rows)
-            self._leaves.append(leaf)
-        result = engine_execute(self._plan, database)
-        self._key_of: Callable[[Row], Key] = tuple_getter(
-            [result.schema.index(attribute) for attribute in self._key]
-        )
-        self._result = self._by_key(result.rows)
-        schema = result.schema
-        period = (T_BEGIN, T_END) if T_BEGIN in schema and T_END in schema else None
-        self._table = database.create_table(
-            self.name, schema, self._flattened(), period=period
-        )
-        self.counters["incremental.full_refresh"] += 1
+        with database.writing():
+            self._plan = pipeline.rewrite(self.query, final_coalesce=self._final_coalesce)
+            self._key, held = infer_partition_key(self._plan, database)
+            self._leaves: List[_Leaf] = []
+            self._readers: Dict[str, List[_Leaf]] = {}
+            self._base_tables: Dict[str, Table] = {}
+            # REWR reads a relation once per split input: occurrences keyed by
+            # the same attributes share one copy.
+            shared: Dict[Tuple[str, Tuple[str, ...]], _Leaf] = {}
+            occurrences = [node for node in self._plan.walk() if not node.children()]
+            for operator, attributes in zip(occurrences, held):
+                if isinstance(operator, RelationAccess):
+                    leaf = shared.get((operator.name, attributes))
+                    if leaf is None:
+                        source = database.table(operator.name)
+                        self._base_tables[operator.name] = source
+                        leaf = _Leaf(operator.name, source.schema, attributes, source.rows)
+                        shared[operator.name, attributes] = leaf
+                        self._readers.setdefault(operator.name, []).append(leaf)
+                else:  # a ConstantRelation: its rows never change, but are sliced alike
+                    leaf = _Leaf("constant", operator.schema, attributes, operator.rows)
+                self._leaves.append(leaf)
+            result = execute_batch_plan(
+                self._plan, ExecutionContext(database, snapshot=database.working())
+            )
+            self._key_of: Callable[[Row], Key] = tuple_getter(
+                [result.schema.index(attribute) for attribute in self._key]
+            )
+            self._result = self._by_key(result.rows)
+            schema = result.schema
+            period = (T_BEGIN, T_END) if T_BEGIN in schema and T_END in schema else None
+            self._table = database.create_table(
+                self.name, schema, self._flattened(), period=period
+            )
+            self.counters["incremental.full_refresh"] += 1
 
     def _by_key(self, rows: Iterable[Row]) -> Dict[Key, List[Row]]:
         grouped: Dict[Key, List[Row]] = {}
@@ -278,7 +288,8 @@ class MaterializedView:
         be trusted against the rebuilt plan: the view full-refreshes from
         the catalog, then applies this delta on top.
         """
-        return self._apply(deltas, statistics, delta_in_catalog=False)
+        with self._pipeline.database.writing():
+            return self._apply(deltas, statistics, delta_in_catalog=False)
 
     def _apply(
         self,
@@ -383,9 +394,9 @@ class MaterializedView:
                 result[key] = fresh[key]
             else:
                 result.pop(key, None)
-        # A new list, never an in-place rewrite: the memoised columnar
-        # transpose is keyed on the list's identity, and a reader that took
-        # the old list keeps exactly the rows from before this write.
+        # A new list, never an in-place rewrite: the version readers hold
+        # keeps the old one, and the table's next version is published with
+        # the rest of this write.
         self._table.rows = self._flattened()
 
 

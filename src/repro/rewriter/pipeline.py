@@ -193,16 +193,19 @@ class QueryPipeline:
         """
         from ..incremental.view import MaterializedView
 
-        if name in self._views:
-            raise IncrementalError(f"a view named {name!r} is already registered")
-        if name in self.database:
-            raise IncrementalError(
-                f"cannot materialize as {name!r}: a catalog table of that "
-                "name already exists"
-            )
-        view = MaterializedView(name, query, self, final_coalesce=final_coalesce)
-        self._views[name] = view
-        self.database.add_dml_observer(view._observe_dml)
+        # One write: no DML lands between the view's first evaluation and
+        # its subscription, and the backing table appears with it.
+        with self.database.writing():
+            if name in self._views:
+                raise IncrementalError(f"a view named {name!r} is already registered")
+            if name in self.database:
+                raise IncrementalError(
+                    f"cannot materialize as {name!r}: a catalog table of that "
+                    "name already exists"
+                )
+            view = MaterializedView(name, query, self, final_coalesce=final_coalesce)
+            self._views[name] = view
+            self.database.add_dml_observer(view._observe_dml)
         return view
 
     def view(self, name: str) -> "Any":
@@ -218,20 +221,23 @@ class QueryPipeline:
 
     def drop_view(self, name: str) -> None:
         """Unregister a view and drop its backing table (DDL)."""
-        view = self.view(name)
-        self.database.remove_dml_observer(view._observe_dml)
-        del self._views[name]
-        self.database.drop_table(name)
+        with self.database.writing():
+            view = self.view(name)
+            self.database.remove_dml_observer(view._observe_dml)
+            del self._views[name]
+            self.database.drop_table(name)
 
     def insert(self, name: str, rows: Iterable[Sequence[Any]]) -> None:
         """Catalog DML: append rows to a table (feeds registered views)."""
-        self._refuse_view_dml(name)
-        self.database.insert(name, rows)
+        with self.database.writing():
+            self._refuse_view_dml(name)
+            self.database.insert(name, rows)
 
     def delete(self, name: str, rows: Iterable[Sequence[Any]]) -> None:
         """Catalog DML: delete one copy per given row (feeds registered views)."""
-        self._refuse_view_dml(name)
-        self.database.delete(name, rows)
+        with self.database.writing():
+            self._refuse_view_dml(name)
+            self.database.delete(name, rows)
 
     def _refuse_view_dml(self, name: str) -> None:
         # A view's backing table holds what its plan derives: rows written

@@ -354,11 +354,20 @@ class TestBackendSelection:
         assert SQLiteBackend(connection).execute(RelationAccess("works"), database).rows == []
         connection.close()
 
-    def test_close_unregisters_the_dml_observer(self):
+    def test_session_mode_adds_no_dml_observer(self):
+        """It follows the catalog by comparing version ids, so there is nothing to unregister."""
         database = populate_database(Database())
         observers = list(database._observers)
         backend = SQLiteBackend.for_database(database)
-        assert len(database._observers) == len(observers) + 1
+        assert database._observers == observers
+        loaded = dict(backend._loaded)
+        assert loaded == {name: version.id for name, version in database.snapshot().items()}
+        database.insert("works", [("Zoe", "SP", 0, 4)])
+        assert backend._loaded == loaded  # nothing is told of the write ...
+        statistics: dict = {}
+        backend.execute(RelationAccess("works"), database, statistics)
+        assert statistics["sqlite_rows_loaded"] == len(database.table("works"))  # ... the next query finds it
+        assert backend._loaded["works"] == database.snapshot()["works"].id != loaded["works"]
         backend.close()
         assert database._observers == observers
 

@@ -104,6 +104,20 @@ class TestDatabase:
         database.delete("t", [(1,), (1,)])
         assert table.rows == [(2,)] and seen == [{(1,): -2}]
 
+    def test_insert_of_a_batch_with_one_malformed_row_adds_nothing(self):
+        database = Database()
+        table = database.create_table("t", ("a", "b"), [(1, 2)])
+        seen = []
+        database.add_dml_observer(lambda name, delta: seen.append(delta))
+        before, published = table.rows, database.snapshot()
+        with pytest.raises(TableError, match="row arity 1 does not match schema arity 2"):
+            database.insert("t", [(3, 4), (5,), (6, 7)])
+        assert table.rows is before and before == [(1, 2)] and not seen
+        assert database.snapshot() is published and published["t"].rows() == [(1, 2)]
+        database.insert("t", iter([[3, 4], (3, 4)]))  # any iterable of any sequences
+        assert table.rows == [(1, 2), (3, 4), (3, 4)] and seen == [{(3, 4): 2}]
+        assert database.snapshot()["t"].rows() == table.rows
+
     def test_drop_table(self):
         database = Database()
         database.create_table("t", ("a",), [])

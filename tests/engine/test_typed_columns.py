@@ -1,12 +1,14 @@
-"""The typed forms of a column: derived once per table version, never stale, never torn.
+"""The typed forms of a column: derived once, carried by DML, never stale, never torn.
 
 A base table's columns -- and the int64 arrays / dictionary codes the kernels
-derive from them -- live in one place, the ``Table._columns_cache`` entry that
-``ColumnarBatch.from_table`` writes.  These tests fail if a form is cached
-anywhere else (it would survive DML), if a write landing while a form is being
-derived can leak into it, or if anything below the kernel cutover -- or
-without numpy -- ever builds an array.  ``derivations`` spies on the two
-functions through which every typed form is born from a values list.
+derive from them -- live in one place, the ``TableVersion`` a query reads.
+DML builds the next version's forms from them and the rows that changed; a
+version is never altered once published and never references the one before
+it.  These tests fail if a form is cached anywhere else (it would survive a
+replaced table), if a write landing while a query runs can leak into it, if a
+carried form differs from a fresh derivation, or if anything below the kernel
+cutover -- or without numpy -- ever builds an array.  ``derivations`` spies on
+the two functions through which every typed form is born from a values list.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import textwrap
+import weakref
 from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -22,7 +25,7 @@ import pytest
 
 from repro import connect
 from repro.algebra.expressions import attr
-from repro.algebra.operators import AggregateSpec, RelationAccess
+from repro.algebra.operators import AggregateSpec, Difference, RelationAccess
 from repro.engine import Database, execute, kernels
 from repro.engine.batch import ColumnarBatch
 from repro.incremental import Delta
@@ -81,8 +84,8 @@ def test_forms_are_derived_once_per_table_version_and_only_in_the_cache_entry(de
     assert _kernel_served(_top_per_name(), database) == before
     assert _kernel_served(CoalesceOperator(RelationAccess("t")), database)
     assert derivations == [], "a second query re-derived a cached form"
-    # Dropping the entry drops the forms: they were cached nowhere else.
-    table._columns_cache = None
+    # A replaced table derives anew: the forms lived on the version, nowhere else.
+    database.create_table("t", SCHEMA, list(table.rows))
     assert _kernel_served(_top_per_name(), database) == before
     assert len(derivations) == 5
 
@@ -99,13 +102,37 @@ def test_insert_and_delete_are_seen_by_the_next_kernel_served_query(derivations)
 
     database.delete("t", [("n0", 10**6, 0, 3)])
     assert _kernel_served(_top_per_name(), database) == before
-    # Each write dropped the entry: every query above derived its own forms.
-    assert len(derivations) == 3 * 5
+    # The writes carried the forms: the insert scanned its 1-row tail (the
+    # three int columns), the delete nothing, and nobody the N rows again.
+    assert [n for _, n in derivations] == [N] * 5 + [1, 1, 1]
+
+    def served(plan) -> Tuple[Counter, List[int]]:
+        """The result -- that of a table built fresh from the same list -- and the rows scanned for it."""
+        del derivations[:]
+        result = _kernel_served(plan, database)
+        scanned = [n for _, n in derivations]
+        fresh = Database()
+        fresh.create_table("t", SCHEMA, list(database.table("t").rows))
+        assert result == _kernel_served(plan, fresh)
+        return result, scanned
+
+    # A new string lands in a coded column, a non-int in an int column: the
+    # tail decides, by the rules the whole column would have been scanned by.
+    database.insert("t", [("brand-new", 7, 1, 4)])
+    result, scanned = served(_top_per_name())
+    assert any("'brand-new'" in row for row in result) and scanned == []
+    grouped = CoalesceOperator(RelationAccess("t"))  # by (name, value): value read as ints
+    assert served(grouped)[1] == []
+    database.insert("t", [("n0", 2.5, 0, 3), ("n0", None, 0, 3)])
+    result, scanned = served(grouped)
+    # ``value`` is no int column any more: it is coded, once, over all its rows.
+    assert any("2.5" in row for row in result) and scanned == [N + 3]
+    assert served(grouped)[1] == []
 
 
 def test_a_view_write_at_equal_length_replaces_the_list_and_the_forms(derivations):
-    """``view.apply`` never rewrites the backing list in place: a reader holding
-    the old list keeps a whole pre-write snapshot, the next query derives anew."""
+    """``view.apply`` gives the backing table a new version: a reader holding
+    the old one keeps a whole pre-write snapshot, the next query derives anew."""
     pytest.importorskip("numpy")
     with connect(domain=(0, 20)) as session:
         works = session.load("works", ["name", "value"], _rows(2 * N))
@@ -114,20 +141,24 @@ def test_a_view_write_at_equal_length_replaces_the_list_and_the_forms(derivation
         backing = database.table("v")
         plan = _top_per_name("v")
         before = _kernel_served(plan, database)
-        held, snapshot = backing.rows, list(backing.rows)
-        assert len(held) >= N
+        held = database.snapshot()["v"]
+        snapshot = held.rows()
+        assert held.count >= N and snapshot == backing.rows
         del derivations[:]
         assert _kernel_served(plan, database) == before and derivations == []
+        assert database.snapshot()["v"] is held, "a read replaced the version"
 
         old = next(row for row in backing.rows if row[0] == "n3")
         new = ("n3", 10**6) + old[2:]
         view.apply(Delta("works", {old: -1, new: 1}))
-        assert backing.rows is not held and len(backing.rows) == len(held)
-        assert held == snapshot, "the list a reader took before the write changed"
+        current = database.snapshot()["v"]
+        assert current is not held and current.id != held.id and current.count == held.count
+        assert current.rows() == backing.rows != snapshot
+        assert held.rows() == snapshot, "the version a reader took before the write changed"
         after = _kernel_served(plan, database)
         assert after != before and any("1000000" in row for row in after)
-        # Served from forms derived over the new list, not from cached ones.
-        assert len(derivations) == 5 and {n for _, n in derivations} == {len(held)}
+        # Served from forms derived over the new version, not from the old one's.
+        assert len(derivations) == 5 and {n for _, n in derivations} == {held.count}
 
 
 def test_a_write_landing_while_a_form_is_derived_does_not_tear_it(derivations):
@@ -156,9 +187,14 @@ def test_a_write_landing_while_a_form_is_derived_does_not_tear_it(derivations):
     table = database.create_table("t", SCHEMA, rows)
 
     statistics: Dict[str, int] = {}
+    started_from = database.snapshot()["t"]
     racing = execute(_top_per_name(), database, statistics)
     assert InsertsWhenCoded.fired and len(table.rows) == N + 2
     assert statistics["batch.aggregate_vectorized"] == 1
+    # The write made a version of its own; the one the query read is as it was.
+    assert database.snapshot()["t"] is not started_from
+    assert (started_from.count, database.snapshot()["t"].count) == (N, N + 2)
+    assert started_from.rows() == rows
     # One consistent snapshot: the table before the insert, group for group.
     assert not any(row[0] == "late" for row in racing.rows)
     assert sum(row[2] for row in racing.rows if row[3] == 0) == sum(
@@ -168,6 +204,127 @@ def test_a_write_landing_while_a_form_is_derived_does_not_tear_it(derivations):
     following = _kernel_served(_top_per_name(), database)
     assert any("'late'" in row for row in following)
     assert ("_code_form", N + 2) in derivations
+
+
+def test_a_write_between_two_scans_of_one_plan_is_not_seen_by_the_second():
+    """One query, one snapshot: ``R`` and the view over ``R`` as of the query's start.
+
+    Thread-free, same trick: the view's query over ``R`` runs first and
+    codes the names -- which is when one of them deletes a row of ``R``,
+    the view following suit -- and only then is the view's table scanned.
+    Before versions the second scan read the catalog as it was by then, and
+    the difference held the group the write had changed.
+    """
+    pytest.importorskip("numpy")
+
+    class WritesWhenCoded(str):
+        armed = False
+
+        def __hash__(self):
+            if WritesWhenCoded.armed:
+                WritesWhenCoded.armed = False
+                session.delete("works", [doomed])
+            return super().__hash__()
+
+        __eq__ = str.__eq__
+
+    rows = _rows(N)
+    rows[0] = (WritesWhenCoded(rows[0][0]),) + rows[0][1:]
+    doomed = rows[-1]
+    with connect(domain=(0, 20)) as session:
+        works = session.load("works", ["name", "value"], rows)
+        view = session.materialize(works.group_by("name").agg(n="count(*)"), name="v")
+        database = session.pipeline.database
+        for plan in (
+            Difference(view.plan, RelationAccess("v")),
+            Difference(RelationAccess("v"), view.plan),
+        ):
+            assert execute(plan, database).rows == []
+            published = database.snapshot()
+            WritesWhenCoded.armed = True
+            assert execute(plan, database).rows == []
+            assert not WritesWhenCoded.armed, "the write did not fire inside the query"
+            # The write is whole -- table and view, one publish -- and the next query's.
+            assert {
+                name for name, version in database.snapshot().items()
+                if version is not published[name]
+            } == {"works", "v"}
+            assert execute(plan, database).rows == [] and view.verify()
+            session.insert("works", [doomed])
+
+
+def test_delete_then_insert_of_a_batch_leaves_forms_equal_to_a_fresh_derivation(derivations):
+    """Int, nullable int, coded and known-not-int: carried == derived from the new list."""
+    np = pytest.importorskip("numpy")
+    schema = ("whole", "holey", "name", "mixed")
+    rows = [
+        (i % 97 - 40, None if i % 5 == 0 else i * 3, f"n{i % 9}", i if i % 2 else f"s{i % 4}")
+        for i in range(N + 40)
+    ]
+    database = Database()
+    database.create_table("t", schema, rows)
+    for column in database.snapshot()["t"].columns():
+        column.nullable_ints(), column.codes()
+    assert sorted(derivations) == [("_code_form", N + 40)] * 4 + [("_int_form", N + 40)] * 4
+
+    batch = rows[3:N:7] + [rows[0], rows[5]]
+    for step in range(2):
+        del derivations[:]
+        database.delete("t", batch)
+        database.insert("t", batch if step else list(reversed(batch)))
+        # Scanned: the tail, once per column whose int form was still open (two of four).
+        assert derivations == [("_int_form", len(batch))] * 2
+        version = database.snapshot()["t"]
+        held = version.rows()
+        assert Counter(held) == Counter(rows) and held[-len(batch):] != rows[-len(batch):]
+        for position, carried in enumerate(version.columns()):
+            values = [row[position] for row in held]
+            fresh = kernels.Column(list(values))
+            assert carried._ints is not kernels._UNSET and carried._codes is not None
+            assert carried.values == values
+            expected, got = fresh.nullable_ints(), carried.nullable_ints()
+            assert (expected is None) == (got is None) == (position >= 2)
+            if expected is not None:
+                assert np.array_equal(expected[0], got[0]) and got[0].dtype == np.int64
+                assert (expected[1] is None) == (got[1] is None) == (position == 0)
+                assert expected[1] is None or np.array_equal(expected[1], got[1])
+            # Codes may be numbered differently; they must say the same rows are equal.
+            codes, dictionary = carried.codes()
+            decode = {code: value for value, code in dictionary.items()}
+            assert len(decode) == len(dictionary) and [decode[c] for c in codes.tolist()] == values
+
+
+def test_a_thousand_alternating_writes_leave_no_chain_and_no_oversized_dictionary():
+    """A version dies with its last reader, and a dictionary never outgrows its table."""
+    pytest.importorskip("numpy")
+    database = Database()
+    database.create_table("t", SCHEMA, _rows(N))
+    plan = _top_per_name()
+    execute(plan, database)
+    for step in range(1000):
+        predecessor = weakref.ref(database.snapshot()["t"])
+        if step % 2:
+            database.delete("t", [database.table("t").rows[0]])
+        else:  # every insert brings a name no row had before
+            database.insert("t", [(f"fresh-{step}", step, step % 11, step % 11 + 3)])
+        execute(plan, database)
+        assert predecessor() is None, f"write {step} left its predecessor reachable"
+        count, columns = database.snapshot()["t"].count, database.snapshot()["t"].columns()
+        assert all(column._source is None for column in columns)
+        assert columns[0]._codes is not None and len(columns[0]._codes[1]) <= count
+    assert count == N and _kernel_served(plan, database)
+
+
+def test_a_direct_append_outside_the_catalog_is_seen_by_the_next_kernel_served_query():
+    pytest.importorskip("numpy")
+    database = Database()
+    table = database.create_table("t", SCHEMA, _rows(N))
+    before = _kernel_served(_top_per_name(), database)
+    table.append(("n0", 10**6, 0, 3))
+    appended = _kernel_served(_top_per_name(), database)
+    assert appended != before and any("1000000" in row for row in appended)
+    table.rows = table.rows[:-1]
+    assert _kernel_served(_top_per_name(), database) == before
 
 
 def test_a_32_row_plan_builds_no_array(derivations):

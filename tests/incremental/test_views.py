@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from repro import Delta, IncrementalError, MaterializedView, connect
+from repro.engine import TableError
 from repro.incremental import add_into, expand_rows, zset_diff, zset_of
 
 
@@ -208,6 +209,16 @@ class TestErrors:
         assert Counter(view.rows()) == before and view.verify()
         session.insert("R", [("c", 9, 0, 5)])  # the view is still attached
         assert ("c", 9, 0, 5) in session.table("big").rows() and view.verify()
+
+    def test_an_insert_refused_for_one_malformed_row_leaves_the_view_in_step(self, session):
+        # At the parent the rows before the malformed one landed in R and no
+        # observer ran: the view never heard of them and verify() said False.
+        view = session.materialize(session.table("R").where("v >= 2"), name="big")
+        base, before = Counter(session.table("R").rows()), Counter(view.rows())
+        with pytest.raises(TableError, match="row arity 2"):
+            session.insert("R", [("c", 9, 0, 5), ("bad", 1)])
+        assert Counter(session.table("R").rows()) == base
+        assert Counter(view.rows()) == before and view.verify()
 
     def test_verify_compares_the_rows_readers_get(self, session):
         view = session.materialize(session.table("R").where("v >= 2"), name="big")

@@ -277,12 +277,13 @@ class TestOneEngine:
                     ]
         assert defined == ["api/session.py:Session.executor"]
 
-    def test_only_the_engine_writes_a_tables_column_cache(self):
-        """``Table._columns_cache`` is invalidated by replacing ``table.rows``, never by hand.
+    def test_only_the_engine_makes_and_installs_table_versions(self):
+        """A table's version changes by writing its rows, never by hand.
 
-        Outside ``repro/engine/`` nothing assigns (or deletes) the attribute:
-        a writer that mutated a row list in place and reset the cache itself
-        would bring back the equal-length rewrite no reader can detect.
+        Outside ``repro/engine/`` nothing constructs a ``TableVersion``,
+        assigns (or deletes) a table's ``_version`` or calls ``_install``:
+        a writer that built a version itself could publish rows no carried
+        form describes, or alter one a reader holds.
         """
         import ast
         import pathlib
@@ -293,9 +294,14 @@ class TestOneEngine:
             if where.startswith("engine/"):
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Attribute) and node.attr == "_columns_cache":
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    assert called not in ("TableVersion", "_install"), (
+                        f"{where}:{node.lineno} makes or installs a table version"
+                    )
+                elif isinstance(node, ast.Attribute) and node.attr == "_version":
                     assert isinstance(node.ctx, ast.Load), (
-                        f"{where}:{node.lineno} writes a table's column cache"
+                        f"{where}:{node.lineno} writes a table's version"
                     )
 
     def test_sessions_report_the_engine_and_cannot_set_it(self):
@@ -368,7 +374,7 @@ class TestNoTuningOption:
             "plan", "database", "statistics", "limits", "executor", "observations",
         ]
         assert [field.name for field in dataclasses.fields(ExecutionContext)] == [
-            "database", "statistics", "observations", "deadline", "row_budget",
+            "database", "statistics", "observations", "deadline", "row_budget", "snapshot",
         ]
 
     def test_the_worker_pool_keyword_is_gone_from_every_surface(self):
