@@ -1,15 +1,22 @@
 """Where the whole-column kernels overtake the scalar sweeps (``KERNEL_CUTOVER``).
 
-    PYTHONPATH=src python benchmarks/kernel_cutover.py
+    PYTHONPATH=src python benchmarks/kernel_cutover.py [--sizes 32,256,4096] [--repeats 3]
 
 times the operators :func:`repro.engine.kernels.worthwhile` routes -- keyed
 interval join, split, ``count``/``sum`` and ``min``/``max`` temporal
-aggregation, coalescing, and REWR's join -> period intersection -> coalesce
-chain (the typed columns handed from kernel to kernel) -- on both routes
-at a ladder of input sizes and prints, per operator and input shape, the
-ratio scalar / kernel (above 1 the kernel wins).  Inputs are constant
-relations, so every run derives its typed forms afresh: the worst case, a
-catalog table derives them once per version.  Two shapes, the two the
+aggregation, coalescing, REWR's join -> period intersection -> coalesce
+chain (the typed columns handed from kernel to kernel), and bag difference,
+distinct and union -- on both routes at a ladder of input sizes and prints,
+per operator and input shape, the ratio scalar / kernel (above 1 the kernel
+wins; ``--repeats`` is how often the two routes alternate per cell).  The
+temporal operators read constant relations, so every run derives its typed
+forms afresh: the worst case, a catalog table derives them once per version.
+The set operators consolidate on codes only what arrives as columns (row
+tuples keep the ``dict`` at every size, so a constant would time one route
+twice): they read catalog tables, once with the result taken as rows and
+once (``+c``) under the coalesce REWR puts above them, which reads the forms
+they hand on; a union alone does no work until its output is read.  Two
+shapes, the two the
 suite's workloads have: ``adhoc`` is ``adhoc_small``'s generator catalog
 grown to N rows (string categories, 16 join keys, mixed interval profile, 64-point
 domain), ``employee`` is Table 3's (int keys with ~5 rows each, year-long
@@ -20,12 +27,23 @@ EXPERIMENTS.md ("The engine and its reference") is this script's output.
 
 from __future__ import annotations
 
+import argparse
 import random
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.algebra.expressions import Comparison, FunctionCall, and_, attr
-from repro.algebra.operators import AggregateSpec, ConstantRelation, Join, Projection, Rename
+from repro.algebra.operators import (
+    AggregateSpec,
+    ConstantRelation,
+    Difference,
+    Distinct,
+    Join,
+    Projection,
+    RelationAccess,
+    Rename,
+    Union,
+)
 from repro.datasets.generator import GeneratorConfig, generate_rows
 from repro.engine import kernels
 from repro.engine.catalog import Database
@@ -67,6 +85,17 @@ def relation(rows, prefix: str = ""):
 def plans(make: Callable[[int, str], List[Tuple]], n: int) -> Dict[str, object]:
     """One plan per kernel with ``n`` input rows in total."""
     left, right = make(n // 2, "l"), make(n - n // 2, "r")
+
+    def stored(role: str, rows: List[Tuple]) -> RelationAccess:
+        name = f"{make.__name__}_{role}{n}"
+        DATABASE.create_table(name, SCHEMA, rows)
+        return RelationAccess(name)
+
+    # Half of ``mixed`` is the left's own rows: some keys cancel, some do not.
+    mixed = left[::2] + right[: len(right) // 2]
+    stored_left, stored_right = stored("l", left), stored("r", right)
+    difference = Difference(stored_left, stored("m", mixed))
+    distinct = Distinct(stored("d", left + mixed))
     overlap = and_(
         Comparison("=", attr("l_key"), attr("r_key")),
         and_(
@@ -97,6 +126,11 @@ def plans(make: Callable[[int, str], List[Tuple]], n: int) -> Dict[str, object]:
             (AggregateSpec("min", attr("val"), "low"), AggregateSpec("max", attr("val"), "high")),
         ),
         "coalesce": CoalesceOperator(relation(left + right)),
+        "difference": difference,
+        "difference+c": CoalesceOperator(difference),
+        "distinct": distinct,
+        "distinct+c": CoalesceOperator(distinct),
+        "union+c": CoalesceOperator(Union(stored_left, stored_right)),
     }
 
 
@@ -110,27 +144,35 @@ def best_ms(plan, cutover: int, repeats: int) -> float:
     return best * 1000.0
 
 
-def main() -> None:
+def ladder(sizes: Sequence[int], rounds: int) -> None:
     shipped = kernels.KERNEL_CUTOVER
     print(f"scalar ms / kernel ms per operator (shipped cutover: {shipped} rows)")
-    print(f"{'shape':9s}{'operator':10s}" + "".join(f"{n:>7d}" for n in SIZES))
+    print(f"{'shape':9s}{'operator':11s}" + "".join(f"{n:>7d}" for n in sizes))
     try:
         for shape, make in (("adhoc", adhoc_rows), ("employee", employee_rows)):
-            by_size = [plans(make, n) for n in SIZES]
-            for operator in ("join", "chain", "split", "aggregate", "minmax", "coalesce"):
+            by_size = [plans(make, n) for n in sizes]
+            for operator in by_size[0]:
                 cells = []
-                for n, built in zip(SIZES, by_size):
+                for n, built in zip(sizes, by_size):
                     repeats = max(5, 4000 // n)
                     # Alternate the routes: the shared box drifts between a
                     # fast and a slow state within one cell's measurement.
                     scalar = kernel = float("inf")
-                    for _ in range(3):
+                    for _ in range(rounds):
                         scalar = min(scalar, best_ms(built[operator], 10**9, repeats))
                         kernel = min(kernel, best_ms(built[operator], 0, repeats))
                     cells.append(f"{scalar / kernel:7.2f}")
-                print(f"{shape:9s}{operator:10s}" + "".join(cells))
+                print(f"{shape:9s}{operator:11s}" + "".join(cells))
     finally:
         kernels.KERNEL_CUTOVER = shipped
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
+    parser.add_argument("--repeats", type=int, default=3)
+    arguments = parser.parse_args()
+    ladder([int(size) for size in arguments.sizes.split(",")], arguments.repeats)
 
 
 if __name__ == "__main__":

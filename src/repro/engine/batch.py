@@ -18,17 +18,22 @@ either half may be missing until someone reads it.
   pairs, and each output attribute is gathered when -- and only if -- it is
   read (REWR's projection drops the duplicate key and all four raw end
   points unread);
+* bag difference and distinct over column-backed inputs run on the columns'
+  codes -- one factorisation, one integer tally per input
+  (:func:`~repro.engine.kernels.consolidate`) -- and are their input
+  gathered at the surviving rows;
 * the operators that only move rows carry the forms along: projections of
   plain attribute references and renames are **zero-copy** (the output
   batch shares the input's column objects), REWR's period intersection
-  (``greatest``/``least`` of two int columns) is one array operation, and a
-  filtering selection gathers every column at the kept rows' index;
+  (``greatest``/``least`` of two int columns) is one array operation, a
+  filtering selection gathers every column at the kept rows' index, and a
+  union of column-backed inputs lays their columns end to end;
 * everything else drops to lists: selections and other projections
   evaluate their expression once per batch via
   :meth:`~repro.algebra.expressions.Expression.compile_batch` over the
-  value lists; union, difference, distinct, non-temporal aggregation and
-  the hash / nested-loop joins work on values or row tuples and emit plain
-  columns, whose forms the next kernel derives afresh;
+  value lists; non-temporal aggregation, the hash / nested-loop joins and
+  the set operators over row-backed inputs work on values or row tuples and
+  emit plain columns, whose forms the next kernel derives afresh;
 * what the kernels decline -- inputs below their cutover, NULL or non-int
   end points, ``bool``/float aggregate arguments, no numpy -- runs their
   scalar twins in :mod:`repro.engine.sweeps`: the partitioned bisect join
@@ -190,6 +195,26 @@ class ColumnarBatch:
         """The same entries -- columns, rows and counts shared -- under another name and schema."""
         return ColumnarBatch(
             name, schema, self._columns, self.counts, self._ones, self._rows, self._is_typed
+        )
+
+    def taken(
+        self, name: str, at: Any, counts: List[int], all_ones: Optional[bool]
+    ) -> "ColumnarBatch":
+        """The entries at the int64 index array ``at``, under new multiplicities.
+
+        Columns are gathered late and bring their typed forms; the row view
+        is picked out of this batch's rows when it has (a way to) them.
+        """
+        return ColumnarBatch(
+            name,
+            self.schema,
+            [Column.gathered(column, at) for column in self.typed],
+            counts,
+            all_ones,
+            rows=None
+            if self._rows is None
+            else lambda: _kernels.gather(self.entry_rows(), at.tolist()),
+            typed=True,
         )
 
     # -- conversion -------------------------------------------------------------------
@@ -365,12 +390,12 @@ def _execute_node(
     if isinstance(plan, Union):
         left = _execute(plan.left, context, scans)
         right = _execute(plan.right, context, scans)
-        return _union(left, right)
+        return _union(left, right, context)
 
     if isinstance(plan, Difference):
         left = _execute(plan.left, context, scans)
         right = _execute(plan.right, context, scans)
-        return _except_all(left, right)
+        return _except_all(left, right, context)
 
     if isinstance(plan, Aggregation):
         return _aggregate(
@@ -378,7 +403,7 @@ def _execute_node(
         )
 
     if isinstance(plan, Distinct):
-        return _distinct(_execute(plan.child, context, scans))
+        return _distinct(_execute(plan.child, context, scans), context)
 
     raise ExecutorError(f"unsupported operator {type(plan).__name__}")
 
@@ -470,12 +495,24 @@ def _rename(batch: ColumnarBatch, renames: Dict[str, str]) -> ColumnarBatch:
     )
 
 
-def _union(left: ColumnarBatch, right: ColumnarBatch) -> ColumnarBatch:
+def _union(
+    left: ColumnarBatch, right: ColumnarBatch, context: ExecutionContext
+) -> ColumnarBatch:
+    """Bag union: the right input's entries after the left's.
+
+    Row-backed inputs add their row lists, column-backed ones their value
+    lists; from the kernel cutover on two column-backed inputs are laid end
+    to end as :meth:`Column.concatenated <repro.engine.kernels.Column
+    .concatenated>` columns (``batch.union_vectorized``) -- int arrays
+    joined, the right dictionary mapped into the left's, a values list added
+    only if someone reads it -- so typed inputs stay typed through a union.
+    """
     if len(left.schema) != len(right.schema):
         raise ExecutorError(
             f"union-incompatible schemas {left.schema} and {right.schema}"
         )
     ones = True if left._ones and right._ones else None
+    counts = left.counts + right.counts
     if left._columns is None or right._columns is None:
         # At least one side is row-backed: concatenating entry rows avoids
         # forcing its transpose (and stays lazy for the output).
@@ -483,24 +520,59 @@ def _union(left: ColumnarBatch, right: ColumnarBatch) -> ColumnarBatch:
             "union",
             left.schema,
             None,
-            left.counts + right.counts,
+            counts,
             ones,
             rows=left.entry_rows() + right.entry_rows(),
         )
-    columns = [
-        left_column + right_column
-        for left_column, right_column in zip(left.columns, right.columns)
-    ]
-    return ColumnarBatch(
-        "union", left.schema, columns, left.counts + right.counts, ones
-    )
+    columns: List[Any]
+    typed = _kernels.worthwhile(len(counts))
+    if typed:
+        context.count("batch.union_vectorized")
+        columns = [
+            Column.concatenated(left_column, right_column)
+            for left_column, right_column in zip(left.typed, right.typed)
+        ]
+    else:
+        columns = [
+            left_column + right_column
+            for left_column, right_column in zip(left.columns, right.columns)
+        ]
+    return ColumnarBatch("union", left.schema, columns, counts, ones, typed=typed)
 
 
-def _except_all(left: ColumnarBatch, right: ColumnarBatch) -> ColumnarBatch:
+def _except_all(
+    left: ColumnarBatch, right: ColumnarBatch, context: ExecutionContext
+) -> ColumnarBatch:
+    """Bag difference (``EXCEPT ALL``): per distinct row, left count minus right count.
+
+    The ``dict`` of row tuples below defines the result: one entry per
+    distinct left row whose net multiplicity is positive, in first-seen
+    order, printed as the left input first holds it.  From the kernel
+    cutover on, a left input that arrives as columns (a scan, a split, a
+    kernel-served join: what REWR puts under a difference) is consolidated
+    by :func:`repro.engine.kernels.consolidate` over the columns' codes
+    (``batch.except_all_vectorized``) -- the same entries -- and the output
+    is that input :meth:`~ColumnarBatch.taken` at the surviving rows, forms
+    included: the coalesce REWR puts above every difference derives nothing.
+    One that arrives as row tuples only (a constant, a hash join) keeps the
+    ``dict``: over tuples already built it is the cheaper pass at every size
+    (``benchmarks/kernel_cutover.py``).
+    """
     if len(left.schema) != len(right.schema):
         raise ExecutorError(
             f"difference-incompatible schemas {left.schema} and {right.schema}"
         )
+    if left._columns is not None and _kernels.worthwhile(len(left) + len(right)):
+        at, net = _kernels.consolidate(
+            (left.typed, right.typed),
+            (len(left), len(right)),
+            (
+                None if left.all_ones() else left.counts,
+                None if right.all_ones() else right.counts,
+            ),
+        )
+        context.count("batch.except_all_vectorized")
+        return left.taken("except_all", at, [1] * len(at) if net is None else net, net is None)
     remaining: Dict[Row, int] = {}
     get = remaining.get
     for row, count in zip(left.entry_rows(), left.counts):
@@ -518,7 +590,18 @@ def _except_all(left: ColumnarBatch, right: ColumnarBatch) -> ColumnarBatch:
     )
 
 
-def _distinct(batch: ColumnarBatch) -> ColumnarBatch:
+def _distinct(batch: ColumnarBatch, context: ExecutionContext) -> ColumnarBatch:
+    """One entry per distinct row, in first-seen order, multiplicities dropped.
+
+    The twin of :func:`_except_all` with nothing to subtract, routed the same
+    way: a column-backed input at the kernel cutover is the rows
+    :func:`repro.engine.kernels.consolidate` finds over the columns' codes
+    (``batch.distinct_vectorized``), a row-backed one ``dict.fromkeys``.
+    """
+    if batch._columns is not None and _kernels.worthwhile(len(batch)):
+        at, _net = _kernels.consolidate((batch.typed,), (len(batch),), (None,))
+        context.count("batch.distinct_vectorized")
+        return batch.taken("distinct", at, [1] * len(at), True)
     rows = list(dict.fromkeys(batch.entry_rows()))
     return ColumnarBatch.from_rows("distinct", batch.schema, rows)
 

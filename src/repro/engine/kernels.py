@@ -12,9 +12,10 @@ queries read it, and DML hands the forms on: the successor's column is
 :meth:`Column.extended` by the inserted tail or the :meth:`Column.kept` rows
 of a delete -- only the tail is ever scanned again.  A column *gathered*
 from another at an index array (a join side, a split, a filtering selection,
-a group's first row) gets its forms by gathering the source's and produces
-``values`` only if someone asks; a kernel's output column is born from its
-array and ``.tolist()``-ed on the same condition.
+a group's first row, the rows a difference leaves) gets its forms by
+gathering the source's and produces ``values`` only if someone asks; two
+columns *concatenated* (a union) join theirs; a kernel's output column is
+born from its array and ``.tolist()``-ed on the same condition.
 
 **The kernels.**  REWR's joins, splits and temporal aggregates all ask one
 question: *which entries of group g fall in the time range [a, b)?*  The
@@ -33,23 +34,34 @@ that primitive sit
   ``min``/``max`` as a range-update sweep over the same points,
 
 and :func:`repro.temporal.coalesce.coalesce_vectorized` shares the
-factorise/pack half.  Multiplicities travel as a counts column; no kernel
-duplicates a tuple.
+factorise/pack half.  The set operators need the factorise half alone:
+
+* :func:`consolidate` -- bag difference (``EXCEPT ALL``: per distinct row,
+  the left multiplicity less the right one, where positive) and, with
+  nothing to subtract, ``DISTINCT``: one exact integer tally per input over
+  the rows' codes, as an index into the left input.
+
+Multiplicities travel as a counts column; no kernel duplicates a tuple.
 
 Every kernel has a scalar twin that defines its result and serves what it
 declines by returning ``None``: ``partition_by_keys`` + ``interval_sweep``
 and ``collect_group_endpoints`` + ``split_segments`` in
-:mod:`repro.engine.sweeps`, ``TemporalAggregateOperator._sweep_group`` and,
-for coalescing, the pure-Python paths of ``coalesce_columns``.  Declined are
-NULL or non-``int`` end points (``bool`` and ``float`` included: the kernels
-would print them as ints), a packed code that would not fit
-(``codes * span >= 2**62``) and, for aggregation, a ``sum``/``avg``/``min``/
-``max`` argument that is not ``int``-or-NULL (``bool``/``float``, or past
-int64) or a sum that could leave int64.  Every caller -- join, split,
-aggregation, coalescing, and the two operators that merely carry forms along
-(a filtering selection, REWR's period intersection) -- asks
-:func:`worthwhile` first and nothing else; that one rule also covers a
-numpy-less install, where no column ever has a typed form: below
+:mod:`repro.engine.sweeps`, ``TemporalAggregateOperator._sweep_group``, for
+coalescing the pure-Python paths of ``coalesce_columns`` and, for
+:func:`consolidate`, the ``dict`` of row tuples in
+:func:`repro.engine.batch._except_all` / ``_distinct``.  That kernel
+declines nothing (any value has a code, a tally past int64 is kept in Python
+ints): its twin serves below the cutover, without numpy, and an input that
+arrives as row tuples already built.  The others decline NULL or non-``int``
+end points (``bool`` and ``float`` included: the kernels would print them as
+ints), a packed code that would not fit (``codes * span >= 2**62``) and, for
+aggregation, a ``sum``/``avg``/``min``/``max`` argument that is not
+``int``-or-NULL (``bool``/``float``, or past int64) or a sum that could
+leave int64.  Every caller -- join, split, aggregation, coalescing,
+difference, distinct, and the operators that merely carry forms along (a
+filtering selection, REWR's period intersection, a union) -- asks
+:func:`worthwhile` first, and of the sizes nothing else; that one rule also
+covers a numpy-less install, where no column ever has a typed form: below
 :data:`KERNEL_CUTOVER` input rows the array set-up costs more than the
 scalar sweep (measured in EXPERIMENTS.md, "The engine and its reference").
 
@@ -84,6 +96,7 @@ __all__ = [
     "paired_rows",
     "split_segments_vectorized",
     "temporal_aggregate_vectorized",
+    "consolidate",
 ]
 
 Row = Tuple[Any, ...]
@@ -163,22 +176,35 @@ def _all_int(form: Any) -> bool:
     return form is not _UNSET and form is not None and form[1] is None
 
 
+def _joined_ints(forms: Sequence[Tuple[Any, Any]]) -> Tuple[Any, Any]:
+    """The int form of columns laid end to end, from the int form each one has."""
+    arrays = [array for array, _ in forms]
+    valid = None
+    if any(mask is not None for _, mask in forms):
+        valid = np.concatenate(
+            [np.ones(len(array), dtype=bool) if mask is None else mask for array, mask in forms]
+        )
+    return np.concatenate(arrays), valid
+
+
 class Column:
     """One attribute of a batch: a ``values`` list and, lazily, its typed form.
 
-    Built one of four ways -- around a values list (``Column(values)``),
+    Built one of five ways -- around a values list (``Column(values)``),
     around an int64 array a kernel produced (``Column(ints=array)``), as the
-    rows ``at`` of another column (:meth:`gathered`), or as a stored table
-    column's successor under DML (:meth:`extended`, :meth:`kept`).  Whichever
-    parts are missing are derived on first use and kept: ``values`` by
-    ``.tolist()``, by gathering the source's list or by reading the stored
-    rows, the int form by one exact type scan or by gathering the source's
-    array, the codes by one dict pass or by gathering the source's codes
-    (the dictionary is shared).  Nothing here is ever mutated once derived,
-    so columns may be shared between batches, queries and threads.
+    rows ``at`` of another column (:meth:`gathered`), as two columns laid end
+    to end (:meth:`concatenated`), or as a stored table column's successor
+    under DML (:meth:`extended`, :meth:`kept`).  Whichever parts are missing
+    are derived on first use and kept: ``values`` by ``.tolist()``, by
+    gathering the source's list, by adding the two lists or by reading the
+    stored rows, the int form by one exact type scan or from the source's
+    (the two halves') arrays, the codes by one dict pass or from the source's
+    codes (the dictionary is shared; a second half's is mapped into the
+    first's).  Nothing here is ever mutated once derived, so columns may be
+    shared between batches, queries and threads.
     """
 
-    __slots__ = ("_values", "_ints", "_codes", "_source", "_at", "_load")
+    __slots__ = ("_values", "_ints", "_codes", "_source", "_at", "_halves", "_load")
 
     def __init__(
         self,
@@ -191,6 +217,7 @@ class Column:
         self._codes: Optional[Tuple[Any, Dict[Any, int]]] = None
         self._source: Optional[Column] = None
         self._at: Any = None
+        self._halves: Optional[Tuple[Column, Column]] = None
         #: Reads the values list of a stored column the first time it is asked for.
         self._load = load
 
@@ -200,6 +227,13 @@ class Column:
         column = cls()
         column._source = source
         column._at = at
+        return column
+
+    @classmethod
+    def concatenated(cls, first: "Column", second: "Column") -> "Column":
+        """``first`` followed by ``second`` (a union's output); nothing is read yet."""
+        column = cls()
+        column._halves = (first, second)
         return column
 
     def extended(self, tail: Sequence[Any], load: Callable[[], List[Any]]) -> "Column":
@@ -219,18 +253,7 @@ class Column:
             column._ints = None
         elif form is not _UNSET:
             added = _int_form(list(tail))
-            if added is None:
-                column._ints = None
-            else:
-                (array, valid), (tail_array, tail_valid) = form, added
-                if valid is not None or tail_valid is not None:
-                    valid = np.concatenate(
-                        [
-                            np.ones(len(array), dtype=bool) if valid is None else valid,
-                            np.ones(len(tail), dtype=bool) if tail_valid is None else tail_valid,
-                        ]
-                    )
-                column._ints = (np.concatenate([array, tail_array]), valid)
+            column._ints = None if added is None else _joined_ints((form, added))
         if self._codes is not None:
             codes, dictionary = self._codes
             unseen = [value for value in dict.fromkeys(tail) if value not in dictionary]
@@ -268,6 +291,8 @@ class Column:
             return len(self._values)
         if self._source is not None:
             return len(self._at)
+        if self._halves is not None:
+            return len(self._halves[0]) + len(self._halves[1])
         if self._ints is not _UNSET and self._ints is not None:
             return len(self._ints[0])
         return len(self.values)
@@ -293,6 +318,8 @@ class Column:
                 held = source._ints  # read it only if someone derived it already
             if _all_int(held):
                 values = (held[0] if at is None else held[0][at]).tolist()
+            elif self._halves is not None:
+                values = self._halves[0].values + self._halves[1].values
             elif source is None:
                 values = self._load()
             else:
@@ -309,7 +336,12 @@ class Column:
         """
         form = self._ints
         if form is _UNSET:
-            if self._source is None:
+            if self._halves is not None:
+                # Int typed when both halves are, by their own forms alone.
+                first = self._halves[0].nullable_ints()
+                second = None if first is None else self._halves[1].nullable_ints()
+                form = None if second is None else _joined_ints((first, second))
+            elif self._source is None:
                 form = _int_form(self.values)
             else:
                 source, at = self._origin()
@@ -337,6 +369,9 @@ class Column:
                 source, at = self._origin()
                 codes, dictionary = source.codes()
                 coded = (codes[at], dictionary)
+            elif self._halves is not None:
+                halves, dictionary = _shared_codes(self._halves)
+                coded = (np.concatenate(halves), dictionary)
             else:
                 coded = _code_form(self.values)
             self._codes = coded
@@ -431,9 +466,8 @@ def _digits(columns: Sequence[Column]) -> Tuple[Any, int, Optional[int]]:
     """One key position of every input: ``(digits, width, NULL's digit or None)``.
 
     The digits of all inputs are concatenated and lie in ``[0, width)``.
-    All-int columns are offset by their minimum; otherwise each column's
-    dict-equality codes are used, a second input's dictionary being mapped
-    into the first's value by value -- O(distinct values), not O(rows).
+    All-int columns are offset by their minimum; otherwise the columns'
+    dict-equality codes are used, in one code space (:func:`_shared_codes`).
     """
     arrays = [column.ints() for column in columns]
     if all(array is not None for array in arrays):
@@ -443,6 +477,18 @@ def _digits(columns: Sequence[Column]) -> Tuple[Any, int, Optional[int]]:
         if width >= PACK_LIMIT:
             return (*_dense(digits), None)
         return digits - low, width, None
+    parts, merged = _shared_codes(columns)
+    digits = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return digits, len(merged), merged.get(None)
+
+
+def _shared_codes(columns: Sequence[Column]) -> Tuple[List[Any], Dict[Any, int]]:
+    """Every column's dict-equality codes in the first one's code space, and its dictionary.
+
+    A later column's dictionary is mapped into the first's value by value --
+    O(distinct values), not O(rows) -- and the values only it holds get the
+    next codes of a copy: a column's own dictionary is never extended.
+    """
     first = columns[0].codes()[1]
     merged = first
     parts = []
@@ -450,15 +496,14 @@ def _digits(columns: Sequence[Column]) -> Tuple[Any, int, Optional[int]]:
         codes, dictionary = column.codes()
         if dictionary is not first:
             if merged is first:
-                merged = dict(first)  # a column's dictionary is never extended
+                merged = dict(first)
             setdefault = merged.setdefault
             remap = np.asarray(
                 [setdefault(value, len(merged)) for value in dictionary], dtype=np.int64
             )
             codes = remap[codes]
         parts.append(codes)
-    digits = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return digits, len(merged), merged.get(None)
+    return parts, merged
 
 
 def _dense(codes: Any) -> Tuple[Any, int]:
@@ -932,3 +977,58 @@ def _segment_extremes(
             half = 1 << (level - 1)
             cells[half:] = pick(cells[half:], cells[:-half])
     return cells
+
+
+# -- (4) consolidation: bag difference and distinct -------------------------------------
+
+
+def consolidate(
+    column_sets: Sequence[Sequence[Column]],
+    lengths: Sequence[int],
+    counts: Sequence[Optional[Sequence[int]]],
+) -> Tuple[Any, Optional[List[int]]]:
+    """The first input's bag minus every other's: which of its rows stay, how often.
+
+    ``EXCEPT ALL`` is the monus of the multiplicities: per distinct row, what
+    the first input holds of it less what the others hold, where positive.
+    Vector twin of the ``dict`` of row tuples in :mod:`repro.engine.batch`
+    -- same entries, same order, same counts: all inputs are factorised into
+    one dict-equality code space (``1``, ``1.0`` and ``True`` are one row,
+    NULL equals NULL), the net multiplicity per code is one exact integer
+    tally per input, and a surviving row is listed where the first input
+    first holds it and printed as it stands there.  With one input this is
+    ``DISTINCT`` (every row of it survives once listed).
+
+    ``column_sets[i]`` are input i's columns (all of them: the row is the
+    key), ``lengths[i]`` its entries and ``counts[i]`` their multiplicities,
+    all positive (``None`` = all ones).  Returns ``(at, net)``: the int64
+    index array of the first input's surviving entries, ascending, and their
+    net multiplicities as Python ints (``None`` = all ones).  Declines
+    nothing: a tally that could leave int64 is kept in Python ints.
+    """
+    if not lengths[0]:
+        return np.empty(0, dtype=np.int64), None
+    codes, n_codes = factorize(column_sets, lengths, nulls_match=True)
+    net = _tally(codes[0], counts[0], n_codes)
+    for other, weights in zip(codes[1:], counts[1:]):
+        net = net - _tally(other, weights, n_codes)
+    # The first input's rows that open a surviving code, in row order.
+    first = np.zeros(lengths[0], dtype=bool)
+    first[first_rows(codes[0], n_codes)[net > 0]] = True
+    at = np.flatnonzero(first)
+    net = net[codes[0][at]]
+    return at, None if (net == 1).all() else net.tolist()
+
+
+def _tally(codes: Any, weights: Optional[Sequence[int]], n_codes: int) -> Any:
+    """How often each code occurs, weighted; exact (no float accumulator).
+
+    An input holding fewer than 2**62 rows in all is tallied in int64 (the
+    difference of two such tallies fits too), a larger one in Python ints.
+    """
+    if weights is None:
+        return np.bincount(codes, minlength=n_codes)
+    dtype = np.int64 if sum(weights) < PACK_LIMIT else object
+    tally = np.zeros(n_codes, dtype=dtype)
+    np.add.at(tally, codes, np.asarray(weights, dtype=dtype))
+    return tally

@@ -45,16 +45,21 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    Union,
 )
 
-from ..algebra.operators import ConstantRelation, Operator, RelationAccess
+from ..algebra.operators import (
+    ConstantRelation,
+    Difference,
+    Operator,
+    RelationAccess,
+    Union,
+)
 from ..engine.batch import execute_batch_plan
 from ..engine.executor import ExecutionContext, execute as engine_execute
 from ..engine.table import Table, tuple_getter
 from ..errors import IncrementalError
 from ..rewriter.periodenc import T_BEGIN, T_END
-from .delta import Delta, Row, ZSet, add_into, zset_of
+from .delta import Delta, Row, ZSet, add_into
 from .partition import partition_key as infer_partition_key
 
 if TYPE_CHECKING:
@@ -204,9 +209,15 @@ class MaterializedView:
         return "\n".join(lines)
 
     def verify(self) -> bool:
-        """Bag-compare the rows readers get against full re-execution."""
-        fresh = self._pipeline.execute_rewritten(self.plan)
-        return zset_of(fresh.rows) == zset_of(self._table.rows)
+        """Bag-compare the rows readers get against full re-execution.
+
+        One plan, one execution, one snapshot: the pinned plan minus the
+        backing table and the backing table minus the pinned plan, both
+        empty -- so a write landing meanwhile is seen by neither side.
+        """
+        stored = RelationAccess(self.name)
+        apart = Union(Difference(self.plan, stored), Difference(stored, self.plan))
+        return not self._pipeline.execute_rewritten(apart).rows
 
     # -- refresh ----------------------------------------------------------------------
 
@@ -272,7 +283,7 @@ class MaterializedView:
 
     def apply(
         self,
-        deltas: Union[Delta, Iterable[Delta]],
+        deltas: Delta | Iterable[Delta],
         statistics: Optional[Dict[str, int]] = None,
     ) -> "MaterializedView":
         """Bring the view up to date with base-table deltas (DML; no DDL bump).
@@ -293,7 +304,7 @@ class MaterializedView:
 
     def _apply(
         self,
-        deltas: Union[Delta, Iterable[Delta]],
+        deltas: Delta | Iterable[Delta],
         statistics: Optional[Dict[str, int]],
         delta_in_catalog: bool,
     ) -> "MaterializedView":

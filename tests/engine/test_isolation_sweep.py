@@ -134,6 +134,8 @@ def check_reply(name: str, args: Dict[str, Any], reply: Any, states: Dict[str, A
         assert reply["R"].row_count in states["count"]
     elif name == "view_rows" and args["name"] == VIEW:
         assert frozen(reply[1]) in states["view"], "the view's rows are those of no committed state"
+    elif name == "view_verify":
+        assert reply is True, "verify saw the view and its base table at two moments"
 
 
 def sweep(

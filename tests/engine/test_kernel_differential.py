@@ -20,7 +20,7 @@ from collections import Counter
 from typing import Dict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.expressions import Comparison, FunctionCall, and_, attr
@@ -28,11 +28,14 @@ from repro.algebra.operators import (
     AggregateSpec,
     ConstantRelation,
     Difference,
+    Distinct,
     Join,
     Projection,
     RelationAccess,
     Rename,
+    Union,
 )
+from repro.engine import batch as batching
 from repro.engine import kernels
 from repro.engine.catalog import Database
 from repro.engine.executor import ExecutionContext, execute
@@ -322,6 +325,80 @@ def test_coalesce_kernel_matches_scalar_and_reference(data):
     assert repr(kernel) == repr(twin)
 
 
+#: Few enough values that rows collide: 1 / 1.0 / True and 0 / 0.0 / False are one key each.
+BAG_VALUES = st.sampled_from([1, 1.0, True, 0, 0.0, False, 2, 2**40, None, "a"])
+#: Multiplicities: ones, small ones, past float64's integers, past what int64 sums hold.
+BAG_COUNTS = st.sampled_from([1, 1, 1, 2, 3, 2**53, 2**53 + 1, 2**62])
+WEIGHTED_BAGS = st.lists(
+    st.tuples(st.tuples(BAG_VALUES, BAG_VALUES), BAG_COUNTS), max_size=12
+)
+
+
+def _weighted_batch(entries, as_rows: bool = False) -> batching.ColumnarBatch:
+    rows = [row for row, _count in entries]
+    columns = [[row[position] for row in rows] for position in range(2)]
+    counts = [count for _row, count in entries]
+    if as_rows:
+        return batching.ColumnarBatch("bag", ("a", "b"), None, counts, rows=rows)
+    return batching.ColumnarBatch("bag", ("a", "b"), columns, counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(left=WEIGHTED_BAGS, right=WEIGHTED_BAGS, right_as_rows=st.booleans())
+# One key spelled three ways, NULL on both sides, counts past 2**53, a row only the right has.
+@example(
+    left=[((1, None), 2), ((1.0, None), 2**53)],
+    right=[((True, None), 2**53 + 1), ((2, "a"), 1)],
+    right_as_rows=False,
+)
+# The right side cancels a key exactly; a tally past int64 on either side.
+@example(
+    left=[((1, "a"), 3), ((2, "a"), 1), ((True, "a"), 2)],
+    right=[((1.0, "a"), 5)],
+    right_as_rows=True,
+)
+@example(
+    left=[((0, 0), 2**62), ((0.0, False), 2**62)],
+    right=[((False, 0), 2**62), ((0, 0), 7)],
+    right_as_rows=False,
+)
+def test_consolidate_kernel_equals_the_dict_of_row_tuples(left, right, right_as_rows):
+    """Difference, distinct and union called directly: same entries, order, ``repr``, counts.
+
+    A column-backed left input takes the kernel whatever the right one is; a
+    left input of row tuples keeps the ``dict`` on both sides of the cutover.
+    """
+    printed = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for cutover in (0, 10**9):
+            monkeypatch.setattr(kernels, "KERNEL_CUTOVER", cutover)
+            context = ExecutionContext(DATABASE, statistics={})
+            served = [
+                batching._except_all(
+                    _weighted_batch(left), _weighted_batch(right, right_as_rows), context
+                ),
+                batching._distinct(_weighted_batch(left), context),
+                batching._union(_weighted_batch(left), _weighted_batch(right), context),
+            ]
+            assert sorted(context.statistics) == (
+                []
+                if cutover
+                else ["batch.distinct_vectorized", "batch.except_all_vectorized", "batch.union_vectorized"]
+            )
+            served += [
+                batching._except_all(
+                    _weighted_batch(left, as_rows=True), _weighted_batch(right), context
+                ),
+                batching._distinct(_weighted_batch(left, as_rows=True), context),
+            ]
+            assert sum(context.statistics.values()) == (0 if cutover else 3)
+            assert all(type(count) is int for result in served for count in result.counts)
+            printed[cutover] = repr(
+                [(result.entry_rows(), list(result.columns), result.counts) for result in served]
+            )
+    assert printed[0] == printed[10**9]
+
+
 #: The int64 edge, its neighbours and NULL: min/max have no sum to overflow.
 EDGE_VALUES = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1, None])
 
@@ -394,6 +471,9 @@ CHAINS = {
     "split": lambda joined, other: SplitOperator(joined, other, ("k1", "k2")),
     "split under": lambda joined, other: SplitOperator(other, joined, ("k2",)),
     "difference": lambda joined, other: Difference(joined, other),
+    "difference then coalesce": lambda joined, other: CoalesceOperator(Difference(joined, other)),
+    "distinct": lambda joined, other: Distinct(joined),
+    "union": lambda joined, other: Union(joined, other),
     "join": _second_join,
 }
 
@@ -409,7 +489,7 @@ CHAINS = {
 def test_a_join_hands_its_typed_columns_to_the_next_operator(
     data, n_keys, residual, coalesce, then
 ):
-    """join -> project -> {coalesce, aggregate, split, difference, join}, three ways.
+    """join -> project -> {coalesce, aggregate, split, a set operator, join}, three ways.
 
     The kernel join's output columns are gathered late and carry their
     source's forms; the projection intersects the period as arrays; the

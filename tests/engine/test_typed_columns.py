@@ -25,7 +25,7 @@ import pytest
 
 from repro import connect
 from repro.algebra.expressions import attr
-from repro.algebra.operators import AggregateSpec, Difference, RelationAccess
+from repro.algebra.operators import AggregateSpec, Difference, Distinct, RelationAccess, Union
 from repro.engine import Database, execute, kernels
 from repro.engine.batch import ColumnarBatch
 from repro.incremental import Delta
@@ -73,6 +73,23 @@ def _top_per_name(table: str = "t"):
     )
 
 
+def _check_forms(column, values) -> None:
+    """``column``'s int form and codes are what a fresh scan of ``values`` gives."""
+    np = kernels.np
+    expected, got = kernels.Column(list(values)).nullable_ints(), column.nullable_ints()
+    assert (expected is None) == (got is None)
+    if expected is not None:
+        assert np.array_equal(expected[0], got[0]) and got[0].dtype == np.int64
+        assert (expected[1] is None) == (got[1] is None)
+        assert expected[1] is None or np.array_equal(expected[1], got[1])
+    # Codes may be numbered differently; they must say the same rows are equal.
+    codes, dictionary = column.codes()
+    decode = {code: value for value, code in dictionary.items()}
+    assert len(decode) == len(dictionary)
+    assert [decode[code] for code in codes.tolist()] == list(values)
+    assert repr(column.values) == repr(list(values))
+
+
 def test_forms_are_derived_once_per_table_version_and_only_in_the_cache_entry(derivations):
     pytest.importorskip("numpy")
     database = Database()
@@ -88,6 +105,39 @@ def test_forms_are_derived_once_per_table_version_and_only_in_the_cache_entry(de
     database.create_table("t", SCHEMA, list(table.rows))
     assert _kernel_served(_top_per_name(), database) == before
     assert len(derivations) == 5
+
+
+def test_a_coalesce_over_a_difference_reads_the_forms_the_scans_derived(derivations):
+    """Difference, distinct and union above the cutover hand typed columns on.
+
+    The bag difference gathers its left input at the surviving rows, forms
+    included, so REWR's coalesce above it scans nothing: every derivation is
+    one of a whole table, made once, and a second run makes none.
+    """
+    pytest.importorskip("numpy")
+    database = Database()
+    database.create_table("t", SCHEMA, _rows(2 * N))
+    database.create_table("u", SCHEMA, _rows(N, offset=N // 2))
+    plans = [
+        CoalesceOperator(Difference(RelationAccess("t"), RelationAccess("u"))),
+        CoalesceOperator(Distinct(Union(RelationAccess("u"), RelationAccess("t")))),
+    ]
+    for plan, counter in zip(plans, ("batch.except_all_vectorized", "batch.distinct_vectorized")):
+        statistics: Dict[str, int] = {}
+        result = execute(plan, database, statistics)
+        assert statistics[counter] == statistics["batch.coalesce_vectorized"] == 1
+        assert Counter(map(repr, result.rows)) == Counter(
+            map(repr, execute(plan, database, executor="row").rows)
+        )
+    assert statistics["batch.union_vectorized"] == 1
+    # The first plan asked for int form and codes of what it read; nothing since.
+    assert sorted(derivations) == sorted(
+        [(form, n) for n in (2 * N, N) for form in ["_int_form"] * 4 + ["_code_form"]]
+    )
+    del derivations[:]
+    for plan in plans:
+        assert execute(plan, database).rows
+    assert derivations == []
 
 
 def test_insert_and_delete_are_seen_by_the_next_kernel_served_query(derivations):
@@ -213,7 +263,9 @@ def test_a_write_between_two_scans_of_one_plan_is_not_seen_by_the_second():
     codes the names -- which is when one of them deletes a row of ``R``,
     the view following suit -- and only then is the view's table scanned.
     Before versions the second scan read the catalog as it was by then, and
-    the difference held the group the write had changed.
+    the difference held the group the write had changed.  ``view.verify()``
+    is the two differences as one plan: read at two moments instead (the
+    plan's result, then the table) a correct view fails its own check.
     """
     pytest.importorskip("numpy")
 
@@ -251,11 +303,14 @@ def test_a_write_between_two_scans_of_one_plan_is_not_seen_by_the_second():
             } == {"works", "v"}
             assert execute(plan, database).rows == [] and view.verify()
             session.insert("works", [doomed])
+        WritesWhenCoded.armed = True
+        assert view.verify(), "verify compared the plan before a write with the table after it"
+        assert not WritesWhenCoded.armed, "the write did not fire inside verify"
 
 
 def test_delete_then_insert_of_a_batch_leaves_forms_equal_to_a_fresh_derivation(derivations):
     """Int, nullable int, coded and known-not-int: carried == derived from the new list."""
-    np = pytest.importorskip("numpy")
+    pytest.importorskip("numpy")
     schema = ("whole", "holey", "name", "mixed")
     rows = [
         (i % 97 - 40, None if i % 5 == 0 else i * 3, f"n{i % 9}", i if i % 2 else f"s{i % 4}")
@@ -279,19 +334,22 @@ def test_delete_then_insert_of_a_batch_leaves_forms_equal_to_a_fresh_derivation(
         assert Counter(held) == Counter(rows) and held[-len(batch):] != rows[-len(batch):]
         for position, carried in enumerate(version.columns()):
             values = [row[position] for row in held]
-            fresh = kernels.Column(list(values))
             assert carried._ints is not kernels._UNSET and carried._codes is not None
-            assert carried.values == values
-            expected, got = fresh.nullable_ints(), carried.nullable_ints()
-            assert (expected is None) == (got is None) == (position >= 2)
-            if expected is not None:
-                assert np.array_equal(expected[0], got[0]) and got[0].dtype == np.int64
-                assert (expected[1] is None) == (got[1] is None) == (position == 0)
-                assert expected[1] is None or np.array_equal(expected[1], got[1])
-            # Codes may be numbered differently; they must say the same rows are equal.
-            codes, dictionary = carried.codes()
-            decode = {code: value for value, code in dictionary.items()}
-            assert len(decode) == len(dictionary) and [decode[c] for c in codes.tolist()] == values
+            _check_forms(carried, values)
+            form = carried.nullable_ints()
+            assert (form is None) == (position >= 2)
+            assert form is None or (form[1] is None) == (position == 0)
+
+
+def test_a_concatenated_column_has_the_forms_of_its_values_list():
+    """What a union hands on, over every pairing of int, holey, coded and mixed halves."""
+    pytest.importorskip("numpy")
+    halves = [[], [3, 1, 2**40], [None, 7, None], ["a", "b", "a"], [1, 1.0, True, None, "a", 0, False]]
+    for first in halves:
+        for second in halves:
+            joined = kernels.Column.concatenated(kernels.Column(first), kernels.Column(second))
+            assert len(joined) == len(first) + len(second)
+            _check_forms(joined, first + second)
 
 
 def test_a_thousand_alternating_writes_leave_no_chain_and_no_oversized_dictionary():
