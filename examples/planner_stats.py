@@ -20,18 +20,7 @@ Run from the repository root::
 """
 
 from repro import connect
-from repro.algebra.operators import Join, Operator
 from repro.datasets.running_example import ASSIGN_ROWS, TIME_DOMAIN, WORKS_ROWS
-
-
-def _hinted(plan: Operator, strategy: str) -> Operator:
-    """``plan`` with ``strategy`` stamped on every join."""
-    children = [_hinted(child, strategy) for child in plan.children()]
-    if children:
-        plan = plan.with_children(*children)
-    if isinstance(plan, Join):
-        plan = Join(plan.left, plan.right, plan.predicate, strategy)
-    return plan
 
 
 def main() -> None:
@@ -61,18 +50,6 @@ def main() -> None:
 
     print("\nresult:\n")
     print(staffed.pretty())
-
-    # And the same plan with every join hinted "hash" (the strategy hint the
-    # cost planner stamps, set by hand here), to see the fallback counters.
-    from repro.engine import execute
-
-    plan = _hinted(session.pipeline.rewrite(staffed.plan), "hash")
-    fallback_statistics: dict = {}
-    execute(plan, session.database, fallback_statistics)
-    print("\nwith its joins hinted 'hash' the same plan reports:")
-    for key, value in sorted(fallback_statistics.items()):
-        if key.startswith("join_strategy."):
-            print(f"  {key} = {value}")
 
 
 if __name__ == "__main__":

@@ -98,8 +98,9 @@ class Operator:
                └─ Relation(works)
 
         ``annotations`` optionally maps ``id(node)`` to a suffix appended
-        after that node's label (the cost planner's ``[strategy=... est=...
-        act=...]`` readouts); the one-line-per-node shape is preserved.
+        after that node's label (``explain()``'s ``[strategy=...
+        estimated_rows=... actual_rows=...]`` readouts); the
+        one-line-per-node shape is preserved.
         Every evaluator-facing rendering (``QueryPipeline.explain``,
         the fluent API's ``TemporalRelation.explain``) builds on this; the
         output is pinned by tests, so treat changes as API changes.
@@ -289,27 +290,23 @@ class Join(Operator):
 
     The schemas of the two inputs must be disjoint (use :class:`Rename` to
     disambiguate); ``predicate`` may be ``None`` for a cross product.
-    ``strategy`` is an optional physical hint stamped by the cost planner
-    (``"interval"``, ``"hash"`` or ``"nested_loop"``); executors obey it
-    when set and fall back to their own predicate analysis when ``None``.
-    All strategies produce the same bag, so the hint never changes results.
+    Which algorithm runs the join is the executor's reading of the
+    predicate (interval pattern, else equality keys, else nested loop);
+    the node carries no physical choice.
     """
 
     left: Operator
     right: Operator
     predicate: Optional[Expression] = None
-    strategy: Optional[str] = None
 
     def children(self) -> Tuple[Operator, ...]:
         return (self.left, self.right)
 
     def with_children(self, left: Operator, right: Operator) -> "Join":
-        return Join(left, right, self.predicate, self.strategy)
+        return Join(left, right, self.predicate)
 
     def __repr__(self) -> str:
-        if self.strategy is None:
-            return f"Join({self.predicate!r})"
-        return f"Join({self.predicate!r}, strategy={self.strategy})"
+        return f"Join({self.predicate!r})"
 
 
 @dataclass(frozen=True)

@@ -338,7 +338,7 @@ class TemporalRelation:
     def check(self, **kwargs: Any):
         """Run the snapshot-conformance oracle on this one query.
 
-        Every execution configuration (backends x planner modes) is compared
+        Every execution configuration (backends x planner on and off) is compared
         against the abstract-model oracle at every input changepoint; see
         :func:`repro.conformance.check_conformance`, whose keyword arguments
         pass through.  Returns a

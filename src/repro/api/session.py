@@ -54,7 +54,7 @@ from ..execution import (
 )
 from ..logical_model.period_relation import PeriodKRelation
 from ..rewriter.periodenc import T_BEGIN, T_END, period_decode, period_encode
-from ..rewriter.pipeline import PlanCacheInfo, QueryPipeline
+from ..rewriter.pipeline import PlanCacheInfo, QueryPipeline, check_planner_switch
 from ..rewriter.rewrite import SnapshotRewriter
 from ..semirings.standard import NATURAL
 from ..server.core import DEFAULT_PORT
@@ -95,20 +95,18 @@ _DSN_BOOL = {"1": True, "true": True, "on": True, "0": False, "false": False, "o
 def _dsn_bool(name: str, text: str) -> bool:
     value = _DSN_BOOL.get(text.lower())
     if value is None:
-        raise FluentError(f"DSN parameter {name}= must be a boolean, got {text!r}")
+        raise FluentError(
+            f"DSN parameter {name}= must be a boolean (true/false, on/off, 1/0), "
+            f"got {text!r}"
+        )
     return value
-
-
-def _parse_dsn_planner(text: str) -> "bool | str":
-    lowered = text.lower()
-    return lowered if lowered in ("syntactic", "cost") else _dsn_bool("planner", text)
 
 
 #: DSN query parameter -> parser of its text; each overrides the
 #: :func:`connect` keyword of the same name.
 _DSN_PARSERS: Dict[str, Callable[[str], Any]] = {
     "domain": _parse_dsn_domain,
-    "planner": _parse_dsn_planner,
+    "planner": lambda text: _dsn_bool("planner", text),
     "plan_cache": lambda text: _dsn_bool("plan_cache", text),
     "coalesce": str,
     "backend": str,
@@ -132,7 +130,7 @@ _REMOTE_KEYWORDS = ("policy",)
 def connect(
     target: Optional[str] = None,
     backend: "str | ExecutionBackend | None" = "memory",
-    planner: "bool | str" = True,
+    planner: bool = True,
     coalesce: str = "final",
     use_temporal_aggregate: bool = True,
     database: Optional[Database] = None,
@@ -162,8 +160,8 @@ def connect(
 
     The time domain of an in-process session comes from the DSN's ``domain=lo:hi``
     query parameter or the ``domain=`` keyword (DSN wins); the other local
-    DSN parameters -- ``planner=on|off|syntactic|cost`` (``cost`` enables
-    the statistics-driven planner of :mod:`repro.planner.cost`),
+    DSN parameters -- ``planner=on|off`` (the rule fixpoint of
+    :mod:`repro.planner`; a boolean, anything else raises here),
     ``coalesce=final|none|...``, ``plan_cache=on|off``, and on
     ``memory://`` also ``backend=name`` -- likewise override their keyword
     counterparts.  A backend *name* nobody registered raises
@@ -260,7 +258,7 @@ _CONNECT_DEFAULTS = {
 }
 
 
-def _connect_local(domain: Any, planner: "bool | str", **options: Any) -> "Session":
+def _connect_local(domain: Any, planner: bool, **options: Any) -> "Session":
     pipeline = QueryPipeline(_as_domain(domain), optimize=planner, **options)
     return Session(LocalTransport(pipeline))
 
@@ -379,12 +377,12 @@ class Session:
         return self.pipeline.database
 
     @property
-    def planner(self) -> "bool | str":
+    def planner(self) -> bool:
         return self.pipeline.optimize
 
     @planner.setter
-    def planner(self, value: "bool | str") -> None:
-        self.pipeline.optimize = value
+    def planner(self, value: bool) -> None:
+        self.pipeline.optimize = check_planner_switch(value)
 
     @property
     def backend(self) -> "str | ExecutionBackend | None":
@@ -589,15 +587,17 @@ class Session:
     def analyze(self, table: Optional[str] = None) -> Dict[str, Any]:
         """Collect interval statistics for ``table`` (or every catalog table).
 
-        The ANALYZE step of the cost-based planner: builds a
-        :class:`~repro.stats.TableStatistics` per table (row count, per-column
-        distinct counts, endpoint histograms, interval-length quantiles and
-        overlap density), stores it in the executing pipeline's catalog --
-        where its cost planner reads it -- and returns the mapping
+        Builds a :class:`~repro.stats.TableStatistics` per table (row count,
+        per-column distinct counts, endpoint histograms, interval-length
+        quantiles and overlap density), stores it in the executing
+        pipeline's catalog and returns the mapping
         ``{table_name: TableStatistics}``.  Statistics on a table are dropped
         automatically when DML touches it; re-run ``analyze`` to refresh.
-        Sessions with ``planner="cost"`` use them for join reordering and
-        strategy selection; other planner modes ignore them.
+        Two things read them (:func:`repro.planner.estimate_plan`): the
+        ``CROSS JOIN`` order of the SQL a SQL backend is sent, and the
+        ``estimated_rows`` that ``explain()`` prints.  The plan the
+        in-memory engine runs does not depend on them, and cached plans
+        stay warm.
         """
         return self.call("analyze", name=table)
 

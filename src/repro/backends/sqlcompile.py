@@ -37,7 +37,7 @@ its job; a rewriting middleware is only as fast as the host is allowed to be:
 * **join order is pinned.**  Inputs whose columns are plain column
   references are inlined into the join's ``FROM`` (their filters join the
   ``WHERE``), and the block is written ``outer CROSS JOIN inner`` with the
-  input estimated larger (:func:`repro.planner.cost.estimate_plan` over the
+  input estimated larger (:func:`repro.planner.estimate.estimate_plan` over the
   catalog's row counts and statistics) outside.  SQLite never reorders a
   ``CROSS JOIN``; without statistics of its own it otherwise guesses, and
   on a wrong guess (or on CTE inputs) runs the join as two nested full
@@ -94,7 +94,7 @@ from ..algebra.sql import (
 )
 from ..engine.catalog import Database
 from ..errors import BackendError
-from ..planner.cost import estimate_plan
+from ..planner.estimate import estimate_plan
 from ..planner.rules import substitute
 from ..rewriter.operators import (
     CoalesceOperator,

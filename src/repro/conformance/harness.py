@@ -64,7 +64,7 @@ class Counterexample:
     """A minimized witness of a snapshot-conformance violation."""
 
     backend: str
-    optimize: "bool | str"
+    optimize: bool
     point: int
     query: Operator
     #: Minimized physical rows per referenced table (schema order).
@@ -102,7 +102,7 @@ class ConformanceReport:
 
     checks: int = 0
     points: Tuple[int, ...] = ()
-    configurations: Tuple[Tuple[str, "bool | str"], ...] = ()
+    configurations: Tuple[Tuple[str, bool], ...] = ()
     counterexample: Optional[Counterexample] = None
 
     @property
@@ -139,7 +139,7 @@ def _build_database(context: _Context, rows: Dict[str, List[Tuple[Any, ...]]]) -
 
 
 def _execute_decoded(
-    context: _Context, database: Database, backend: str, optimize: "bool | str"
+    context: _Context, database: Database, backend: str, optimize: bool
 ):
     pipeline = QueryPipeline(
         context.domain,
@@ -154,7 +154,7 @@ def _execute_decoded(
 
 
 def _mismatch_at(
-    context: _Context, database: Database, backend: str, optimize: "bool | str", point: int
+    context: _Context, database: Database, backend: str, optimize: bool, point: int
 ) -> bool:
     """Does the configuration still disagree with the oracle at ``point``?"""
     try:
@@ -169,7 +169,7 @@ def _shrink(
     context: _Context,
     rows: Dict[str, List[Tuple[Any, ...]]],
     backend: str,
-    optimize: "bool | str",
+    optimize: bool,
     point: int,
     budget: int,
 ) -> Tuple[Dict[str, List[Tuple[Any, ...]]], int]:
@@ -206,7 +206,7 @@ def check_conformance(
     database: Database,
     domain: TimeDomain,
     backends: Sequence[str] = DEFAULT_BACKENDS,
-    optimize_modes: "Sequence[bool | str]" = DEFAULT_OPTIMIZE_MODES,
+    optimize_modes: Sequence[bool] = DEFAULT_OPTIMIZE_MODES,
     points: Optional[Sequence[int]] = None,
     max_points: Optional[int] = None,
     minimize: bool = True,
@@ -221,10 +221,8 @@ def check_conformance(
     carries a minimized :class:`Counterexample` (set ``minimize=False`` to
     keep the original input).  ``points`` overrides the checked time points
     (default: every distinct input changepoint, sampled down to
-    ``max_points`` when set).  ``optimize_modes`` accepts booleans and the
-    planner-mode strings (``"syntactic"``, ``"cost"``), so the cost-based
-    planner can be certified against the oracle like any other
-    configuration.
+    ``max_points`` when set).  ``optimize_modes`` are the planner switch
+    values to run under (booleans, as ``QueryPipeline(optimize=)`` takes).
     """
     names = referenced_tables(query, database)
     context = _Context(

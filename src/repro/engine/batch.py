@@ -679,22 +679,11 @@ def _join(
         )
     schema = left.schema + right.schema
 
-    # Obey a cost-planner strategy hint exactly like the row executor:
-    # skipped pattern parts stay in the residual / full predicate, so the
-    # output bag is identical for every strategy.
-    hint = node.strategy if node is not None else None
     equi_keys, residual_conjuncts = _split_join_predicate(predicate, left, right)
-    interval = None
-    if hint in (None, "interval"):
-        interval, residual_conjuncts = _extract_interval_pattern(
-            residual_conjuncts, left, right
-        )
+    interval, residual_conjuncts = _extract_interval_pattern(
+        residual_conjuncts, left, right
+    )
     residual = _combine_residual(residual_conjuncts)
-    if hint == "nested_loop":
-        interval = None
-        equi_keys = []
-    elif hint == "hash":
-        interval = None
 
     chosen = "nested_loop"
     if interval is not None:

@@ -74,11 +74,8 @@ class Database:
         # (create/replace/drop) deliberately does NOT notify -- it bumps
         # ``schema_version``, which views and plan caches key on.
         self._observers: List[Callable[[str, Dict[Tuple[Any, ...], int]], None]] = []
-        # ANALYZE output (repro.stats).  ``_stats_epoch`` counts every
-        # change to the stored statistics; cost-based plan caches key on it
-        # the way syntactic caches key on ``schema_version``.
+        # ANALYZE output (repro.stats).
         self._statistics: Dict[str, "TableStatistics"] = {}
-        self._stats_epoch = 0
 
     @property
     def schema_version(self) -> int:
@@ -257,22 +254,10 @@ class Database:
     def __repr__(self) -> str:
         return f"Database({len(self._tables)} tables)"
 
-    # -- statistics (used by reports and the optimizer) ----------------------------------------------
+    # -- statistics (used by reports and the estimator) ----------------------------------------------
 
     def row_counts(self) -> Mapping[str, int]:
         return {name: len(table) for name, table in self._tables.items()}
-
-    @property
-    def stats_epoch(self) -> int:
-        """A counter bumped whenever stored statistics change.
-
-        ``analyze()`` bumps it per table analyzed; DML on an analyzed table
-        drops that table's (now stale) statistics and bumps it once more.
-        DML on a table without statistics leaves the epoch alone, so the
-        cost-planner plan cache -- which keys on this epoch -- is only
-        invalidated when the numbers it planned with actually moved.
-        """
-        return self._stats_epoch
 
     def analyze(self, table: Optional[str] = None) -> Dict[str, "TableStatistics"]:
         """Collect and store statistics for one table (or every table).
@@ -296,9 +281,8 @@ class Database:
         return collected
 
     def set_statistics(self, name: str, statistics: "TableStatistics") -> None:
-        """Store ANALYZE output for ``name`` and bump the stats epoch."""
+        """Store ANALYZE output for ``name``."""
         self._statistics[name] = statistics
-        self._stats_epoch += 1
 
     def statistics_for(self, name: str) -> Optional["TableStatistics"]:
         """The stored statistics of one table, or None when never analyzed."""
@@ -311,5 +295,4 @@ class Database:
     def _drop_statistics(self, name: str) -> None:
         # After DML or DDL the row counts / histograms no longer describe the
         # table: dropped rather than served stale.
-        if self._statistics.pop(name, None) is not None:
-            self._stats_epoch += 1
+        self._statistics.pop(name, None)

@@ -100,7 +100,7 @@ class ExecutionContext:
     #: Per-node execution observations keyed by ``id(plan node)``:
     #: ``actual_rows`` for every node, plus ``join_strategy`` on joins.
     #: ``None`` (the default) disables recording; ``explain()`` passes a
-    #: dict here to line actuals up against the cost model's estimates.
+    #: dict here to line actuals up against the estimated row counts.
     observations: Optional[Dict[int, Dict[str, Any]]] = None
     #: Cooperative fault-tolerance limits (see :class:`repro.execution
     #: .ExecutionPolicy`): a wall-clock :class:`~repro.execution.Deadline`
@@ -200,8 +200,7 @@ def execute(
     This is the in-process engine only; other execution hosts are reached
     through :class:`~repro.rewriter.pipeline.QueryPipeline` or by calling a
     :mod:`repro.backends` instance directly.  The engine takes no tuning
-    option: which join strategy runs follows from the predicate (or a
-    :attr:`~repro.algebra.operators.Join.strategy` hint on the node), and
+    option: which join strategy runs follows from the predicate, and
     whether a temporal operator runs its whole-column kernel or its scalar
     twin from :func:`repro.engine.kernels.worthwhile`.  ``limits``
     carries a per-execution deadline and row budget (see
@@ -445,22 +444,11 @@ def _join(
     schema = left.schema + right.schema
     result = Table("join", schema)
 
-    # A cost-planner strategy hint on the node narrows the dispatch; every
-    # strategy computes the same bag (unmatched pattern parts stay in the
-    # residual / full predicate), so hints can never change results.
-    hint = node.strategy if node is not None else None
     equi_keys, residual_conjuncts = _split_join_predicate(predicate, left, right)
-    interval = None
-    if hint in (None, "interval"):
-        interval, residual_conjuncts = _extract_interval_pattern(
-            residual_conjuncts, left, right
-        )
+    interval, residual_conjuncts = _extract_interval_pattern(
+        residual_conjuncts, left, right
+    )
     residual = _combine_residual(residual_conjuncts)
-    if hint == "nested_loop":
-        interval = None
-        equi_keys = []
-    elif hint == "hash":
-        interval = None
     if interval is not None:
         chosen = "interval"
         context.count("join_strategy.interval")

@@ -15,6 +15,9 @@ It provides:
   predicate), aggregation and the temporal extension operators, plus
   projection simplification (adjacent collapse, identity elimination,
   pushing through coalesce/split).
+* **cardinality estimates** (:mod:`repro.planner.estimate`) over the
+  catalog's ANALYZE output, read by the SQL compiler's join order and by
+  ``explain()`` -- not by the rules above, which never look at the data.
 
 The rules matter because the snapshot rewriting (Fig. 4 of the paper)
 produces deeply nested plans whose hot joins carry the interval-overlap
@@ -23,13 +26,7 @@ join predicates so the executor's sort-merge interval join (see
 :mod:`repro.engine.executor`) can take over from the nested-loop fallback.
 """
 
-from .cost import (
-    annotate_join_strategies,
-    estimate_plan,
-    estimate_rows,
-    normalize_planner_mode,
-    reorder_joins,
-)
+from .estimate import estimate_plan
 from .rules import optimize, push_selections, split_conjuncts
 from .schema import available_attributes, infer_schema
 
@@ -39,9 +36,5 @@ __all__ = [
     "split_conjuncts",
     "available_attributes",
     "infer_schema",
-    "annotate_join_strategies",
     "estimate_plan",
-    "estimate_rows",
-    "normalize_planner_mode",
-    "reorder_joins",
 ]

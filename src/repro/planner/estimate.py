@@ -1,26 +1,19 @@
-"""Cost-based planning over :mod:`repro.stats` interval statistics.
+"""Cardinality estimates over :mod:`repro.stats` interval statistics.
 
-Two planner phases consume the catalog's ANALYZE output:
+:func:`estimate_plan` has two readers: the SQL compiler, which pins each
+join's ``CROSS JOIN`` order so the input estimated larger is the outer
+loop (:mod:`repro.backends.sqlcompile`), and ``explain()``, which prints
+``estimated_rows`` beside the observed ``actual_rows`` of every node
+(:mod:`repro.rewriter.explain`).  Neither changes which plan the engine
+runs: the planner is the syntactic rule set of :mod:`repro.planner.rules`.
 
-* :func:`reorder_joins` -- runs on the *logical* plan (before REWR, whose
-  period-intersection projections would otherwise hide the join tree),
-  flattens chains of inner joins and greedily rebuilds them
-  smallest-estimated-intermediate-first, restoring the original output
-  column order with a projection on top.
-* :func:`annotate_join_strategies` -- runs on the rewritten plan after the
-  syntactic fixpoint and stamps each :class:`~repro.algebra.operators.Join`
-  with the strategy (``interval`` / ``hash`` / ``nested_loop``) the cost
-  model prefers; the executors obey the hint.
-
-Cardinality estimation (:func:`estimate_plan`) follows the classic
-System-R recipe adapted to interval data: equality selectivity is
-``1/ndv`` from the distinct counts, range selectivity interpolates the
-equi-width endpoint histograms, interval-join output is
-``|L| * |R| * overlap_density``, and coalesce/split fan-out is derived
-from the interval-length quantiles and the overlap density.  Every
-formula degrades to a fixed textbook default when a table was never
-analyzed, so cost mode is usable (and correct) without statistics -- the
-estimates are just worse.
+Estimation follows the classic System-R recipe adapted to interval data:
+equality selectivity is ``1/ndv`` from the distinct counts, range
+selectivity interpolates the equi-width endpoint histograms, interval-join
+output is ``|L| * |R| * overlap_density``, and coalesce/split fan-out is
+derived from the overlap density.  Every formula degrades to a fixed
+textbook default (and a base table to its actual row count) when a table
+was never analyzed -- the estimates are just worse.
 """
 
 from __future__ import annotations
@@ -50,21 +43,10 @@ from ..algebra.operators import (
     Selection,
     Union,
 )
-from ..engine.executor import (
-    _combine_residual,
-    _extract_interval_pattern,
-    _split_join_predicate,
-)
-from .rules import split_conjuncts
+from ..engine.executor import _extract_interval_pattern, _split_join_predicate
 from .schema import infer_schema
 
-__all__ = [
-    "normalize_planner_mode",
-    "estimate_plan",
-    "estimate_rows",
-    "reorder_joins",
-    "annotate_join_strategies",
-]
+__all__ = ["estimate_plan"]
 
 #: Textbook fallback selectivities when no statistics are available.
 _DEFAULT_ROWS = 1000.0
@@ -73,38 +55,8 @@ _RANGE_SELECTIVITY = 1.0 / 3.0
 _OVERLAP_SELECTIVITY = 0.3
 _NULL_FRACTION = 0.05
 
-#: Combined input size below which a nested loop beats sort/hash setup.
-_NESTED_LOOP_CUTOFF = 16.0
-
 #: Cap on the estimated split fan-out (pieces per input interval).
 _SPLIT_FANOUT_CAP = 8.0
-
-_PLANNER_MODES = ("off", "syntactic", "cost")
-
-
-def normalize_planner_mode(value: Any) -> str:
-    """Map the public ``planner`` / ``optimize`` option onto a mode name.
-
-    Booleans keep their historical meaning (``True`` is the syntactic
-    planner, ``False`` disables planning); the strings ``"off"``,
-    ``"syntactic"`` and ``"cost"`` name the modes directly, with ``"on"``
-    accepted as an alias of ``"syntactic"``.
-    """
-    if value is None or value is False:
-        return "off"
-    if value is True:
-        return "syntactic"
-    if isinstance(value, str):
-        lowered = value.lower()
-        if lowered == "on":
-            return "syntactic"
-        if lowered in _PLANNER_MODES:
-            return lowered
-    raise ValueError(
-        f"invalid planner mode {value!r}: expected a boolean, "
-        f"'off', 'syntactic', or 'cost'"
-    )
-
 
 # -- schema shims ----------------------------------------------------------------------------------
 
@@ -123,48 +75,6 @@ class _SchemaView:
 
     def column_index(self, name: str) -> int:
         return self._index[name]
-
-
-class _SnapshotTableView:
-    """A table as the snapshot-logical level sees it: data attributes only."""
-
-    __slots__ = ("schema", "rows")
-
-    def __init__(self, schema: Tuple[str, ...], rows: Any) -> None:
-        self.schema = schema
-        self.rows = rows
-
-
-class _SnapshotCatalog:
-    """Catalog proxy that hides each table's period attributes.
-
-    At the snapshot-logical level the validity period is implicit -- every
-    period table exposes the same ``(t_begin, t_end)`` pair, and REWR
-    introduces (and renames) the physical period columns only during the
-    rewrite.  Pre-rewrite join reordering must therefore resolve schemas,
-    place predicate conjuncts, and rebuild the restoring projection against
-    the *data* attributes alone; otherwise every multi-table logical query
-    trips the duplicate-attribute bail-out on the shared period names.
-    """
-
-    __slots__ = ("_database",)
-
-    def __init__(self, database: Any) -> None:
-        self._database = database
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._database
-
-    def table(self, name: str) -> Any:
-        table = self._database.table(name)
-        period = self._database.period_of(name)
-        if period is None:
-            return table
-        schema = tuple(a for a in table.schema if a not in period)
-        return _SnapshotTableView(schema, table.rows)
-
-    def statistics_for(self, name: str) -> Any:
-        return self._database.statistics_for(name)
 
 
 # -- cardinality estimation ------------------------------------------------------------------------
@@ -188,8 +98,6 @@ class _Estimate:
     #: Representative overlap density of the base tables feeding this node
     #: (None until a period table with statistics is seen).
     density: Optional[float] = None
-    #: Mean interval length of the dominant period table, for fan-outs.
-    mean_length: float = 0.0
 
 
 def _merge_attrs(
@@ -209,20 +117,15 @@ def _combine_density(left: Optional[float], right: Optional[float]) -> Optional[
 
 
 def _estimate(
-    plan: Operator,
-    database: Optional[Any],
-    out: Optional[MutableMapping[int, float]] = None,
+    plan: Operator, database: Optional[Any], out: MutableMapping[int, float]
 ) -> _Estimate:
     estimate = _estimate_node(plan, database, out)
-    if out is not None:
-        out[id(plan)] = estimate.rows
+    out[id(plan)] = estimate.rows
     return estimate
 
 
 def _estimate_node(
-    plan: Operator,
-    database: Optional[Any],
-    out: Optional[MutableMapping[int, float]],
+    plan: Operator, database: Optional[Any], out: MutableMapping[int, float]
 ) -> _Estimate:
     if isinstance(plan, RelationAccess):
         return _estimate_relation(plan, database)
@@ -235,7 +138,6 @@ def _estimate_node(
             rows=child.rows * selectivity,
             attrs=child.attrs,
             density=child.density,
-            mean_length=child.mean_length,
         )
     if isinstance(plan, Projection):
         child = _estimate(plan.child, database, out)
@@ -247,7 +149,6 @@ def _estimate_node(
             rows=child.rows,
             attrs=attrs,
             density=child.density,
-            mean_length=child.mean_length,
         )
     if isinstance(plan, Rename):
         child = _estimate(plan.child, database, out)
@@ -257,7 +158,6 @@ def _estimate_node(
             rows=child.rows,
             attrs=attrs,
             density=child.density,
-            mean_length=child.mean_length,
         )
     if isinstance(plan, Join):
         return _estimate_join(plan, database, out)
@@ -268,7 +168,6 @@ def _estimate_node(
             rows=left.rows + right.rows,
             attrs=_merge_attrs(right.attrs, left.attrs),
             density=_combine_density(left.density, right.density),
-            mean_length=max(left.mean_length, right.mean_length),
         )
     if isinstance(plan, Difference):
         left = _estimate(plan.left, database, out)
@@ -301,7 +200,6 @@ def _estimate_node(
             rows=rows,
             attrs=child.attrs,
             density=child.density,
-            mean_length=child.mean_length,
         )
     # Extension operators (the rewriter's physical temporal operators) are
     # recognised structurally -- the planner stays import-free of them.
@@ -319,7 +217,6 @@ def _estimate_node(
             rows=max(1.0, child.rows * retention),
             attrs=child.attrs,
             density=child.density,
-            mean_length=child.mean_length,
         )
     if kind in ("SplitOperator", "TemporalAggregateOperator"):
         # Splitting cuts each interval at the endpoints of its overlapping
@@ -330,13 +227,11 @@ def _estimate_node(
             rows=child.rows * fanout,
             attrs=child.attrs,
             density=child.density,
-            mean_length=child.mean_length,
         )
     return _Estimate(
         rows=child.rows,
         attrs=child.attrs,
         density=child.density,
-        mean_length=child.mean_length,
     )
 
 
@@ -365,14 +260,11 @@ def _estimate_relation(plan: RelationAccess, database: Optional[Any]) -> _Estima
         rows=float(statistics.row_count),
         attrs=attrs,
         density=statistics.overlap_density if statistics.period else None,
-        mean_length=statistics.mean_interval_length,
     )
 
 
 def _estimate_join(
-    plan: Join,
-    database: Optional[Any],
-    out: Optional[MutableMapping[int, float]],
+    plan: Join, database: Optional[Any], out: MutableMapping[int, float]
 ) -> _Estimate:
     left = _estimate(plan.left, database, out)
     right = _estimate(plan.right, database, out)
@@ -381,7 +273,6 @@ def _estimate_join(
         rows=left.rows * right.rows,
         attrs=merged,
         density=_combine_density(left.density, right.density),
-        mean_length=max(left.mean_length, right.mean_length),
     )
     if plan.predicate is None:
         return combined
@@ -507,196 +398,3 @@ def estimate_plan(
     out: Dict[int, float] = {}
     _estimate(plan, database, out)
     return out
-
-
-def estimate_rows(plan: Operator, database: Optional[Any] = None) -> float:
-    """Estimated output cardinality of the whole plan."""
-    return _estimate(plan, database).rows
-
-
-# -- join reordering (logical plans, pre-REWR) -----------------------------------------------------
-
-
-def reorder_joins(
-    plan: Operator,
-    database: Optional[Any] = None,
-    statistics: Optional[MutableMapping[str, int]] = None,
-    *,
-    snapshot: bool = False,
-) -> Operator:
-    """Reorder chains of inner joins smallest-intermediate-first.
-
-    Operates on the *logical* plan: REWR interleaves joins with
-    period-intersection projections, so reordering must happen before the
-    rewrite.  Join order is snapshot-safe to change -- inner joins commute
-    and associate under bag semantics as long as every predicate conjunct
-    is applied once all its attributes are in scope; a projection on top
-    restores the original column order.
-
-    ``snapshot=True`` resolves leaf schemas at the snapshot-logical level,
-    where the validity period is implicit: each table's registered period
-    attributes are hidden, so the shared default ``(t_begin, t_end)`` pair
-    does not count as a cross-leaf name collision and the restoring
-    projection lists data attributes only (REWR re-attaches the period).
-    """
-    if snapshot and database is not None and not isinstance(database, _SnapshotCatalog):
-        database = _SnapshotCatalog(database)
-    children = tuple(
-        reorder_joins(child, database, statistics) for child in plan.children()
-    )
-    if children:
-        plan = plan.with_children(*children)
-    if isinstance(plan, Join):
-        reordered = _reorder_join_tree(plan, database)
-        if reordered is not None:
-            if statistics is not None:
-                statistics["planner.cost_join_reorders"] = (
-                    statistics.get("planner.cost_join_reorders", 0) + 1
-                )
-            return reordered
-    return plan
-
-
-def _flatten_join_chain(
-    plan: Operator,
-) -> Tuple[List[Operator], List[Expression]]:
-    if isinstance(plan, Join):
-        leaves, conjuncts = _flatten_join_chain(plan.left)
-        right_leaves, right_conjuncts = _flatten_join_chain(plan.right)
-        leaves.extend(right_leaves)
-        conjuncts.extend(right_conjuncts)
-        if plan.predicate is not None:
-            conjuncts.extend(split_conjuncts(plan.predicate))
-        return leaves, conjuncts
-    return [plan], []
-
-
-def _reorder_join_tree(plan: Join, database: Optional[Any]) -> Optional[Operator]:
-    leaves, conjuncts = _flatten_join_chain(plan)
-    if len(leaves) < 3:
-        return None
-    schemas = [infer_schema(leaf, database) for leaf in leaves]
-    if any(schema is None for schema in schemas):
-        return None
-    # Attribute names must be globally unique for conjunct placement (and
-    # for the restoring projection) to be unambiguous.
-    all_attributes: List[str] = [name for schema in schemas for name in schema]
-    if len(set(all_attributes)) != len(all_attributes):
-        return None
-    attribute_sets = [frozenset(schema) for schema in schemas]
-    universe = frozenset(all_attributes)
-    if any(not universe.issuperset(c.attributes()) for c in conjuncts):
-        return None
-
-    # Single-leaf conjuncts become selections on their leaf so the greedy
-    # search sees post-filter cardinalities.
-    remaining: List[Expression] = []
-    entries: List[Tuple[Operator, frozenset]] = []
-    filtered = list(leaves)
-    for conjunct in conjuncts:
-        needed = frozenset(conjunct.attributes())
-        for index, attributes in enumerate(attribute_sets):
-            if needed <= attributes:
-                filtered[index] = Selection(filtered[index], conjunct)
-                break
-        else:
-            remaining.append(conjunct)
-    entries = list(zip(filtered, attribute_sets))
-
-    def build(
-        left: Tuple[Operator, frozenset], right: Tuple[Operator, frozenset]
-    ) -> Tuple[Tuple[Operator, frozenset], List[Expression]]:
-        scope = left[1] | right[1]
-        applicable = [c for c in remaining if frozenset(c.attributes()) <= scope]
-        joined = Join(left[0], right[0], _combine_residual(applicable))
-        return (joined, scope), applicable
-
-    # Greedy: start from the cheapest pair, then repeatedly fold in the
-    # leaf whose join keeps the intermediate smallest.  Pairs without an
-    # applicable conjunct estimate as cross products, so connected leaves
-    # win automatically.
-    best_pair = None
-    best_rows = None
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            candidate, _used = build(entries[i], entries[j])
-            rows = _estimate(candidate[0], database).rows
-            if best_rows is None or rows < best_rows:
-                best_rows = rows
-                best_pair = (i, j)
-    assert best_pair is not None
-    i, j = best_pair
-    current, used = build(entries[i], entries[j])
-    for conjunct in used:
-        remaining.remove(conjunct)
-    order = [i, j]
-    pending = [k for k in range(len(entries)) if k not in (i, j)]
-    while pending:
-        best_index = None
-        best_rows = None
-        for k in pending:
-            candidate, _used = build(current, entries[k])
-            rows = _estimate(candidate[0], database).rows
-            if best_rows is None or rows < best_rows:
-                best_rows = rows
-                best_index = k
-        assert best_index is not None
-        current, used = build(current, entries[best_index])
-        for conjunct in used:
-            remaining.remove(conjunct)
-        order.append(best_index)
-        pending.remove(best_index)
-
-    if order == sorted(order):
-        # The original left-deep order was already the greedy choice.
-        return None
-    tree = current[0]
-    if remaining:
-        tree = Selection(tree, _combine_residual(remaining))
-    # Joining in a different order permutes the concatenated schema; the
-    # projection restores the original attribute order.
-    return Projection.of_attributes(tree, *all_attributes)
-
-
-# -- join strategy annotation (rewritten plans, post-fixpoint) -------------------------------------
-
-
-def annotate_join_strategies(
-    plan: Operator,
-    database: Optional[Any] = None,
-    statistics: Optional[MutableMapping[str, int]] = None,
-) -> Operator:
-    """Stamp every join with the strategy the cost model prefers."""
-    children = tuple(
-        annotate_join_strategies(child, database, statistics)
-        for child in plan.children()
-    )
-    if children:
-        plan = plan.with_children(*children)
-    if not isinstance(plan, Join):
-        return plan
-    strategy = _choose_strategy(plan, database)
-    if strategy is None or strategy == plan.strategy:
-        return plan
-    if statistics is not None:
-        key = f"planner.cost_strategy_{strategy}"
-        statistics[key] = statistics.get(key, 0) + 1
-    return Join(plan.left, plan.right, plan.predicate, strategy)
-
-
-def _choose_strategy(plan: Join, database: Optional[Any]) -> Optional[str]:
-    analysis = _analyse_join(plan, database)
-    if analysis is None:
-        return None
-    keys, pattern, _leftover, _left_schema, _right_schema = analysis
-    input_rows = (
-        _estimate(plan.left, database).rows + _estimate(plan.right, database).rows
-    )
-    if input_rows <= _NESTED_LOOP_CUTOFF:
-        # Tiny inputs: the quadratic scan beats sort/hash setup.
-        return "nested_loop"
-    if pattern is not None:
-        return "interval"
-    if keys:
-        return "hash"
-    return "nested_loop"

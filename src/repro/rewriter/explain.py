@@ -65,7 +65,7 @@ def explain_query(
         # The engine's partitioned-join counters (partitions, pool fan-out).
         sections += _counters(execution_statistics, "batch.")
     if observations:
-        # Estimated vs observed cardinalities per node (the cost model's
+        # Estimated vs observed cardinalities per node (the estimator's
         # report card): joins additionally show the physical strategy the
         # executor actually chose.  SQL backends run the plan wholesale
         # and record nothing, so the section only appears for the

@@ -14,9 +14,7 @@ rewriter, the planner switch, the default execution backend and
 
 * plans are keyed by the structural hash/equality of the logical query
   (every expression and operator node is an immutable, hashable dataclass),
-  the planner mode, and the catalog's schema version -- plus the
-  statistics epoch when the cost planner is active, since cost-based
-  plans bake in cardinality estimates;
+  the planner switch, and the catalog's schema version;
 * a cache hit skips REWR *and* the planner entirely -- the pipeline reports
   ``plan_cache.hits`` / ``plan_cache.misses`` through the statistics
   mapping, and ``rewrite.invocations`` is only counted when the rewriter
@@ -25,7 +23,8 @@ rewriter, the planner switch, the default execution backend and
 Mutating the catalog's shape (create/replace/drop of a table) invalidates
 cached plans automatically through
 :attr:`repro.engine.catalog.Database.schema_version`; inserting rows does
-not, because rewriting never looks at the data.
+not, and neither does ``analyze()``, because rewriting and planning never
+look at the data or its statistics.
 """
 
 from __future__ import annotations
@@ -49,11 +48,7 @@ from ..execution import (
     resolve_backend,
 )
 from ..logical_model.period_relation import PeriodKRelation
-from ..planner import (
-    normalize_planner_mode,
-    optimize as planner_optimize,
-    reorder_joins,
-)
+from ..planner import optimize as planner_optimize
 from ..semirings.standard import NATURAL
 from ..temporal.period_semiring import PeriodSemiring
 from ..temporal.timedomain import TimeDomain
@@ -62,6 +57,21 @@ from .periodenc import T_BEGIN, T_END, period_decode, period_encode
 from .rewrite import SnapshotRewriter
 
 __all__ = ["QueryPipeline", "PlanCacheInfo", "ExecutionInfo"]
+
+
+def check_planner_switch(value: Any) -> bool:
+    """``value`` when it is ``True`` or ``False``; anything else raises.
+
+    The one check behind ``QueryPipeline(optimize=)``, ``connect(planner=)``
+    and the ``Session.planner`` setter, so a wrong value fails where it is
+    written and not at the first query.
+    """
+    if value is True or value is False:
+        return value
+    raise ValueError(
+        f"the planner switch is True (the rule fixpoint) or False (REWR's plan "
+        f"as it is), got {value!r}"
+    )
 
 
 class PlanCacheInfo(NamedTuple):
@@ -90,10 +100,9 @@ class QueryPipeline:
         Use the fused pre-aggregation + split implementation of snapshot
         aggregation (Section 9) instead of naive split-then-aggregate.
     optimize:
-        Planner mode for rewritten plans: ``False``/``"off"``,
-        ``True``/``"syntactic"`` (the rule fixpoint) or ``"cost"``
-        (statistics-driven join reordering + strategy hints, see
-        :mod:`repro.planner.cost`).
+        Run the planner's rule fixpoint (:func:`repro.planner.optimize`)
+        over rewritten plans; ``False`` executes REWR's plan as it is.
+        Anything but a boolean raises here, not at the first query.
     backend:
         Default execution host for rewritten plans: a registered backend
         name (``"memory"``, ``"sqlite"``; an unknown name raises here, not at
@@ -119,7 +128,7 @@ class QueryPipeline:
         database: Optional[Database] = None,
         coalesce: str = "final",
         use_temporal_aggregate: bool = True,
-        optimize: "bool | str" = True,
+        optimize: bool = True,
         backend: "str | ExecutionBackend | None" = None,
         rewriter_cls: type[SnapshotRewriter] = SnapshotRewriter,
         plan_cache: bool = False,
@@ -128,8 +137,7 @@ class QueryPipeline:
         self.domain = domain
         self.database = database if database is not None else Database()
         self.period_semiring = PeriodSemiring(NATURAL, domain)
-        normalize_planner_mode(optimize)  # validate eagerly
-        self.optimize = optimize
+        self.optimize = check_planner_switch(optimize)
         if isinstance(backend, str):
             check_backend_name(backend)  # likewise: not at the first query
         self.backend = backend
@@ -269,25 +277,14 @@ class QueryPipeline:
 
     @property
     def planner_mode(self) -> str:
-        """The normalized planner mode: ``"off"``, ``"syntactic"`` or ``"cost"``."""
-        return normalize_planner_mode(self.optimize)
+        """``optimize`` as a string, for ``planner.optimize(mode=)``."""
+        # Read only by the frozen benchmark suite (benchmarks/suite/
+        # harness.py:344, probes.py:89,94); goes with optimize()'s ``mode``
+        # keyword once the next ``benchmark`` PR stops passing it.
+        return "syntactic" if self.optimize else "off"
 
     def _cache_key(self, query: Operator, final_coalesce: bool) -> Tuple[Any, ...]:
-        mode = self.planner_mode
-        key: Tuple[Any, ...] = (
-            self.database.schema_version,
-            mode,
-            final_coalesce,
-            query,
-        )
-        if mode == "cost":
-            # Cost-based plans bake in cardinality estimates: when ANALYZE
-            # refreshes (or DML drops) statistics, the cached ordering and
-            # strategy hints may no longer be the cheapest, so the stats
-            # epoch keys the entry.  Syntactic plans never read statistics
-            # and deliberately survive DML unchanged.
-            key = key + (self.database.stats_epoch,)
-        return key
+        return (self.database.schema_version, self.optimize, final_coalesce, query)
 
     # -- rewriting --------------------------------------------------------------------
 
@@ -339,12 +336,6 @@ class QueryPipeline:
         otherwise.  :meth:`rewrite` caches the last stage and ``explain()``
         renders all of them, so what is shown is what runs.
         """
-        mode = self.planner_mode
-        if mode == "cost":
-            # Join reordering must happen on the *logical* query: REWR
-            # interleaves joins with period-intersection projections that
-            # would hide the join tree from the flattener.
-            query = reorder_joins(query, self.database, statistics, snapshot=True)
         plan = self.rewriter.rewrite(query)
         if final_coalesce:
             plan = CoalesceOperator(plan)
@@ -352,9 +343,9 @@ class QueryPipeline:
             statistics["rewrite.invocations"] = (
                 statistics.get("rewrite.invocations", 0) + 1
             )
-        if mode == "off":
+        if not self.optimize:
             return (plan,)
-        return (plan, planner_optimize(plan, self.database, statistics, mode=mode))
+        return (plan, planner_optimize(plan, self.database, statistics))
 
     # -- execution --------------------------------------------------------------------
 

@@ -205,17 +205,12 @@ def plan_to_json(plan: Operator) -> Dict[str, Any]:
             "renames": [list(pair) for pair in plan.renames],
         }
     if isinstance(plan, Join):
-        payload = {
+        return {
             "op": "join",
             "left": plan_to_json(plan.left),
             "right": plan_to_json(plan.right),
             "predicate": expression_to_json(plan.predicate),
         }
-        if plan.strategy is not None:
-            # Omitted when unset so pre-cost-planner peers see identical
-            # wire bytes for plain joins.
-            payload["strategy"] = plan.strategy
-        return payload
     if isinstance(plan, Union):
         return {
             "op": "union",
@@ -290,7 +285,6 @@ def plan_from_json(payload: Any) -> Operator:
                 plan_from_json(payload["left"]),
                 plan_from_json(payload["right"]),
                 expression_from_json(payload["predicate"]),
-                payload.get("strategy"),
             )
         if kind == "union":
             return Union(

@@ -151,7 +151,6 @@ def _report_from_json(payload: Dict[str, Any]) -> ConformanceReport:
     return ConformanceReport(
         payload["checks"],
         tuple(payload["points"]),
-        # Not bool()-coerced: a "cost" optimize mode must round-trip.
         tuple((backend, optimize) for backend, optimize in payload["configurations"]),
         raw
         and Counterexample(

@@ -1,7 +1,9 @@
-"""repro.stats: per-table interval statistics for cost-based planning.
+"""repro.stats: per-table interval statistics for cardinality estimates.
 
-The statistics side of the cost-based planner (:mod:`repro.planner.cost`):
-one :class:`TableStatistics` per catalog table summarising
+What :func:`repro.planner.estimate_plan` reads -- on behalf of its two
+readers, the ``CROSS JOIN`` order :mod:`repro.backends.sqlcompile` pins and
+the ``estimated_rows`` ``explain()`` prints: one :class:`TableStatistics`
+per catalog table summarising
 
 * the row count,
 * per-column distinct counts and NULL fractions,
@@ -12,10 +14,9 @@ one :class:`TableStatistics` per catalog table summarising
 
 Statistics are collected by :meth:`repro.engine.catalog.Database.analyze`
 (surfaced as ``session.analyze()`` and the query server's ``analyze``
-frame), stored in the catalog, invalidated on DML through the catalog's
-observer hooks, and JSON-serializable (:meth:`TableStatistics.to_dict` /
-``from_dict``) so remote sessions see the same numbers the server plans
-with.
+frame), stored in the catalog, dropped when DML touches their table, and
+JSON-serializable (:meth:`TableStatistics.to_dict` / ``from_dict``) so
+remote sessions see the same numbers the server estimates with.
 """
 
 from .model import (

@@ -1,12 +1,11 @@
-"""Statistics model: what ``ANALYZE`` collects and the cost model consumes.
+"""Statistics model: what ``ANALYZE`` collects and the estimator consumes.
 
 Everything here is deliberately small and deterministic: one pass over the
 rows for counts/distincts, one sort for the histograms and quantiles, and
 one plane sweep over (at most :data:`SWEEP_SAMPLE`) intervals for the
 overlap density.  No randomness -- sampling uses a fixed stride so repeated
-``analyze()`` calls over the same table produce identical statistics, which
-in turn keeps cost-based plans (and the plan cache keyed on the stats
-epoch) reproducible.
+``analyze()`` calls over the same table produce identical statistics, and
+with them identical estimates (:mod:`repro.planner.estimate`) and SQL.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ class EndpointHistogram:
 
     ``counts[i]`` holds the endpoints falling into
     ``[lo + i*width, lo + (i+1)*width)`` (the last bucket is closed).  The
-    cost model reads it through :meth:`fraction_below`, which interpolates
+    estimator reads it through :meth:`fraction_below`, which interpolates
     linearly inside a bucket -- the standard equi-width estimator.
     """
 
@@ -119,7 +118,7 @@ class TableStatistics:
     length_quantiles: Tuple[float, ...] = ()
     overlap_density: float = 0.0
 
-    # -- cost-model accessors ---------------------------------------------
+    # -- estimator accessors ----------------------------------------------
 
     def distinct(self, column: str) -> Optional[int]:
         stats = self.columns.get(column)
@@ -128,20 +127,6 @@ class TableStatistics:
     def null_fraction(self, column: str) -> float:
         stats = self.columns.get(column)
         return stats.null_fraction if stats is not None else 0.0
-
-    @property
-    def mean_interval_length(self) -> float:
-        """Approximate mean interval length from the quantile summary."""
-        if not self.length_quantiles:
-            return 0.0
-        return sum(self.length_quantiles) / len(self.length_quantiles)
-
-    @property
-    def domain_width(self) -> float:
-        """Width of the time range the endpoints span."""
-        if self.begin_histogram is None or self.end_histogram is None:
-            return 0.0
-        return max(0.0, self.end_histogram.hi - self.begin_histogram.lo)
 
     # -- serialization ----------------------------------------------------
 

@@ -133,7 +133,7 @@ class TestTreeRendering:
 
 
 class TestAnnotations:
-    """Per-node suffixes (the cost planner's estimated-vs-actual report)."""
+    """Per-node suffixes (``explain()``'s estimated-vs-actual report)."""
 
     def test_annotation_suffixes_attach_to_their_nodes(self):
         join = Join(WORKS, ASSIGN, Comparison("=", attr("skill"), attr("req_skill")))
@@ -153,17 +153,6 @@ class TestAnnotations:
         join = Join(WORKS, ASSIGN, Comparison("=", attr("skill"), attr("req_skill")))
         rendered = join.explain_tree({id(join): "[actual_rows=3]"})
         assert len(rendered.splitlines()) == sum(1 for _ in join.walk())
-
-    def test_join_strategy_hint_renders_in_the_label(self):
-        join = Join(
-            WORKS,
-            ASSIGN,
-            Comparison("=", attr("skill"), attr("req_skill")),
-            "interval",
-        )
-        assert join.explain_label() == (
-            "Join((skill = req_skill), strategy=interval)"
-        )
 
     def test_session_explain_annotates_every_join_node(self):
         from repro.api import connect

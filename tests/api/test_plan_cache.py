@@ -160,59 +160,10 @@ class TestInvalidation:
         onduty(session).rows(statistics)
         assert statistics["plan_cache.hits"] == 1  # ... without invalidating
 
-
-class TestStatsEpochKeying:
-    """Cost-mode entries key on the stats epoch; syntactic entries don't."""
-
-    def test_analyze_invalidates_cost_plans(self, session):
-        session.planner = "cost"
+    def test_analyze_leaves_cached_plans_warm(self, session):
+        """No plan reads the statistics, so collecting them invalidates none."""
         onduty(session).rows()
         session.analyze()
-        statistics: dict = {}
-        onduty(session).rows(statistics)
-        # Fresh statistics may change the cheapest plan: the old entry is
-        # stale by key, so the planner runs again.
-        assert statistics["plan_cache.misses"] == 1
-        assert "plan_cache.hits" not in statistics
-
-    def test_analyze_does_not_invalidate_syntactic_plans(self, session):
-        onduty(session).rows()
-        session.analyze()
-        statistics: dict = {}
-        onduty(session).rows(statistics)
-        assert statistics["plan_cache.hits"] == 1
-
-    def test_dml_on_analyzed_table_invalidates_cost_plans(self, session):
-        session.planner = "cost"
-        session.analyze()
-        onduty(session).rows()
-        # DML drops the table's statistics (bumping the epoch), so the
-        # cost-based plan built over them must not be reused.
-        session.database.insert("works", [("Zoe", "SP", 0, 2)])
-        statistics: dict = {}
-        rows = onduty(session).rows(statistics)
-        assert statistics["plan_cache.misses"] == 1
-        assert (1, 0, 2) in rows
-
-    def test_dml_without_statistics_keeps_cost_plans_warm(self, session):
-        session.planner = "cost"
-        onduty(session).rows()
-        # No ANALYZE ever ran: DML has no statistics to drop, the epoch
-        # stays put, and cost mode keeps the historical DML-does-not-
-        # invalidate behaviour.
-        session.database.insert("works", [("Zoe", "SP", 0, 2)])
-        statistics: dict = {}
-        rows = onduty(session).rows(statistics)
-        assert statistics["plan_cache.hits"] == 1
-        assert (1, 0, 2) in rows
-
-    def test_planner_mode_strings_are_part_of_the_key(self, session):
-        onduty(session).rows()
-        session.planner = "cost"
-        onduty(session).rows()
-        assert session.cache_info().size == 2
-        # "syntactic" and True normalize to the same key: back to a hit.
-        session.planner = "syntactic"
         statistics: dict = {}
         onduty(session).rows(statistics)
         assert statistics["plan_cache.hits"] == 1

@@ -26,6 +26,7 @@ from repro.datasets.running_example import (
     query_skillreq,
 )
 from repro.engine.catalog import Database
+from repro.rewriter import QueryPipeline
 
 
 @pytest.fixture
@@ -67,6 +68,23 @@ class TestConnect:
     def test_session_repr_names_backend_and_tables(self, session):
         assert "works" in repr(session)
         assert "memory" in repr(session)
+
+    @pytest.mark.parametrize("value", ["cost", "nonsense", "off", 1, None])
+    def test_planner_is_a_boolean_refused_where_it_is_written(self, session, value):
+        """At the keyword, the constructor and the assignment; not at the first query."""
+        for write in (
+            lambda: connect(domain=TIME_DOMAIN, planner=value),
+            lambda: QueryPipeline(TIME_DOMAIN, optimize=value),
+            lambda: setattr(session, "planner", value),
+        ):
+            with pytest.raises(ValueError, match="True .*False"):
+                write()
+        assert session.planner is True
+
+    @pytest.mark.parametrize("text", ["cost", "syntactic", "nonsense"])
+    def test_dsn_planner_is_on_or_off(self, text):
+        with pytest.raises(ValueError, match="true/false, on/off"):
+            connect(f"memory://?domain=0:8&planner={text}")
 
 
 class TestRunningExampleThroughFluentChains:
@@ -305,7 +323,7 @@ class TestExplain:
         assert len(loops) == 2 and {step[0] for step in loops} <= {"SCAN", "SEARCH"}
 
     @pytest.mark.parametrize("final_coalesce", [False, True], ids=["plain", "coalesced"])
-    @pytest.mark.parametrize("planner", ["off", "syntactic", "cost"])
+    @pytest.mark.parametrize("planner", [True, False])
     def test_explain_shows_the_plan_that_executes(self, planner, final_coalesce):
         """The last staged plan is the rewrite execution caches, not a re-staging."""
         session = connect(domain=TIME_DOMAIN, planner=planner, coalesce="none")
@@ -321,7 +339,7 @@ class TestExplain:
             if section.startswith(("REWR plan:", "optimized plan"))
         ]
         executed = session.pipeline.rewrite(relation.plan, None, final_coalesce)
-        assert len(staged) == (1 if planner == "off" else 2)
+        assert len(staged) == (2 if planner else 1)
         assert staged[-1] == "\n".join(
             "  " + line for line in executed.explain_tree().splitlines()
         )

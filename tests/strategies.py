@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.algebra.expressions import Comparison, attr, lit
+from repro.algebra.expressions import BooleanOp, Comparison, and_, attr, lit
 from repro.datasets.generator import INTERVAL_PROFILES, GeneratorConfig
 from repro.algebra.operators import (
     AggregateSpec,
@@ -26,6 +26,7 @@ from repro.algebra.operators import (
     Union,
 )
 from repro.logical_model.database import PeriodDatabase
+from repro.planner import split_conjuncts
 from repro.semirings.provenance import POLYNOMIAL, WHY_PROVENANCE, Polynomial
 from repro.semirings.standard import BOOLEAN, NATURAL, SECURITY, TROPICAL
 from repro.temporal.elements import TemporalElement
@@ -508,15 +509,24 @@ def partitionable_queries():
 
 
 def without_interval_join(plan):
-    """``plan`` with every :class:`Join` hinted ``"hash"``.
+    """``plan`` with every join's overlap pattern hidden from the executors.
 
-    Both executors then skip the interval-overlap pattern and run the hash
-    join on the equality conjuncts, or the nested loop when there are none:
-    the strategies the sort-merge interval join is checked against.
+    Each strict comparison among a join's conjuncts is wrapped in a
+    one-operand disjunction: the same filter (NULLs included), but no longer
+    the bare ``a < b`` the executors read the interval pattern from.  Both
+    then run the hash join on the equality conjuncts, or the nested loop
+    when there are none: the strategies the sort-merge interval join is
+    checked against.
     """
     children = [without_interval_join(child) for child in plan.children()]
     if children:
         plan = plan.with_children(*children)
-    if isinstance(plan, Join):
-        plan = Join(plan.left, plan.right, plan.predicate, "hash")
+    if isinstance(plan, Join) and plan.predicate is not None:
+        conjuncts = [
+            BooleanOp("or", (conjunct,))
+            if isinstance(conjunct, Comparison) and conjunct.op in ("<", ">")
+            else conjunct
+            for conjunct in split_conjuncts(plan.predicate)
+        ]
+        plan = Join(plan.left, plan.right, and_(*conjuncts))
     return plan

@@ -431,6 +431,37 @@ class TestNoTuningOption:
                         name == "np" for part in ast.walk(condition) for name in names(part)
                     ), f"{at} asks numpy, not kernels.worthwhile()"
 
+    def test_the_planner_has_one_mode_and_a_join_carries_no_algorithm(self):
+        """``planner`` is a boolean; which join algorithm runs is read off the predicate."""
+        import ast
+        import dataclasses
+        import inspect
+        import pathlib
+
+        import repro.planner
+        from repro.algebra.operators import Join
+
+        assert [field.name for field in dataclasses.fields(Join)] == [
+            "left", "right", "predicate",
+        ]
+        assert repro.planner.__all__ == [
+            "optimize", "push_selections", "split_conjuncts",
+            "available_attributes", "infer_schema", "estimate_plan",
+        ]
+        assert len(inspect.signature(repro.connect).parameters) == 10
+        package = pathlib.Path(repro.__file__).parent
+        for path in package.rglob("*.py"):
+            where = path.relative_to(package).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                at = f"{where}:{getattr(node, 'lineno', '?')}"
+                assert not (isinstance(node, ast.keyword) and node.arg == "strategy"), (
+                    f"{at} passes strategy="
+                )
+                assert not (isinstance(node, ast.Constant) and node.value == "cost"), (
+                    f"{at} spells a planner mode"
+                )
+
+
 
 class TestReadmeQuickstart:
     def test_quickstart_snippet(self):
