@@ -1,8 +1,8 @@
 """Columnar batch execution: the in-memory engine's operators.
 
 Every plan :func:`repro.engine.executor.execute` is handed runs here.  Where
-the reference operators of :mod:`repro.engine.executor` stream Python row
-tuples through per-row closures, this module pushes whole
+the row reference of :mod:`repro.engine.executor` moves tables of row
+tuples, every multiplicity expanded, this module pushes whole
 :class:`ColumnarBatch` objects -- one typed
 :class:`~repro.engine.kernels.Column` per attribute plus a multiplicity
 column -- from operator to operator.  A column is its values list (all that
@@ -31,29 +31,31 @@ either half may be missing until someone reads it.
 * everything else drops to lists: selections and other projections
   evaluate their expression once per batch via
   :meth:`~repro.algebra.expressions.Expression.compile_batch` over the
-  value lists; non-temporal aggregation, the hash / nested-loop joins and
-  the set operators over row-backed inputs work on values or row tuples and
-  emit plain columns, whose forms the next kernel derives afresh;
+  value lists, and emit plain columns whose forms the next kernel derives
+  afresh;
 * what the kernels decline -- inputs below their cutover, NULL or non-int
-  end points, ``bool``/float aggregate arguments, no numpy -- runs their
-  scalar twins in :mod:`repro.engine.sweeps`: the partitioned bisect join
-  and the per-group split helpers.  Below the cutover, and without numpy,
-  no column ever has a typed form;
+  end points, ``bool``/float aggregate arguments, no numpy -- and what has
+  no kernel (hash and nested-loop joins, non-temporal aggregation, the set
+  operators over row-backed inputs) runs the one scalar definition of the
+  algorithm in :mod:`repro.engine.sweeps`, weighted by the counts column;
+  the row reference calls the very same functions.  Below the cutover, and
+  without numpy, no column ever has a typed form;
 * coalescing emits one output row per maximal interval with a multiplicity
   instead of duplicating tuples.
 
-The row operators remain the reference semantics: the output here is
-bag-equal with theirs for every plan (pinned by the reference differential
-suite, and by the delta-differential sweep step by step), and with the
-abstract model's (the conformance sweep).
+The output here is bag-equal with the row reference's for every plan
+(pinned by the reference differential suite, and by the delta-differential
+sweep step by step), and with the abstract model's (the conformance sweep).
+Since both executors share the scalar algorithms, the reference
+differential now checks the kernels and the plan plumbing; the scalar
+algorithms themselves are checked by the conformance oracle and the SQLite
+differential (``tests/conformance/test_sweep_mutants.py``).
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..abstract_model.krelation import aggregate_values
 from ..algebra.expressions import Attribute, Expression, FunctionCall
 from ..algebra.operators import (
     Aggregation,
@@ -71,15 +73,8 @@ from ..algebra.operators import (
 from . import kernels as _kernels
 from . import sweeps as _sweeps
 from .kernels import Column
-from .executor import (
-    ExecutionContext,
-    ExecutorError,
-    PhysicalOperator,
-    _combine_residual,
-    _extract_interval_pattern,
-    _split_join_predicate,
-)
-from .table import Table, TableVersion, tuple_getter
+from .executor import ExecutionContext, ExecutorError, PhysicalOperator, _plan_join
+from .table import Table, TableVersion
 
 __all__ = ["ColumnarBatch", "execute_batch_plan"]
 
@@ -283,8 +278,7 @@ class ColumnarBatch:
         rows = self.entry_rows()
         if self.all_ones():
             return rows
-        # repeat/chain expand at C speed: one repeat iterator per entry.
-        return list(chain.from_iterable(map(repeat, rows, self.counts)))
+        return _sweeps.expand(rows, self.counts)
 
     def to_table(self, name: Optional[str] = None) -> Table:
         table = Table(name or self.name, self.schema)
@@ -295,8 +289,8 @@ class ColumnarBatch:
 
     # -- introspection ----------------------------------------------------------------
     #
-    # Same lookup surface as Table, so the executor's join-predicate helpers
-    # (_split_join_predicate and friends) work on either representation.
+    # Same lookup surface as Table, so the join-predicate analysis and the
+    # temporal operators' scalar routes work on either representation.
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -323,6 +317,10 @@ class ColumnarBatch:
 
     def has_attribute(self, attribute: str) -> bool:
         return attribute in self._index
+
+    def column(self, attribute: str) -> List[Any]:
+        """One attribute's value list (shared: never mutate)."""
+        return self.columns[self.column_index(attribute)]
 
     def __repr__(self) -> str:
         return (
@@ -545,9 +543,10 @@ def _except_all(
 ) -> ColumnarBatch:
     """Bag difference (``EXCEPT ALL``): per distinct row, left count minus right count.
 
-    The ``dict`` of row tuples below defines the result: one entry per
-    distinct left row whose net multiplicity is positive, in first-seen
-    order, printed as the left input first holds it.  From the kernel
+    :func:`repro.engine.sweeps.except_all` -- a ``dict`` of row tuples --
+    defines the result: one entry per distinct left row whose net
+    multiplicity is positive, in first-seen order, printed as the left input
+    first holds it.  From the kernel
     cutover on, a left input that arrives as columns (a scan, a split, a
     kernel-served join: what REWR puts under a difference) is consolidated
     by :func:`repro.engine.kernels.consolidate` over the columns' codes
@@ -573,18 +572,9 @@ def _except_all(
         )
         context.count("batch.except_all_vectorized")
         return left.taken("except_all", at, [1] * len(at) if net is None else net, net is None)
-    remaining: Dict[Row, int] = {}
-    get = remaining.get
-    for row, count in zip(left.entry_rows(), left.counts):
-        remaining[row] = get(row, 0) + count
-    for row, count in zip(right.entry_rows(), right.counts):
-        remaining[row] = get(row, 0) - count
-    rows: List[Row] = []
-    counts: List[int] = []
-    for row, count in remaining.items():
-        if count > 0:
-            rows.append(row)
-            counts.append(count)
+    rows, counts = _sweeps.except_all(
+        left.entry_rows(), left.counts, right.entry_rows(), right.counts
+    )
     return ColumnarBatch(
         "except_all", left.schema, None, counts, counts.count(1) == len(counts), rows=rows
     )
@@ -613,51 +603,19 @@ def _aggregate(
     if unknown:
         raise ExecutorError(f"unknown group-by attributes {sorted(unknown)}")
     n = len(batch.counts)
-    key_columns = [batch.columns[batch.column_index(a)] for a in group_by]
-    if key_columns:
-        keys: List[Tuple[Any, ...]] = list(zip(*key_columns))
-    else:
-        keys = [()] * n
-    argument_columns = [
-        None
-        if spec.argument is None
-        else spec.argument.compile_batch(batch.schema)(batch.columns, n)
-        for spec in aggregates
-    ]
-
-    groups: Dict[Tuple[Any, ...], List[int]] = {}
-    for position, key in enumerate(keys):
-        groups.setdefault(key, []).append(position)
-    if not group_by and not groups:
-        groups[()] = []
-
-    counts = batch.counts
-    rows: List[Row] = []
-    for key, positions in groups.items():
-        values: List[Any] = []
-        for spec, column in zip(aggregates, argument_columns):
-            # Weighted flavour of the row engine's _aggregate_members: each
-            # batch entry contributes its multiplicity, so counts>1 rows
-            # aggregate exactly like their expanded duplicates would.
-            if spec.func == "count":
-                if column is None:
-                    values.append(sum(counts[p] for p in positions))
-                else:
-                    values.append(
-                        sum(counts[p] for p in positions if column[p] is not None)
-                    )
-            else:
-                values.append(
-                    aggregate_values(
-                        spec.func,
-                        [
-                            (column[p], counts[p])
-                            for p in positions
-                            if column[p] is not None
-                        ],
-                    )
-                )
-        rows.append(key + tuple(values))
+    rows = _sweeps.aggregate(
+        [batch.column(a) for a in group_by],
+        batch.counts,
+        [
+            (
+                spec.func,
+                None
+                if spec.argument is None
+                else spec.argument.compile_batch(batch.schema)(batch.columns, n),
+            )
+            for spec in aggregates
+        ],
+    )
     schema = tuple(group_by) + tuple(spec.alias for spec in aggregates)
     return ColumnarBatch.from_rows("aggregation", schema, rows)
 
@@ -672,193 +630,90 @@ def _join(
     context: ExecutionContext,
     node: Optional[Join] = None,
 ) -> ColumnarBatch:
-    overlap = set(left.schema) & set(right.schema)
-    if overlap:
-        raise ExecutorError(
-            f"join inputs share attributes {sorted(overlap)}; rename first"
-        )
+    """The join: an interval join's kernel when worthwhile, else the scalar join of :mod:`repro.engine.sweeps`.
+
+    What the kernel declines, and every hash or nested-loop join, runs
+    :func:`repro.engine.sweeps.join` over the inputs' expanded row tuples;
+    ``batch.partitions`` counts the equality-key partitions a scalar
+    interval join swept.
+    """
+    keys, interval, condition = _plan_join(left, right, predicate, context, node)
     schema = left.schema + right.schema
-
-    equi_keys, residual_conjuncts = _split_join_predicate(predicate, left, right)
-    interval, residual_conjuncts = _extract_interval_pattern(
-        residual_conjuncts, left, right
+    if interval is not None and _kernels.worthwhile(len(left) + len(right)):
+        served = _interval_join_vectorized(left, right, schema, keys, interval, condition, context)
+        if served is not None:
+            return served
+    rows, partitions = _sweeps.join(
+        left.expanded_rows(),
+        right.expanded_rows(),
+        keys,
+        interval,
+        None if condition is None else condition.compile(schema),
+        context.checkpoint if context._limited else None,
     )
-    residual = _combine_residual(residual_conjuncts)
-
-    chosen = "nested_loop"
     if interval is not None:
-        chosen = "interval"
-        context.count("join_strategy.interval")
-        result = _interval_join(
-            left, right, schema, equi_keys, interval, residual, context
-        )
-    else:
-        left_rows = left.expanded_rows()
-        right_rows = right.expanded_rows()
-        out: List[Row] = []
-        if equi_keys:
-            chosen = "hash"
-            context.count("join_strategy.hash")
-            _hash_join(left_rows, right_rows, schema, equi_keys, residual, out, context)
-        else:
-            context.count("join_strategy.nested_loop")
-            _nested_loop_join(left_rows, right_rows, schema, predicate, out, context)
-        result = ColumnarBatch.from_rows("join", schema, out)
-    if context.observations is not None and node is not None:
-        context.observations.setdefault(id(node), {})["join_strategy"] = chosen
-    return result
+        context.count("batch.partitions", partitions)
+    return ColumnarBatch.from_rows("join", schema, rows)
 
 
-def _interval_join(
+def _interval_join_vectorized(
     left: ColumnarBatch,
     right: ColumnarBatch,
     schema: Tuple[str, ...],
     keys: List[Tuple[int, int]],
-    pattern,
+    pattern: Tuple[int, int, int, int],
     residual: Optional[Expression],
     context: ExecutionContext,
-) -> ColumnarBatch:
-    """Interval-overlap join: the whole-column kernel, else scalar partitions.
+) -> Optional[ColumnarBatch]:
+    """Interval-overlap join on the whole-column kernel, or ``None`` where it declines.
 
     :func:`repro.engine.kernels.interval_join_vectorized` serves the join --
-    equality keys, multiplicities, residual and limits included -- whenever
-    the inputs reach the kernel cutover; ``join_strategy.interval_vectorized``
-    counts those.  It answers with index pairs: the output batch's columns
-    are the inputs' gathered at them, late, and its row tuples -- should a
-    parent ask for rows instead -- one :func:`~repro.engine.kernels
-    .paired_rows` call.  What it declines (see that module) is partitioned by the
-    equality conjuncts (one partition per distinct key; a join without any
-    is one partition) and every partition runs the bisect sweep.
-    ``batch.partitions`` counts the scalar partitions swept.
+    equality keys, multiplicities, residual and limits included;
+    ``join_strategy.interval_vectorized`` counts those.  It answers with
+    index pairs: the output batch's columns are the inputs' gathered at
+    them, late, and its row tuples -- should a parent ask for rows instead
+    -- one :func:`~repro.engine.kernels.paired_rows` call.
     """
-    lb, le = pattern.left_begin, pattern.left_end
-    rb, re = pattern.right_begin, pattern.right_end
+    lb, le, rb, re = pattern
+    left_typed, right_typed = left.typed, right.typed
 
-    if _kernels.worthwhile(len(left) + len(right)):
-        left_typed, right_typed = left.typed, right.typed
+    def gathered(left_index: Any, right_index: Any) -> List[Column]:
+        columns = [Column.gathered(column, left_index) for column in left_typed]
+        columns += [Column.gathered(column, right_index) for column in right_typed]
+        return columns
 
-        def gathered(left_index: Any, right_index: Any) -> List[Column]:
-            columns = [Column.gathered(column, left_index) for column in left_typed]
-            columns += [Column.gathered(column, right_index) for column in right_typed]
-            return columns
+    keep = None
+    if residual is not None:
+        # Evaluated column-wise on one block of candidate pairs at a
+        # time: only the attributes the residual names are gathered.
+        evaluate = residual.compile_batch(schema)
 
-        keep = None
-        if residual is not None:
-            # Evaluated column-wise on one block of candidate pairs at a
-            # time: only the attributes the residual names are gathered.
-            evaluate = residual.compile_batch(schema)
+        def keep(left_index: Any, right_index: Any) -> Sequence[Any]:
+            columns = _ValueLists(gathered(left_index, right_index))
+            return evaluate(columns, len(left_index))
 
-            def keep(left_index: Any, right_index: Any) -> Sequence[Any]:
-                columns = _ValueLists(gathered(left_index, right_index))
-                return evaluate(columns, len(left_index))
-
-        served = _kernels.interval_join_vectorized(
-            [left_typed[index] for index, _ in keys],
-            [right_typed[index] for _, index in keys],
-            (left_typed[lb], left_typed[le]),
-            (right_typed[rb], right_typed[re]),
-            None if left.all_ones() else left.counts,
-            None if right.all_ones() else right.counts,
-            keep,
-            context.stage_checkpoint if context._limited else None,
-        )
-        if served is not None:
-            context.count("join_strategy.interval_vectorized")
-            left_index, right_index, counts = served
-            return ColumnarBatch(
-                "join",
-                schema,
-                gathered(left_index, right_index),
-                [1] * len(left_index) if counts is None else counts,
-                True if counts is None else None,
-                rows=lambda: _kernels.paired_rows(
-                    left.entry_rows(), left_index, right.entry_rows(), right_index
-                ),
-                typed=True,
-            )
-
-    keep = residual.compile(schema) if residual is not None else None
-    left_rows = left.expanded_rows()
-    right_rows = right.expanded_rows()
-    out: List[Row] = []
-    checkpoint = context.checkpoint if context._limited else None
-    if keys:
-        partitions = _sweeps.partition_by_keys(left_rows, right_rows, keys)
-    else:
-        partitions = [(left_rows, right_rows)]
-    context.count("batch.partitions", len(partitions))
-    for left_part, right_part in partitions:
-        _sweeps.interval_sweep(
-            left_part, right_part, lb, le, rb, re, keep, out, checkpoint
-        )
-    return ColumnarBatch.from_rows("join", schema, out)
-
-
-def _hash_join(
-    left_rows: List[Row],
-    right_rows: List[Row],
-    schema: Tuple[str, ...],
-    keys: List[Tuple[int, int]],
-    residual: Optional[Expression],
-    out: List[Row],
-    context: ExecutionContext,
-) -> None:
-    left_key = tuple_getter([li for li, _ri in keys])
-    right_key = tuple_getter([ri for _li, ri in keys])
-    # Same NULL-key exclusion as the row engine's hash join.
-    buckets: Dict[Tuple[Any, ...], List[Row]] = {}
-    for row in right_rows:
-        key = right_key(row)
-        if None in key:
-            continue
-        buckets.setdefault(key, []).append(row)
-    keep = residual.compile(schema) if residual is not None else None
-    limited = context._limited
-    empty: Tuple[Row, ...] = ()
-    for left_row in left_rows:
-        if limited:
-            context.checkpoint(len(out))
-        key = left_key(left_row)
-        if None in key:
-            continue
-        matches = buckets.get(key, empty)
-        if not matches:
-            continue
-        if keep is None:
-            out.extend([left_row + right_row for right_row in matches])
-        else:
-            out.extend(
-                [
-                    combined
-                    for right_row in matches
-                    if keep(combined := left_row + right_row)
-                ]
-            )
-
-
-def _nested_loop_join(
-    left_rows: List[Row],
-    right_rows: List[Row],
-    schema: Tuple[str, ...],
-    predicate: Optional[Expression],
-    out: List[Row],
-    context: ExecutionContext,
-) -> None:
-    limited = context._limited
-    if predicate is None:
-        for left_row in left_rows:
-            if limited:
-                context.checkpoint(len(out))
-            out.extend([left_row + right_row for right_row in right_rows])
-        return
-    keep = predicate.compile(schema)
-    for left_row in left_rows:
-        if limited:
-            context.checkpoint(len(out))
-        out.extend(
-            [
-                combined
-                for right_row in right_rows
-                if keep(combined := left_row + right_row)
-            ]
-        )
+    served = _kernels.interval_join_vectorized(
+        [left_typed[index] for index, _ in keys],
+        [right_typed[index] for _, index in keys],
+        (left_typed[lb], left_typed[le]),
+        (right_typed[rb], right_typed[re]),
+        None if left.all_ones() else left.counts,
+        None if right.all_ones() else right.counts,
+        keep,
+        context.stage_checkpoint if context._limited else None,
+    )
+    if served is None:
+        return None
+    context.count("join_strategy.interval_vectorized")
+    left_index, right_index, counts = served
+    return ColumnarBatch(
+        "join",
+        schema,
+        gathered(left_index, right_index),
+        [1] * len(left_index) if counts is None else counts,
+        True if counts is None else None,
+        rows=lambda: _kernels.paired_rows(
+            left.entry_rows(), left_index, right.entry_rows(), right_index
+        ),
+        typed=True,
+    )

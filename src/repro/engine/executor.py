@@ -1,59 +1,47 @@
-"""Plan execution over multiset tables: the reference implementation, plus
-the execution context and join-predicate analysis the engine shares with it.
+"""Plan execution over multiset tables: the engine's entry point and its row reference.
 
 This is the substrate standing in for PostgreSQL/DBX/DBY in the paper's
 experiments.  :func:`execute` is the one entry point of the in-memory
 engine; queries run on the columnar operators of :mod:`repro.engine.batch`.
-The row-at-a-time operators below -- a straightforward bag-semantics
-executor for the logical algebra of :mod:`repro.algebra.operators` -- are
-the *reference* those are checked against: ``execute(..., executor="row")``
-is named by the reference differential suite and the benchmark's digest
-gate, and is nothing a session, DSN or wire frame can select.
-:class:`ExecutionContext`, :class:`PhysicalOperator` and the join-predicate
-helpers (``_split_join_predicate`` and friends) are shared by both.
+The plan dispatch below -- over :class:`~repro.engine.table.Table` objects
+holding row tuples, every multiplicity expanded, no ``ColumnarBatch`` ever
+built -- is the *reference* the engine is checked against:
+``execute(..., executor="row")`` is named by the reference differential
+suite and the benchmark's digest gate, and is nothing a session, DSN or
+wire frame can select.
 
-The rewriting middleware (:mod:`repro.rewriter`) produces ordinary plans
-plus two *physical extension operators* (coalesce and split); those
-subclass :class:`PhysicalOperator` and are executed through the extension
-hook here, mirroring how the real middleware emits plain SQL containing
-window-function subqueries.
+The reference has no operator algorithm of its own.  Joins, bag
+difference and grouping -- and, through the ``execute`` methods of
+:mod:`repro.rewriter.operators`, split, coalescing and temporal aggregation
+-- call the one scalar definition of each in :mod:`repro.engine.sweeps`,
+which the engine runs wherever its kernels decline.  What the reference
+keeps apart is the plan plumbing (a table per node, multiplicities
+expanded) and row-at-a-time expression evaluation
+(:meth:`~repro.algebra.expressions.Expression.compile`, where the engine
+uses ``compile_batch``).
 
-Physical choices:
-
-* joins whose predicate contains the interval-overlap pattern -- a pair of
-  opposite-direction strict comparisons across the inputs, i.e.
-  ``l.begin < r.end AND r.begin < l.end`` as emitted by the snapshot
-  rewrite -- run as a **sort-merge interval join** (a forward-scan plane
-  sweep over begin-sorted inputs, partitioned by the equality conjuncts
-  when present), instead of filtering a nested-loop or hash-join result;
-* other joins use a hash join on the equality conjuncts of the predicate
-  (the residual is evaluated as a filter on candidate pairs), falling back
-  to a nested-loop join when no equality conjunct exists;
-* aggregation is hash aggregation;
-* ``EXCEPT ALL`` is evaluated with multiset counters.
-
-The strategy chosen per join is reported through the statistics mapping
-under ``join_strategy.interval`` / ``join_strategy.hash`` /
+Shared with the engine: :class:`ExecutionContext`, :class:`PhysicalOperator`
+(the rewriter's coalesce, split and temporal aggregation subclass it, with
+an ``execute`` for the reference and an ``execute_batch`` for the engine)
+and the join-predicate analysis of :func:`_plan_join`.  A join whose
+predicate contains the interval-overlap pattern -- a pair of
+opposite-direction strict comparisons across the inputs, i.e. ``l.begin <
+r.end AND r.begin < l.end`` as emitted by the snapshot rewrite -- runs as
+an interval join; other joins hash on their equality conjuncts, or loop
+when there are none.  The strategy is reported under
+``join_strategy.interval`` / ``join_strategy.hash`` /
 ``join_strategy.nested_loop``.
-
-Every scalar expression on a hot path (selection predicates, projection
-columns, join residuals, aggregate arguments) is compiled once per plan
-node via :meth:`repro.algebra.expressions.Expression.compile` into a
-closure over raw row tuples; no per-row dictionaries are materialised
-anywhere in the executor.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from ..execution import Deadline, QueryLimits
 
-from ..abstract_model.krelation import aggregate_values
 from ..errors import ResourceLimitError
 from ..algebra.expressions import Attribute, BooleanOp, Comparison, Expression
 from ..algebra.operators import (
@@ -70,6 +58,7 @@ from ..algebra.operators import (
     Selection,
     Union,
 )
+from . import sweeps as _sweeps
 from .catalog import Database
 from .table import Table, TableVersion, tuple_getter
 
@@ -161,30 +150,21 @@ class ExecutionContext:
 
 
 class PhysicalOperator(Operator):
-    """Extension hook: an operator that executes itself over child tables.
+    """Extension hook: an operator that executes itself over its children's results.
 
-    The snapshot middleware adds coalesce and split this way; custom
-    temporal operators (e.g. a native interval merge join) could be slotted
-    in the same way, which is the integration path Section 10.5 of the paper
-    sketches.
+    The snapshot middleware adds coalesce, split and temporal aggregation
+    this way -- the integration path Section 10.5 of the paper sketches.  A
+    subclass implements both methods: :meth:`execute` for the row reference
+    and :meth:`execute_batch` for the engine.
     """
 
     def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
+        """The row reference: run over the children's tables."""
         raise NotImplementedError
 
     def execute_batch(self, children: Sequence[Any], context: ExecutionContext) -> Any:
-        """Columnar twin of :meth:`execute`, over ``ColumnarBatch`` children.
-
-        The default bridges through the row implementation (expand the child
-        batches to tables, run :meth:`execute`, re-columnarise), so any
-        physical operator works on the batch executor unchanged; operators
-        with a native sweep kernel (coalesce/split/temporal aggregation)
-        override this.
-        """
-        from .batch import ColumnarBatch
-
-        tables = [child.to_table() for child in children]
-        return ColumnarBatch.from_table(self.execute(tables, context))
+        """The engine: run over the children's ``ColumnarBatch`` objects."""
+        raise NotImplementedError
 
 
 def execute(
@@ -372,12 +352,11 @@ def _except_all(left: Table, right: Table) -> Table:
         raise ExecutorError(
             f"difference-incompatible schemas {left.schema} and {right.schema}"
         )
-    remaining = Counter(left.rows)
-    remaining.subtract(Counter(right.rows))
+    rows, counts = _sweeps.except_all(
+        left.rows, [1] * len(left), right.rows, [1] * len(right)
+    )
     result = left.empty_copy("except_all")
-    for row, count in remaining.items():
-        if count > 0:
-            result.rows.extend([row] * count)
+    result.rows = _sweeps.expand(rows, counts)
     return result
 
 
@@ -385,45 +364,23 @@ def _aggregate(table: Table, group_by: Tuple[str, ...], aggregates) -> Table:
     unknown = set(group_by) - set(table.schema)
     if unknown:
         raise ExecutorError(f"unknown group-by attributes {sorted(unknown)}")
-    group_key = tuple_getter([table.column_index(a) for a in group_by])
-    compiled = [
-        None if spec.argument is None else spec.argument.compile(table.schema)
-        for spec in aggregates
-    ]
-
-    groups: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in table.rows:
-        groups.setdefault(group_key(row), []).append(row)
-    if not group_by and not groups:
-        groups[()] = []
-
     result = Table(
         "aggregation", tuple(group_by) + tuple(spec.alias for spec in aggregates)
     )
-    for key, members in groups.items():
-        values = tuple(
-            _aggregate_members(spec.func, argument, members)
-            for spec, argument in zip(aggregates, compiled)
-        )
-        result.append(key + values)
-    return result
-
-
-def _aggregate_members(func: str, argument, rows: List[Tuple[Any, ...]]) -> Any:
-    """One SQL aggregate over raw rows (compiled argument, multiplicity 1).
-
-    Same semantics as :func:`repro.abstract_model.krelation.aggregate_rows`
-    -- ``None`` argument values are ignored like SQL NULLs, an empty input
-    yields ``0`` for ``count`` and ``None`` otherwise -- sharing its
-    :func:`~repro.abstract_model.krelation.aggregate_values` dispatch.
-    """
-    if func == "count":
-        if argument is None:
-            return len(rows)
-        return sum(1 for row in rows if argument(row) is not None)
-    return aggregate_values(
-        func, [(v, 1) for v in map(argument, rows) if v is not None]
+    result.rows = _sweeps.aggregate(
+        [table.column(a) for a in group_by],
+        [1] * len(table),
+        [
+            (
+                spec.func,
+                None
+                if spec.argument is None
+                else list(map(spec.argument.compile(table.schema), table.rows)),
+            )
+            for spec in aggregates
+        ],
     )
+    return result
 
 
 # -- join -----------------------------------------------------------------------------------------
@@ -436,34 +393,49 @@ def _join(
     context: ExecutionContext,
     node: Optional[Join] = None,
 ) -> Table:
+    keys, interval, condition = _plan_join(left, right, predicate, context, node)
+    schema = left.schema + right.schema
+    result = Table("join", schema)
+    result.rows, _partitions = _sweeps.join(
+        left.rows,
+        right.rows,
+        keys,
+        interval,
+        None if condition is None else condition.compile(schema),
+        context.checkpoint if context._limited else None,
+    )
+    return result
+
+
+def _plan_join(
+    left: Any,
+    right: Any,
+    predicate: Optional[Expression],
+    context: ExecutionContext,
+    node: Optional[Join],
+) -> Tuple[List[Tuple[int, int]], Optional["_IntervalPattern"], Optional[Expression]]:
+    """Read a join's algorithm off its predicate, for either executor's inputs.
+
+    Rejects inputs that share attributes, counts the strategy -- interval
+    when the overlap pattern is there, else hash on the equality conjuncts,
+    else nested loop -- and records it for ``explain()``.  Returns the
+    equality key pairs, the overlap pattern and the condition left to test
+    on a candidate pair: the residual conjuncts, or for a nested loop the
+    whole predicate.
+    """
     overlap = set(left.schema) & set(right.schema)
     if overlap:
         raise ExecutorError(
             f"join inputs share attributes {sorted(overlap)}; rename first"
         )
-    schema = left.schema + right.schema
-    result = Table("join", schema)
-
-    equi_keys, residual_conjuncts = _split_join_predicate(predicate, left, right)
-    interval, residual_conjuncts = _extract_interval_pattern(
-        residual_conjuncts, left, right
-    )
-    residual = _combine_residual(residual_conjuncts)
-    if interval is not None:
-        chosen = "interval"
-        context.count("join_strategy.interval")
-        _interval_join(left, right, equi_keys, interval, residual, result, context)
-    elif equi_keys:
-        chosen = "hash"
-        context.count("join_strategy.hash")
-        _hash_join(left, right, equi_keys, residual, result, context)
-    else:
-        chosen = "nested_loop"
-        context.count("join_strategy.nested_loop")
-        _nested_loop_join(left, right, predicate, result, context)
+    keys, residual = _split_join_predicate(predicate, left, right)
+    interval, residual = _extract_interval_pattern(residual, left, right)
+    strategy = "interval" if interval is not None else "hash" if keys else "nested_loop"
+    context.count(f"join_strategy.{strategy}")
     if context.observations is not None and node is not None:
-        context.observations.setdefault(id(node), {})["join_strategy"] = chosen
-    return result
+        context.observations.setdefault(id(node), {})["join_strategy"] = strategy
+    condition = predicate if strategy == "nested_loop" else _combine_residual(residual)
+    return keys, interval, condition
 
 
 def _split_join_predicate(
@@ -521,62 +493,7 @@ def _equi_pair(
     return None
 
 
-def _hash_join(
-    left: Table,
-    right: Table,
-    keys: List[Tuple[int, int]],
-    residual: Optional[Expression],
-    result: Table,
-    context: ExecutionContext,
-) -> None:
-    left_key = tuple_getter([li for li, _ri in keys])
-    right_key = tuple_getter([ri for _li, ri in keys])
-
-    # SQL comparison semantics: a NULL key compares equal to nothing, itself
-    # included, so rows with a NULL in any key column can never match and are
-    # excluded from both the build and the probe side (Python's ``None ==
-    # None`` would otherwise pair them up).
-    buckets: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in right.rows:
-        key = right_key(row)
-        if None in key:
-            continue
-        buckets.setdefault(key, []).append(row)
-
-    # The residual (e.g. a non-equality conjunct over both inputs) is
-    # compiled once against the concatenated schema and applied to the
-    # concatenated candidate tuples -- no per-pair dict.
-    out = result.rows
-    empty: Tuple[Tuple[Any, ...], ...] = ()
-    limited = context._limited
-    if residual is None:
-        for left_row in left.rows:
-            if limited:
-                context.checkpoint(len(out))
-            key = left_key(left_row)
-            if None in key:
-                continue
-            for right_row in buckets.get(key, empty):
-                out.append(left_row + right_row)
-        return
-    keep = residual.compile(left.schema + right.schema)
-    for left_row in left.rows:
-        if limited:
-            context.checkpoint(len(out))
-        key = left_key(left_row)
-        if None in key:
-            continue
-        for right_row in buckets.get(key, empty):
-            combined = left_row + right_row
-            if keep(combined):
-                out.append(combined)
-
-
-# -- sort-merge interval join ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _IntervalPattern:
+class _IntervalPattern(NamedTuple):
     """Column indexes of a detected overlap predicate.
 
     The predicate ``left[begin] < right[end] AND right[begin] < left[end]``
@@ -649,118 +566,3 @@ def _strict_cross_comparison(
     if right.has_attribute(lhs.name) and left.has_attribute(rhs.name):
         return "backward", right.column_index(lhs.name), left.column_index(rhs.name)
     return None
-
-
-def _interval_join(
-    left: Table,
-    right: Table,
-    keys: List[Tuple[int, int]],
-    pattern: _IntervalPattern,
-    residual: Optional[Expression],
-    result: Table,
-    context: ExecutionContext,
-) -> None:
-    """Forward-scan plane sweep over begin-sorted inputs.
-
-    Both inputs are sorted by interval begin; the side whose current head
-    starts earlier scans the other side forward while begins fall before its
-    end, emitting overlapping pairs.  Each qualifying pair is found exactly
-    once (by whichever row starts first, ties to the left input), in
-    ``O(n log n + output)`` instead of the nested loop's ``O(n^2)``.
-    Degenerate intervals (``begin >= end``) and NULL end points follow the
-    raw predicate semantics: NULL comparisons are false, so such rows are
-    dropped up front, while degenerate intervals still join wherever the
-    two strict comparisons hold.  When equality conjuncts accompany the
-    overlap pattern the sweep runs per equality-key partition.
-    """
-    keep = (
-        residual.compile(left.schema + right.schema) if residual is not None else None
-    )
-    out = result.rows
-    limited = context._limited
-    lb, le = pattern.left_begin, pattern.left_end
-    rb, re = pattern.right_begin, pattern.right_end
-
-    def sweep(left_rows: List[Tuple[Any, ...]], right_rows: List[Tuple[Any, ...]]) -> None:
-        lhs = [r for r in left_rows if r[lb] is not None and r[le] is not None]
-        rhs = [r for r in right_rows if r[rb] is not None and r[re] is not None]
-        lhs.sort(key=itemgetter(lb))
-        rhs.sort(key=itemgetter(rb))
-        n_left, n_right = len(lhs), len(rhs)
-        i = j = 0
-        while i < n_left and j < n_right:
-            if limited:
-                context.checkpoint(len(out))
-            left_row = lhs[i]
-            right_row = rhs[j]
-            if left_row[lb] <= right_row[rb]:
-                begin, end = left_row[lb], left_row[le]
-                k = j
-                while k < n_right and rhs[k][rb] < end:
-                    if begin < rhs[k][re]:
-                        combined = left_row + rhs[k]
-                        if keep is None or keep(combined):
-                            out.append(combined)
-                    k += 1
-                i += 1
-            else:
-                begin, end = right_row[rb], right_row[re]
-                k = i
-                while k < n_left and lhs[k][lb] < end:
-                    if begin < lhs[k][le]:
-                        combined = lhs[k] + right_row
-                        if keep is None or keep(combined):
-                            out.append(combined)
-                    k += 1
-                j += 1
-
-    if not keys:
-        sweep(left.rows, right.rows)
-        return
-    # Partition both sides by the equality keys (SQL NULL semantics: a NULL
-    # key matches nothing) and sweep each co-partition.
-    left_key = tuple_getter([li for li, _ri in keys])
-    right_key = tuple_getter([ri for _li, ri in keys])
-    right_parts: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in right.rows:
-        key = right_key(row)
-        if None in key:
-            continue
-        right_parts.setdefault(key, []).append(row)
-    left_parts: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in left.rows:
-        key = left_key(row)
-        if None in key:
-            continue
-        left_parts.setdefault(key, []).append(row)
-    for key, left_rows in left_parts.items():
-        right_rows = right_parts.get(key)
-        if right_rows:
-            sweep(left_rows, right_rows)
-
-
-def _nested_loop_join(
-    left: Table,
-    right: Table,
-    predicate: Optional[Expression],
-    result: Table,
-    context: ExecutionContext,
-) -> None:
-    out = result.rows
-    right_rows = right.rows
-    limited = context._limited
-    if predicate is None:
-        for left_row in left.rows:
-            if limited:
-                context.checkpoint(len(out))
-            for right_row in right_rows:
-                out.append(left_row + right_row)
-        return
-    keep = predicate.compile(left.schema + right.schema)
-    for left_row in left.rows:
-        if limited:
-            context.checkpoint(len(out))
-        for right_row in right_rows:
-            combined = left_row + right_row
-            if keep(combined):
-                out.append(combined)

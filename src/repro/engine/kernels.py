@@ -32,9 +32,10 @@ that primitive sit
 * :func:`temporal_aggregate_vectorized` -- ``count``/``sum``/``avg`` over the
   segments between a group's end points as one ``cumsum`` over its events,
   ``min``/``max`` as a range-update sweep over the same points,
+* :func:`coalesce_vectorized` -- multiset coalescing, one ``cumsum`` over
+  every group's packed events.
 
-and :func:`repro.temporal.coalesce.coalesce_vectorized` shares the
-factorise/pack half.  The set operators need the factorise half alone:
+The set operators need the factorise half alone:
 
 * :func:`consolidate` -- bag difference (``EXCEPT ALL``: per distinct row,
   the left multiplicity less the right one, where positive) and, with
@@ -43,13 +44,13 @@ factorise/pack half.  The set operators need the factorise half alone:
 
 Multiplicities travel as a counts column; no kernel duplicates a tuple.
 
-Every kernel has a scalar twin that defines its result and serves what it
-declines by returning ``None``: ``partition_by_keys`` + ``interval_sweep``
-and ``collect_group_endpoints`` + ``split_segments`` in
-:mod:`repro.engine.sweeps`, ``TemporalAggregateOperator._sweep_group``, for
-coalescing the pure-Python paths of ``coalesce_columns`` and, for
-:func:`consolidate`, the ``dict`` of row tuples in
-:func:`repro.engine.batch._except_all` / ``_distinct``.  That kernel
+Every kernel has a scalar twin in :mod:`repro.engine.sweeps` that defines
+its result and serves what it declines by returning ``None`` -- the one
+scalar definition of the algorithm, which the row reference runs too:
+``join`` (``partition_by_keys`` + ``interval_sweep``), ``split``
+(``collect_group_endpoints`` + ``split_segments``), ``temporal_aggregate``
+and ``coalesce``; for :func:`consolidate`, ``except_all`` and the
+``dict.fromkeys`` of :func:`repro.engine.batch._distinct`.  That kernel
 declines nothing (any value has a code, a tally past int64 is kept in Python
 ints): its twin serves below the cutover, without numpy, and an input that
 arrives as row tuples already built.  The others decline NULL or non-``int``
@@ -66,7 +67,7 @@ covers a numpy-less install, where no column ever has a typed form: below
 scalar sweep (measured in EXPERIMENTS.md, "The engine and its reference").
 
 This is the one module that imports numpy; it imports nothing else from the
-package, so :mod:`repro.temporal` may import it too.
+package.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ __all__ = [
     "paired_rows",
     "split_segments_vectorized",
     "temporal_aggregate_vectorized",
+    "coalesce_vectorized",
     "consolidate",
 ]
 
@@ -807,7 +809,7 @@ def temporal_aggregate_vectorized(
 ) -> Optional[Tuple[Any, List[Column], Column, Column]]:
     """The five aggregates per segment between a group's end points.
 
-    Vector twin of ``TemporalAggregateOperator._sweep_group``: every valid
+    Vector twin of :func:`repro.engine.sweeps.temporal_aggregate`: every valid
     row becomes a ``+`` event at its begin and a ``-`` event at its end,
     events sort by packed ``(group code, time)``, equal points collapse
     with ``np.add.reduceat`` and one ``cumsum`` gives the state after each
@@ -979,7 +981,106 @@ def _segment_extremes(
     return cells
 
 
-# -- (4) consolidation: bag difference and distinct -------------------------------------
+# -- (4) coalescing ---------------------------------------------------------------------
+
+
+def coalesce_vectorized(
+    key_columns: Sequence[Column],
+    begins: Column,
+    ends: Column,
+    checkpoint: Checkpoint = None,
+) -> Optional[Tuple[List[Column], Column, Column, List[int]]]:
+    """Multiset coalescing of an all-ones batch, fully over int64 arrays.
+
+    Vector twin of :func:`repro.engine.sweeps.coalesce`, with the same
+    entries in the same order.  Preconditions (checked on the columns' typed
+    forms, ``None`` declines): every endpoint is a plain ``int`` --
+    ``bool``/``float`` are rejected exactly, because silently coercing them
+    would change output *values* even where hashing treats them as equal --
+    and every packed code fits a signed 64-bit lane.
+
+    One array op per step: group ids and the ``(gid, ts)`` packing come from
+    :func:`factorize` / :func:`pack_span` (the code the join, split and
+    aggregation kernels run on); events pack as ``(gid * span + ts - lo) * 2
+    + begin_bit`` and sort as int64; runs collapse with ``np.add.reduceat``;
+    depths are one ``cumsum`` (each group's deltas sum to zero, so depths
+    never leak across groups); the output intervals are three mask
+    selections -- handed on as int columns -- and their key columns the
+    inputs gathered at each group's first valid row.  ``checkpoint`` is
+    polled between the stages.
+    """
+    nothing = Column(ints=np.empty(0, dtype=np.int64))
+    empty: Tuple[List[Column], Column, Column, List[int]] = (
+        [nothing for _ in key_columns], nothing, nothing, [],
+    )
+    if not len(begins):
+        return empty
+    begin_array, end_array = begins.ints(), ends.ints()
+    if begin_array is None or end_array is None:
+        return None
+    (gids,), n_groups = factorize(
+        (key_columns,), (len(begin_array),), nulls_match=True
+    )
+
+    # -- events -----------------------------------------------------------------------
+    valid = begin_array < end_array
+    rows = None  # the surviving rows' original positions; None = all of them
+    if not valid.all():
+        rows = np.flatnonzero(valid)
+        if not len(rows):
+            return empty
+        begin_array, end_array, gids = begin_array[rows], end_array[rows], gids[rows]
+    # A group's code becomes the index of its first valid row: as unique as
+    # the code was, it names the row the group prints under, and it sorts the
+    # groups the way the scalar twin lists them (which of 1 / 1.0 a later
+    # group-by prints follows that order).
+    gids = first_rows(gids, n_groups)[gids]
+    packing = pack_span(len(gids), (begin_array, end_array))
+    if packing is None:
+        return None
+    lo, span = packing
+    if checkpoint is not None:
+        checkpoint(0)
+    base = gids * span - lo
+    codes = np.concatenate(
+        [((base + begin_array) << 1) | 1, (base + end_array) << 1]
+    )
+    codes.sort()
+    if checkpoint is not None:
+        checkpoint(0)
+
+    # -- sweep ------------------------------------------------------------------------
+    pairs = codes >> 1
+    deltas = np.where((codes & 1) != 0, np.int64(1), np.int64(-1))
+    starts = run_starts(pairs)
+    net = np.add.reduceat(deltas, starts)
+    changed = net != 0
+    change_pairs = pairs[starts[changed]]
+    if not len(change_pairs):
+        return empty
+    depths = np.cumsum(net[changed])
+    points = change_pairs % span + lo
+    # A maximal interval spans changepoint k -> k+1 whenever k's depth is
+    # positive; each group's last changepoint has depth 0 (deltas sum to
+    # zero), so positive-depth rows never pair across group boundaries.
+    open_mask = depths[:-1] > 0
+    out_counts = depths[:-1][open_mask]
+    if checkpoint is not None:
+        checkpoint(int(out_counts.sum()))
+
+    # -- decode: every group prints under its first valid row's key --------------------
+    key_rows = (change_pairs // span)[:-1][open_mask]
+    if rows is not None:
+        key_rows = rows[key_rows]
+    return (
+        [Column.gathered(column, key_rows) for column in key_columns],
+        Column(ints=points[:-1][open_mask]),
+        Column(ints=points[1:][open_mask]),
+        out_counts.tolist(),
+    )
+
+
+# -- (5) consolidation: bag difference and distinct -------------------------------------
 
 
 def consolidate(
@@ -991,9 +1092,9 @@ def consolidate(
 
     ``EXCEPT ALL`` is the monus of the multiplicities: per distinct row, what
     the first input holds of it less what the others hold, where positive.
-    Vector twin of the ``dict`` of row tuples in :mod:`repro.engine.batch`
-    -- same entries, same order, same counts: all inputs are factorised into
-    one dict-equality code space (``1``, ``1.0`` and ``True`` are one row,
+    Vector twin of :func:`repro.engine.sweeps.except_all` -- same entries,
+    same order, same counts: all inputs are factorised into one
+    dict-equality code space (``1``, ``1.0`` and ``True`` are one row,
     NULL equals NULL), the net multiplicity per code is one exact integer
     tally per input, and a surviving row is listed where the first input
     first holds it and printed as it stands there.  With one input this is

@@ -1,44 +1,126 @@
-"""The scalar sweeps: twins of the whole-column kernels.
+"""The scalar operator algorithms, each defined once.
 
-Each function here defines the result of one kernel in
-:mod:`repro.engine.kernels` and serves what that kernel declines -- inputs
-below the cutover, NULL or non-int end points, a packed code that would not
-fit, a numpy-less install:
+Every function here is *the* pure-Python definition of one operator
+algorithm, and both executors call it:
 
-* the interval join is partitioned by its equality conjuncts
-  (:func:`partition_by_keys`: one partition per distinct key, as the row
-  reference does) and each partition runs :func:`interval_sweep`;
-* the split operator collects every group's end points
-  (:func:`collect_group_endpoints`) and cuts each row's interval at them
-  (:func:`split_segments`).
+* the row reference -- :mod:`repro.engine.executor` and the ``execute``
+  methods of :mod:`repro.rewriter.operators` -- over a table's rows or
+  columns, every multiplicity 1, expanding the multiplicities that come back;
+* the engine -- :mod:`repro.engine.batch` and the ``execute_batch`` methods
+  -- over a batch's value lists or row tuples and its counts, whenever the
+  whole-column kernel of :mod:`repro.engine.kernels` declines (inputs below
+  the cutover, NULL or non-int end points, a float aggregate argument, a
+  packed code that would not fit, no numpy) or the operator has none.
 
-:func:`interval_sweep` differs from the row reference's sweep by hoisting
-the begin columns, bounding the inner scan with :func:`bisect.bisect_left`
-and emitting through a list comprehension; it is the fallback, not where the
-engine's join speed comes from (that is the whole-column kernel).
+The algorithms:
+
+* joins (:func:`join`): the interval join is partitioned by its equality
+  conjuncts (:func:`partition_by_keys`) and each partition runs the
+  forward-scan plane sweep :func:`interval_sweep`; other joins are a
+  :func:`hash_join` on the equality conjuncts or a :func:`nested_loop_join`;
+* split (:func:`split`): every group's end points are collected from both
+  inputs (:func:`collect_group_endpoints`) and each row's interval is cut at
+  them (:func:`split_segments`);
+* coalescing (:func:`coalesce`): one +1/-1 event sweep per value group;
+* temporal aggregation (:func:`temporal_aggregate`): pre-aggregation of
+  identical (group, arguments, period) rows, then one sweep per group over
+  its end points with running aggregate state;
+* bag difference (:func:`except_all`) and non-temporal grouping
+  (:func:`aggregate`), weighted by the input multiplicities.
+
+Sharing one definition means the row reference no longer checks these
+algorithms independently of the engine's scalar route; what does is the
+abstract-model conformance oracle, the SQLite differential and, above the
+cutover, the kernel of each (EXPERIMENTS.md, "The engine and its
+reference").  Callers reach these functions through the module
+(``sweeps.join(...)``), never through names imported from it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..abstract_model.krelation import aggregate_values
 from .table import tuple_getter
 
 __all__ = [
+    "expand",
+    "join",
     "interval_sweep",
     "partition_by_keys",
+    "hash_join",
+    "nested_loop_join",
+    "split",
     "collect_group_endpoints",
     "split_segments",
+    "coalesce",
+    "temporal_aggregate",
+    "except_all",
+    "aggregate",
 ]
 
 Row = Tuple[Any, ...]
 #: One co-partition of the join: (left rows, right rows).
-Partition = Tuple[List[Row], List[Row]]
+Partition = Tuple[Sequence[Row], Sequence[Row]]
+#: Limit check inside a loop: ``checkpoint(rows_produced_so_far)``.
+Checkpoint = Optional[Callable[[int], None]]
+#: An aggregate: its function and argument values, ``None`` for ``count(*)``.
+AggregateInput = Tuple[str, Optional[Sequence[Any]]]
 
 
-# -- interval join ----------------------------------------------------------------------
+def expand(rows: Sequence[Row], counts: Sequence[int]) -> List[Row]:
+    """``rows[i]`` repeated ``counts[i]`` times, at C speed."""
+    return list(chain.from_iterable(map(repeat, rows, counts)))
+
+
+def _row_keys(key_columns: Sequence[Sequence[Any]], n: int) -> Sequence[Any]:
+    """One group key per row: a lone column's values as they are, zipped tuples else."""
+    if len(key_columns) == 1:
+        return key_columns[0]
+    if key_columns:
+        return list(zip(*key_columns))
+    return [()] * n
+
+
+# -- joins ------------------------------------------------------------------------------
+
+
+def join(
+    left_rows: Sequence[Row],
+    right_rows: Sequence[Row],
+    keys: Sequence[Tuple[int, int]],
+    interval: Optional[Tuple[int, int, int, int]],
+    keep: Optional[Callable[[Row], bool]],
+    checkpoint: Checkpoint = None,
+) -> Tuple[List[Row], int]:
+    """Join two lists of row tuples by the algorithm the predicate allows.
+
+    ``keys`` are the (left, right) column index pairs of the equality
+    conjuncts and ``interval`` the (left begin, left end, right begin, right
+    end) column indexes of an overlap pattern, if there is one.  With an
+    overlap pattern every equality-key partition runs the interval sweep (a
+    join without keys is one partition); otherwise the keys drive a hash
+    join, and without keys it is a nested loop.  ``keep`` is the condition
+    left to test on a candidate pair.  Returns the output rows and how many
+    partitions the interval sweep ran (0 for the other two).
+    """
+    out: List[Row] = []
+    if interval is not None:
+        partitions = (
+            partition_by_keys(left_rows, right_rows, keys) if keys else [(left_rows, right_rows)]
+        )
+        for left_part, right_part in partitions:
+            interval_sweep(left_part, right_part, *interval, keep, out, checkpoint)
+        return out, len(partitions)
+    if keys:
+        hash_join(left_rows, right_rows, keys, keep, out, checkpoint)
+    else:
+        nested_loop_join(left_rows, right_rows, keep, out, checkpoint)
+    return out, 0
 
 
 def interval_sweep(
@@ -50,17 +132,20 @@ def interval_sweep(
     re: int,
     keep: Optional[Callable[[Row], bool]],
     out: List[Row],
-    checkpoint: Optional[Callable[[int], None]] = None,
+    checkpoint: Checkpoint = None,
 ) -> None:
-    """Forward-scan plane sweep, batch flavour.
+    """Forward-scan plane sweep over begin-sorted inputs.
 
-    Same pairing rule as the row engine's ``_interval_join`` sweep (each
-    overlapping pair found exactly once, by whichever row starts first with
-    ties to the left input) and the same NULL semantics (rows with a NULL
-    end point are dropped up front).  The candidate range of the inner scan
-    is located with ``bisect_left`` over the hoisted begin column and the
-    matches are emitted through one list comprehension per head row instead
-    of an interpreted inner loop.
+    Both inputs are sorted by interval begin; the side whose current head
+    starts earlier scans the other side forward while begins fall before
+    its end, emitting overlapping pairs.  Each qualifying pair is found
+    exactly once (by whichever row starts first, ties to the left input), in
+    ``O(n log n + output)`` instead of the nested loop's ``O(n^2)``.  NULL
+    comparisons are false, so rows with a NULL end point are dropped up
+    front, while degenerate intervals still join wherever the two strict
+    comparisons hold.  The candidate range of the inner scan is located with
+    ``bisect_left`` over the hoisted begin column and the matches are
+    emitted through one list comprehension per head row.
     """
     lhs = [r for r in left_rows if r[lb] is not None and r[le] is not None]
     rhs = [r for r in right_rows if r[rb] is not None and r[re] is not None]
@@ -120,21 +205,9 @@ def partition_by_keys(
     rows join no partition.  Keys present on only one side produce no
     partition (they cannot contribute output).
     """
-    left_key = tuple_getter([li for li, _ri in keys])
-    right_key = tuple_getter([ri for _li, ri in keys])
-    right_parts: dict[Tuple[Any, ...], List[Row]] = {}
-    for row in right_rows:
-        key = right_key(row)
-        if None in key:
-            continue
-        right_parts.setdefault(key, []).append(row)
+    right_parts = _buckets(right_rows, tuple_getter([ri for _li, ri in keys]))
+    left_parts = _buckets(left_rows, tuple_getter([li for li, _ri in keys]))
     partitions: List[Partition] = []
-    left_parts: dict[Tuple[Any, ...], List[Row]] = {}
-    for row in left_rows:
-        key = left_key(row)
-        if None in key:
-            continue
-        left_parts.setdefault(key, []).append(row)
     for key, left_part in left_parts.items():
         right_part = right_parts.get(key)
         if right_part:
@@ -142,17 +215,109 @@ def partition_by_keys(
     return partitions
 
 
+def _buckets(
+    rows: Sequence[Row], key_of: Callable[[Row], Tuple[Any, ...]]
+) -> Dict[Tuple[Any, ...], List[Row]]:
+    """Rows by key tuple, first-seen order; a key holding NULL matches nothing and is left out."""
+    buckets: Dict[Tuple[Any, ...], List[Row]] = {}
+    for row in rows:
+        key = key_of(row)
+        if None in key:
+            continue
+        buckets.setdefault(key, []).append(row)
+    return buckets
+
+
+def hash_join(
+    left_rows: Sequence[Row],
+    right_rows: Sequence[Row],
+    keys: Sequence[Tuple[int, int]],
+    keep: Optional[Callable[[Row], bool]],
+    out: List[Row],
+    checkpoint: Checkpoint = None,
+) -> None:
+    """Equi-join: build on the right input's key tuples, probe with the left's.
+
+    SQL comparison semantics: a NULL key compares equal to nothing, itself
+    included, so rows with a NULL in any key column are excluded from both
+    the build and the probe side (Python's ``None == None`` would otherwise
+    pair them up).  ``keep`` is tested on the concatenated candidate tuples.
+    """
+    left_key = tuple_getter([li for li, _ri in keys])
+    buckets = _buckets(right_rows, tuple_getter([ri for _li, ri in keys]))
+    empty: Tuple[Row, ...] = ()
+    for left_row in left_rows:
+        if checkpoint is not None:
+            checkpoint(len(out))
+        key = left_key(left_row)
+        if None in key:
+            continue
+        matches = buckets.get(key, empty)
+        if not matches:
+            continue
+        if keep is None:
+            out.extend([left_row + right_row for right_row in matches])
+        else:
+            out.extend(
+                [
+                    combined
+                    for right_row in matches
+                    if keep(combined := left_row + right_row)
+                ]
+            )
+
+
+def nested_loop_join(
+    left_rows: Sequence[Row],
+    right_rows: Sequence[Row],
+    keep: Optional[Callable[[Row], bool]],
+    out: List[Row],
+    checkpoint: Checkpoint = None,
+) -> None:
+    """Every pair, filtered by ``keep`` (the whole predicate; ``None`` = cross product)."""
+    for left_row in left_rows:
+        if checkpoint is not None:
+            checkpoint(len(out))
+        if keep is None:
+            out.extend([left_row + right_row for right_row in right_rows])
+        else:
+            out.extend(
+                [
+                    combined
+                    for right_row in right_rows
+                    if keep(combined := left_row + right_row)
+                ]
+            )
+
+
 # -- split ------------------------------------------------------------------------------
 #
-# The split operator's batch path works on parallel columns instead of row
-# tuples; these two helpers are its scalar sweep-line core -- what runs below
-# the kernel cutover and for whatever :func:`repro.engine.kernels
-# .split_segments_vectorized` declines, and the definition that kernel is
-# tested against.  They mirror the window SQL exactly: endpoints are
-# collected per group from *all* rows (NULL and degenerate intervals
-# included -- their points still cut other rows in the row engine too), and
-# a cut point only applies where ``begin < p < end`` holds under
-# three-valued comparison (NULL cuts never do).
+# These mirror the window SQL exactly: end points are collected per group
+# from *all* rows of both inputs (NULL and degenerate intervals included --
+# their points still cut other rows), and a cut point only applies where
+# ``begin < p < end`` holds under three-valued comparison (NULL cuts never do).
+
+
+def split(
+    left_key_columns: Sequence[Sequence[Any]],
+    left_begins: Sequence[Any],
+    left_ends: Sequence[Any],
+    right_key_columns: Sequence[Sequence[Any]],
+    right_begins: Sequence[Any],
+    right_ends: Sequence[Any],
+) -> Tuple[List[int], List[Any], List[Any]]:
+    """The split operator over columns: each left interval cut at its group's end points.
+
+    ``*_key_columns`` are the grouping attributes' value lists.  Returns
+    ``(row_indexes, piece_begins, piece_ends)`` as :func:`split_segments`
+    does.
+    """
+    left_keys = _row_keys(left_key_columns, len(left_begins))
+    endpoints = collect_group_endpoints(left_keys, left_begins, left_ends)
+    collect_group_endpoints(
+        _row_keys(right_key_columns, len(right_begins)), right_begins, right_ends, into=endpoints
+    )
+    return split_segments(left_keys, left_begins, left_ends, endpoints)
 
 
 def collect_group_endpoints(
@@ -183,7 +348,7 @@ def split_segments(
     ends: Sequence[Any],
     endpoints: Mapping[Any, set],
 ) -> Tuple[List[int], List[Any], List[Any]]:
-    """Cut each row's interval at its group's end points, columnar flavour.
+    """Cut each row's interval at its group's end points.
 
     Returns ``(row_indexes, piece_begins, piece_ends)``: row ``i`` of the
     input contributes one entry per piece, so callers rebuild the data
@@ -214,3 +379,287 @@ def split_segments(
             piece_begins.append(piece_begin)
             piece_ends.append(piece_end)
     return row_indexes, piece_begins, piece_ends
+
+
+# -- coalescing -------------------------------------------------------------------------
+
+
+def coalesce(
+    key_columns: Sequence[Sequence[Any]],
+    begins: Sequence[Any],
+    ends: Sequence[Any],
+    counts: Sequence[int],
+) -> Tuple[List[List[Any]], List[Any], List[Any], List[int]]:
+    """Multiset coalescing: one entry per maximal interval, with its open-interval count.
+
+    Inputs are parallel columns -- the grouping attributes' value lists,
+    interval begin, interval end and multiplicity per row.  Rows with a NULL
+    or degenerate interval are dropped (SQL's ``WHERE begin < end``
+    prefilter).  Group keys are mapped to dense integer ids in the order of
+    their first valid row (never comparing keys across groups -- data values
+    may contain NULL padding), every interval becomes two ``(gid, ts,
+    delta)`` events, and one sort orders them by group and time.  The sweep
+    keeps the running count of open intervals (the SQL formulation's
+    ``sum(delta) OVER (PARTITION BY data ORDER BY ts)``, its changepoint
+    filter and its ``lead(ts)`` fused into one pass): a point whose net
+    delta is non-zero is a changepoint, and one reached with open intervals
+    closes a maximal interval, emitted once with that count as its
+    multiplicity.
+
+    Returns ``(key_columns, begins, ends, counts)`` of the coalesced rows,
+    groups in first-valid-row order and each group's intervals in time order.
+    """
+    ids: Dict[Any, int] = {}
+    group_keys: List[Any] = []
+    get_id = ids.get
+    events: List[Tuple[int, Any, int]] = []
+    append_event = events.append
+    for key, begin, end, count in zip(_row_keys(key_columns, len(begins)), begins, ends, counts):
+        if begin is None or end is None or begin >= end:
+            continue
+        gid = get_id(key)
+        if gid is None:
+            gid = ids[key] = len(group_keys)
+            group_keys.append(key)
+        append_event((gid, begin, count))
+        append_event((gid, end, -count))
+    events.sort()
+
+    out_keys: List[Any] = []
+    out_begins: List[Any] = []
+    out_ends: List[Any] = []
+    out_counts: List[int] = []
+    # One linear pass: settle each (group, time point) once its events are
+    # exhausted; a point with a non-zero net delta is a changepoint, and a
+    # changepoint reached with open intervals closes one maximal interval.
+    # A sentinel event past the last group settles the last point.
+    current_gid = events[0][0] if events else 0
+    open_since: Any = None
+    open_count = 0
+    prev_ts: Any = None
+    run_delta = 0
+    for gid, ts, delta in chain(events, [(None, None, 0)]):
+        if gid == current_gid and ts == prev_ts:
+            run_delta += delta
+            continue
+        if run_delta != 0:
+            if open_count > 0:
+                out_keys.append(group_keys[current_gid])
+                out_begins.append(open_since)
+                out_ends.append(prev_ts)
+                out_counts.append(open_count)
+            open_since = prev_ts
+            open_count += run_delta
+        if gid != current_gid:
+            # The deltas of a group sum to zero, so the previous group's
+            # sweep closed (open_count is 0 again) before this reset.
+            current_gid = gid
+            open_since = None
+            open_count = 0
+        prev_ts = ts
+        run_delta = delta
+
+    if len(key_columns) == 1:
+        out_key_columns = [out_keys]
+    elif out_keys:
+        out_key_columns = [list(column) for column in zip(*out_keys)]
+    else:
+        out_key_columns = [[] for _ in key_columns]
+    return out_key_columns, out_begins, out_ends, out_counts
+
+
+# -- temporal aggregation ---------------------------------------------------------------
+
+
+def temporal_aggregate(
+    key_columns: Sequence[Sequence[Any]],
+    begins: Sequence[Any],
+    ends: Sequence[Any],
+    counts: Sequence[int],
+    aggregates: Sequence[AggregateInput],
+    checkpoint: Checkpoint = None,
+) -> Tuple[List[Row], int]:
+    """Fused split + aggregation (the optimisation of Section 9).
+
+    Pre-aggregation first: identical (group, argument values, period) rows
+    are bucketed and only their summed multiplicity kept, so the sweep runs
+    on a much smaller input; rows with a NULL or degenerate interval are
+    dropped (SQL's ``WHERE begin < end``).  Then each group's end points are
+    swept once (:func:`_sweep_group`), emitting one row ``group key +
+    aggregate values + (begin, end)`` per segment with open rows.  Returns
+    those rows -- groups in first-valid-row order -- and the number of
+    pre-aggregated buckets.
+    """
+    n = len(counts)
+    arguments = [[None] * n if values is None else values for _func, values in aggregates]
+    buckets: Dict[Row, int] = {}
+    get = buckets.get
+    for key, count in zip(zip(*key_columns, *arguments, begins, ends), counts):
+        begin, end = key[-2], key[-1]
+        if begin is None or end is None or begin >= end:
+            continue
+        buckets[key] = get(key, 0) + count
+
+    n_group = len(key_columns)
+    n_args = len(aggregates)
+    groups: Dict[Row, List[Tuple[Any, Any, Row, int]]] = {}
+    for key, multiplicity in buckets.items():
+        groups.setdefault(key[:n_group], []).append(
+            (key[-2], key[-1], key[n_group : n_group + n_args], multiplicity)
+        )
+
+    functions = [(func, values is None) for func, values in aggregates]
+    rows: List[Row] = []
+    for group_key, facts in groups.items():
+        if checkpoint is not None:
+            checkpoint(len(rows))
+        _sweep_group(group_key, facts, functions, rows.append)
+    return rows, len(buckets)
+
+
+def _sweep_group(
+    group_key: Row,
+    facts: List[Tuple[Any, Any, Row, int]],
+    functions: Sequence[Tuple[str, bool]],
+    append: Callable[[Row], None],
+) -> None:
+    """One group's segments: ``facts`` are its (begin, end, arguments, multiplicity) buckets."""
+    events: Dict[Any, List[Tuple[int, Row, int]]] = {}
+    for begin, end, args, multiplicity in facts:
+        events.setdefault(begin, []).append((+1, args, multiplicity))
+        events.setdefault(end, []).append((-1, args, multiplicity))
+
+    state = _AggregateState(functions)
+    previous: Any = None
+    for ts in sorted(events):
+        if previous is not None and previous < ts and state.open_rows > 0:
+            append(group_key + state.values() + (previous, ts))
+        for sign, args, multiplicity in events[ts]:
+            state.apply(sign, args, multiplicity)
+        previous = ts
+
+
+class _AggregateState:
+    """Incremental aggregate state for one group during the sweep.
+
+    ``count``/``sum``/``avg`` are maintained incrementally and ``min``/``max``
+    keep a multiset of open values.  ``functions`` pairs each aggregate
+    function with whether it is ``count(*)``, which counts every open row --
+    padding rows included (REWR rewrites ``count(*)`` to ``count(A)`` over a
+    constant attribute, so gap padding is not counted).
+    """
+
+    def __init__(self, functions: Sequence[Tuple[str, bool]]) -> None:
+        self.functions = functions
+        self.open_rows = 0
+        self.counts = [0] * len(functions)
+        self.sums = [0] * len(functions)
+        self.value_multisets: List[Counter] = [Counter() for _ in functions]
+
+    def apply(self, sign: int, args: Row, multiplicity: int) -> None:
+        weight = sign * multiplicity
+        self.open_rows += weight
+        for position, (func, star) in enumerate(self.functions):
+            value = args[position]
+            if star:
+                self.counts[position] += weight
+                continue
+            if value is None:
+                continue
+            self.counts[position] += weight
+            if func in ("sum", "avg"):
+                self.sums[position] += weight * value
+            elif func in ("min", "max"):
+                values = self.value_multisets[position]
+                values[value] += weight
+                if values[value] == 0:
+                    del values[value]
+
+    def values(self) -> Row:
+        output: List[Any] = []
+        for position, (func, _star) in enumerate(self.functions):
+            count = self.counts[position]
+            if func == "count":
+                output.append(count)
+            elif func == "sum":
+                output.append(self.sums[position] if count else None)
+            elif func == "avg":
+                output.append(self.sums[position] / count if count else None)
+            else:
+                values = self.value_multisets[position]
+                output.append((max if func == "max" else min)(values) if values else None)
+        return tuple(output)
+
+
+# -- bag difference and grouping --------------------------------------------------------
+
+
+def except_all(
+    left_rows: Sequence[Row],
+    left_counts: Sequence[int],
+    right_rows: Sequence[Row],
+    right_counts: Sequence[int],
+) -> Tuple[List[Row], List[int]]:
+    """Bag difference (``EXCEPT ALL``): per distinct row, left count minus right count.
+
+    Returns one entry per distinct left row whose net multiplicity is
+    positive, in first-seen order, printed as the left input first holds it,
+    and those net multiplicities.
+    """
+    remaining: Dict[Row, int] = {}
+    get = remaining.get
+    for row, count in zip(left_rows, left_counts):
+        remaining[row] = get(row, 0) + count
+    for row, count in zip(right_rows, right_counts):
+        remaining[row] = get(row, 0) - count
+    rows: List[Row] = []
+    counts: List[int] = []
+    for row, count in remaining.items():
+        if count > 0:
+            rows.append(row)
+            counts.append(count)
+    return rows, counts
+
+
+def aggregate(
+    key_columns: Sequence[Sequence[Any]],
+    counts: Sequence[int],
+    aggregates: Sequence[AggregateInput],
+) -> List[Row]:
+    """Non-temporal grouping: one row ``key + aggregate values`` per group, first-seen order.
+
+    Each row contributes its multiplicity, so a row with count ``k``
+    aggregates exactly like ``k`` copies of it would.  ``None`` argument
+    values are ignored like SQL NULLs; ``count`` of nothing is 0, every
+    other aggregate of nothing ``None``
+    (:func:`~repro.abstract_model.krelation.aggregate_values`).  Without
+    grouping attributes an empty input still yields its one row.
+    """
+    keys: Sequence[Row] = list(zip(*key_columns)) if key_columns else [()] * len(counts)
+    groups: Dict[Row, List[int]] = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(key, []).append(position)
+    if not key_columns and not groups:
+        groups[()] = []
+
+    rows: List[Row] = []
+    for key, positions in groups.items():
+        values: List[Any] = []
+        for func, column in aggregates:
+            if func == "count":
+                if column is None:
+                    values.append(sum(counts[p] for p in positions))
+                else:
+                    values.append(
+                        sum(counts[p] for p in positions if column[p] is not None)
+                    )
+            else:
+                assert column is not None
+                values.append(
+                    aggregate_values(
+                        func,
+                        [(column[p], counts[p]) for p in positions if column[p] is not None],
+                    )
+                )
+        rows.append(key + tuple(values))
+    return rows

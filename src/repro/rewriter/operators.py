@@ -5,13 +5,24 @@ does not provide as primitives -- *coalesce* ``C`` and *split* ``N_G`` --
 plus the optimisation of Section 9 that fuses pre-aggregation with the
 split step.  In the real middleware these are emitted as SQL subqueries
 built from analytic window functions; here they are
-:class:`~repro.engine.executor.PhysicalOperator` subclasses executed by the
-engine through its extension hook.  The coalesce operator evaluates the SQL
-window formulation (running count of open intervals per value group,
-changepoint filter, ``lead`` to the next changepoint) as one fused
-sweep-line pass per group -- the same ``O(n log n)`` sort-based cost the
-paper reports (Figure 5) without materialising the three intermediate
-window tables.
+:class:`~repro.engine.executor.PhysicalOperator` subclasses with two entry
+points each:
+
+* ``execute_batch`` -- the engine: the operator's whole-column kernel
+  (:mod:`repro.engine.kernels`) when :func:`repro.engine.kernels.worthwhile`
+  says so and the kernel does not decline, its scalar algorithm otherwise;
+* ``execute`` -- the row reference: the same scalar algorithm over a
+  table, every multiplicity 1, with the multiplicities it returns expanded
+  into duplicate rows.
+
+The scalar algorithms are defined once, in :mod:`repro.engine.sweeps`, and
+both entry points reach them through one ``_scalar`` method per operator
+that reads its inputs' columns by name (a :class:`~repro.engine.table.Table`
+and a ``ColumnarBatch`` both answer ``column(attribute)``).  Coalescing is
+the SQL window formulation (running count of open intervals per value
+group, changepoint filter, ``lead`` to the next changepoint) fused into one
+sweep-line pass -- the same ``O(n log n)`` sort-based cost the paper reports
+(Figure 5) without materialising the three intermediate window tables.
 
 All three operators work on PERIODENC-encoded tables: data attributes plus
 ``t_begin`` / ``t_end``.
@@ -19,17 +30,15 @@ All three operators work on PERIODENC-encoded tables: data attributes plus
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 
 from ..algebra.expressions import Attribute
 from ..algebra.operators import AggregateSpec, Operator, Projection
 from ..engine import kernels as _kernels
+from ..engine import sweeps as _sweeps
 from ..engine.executor import ExecutionContext, ExecutorError, PhysicalOperator
-from ..engine.sweeps import collect_group_endpoints, split_segments
-from ..engine.table import Table, tuple_getter
-from ..temporal.coalesce import coalesce_column_sets, coalesce_vectorized
+from ..engine.table import Table
 from .periodenc import T_BEGIN, T_END
 
 if TYPE_CHECKING:  # engine.batch imports this module's host package lazily
@@ -37,20 +46,12 @@ if TYPE_CHECKING:  # engine.batch imports this module's host package lazily
 
 __all__ = ["CoalesceOperator", "SplitOperator", "TemporalAggregateOperator"]
 
+#: What a scalar route reads its columns from: the reference's table or the engine's batch.
+Relation = Union[Table, "ColumnarBatch"]
 
-def _data_attributes(table: Table, period: Tuple[str, str]) -> Tuple[str, ...]:
-    return tuple(a for a in table.schema if a not in period)
 
-
-def _batch_group_keys(batch: "ColumnarBatch", attributes: Tuple[str, ...]) -> Sequence[Any]:
-    """Per-row group keys of a batch: zero-copy for one attribute, zipped tuples else."""
-    if len(attributes) == 1:
-        return batch.columns[batch.column_index(attributes[0])]
-    if attributes:
-        return list(
-            zip(*(batch.columns[batch.column_index(a)] for a in attributes))
-        )
-    return [()] * len(batch.counts)
+def _data_attributes(schema: Sequence[str], period: Tuple[str, str]) -> Tuple[str, ...]:
+    return tuple(a for a in schema if a not in period)
 
 
 @dataclass(frozen=True)
@@ -120,57 +121,11 @@ class CoalesceOperator(PhysicalOperator):
         return CoalesceOperator(Projection(self.child, tuple(columns)), self.period)
 
     def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
+        """The row reference: :meth:`_scalar` over the table, each maximal interval ``count`` times."""
         (table,) = children
-        begin_attr, end_attr = self.period
-        data = _data_attributes(table, self.period)
-        begin_index = table.column_index(begin_attr)
-        end_index = table.column_index(end_attr)
-        data_key = tuple_getter([table.column_index(a) for a in data])
-
-        # Step 1: +1/-1 events per (value group, time point), pre-summed per
-        # point.  One counter per value group so time points are only ever
-        # compared within a group (data values may contain NULL padding).
-        limited = context._limited
-        deltas: Dict[Tuple[Any, ...], Counter] = {}
-        for row in table.rows:
-            if limited:
-                context.checkpoint()
-            begin, end = row[begin_index], row[end_index]
-            # SQL semantics of the window formulation's ``WHERE begin < end``
-            # prefilter: a NULL end point makes the comparison unknown, so
-            # the row is dropped -- like a degenerate interval it holds at no
-            # time point.
-            if begin is None or end is None or begin >= end:
-                continue
-            bucket = deltas.get(values := data_key(row))
-            if bucket is None:
-                bucket = deltas[values] = Counter()
-            bucket[begin] += 1
-            bucket[end] -= 1
-
-        # Step 2: one sweep per value group over its sorted time points,
-        # maintaining the running count of open intervals (the SQL
-        # formulation's ``sum(delta) OVER (PARTITION BY data ORDER BY ts)``,
-        # its changepoint filter and its ``lead(ts)`` fused into one pass).
-        # A point whose net delta is zero leaves the count unchanged and is
-        # skipped; each changepoint with a positive count emits the maximal
-        # interval up to the next changepoint, ``count`` times.
-        result = Table("coalesce", data + self.period)
-        out = result.rows
-        for values, bucket in deltas.items():
-            if limited:
-                context.checkpoint(len(out))
-            open_since: Any = None
-            open_count = 0
-            for ts in sorted(bucket):
-                delta = bucket[ts]
-                if delta == 0:
-                    continue
-                if open_count > 0:
-                    out.extend([values + (open_since, ts)] * open_count)
-                open_since = ts
-                open_count += delta
-            # The deltas of a group sum to zero, so the sweep always closes.
+        out_data, begins, ends, counts = self._scalar(table, [1] * len(table))
+        result = Table("coalesce", _data_attributes(table.schema, self.period) + self.period)
+        result.rows = _sweeps.expand(list(zip(*out_data, begins, ends)), counts)
         context.count("coalesce_input_rows", len(table))
         context.count("coalesce_output_rows", len(result))
         return result
@@ -180,48 +135,38 @@ class CoalesceOperator(PhysicalOperator):
     ) -> "ColumnarBatch":
         """Columnar coalescing: one entry per maximal interval, with its count.
 
-        Same sweep as :meth:`execute`, but the input multiplicity column
-        feeds the +1/-1 events directly and each maximal interval comes back
-        as *one* batch entry carrying its open-interval count -- no
-        duplicate tuples are materialised until the batch leaves the engine.
-        All-ones inputs at the kernel cutover run :func:`repro.temporal
-        .coalesce.coalesce_vectorized` over the columns' typed forms
-        (counted as ``batch.coalesce_vectorized``; the grouping attributes
-        come back gathered at each group's first row, never as key tuples);
-        what it declines, and everything else, runs the scalar sweeps of
-        :func:`~repro.temporal.coalesce.coalesce_column_sets` on the value
-        lists.
+        The input multiplicity column feeds the +1/-1 events directly and
+        each maximal interval comes back as *one* batch entry carrying its
+        open-interval count -- no duplicate tuples are materialised until
+        the batch leaves the engine.  All-ones inputs at the kernel cutover
+        run :func:`repro.engine.kernels.coalesce_vectorized` over the
+        columns' typed forms (counted as ``batch.coalesce_vectorized``; the
+        grouping attributes come back gathered at each group's first row,
+        never as key tuples); what it declines, and everything else, runs
+        :meth:`_scalar` on the value lists.
         """
         from ..engine.batch import ColumnarBatch
 
         (batch,) = children
-        begin_attr, end_attr = self.period
-        data = tuple(a for a in batch.schema if a not in self.period)
-        begin_at, end_at = batch.column_index(begin_attr), batch.column_index(end_attr)
-        data_at = [batch.column_index(a) for a in data]
+        data = _data_attributes(batch.schema, self.period)
         limited = context._limited
         if limited:
             context.checkpoint()
         served = None
         if batch.all_ones() and _kernels.worthwhile(len(batch)):
             typed = batch.typed
-            served = coalesce_vectorized(
-                [typed[index] for index in data_at],
-                typed[begin_at],
-                typed[end_at],
+            begin_attr, end_attr = self.period
+            served = _kernels.coalesce_vectorized(
+                [typed[batch.column_index(a)] for a in data],
+                typed[batch.column_index(begin_attr)],
+                typed[batch.column_index(end_attr)],
                 context.stage_checkpoint if limited else None,
             )
         vectorized = served is not None
         if vectorized:
             context.count("batch.coalesce_vectorized")
         else:
-            columns = batch.columns
-            served = coalesce_column_sets(
-                [columns[index] for index in data_at],
-                columns[begin_at],
-                columns[end_at],
-                batch.counts,
-            )
+            served = self._scalar(batch, batch.counts)
         out_data, out_begins, out_ends, out_counts = served
         result = ColumnarBatch(
             "coalesce",
@@ -235,6 +180,18 @@ class CoalesceOperator(PhysicalOperator):
         if limited:
             context.checkpoint(result.weight())
         return result
+
+    def _scalar(
+        self, relation: Relation, counts: Sequence[int]
+    ) -> Tuple[List[List[Any]], List[Any], List[Any], List[int]]:
+        """:func:`repro.engine.sweeps.coalesce` over the input's columns."""
+        begin_attr, end_attr = self.period
+        return _sweeps.coalesce(
+            [relation.column(a) for a in _data_attributes(relation.schema, self.period)],
+            relation.column(begin_attr),
+            relation.column(end_attr),
+            counts,
+        )
 
 
 @dataclass(frozen=True)
@@ -302,41 +259,21 @@ class SplitOperator(PhysicalOperator):
         )
 
     def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
+        """The row reference: :meth:`_scalar`, each piece its source row with the new period."""
         left, right = children
+        self._check_group_attributes(left, right)
+        row_indexes, piece_begins, piece_ends = self._scalar(left, right)
         begin_attr, end_attr = self.period
-        for attribute in self.group_by:
-            if not left.has_attribute(attribute):
-                raise ExecutorError(
-                    f"split group attribute {attribute!r} missing from {left.schema}"
-                )
-
-        endpoints = self._endpoints_by_group(left, right)
-        begin_index = left.column_index(begin_attr)
-        end_index = left.column_index(end_attr)
-        group_key = tuple_getter([left.column_index(a) for a in self.group_by])
-
-        limited = context._limited
+        columns = [
+            piece_begins
+            if attribute == begin_attr
+            else piece_ends
+            if attribute == end_attr
+            else _kernels.gather(left.column(attribute), row_indexes)
+            for attribute in left.schema
+        ]
         result = Table("split", left.schema)
-        for row in left.rows:
-            if limited:
-                context.checkpoint(len(result.rows))
-            begin, end = row[begin_index], row[end_index]
-            # NULL end points drop the row (SQL's ``WHERE begin < end``), and
-            # NULL cut points never satisfy ``begin < p < end`` -- matching
-            # the compiled window SQL's three-valued comparisons.
-            if begin is None or end is None or begin >= end:
-                continue
-            cuts = [
-                p
-                for p in endpoints.get(group_key(row), ())
-                if p is not None and begin < p < end
-            ]
-            bounds = [begin, *sorted(set(cuts)), end]
-            for piece_begin, piece_end in zip(bounds, bounds[1:]):
-                piece = list(row)
-                piece[begin_index] = piece_begin
-                piece[end_index] = piece_end
-                result.append(tuple(piece))
+        result.rows = list(zip(*columns))
         context.count("split_output_rows", len(result))
         return result
 
@@ -348,31 +285,24 @@ class SplitOperator(PhysicalOperator):
         The cut points come from :func:`repro.engine.kernels
         .split_segments_vectorized` (all groups in one sorted array of end
         points, counted as ``batch.split_vectorized``) or, for what it
-        declines, from the per-group sweep helpers in
-        :mod:`repro.engine.sweeps`.  Either way end points are collected per
-        group from both children's columns, data columns are rebuilt with
-        one index gather per attribute (on the kernel route a lazy one: the
-        typed forms follow, the values of an attribute nobody reads are
+        declines, from :meth:`_scalar`.  Either way end points are collected
+        per group from both children's columns, data columns are rebuilt
+        with one index gather per attribute (on the kernel route a lazy one:
+        the typed forms follow, the values of an attribute nobody reads are
         never gathered) and multiplicities follow their source row (every
         duplicate splits identically).
         """
         from ..engine.batch import ColumnarBatch
 
         left, right = children
+        self._check_group_attributes(left, right)
         begin_attr, end_attr = self.period
-        for attribute in self.group_by:
-            if not left.has_attribute(attribute):
-                raise ExecutorError(
-                    f"split group attribute {attribute!r} missing from {left.schema}"
-                )
         limited = context._limited
         if limited:
             context.checkpoint()
 
         begin_index = left.column_index(begin_attr)
         end_index = left.column_index(end_attr)
-        right_begin_index = right.column_index(begin_attr)
-        right_end_index = right.column_index(end_attr)
         segments = None
         if _kernels.worthwhile(len(left) + len(right)):
             left_typed, right_typed = left.typed, right.typed
@@ -381,8 +311,8 @@ class SplitOperator(PhysicalOperator):
                 left_typed[begin_index],
                 left_typed[end_index],
                 [right_typed[right.column_index(a)] for a in self.group_by],
-                right_typed[right_begin_index],
-                right_typed[right_end_index],
+                right_typed[right.column_index(begin_attr)],
+                right_typed[right.column_index(end_attr)],
                 context.stage_checkpoint if limited else None,
             )
         vectorized = segments is not None
@@ -391,19 +321,7 @@ class SplitOperator(PhysicalOperator):
             at, piece_begins, piece_ends = segments
             row_indexes = at.tolist()
         else:
-            left_columns, right_columns = left.columns, right.columns
-            left_begins, left_ends = left_columns[begin_index], left_columns[end_index]
-            left_keys = _batch_group_keys(left, self.group_by)
-            endpoints = collect_group_endpoints(left_keys, left_begins, left_ends)
-            collect_group_endpoints(
-                _batch_group_keys(right, self.group_by),
-                right_columns[right_begin_index],
-                right_columns[right_end_index],
-                into=endpoints,
-            )
-            row_indexes, piece_begins, piece_ends = split_segments(
-                left_keys, left_begins, left_ends, endpoints
-            )
+            row_indexes, piece_begins, piece_ends = self._scalar(left, right)
         counts = (
             [1] * len(row_indexes)
             if left.all_ones()
@@ -436,19 +354,28 @@ class SplitOperator(PhysicalOperator):
         context.count("split_output_rows", result.weight())
         return result
 
-    def _endpoints_by_group(
-        self, left: Table, right: Table
-    ) -> Dict[Tuple[Any, ...], set]:
-        endpoints: Dict[Tuple[Any, ...], set] = {}
-        for table in (left, right):
-            begin_index = table.column_index(self.period[0])
-            end_index = table.column_index(self.period[1])
-            group_key = tuple_getter([table.column_index(a) for a in self.group_by])
-            for row in table.rows:
-                bucket = endpoints.setdefault(group_key(row), set())
-                bucket.add(row[begin_index])
-                bucket.add(row[end_index])
-        return endpoints
+    def _check_group_attributes(self, left: Relation, right: Relation) -> None:
+        """Both inputs must hold every group attribute: end points are collected from both."""
+        for relation in (left, right):
+            for attribute in self.group_by:
+                if not relation.has_attribute(attribute):
+                    raise ExecutorError(
+                        f"split group attribute {attribute!r} missing from {relation.schema}"
+                    )
+
+    def _scalar(
+        self, left: Relation, right: Relation
+    ) -> Tuple[List[int], List[Any], List[Any]]:
+        """:func:`repro.engine.sweeps.split` over both inputs' columns."""
+        begin_attr, end_attr = self.period
+        return _sweeps.split(
+            [left.column(a) for a in self.group_by],
+            left.column(begin_attr),
+            left.column(end_attr),
+            [right.column(a) for a in self.group_by],
+            right.column(begin_attr),
+            right.column(end_attr),
+        )
 
 
 @dataclass(frozen=True)
@@ -459,9 +386,8 @@ class TemporalAggregateOperator(PhysicalOperator):
     standard aggregation grouped by ``(G, t_begin, t_end)``, this operator
     sweeps each group's interval end points once, maintaining running
     aggregate state, and emits one result row per segment between
-    consecutive end points.  In that per-group sweep (the row path, and the
-    twin of the whole-column kernel) ``count``/``sum``/``avg`` are maintained
-    incrementally and ``min``/``max`` keep a multiset of open values.
+    consecutive end points (:func:`repro.engine.sweeps.temporal_aggregate`,
+    twin of the whole-column kernel).
 
     ``count(*)`` must have been pre-rewritten to ``count(A)`` over a
     constant attribute (Fig. 4's rule), so ``NULL`` padding rows added for
@@ -504,58 +430,16 @@ class TemporalAggregateOperator(PhysicalOperator):
         return ()
 
     def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
+        """The row reference: :meth:`_scalar`, arguments evaluated row by row."""
         (table,) = children
-        begin_attr, end_attr = self.period
-        begin_index = table.column_index(begin_attr)
-        end_index = table.column_index(end_attr)
-        group_indexes = [table.column_index(a) for a in self.group_by]
-        schema = table.schema
-
-        # Pre-aggregation: bucket identical (group, argument values, period)
-        # rows and keep only their multiplicity.  This is what makes the
-        # subsequent sort-and-sweep operate on a much smaller input.
-        # Aggregate arguments are compiled once against the input schema and
-        # evaluated on the raw row tuples.
-        compiled_arguments = tuple(
-            None if spec.argument is None else spec.argument.compile(schema)
+        arguments = [
+            None
+            if spec.argument is None
+            else list(map(spec.argument.compile(table.schema), table.rows))
             for spec in self.aggregates
-        )
-        group_key = tuple_getter(group_indexes)
-        limited = context._limited
-        buckets: Counter = Counter()
-        for row in table.rows:
-            if limited:
-                context.checkpoint()
-            begin, end = row[begin_index], row[end_index]
-            # SQL's ``WHERE begin < end`` prefilter: NULL end points drop the
-            # row, exactly like the compiled segmentation SQL.
-            if begin is None or end is None or begin >= end:
-                continue
-            args = tuple(
-                None if argument is None else argument(row)
-                for argument in compiled_arguments
-            )
-            buckets[group_key(row) + args + (begin, end)] += 1
-        context.count("preaggregated_rows", len(buckets))
-
-        # Sweep each group's end points.
-        n_group = len(self.group_by)
-        n_args = len(self.aggregates)
-        groups: Dict[Tuple[Any, ...], List[Tuple[int, int, Tuple[Any, ...], int]]] = {}
-        for key, multiplicity in buckets.items():
-            group_key = key[:n_group]
-            args = key[n_group : n_group + n_args]
-            begin, end = key[-2], key[-1]
-            groups.setdefault(group_key, []).append((begin, end, args, multiplicity))
-
-        result = Table(
-            "temporal_aggregation",
-            self.group_by + tuple(spec.alias for spec in self.aggregates) + self.period,
-        )
-        for group_key, facts in groups.items():
-            if limited:
-                context.checkpoint(len(result.rows))
-            self._sweep_group(group_key, facts, result.append)
+        ]
+        result = Table("temporal_aggregation", self.planner_schema(()))
+        result.rows = self._scalar(table, [1] * len(table), arguments, context)
         return result
 
     def execute_batch(
@@ -567,34 +451,27 @@ class TemporalAggregateOperator(PhysicalOperator):
         sweeps over every group's events at once (:func:`repro.engine.kernels
         .temporal_aggregate_vectorized`, counted as
         ``batch.aggregate_vectorized``).  Anything that kernel declines --
-        ``bool``/float arguments, NULL end points, small inputs --
-        pre-aggregates instead: bucket keys are built with one nested ``zip``
-        over (group, argument, period) columns, weighting each row by its
-        multiplicity, and the per-group sweep is shared with the row path.
+        ``bool``/float arguments, NULL end points, small inputs -- runs
+        :meth:`_scalar` over the value lists, weighting each row by its
+        multiplicity.
         """
         from ..engine.batch import ColumnarBatch
 
         (batch,) = children
         begin_attr, end_attr = self.period
         n = len(batch.counts)
-        schema = batch.schema
-        out_schema = (
-            self.group_by + tuple(spec.alias for spec in self.aggregates) + self.period
-        )
-        begin_index = batch.column_index(begin_attr)
-        end_index = batch.column_index(end_attr)
-        group_indexes = [batch.column_index(a) for a in self.group_by]
+        out_schema = self.planner_schema(())
         limited = context._limited
         if limited:
             context.checkpoint()
 
         if _kernels.worthwhile(n):
             typed = batch.typed
-            group_columns = [typed[index] for index in group_indexes]
+            group_columns = [typed[batch.column_index(a)] for a in self.group_by]
             served = _kernels.temporal_aggregate_vectorized(
                 group_columns,
-                typed[begin_index],
-                typed[end_index],
+                typed[batch.column_index(begin_attr)],
+                typed[batch.column_index(end_attr)],
                 None if batch.all_ones() else batch.counts,
                 [(spec.func, self._argument(spec, batch)) for spec in self.aggregates],
                 context.stage_checkpoint if limited else None,
@@ -615,46 +492,41 @@ class TemporalAggregateOperator(PhysicalOperator):
                     typed=True,
                 )
 
-        columns = batch.columns
-        argument_lists = [
-            [None] * n
+        arguments = [
+            None
             if spec.argument is None
-            else spec.argument.compile_batch(schema)(columns, n)
+            else spec.argument.compile_batch(batch.schema)(batch.columns, n)
             for spec in self.aggregates
         ]
-        buckets: Dict[Tuple[Any, ...], int] = {}
-        get = buckets.get
-        for key, count in zip(
-            zip(
-                *(columns[index] for index in group_indexes),
-                *argument_lists,
-                columns[begin_index],
-                columns[end_index],
-            ),
-            batch.counts,
-        ):
-            begin, end = key[-2], key[-1]
-            if begin is None or end is None or begin >= end:
-                continue
-            buckets[key] = get(key, 0) + count
-        context.count("preaggregated_rows", len(buckets))
+        return ColumnarBatch.from_rows(
+            "temporal_aggregation",
+            out_schema,
+            self._scalar(batch, batch.counts, arguments, context),
+        )
 
-        n_group = len(self.group_by)
-        n_args = len(self.aggregates)
-        groups: Dict[Tuple[Any, ...], List[Tuple[int, int, Tuple[Any, ...], int]]] = {}
-        for key, multiplicity in buckets.items():
-            group_key = key[:n_group]
-            args = key[n_group : n_group + n_args]
-            begin, end = key[-2], key[-1]
-            groups.setdefault(group_key, []).append((begin, end, args, multiplicity))
+    def _scalar(
+        self,
+        relation: Relation,
+        counts: Sequence[int],
+        arguments: Sequence[Optional[Sequence[Any]]],
+        context: ExecutionContext,
+    ) -> List[Tuple[Any, ...]]:
+        """:func:`repro.engine.sweeps.temporal_aggregate` over the input's columns.
 
-        rows: List[Tuple[Any, ...]] = []
-        append = rows.append
-        for group_key, facts in groups.items():
-            if limited:
-                context.checkpoint(len(rows))
-            self._sweep_group(group_key, facts, append)
-        return ColumnarBatch.from_rows("temporal_aggregation", out_schema, rows)
+        ``arguments`` holds each aggregate's evaluated argument values
+        (``None`` for ``count(*)``).
+        """
+        begin_attr, end_attr = self.period
+        rows, buckets = _sweeps.temporal_aggregate(
+            [relation.column(a) for a in self.group_by],
+            relation.column(begin_attr),
+            relation.column(end_attr),
+            counts,
+            [(spec.func, values) for spec, values in zip(self.aggregates, arguments)],
+            context.checkpoint if context._limited else None,
+        )
+        context.count("preaggregated_rows", buckets)
+        return rows
 
     @staticmethod
     def _argument(spec: AggregateSpec, batch: "ColumnarBatch") -> Optional[_kernels.Column]:
@@ -665,78 +537,3 @@ class TemporalAggregateOperator(PhysicalOperator):
             return batch.typed[batch.column_index(spec.argument.name)]
         evaluate = spec.argument.compile_batch(batch.schema)
         return _kernels.Column(evaluate(batch.columns, len(batch)))
-
-    # -- sweep ---------------------------------------------------------------------------
-
-    def _sweep_group(
-        self,
-        group_key: Tuple[Any, ...],
-        facts: List[Tuple[int, int, Tuple[Any, ...], int]],
-        append: Callable[[Tuple[Any, ...]], None],
-    ) -> None:
-        events: Dict[int, List[Tuple[int, Tuple[Any, ...], int]]] = {}
-        for begin, end, args, multiplicity in facts:
-            events.setdefault(begin, []).append((+1, args, multiplicity))
-            events.setdefault(end, []).append((-1, args, multiplicity))
-        timestamps = sorted(events)
-
-        state = _AggregateState(self.aggregates)
-        previous: Optional[int] = None
-        for ts in timestamps:
-            if previous is not None and previous < ts and state.has_open_rows():
-                append(group_key + state.values() + (previous, ts))
-            for sign, args, multiplicity in events[ts]:
-                state.apply(sign, args, multiplicity)
-            previous = ts
-
-
-class _AggregateState:
-    """Incremental aggregate state for one group during the sweep."""
-
-    def __init__(self, aggregates: Tuple[AggregateSpec, ...]) -> None:
-        self.aggregates = aggregates
-        self.open_rows = 0
-        self.counts = [0] * len(aggregates)
-        self.sums = [0] * len(aggregates)
-        self.value_multisets: List[Counter] = [Counter() for _ in aggregates]
-
-    def has_open_rows(self) -> bool:
-        return self.open_rows > 0
-
-    def apply(self, sign: int, args: Tuple[Any, ...], multiplicity: int) -> None:
-        self.open_rows += sign * multiplicity
-        for position, spec in enumerate(self.aggregates):
-            value = args[position]
-            if spec.argument is None:
-                # count(*): every open row counts, including padding rows.
-                self.counts[position] += sign * multiplicity
-                continue
-            if value is None:
-                continue
-            self.counts[position] += sign * multiplicity
-            if spec.func in ("sum", "avg"):
-                self.sums[position] += sign * multiplicity * value
-            if spec.func in ("min", "max"):
-                self.value_multisets[position][value] += sign * multiplicity
-                if self.value_multisets[position][value] == 0:
-                    del self.value_multisets[position][value]
-
-    def values(self) -> Tuple[Any, ...]:
-        output: List[Any] = []
-        for position, spec in enumerate(self.aggregates):
-            count = self.counts[position]
-            if spec.func == "count":
-                output.append(count)
-            elif spec.func == "sum":
-                output.append(self.sums[position] if count else None)
-            elif spec.func == "avg":
-                output.append(self.sums[position] / count if count else None)
-            elif spec.func == "min":
-                values = self.value_multisets[position]
-                output.append(min(values) if values else None)
-            elif spec.func == "max":
-                values = self.value_multisets[position]
-                output.append(max(values) if values else None)
-            else:  # pragma: no cover - AggregateSpec validates functions
-                raise ExecutorError(f"unknown aggregate {spec.func!r}")
-        return tuple(output)

@@ -1,0 +1,117 @@
+"""The conformance oracle catches a bug in each shared scalar sweep.
+
+The row reference and the engine's scalar route call the same functions of
+:mod:`repro.engine.sweeps`, so the reference differential cannot see a bug
+in one of them: both sides would carry it.  The abstract-model oracle of
+:func:`repro.conformance.check_conformance` can -- it evaluates every
+snapshot without running any of the engine's code.  Each mutant below is a
+shipped sweep with one realistic bug (its source recompiled with one snippet
+replaced), patched into the module while every operator is kept on its
+scalar route (``KERNEL_CUTOVER`` out of reach; without numpy that route is
+the only one).  The oracle must pass the pristine sweep on the trigger query
+and produce a counterexample for the mutant.
+"""
+
+from __future__ import annotations
+
+import inspect
+import textwrap
+
+import pytest
+
+from repro.algebra.expressions import Comparison, attr
+from repro.algebra.operators import (
+    AggregateSpec,
+    Aggregation,
+    Difference,
+    Join,
+    Projection,
+    RelationAccess,
+    Union,
+)
+from repro.conformance import check_conformance
+from repro.datasets.running_example import TIME_DOMAIN, populate_database, query_skillreq
+from repro.engine import kernels, sweeps
+from repro.engine.catalog import Database
+
+
+def mutated(function, old: str, new: str):
+    """``function`` recompiled from its source with every ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert old in source, f"{function.__qualname__} no longer contains {old!r}: update the mutant"
+    namespace = dict(vars(sweeps))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
+
+
+def _skills(relation: str, skill: str):
+    return Projection(RelationAccess(relation), ((attr(skill), "skill"),))
+
+
+#: name -> (sweep, snippet, its buggy replacement, trigger query, what the bug is).
+MUTANTS = {
+    "interval sweep": (
+        "interval_sweep",
+        "rhs[j:k]",
+        "rhs[j + 1:k]",
+        Projection.of_attributes(
+            Join(
+                RelationAccess("works"),
+                RelationAccess("assign"),
+                Comparison("=", attr("skill"), attr("req_skill")),
+            ),
+            "name",
+            "mach",
+        ),
+        "a left head scans the right input from the row after the right head, "
+        "so it never pairs with the right head itself",
+    ),
+    "split segments": (
+        "split_segments",
+        "bounds = [begin, *cuts, end]",
+        "bounds = [begin, *cuts]",
+        query_skillreq(),
+        "a row that is cut loses its last piece",
+    ),
+    "coalesce sweep": (
+        "coalesce",
+        "out_counts.append(open_count)",
+        "out_counts.append(1)",
+        _skills("works", "skill"),
+        "set coalescing: each maximal interval once, whatever its multiplicity",
+    ),
+    "temporal-aggregate sweep": (
+        "temporal_aggregate",
+        "buckets[key] = get(key, 0) + count",
+        "buckets[key] = count",
+        Aggregation(
+            Union(_skills("works", "skill"), _skills("works", "skill")),
+            ("skill",),
+            (AggregateSpec("count", None, "cnt"),),
+        ),
+        "pre-aggregation keeps one duplicate's multiplicity instead of their sum",
+    ),
+    "bag difference": (
+        "except_all",
+        "remaining[row] = get(row, 0) - count",
+        "remaining[row] = 0",
+        Difference(_skills("assign", "req_skill"), _skills("works", "skill")),
+        "EXCEPT for EXCEPT ALL: one right copy removes every left copy",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_the_oracle_catches_a_bug_in_each_shared_sweep(name, monkeypatch):
+    sweep, old, new, query, _bug = MUTANTS[name]
+    monkeypatch.setattr(kernels, "KERNEL_CUTOVER", 10**9)
+    database = populate_database(Database())
+    pristine = check_conformance(query, database, TIME_DOMAIN, backends=("memory",))
+    assert pristine.ok, pristine.counterexample and pristine.counterexample.describe()
+
+    monkeypatch.setattr(sweeps, sweep, mutated(getattr(sweeps, sweep), old, new))
+    report = check_conformance(query, database, TIME_DOMAIN, backends=("memory",))
+    assert not report.ok, f"the oracle missed the {name} mutant: {MUTANTS[name][-1]}"
+    counterexample = report.counterexample
+    assert counterexample.error is None, counterexample.error
+    assert counterexample.expected != counterexample.actual

@@ -1,14 +1,17 @@
-"""The row engine is the batch executor's differential oracle.
+"""The row reference is the batch executor's differential oracle.
 
 The columnar batch executor (:mod:`repro.engine.batch`) must be
-bag-equivalent with the row-streaming engine on *every* plan the pipeline
-can produce: the hypothesis suite here drives randomized generator catalogs
+bag-equivalent with the row reference on *every* plan the pipeline can
+produce: the hypothesis suite here drives randomized generator catalogs
 (adversarial shapes included -- NULL data, NULL end points, duplicates,
 degenerate intervals) through the deep conformance plan grammar, rewrites
 each query once, and executes the same physical plan on both executors with
 the planner on and off.  Separate cases pin which route the interval join
-took (kernel or scalar partitions) and the counters the ``explain()``
-surface reports for it.
+took (kernel or scalar partitions), the counters the ``explain()`` surface
+reports for it, and that below the cutover both executors run the one
+scalar definition of each algorithm in :mod:`repro.engine.sweeps` -- so what
+this differential checks is the kernels and the plan plumbing
+(``tests/conformance/test_sweep_mutants.py`` checks the sweeps).
 """
 
 from __future__ import annotations
@@ -20,8 +23,23 @@ import pytest
 from hypothesis import given, settings
 
 from repro.algebra.expressions import Comparison, and_, attr
-from repro.algebra.operators import Join, RelationAccess, Rename
+from repro.algebra.operators import (
+    AggregateSpec,
+    Aggregation,
+    Difference,
+    Join,
+    Projection,
+    RelationAccess,
+    Rename,
+)
 from repro.datasets import GeneratorConfig, generate_catalog, generate_table
+from repro.datasets.running_example import (
+    TIME_DOMAIN,
+    populate_database,
+    query_onduty,
+    query_skillreq,
+)
+from repro.engine import sweeps
 from repro.engine.catalog import Database
 from repro import connect
 from repro.engine.executor import execute
@@ -218,3 +236,52 @@ def test_vectorized_overlap_join_exact_on_degenerate_and_null_intervals():
     # NULL endpoints are not int columns: the vectorized route must decline
     # and the bisect sweep (which drops NULL rows) must answer instead.
     assert "join_strategy.interval_vectorized" not in statistics
+
+
+def test_both_executors_call_the_same_sweep_functions_below_the_cutover(monkeypatch):
+    """The reference and the engine share one definition per scalar algorithm.
+
+    Every function of :mod:`repro.engine.sweeps` an operator dispatches to
+    is replaced by a spy; a plan with a join, a split, a bag difference, a
+    fused temporal aggregation, a grouping and coalescing runs on both
+    executors, and each spy must have been called by both.
+    """
+    shared = ("join", "split", "coalesce", "temporal_aggregate", "except_all", "aggregate")
+    callers: Dict[str, set] = {name: set() for name in shared}
+    running = []
+    for name in shared:
+        original = getattr(sweeps, name)
+
+        def spy(*args, _name=name, _original=original):
+            callers[_name].add(running[-1])
+            return _original(*args)
+
+        monkeypatch.setattr(sweeps, name, spy)
+
+    database = populate_database(Database())
+    pipeline = QueryPipeline(TIME_DOMAIN, database=database)
+    joined = Projection.of_attributes(
+        Join(
+            RelationAccess("works"),
+            RelationAccess("assign"),
+            Comparison("=", attr("skill"), attr("req_skill")),
+        ),
+        "name",
+        "mach",
+    )
+    plans = [pipeline.rewrite(query) for query in (joined, query_skillreq(), query_onduty())]
+    # Grouping and bag difference as plain operators, outside REWR.
+    plans.append(
+        Aggregation(
+            Difference(RelationAccess("assign"), RelationAccess("assign")),
+            ("req_skill",),
+            (AggregateSpec("count", None, "n"),),
+        )
+    )
+    for executor in ("row", "batch"):
+        running.append(executor)
+        statistics: Dict[str, int] = {}
+        for plan in plans:
+            execute(plan, database, statistics, executor=executor)
+        assert not any(name.endswith("_vectorized") for name in statistics)
+    assert callers == {name: {"row", "batch"} for name in shared}

@@ -40,6 +40,7 @@ from repro.engine import kernels
 from repro.engine.catalog import Database
 from repro.engine.executor import ExecutionContext, execute
 from repro.engine.sweeps import (
+    coalesce,
     collect_group_endpoints,
     interval_sweep,
     partition_by_keys,
@@ -53,7 +54,6 @@ from repro.rewriter.operators import (
     TemporalAggregateOperator,
 )
 from repro.rewriter.pipeline import QueryPipeline
-from repro.temporal import coalesce as coalescing
 from repro.temporal.timedomain import TimeDomain
 
 pytest.importorskip("numpy")
@@ -303,21 +303,18 @@ def test_coalesce_kernel_matches_scalar_and_reference(data):
     with pytest.MonkeyPatch.context() as monkeypatch:
         statistics = _three_ways(CoalesceOperator(_relation(rows)), monkeypatch)
     *key_columns, begins, ends = _columns(rows)
-    served = coalescing.coalesce_vectorized(key_columns, begins, ends)
+    served = kernels.coalesce_vectorized(key_columns, begins, ends)
     if not _plain_end_points(rows):
         assert served is None
         return
     assert served is not None and statistics["batch.coalesce_vectorized"] == 1
     kernel_keys, kernel_begins, kernel_ends, kernel_counts = served
-    twin = coalescing.coalesce_columns(
-        list(zip(*(column.values for column in key_columns))),
-        begins.values,
-        ends.values,
-        [1] * len(rows),
+    twin = coalesce(
+        [column.values for column in key_columns], begins.values, ends.values, [1] * len(rows)
     )
     # Same entries in the same order (groups by first valid row), printed alike.
     kernel = (
-        list(zip(*(column.values for column in kernel_keys))),
+        [column.values for column in kernel_keys],
         kernel_begins.values,
         kernel_ends.values,
         kernel_counts,
@@ -813,7 +810,7 @@ def test_an_expired_deadline_stops_a_kernel_between_stages():
         "max": lambda: kernels.temporal_aggregate_vectorized(
             key, begins, ends, None, [("max", value)], checkpoint
         ),
-        "coalesce": lambda: coalescing.coalesce_vectorized(key, begins, ends, checkpoint),
+        "coalesce": lambda: kernels.coalesce_vectorized(key, begins, ends, checkpoint),
     }
     for name, call in calls.items():
         del polls_seen[:]

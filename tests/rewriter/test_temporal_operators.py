@@ -94,6 +94,23 @@ class TestSplitOperator:
         with pytest.raises(Exception):
             execute(SplitOperator(left, left, ("missing",)), DATABASE)
 
+    @pytest.mark.parametrize("executor", ["row", "batch"])
+    @pytest.mark.parametrize("cutover", [0, 10**9])
+    @pytest.mark.parametrize("missing_on", ["left", "right"])
+    def test_a_group_attribute_missing_from_either_input_is_named(
+        self, executor, cutover, missing_on, monkeypatch
+    ):
+        """Both inputs are checked, on every route, with the operator's own message."""
+        from repro.engine import ExecutorError, kernels
+
+        monkeypatch.setattr(kernels, "KERNEL_CUTOVER", cutover)
+        grouped = constant([("a", 0, 10)])
+        other = constant([("a", 4, 6)], schema=("other", T_BEGIN, T_END))
+        left, right = (other, grouped) if missing_on == "left" else (grouped, other)
+        plan = SplitOperator(left, right, ("val",))
+        with pytest.raises(ExecutorError, match=r"split group attribute 'val' missing from \('other'"):
+            execute(plan, DATABASE, executor=executor)
+
 
 class TestTemporalAggregateOperator:
     def test_grouped_count_and_sum(self):

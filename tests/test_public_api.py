@@ -154,9 +154,25 @@ class TestPublicSurface:
         fault-injection *wrapper*, which resolves the inner backend it
         wraps once, at construction, and is itself handed plans by the
         pipeline.
+
+        And the paper's temporal vocabulary stays below the engine: no
+        module of ``repro.temporal`` imports ``repro.engine`` (the coalesce
+        operator's sweep and kernel live in the engine, the normal forms of
+        temporal elements do not need it).
         """
         import ast
         import pathlib
+
+        package = pathlib.Path(repro.__file__).parent
+        for path in (package / "temporal").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    named = [alias.name for alias in node.names]
+                    if isinstance(node, ast.ImportFrom):
+                        named.append(node.module or "")
+                    assert not any("engine" in name.split(".") for name in named), (
+                        f"temporal/{path.name}:{node.lineno} imports the engine"
+                    )
 
         source = pathlib.Path(repro.execution.__file__).read_text()
         for node in ast.parse(source).body:
@@ -170,7 +186,6 @@ class TestPublicSurface:
                     assert "rewriter" not in alias.name
                     assert "backends" not in alias.name
 
-        package = pathlib.Path(repro.__file__).parent
         importers = {
             path.relative_to(package).as_posix()
             for path in package.rglob("*.py")
