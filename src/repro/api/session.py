@@ -290,10 +290,10 @@ class LocalTransport:
     def call(self, verb: str, **args: Any) -> Any:
         return VERBS[verb].run(self.pipeline, **args)
 
-    def view(self, call: Callable[..., Any], name: str, view: Any = None) -> Any:
+    def view(self, call: Callable[..., Any], name: str, described: Any = None) -> Any:
         # The view object itself, by a direct lookup: ``session.view(name).rows()``
         # is a 70 us operation (the benchmark's view_churn reads).
-        return view if view is not None else self.pipeline.view(name)
+        return self.pipeline.view(name)
 
     def close(self) -> None:
         """Close a backend *instance* the session owns (e.g. session-mode SQLite)."""
@@ -432,7 +432,8 @@ class Session:
 
     def ping(self) -> bool:
         """Liveness probe (a round-trip over ``repro://``)."""
-        return self.call("ping")
+        self.call("ping")
+        return True
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else self._transport.describe()
@@ -524,7 +525,7 @@ class Session:
         one this session actually executes.  In process any keyword argument
         passes through and overrides (``backends=``, ``optimize_modes=``,
         ``points=``, ``rewriter_cls=``, ...); over ``repro://`` the JSON-able
-        subset :data:`repro.server.verbs.CHECK_OPTIONS` does.
+        subset :class:`repro.server.verbs.CheckOptions` does.
         """
         return self.call("check", plan=query, options=kwargs)
 
@@ -568,7 +569,7 @@ class Session:
 
     def views(self) -> Tuple[str, ...]:
         """Names of the registered materialized views."""
-        return self.call("view_info")
+        return tuple(self.call("view_info")["views"])
 
     def drop_view(self, name: str) -> None:
         """Unregister a view and drop its backing table (DDL)."""

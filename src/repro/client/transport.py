@@ -73,7 +73,7 @@ class WireTransport:
 
     def call(self, verb: str, **args: Any) -> Any:
         spec = VERBS[verb]
-        return spec.result.decode(self._connection.request(spec.request(args)))
+        return spec.decode_result(self._connection.request(spec.request(args)))
 
     def view(
         self, call: Callable[..., Any], name: str, described: Optional[Dict[str, Any]] = None

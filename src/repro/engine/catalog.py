@@ -68,7 +68,8 @@ class Database:
         self._depth = 0
         self._published: Optional[Mapping[str, TableVersion]] = MappingProxyType(_Versions())
         # DML observers: callables ``(table_name, {row: signed_count})``
-        # invoked after every insert/delete.  Materialized views
+        # invoked after every insert/delete (and every change a view's
+        # maintenance makes to its backing table).  Materialized views
         # (:mod:`repro.incremental`) subscribe here so row-level DML turns
         # into Z-set deltas instead of invalidating anything; DDL
         # (create/replace/drop) deliberately does NOT notify -- it bumps

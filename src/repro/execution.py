@@ -36,7 +36,6 @@ register later without touching callers.
 
 from __future__ import annotations
 
-import inspect
 import random
 import time
 from dataclasses import dataclass, field
@@ -59,7 +58,6 @@ from .errors import (
     BackendError,
     BackendUnavailableError,
     QueryTimeoutError,
-    ResourceLimitError,
     is_transient,
 )
 
@@ -76,7 +74,6 @@ __all__ = [
     "check_backend_name",
     "resolve_backend",
     "available_backends",
-    "backend_accepts_limits",
     "backend_name",
     "sleep_backoff",
 ]
@@ -88,11 +85,9 @@ class ExecutionBackend(Protocol):
 
     ``statistics``, when given, receives backend-specific counters merged
     into the mapping (the in-memory engine's operator counts, the SQL
-    backends' statement/row counts).  ``limits`` carries the per-execution
-    deadline and row budget of an :class:`ExecutionPolicy`; backends that
-    accept the keyword enforce it cooperatively (the pipeline checks the
-    result post-hoc for backends that do not -- see
-    :func:`backend_accepts_limits`).
+    backends' statement/row counts).  ``limits`` -- always passed, as a
+    keyword -- carries the per-execution deadline and row budget of an
+    :class:`ExecutionPolicy`, which the backend enforces cooperatively.
     """
 
     name: str
@@ -186,17 +181,6 @@ class QueryLimits:
 
     deadline: Optional[Deadline] = None
     row_budget: Optional[int] = None
-
-    def enforce_result(self, table: Table) -> Table:
-        """Post-hoc enforcement for backends without cooperative checks."""
-        if self.row_budget is not None and len(table.rows) > self.row_budget:
-            raise ResourceLimitError(
-                f"result has {len(table.rows)} rows, exceeding the "
-                f"{self.row_budget}-row budget"
-            )
-        if self.deadline is not None:
-            self.deadline.check()
-        return table
 
 
 @dataclass(frozen=True)
@@ -386,29 +370,6 @@ class PolicyCounters:
 
 
 _REGISTRY: Dict[str, Callable[[], ExecutionBackend]] = {}
-
-_ACCEPTS_LIMITS_CACHE: Dict[type, bool] = {}
-
-
-def backend_accepts_limits(backend: ExecutionBackend) -> bool:
-    """Does the backend's ``execute`` take the ``limits`` keyword?
-
-    Third-party backends written against the pre-fault-tolerance protocol
-    are still accepted; the pipeline enforces their limits post-hoc via
-    :meth:`QueryLimits.enforce_result` instead.
-    """
-    key = type(backend)
-    cached = _ACCEPTS_LIMITS_CACHE.get(key)
-    if cached is None:
-        try:
-            parameters = inspect.signature(backend.execute).parameters
-            cached = "limits" in parameters or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-            )
-        except (TypeError, ValueError):  # builtins / C-level callables
-            cached = False
-        _ACCEPTS_LIMITS_CACHE[key] = cached
-    return cached
 
 
 def backend_name(backend: "Union[str, ExecutionBackend, None]") -> str:

@@ -34,7 +34,6 @@ from .errors import BackendError, BackendUnavailableError
 from .execution import (
     ExecutionBackend,
     QueryLimits,
-    backend_accepts_limits,
     resolve_backend,
 )
 
@@ -194,10 +193,7 @@ class FaultInjectingBackend:
             raise BackendError("injected permanent backend failure")
         if isinstance(action, tuple):
             self._sleep(action[1], limits)
-        if limits is not None and backend_accepts_limits(self.inner):
-            return self.inner.execute(plan, database, statistics, limits=limits)
-        result = self.inner.execute(plan, database, statistics)
-        return result if limits is None else limits.enforce_result(result)
+        return self.inner.execute(plan, database, statistics, limits=limits)
 
     @staticmethod
     def _sleep(seconds: float, limits: Optional[QueryLimits]) -> None:

@@ -15,7 +15,7 @@ registered views automatically.
 """
 
 from ..errors import IncrementalError
-from .delta import Delta, ZSet, add_into, expand_rows, zset_diff, zset_of
+from .delta import Delta, ZSet, add_into, zset_diff, zset_of
 from .view import MaterializedView
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "MaterializedView",
     "ZSet",
     "add_into",
-    "expand_rows",
     "zset_diff",
     "zset_of",
 ]

@@ -11,11 +11,12 @@ any re-encoding.
 
 Converged states (base tables, materialized view contents) are ordinary
 bags -- Z-sets with non-negative multiplicities; only in-flight deltas are
-signed.  :func:`add_into` enforces that invariant where callers ask for it.
+signed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from ..errors import IncrementalError
@@ -24,7 +25,6 @@ __all__ = [
     "Delta",
     "ZSet",
     "add_into",
-    "expand_rows",
     "zset_diff",
     "zset_of",
 ]
@@ -44,39 +44,12 @@ def zset_of(rows: Iterable[Sequence[Any]]) -> ZSet:
     return zset
 
 
-def expand_rows(zset: Mapping[Row, int]) -> list:
-    """Expand a non-negative Z-set back into duplicated row tuples."""
-    rows: list = []
-    for row, weight in zset.items():
-        if weight < 0:
-            raise IncrementalError(
-                f"cannot expand a Z-set with negative multiplicity {weight} "
-                f"for row {row!r}"
-            )
-        rows.extend([row] * weight)
-    return rows
-
-
-def add_into(
-    target: ZSet,
-    delta: Mapping[Row, int],
-    require_nonnegative: bool = False,
-) -> int:
+def add_into(target: ZSet, delta: Mapping[Row, int]) -> int:
     """Add ``delta`` into ``target`` in place, dropping zeroed entries.
 
     Returns the number of entries that cancelled to zero (the consolidation
-    count).  With ``require_nonnegative`` the target is treated as a bag:
-    any entry that would go negative raises :class:`IncrementalError`
-    *before* the target is modified.
+    count).
     """
-    if require_nonnegative:
-        for row, weight in delta.items():
-            if target.get(row, 0) + weight < 0:
-                raise IncrementalError(
-                    f"delta drives multiplicity of row {row!r} to "
-                    f"{target.get(row, 0) + weight}; deleting a row that is "
-                    "not present?"
-                )
     cancelled = 0
     for row, weight in delta.items():
         if weight == 0:
@@ -103,6 +76,7 @@ def zset_diff(new: Mapping[Row, int], old: Mapping[Row, int]) -> ZSet:
     return delta
 
 
+@dataclass(eq=False)  # the fields are its wire form; __init__ and __repr__ are its own
 class Delta:
     """A signed row batch against one named relation.
 
@@ -115,6 +89,8 @@ class Delta:
     """
 
     __slots__ = ("relation", "entries")
+    relation: str
+    entries: ZSet
 
     def __init__(
         self,

@@ -27,6 +27,8 @@ bumps ``Database.schema_version`` and invalidates cached plans), while
 :meth:`MaterializedView.apply` is DML and does not: it gives the table a new
 row list inside the catalog's writer lock, published together with the
 base-table write that caused it, so no query sees one without the other.
+The change to that row list is handed to the table's DML observers as the
+view's own delta, so a view over this view follows in the same write.
 DDL after registration marks the view stale; the next delta triggers one
 counted full refresh instead of an incorrect propagation.
 """
@@ -59,7 +61,7 @@ from ..engine.executor import ExecutionContext, execute as engine_execute
 from ..engine.table import Table, tuple_getter
 from ..errors import IncrementalError
 from ..rewriter.periodenc import T_BEGIN, T_END
-from .delta import Delta, Row, ZSet, add_into
+from .delta import Delta, Row, ZSet, add_into, zset_diff, zset_of
 from .partition import partition_key as infer_partition_key
 
 if TYPE_CHECKING:
@@ -398,8 +400,10 @@ class MaterializedView:
             for leaf in set(self._leaves)
         }
         plan = _with_leaves(self._plan, iter([slices[leaf] for leaf in self._leaves]))
-        fresh = self._by_key(engine_execute(plan, self._pipeline.database).rows)
+        database = self._pipeline.database
+        fresh = self._by_key(engine_execute(plan, database).rows)
         result = self._result
+        old = [result.get(key, ()) for key in dirty]
         for key in dirty:
             if key in fresh:
                 result[key] = fresh[key]
@@ -409,6 +413,13 @@ class MaterializedView:
         # keeps the old one, and the table's next version is published with
         # the rest of this write.
         self._table.rows = self._flattened()
+        # The view's own delta goes to whatever reads its backing table (a
+        # view over this view), inside the same writer lock: the whole stack
+        # commits as one write.
+        if any(observer != self._observe_dml for observer in database._observers):
+            new = chain.from_iterable(fresh[key] for key in dirty if key in fresh)
+            delta = zset_diff(zset_of(new), zset_of(chain.from_iterable(old)))
+            database._notify_dml(self.name, delta)
 
 
 def _with_leaves(plan: Operator, leaves: Iterator[Operator]) -> Operator:

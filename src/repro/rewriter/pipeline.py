@@ -43,7 +43,6 @@ from ..execution import (
     ExecutionPolicy,
     PolicyCounters,
     QueryLimits,
-    backend_accepts_limits,
     check_backend_name,
     resolve_backend,
 )
@@ -157,6 +156,8 @@ class QueryPipeline:
         self._cache: Optional[Dict[Tuple[Any, ...], Operator]] = (
             {} if plan_cache else None
         )
+        #: The schema version every cached entry was rewritten under.
+        self._cache_version: Optional[int] = None
         self._cache_hits = 0
         self._cache_misses = 0
         self._policy_counters = PolicyCounters()
@@ -321,6 +322,11 @@ class QueryPipeline:
             statistics["plan_cache.misses"] = (
                 statistics.get("plan_cache.misses", 0) + 1
             )
+        if key[0] != self._cache_version:
+            # DDL since the last entry: plans of an older catalog shape never hit
+            # again.  The version stays in the key: a rewrite racing a DDL misses.
+            self._cache.clear()
+            self._cache_version = key[0]
         self._cache[key] = plan
         return plan
 
@@ -424,14 +430,7 @@ class QueryPipeline:
             return engine_execute(
                 plan, self.database, statistics, limits=limits, observations=observations
             )
-        resolved = self._host(chosen)
-        if limits is None:
-            return resolved.execute(plan, self.database, statistics)
-        if backend_accepts_limits(resolved):
-            return resolved.execute(plan, self.database, statistics, limits=limits)
-        # Pre-fault-tolerance third-party backend: run unconstrained, then
-        # enforce the budget on the result (the deadline still trips here).
-        return limits.enforce_result(resolved.execute(plan, self.database, statistics))
+        return self._host(chosen).execute(plan, self.database, statistics, limits=limits)
 
     @staticmethod
     def _host(chosen: "str | ExecutionBackend") -> ExecutionBackend:

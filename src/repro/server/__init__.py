@@ -4,12 +4,13 @@
 
 * :mod:`repro.server.protocol` -- length-prefixed JSON framing plus the
   error-frame mapping onto the :mod:`repro.errors` taxonomy;
-* :mod:`repro.server.plans` -- the JSON codec for logical plans and scalar
-  expressions (what actually crosses the wire);
+* :mod:`repro.server.codec` -- the wire codec: every value crosses the
+  wire as its declared type's fields (``plan_to_json`` / ``plan_from_json``
+  for a logical plan);
 * :mod:`repro.server.verbs` -- the session verb table, the protocol
-  reference: every verb's in-process implementation, argument and reply
-  codecs and worker-pool flag, declared once for in-process sessions,
-  ``repro://`` sessions and the server's dispatch;
+  reference: every verb's in-process implementation, the declared types
+  of its arguments and reply, and its worker-pool flag, declared once for
+  in-process sessions, ``repro://`` sessions and the server's dispatch;
 * :mod:`repro.server.core` -- :class:`QueryServer`, the asyncio TCP server
   multiplexing many clients over one in-process session's catalog + plan
   cache (``QueryServer(connect(domain=(0, 24)))``).
@@ -18,7 +19,7 @@ Run a server from the command line with ``python -m repro.server``.
 """
 
 from .core import DEFAULT_PORT, QueryServer
-from .plans import (
+from .codec import (
     expression_from_json,
     expression_to_json,
     plan_from_json,

@@ -205,14 +205,12 @@ class QueryServer:
 
     # -- connection handling ----------------------------------------------------------
 
-    async def _read_frame(self, reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
+    async def _read_payload(self, reader: asyncio.StreamReader) -> Optional[bytes]:
         try:
             header = await reader.readexactly(4)
         except (asyncio.IncompleteReadError, ConnectionError):
             return None
-        length = read_frame_length(header, self.max_frame_bytes)
-        payload = await reader.readexactly(length)
-        return decode_frame(payload)
+        return await reader.readexactly(read_frame_length(header, self.max_frame_bytes))
 
     async def _send(
         self,
@@ -233,7 +231,8 @@ class QueryServer:
         send = functools.partial(self._send, writer, asyncio.Lock())
         tasks: set = set()
         try:
-            hello = await self._read_frame(reader)
+            payload = await self._read_payload(reader)
+            hello = None if payload is None else decode_frame(payload)
             if hello is None:
                 return
             if hello.get("type") != "hello":
@@ -243,13 +242,19 @@ class QueryServer:
             await send(self._welcome())
             while True:
                 try:
-                    frame = await self._read_frame(reader)
+                    payload = await self._read_payload(reader)
                 except ProtocolError as error:
                     # Framing is broken beyond this point: report and hang up.
                     await send(error_to_frame(error))
                     return
-                if frame is None:
+                if payload is None:
                     return
+                try:
+                    frame = decode_frame(payload)
+                except ProtocolError as error:
+                    # A whole frame, but no typed message: answer it, stay in step.
+                    await send(error_to_frame(error))
+                    continue
                 kind = frame.get("type")
                 if kind == "query":
                     task = asyncio.ensure_future(self._handle_query(connection_id, frame, send))
@@ -295,6 +300,8 @@ class QueryServer:
     # -- query execution --------------------------------------------------------------
 
     def _cancel(self, connection_id: int, request_id: Any) -> None:
+        if isinstance(request_id, (list, dict)):
+            return  # an unhashable id names no request
         deadline = self._active.get((connection_id, request_id))
         if deadline is not None:
             deadline.cancel()
@@ -312,6 +319,8 @@ class QueryServer:
             deadline = Deadline(max(0.0, seconds))
             limits = QueryLimits(deadline=deadline, row_budget=args.get("max_result_rows"))
             chunk_rows = args.get("chunk_rows", self.chunk_rows)
+            if chunk_rows < 1:
+                raise ProtocolError(f"query chunk_rows must be positive, got {chunk_rows}")
             statistics: Dict[str, int] = {}
             schema_version = self._pipeline.database.schema_version
             key = (connection_id, request_id)

@@ -18,7 +18,9 @@ Message flow (client -> server | server -> client)::
     <verb> {id, arguments...}   | ok {id, result fields...}
 
 The verbs, their arguments and their result fields are the table in
-:mod:`repro.server.verbs` -- the protocol reference.
+:mod:`repro.server.verbs` -- the protocol reference.  A value crosses the
+wire as its declared type's fields (:mod:`repro.server.codec`), and the
+server decodes every request strictly against those types.
 
 Any request may instead be answered by an ``error`` frame carrying the
 class name of the server-side failure; :func:`error_to_frame` /
@@ -83,7 +85,9 @@ def decode_frame(payload: bytes) -> Dict[str, Any]:
         message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
-    if not isinstance(message, dict) or "type" not in message:
+    except RecursionError:
+        raise ProtocolError("frame payload nests too deeply to decode") from None
+    if not isinstance(message, dict) or type(message.get("type")) is not str:
         raise ProtocolError(f"frame payload is not a typed message: {message!r}")
     return message
 
@@ -180,7 +184,6 @@ def error_from_frame(frame: Dict[str, Any]) -> ReproError:
     cls = _CODE_TO_CLASS.get(code, BackendError)
     if cls is BackendError:
         return BackendError(message, transient=bool(frame.get("transient", False)))
-    error = cls(message)
     # Per-instance transient override only exists on BackendError; for the
     # rest the class default already matches the server's classification.
-    return error
+    return cls(message)

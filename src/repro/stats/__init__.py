@@ -14,9 +14,9 @@ per catalog table summarising
 
 Statistics are collected by :meth:`repro.engine.catalog.Database.analyze`
 (surfaced as ``session.analyze()`` and the query server's ``analyze``
-frame), stored in the catalog, dropped when DML touches their table, and
-JSON-serializable (:meth:`TableStatistics.to_dict` / ``from_dict``) so
-remote sessions see the same numbers the server estimates with.
+frame), stored in the catalog and dropped when DML touches their table.
+They cross the wire as their dataclass fields (:mod:`repro.server.codec`),
+so remote sessions see the same numbers the server estimates with.
 """
 
 from .model import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..engine.table import Table
 
@@ -38,16 +38,6 @@ class ColumnStatistics:
 
     distinct: int
     null_fraction: float
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"distinct": self.distinct, "null_fraction": self.null_fraction}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ColumnStatistics":
-        return cls(
-            distinct=int(payload["distinct"]),
-            null_fraction=float(payload["null_fraction"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -86,17 +76,6 @@ class EndpointHistogram:
         within = self.counts[bucket] * (position - bucket)
         return min(1.0, (below + within) / total)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"lo": self.lo, "hi": self.hi, "counts": list(self.counts)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "EndpointHistogram":
-        return cls(
-            lo=float(payload["lo"]),
-            hi=float(payload["hi"]),
-            counts=tuple(int(count) for count in payload["counts"]),
-        )
-
 
 @dataclass(frozen=True)
 class TableStatistics:
@@ -127,47 +106,6 @@ class TableStatistics:
     def null_fraction(self, column: str) -> float:
         stats = self.columns.get(column)
         return stats.null_fraction if stats is not None else 0.0
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "table": self.table,
-            "row_count": self.row_count,
-            "columns": {
-                name: stats.to_dict() for name, stats in self.columns.items()
-            },
-            "period": list(self.period) if self.period else None,
-            "begin_histogram": (
-                self.begin_histogram.to_dict() if self.begin_histogram else None
-            ),
-            "end_histogram": (
-                self.end_histogram.to_dict() if self.end_histogram else None
-            ),
-            "length_quantiles": list(self.length_quantiles),
-            "overlap_density": self.overlap_density,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TableStatistics":
-        period = payload.get("period")
-        begin = payload.get("begin_histogram")
-        end = payload.get("end_histogram")
-        return cls(
-            table=str(payload["table"]),
-            row_count=int(payload["row_count"]),
-            columns={
-                name: ColumnStatistics.from_dict(column)
-                for name, column in payload.get("columns", {}).items()
-            },
-            period=(period[0], period[1]) if period else None,
-            begin_histogram=EndpointHistogram.from_dict(begin) if begin else None,
-            end_histogram=EndpointHistogram.from_dict(end) if end else None,
-            length_quantiles=tuple(
-                float(q) for q in payload.get("length_quantiles", ())
-            ),
-            overlap_density=float(payload.get("overlap_density", 0.0)),
-        )
 
 
 # -- collection ------------------------------------------------------------------------------------

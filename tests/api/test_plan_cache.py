@@ -106,6 +106,12 @@ class TestInvalidation:
         assert "plan_cache.hits" not in statistics
         # And the result reflects the new data (only Ann's first shift).
         assert (1, 3, 10) in rows
+        # Entries keyed under an older schema version can never hit again:
+        # they are dropped, not kept beside the live one.
+        for _ in range(20):
+            session.load("works", ["name", "skill"], WORKS_ROWS[:2])
+            onduty(session).rows()
+        assert session.cache_info().size == 1
 
     def test_row_inserts_do_not_invalidate(self, session):
         onduty(session).rows()

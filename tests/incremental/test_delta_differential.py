@@ -25,6 +25,10 @@ Failures shrink: hypothesis minimizes the catalog config, the plan, and the
 delta stream together, so a red run ends with a minimal witness stream in
 the same spirit as the conformance harness's shrunk counterexamples.
 
+A third sweep stacks a second view over each generated one (rows counted
+per first data column) and holds it to the same three checks: base-table
+DML reaches it only through the first view's own delta.
+
 The general grammar mostly builds views that are *one partition* (its join
 drops the key it joined on, nested set operations mix differently keyed
 leaves), so a second sweep draws only partitionable shapes and asserts every
@@ -134,10 +138,19 @@ def _concretize_delete(reference_rows, picks):
 # -- the differential sweep --------------------------------------------------------------
 
 
-def _replay(config, query, stream, built):
+def _over(session, name):
+    """A second view over view ``name``: its rows counted per first data column."""
+    relation = session.table(name)
+    schema = session.database.table(name).schema
+    data = [column for column in schema if column not in ("t_begin", "t_end")]
+    return (relation.group_by(data[0]) if data else relation).agg(n="count(*)")
+
+
+def _replay(config, query, stream, built, stacked=False):
     """After every delta, view == full re-execution == the row reference, planner on and off.
 
-    ``built`` is called with each view right after registration.
+    ``built`` is called with each view right after registration; ``stacked``
+    puts a second view over the first (:func:`_over`), checked the same way.
     """
     sessions, views = [], []
     try:
@@ -150,6 +163,8 @@ def _replay(config, query, stream, built):
             sessions.append(session)
             views.append(session.materialize(session.query(query), name="V"))
             built(views[-1])
+            if stacked:
+                views.append(session.materialize(_over(session, "V"), name="W"))
 
         # The reference bag replays the stream once; both catalogs start
         # identical (generator determinism), so the concrete DML is shared.
@@ -170,7 +185,9 @@ def _replay(config, query, stream, built):
                 for session in sessions:
                     session.delete(name, rows)
 
-            for planner, session, view in zip(PLANNERS, sessions, views):
+            levels = 2 if stacked else 1
+            for position, view in enumerate(views):
+                planner, session = PLANNERS[position // levels], sessions[position // levels]
                 step = f"step {step_index} ({kind} {len(rows)} rows into {name})"
                 assert view.verify(), (
                     f"{step}: view diverged from full re-execution with "
@@ -181,9 +198,10 @@ def _replay(config, query, stream, built):
                     f"{step}: view diverged from the row reference with "
                     f"planner={planner}\n{view.explain()}"
                 )
-            assert Counter(views[0].rows()) == Counter(views[1].rows()), (
-                f"step {step_index}: view contents differ between planner on and off"
-            )
+            for level in range(levels):
+                assert Counter(views[level].rows()) == Counter(views[levels + level].rows()), (
+                    f"step {step_index}: view contents differ between planner on and off"
+                )
     finally:
         for session in sessions:
             session.close()
@@ -218,6 +236,17 @@ def test_partitioned_views_equal_reexecution_at_every_step(config, query, stream
         assert view.partition_key != (), f"no partition key found\n{view.explain()}"
 
     _replay(config, query, stream, built)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    config=generator_configs(max_rows=6),
+    query=conformance_queries(),
+    stream=delta_streams(),
+)
+def test_stacked_views_equal_reexecution_at_every_step(config, query, stream):
+    """A view over the view: base-table DML reaches it through the first view's own delta."""
+    _replay(config, query, stream, lambda view: None, stacked=True)
 
 
 @settings(max_examples=15, deadline=None)

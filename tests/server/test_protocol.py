@@ -40,7 +40,7 @@ from repro.errors import (
     ResourceLimitError,
     is_transient,
 )
-from repro.server.plans import (
+from repro.server.codec import (
     expression_from_json,
     expression_to_json,
     plan_from_json,

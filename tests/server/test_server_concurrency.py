@@ -13,7 +13,7 @@ from repro.algebra.operators import RelationAccess
 from repro.engine.table import Table
 from repro.errors import QueryTimeoutError
 from repro.execution import register_backend
-from repro.server.plans import plan_to_json
+from repro.server import plan_to_json
 from repro.server.protocol import FrameDecoder, encode_frame
 
 ROWS = [(key, f"cat{key % 3}", key * 2, key % 10, key % 10 + 5) for key in range(40)]

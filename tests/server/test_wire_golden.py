@@ -382,8 +382,8 @@ def test_check_report_with_a_counterexample_keeps_its_wire_form():
             shrink_checks=7,
         ),
     )
-    codec = VERBS["check"].result
-    frame = encode_frame({"type": "ok", "id": 1, **codec.encode(report)})
+    check = VERBS["check"]
+    frame = encode_frame({"type": "ok", "id": 1, **check.encode_result(report)})
     assert frame[4:] == (
         b'{"type":"ok","id":1,"report":{"checks":3,"points":[0,4],"configurations":'
         b'[["memory",true]],"counterexample":{"backend":"memory","optimize":true,'
@@ -391,7 +391,7 @@ def test_check_report_with_a_counterexample_keeps_its_wire_form():
         b'"tables":{"r":[[1,0,5]]},"expected":[[[1],2]],"actual":[],"error":null,'
         b'"shrink_checks":7}}}'
     )
-    assert codec.decode(decode_frame(frame[4:])) == report
+    assert check.decode_result(decode_frame(frame[4:])) == report
 
 
 def _literal(frame: bytes, width: int = 84) -> str:

@@ -2,15 +2,19 @@
 
 Covers the collection pass itself (distinct counts, NULL fractions,
 endpoint histograms, length quantiles, the overlap-density sweep), the
-JSON round-trip the remote ``analyze`` frame relies on, and the catalog
+wire round-trip the remote ``analyze`` frame relies on, and the catalog
 life-cycle: ``analyze()`` stores statistics, DML on an analyzed table
 drops them and DDL drops them with the table.
 """
 
 import json
 
+import pytest
+
 from repro.engine.catalog import Database
 from repro.engine.table import Table
+from repro.errors import ProtocolError
+from repro.server.codec import decode, encode
 from repro.stats import (
     EndpointHistogram,
     TableStatistics,
@@ -86,18 +90,23 @@ class TestSerialization:
     def test_json_roundtrip_preserves_everything(self):
         rows = [("a", 0, 5), ("b", 2, 8), (None, 1, 4)]
         stats = collect_table_statistics(_table(rows), period=("t_begin", "t_end"))
-        payload = json.loads(json.dumps(stats.to_dict()))
-        assert TableStatistics.from_dict(payload) == stats
+        payload = json.loads(json.dumps(encode(TableStatistics, stats)))
+        assert decode(TableStatistics, payload) == stats
 
     def test_minimal_payload_decodes(self):
-        stats = TableStatistics.from_dict({"table": "t", "row_count": 0})
+        stats = decode(TableStatistics, {"table": "t", "row_count": 0})
         assert stats.row_count == 0
         assert stats.period is None
         assert stats.overlap_density == 0.0
+        assert stats.columns == {}
 
     def test_histogram_roundtrip(self):
         hist = EndpointHistogram(lo=0.0, hi=10.0, counts=(3, 0, 7))
-        assert EndpointHistogram.from_dict(hist.to_dict()) == hist
+        assert decode(EndpointHistogram, encode(EndpointHistogram, hist)) == hist
+        # An int is a float on the wire; a bool is never an int.
+        assert decode(EndpointHistogram, {"lo": 0, "hi": 10, "counts": [3]}).lo == 0.0
+        with pytest.raises(ProtocolError, match="counts: expected int, got True"):
+            decode(EndpointHistogram, {"lo": 0, "hi": 10, "counts": [True]})
 
 
 class TestCatalogLifecycle:

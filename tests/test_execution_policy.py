@@ -5,13 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.table import Table
-from repro.errors import QueryTimeoutError, ResourceLimitError
-from repro.execution import (
-    Deadline,
-    ExecutionPolicy,
-    QueryLimits,
-    backend_accepts_limits,
-)
+from repro.errors import QueryTimeoutError
+from repro.execution import Deadline, ExecutionPolicy
 
 
 class TestDeadline:
@@ -36,21 +31,6 @@ class TestDeadline:
         deadline.expires_at = 0.0  # force-expire without sleeping
         with pytest.raises(QueryTimeoutError, match="0.25s deadline"):
             deadline.check()
-
-
-class TestQueryLimits:
-    def test_enforce_result_row_budget(self):
-        limits = QueryLimits(row_budget=2)
-        ok = Table("t", ("x",), [(1,), (2,)])
-        assert limits.enforce_result(ok) is ok
-        too_big = Table("t", ("x",), [(1,), (2,), (3,)])
-        with pytest.raises(ResourceLimitError):
-            limits.enforce_result(too_big)
-
-    def test_enforce_result_expired_deadline(self):
-        limits = QueryLimits(deadline=Deadline(0.0))
-        with pytest.raises(QueryTimeoutError):
-            limits.enforce_result(Table("t", ("x",)))
 
 
 class TestPolicyValidation:
@@ -145,25 +125,29 @@ class TestBackoffDeterminism:
 
 class TestBackendAcceptsLimits:
     def test_builtin_backends_accept_limits(self):
+        import inspect
+
         from repro.backends import InMemoryBackend, SQLiteBackend
 
-        assert backend_accepts_limits(InMemoryBackend())
-        assert backend_accepts_limits(SQLiteBackend())
+        for backend in (InMemoryBackend(), SQLiteBackend()):
+            assert "limits" in inspect.signature(backend.execute).parameters
 
-    def test_legacy_backend_detected(self):
-        class Legacy:
-            name = "legacy"
+    def test_every_backend_receives_limits_as_a_keyword(self):
+        """With or without a policy, ``execute`` is called with ``limits=``."""
+        import repro
 
-            def execute(self, plan, database, statistics=None):
-                return Table("t", ("x",))
+        received = []
 
-        assert not backend_accepts_limits(Legacy())
+        class Recording:
+            name = "recording"
 
-    def test_var_keyword_backend_accepted(self):
-        class Kitchen:
-            name = "kitchen"
+            def execute(self, plan, database, statistics=None, **keywords):
+                received.append(keywords)
+                return Table("t", ("x", "t_begin", "t_end"))
 
-            def execute(self, plan, database, statistics=None, **kwargs):
-                return Table("t", ("x",))
-
-        assert backend_accepts_limits(Kitchen())
+        with repro.connect(domain=(0, 8), backend=Recording()) as session:
+            session.load("r", ["x"], [(1, 0, 4)])
+            session.table("r").rows()
+            session.table("r").with_policy(ExecutionPolicy(max_result_rows=5)).rows()
+        assert received[0] == {"limits": None}
+        assert received[1]["limits"].row_budget == 5
