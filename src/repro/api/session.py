@@ -547,7 +547,7 @@ class Session:
         expose the incremental counters: ``incremental.delta_rows`` (delta
         entries applied), ``incremental.resweep_groups`` (dirty partitions
         recomputed), ``incremental.consolidated_rows`` (delta entries that
-        cancelled a stored input row) and ``incremental.full_refresh``
+        deleted stored input rows) and ``incremental.full_refresh``
         (rebuilds: the registration, then one per DDL on a base table).
         """
         if not isinstance(relation, TemporalRelation):

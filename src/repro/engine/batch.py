@@ -332,10 +332,9 @@ class ColumnarBatch:
 # -- dispatch -------------------------------------------------------------------------
 
 
-def execute_batch_plan(plan: Operator, context: ExecutionContext) -> Table:
-    """Run a plan batch-at-a-time and materialise the result as a Table."""
-    batch = _execute(plan, context, {})
-    return batch.to_table()
+def execute_batch_plan(plan: Operator, context: ExecutionContext) -> ColumnarBatch:
+    """Run a plan batch-at-a-time; its output batch (``.to_table()`` materialises it)."""
+    return _execute(plan, context, {})
 
 
 def _execute(

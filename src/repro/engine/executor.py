@@ -209,7 +209,7 @@ def execute(
         if executor == "batch":
             from .batch import execute_batch_plan
 
-            return execute_batch_plan(plan, context)
+            return execute_batch_plan(plan, context).to_table()
         return _execute(plan, context)
     finally:
         # Fold counts back even when a plan raises mid-execution, so the

@@ -42,6 +42,10 @@ The set operators need the factorise half alone:
   nothing to subtract, ``DISTINCT``: one exact integer tally per input over
   the rows' codes, as an index into the left input.
 
+Materialized-view maintenance and catalog deletes read codes too:
+:func:`rows_holding` finds the rows holding some values (a view's dirty
+slice, a delete's candidates) by one table lookup per row.
+
 Multiplicities travel as a counts column; no kernel duplicates a tuple.
 
 Every kernel has a scalar twin in :mod:`repro.engine.sweeps` that defines
@@ -73,7 +77,7 @@ package.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 try:  # optional: every kernel declines without it and the scalar twin runs
     import numpy as np
@@ -99,6 +103,7 @@ __all__ = [
     "temporal_aggregate_vectorized",
     "coalesce_vectorized",
     "consolidate",
+    "rows_holding",
 ]
 
 Row = Tuple[Any, ...]
@@ -196,10 +201,10 @@ class Column:
     around an int64 array a kernel produced (``Column(ints=array)``), as the
     rows ``at`` of another column (:meth:`gathered`), as two columns laid end
     to end (:meth:`concatenated`), or as a stored table column's successor
-    under DML (:meth:`extended`, :meth:`kept`).  Whichever parts are missing
-    are derived on first use and kept: ``values`` by ``.tolist()``, by
-    gathering the source's list, by adding the two lists or by reading the
-    stored rows, the int form by one exact type scan or from the source's
+    under DML or a slice of it (:meth:`extended`, :meth:`kept`).  Whichever
+    parts are missing are derived on first use and kept: ``values`` by
+    ``.tolist()``, by gathering the source's list, by adding the two lists or
+    by reading the stored rows, the int form by one exact type scan or from the source's
     (the two halves') arrays, the codes by one dict pass or from the source's
     codes (the dictionary is shared; a second half's is mapped into the
     first's).  Nothing here is ever mutated once derived, so columns may be
@@ -268,7 +273,7 @@ class Column:
         return column
 
     def kept(self, at: Any, load: Callable[[], List[Any]]) -> "Column":
-        """The rows ``at`` of this column: the successor of a stored column under a delete.
+        """The rows ``at`` of this column: a stored column's successor under a delete, or a slice.
 
         The forms derived here are gathered exactly as :meth:`gathered`
         would gather them, now, so that the new column can let go of this one.
@@ -362,6 +367,10 @@ class Column:
         """The column as an int64 array, or ``None`` unless every entry is an ``int``."""
         form = self.nullable_ints()
         return form[0] if _all_int(form) else None
+
+    def known_codes(self) -> Optional[Tuple[Any, Dict[Any, int]]]:
+        """:meth:`codes` if they are derived or carried already, else ``None``; scans nothing."""
+        return self._codes
 
     def codes(self) -> Tuple[Any, Dict[Any, int]]:
         """Dict-equality codes of the rows and the value -> code dictionary."""
@@ -1133,3 +1142,23 @@ def _tally(codes: Any, weights: Optional[Sequence[int]], n_codes: int) -> Any:
     tally = np.zeros(n_codes, dtype=dtype)
     np.add.at(tally, codes, np.asarray(weights, dtype=dtype))
     return tally
+
+
+# -- (6) keyed rows: a view's dirty slice, a delete's candidates ---------------------------
+
+
+def rows_holding(columns: Sequence[Column], wanted: Sequence[Collection[Any]]) -> Any:
+    """Ascending index array of the rows whose value in ``columns[i]`` is in ``wanted[i]``, every i.
+
+    Read off each column's codes: one boolean table over its dictionary,
+    looked up at every row's code -- so a value finds the rows a ``dict``
+    finds equal to it (``1``, ``1.0`` and ``True`` alike, NULL by NULL).
+    What a catalog delete and a view's dirty slice narrow on.
+    """
+    mask = None
+    for column, values in zip(columns, wanted):
+        codes, dictionary = column.codes()
+        hit = np.zeros(len(dictionary), dtype=bool)
+        hit[[dictionary[value] for value in values if value in dictionary]] = True
+        mask = hit[codes] if mask is None else mask & hit[codes]
+    return np.flatnonzero(mask)

@@ -15,7 +15,11 @@ mutable cell that names the current one.  Catalog DML
 successor *from* its predecessor -- :meth:`TableVersion.appended`,
 :meth:`TableVersion.without` -- so the forms are carried and only the rows
 that changed are scanned; any other write (``table.append``, ``table.rows =
-...``) simply starts a version with nothing derived yet.
+...``) simply starts a version with nothing derived yet.  A delete finds its
+rows with :meth:`TableVersion.positions`, which reads the codes a column
+carries, if any does, to skip the rows that cannot match; a materialized
+view reads the rows of its dirty keys as a version of their own,
+:meth:`TableVersion.restricted`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from operator import itemgetter
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -133,13 +138,21 @@ class TableVersion:
 
         :class:`TableError` when some row is not held that often.
         """
-        # One membership pass over the table (``compress`` stops with the
-        # range, at this version's count); the budget then walks only the
-        # candidates, taking the first ``count`` copies of each doomed row.
+        # One membership pass over the candidates -- the rows :meth:`_narrowed`
+        # finds on a column's carried codes, or every row (``compress`` stops with
+        # the range, at this version's count); the budget then walks only the
+        # members, taking the first ``count`` copies of each doomed row.
         held = self._rows
         budget = dict(removing)
+        narrowed = self._narrowed(budget)
+        if narrowed is None:
+            candidates: Iterable[int] = range(self.count)
+            rows: Iterable[Row] = held
+        else:
+            candidates = narrowed.tolist()
+            rows = map(held.__getitem__, candidates)
         doomed = []
-        for position in compress(range(self.count), map(budget.__contains__, held)):
+        for position in compress(candidates, map(budget.__contains__, rows)):
             row = held[position]
             if budget[row]:
                 budget[row] -= 1
@@ -151,6 +164,65 @@ class TableVersion:
                 f"(or not often enough): {missing[:3]}"
             )
         return doomed
+
+    def _narrowed(self, removing: Mapping[Row, int]) -> Optional[Any]:
+        """The rows that can equal a row of ``removing``, as an index array; ``None``: any row can.
+
+        Read off the codes one column already carries -- a scan derived
+        them, DML carried them on -- so a row is a candidate exactly when
+        its value there is dict-equal to a doomed row's: the tuples a
+        ``dict`` finds equal are among them.  The column is the one whose
+        codes know the most distinct values.  Nothing is derived here: on a
+        version no column carries codes for, below the kernel cutover and
+        without numpy, every row is a candidate.
+        """
+        columns = self._columns
+        if columns is None or not _kernels.worthwhile(self.count):
+            return None
+        coded = [
+            (len(known[1]), position)
+            for position, known in enumerate(column.known_codes() for column in columns)
+            if known is not None
+        ]
+        if not coded:
+            return None
+        _, position = max(coded)
+        arity = len(self.schema)
+        wanted = {row[position] for row in removing if len(row) == arity}
+        return _kernels.rows_holding([columns[position]], [wanted])
+
+    def restricted(self, attributes: Sequence[int], keys: Collection[Row]) -> "TableVersion":
+        """The rows whose values at ``attributes`` form a tuple in ``keys``, as a version.
+
+        A materialized view's dirty slice.  From the kernel cutover on they
+        are found on the key columns' codes (derived once, then carried by
+        DML like every form), only the rows found are read, and the slice's
+        columns are this version's :meth:`~repro.engine.kernels.Column.kept`
+        at them, typed forms included.  Below it, and without numpy, one pass
+        over the key attributes of every row finds them.  A key of no
+        attributes holds every row: the slice is this version itself.
+        """
+        if not attributes:
+            return self
+        # At C speed: a key of one attribute is looked up as its value, a
+        # longer one as the tuple ``itemgetter`` makes.
+        key_of = itemgetter(*attributes)
+        held = self._rows
+        if not _kernels.worthwhile(self.count):
+            wanted = keys if len(attributes) > 1 else {key[0] for key in keys}
+            rows = list(
+                compress(islice(held, self.count), map(wanted.__contains__, map(key_of, held)))
+            )
+            return TableVersion(self.name, self.schema, rows)
+        columns = self.columns()
+        at = _kernels.rows_holding(
+            [columns[attribute] for attribute in attributes],
+            [{key[index] for key in keys} for index in range(len(attributes))],
+        )
+        if len(attributes) > 1:  # every value is wanted, not every combination
+            at = at[[key_of(held[position]) in keys for position in at.tolist()]]
+        rows = _kernels.gather(held, at.tolist())
+        return TableVersion(self.name, self.schema, rows, _kept(columns, at, rows))
 
     def appended(self, tail: List[Row]) -> "TableVersion":
         """The version after inserting ``tail`` (non-empty rows of this schema).
@@ -179,12 +251,16 @@ class TableVersion:
         kept += held[start : self.count]
         columns = None
         if self._columns is not None and _kernels.worthwhile(self.count):
-            at = _kernels.rows_except(self.count, doomed)
-            columns = [
-                column.kept(at, _stored(kept, len(kept), position))
-                for position, column in enumerate(self._columns)
-            ]
+            columns = _kept(self._columns, _kernels.rows_except(self.count, doomed), kept)
         return TableVersion(self.name, self.schema, kept, columns)
+
+
+def _kept(columns: List[Column], at: Any, rows: List[Row]) -> List[Column]:
+    """``columns`` at the index array ``at``, forms gathered now (``rows``: the rows at ``at``)."""
+    return [
+        column.kept(at, _stored(rows, len(rows), position))
+        for position, column in enumerate(columns)
+    ]
 
 
 def _stored(rows: List[Row], count: int, position: int) -> Callable[[], List[Any]]:

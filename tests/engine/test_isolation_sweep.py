@@ -1,18 +1,21 @@
 """The catalog's isolation contract under real threads: snapshot reads, serialised writers.
 
-One shared catalog, a materialized view over table ``R``, W writers each
-cycling ``delete`` / ``insert`` of its own disjoint batch of ``R``, and
-readers that run beside them -- in process over one :class:`~repro.api.Session`
-(what the server's worker pool does) and over a real
-:class:`~repro.server.QueryServer` with one ``repro://`` client per thread.
+One shared catalog, a materialized view over table ``R``, a second view
+over that view (``R``'s writes reach it only as the first view's own delta),
+W writers each cycling ``delete`` / ``insert`` of its own disjoint batch of
+``R``, and readers that run beside them -- in process over one
+:class:`~repro.api.Session` (what the server's worker pool does) and over a
+real :class:`~repro.server.QueryServer` with one ``repro://`` client per
+thread.
 Every committed state of ``R`` is "the start state minus some of the
 batches", so there are 2^W admissible states; each is evaluated up front by
 the row reference (``executor="row"``) on a private copy, and everything a
 reader observes must be what *one* of them gives:
 
-* ``view_query(R) - table(view)`` and its mirror, each one plan, are empty
-  -- a query never sees a base table after a write and the view before it;
-* the ad hoc aggregate over ``R`` and the view's rows are those of an
+* ``view_query(R) - table(view)`` and its mirror, each one plan, are empty,
+  and so for the view over the view -- a query never sees a table after a
+  write and a view over it before;
+* the ad hoc aggregate over ``R`` and both views' rows are those of an
   admissible state -- no torn write, no lost or doubled batch;
 * every verb of :data:`repro.server.verbs.VERBS` answers without an error
   while the writers run (``insert`` / ``delete`` are the writers' own), so a
@@ -43,6 +46,8 @@ pytestmark = pytest.mark.isolation
 
 DOMAIN = (0, 64)
 VIEW = "key_totals"
+#: A view over VIEW: R's writes reach it only through VIEW's own delta.
+UPPER = "count_histogram"
 ROWS = [(i % 60, f"c{i % 6}", i, (i * 7) % 50, (i * 7) % 50 + 1 + i % 7) for i in range(600)]
 TINY = [(1, 0, 4), (2, 2, 6)]
 BATCH = 20
@@ -58,6 +63,10 @@ Frozen = FrozenSet[Tuple[Tuple[Any, ...], int]]
 
 def view_query(session: Any) -> Any:
     return session.table("R").group_by("k").agg(cnt="count(*)", total="sum(v)")
+
+
+def upper_query(session: Any) -> Any:
+    return session.table(VIEW).group_by("cnt").agg(keys="count(*)")
 
 
 def adhoc_query(session: Any) -> Any:
@@ -84,8 +93,10 @@ def admissible_states(session: Any, batches: List[List[Tuple]]) -> Dict[str, Any
     plans = {
         "adhoc": session.pipeline.rewrite(adhoc_query(session).plan),
         "view": session.pipeline.rewrite(view_query(session).plan),
+        "upper": session.pipeline.rewrite(upper_query(session).plan),
     }
-    states: Dict[str, Any] = {"adhoc": set(), "view": set(), "count": set()}
+    period = ("t_begin", "t_end")
+    states: Dict[str, Any] = {"adhoc": set(), "view": set(), "upper": set(), "count": set()}
     for size in range(len(batches) + 1):
         for absent in combinations(range(len(batches)), size):
             remaining = Counter(ROWS)
@@ -93,11 +104,14 @@ def admissible_states(session: Any, batches: List[List[Tuple]]) -> Dict[str, Any
                 remaining.subtract(batches[writer])
             private = Database()
             private.create_table(
-                "R", ("k", "cat", "v", "t_begin", "t_end"), list(remaining.elements()),
-                period=("t_begin", "t_end"),
+                "R", ("k", "cat", "v") + period, list(remaining.elements()), period=period
             )
-            for name, plan in plans.items():
-                states[name].add(frozen(execute(plan, private, executor="row").rows))
+            states["adhoc"].add(frozen(execute(plans["adhoc"], private, executor="row").rows))
+            view = execute(plans["view"], private, executor="row")
+            states["view"].add(frozen(view.rows))
+            # The view over the view reads that state's view contents.
+            private.create_table(VIEW, view.schema, view.rows, period=period)
+            states["upper"].add(frozen(execute(plans["upper"], private, executor="row").rows))
             states["count"].add(sum(remaining.values()))
     assert len(states["adhoc"]) == len(states["view"]) == 2 ** len(batches)
     return states
@@ -112,11 +126,11 @@ def verb_arguments(name: str, reader: int, session: Any) -> List[Dict[str, Any]]
         "explain": [{"plan": adhoc_query(session).plan}],
         "check": [{"plan": RelationAccess("tiny"), "options": {"max_points": 2}}],
         "materialize": [{"name": own_view, "plan": RelationAccess(scratch)}],
-        "view_info": [{}, {"name": VIEW}, {"name": own_view}],
-        "view_rows": [{"name": VIEW}, {"name": own_view}],
+        "view_info": [{}, {"name": VIEW}, {"name": UPPER}, {"name": own_view}],
+        "view_rows": [{"name": VIEW}, {"name": UPPER}, {"name": own_view}],
         # Detached deltas diverge a view from the catalog: only ever the reader's own.
         "view_apply": [{"name": own_view, "deltas": [Delta(scratch, {(3, 1, 5): 1})]}],
-        "view_verify": [{"name": VIEW}],
+        "view_verify": [{"name": VIEW}, {"name": UPPER}],
         "drop_view": [{"name": own_view}],
     }
     if name in known:
@@ -129,11 +143,13 @@ def verb_arguments(name: str, reader: int, session: Any) -> List[Dict[str, Any]]
 def check_reply(name: str, args: Dict[str, Any], reply: Any, states: Dict[str, Any]) -> None:
     """What a verb's answer must satisfy whichever admissible state it saw."""
     if name == "tables":
-        assert {"R", "tiny", VIEW} <= set(reply)
+        assert {"R", "tiny", VIEW, UPPER} <= set(reply)
     elif name == "analyze" and args:
         assert reply["R"].row_count in states["count"]
     elif name == "view_rows" and args["name"] == VIEW:
         assert frozen(reply[1]) in states["view"], "the view's rows are those of no committed state"
+    elif name == "view_rows" and args["name"] == UPPER:
+        assert frozen(reply[1]) in states["upper"], "the view over the view is that of no state"
     elif name == "view_verify":
         assert reply is True, "verify saw the view and its base table at two moments"
 
@@ -175,10 +191,11 @@ def sweep(
     def read(reader: int) -> Callable[[Any], None]:
         def body(session: Any) -> None:
             for _round in range(ROUNDS):
-                forward = view_query(session).difference(session.table(VIEW)).rows()
-                assert forward == [], f"one query saw R and its view apart: {forward[:3]}"
-                mirror = session.table(VIEW).difference(view_query(session)).rows()
-                assert mirror == [], f"one query saw the view and R apart: {mirror[:3]}"
+                for query, name in ((view_query, VIEW), (upper_query, UPPER)):
+                    forward = query(session).difference(session.table(name)).rows()
+                    assert forward == [], f"one query saw {name} and its input apart: {forward[:3]}"
+                    mirror = session.table(name).difference(query(session)).rows()
+                    assert mirror == [], f"one query saw the input of {name} apart: {mirror[:3]}"
                 seen = frozen(adhoc_query(session).rows())
                 assert seen in states["adhoc"], "the aggregate is that of no committed state"
                 for name in VERBS:
@@ -207,8 +224,11 @@ def sweep(
 
     assert Counter(main.database.table("R").rows) == Counter(ROWS)
     assert frozen(main.view(VIEW).rows()) in states["view"]
-    assert main.views() == (VIEW,) and main.view(VIEW).verify()
-    assert main.view(VIEW).counters["incremental.full_refresh"] == 1
+    assert frozen(main.view(UPPER).rows()) in states["upper"]
+    assert main.views() == (VIEW, UPPER)
+    for name in (VIEW, UPPER):
+        assert main.view(name).verify()
+        assert main.view(name).counters["incremental.full_refresh"] == 1
 
 
 @pytest.fixture
@@ -217,6 +237,7 @@ def shared():
         session.load("R", ["k", "cat", "v"], ROWS)
         session.load("tiny", ["a"], TINY)
         session.materialize(view_query(session), name=VIEW)
+        session.materialize(upper_query(session), name=UPPER)
         yield session
 
 

@@ -103,6 +103,13 @@ class TestMaterialize:
         assert statistics["incremental.delta_rows"] == 1
         # The catalog never saw the delta: full re-execution now disagrees.
         assert not view.verify()
+        assert session.database.table("R").rows == ROWS_R
+        # Catalog DML lands on top of what the view holds.
+        session.insert("R", [("c", 9, 0, 5)])
+        assert Counter(view.rows()) == Counter(
+            [row for row in ROWS_R if row[1] >= 2] + [("z", 5, 1, 2), ("c", 9, 0, 5)]
+        )
+        assert session.database.table("R").rows == ROWS_R + [("c", 9, 0, 5)]
 
     def test_grouped_aggregate_view_resweeps_only_dirty_groups(self, session):
         view = session.materialize(
@@ -158,12 +165,45 @@ class TestStackedViews:
         session.insert("R", [("k0", "g0", 1, 0, 64)])
         assert lower.verify() and upper.verify()
 
+    def test_a_full_refresh_below_reaches_the_view_above(self, generated):
+        # At the parent the lower view's refresh (after DDL replaced R) told
+        # nobody: the upper view kept the pre-refresh contents, and
+        # upper.verify() answered False with nothing raised.
+        session = generated
+        database = session.database
+        lower = session.materialize(session.table("R").group_by("r_key").agg(cnt="count(*)"), "v1")
+        upper = session.materialize(session.table("v1").group_by("cnt").agg(n="count(*)"), "v2")
+        table = database.table("R")
+        database.create_table("R", table.schema, list(table.rows), period=database.period_of("R"))
+        session.delete("R", table.rows[:30])
+        assert lower.verify() and upper.verify()
+        assert lower.counters["incremental.full_refresh"] == 2
+        assert upper.counters["incremental.full_refresh"] == 2
+        session.insert("R", table.rows[:30])  # and both are maintained again afterwards
+        assert lower.verify() and upper.verify()
+        assert upper.counters["incremental.full_refresh"] == 2
+
     def test_a_detached_apply_reaches_the_view_above(self, session):
         lower = session.materialize(session.table("R").where("v >= 2"), name="big")
         upper = session.materialize(session.table("big").group_by("k").agg(n="count(*)"), "per_k")
         lower.apply([Delta.inserts("R", [("z", 5, 0, 10)])])
         expected = session.table("big").group_by("k").agg(n="count(*)").rows()
         assert Counter(upper.table().rows) == Counter(expected)
+
+    def test_only_a_reader_of_the_view_is_handed_its_change(self, session, monkeypatch):
+        published = []
+        monkeypatch.setattr(
+            MaterializedView, "_publish", lambda view, new, old: published.append(view.name)
+        )
+        first = session.materialize(session.table("R").where("v >= 2"), name="big")
+        session.materialize(session.table("R").group_by("k").agg(n="count(*)"), "per_k")
+        session.insert("R", [("z", 5, 0, 10)])
+        first.refresh()
+        assert published == []  # neither view reads the other's table
+        session.materialize(session.table("big").group_by("k").agg(n="count(*)"), "above")
+        session.insert("R", [("y", 7, 0, 10)])
+        first.refresh()
+        assert published == ["big", "big"]
 
 
 class TestStaleness:
@@ -238,12 +278,13 @@ class TestErrors:
 
     def test_verify_compares_the_rows_readers_get(self, session):
         view = session.materialize(session.table("R").where("v >= 2"), name="big")
-        # Below the session nothing knows about views: a direct catalog
-        # write lands in the list readers are served, and verify() says so.
-        session.database.insert("big", [("q", 9, 0, 5)])
-        assert ("q", 9, 0, 5) in view.rows() and not view.verify()
-        session.insert("R", [("c", 9, 0, 5)])  # the next delta rebuilds the list
-        assert ("q", 9, 0, 5) not in view.rows() and view.verify()
+        for row in [("c", 9, 0, 5), ("d", 9, 0, 5)]:  # before and after a first delta
+            # Below the session nothing knows about views: a direct catalog
+            # write lands in the list readers are served, and verify() says so.
+            session.database.insert("big", [("q", 9, 0, 5)])
+            assert ("q", 9, 0, 5) in view.rows() and not view.verify()
+            session.insert("R", [row])  # the next delta rebuilds the list
+            assert ("q", 9, 0, 5) not in view.rows() and view.verify()
 
 
 class TestLifecycle:
