@@ -179,6 +179,20 @@ class Literal(Expression):
 
     value: Any
 
+    # Type-strict: ``1``, ``1.0`` and ``True`` are equal Python values but
+    # different constants (they print, and compute, differently), and a plan
+    # cache or memo keyed on structure must not hand one query another's.
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Literal)
+            and type(other) is type(self)
+            and type(self.value) is type(other.value)
+            and self.value == other.value
+        )
+
+    def _state(self) -> Tuple[Tuple[str, Any], ...]:
+        return (("value", self.value), ("type", type(self.value)))
+
     def evaluate(self, row: Mapping[str, Any]) -> Any:
         return self.value
 

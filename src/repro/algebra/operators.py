@@ -210,11 +210,25 @@ class ConstantRelation(Operator):
     schema: Tuple[str, ...]
     rows: Tuple[Tuple[Any, ...], ...]
 
+    # Values compare type-strictly, as :class:`~repro.algebra.expressions
+    # .Literal` does: a row ``(1,)`` is not the row ``(1.0,)`` or ``(True,)``.
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ConstantRelation)
+            and type(other) is type(self)
+            and self.schema == other.schema
+            and _typed(self.rows) == _typed(other.rows)
+        )
+
     def with_children(self) -> "ConstantRelation":
         return self
 
     def __repr__(self) -> str:
         return f"Constant({list(self.schema)}, {len(self.rows)} rows)"
+
+
+def _typed(rows: Tuple[Tuple[Any, ...], ...]) -> Tuple[Tuple[Tuple[type, Any], ...], ...]:
+    return tuple(tuple((type(value), value) for value in row) for row in rows)
 
 
 @dataclass(frozen=True)

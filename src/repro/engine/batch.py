@@ -41,7 +41,14 @@ either half may be missing until someone reads it.
   the row reference calls the very same functions.  Below the cutover, and
   without numpy, no column ever has a typed form;
 * coalescing emits one output row per maximal interval with a multiplicity
-  instead of duplicating tuples.
+  instead of duplicating tuples;
+* a node held by more than one parent runs once per execution -- the
+  planner makes equal sub-plans one object (REWR's two split inputs, a
+  sub-plan a query names twice) -- and its batch is kept, keyed on
+  ``id()``, until its last parent has it (``batch.shared_reuse`` counts
+  each parent served so).  Nothing is stored on a node and nothing
+  outlives the call, so a held plan run again after a write reads the
+  write.
 
 The output here is bag-equal with the row reference's for every plan
 (pinned by the reference differential suite, and by the delta-differential
@@ -334,73 +341,108 @@ class ColumnarBatch:
 
 def execute_batch_plan(plan: Operator, context: ExecutionContext) -> ColumnarBatch:
     """Run a plan batch-at-a-time; its output batch (``.to_table()`` materialises it)."""
-    return _execute(plan, context, {})
+    return _execute(plan, context, _Run(plan))
 
 
-def _execute(
-    plan: Operator, context: ExecutionContext, scans: Dict[str, ColumnarBatch]
-) -> ColumnarBatch:
+class _Run:
+    """What one execution shares between its nodes; nothing outlives the call.
+
+    ``scans``: one batch per table read (its row view, its wrapped lists),
+    however many ``RelationAccess`` nodes name the table.  ``shared``: per
+    node held by more than one parent, ``[parents not yet served, batch]``
+    -- the batch is kept from the node's one execution until its last
+    parent has it.
+    """
+
+    __slots__ = ("scans", "shared")
+
+    def __init__(self, plan: Operator) -> None:
+        self.scans: Dict[str, ColumnarBatch] = {}
+        parents: Dict[int, int] = {}
+        stack = [plan]
+        while stack:
+            for child in stack.pop().children():
+                seen = parents.get(id(child), 0)
+                parents[id(child)] = seen + 1
+                if not seen:
+                    stack.append(child)
+        self.shared: Dict[int, List[Any]] = {
+            node: [count, None] for node, count in parents.items() if count > 1
+        }
+
+
+def _execute(plan: Operator, context: ExecutionContext, run: _Run) -> ColumnarBatch:
+    entry = run.shared.get(id(plan)) if run.shared else None
+    if entry is not None:
+        entry[0] -= 1
+        if entry[1] is not None:
+            if not entry[0]:
+                del run.shared[id(plan)]
+            context.count("batch.shared_reuse")
+            return entry[1]
     context.checkpoint()
-    result = _execute_node(plan, context, scans)
+    result = _execute_node(plan, context, run)
     if context._limited:
         context.checkpoint(result.weight())
     if context.observations is not None:
         context.observations.setdefault(id(plan), {})["actual_rows"] = (
             result.weight()
         )
+    if entry is not None:
+        entry[1] = result
     return result
 
 
-def _execute_node(
-    plan: Operator, context: ExecutionContext, scans: Dict[str, ColumnarBatch]
-) -> ColumnarBatch:
+def _execute_node(plan: Operator, context: ExecutionContext, run: _Run) -> ColumnarBatch:
     if isinstance(plan, PhysicalOperator):
-        children = [_execute(child, context, scans) for child in plan.children()]
+        children = [_execute(child, context, run) for child in plan.children()]
         context.count(type(plan).__name__.lower())
         return plan.execute_batch(children, context)
 
     if isinstance(plan, RelationAccess):
         # Plans produced by the snapshot rewrite scan the same table several
         # times: one batch (its row view, its wrapped lists) per table and run.
-        batch = scans.get(plan.name)
+        batch = run.scans.get(plan.name)
         if batch is None:
-            batch = scans[plan.name] = ColumnarBatch.from_version(context.snapshot[plan.name])
+            batch = run.scans[plan.name] = ColumnarBatch.from_version(
+                context.snapshot[plan.name]
+            )
         return batch.relabelled(plan.alias, batch.schema) if plan.alias else batch
 
     if isinstance(plan, ConstantRelation):
         return ColumnarBatch.from_rows("constant", plan.schema, plan.rows)
 
     if isinstance(plan, Selection):
-        return _selection(_execute(plan.child, context, scans), plan.predicate, context)
+        return _selection(_execute(plan.child, context, run), plan.predicate, context)
 
     if isinstance(plan, Projection):
-        return _projection(_execute(plan.child, context, scans), plan.columns)
+        return _projection(_execute(plan.child, context, run), plan.columns)
 
     if isinstance(plan, Rename):
-        return _rename(_execute(plan.child, context, scans), dict(plan.renames))
+        return _rename(_execute(plan.child, context, run), dict(plan.renames))
 
     if isinstance(plan, Join):
-        left = _execute(plan.left, context, scans)
-        right = _execute(plan.right, context, scans)
+        left = _execute(plan.left, context, run)
+        right = _execute(plan.right, context, run)
         return _join(left, right, plan.predicate, context, plan)
 
     if isinstance(plan, Union):
-        left = _execute(plan.left, context, scans)
-        right = _execute(plan.right, context, scans)
+        left = _execute(plan.left, context, run)
+        right = _execute(plan.right, context, run)
         return _union(left, right, context)
 
     if isinstance(plan, Difference):
-        left = _execute(plan.left, context, scans)
-        right = _execute(plan.right, context, scans)
+        left = _execute(plan.left, context, run)
+        right = _execute(plan.right, context, run)
         return _except_all(left, right, context)
 
     if isinstance(plan, Aggregation):
         return _aggregate(
-            _execute(plan.child, context, scans), plan.group_by, plan.aggregates
+            _execute(plan.child, context, run), plan.group_by, plan.aggregates
         )
 
     if isinstance(plan, Distinct):
-        return _distinct(_execute(plan.child, context, scans), context)
+        return _distinct(_execute(plan.child, context, run), context)
 
     raise ExecutorError(f"unsupported operator {type(plan).__name__}")
 

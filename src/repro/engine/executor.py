@@ -18,7 +18,10 @@ which the engine runs wherever its kernels decline.  What the reference
 keeps apart is the plan plumbing (a table per node, multiplicities
 expanded) and row-at-a-time expression evaluation
 (:meth:`~repro.algebra.expressions.Expression.compile`, where the engine
-uses ``compile_batch``).
+uses ``compile_batch``).  It also runs every occurrence of a sub-plan the
+plan holds twice, where the engine runs a shared node once and hands its
+batch to each parent: sharing one batch between parents is checked by the
+reference differential only because the reference does not share.
 
 Shared with the engine: :class:`ExecutionContext`, :class:`PhysicalOperator`
 (the rewriter's coalesce, split and temporal aggregation subclass it, with

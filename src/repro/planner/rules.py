@@ -19,7 +19,14 @@ The planner applies classical rewrites until a fixpoint:
 * **projection simplification** -- adjacent attribute-only projections
   collapse, identity projections disappear, and projections sink through
   the temporal extension operators where their ``planner_projection_pushdown``
-  hook allows it.
+  hook allows it;
+* **interning** -- last, once: equal sub-plans become one object.  REWR
+  hands the same inputs to both splits of a difference or distinct, and the
+  rules above rebuild each occurrence apart; a query may also name one
+  sub-plan twice.  The engine runs a node once per execution however many
+  parents hold it (:mod:`repro.engine.batch`).  :func:`push_selections`
+  does not intern: partition-key inference tells equal stubs apart by
+  ``id()``.
 
 Operators outside the core algebra (the rewriter's coalesce / split /
 temporal aggregation) take part through the planner hooks declared on
@@ -34,7 +41,9 @@ counters.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from dataclasses import is_dataclass
+from operator import is_not
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from ..algebra import expressions as e
 from ..algebra.expressions import Attribute, BooleanOp, Expression
@@ -89,7 +98,7 @@ def optimize(
     if statistics is not None:
         for key, amount in counter.items():
             statistics[key] = statistics.get(key, 0) + amount
-    return current
+    return _intern(current)
 
 
 def split_conjuncts(predicate: Expression) -> Tuple[Expression, ...]:
@@ -513,6 +522,47 @@ def _simplify_projections(
         stats[f"planner.projection_through_{type(child).__name__.lower()}"] += 1
         return replacement
     return plan
+
+
+# -- interning -------------------------------------------------------------------------------
+
+
+def _intern(plan: Operator) -> Operator:
+    """``plan`` with every set of equal sub-plans made one object.
+
+    Bottom up, a leaf is looked up as itself, and an inner node among the
+    nodes of its type over the same (already interned) children, by
+    ``id()``; only within that group are its own fields compared.  So the
+    pass is a dict lookup per node and never hashes an expression: a hash
+    is memoised on the expression, and every cached plan would carry one
+    per node.  Only dataclass operators, whose equality is their fields,
+    are merged; any other node keeps its identity.
+    """
+    leaves: Dict[Operator, Operator] = {}
+    groups: Dict[Tuple[Any, ...], List[Operator]] = {}
+    done: Dict[int, Operator] = {}
+
+    def visit(node: Operator) -> Operator:
+        interned = done.get(id(node))
+        if interned is not None:
+            return interned
+        children = node.children()
+        new = tuple(map(visit, children))
+        interned = node.with_children(*new) if any(map(is_not, new, children)) else node
+        if is_dataclass(interned) and not children:
+            interned = leaves.setdefault(interned, interned)
+        elif is_dataclass(interned):
+            group = groups.setdefault((type(interned), *map(id, new)), [])
+            for equal in group:
+                if equal == interned:
+                    interned = equal
+                    break
+            else:
+                group.append(interned)
+        done[id(node)] = interned
+        return interned
+
+    return visit(plan)
 
 
 # -- helpers ---------------------------------------------------------------------------------
