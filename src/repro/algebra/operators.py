@@ -99,8 +99,8 @@ class Operator:
 
         ``annotations`` optionally maps ``id(node)`` to a suffix appended
         after that node's label (``explain()``'s ``[strategy=...
-        estimated_rows=... actual_rows=...]`` readouts); the
-        one-line-per-node shape is preserved.
+        actual_rows=...]`` readouts); the one-line-per-node shape is
+        preserved.
         Every evaluator-facing rendering (``QueryPipeline.explain``,
         the fluent API's ``TemporalRelation.explain``) builds on this; the
         output is pinned by tests, so treat changes as API changes.

@@ -583,25 +583,6 @@ class Session:
         """Delete one copy per given row (DML; feeds registered views)."""
         self.call("delete", name=name, rows=rows)
 
-    # -- statistics -------------------------------------------------------------------
-
-    def analyze(self, table: Optional[str] = None) -> Dict[str, Any]:
-        """Collect interval statistics for ``table`` (or every catalog table).
-
-        Builds a :class:`~repro.stats.TableStatistics` per table (row count,
-        per-column distinct counts, endpoint histograms, interval-length
-        quantiles and overlap density), stores it in the executing
-        pipeline's catalog and returns the mapping
-        ``{table_name: TableStatistics}``.  Statistics on a table are dropped
-        automatically when DML touches it; re-run ``analyze`` to refresh.
-        Two things read them (:func:`repro.planner.estimate_plan`): the
-        ``CROSS JOIN`` order of the SQL a SQL backend is sent, and the
-        ``estimated_rows`` that ``explain()`` prints.  The plan the
-        in-memory engine runs does not depend on them, and cached plans
-        stay warm.
-        """
-        return self.call("analyze", name=table)
-
     # -- plan cache -------------------------------------------------------------------
 
     def cache_info(self) -> PlanCacheInfo:

@@ -37,12 +37,15 @@ its job; a rewriting middleware is only as fast as the host is allowed to be:
 * **join order is pinned.**  Inputs whose columns are plain column
   references are inlined into the join's ``FROM`` (their filters join the
   ``WHERE``), and the block is written ``outer CROSS JOIN inner`` with the
-  input estimated larger (:func:`repro.planner.estimate.estimate_plan` over the
-  catalog's row counts and statistics) outside.  SQLite never reorders a
-  ``CROSS JOIN``; without statistics of its own it otherwise guesses, and
-  on a wrong guess (or on CTE inputs) runs the join as two nested full
-  scans.  With the order fixed it builds its automatic covering index on
-  the smaller input's equality key and probes it once per outer row;
+  input that has more base rows beneath it outside: a table counts its
+  rows in the snapshot the compile reads, a constant relation its literal
+  rows, any other operator the sum of its inputs; a tie keeps the left
+  input outside.  The rule keeps no state, so it cannot go stale.  SQLite
+  never reorders a ``CROSS JOIN``; without statistics of its own it
+  otherwise guesses, and on a wrong guess (or on CTE inputs) runs the join
+  as two nested full scans.  With the order fixed it builds its automatic
+  covering index on the smaller input's equality key and probes it once
+  per outer row;
 * bag semantics are preserved throughout: union is ``UNION ALL`` and bag
   difference (``EXCEPT ALL`` with multiplicities, which SQLite lacks) is
   expressed with window counts -- rows of both sides are tagged and
@@ -69,7 +72,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..algebra.expressions import Attribute, Comparison, Expression
 from ..algebra.operators import (
@@ -93,8 +96,8 @@ from ..algebra.sql import (
     sql_predicate,
 )
 from ..engine.catalog import Database
+from ..engine.table import TableVersion
 from ..errors import BackendError
-from ..planner.estimate import estimate_plan
 from ..planner.rules import substitute
 from ..rewriter.operators import (
     CoalesceOperator,
@@ -181,8 +184,8 @@ class SQLCompiler:
         self._ctes: List[Tuple[str, str]] = []  # (header, body)
         self._emitted: Dict[str, str] = {}  # CTE body -> quoted name
         self._memo: Dict[Operator, _Block] = {}
-        self._root: Optional[Operator] = None
-        self._estimates: Optional[Dict[int, float]] = None
+        self._versions: Mapping[str, TableVersion] = database.snapshot()
+        self._base_rows: Dict[int, int] = {}  # id(sub-plan) -> rows beneath it
 
     # -- plumbing --------------------------------------------------------------------------
 
@@ -278,7 +281,6 @@ class SQLCompiler:
     # -- entry point -------------------------------------------------------------------------
 
     def compile(self, plan: Operator) -> CompiledQuery:
-        self._root = plan
         block = self._compile(plan)
         body = self._select(block)
         if self._ctes:
@@ -373,11 +375,18 @@ class SQLCompiler:
         )
         return _Block(child.source, columns, child.filters)
 
-    def _rows(self, plan: Operator) -> float:
-        """Estimated cardinality of a sub-plan of the plan being compiled."""
-        if self._estimates is None:
-            self._estimates = estimate_plan(self._root, self.database)
-        return self._estimates.get(id(plan), 0.0)
+    def _rows(self, plan: Operator) -> int:
+        """Base rows beneath a sub-plan of the plan being compiled (see Design notes)."""
+        rows = self._base_rows.get(id(plan))
+        if rows is None:
+            if isinstance(plan, RelationAccess):
+                rows = self._versions[plan.name].count
+            elif isinstance(plan, ConstantRelation):
+                rows = len(plan.rows)
+            else:
+                rows = sum(self._rows(child) for child in plan.children())
+            self._base_rows[id(plan)] = rows
+        return rows
 
     def _join(self, plan: Join) -> _Block:
         left = self._compile(plan.left)

@@ -9,9 +9,9 @@ Versions: what the catalog stores per table is an immutable
 :class:`~repro.engine.table.TableVersion`; DML builds the successor from it.
 Snapshots: :meth:`Database.snapshot` is the name -> version map published by
 the last completed write, read once per query and never changed afterwards.
-Writers: every write -- DML, DDL, ``analyze``, view registration and
-maintenance -- runs inside :meth:`Database.writing`, one re-entrant lock, and
-the outermost block publishes once; readers never take it.
+Writers: every write -- DML, DDL, view registration and maintenance --
+runs inside :meth:`Database.writing`, one re-entrant lock, and the outermost
+block publishes once; readers never take it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from collections import Counter
 from contextlib import contextmanager
 from types import MappingProxyType
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -36,9 +35,6 @@ from typing import (
 )
 
 from .table import Table, TableError, TableVersion
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (stats uses Table)
-    from ..stats import TableStatistics
 
 __all__ = ["Database", "DEFAULT_PERIOD"]
 
@@ -75,8 +71,6 @@ class Database:
         # (create/replace/drop) deliberately does NOT notify -- it bumps
         # ``schema_version``, which views and plan caches key on.
         self._observers: List[Callable[[str, Dict[Tuple[Any, ...], int]], None]] = []
-        # ANALYZE output (repro.stats).
-        self._statistics: Dict[str, "TableStatistics"] = {}
 
     @property
     def schema_version(self) -> int:
@@ -116,7 +110,6 @@ class Database:
                 self._periods.pop(name, None)
             self._tables[name] = table
             self._schema_version += 1
-            self._drop_statistics(name)
         return table
 
     def register(self, table: Table, period: Optional[Tuple[str, str]] = None) -> Table:
@@ -128,7 +121,6 @@ class Database:
             self._tables.pop(name, None)
             self._periods.pop(name, None)
             self._schema_version += 1
-            self._drop_statistics(name)
 
     # -- versions, snapshots, the writer lock ---------------------------------------------------
 
@@ -210,7 +202,6 @@ class Database:
             if not added:
                 return
             table._install(table.version.appended(added))
-            self._drop_statistics(name)
             if self._observers:
                 self._notify_dml(name, dict(Counter(added)))
 
@@ -230,7 +221,6 @@ class Database:
             version = table.version
             doomed = version.positions(removing)
             table._install(version.without(doomed))
-            self._drop_statistics(name)
             if self._observers:
                 self._notify_dml(name, {row: -count for row, count in removing.items()})
 
@@ -255,45 +245,7 @@ class Database:
     def __repr__(self) -> str:
         return f"Database({len(self._tables)} tables)"
 
-    # -- statistics (used by reports and the estimator) ----------------------------------------------
+    # -- row counts (used by reports) ---------------------------------------------------------
 
     def row_counts(self) -> Mapping[str, int]:
         return {name: len(table) for name, table in self._tables.items()}
-
-    def analyze(self, table: Optional[str] = None) -> Dict[str, "TableStatistics"]:
-        """Collect and store statistics for one table (or every table).
-
-        Returns the freshly collected :class:`~repro.stats.TableStatistics`
-        by table name.  Statistics live in the catalog until DML touches
-        the table (:meth:`insert` / :meth:`delete` drop them) or DDL
-        replaces it.
-        """
-        from ..stats import collect_table_statistics
-
-        collected: Dict[str, "TableStatistics"] = {}
-        with self.writing():  # the names are read inside: no table is dropped under the loop
-            names = (table,) if table is not None else self.names()
-            for name in names:
-                statistics = collect_table_statistics(
-                    self.table(name), self._periods.get(name)
-                )
-                self.set_statistics(name, statistics)
-                collected[name] = statistics
-        return collected
-
-    def set_statistics(self, name: str, statistics: "TableStatistics") -> None:
-        """Store ANALYZE output for ``name``."""
-        self._statistics[name] = statistics
-
-    def statistics_for(self, name: str) -> Optional["TableStatistics"]:
-        """The stored statistics of one table, or None when never analyzed."""
-        return self._statistics.get(name)
-
-    def table_statistics(self) -> Mapping[str, "TableStatistics"]:
-        """A read-only view of every stored table statistic."""
-        return dict(self._statistics)
-
-    def _drop_statistics(self, name: str) -> None:
-        # After DML or DDL the row counts / histograms no longer describe the
-        # table: dropped rather than served stale.
-        self._statistics.pop(name, None)

@@ -14,10 +14,10 @@ It provides:
   conjuncts move into the inputs, cross-side conjuncts fold into the join
   predicate), aggregation and the temporal extension operators, plus
   projection simplification (adjacent collapse, identity elimination,
-  pushing through coalesce/split).
-* **cardinality estimates** (:mod:`repro.planner.estimate`) over the
-  catalog's ANALYZE output, read by the SQL compiler's join order and by
-  ``explain()`` -- not by the rules above, which never look at the data.
+  pushing through coalesce/split).  The rules never look at the data, and
+  nothing here estimates cardinalities: the one physical choice left to
+  the middleware, the SQL compiler's ``CROSS JOIN`` order, is read off
+  base row counts (:mod:`repro.backends.sqlcompile`).
 
 The rules matter because the snapshot rewriting (Fig. 4 of the paper)
 produces deeply nested plans whose hot joins carry the interval-overlap
@@ -26,7 +26,6 @@ join predicates so the executor's sort-merge interval join (see
 :mod:`repro.engine.executor`) can take over from the nested-loop fallback.
 """
 
-from .estimate import estimate_plan
 from .rules import optimize, push_selections, split_conjuncts
 from .schema import available_attributes, infer_schema
 
@@ -36,5 +35,4 @@ __all__ = [
     "split_conjuncts",
     "available_attributes",
     "infer_schema",
-    "estimate_plan",
 ]

@@ -11,7 +11,6 @@ from typing import Any, Dict, List
 
 from ..algebra.operators import Operator
 from ..execution import backend_name
-from ..planner import estimate_plan
 from .pipeline import QueryPipeline
 
 __all__ = ["explain_query"]
@@ -65,22 +64,17 @@ def explain_query(
         # The engine's partitioned-join counters (partitions, pool fan-out).
         sections += _counters(execution_statistics, "batch.")
     if observations:
-        # Estimated vs observed cardinalities per node (the estimator's
-        # report card): joins additionally show the physical strategy the
-        # executor actually chose.  SQL backends run the plan wholesale
-        # and record nothing, so the section only appears for the
-        # in-memory engine.
-        estimates = estimate_plan(executed, pipeline.database)
+        # Observed cardinalities per node; joins additionally show the
+        # physical strategy the executor chose.  SQL backends run the plan
+        # wholesale and record nothing, so the section only appears for
+        # the in-memory engine.
         annotations: Dict[int, str] = {}
-        for node_id in set(estimates) | set(observations):
+        for node_id, observed in observations.items():
             parts = []
-            strategy = observations.get(node_id, {}).get("join_strategy")
+            strategy = observed.get("join_strategy")
             if strategy is not None:
                 parts.append(f"strategy={strategy}")
-            estimate = estimates.get(node_id)
-            if estimate is not None:
-                parts.append(f"estimated_rows={int(round(estimate))}")
-            actual = observations.get(node_id, {}).get("actual_rows")
+            actual = observed.get("actual_rows")
             if actual is not None:
                 parts.append(f"actual_rows={int(actual)}")
             if parts:

@@ -23,8 +23,7 @@ rewriter, the planner switch, the default execution backend and
 Mutating the catalog's shape (create/replace/drop of a table) invalidates
 cached plans automatically through
 :attr:`repro.engine.catalog.Database.schema_version`; inserting rows does
-not, and neither does ``analyze()``, because rewriting and planning never
-look at the data or its statistics.
+not, because rewriting and planning never look at the data.
 """
 
 from __future__ import annotations

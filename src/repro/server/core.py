@@ -13,11 +13,11 @@ Consistency: snapshot reads, serialised writers, by construction in the
 catalog (:mod:`repro.engine.catalog`) rather than by anything the pool does.
 A query takes one :meth:`Database.snapshot` when its execution starts and
 reads every table from it, however long it runs and whatever lands
-meanwhile; it takes no lock.  Writers -- DML, ``load``, ``analyze``,
-``materialize`` / ``drop_view`` and ``view_apply``, from any number of
-clients -- run one at a time under the catalog's writer lock, and a write
-and the view updates it causes are published together: no query sees a base
-table after a write and a view over it before.  Every state a request
+meanwhile; it takes no lock.  Writers -- DML, ``load``, ``materialize`` /
+``drop_view`` and ``view_apply``, from any number of clients -- run one at
+a time under the catalog's writer lock, and a write and the view updates it
+causes are published together: no query sees a base table after a write and
+a view over it before.  Every state a request
 observes is therefore the state after some prefix of the committed writes.
 A request also observes :attr:`Database.schema_version` once, at rewrite
 time -- the plan cache keys on it, so a request rewritten under version *v*

@@ -1,7 +1,7 @@
 """The session verb table: everything a client can say, stated once.
 
 The middleware's contract with its clients -- query, explain, check, DML,
-views, analyze -- is the :data:`VERBS` table below.  Each :class:`Verb` is
+views -- is the :data:`VERBS` table below.  Each :class:`Verb` is
 named after its wire frame ``type`` and declares
 
 * ``run(pipeline, **args)`` -- the in-process implementation, a function
@@ -43,7 +43,6 @@ from ..execution import ExecutionInfo
 from ..incremental import Delta
 from ..rewriter.explain import explain_query
 from ..rewriter.pipeline import PlanCacheInfo, QueryPipeline
-from ..stats import TableStatistics
 from .codec import decode, decoder, encode, is_optional
 
 __all__ = ["VERBS", "QUERY", "Verb", "Arg", "CheckOptions"]
@@ -227,8 +226,6 @@ VERBS: Dict[str, Verb] = {verb.name: verb for verb in (
          (_NAME, Arg("schema", Tuple[str, ...]), _ROWS, Arg("period", Optional[Tuple[str, str]]))),
     Verb("insert", QueryPipeline.insert, (_NAME, _ROWS), pooled=True),
     Verb("delete", QueryPipeline.delete, (_NAME, _ROWS), pooled=True),
-    Verb("analyze", lambda pipeline, name=None: pipeline.database.analyze(name), (_ANY_NAME,),
-         Dict[str, TableStatistics], "statistics", pooled=True),
     Verb("explain", explain_query, (_PLAN, _FINAL_COALESCE), str, "text", pooled=True),
     Verb("check", _check, (_PLAN, Arg("options", Optional[CheckOptions])),
          ConformanceReport, "report", pooled=True),

@@ -133,18 +133,18 @@ class TestTreeRendering:
 
 
 class TestAnnotations:
-    """Per-node suffixes (``explain()``'s estimated-vs-actual report)."""
+    """Per-node suffixes (``explain()``'s strategy and actual-rows report)."""
 
     def test_annotation_suffixes_attach_to_their_nodes(self):
         join = Join(WORKS, ASSIGN, Comparison("=", attr("skill"), attr("req_skill")))
         plan = Selection(join, Comparison("=", attr("skill"), lit("SP")))
         annotations = {
-            id(join): "[strategy=hash estimated_rows=4 actual_rows=3]",
-            id(plan): "[estimated_rows=2 actual_rows=1]",
+            id(join): "[strategy=hash actual_rows=3]",
+            id(plan): "[actual_rows=1]",
         }
         assert plan.explain_tree(annotations) == (
-            "Selection((skill = 'SP')) [estimated_rows=2 actual_rows=1]\n"
-            "└─ Join((skill = req_skill)) [strategy=hash estimated_rows=4 actual_rows=3]\n"
+            "Selection((skill = 'SP')) [actual_rows=1]\n"
+            "└─ Join((skill = req_skill)) [strategy=hash actual_rows=3]\n"
             "   ├─ Relation(works)\n"
             "   └─ Relation(assign)"
         )
@@ -175,13 +175,12 @@ class TestAnnotations:
         assert join_lines
         for line in join_lines:
             assert "strategy=" in line
-            assert "estimated_rows=" in line
             assert "actual_rows=" in line
-        # Non-join nodes carry the cardinality fields too.
+            assert "estimated_rows=" not in line
+        # Non-join nodes carry the cardinality field too.
         relation_lines = [
             line for line in executed.splitlines() if "Relation(" in line
         ]
         assert relation_lines
         for line in relation_lines:
-            assert "estimated_rows=" in line
             assert "actual_rows=" in line

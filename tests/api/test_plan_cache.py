@@ -166,14 +166,6 @@ class TestInvalidation:
         onduty(session).rows(statistics)
         assert statistics["plan_cache.hits"] == 1  # ... without invalidating
 
-    def test_analyze_leaves_cached_plans_warm(self, session):
-        """No plan reads the statistics, so collecting them invalidates none."""
-        onduty(session).rows()
-        session.analyze()
-        statistics: dict = {}
-        onduty(session).rows(statistics)
-        assert statistics["plan_cache.hits"] == 1
-
 
 class TestCacheScope:
     def test_cache_disabled(self):

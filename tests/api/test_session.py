@@ -329,7 +329,6 @@ class TestExplain:
         session = connect(domain=TIME_DOMAIN, planner=planner, coalesce="none")
         works = session.load("works", ["name", "skill"], WORKS_ROWS)
         assign = session.load("assign", ["mach", "req_skill"], ASSIGN_ROWS)
-        session.analyze()
         relation = works.join(assign, on="skill = req_skill").where("skill = 'SP'")
         if final_coalesce:
             relation = relation.coalesce()

@@ -26,7 +26,7 @@ from repro.algebra.operators import (
     Selection,
     Union,
 )
-from repro.backends import SQLiteBackend, compile_plan
+from repro.backends import SQLCompiler, SQLiteBackend, compile_plan
 from repro.engine.catalog import Database
 from repro.errors import BackendError
 from repro.engine.executor import execute
@@ -314,6 +314,102 @@ class TestTemporalOperators:
         assert_same(plan, database)
 
 
+def _base_rows(plan, database):
+    """The join-order rule, restated: rows of every leaf occurrence beneath ``plan``."""
+    versions = database.snapshot()
+    return sum(
+        versions[node.name].count if isinstance(node, RelationAccess) else len(node.rows)
+        for node in plan.walk()
+        if isinstance(node, (RelationAccess, ConstantRelation))
+    )
+
+
+class TestJoinOrder:
+    """Which ``CROSS JOIN`` input SQLite loops over: the one with more base rows beneath it."""
+
+    @pytest.fixture
+    def db(self) -> Database:
+        db = Database()
+        db.create_table("big", ["k", "p"], [(i % 7, i) for i in range(50)])
+        db.create_table("small", ["j", "q"], [(i, i) for i in range(5)])
+        db.create_table("twin", ["m", "w"], [(i, -i) for i in range(5)])
+        return db
+
+    def test_the_larger_input_goes_outside_from_either_side(self, db):
+        left = Join(RelationAccess("big"), RelationAccess("small"), col_eq("k", "j"))
+        right = Join(RelationAccess("small"), RelationAccess("big"), col_eq("j", "k"))
+        assert 'FROM "big" AS __l CROSS JOIN "small" AS __r' in compile_plan(left, db).sql
+        assert 'FROM "big" AS __r CROSS JOIN "small" AS __l' in compile_plan(right, db).sql
+        for plan in (left, right):
+            assert_same(plan, db)
+
+    def test_a_tie_keeps_the_left_input_outside(self, db):
+        for first, second in (("small", "twin"), ("twin", "small")):
+            plan = Join(RelationAccess(first), RelationAccess(second))
+            sql = compile_plan(plan, db).sql
+            assert f'FROM "{first}" AS __l CROSS JOIN "{second}" AS __r' in sql
+            assert_same(plan, db)
+
+    def test_a_filter_does_not_shrink_its_input(self, db):
+        """Base rows, not an estimate: one surviving row of ``big`` still counts 50."""
+        filtered = Selection(RelationAccess("big"), Comparison("=", attr("p"), lit(7)))
+        plan = Join(RelationAccess("small"), filtered, col_eq("j", "k"))
+        assert 'FROM "big" AS __r CROSS JOIN "small" AS __l' in compile_plan(plan, db).sql
+        assert_same(plan, db)
+
+    def test_an_operator_counts_the_sum_of_its_inputs(self, db):
+        """``small`` + ``twin`` (10) beneath the inner join outweighs a 6-row table."""
+        db.create_table("six", ["s", "z"], [(i, i) for i in range(6)])
+        pair = Join(RelationAccess("small"), RelationAccess("twin"), col_eq("j", "m"))
+        plan = Join(RelationAccess("six"), pair, col_eq("s", "j"))
+        sql = compile_plan(plan, db).sql
+        assert 'AS __r CROSS JOIN "six" AS __l' in sql
+        assert 'FROM "six" AS __l' not in sql
+        assert_same(plan, db)
+
+    def test_a_constant_relation_counts_its_rows(self, db):
+        constant = ConstantRelation(("c", "n"), tuple((i, i) for i in range(6)))
+        smaller = Join(constant, RelationAccess("small"), col_eq("c", "j"))
+        larger = Join(constant, RelationAccess("big"), col_eq("c", "k"))
+        assert 'AS __l CROSS JOIN "small" AS __r' in compile_plan(smaller, db).sql
+        assert 'FROM "big" AS __r CROSS JOIN' in compile_plan(larger, db).sql
+        for plan in (smaller, larger):
+            assert_same(plan, db)
+
+    def test_a_recompile_reads_the_new_version_after_a_write(self, db):
+        plan = Join(RelationAccess("small"), RelationAccess("big"), col_eq("j", "k"))
+        assert 'FROM "big" AS __r' in compile_plan(plan, db).sql
+        db.insert("small", [(i, i) for i in range(5, 55)])  # 55 rows against 50
+        assert 'FROM "small" AS __l' in compile_plan(plan, db).sql
+        assert_same(plan, db)
+        db.delete("small", [(i, i) for i in range(5, 55)])
+        assert 'FROM "big" AS __r' in compile_plan(plan, db).sql
+        db.table("small").extend([(i, i) for i in range(5, 55)])  # behind the catalog's back
+        assert 'FROM "small" AS __l' in compile_plan(plan, db).sql
+
+    def test_either_order_is_the_same_bag(self, db, monkeypatch):
+        """Flipping every join's order changes the SQL, never the result."""
+        db.create_table("dim", ["d", "e"], [(0, "x"), (1, "y")])
+        inner = Join(
+            Selection(RelationAccess("big"), Comparison("<", attr("p"), lit(20))),
+            RelationAccess("dim"),
+            col_eq("k", "d"),
+        )
+        plan = Join(inner, RelationAccess("small"), col_eq("k", "j"))
+        expected = Counter(execute(plan, db).rows)
+        statements = set()
+        for flipped in (False, True):
+            if flipped:  # the smaller input outside, everywhere
+                monkeypatch.setattr(SQLCompiler, "_rows", lambda self, node: -_base_rows(node, db))
+            statements.add(compile_plan(plan, db).sql)
+            backend = SQLiteBackend.for_database(db, optimize=False)
+            try:
+                assert Counter(backend.execute(plan, db).rows) == expected
+            finally:
+                backend.close()
+        assert len(statements) == 2
+
+
 class TestCompilerMechanics:
     def test_deep_plans_stay_flat(self, database):
         """30+ stacked operators must compile (CTE chain, no parser overflow)."""
@@ -377,18 +473,6 @@ class TestCompilerMechanics:
         constant = Projection(RelationAccess("r"), ((attr("y"), "y"), (lit(1), "one")))
         plan = Aggregation(constant, ("one",), (AggregateSpec("sum", attr("y"), "total"),))
         assert_same(plan, database)
-
-    def test_join_order_is_pinned_larger_input_outside(self, database):
-        db = Database()
-        db.create_table("big", ["k", "p"], [(i % 7, i) for i in range(50)])
-        db.create_table("small", ["j", "q"], [(i, i) for i in range(5)])
-        for plan in (
-            Join(RelationAccess("big"), RelationAccess("small"), col_eq("k", "j")),
-            Join(RelationAccess("small"), RelationAccess("big"), col_eq("j", "k")),
-        ):
-            assert 'FROM "big" AS' in compile_plan(plan, db).sql
-            assert 'CROSS JOIN "small" AS' in compile_plan(plan, db).sql
-            assert_same(plan, db)
 
     def test_helper_column_names_are_reserved(self, database):
         db = Database()

@@ -10,14 +10,22 @@ produces.  Aggregate values that are floats are compared after rounding
 
 from __future__ import annotations
 
+import re
 import sqlite3
 from collections import Counter
 
 import pytest
 
 from repro.algebra.expressions import Comparison, attr, lit
-from repro.algebra.operators import Distinct, Join, Projection, RelationAccess, Selection
-from repro.backends import InMemoryBackend, SQLiteBackend, compile_plan
+from repro.algebra.operators import (
+    ConstantRelation,
+    Distinct,
+    Join,
+    Projection,
+    RelationAccess,
+    Selection,
+)
+from repro.backends import InMemoryBackend, SQLCompiler, SQLiteBackend, compile_plan
 from repro.datasets.employees import EmployeesConfig, generate_employees
 from repro.datasets.running_example import (
     TIME_DOMAIN,
@@ -32,6 +40,7 @@ from repro.engine.catalog import Database
 from repro.errors import BackendError
 from repro.execution import available_backends, resolve_backend
 from repro.experiments.table1 import _fresh_database
+from repro.planner import optimize as planner_optimize
 from repro.planner.rules import split_conjuncts
 from repro.rewriter.pipeline import QueryPipeline
 
@@ -235,6 +244,49 @@ class TestJoinPlansArePinned:
     @pytest.mark.parametrize("query_name", list(TPCH_WORKLOAD))
     def test_tpcbih_query(self, tpch_setup, query_name):
         self.assert_index_joins(*tpch_setup, TPCH_WORKLOAD[query_name]())
+
+
+# -- join order: the input with more base rows beneath it is the one SQLite loops over ----
+
+
+def base_rows(plan, database) -> int:
+    """Rows of every table / constant occurrence beneath ``plan``."""
+    return sum(
+        len(database.table(node.name)) if isinstance(node, RelationAccess) else len(node.rows)
+        for node in plan.walk()
+        if isinstance(node, (RelationAccess, ConstantRelation))
+    )
+
+
+class TestJoinOrderOnThePaperQueries:
+    """Every ``CROSS JOIN`` a paper query compiles to follows the rule, ties keeping ``__l``."""
+
+    def assert_rule(self, pipeline, query, monkeypatch):
+        database = pipeline.database
+        plan = planner_optimize(pipeline.rewrite(query), database)
+        compile_join = SQLCompiler._join
+        joins = {}  # CTE name -> (join node, its body)
+
+        def spy(compiler, node):
+            block = compile_join(compiler, node)
+            joins[block.source] = (node, dict(compiler._ctes)[block.source])
+            return block
+
+        monkeypatch.setattr(SQLCompiler, "_join", spy)
+        sql = compile_plan(plan, database).sql
+        assert len(joins) == sql.count("CROSS JOIN")
+        for node, body in joins.values():
+            outer = re.search(r"^FROM \S+ AS (__[lr]) CROSS JOIN \S+ AS __[lr]", body, re.M)
+            left, right = base_rows(node.left, database), base_rows(node.right, database)
+            assert outer.group(1) == ("__r" if right > left else "__l"), (left, right, body)
+
+    @pytest.mark.parametrize("query_name", list(EMPLOYEE_WORKLOAD))
+    def test_employee_query(self, employee_setup, query_name, monkeypatch):
+        self.assert_rule(employee_setup[0], EMPLOYEE_WORKLOAD[query_name](), monkeypatch)
+
+    @pytest.mark.parametrize("query_name", list(TPCH_WORKLOAD))
+    def test_tpcbih_query(self, tpch_setup, query_name, monkeypatch):
+        self.assert_rule(tpch_setup[0], TPCH_WORKLOAD[query_name](), monkeypatch)
 
 
 # -- rewriter configurations (ablation modes) --------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algebra.expressions import Comparison, attr
 from repro.algebra.operators import (
@@ -45,17 +44,14 @@ pytestmark = pytest.mark.conformance
 
 
 @settings(max_examples=200)
-@given(config=generator_configs(), query=conformance_queries(), analyzed=st.booleans())
-def test_randomized_plans_conform_on_generated_catalogs(config, query, analyzed):
+@given(config=generator_configs(), query=conformance_queries())
+def test_randomized_plans_conform_on_generated_catalogs(config, query):
     """200 randomized plan/dataset cases, all backends, planner on and off.
 
     Every case certifies both execution paths a session can select -- the
-    in-memory engine and SQLite -- at every input changepoint; on an
-    analyzed catalog the SQL's join order follows the statistics.
+    in-memory engine and SQLite -- at every input changepoint.
     """
     database = generate_catalog(config)
-    if analyzed:
-        database.analyze()
     assert_conformant(query, database, config.domain, backends=("memory", "sqlite"))
 
 

@@ -81,7 +81,6 @@ def converse(session) -> None:
     assert len(view.rows()) == 2
     view.apply([Delta.inserts("works", [("Eve", "SP", 1, 2)])])
     assert not view.verify()
-    assert session.analyze("works")["works"].row_count == 2
     session.drop_view("sp")
     with pytest.raises(IncrementalError):
         session.view("sp")
@@ -187,14 +186,14 @@ GOLDEN: Transcript = [
     ),
     (
         '<',
-        b'\x00\x00\x02y{"type":"ok","id":9,"text":"logical plan:\\n  Relation(works)\\n\\nREWR plan:\\n  Co'
+        b'\x00\x00\x02W{"type":"ok","id":9,"text":"logical plan:\\n  Relation(works)\\n\\nREWR plan:\\n  Co'
         b'alesce(period=t_begin..t_end)\\n  \\u2514\\u2500 Projection(name AS name, skill AS skil'
         b'l, t_begin AS t_begin, t_end AS t_end)\\n     \\u2514\\u2500 Relation(works)\\n\\noptimiz'
         b'ed plan (planner on):\\n  Coalesce(period=t_begin..t_end)\\n  \\u2514\\u2500 Relation(wo'
         b'rks)\\n\\nplanner rules fired:\\n  planner.projection_identity = 1\\n\\nexecution (backen'
-        b"d='memory'):\\n  (no joins)\\n\\nexecuted plan:\\n  Coalesce(period=t_begin..t_end) [est"
-        b'imated_rows=1 actual_rows=2]\\n  \\u2514\\u2500 Relation(works) [estimated_rows=2 actua'
-        b'l_rows=2]\\n\\nplan cache: miss (plan now cached)"}',
+        b"d='memory'):\\n  (no joins)\\n\\nexecuted plan:\\n  Coalesce(period=t_begin..t_end) [act"
+        b'ual_rows=2]\\n  \\u2514\\u2500 Relation(works) [actual_rows=2]\\n\\nplan cache: miss (pla'
+        b'n now cached)"}',
     ),
     (
         '>',
@@ -282,34 +281,20 @@ GOLDEN: Transcript = [
     ),
     (
         '>',
-        b'\x00\x00\x00){"type":"analyze","name":"works","id":19}',
+        b'\x00\x00\x00({"type":"drop_view","name":"sp","id":19}',
     ),
     (
         '<',
-        b'\x00\x00\x02\x03{"type":"ok","id":19,"statistics":{"works":{"table":"works","row_count":2,"colum'
-        b'ns":{"name":{"distinct":2,"null_fraction":0.0},"skill":{"distinct":1,"null_fraction"'
-        b':0.0},"t_begin":{"distinct":2,"null_fraction":0.0},"t_end":{"distinct":2,"null_fract'
-        b'ion":0.0}},"period":["t_begin","t_end"],"begin_histogram":{"lo":3.0,"hi":8.0,"counts'
-        b'":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]},"end_histogram":{"lo":10.0,"hi":16.0,"counts":['
-        b'1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]},"length_quantiles":[7.0,7.0,7.0,8.0,8.0],"overlap_'
-        b'density":1.0}}}',
+        b'\x00\x00\x00\x15{"type":"ok","id":19}',
     ),
     (
         '>',
-        b'\x00\x00\x00({"type":"drop_view","name":"sp","id":20}',
-    ),
-    (
-        '<',
-        b'\x00\x00\x00\x15{"type":"ok","id":20}',
-    ),
-    (
-        '>',
-        b'\x00\x00\x00({"type":"view_info","name":"sp","id":21}',
+        b'\x00\x00\x00({"type":"view_info","name":"sp","id":20}',
     ),
     (
         '<',
         b'\x00\x00\x00x{"type":"error","code":"IncrementalError","message":"unknown view \'sp\'; register'
-        b'ed views: []","transient":false,"id":21}',
+        b'ed views: []","transient":false,"id":20}',
     ),
 ]
 
@@ -349,6 +334,34 @@ def test_server_answers_the_golden_frames():
                 received = received[len(frame):]
             assert received == b""
     assert replies  # the conversation has server frames at all
+
+
+def _read_frame(sock: socket.socket) -> bytes:
+    """One length-prefixed frame, prefix included."""
+    frame = b""
+    while len(frame) < 4 or len(frame) < 4 + int.from_bytes(frame[:4], "big"):
+        data = sock.recv(65536)
+        assert data, "server hung up mid-frame"
+        frame += data
+    assert len(frame) == 4 + int.from_bytes(frame[:4], "big")  # requests are sequential
+    return frame
+
+
+def test_an_old_clients_analyze_frame_is_an_unknown_type():
+    """``analyze`` left the verb table: the frame an old client sends gets the
+    error every type outside the table gets, and the connection stays usable."""
+    hello, welcome = GOLDEN[0][1], GOLDEN[1][1]
+    with _server() as server:
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(hello)
+            assert _read_frame(sock) == welcome
+            sock.sendall(b'\x00\x00\x00){"type":"analyze","name":"works","id":19}')
+            assert _read_frame(sock) == (
+                b'\x00\x00\x00l{"type":"error","code":"ProtocolError","message":"unknown message '
+                b'type \'analyze\'","transient":false,"id":19}'
+            )
+            sock.sendall(GOLDEN[2][1])  # ping
+            assert _read_frame(sock) == GOLDEN[3][1]
 
 
 def test_in_process_session_runs_the_same_script_without_json(monkeypatch):

@@ -130,7 +130,6 @@ class TestPublicSurface:
             "repro.conformance",
             "repro.datasets",
             "repro.experiments",
-            "repro.stats",
         ],
     )
     def test_subpackage_exports_resolve(self, module):
@@ -461,7 +460,7 @@ class TestNoTuningOption:
         ]
         assert repro.planner.__all__ == [
             "optimize", "push_selections", "split_conjuncts",
-            "available_attributes", "infer_schema", "estimate_plan",
+            "available_attributes", "infer_schema",
         ]
         assert len(inspect.signature(repro.connect).parameters) == 10
         package = pathlib.Path(repro.__file__).parent
@@ -475,6 +474,22 @@ class TestNoTuningOption:
                 assert not (isinstance(node, ast.Constant) and node.value == "cost"), (
                     f"{at} spells a planner mode"
                 )
+
+    def test_no_statistics_to_collect(self):
+        """The SQL join order keeps no state: nothing analyzes, stores or estimates."""
+        import importlib.util
+
+        import repro.planner
+        from repro.api import Session
+        from repro.server.verbs import VERBS
+
+        for module in ("repro.stats", "repro.planner.estimate"):
+            assert importlib.util.find_spec(module) is None, module
+        assert not hasattr(repro.planner, "estimate_plan")
+        for name in ("analyze", "set_statistics", "statistics_for", "table_statistics"):
+            assert not hasattr(Database, name), name
+        assert not hasattr(Session, "analyze")
+        assert "analyze" not in VERBS
 
 
 
