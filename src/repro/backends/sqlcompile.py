@@ -23,10 +23,12 @@ its job; a rewriting middleware is only as fast as the host is allowed to be:
   is still one statement.  A projection that would copy a computed column
   into further expressions closes the block first, so text size stays
   linear in plan size;
-* **sub-plans are memoised structurally** (operators are frozen dataclasses)
-  and a CTE body that was already emitted is reused by name, so a sub-plan
-  the rewriter produced twice (``agg-join`` joins ``dept_emp`` with
-  ``salaries`` on both sides of its last join) is computed once by the host;
+* **sub-plans are memoised by object**: the compiler first interns its
+  input (the planner's last pass), so equal sub-plans are one object whether
+  or not the planner ran, and a CTE body that was already emitted is reused
+  by name.  A sub-plan a query names twice (``agg-join`` joins ``dept_emp``
+  with ``salaries`` on both sides of its last join) is computed once by the
+  host;
 * **filter vs value context.**  ``WHERE`` clauses are printed with
   :func:`~repro.algebra.sql.sql_predicate`: comparisons reached through
   ``AND``/``OR`` only are bare ``a op b`` (``UNKNOWN`` and 0 both drop the
@@ -98,7 +100,7 @@ from ..algebra.sql import (
 from ..engine.catalog import Database
 from ..engine.table import TableVersion
 from ..errors import BackendError
-from ..planner.rules import substitute
+from ..planner.rules import _intern, substitute
 from ..rewriter.operators import (
     CoalesceOperator,
     SplitOperator,
@@ -183,7 +185,7 @@ class SQLCompiler:
         self.database = database
         self._ctes: List[Tuple[str, str]] = []  # (header, body)
         self._emitted: Dict[str, str] = {}  # CTE body -> quoted name
-        self._memo: Dict[Operator, _Block] = {}
+        self._memo: Dict[int, _Block] = {}  # id(sub-plan) -> its block
         self._versions: Mapping[str, TableVersion] = database.snapshot()
         self._base_rows: Dict[int, int] = {}  # id(sub-plan) -> rows beneath it
 
@@ -281,7 +283,9 @@ class SQLCompiler:
     # -- entry point -------------------------------------------------------------------------
 
     def compile(self, plan: Operator) -> CompiledQuery:
-        block = self._compile(plan)
+        # Interned, equal sub-plans are one object, and the root holds every
+        # node while the walk runs: the memos can key on id().
+        block = self._compile(_intern(plan))
         body = self._select(block)
         if self._ctes:
             chain = ",\n".join(
@@ -297,14 +301,13 @@ class SQLCompiler:
     # -- dispatch ----------------------------------------------------------------------------
 
     def _compile(self, plan: Operator) -> _Block:
-        # Operators are immutable and compare structurally, so a sub-plan
-        # that occurs twice -- shared (split(R, R)) or built twice by the
-        # rewriter -- compiles once.
-        block = self._memo.get(plan)
+        # A sub-plan that occurs twice -- shared (split(R, R)) or equal and
+        # interned -- is one object, so it compiles once.
+        block = self._memo.get(id(plan))
         if block is None:
             block = self._compile_fresh(plan)
             self._check_schema(plan, block.schema)
-            self._memo[plan] = block
+            self._memo[id(plan)] = block
         return block
 
     def _compile_fresh(self, plan: Operator) -> _Block:

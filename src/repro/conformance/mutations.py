@@ -37,14 +37,12 @@ class BrokenDifferenceRewriter(SnapshotRewriter):
     snapshot.
     """
 
-    def _rewrite_difference(self, plan: Difference) -> _Rewritten:
-        left = self._rewrite(plan.left)
-        right = self._rewrite(plan.right)
+    def _rewrite_difference(
+        self, plan: Difference, left: _Rewritten, right: _Rewritten
+    ) -> _Rewritten:
         self._check_union_compatible(left, right)
         right_plan = self._align_schema(right, left.data_schema)
-        return self._maybe_coalesce(
-            _Rewritten(Difference(left.plan, right_plan), left.data_schema)
-        )
+        return _Rewritten(Difference(left.plan, right_plan), left.data_schema)
 
 
 class BrokenDistinctRewriter(SnapshotRewriter):
@@ -55,11 +53,8 @@ class BrokenDistinctRewriter(SnapshotRewriter):
     rows, so snapshots in the overlap report multiplicity 2 instead of 1.
     """
 
-    def _rewrite_distinct(self, plan: Distinct) -> _Rewritten:
-        child = self._rewrite(plan.child)
-        return self._maybe_coalesce(
-            _Rewritten(Distinct(child.plan), child.data_schema)
-        )
+    def _rewrite_distinct(self, plan: Distinct, child: _Rewritten) -> _Rewritten:
+        return _Rewritten(Distinct(child.plan), child.data_schema)
 
 
 class BrokenJoinPeriodRewriter(SnapshotRewriter):
@@ -73,12 +68,9 @@ class BrokenJoinPeriodRewriter(SnapshotRewriter):
 
     _SWAP = {"greatest": "least", "least": "greatest"}
 
-    def _rewrite_join(self, plan) -> _Rewritten:
-        rewritten = super()._rewrite_join(plan)
-        node = rewritten.plan
-        # ``final`` mode returns the projection directly; ``per-operator``
-        # wraps it in a coalesce.  Swap the period functions in place.
-        projection = node.child if not isinstance(node, Projection) else node
+    def _rewrite_join(self, plan, left: _Rewritten, right: _Rewritten) -> _Rewritten:
+        rewritten = super()._rewrite_join(plan, left, right)
+        projection = rewritten.plan
         assert isinstance(projection, Projection)
         columns = tuple(
             (
@@ -89,10 +81,7 @@ class BrokenJoinPeriodRewriter(SnapshotRewriter):
             )
             for expr, name in projection.columns
         )
-        mutated = Projection(projection.child, columns)
-        if projection is not node:
-            mutated = node.with_children(mutated)
-        return _Rewritten(mutated, rewritten.data_schema)
+        return _Rewritten(Projection(projection.child, columns), rewritten.data_schema)
 
 
 #: Name -> mutant class, for parameterized mutation tests.

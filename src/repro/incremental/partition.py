@@ -26,7 +26,7 @@ from ..algebra.operators import ConstantRelation, Join, Operator, Selection
 from ..engine.executor import _split_join_predicate
 from ..engine.table import Table
 from ..planner.rules import push_selections, split_conjuncts
-from ..planner.schema import infer_schema
+from ..planner.schema import _infer_schema, _SchemaMemo
 
 if TYPE_CHECKING:
     from ..engine.catalog import Database
@@ -57,9 +57,10 @@ def partition_key(
     identifies an occurrence even when one :class:`RelationAccess` object
     sits at several places in the plan.
     """
-    schema = infer_schema(plan, database)
+    memo: _SchemaMemo = {}  # one schema derivation per node
+    schema = _infer_schema(plan, database, memo)
     leaves: List[Probes] = []
-    _trace(plan, {name: name for name in schema or ()}, database, leaves)
+    _trace(plan, {name: name for name in schema or ()}, database, memo, leaves)
     # Two attributes held by the same leaf attributes everywhere (both sides
     # of an equi-join's ``k = k2``) are equal in every output row: keep one.
     traced: Dict[Tuple[str, ...], str] = {}
@@ -71,20 +72,24 @@ def partition_key(
 
 
 def _trace(
-    node: Operator, probes: Probes, database: "Database", leaves: List[Probes]
+    node: Operator,
+    probes: Probes,
+    database: "Database",
+    memo: _SchemaMemo,
+    leaves: List[Probes],
 ) -> None:
     children = node.children()
     if not children:
         leaves.append(probes)
         return
-    schemas = [infer_schema(child, database) for child in children]
+    schemas = [_infer_schema(child, database, memo) for child in children]
     landed: List[Probes] = [{} for _ in children]
     if probes and None not in schemas:
         landed = _sink(node, probes, schemas, database)
         if isinstance(node, Join):
             _transfer(node, schemas, landed)
     for child, below in zip(children, landed):
-        _trace(child, below, database, leaves)
+        _trace(child, below, database, memo, leaves)
 
 
 def _sink(

@@ -21,9 +21,14 @@ The planner applies classical rewrites until a fixpoint:
   the temporal extension operators where their ``planner_projection_pushdown``
   hook allows it;
 * **interning** -- last, once: equal sub-plans become one object.  REWR
-  hands the same inputs to both splits of a difference or distinct, and the
-  rules above rebuild each occurrence apart; a query may also name one
-  sub-plan twice.  The engine runs a node once per execution however many
+  hands the same input object to both splits of a difference or distinct,
+  and every pass above keeps that sharing: it visits each object once
+  (memoised on ``id()``), rebuilds a node only when a child changed, and
+  reads schemas from one memo per :func:`optimize` call, so a plan stays a
+  DAG and the fixpoint is reached when a round returns its input itself.
+  Interning still merges what is equal but distinct: sub-plans the fluent
+  API built twice, a query naming one sub-plan twice, and equal nodes the
+  rules created.  The engine runs a node once per execution however many
   parents hold it (:mod:`repro.engine.batch`).  :func:`push_selections`
   does not intern: partition-key inference tells equal stubs apart by
   ``id()``.
@@ -35,7 +40,7 @@ imports them.
 
 ``optimize`` optionally records how often each rule fired into a statistics
 mapping under ``planner.*`` keys, mirroring the executor's ``join_strategy``
-counters.
+counters; a rule fires once per distinct node, however many parents share it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import is_dataclass
 from operator import is_not
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..algebra import expressions as e
 from ..algebra.expressions import Attribute, BooleanOp, Expression
@@ -58,7 +63,7 @@ from ..algebra.operators import (
     Selection,
     Union,
 )
-from .schema import available_attributes, infer_schema
+from .schema import _infer_schema, _SchemaMemo
 
 if TYPE_CHECKING:  # duck-typed at runtime (see planner.schema)
     from ..engine.catalog import Database
@@ -67,6 +72,52 @@ __all__ = ["optimize", "push_selections", "split_conjuncts", "substitute"]
 
 #: Safety bound on fixpoint rounds (each round is already monotone).
 _MAX_ROUNDS = 10
+
+
+class _Context:
+    """One :func:`optimize` call: the rule counter, the schema memo (kept for
+    the whole call) and the node memo of the running pass (fresh per pass).
+
+    It lives in the call, never in the module: the server plans on a thread
+    pool.
+    """
+
+    __slots__ = ("database", "stats", "schemas", "memo")
+
+    def __init__(self, database: "Optional[Database]") -> None:
+        self.database = database
+        self.stats: Counter = Counter()
+        self.schemas: _SchemaMemo = {}
+        self.memo: Dict[int, Tuple[Operator, Operator]] = {}
+
+    def schema(self, plan: Operator) -> Optional[Tuple[str, ...]]:
+        return _infer_schema(plan, self.database, self.schemas)
+
+
+_Rule = Callable[[Operator, _Context], Operator]
+
+
+def _pass(rule: _Rule) -> _Rule:
+    """``rule``, applied at one node whose children are done, as a whole pass.
+
+    Bottom up, once per object: a node met again (REWR hands the same
+    inputs to both splits of a difference) is answered from the pass's
+    memo, and a node is rebuilt only when a child came back as a different
+    object, so a pass that changes nothing returns its input itself.
+    """
+
+    def visit(node: Operator, ctx: _Context) -> Operator:
+        done = ctx.memo.get(id(node))
+        if done is not None:
+            return done[1]
+        children = node.children()
+        new = [visit(child, ctx) for child in children]
+        changed = any(map(is_not, new, children))
+        result = rule(node.with_children(*new) if changed else node, ctx)
+        ctx.memo[id(node)] = (node, result)
+        return result
+
+    return visit
 
 
 def optimize(
@@ -86,17 +137,17 @@ def optimize(
     # ``benchmark`` PR drops the argument there and then this keyword.
     if mode not in ("syntactic", "off"):
         raise ValueError(f"optimize() takes no planner mode, got mode={mode!r}")
-    counter: Counter = Counter()
-    previous = None
+    ctx = _Context(database)
     current = plan
     for _round in range(_MAX_ROUNDS):
-        if current == previous:
-            break
         previous = current
-        current = _push_selections(current, database, counter)
-        current = _simplify_projections(current, database, counter)
+        for rule_pass in (_push_selections, _simplify_projections):
+            ctx.memo = {}
+            current = rule_pass(current, ctx)
+        if current is previous:
+            break
     if statistics is not None:
-        for key, amount in counter.items():
+        for key, amount in ctx.stats.items():
             statistics[key] = statistics.get(key, 0) + amount
     return _intern(current)
 
@@ -154,16 +205,11 @@ def push_selections(plan: Operator, database: "Optional[Database]" = None) -> Op
     rather than an optimised plan: partition-key inference for materialized
     views (:mod:`repro.incremental.partition`) probes operators through it.
     """
-    return _push_selections(plan, database, Counter())
+    return _push_selections(plan, _Context(database))
 
 
-def _push_selections(
-    plan: Operator, database: "Optional[Database]", stats: Counter
-) -> Operator:
-    children = tuple(_push_selections(child, database, stats) for child in plan.children())
-    if children:
-        plan = plan.with_children(*children)
-
+@_pass
+def _push_selections(plan: Operator, ctx: _Context) -> Operator:
     if not isinstance(plan, Selection):
         return plan
 
@@ -172,43 +218,40 @@ def _push_selections(
 
     if isinstance(child, Selection):
         # Merge adjacent selections so conjuncts can be pushed individually.
-        stats["planner.selection_merge"] += 1
+        ctx.stats["planner.selection_merge"] += 1
         merged = _combine(conjuncts + split_conjuncts(child.predicate))
-        return _push_selections(Selection(child.child, merged), database, stats)
+        return _push_selections(Selection(child.child, merged), ctx)
 
     if isinstance(child, Union):
-        return _push_into_union(plan, child, conjuncts, database, stats)
+        return _push_into_union(plan, child, conjuncts, ctx)
 
     if isinstance(child, Difference):
-        return _push_into_difference(plan, child, conjuncts, database, stats)
+        return _push_into_difference(plan, child, conjuncts, ctx)
 
     if isinstance(child, Rename):
-        return _push_through_rename(plan, child, conjuncts, database, stats)
+        return _push_through_rename(plan, child, conjuncts, ctx)
 
     if isinstance(child, Projection):
-        return _push_through_projection(plan, child, conjuncts, database, stats)
+        return _push_through_projection(plan, child, conjuncts, ctx)
 
     if isinstance(child, Distinct):
-        stats["planner.pushdown_distinct"] += 1
-        return Distinct(
-            _push_selections(Selection(child.child, plan.predicate), database, stats)
-        )
+        ctx.stats["planner.pushdown_distinct"] += 1
+        return Distinct(_push_selections(Selection(child.child, plan.predicate), ctx))
 
     if isinstance(child, Aggregation):
-        return _push_into_aggregation(plan, child, conjuncts, database, stats)
+        return _push_into_aggregation(plan, child, conjuncts, ctx)
 
     if isinstance(child, Join):
-        return _push_into_join(child, conjuncts, database, stats)
+        return _push_into_join(child, conjuncts, ctx)
 
-    return _push_through_extension(plan, child, conjuncts, database, stats)
+    return _push_through_extension(plan, child, conjuncts, ctx)
 
 
 def _push_into_union(
     plan: Selection,
     child: Union,
     conjuncts: Tuple[Expression, ...],
-    database: "Optional[Database]",
-    stats: Counter,
+    ctx: _Context,
 ) -> Operator:
     """sigma(L union-all R) = sigma(L) union-all sigma'(R).
 
@@ -217,8 +260,8 @@ def _push_into_union(
     positions.  That needs both schemas; with either side unresolvable the
     selection stays above (never push against a half-known schema).
     """
-    left_schema = infer_schema(child.left, database)
-    right_schema = infer_schema(child.right, database)
+    left_schema = ctx.schema(child.left)
+    right_schema = ctx.schema(child.right)
     if left_schema is None or right_schema is None or len(left_schema) != len(right_schema):
         return plan
     pushable: List[Expression] = []
@@ -233,14 +276,10 @@ def _push_into_union(
             pushable_right.append(mapped)
     if not pushable:
         return plan
-    stats["planner.pushdown_union"] += 1
+    ctx.stats["planner.pushdown_union"] += 1
     pushed: Operator = Union(
-        _push_selections(
-            Selection(child.left, _combine(tuple(pushable))), database, stats
-        ),
-        _push_selections(
-            Selection(child.right, _combine(tuple(pushable_right))), database, stats
-        ),
+        _push_selections(Selection(child.left, _combine(tuple(pushable))), ctx),
+        _push_selections(Selection(child.right, _combine(tuple(pushable_right))), ctx),
     )
     if blocked:
         return Selection(pushed, _combine(tuple(blocked)))
@@ -251,8 +290,7 @@ def _push_into_difference(
     plan: Selection,
     child: Difference,
     conjuncts: Tuple[Expression, ...],
-    database: "Optional[Database]",
-    stats: Counter,
+    ctx: _Context,
 ) -> Operator:
     """sigma(L except-all R) = sigma(L) except-all sigma'(R).
 
@@ -263,12 +301,10 @@ def _push_into_difference(
     never waits on the right subtree's schema; the right side is filtered
     too when its schema is resolvable (positional rebinding, as for union).
     """
-    stats["planner.pushdown_difference"] += 1
-    new_left = _push_selections(
-        Selection(child.left, plan.predicate), database, stats
-    )
-    left_schema = infer_schema(child.left, database)
-    right_schema = infer_schema(child.right, database)
+    ctx.stats["planner.pushdown_difference"] += 1
+    new_left = _push_selections(Selection(child.left, plan.predicate), ctx)
+    left_schema = ctx.schema(child.left)
+    right_schema = ctx.schema(child.right)
     new_right = child.right
     if (
         left_schema is not None
@@ -280,9 +316,7 @@ def _push_into_difference(
             for conjunct in conjuncts
         ]
         if all(m is not None for m in mapped):
-            new_right = _push_selections(
-                Selection(child.right, _combine(tuple(mapped))), database, stats
-            )
+            new_right = _push_selections(Selection(child.right, _combine(tuple(mapped))), ctx)
     return Difference(new_left, new_right)
 
 
@@ -290,8 +324,7 @@ def _push_through_rename(
     plan: Selection,
     child: Rename,
     conjuncts: Tuple[Expression, ...],
-    database: "Optional[Database]",
-    stats: Counter,
+    ctx: _Context,
 ) -> Operator:
     renames = dict(child.renames)
     inverse = {new: old for old, new in renames.items()}
@@ -310,11 +343,9 @@ def _push_through_rename(
             blocked.append(conjunct)
     if not pushable:
         return plan
-    stats["planner.pushdown_rename"] += 1
+    ctx.stats["planner.pushdown_rename"] += 1
     pushed: Operator = Rename(
-        _push_selections(
-            Selection(child.child, _combine(tuple(pushable))), database, stats
-        ),
+        _push_selections(Selection(child.child, _combine(tuple(pushable))), ctx),
         child.renames,
     )
     if blocked:
@@ -326,8 +357,7 @@ def _push_through_projection(
     plan: Selection,
     child: Projection,
     conjuncts: Tuple[Expression, ...],
-    database: "Optional[Database]",
-    stats: Counter,
+    ctx: _Context,
 ) -> Operator:
     """sigma_p(Pi_cols(R)) = Pi_cols(sigma_p'(R)) with defining expressions inlined."""
     mapping = {name: expr for expr, name in child.columns}
@@ -340,11 +370,9 @@ def _push_through_projection(
             blocked.append(conjunct)
     if not pushable:
         return plan
-    stats["planner.pushdown_projection"] += 1
+    ctx.stats["planner.pushdown_projection"] += 1
     pushed: Operator = Projection(
-        _push_selections(
-            Selection(child.child, _combine(tuple(pushable))), database, stats
-        ),
+        _push_selections(Selection(child.child, _combine(tuple(pushable))), ctx),
         child.columns,
     )
     if blocked:
@@ -356,8 +384,7 @@ def _push_into_aggregation(
     plan: Selection,
     child: Aggregation,
     conjuncts: Tuple[Expression, ...],
-    database: "Optional[Database]",
-    stats: Counter,
+    ctx: _Context,
 ) -> Operator:
     """Conjuncts over grouping attributes filter whole groups; push them below.
 
@@ -375,11 +402,9 @@ def _push_into_aggregation(
             blocked.append(conjunct)
     if not pushable:
         return plan
-    stats["planner.pushdown_aggregation"] += 1
+    ctx.stats["planner.pushdown_aggregation"] += 1
     pushed: Operator = Aggregation(
-        _push_selections(
-            Selection(child.child, _combine(tuple(pushable))), database, stats
-        ),
+        _push_selections(Selection(child.child, _combine(tuple(pushable))), ctx),
         child.group_by,
         child.aggregates,
     )
@@ -391,14 +416,15 @@ def _push_into_aggregation(
 def _push_into_join(
     child: Join,
     conjuncts: Tuple[Expression, ...],
-    database: "Optional[Database]",
-    stats: Counter,
+    ctx: _Context,
 ) -> Operator:
     """Single-side conjuncts move into the inputs; the rest folds into the
     join predicate, where the executor's join-strategy selection (hash keys,
     interval-overlap pattern) can exploit them."""
-    left_attributes = available_attributes(child.left, database)
-    right_attributes = available_attributes(child.right, database)
+    left_attributes, right_attributes = (
+        None if schema is None else set(schema)
+        for schema in (ctx.schema(child.left), ctx.schema(child.right))
+    )
     left_conjuncts: List[Expression] = []
     right_conjuncts: List[Expression] = []
     folded: List[Expression] = []
@@ -411,7 +437,7 @@ def _push_into_join(
         else:
             folded.append(conjunct)
     if left_conjuncts or right_conjuncts:
-        stats["planner.pushdown_join"] += 1
+        ctx.stats["planner.pushdown_join"] += 1
     new_left = (
         Selection(child.left, _combine(tuple(left_conjuncts)))
         if left_conjuncts
@@ -426,11 +452,11 @@ def _push_into_join(
         split_conjuncts(child.predicate) if child.predicate is not None else ()
     )
     if folded:
-        stats["planner.join_predicate_fold"] += 1
+        ctx.stats["planner.join_predicate_fold"] += 1
     all_parts = predicate_parts + tuple(folded)
     return Join(
-        _push_selections(new_left, database, stats),
-        _push_selections(new_right, database, stats),
+        _push_selections(new_left, ctx),
+        _push_selections(new_right, ctx),
         _combine(all_parts) if all_parts else None,
     )
 
@@ -439,8 +465,7 @@ def _push_through_extension(
     plan: Selection,
     child: Operator,
     conjuncts: Tuple[Expression, ...],
-    database: "Optional[Database]",
-    stats: Counter,
+    ctx: _Context,
 ) -> Operator:
     """Push through operators outside the core algebra via their planner hook."""
     grandchildren = child.children()
@@ -456,14 +481,14 @@ def _push_through_extension(
             blocked.append(conjunct)
     if not per_target:
         return plan
-    stats[f"planner.pushdown_{type(child).__name__.lower()}"] += 1
+    ctx.stats[f"planner.pushdown_{type(child).__name__.lower()}"] += 1
     new_children = list(grandchildren)
     for targets, grouped in per_target.items():
         predicate = _combine(tuple(grouped))
         for index in targets:
             new_children[index] = Selection(new_children[index], predicate)
     pushed = child.with_children(
-        *(_push_selections(c, database, stats) for c in new_children)
+        *(_push_selections(c, ctx) for c in new_children)
     )
     if blocked:
         return Selection(pushed, _combine(tuple(blocked)))
@@ -473,14 +498,8 @@ def _push_through_extension(
 # -- projection simplification --------------------------------------------------------------
 
 
-def _simplify_projections(
-    plan: Operator, database: "Optional[Database]", stats: Counter
-) -> Operator:
-    children = tuple(
-        _simplify_projections(child, database, stats) for child in plan.children()
-    )
-    if children:
-        plan = plan.with_children(*children)
+@_pass
+def _simplify_projections(plan: Operator, ctx: _Context) -> Operator:
     if not isinstance(plan, Projection):
         return plan
     child = plan.child
@@ -491,18 +510,18 @@ def _simplify_projections(
             isinstance(expr, Attribute) and expr.name in inner_map
             for expr, _name in plan.columns
         ):
-            stats["planner.projection_collapse"] += 1
+            ctx.stats["planner.projection_collapse"] += 1
             collapsed = tuple(
                 (inner_map[expr.name], name) for expr, name in plan.columns
             )
             return _simplify_projections(
-                Projection(child.child, collapsed), database, stats
+                Projection(child.child, collapsed), ctx
             )
         return plan
 
     # Identity projections (the rewriter's layout-normalising projections
     # frequently are) disappear entirely once the child schema is known.
-    child_schema = infer_schema(child, database)
+    child_schema = ctx.schema(child)
     if (
         child_schema is not None
         and plan.output_names == child_schema
@@ -511,15 +530,15 @@ def _simplify_projections(
             for expr, name in plan.columns
         )
     ):
-        stats["planner.projection_identity"] += 1
+        ctx.stats["planner.projection_identity"] += 1
         return child
 
     # Extension operators (coalesce, split, ...) can let a projection sink
     # through them; they own the validity conditions.
-    child_schemas = tuple(infer_schema(c, database) for c in child.children())
+    child_schemas = tuple(ctx.schema(c) for c in child.children())
     replacement = child.planner_projection_pushdown(plan.columns, child_schemas)
     if replacement is not None:
-        stats[f"planner.projection_through_{type(child).__name__.lower()}"] += 1
+        ctx.stats[f"planner.projection_through_{type(child).__name__.lower()}"] += 1
         return replacement
     return plan
 
@@ -540,29 +559,20 @@ def _intern(plan: Operator) -> Operator:
     """
     leaves: Dict[Operator, Operator] = {}
     groups: Dict[Tuple[Any, ...], List[Operator]] = {}
-    done: Dict[int, Operator] = {}
 
-    def visit(node: Operator) -> Operator:
-        interned = done.get(id(node))
-        if interned is not None:
-            return interned
+    def merge(node: Operator, _ctx: _Context) -> Operator:
         children = node.children()
-        new = tuple(map(visit, children))
-        interned = node.with_children(*new) if any(map(is_not, new, children)) else node
-        if is_dataclass(interned) and not children:
-            interned = leaves.setdefault(interned, interned)
-        elif is_dataclass(interned):
-            group = groups.setdefault((type(interned), *map(id, new)), [])
+        if is_dataclass(node) and not children:
+            return leaves.setdefault(node, node)
+        if is_dataclass(node):
+            group = groups.setdefault((type(node), *map(id, children)), [])
             for equal in group:
-                if equal == interned:
-                    interned = equal
-                    break
-            else:
-                group.append(interned)
-        done[id(node)] = interned
-        return interned
+                if equal == node:
+                    return equal
+            group.append(node)
+        return node
 
-    return visit(plan)
+    return _pass(merge)(plan, _Context(None))
 
 
 # -- helpers ---------------------------------------------------------------------------------

@@ -17,7 +17,7 @@ engine and the SQL backends without import cycles.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from ..algebra.operators import (
     Aggregation,
@@ -38,11 +38,38 @@ if TYPE_CHECKING:  # duck-typed at runtime to keep the planner import-light
 
 __all__ = ["infer_schema", "available_attributes"]
 
+#: ``id(node)`` -> ``(node, schema)``; holding the node keeps its ``id`` from
+#: being reused while the memo lives.
+_SchemaMemo = Dict[int, Tuple[Operator, Optional[Tuple[str, ...]]]]
+
 
 def infer_schema(
     plan: Operator, database: "Optional[Database]" = None
 ) -> Optional[Tuple[str, ...]]:
     """The ordered output schema of a plan, or ``None`` if not statically known."""
+    return _infer_schema(plan, database, {})
+
+
+def _infer_schema(
+    plan: Operator, database: "Optional[Database]", memo: _SchemaMemo
+) -> Optional[Tuple[str, ...]]:
+    """:func:`infer_schema` through ``memo``: a caller that asks about many
+    nodes of one plan (the planner's rules, partition-key inference) derives
+    each node's schema once."""
+    done = memo.get(id(plan))
+    if done is not None:
+        return done[1]
+    schema = _derive(plan, database, memo)
+    memo[id(plan)] = (plan, schema)
+    return schema
+
+
+def _derive(
+    plan: Operator, database: "Optional[Database]", memo: _SchemaMemo
+) -> Optional[Tuple[str, ...]]:
+    def infer(child: Operator) -> Optional[Tuple[str, ...]]:
+        return _infer_schema(child, database, memo)
+
     if isinstance(plan, RelationAccess):
         if database is None or plan.name not in database:
             return None
@@ -52,16 +79,16 @@ def infer_schema(
     if isinstance(plan, Projection):
         return plan.output_names
     if isinstance(plan, (Selection, Distinct)):
-        return infer_schema(plan.child, database)
+        return infer(plan.child)
     if isinstance(plan, Rename):
-        child = infer_schema(plan.child, database)
+        child = infer(plan.child)
         if child is None:
             return None
         renames = dict(plan.renames)
         return tuple(renames.get(name, name) for name in child)
     if isinstance(plan, Join):
-        left = infer_schema(plan.left, database)
-        right = infer_schema(plan.right, database)
+        left = infer(plan.left)
+        right = infer(plan.right)
         if left is None or right is None:
             return None
         return left + right
@@ -69,8 +96,8 @@ def infer_schema(
         # The left child names the output, but a decision based on it is only
         # sound when the right subtree is resolvable too (and compatible):
         # rows of the right child flow through positionally.
-        left = infer_schema(plan.left, database)
-        right = infer_schema(plan.right, database)
+        left = infer(plan.left)
+        right = infer(plan.right)
         if left is None or right is None or len(left) != len(right):
             return None
         return left
@@ -78,8 +105,7 @@ def infer_schema(
         return plan.output_names
     # Extension operators (coalesce/split/temporal aggregation, custom
     # physical operators) answer through the planner hook.
-    child_schemas = tuple(infer_schema(child, database) for child in plan.children())
-    return plan.planner_schema(child_schemas)
+    return plan.planner_schema(tuple(map(infer, plan.children())))
 
 
 def available_attributes(

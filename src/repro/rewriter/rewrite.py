@@ -23,7 +23,7 @@ switchable (used by the ablation benchmarks):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..algebra.expressions import (
     Attribute,
@@ -69,6 +69,10 @@ class _Rewritten:
     data_schema: Tuple[str, ...]
 
 
+#: One rewrite call's memo: ``id(input)`` -> (input, its rewriting).
+_Memo = Dict[int, Tuple[Operator, _Rewritten]]
+
+
 class SnapshotRewriter:
     """Rewrites snapshot-semantics plans to plans over period tables."""
 
@@ -90,7 +94,7 @@ class SnapshotRewriter:
 
     def rewrite(self, plan: Operator) -> Operator:
         """REWR(plan): the full rewritten plan, including the final coalesce."""
-        rewritten = self._rewrite(plan)
+        rewritten = self._rewrite(plan, {})
         if self.coalesce_mode == "none":
             return rewritten.plan
         if self.coalesce_mode == "per-operator":
@@ -100,37 +104,51 @@ class SnapshotRewriter:
 
     def rewritten_schema(self, plan: Operator) -> Tuple[str, ...]:
         """The data-attribute schema of the rewritten plan."""
-        return self._rewrite(plan).data_schema
+        return self._rewrite(plan, {}).data_schema
 
     # -- recursive rules (Fig. 4) ----------------------------------------------------------------------
 
-    def _rewrite(self, plan: Operator) -> _Rewritten:
-        if isinstance(plan, RelationAccess):
-            return self._rewrite_relation(plan)
-        if isinstance(plan, ConstantRelation):
-            return self._rewrite_constant(plan)
-        if isinstance(plan, Selection):
-            return self._rewrite_selection(plan)
-        if isinstance(plan, Projection):
-            return self._rewrite_projection(plan)
-        if isinstance(plan, Rename):
-            return self._rewrite_rename(plan)
-        if isinstance(plan, Join):
-            return self._rewrite_join(plan)
-        if isinstance(plan, Union):
-            return self._rewrite_union(plan)
-        if isinstance(plan, Difference):
-            return self._rewrite_difference(plan)
-        if isinstance(plan, Aggregation):
-            return self._rewrite_aggregation(plan)
-        if isinstance(plan, Distinct):
-            return self._rewrite_distinct(plan)
-        raise RewriteError(f"cannot rewrite operator {type(plan).__name__}")
+    def _rewrite(self, plan: Operator, memo: _Memo) -> _Rewritten:
+        """REWR of one sub-plan; each rule receives its children rewritten.
 
-    def _maybe_coalesce(self, rewritten: _Rewritten) -> _Rewritten:
+        ``memo`` belongs to one :meth:`rewrite` call (the rewriter itself is
+        shared between threads): an input object met twice is rewritten
+        once, so the output shares what the input shared.  It holds the
+        input too, so an ``id()`` is not reused while the call runs.
+        """
+        done = memo.get(id(plan))
+        if done is not None:
+            return done[1]
+        rule = self._rule(plan)
+        children = [self._rewrite(child, memo) for child in plan.children()]
+        rewritten = rule(plan, *children)
         if self.coalesce_mode == "per-operator":
-            return _Rewritten(CoalesceOperator(rewritten.plan), rewritten.data_schema)
+            rewritten = _Rewritten(CoalesceOperator(rewritten.plan), rewritten.data_schema)
+        memo[id(plan)] = (plan, rewritten)
         return rewritten
+
+    def _rule(self, plan: Operator) -> Callable[..., _Rewritten]:
+        if isinstance(plan, RelationAccess):
+            return self._rewrite_relation
+        if isinstance(plan, ConstantRelation):
+            return self._rewrite_constant
+        if isinstance(plan, Selection):
+            return self._rewrite_selection
+        if isinstance(plan, Projection):
+            return self._rewrite_projection
+        if isinstance(plan, Rename):
+            return self._rewrite_rename
+        if isinstance(plan, Join):
+            return self._rewrite_join
+        if isinstance(plan, Union):
+            return self._rewrite_union
+        if isinstance(plan, Difference):
+            return self._rewrite_difference
+        if isinstance(plan, Aggregation):
+            return self._rewrite_aggregation
+        if isinstance(plan, Distinct):
+            return self._rewrite_distinct
+        raise RewriteError(f"cannot rewrite operator {type(plan).__name__}")
 
     # -- leaves ----------------------------------------------------------------------------------------
 
@@ -154,55 +172,43 @@ class SnapshotRewriter:
             access,
             tuple((Attribute(a), a) for a in data_schema + (T_BEGIN, T_END)),
         )
-        return self._maybe_coalesce(_Rewritten(access, data_schema))
+        return _Rewritten(access, data_schema)
 
     def _rewrite_constant(self, plan: ConstantRelation) -> _Rewritten:
         # Constant rows are valid over the whole time domain.
         tmin, tmax = self.domain.universe()
         rows = tuple(row + (tmin, tmax) for row in plan.rows)
         constant = ConstantRelation(tuple(plan.schema) + (T_BEGIN, T_END), rows)
-        return self._maybe_coalesce(_Rewritten(constant, tuple(plan.schema)))
+        return _Rewritten(constant, tuple(plan.schema))
 
     # -- unary operators -----------------------------------------------------------------------------------
 
-    def _rewrite_selection(self, plan: Selection) -> _Rewritten:
-        child = self._rewrite(plan.child)
-        return self._maybe_coalesce(
-            _Rewritten(Selection(child.plan, plan.predicate), child.data_schema)
-        )
+    def _rewrite_selection(self, plan: Selection, child: _Rewritten) -> _Rewritten:
+        return _Rewritten(Selection(child.plan, plan.predicate), child.data_schema)
 
-    def _rewrite_projection(self, plan: Projection) -> _Rewritten:
-        child = self._rewrite(plan.child)
+    def _rewrite_projection(self, plan: Projection, child: _Rewritten) -> _Rewritten:
         columns = tuple(plan.columns) + (
             (Attribute(T_BEGIN), T_BEGIN),
             (Attribute(T_END), T_END),
         )
-        return self._maybe_coalesce(
-            _Rewritten(Projection(child.plan, columns), plan.output_names)
-        )
+        return _Rewritten(Projection(child.plan, columns), plan.output_names)
 
-    def _rewrite_rename(self, plan: Rename) -> _Rewritten:
-        child = self._rewrite(plan.child)
+    def _rewrite_rename(self, plan: Rename, child: _Rewritten) -> _Rewritten:
         renames = dict(plan.renames)
         if T_BEGIN in renames or T_END in renames:
             raise RewriteError("cannot rename the period attributes of a snapshot query")
         schema = tuple(renames.get(a, a) for a in child.data_schema)
-        return self._maybe_coalesce(
-            _Rewritten(Rename(child.plan, plan.renames), schema)
-        )
+        return _Rewritten(Rename(child.plan, plan.renames), schema)
 
-    def _rewrite_distinct(self, plan: Distinct) -> _Rewritten:
-        child = self._rewrite(plan.child)
+    def _rewrite_distinct(self, plan: Distinct, child: _Rewritten) -> _Rewritten:
         # Align intervals of value-equivalent rows, then ordinary DISTINCT is
         # per-snapshot duplicate elimination.
         split = SplitOperator(child.plan, child.plan, child.data_schema)
-        return self._maybe_coalesce(_Rewritten(Distinct(split), child.data_schema))
+        return _Rewritten(Distinct(split), child.data_schema)
 
     # -- binary operators --------------------------------------------------------------------------------------
 
-    def _rewrite_join(self, plan: Join) -> _Rewritten:
-        left = self._rewrite(plan.left)
-        right = self._rewrite(plan.right)
+    def _rewrite_join(self, plan: Join, left: _Rewritten, right: _Rewritten) -> _Rewritten:
         overlap = set(left.data_schema) & set(right.data_schema)
         if overlap:
             raise RewriteError(
@@ -231,35 +237,26 @@ class SnapshotRewriter:
                 T_END,
             ),
         )
-        return self._maybe_coalesce(
-            _Rewritten(Projection(joined, columns), data_schema)
-        )
+        return _Rewritten(Projection(joined, columns), data_schema)
 
-    def _rewrite_union(self, plan: Union) -> _Rewritten:
-        left = self._rewrite(plan.left)
-        right = self._rewrite(plan.right)
+    def _rewrite_union(self, plan: Union, left: _Rewritten, right: _Rewritten) -> _Rewritten:
         self._check_union_compatible(left, right)
         right_plan = self._align_schema(right, left.data_schema)
-        return self._maybe_coalesce(
-            _Rewritten(Union(left.plan, right_plan), left.data_schema)
-        )
+        return _Rewritten(Union(left.plan, right_plan), left.data_schema)
 
-    def _rewrite_difference(self, plan: Difference) -> _Rewritten:
-        left = self._rewrite(plan.left)
-        right = self._rewrite(plan.right)
+    def _rewrite_difference(
+        self, plan: Difference, left: _Rewritten, right: _Rewritten
+    ) -> _Rewritten:
         self._check_union_compatible(left, right)
         right_plan = self._align_schema(right, left.data_schema)
         schema = left.data_schema
         left_split = SplitOperator(left.plan, right_plan, schema)
         right_split = SplitOperator(right_plan, left.plan, schema)
-        return self._maybe_coalesce(
-            _Rewritten(Difference(left_split, right_split), schema)
-        )
+        return _Rewritten(Difference(left_split, right_split), schema)
 
     # -- aggregation -------------------------------------------------------------------------------------------------
 
-    def _rewrite_aggregation(self, plan: Aggregation) -> _Rewritten:
-        child = self._rewrite(plan.child)
+    def _rewrite_aggregation(self, plan: Aggregation, child: _Rewritten) -> _Rewritten:
         unknown = set(plan.group_by) - set(child.data_schema)
         if unknown:
             raise RewriteError(f"unknown group-by attributes {sorted(unknown)}")
@@ -308,7 +305,7 @@ class SnapshotRewriter:
                 grouped,
                 tuple((Attribute(a), a) for a in output_schema + (T_BEGIN, T_END)),
             )
-        return self._maybe_coalesce(_Rewritten(aggregated, output_schema))
+        return _Rewritten(aggregated, output_schema)
 
     # -- helpers ---------------------------------------------------------------------------------------------------------
 

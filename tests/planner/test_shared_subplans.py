@@ -1,9 +1,11 @@
-"""Each shared sub-plan runs once.
+"""Each shared sub-plan runs once, and plans stay DAGs on the way there.
 
 REWR hands the same inputs to both splits of a bag difference
 (``Split(L, R) - Split(R, L)``) and of a distinct (``Split(X, X)``), and a
-query may name one sub-plan twice.  The planner's last pass makes equal
-sub-plans one object; the engine then runs a node once per execution and
+query may name one sub-plan twice.  REWR maps one input object to one
+output object, each planner pass visits and rebuilds an object at most
+once, and the planner's last pass makes equal sub-plans one object; the
+engine then runs a node once per execution and
 hands its batch to every parent (``batch.shared_reuse`` counts the parents
 served so).  The row reference runs every occurrence, so the reference
 differential checks that sharing one batch between parents is sound.
@@ -11,7 +13,10 @@ differential checks that sharing one batch between parents is sound.
 
 from __future__ import annotations
 
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List
 
 import pytest
@@ -40,7 +45,7 @@ from repro.engine import batch as batch_module
 from repro.engine.executor import execute
 from repro.errors import ResourceLimitError
 from repro.execution import QueryLimits
-from repro.planner import optimize
+from repro.planner import optimize, rules
 from repro.rewriter import pipeline as pipeline_module
 from repro.rewriter.operators import SplitOperator
 from repro.rewriter.pipeline import QueryPipeline
@@ -157,7 +162,102 @@ def test_interning_keeps_a_node_whose_operator_is_not_a_dataclass():
     assert optimized.left.child is optimized.right.child
 
 
-# -- (b) the engine runs a shared node once ------------------------------------------
+# -- (b) plans stay DAGs through REWR and the planner ---------------------------------
+
+
+def test_rewr_maps_one_input_object_to_one_output_object():
+    database = generate_catalog(SMALL)
+    session = connect("memory://", domain=SMALL.domain, database=database)
+    query = template(session).plan
+    assert (len(list(query.walk())), len(_distinct_nodes(query))) == (28, 16)
+    plan = QueryPipeline(SMALL.domain, database=database, optimize=False).rewrite(query)
+    assert len(list(plan.walk())) == 114
+    assert len(_distinct_nodes(plan)) == 28
+
+
+@pytest.mark.parametrize("database, domain, query", CASES)
+def test_each_planner_pass_rebuilds_an_object_at_most_once(
+    database, domain, query, monkeypatch
+):
+    rebuilt: Counter = Counter()
+    passes: List[Counter] = []
+
+    class Context(rules._Context):
+        # optimize() gives every pass a fresh node memo; so does _intern().
+        def __setattr__(self, name, value):
+            if name == "memo":
+                passes.append(rebuilt.copy())
+                rebuilt.clear()
+            super().__setattr__(name, value)
+
+    def counting(with_children):
+        def wrapper(self, *children):
+            rebuilt[id(self)] += 1
+            return with_children(self, *children)
+
+        return wrapper
+
+    def operator_types(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from operator_types(sub)
+
+    for cls in set(operator_types(Operator)):
+        if "with_children" in vars(cls):
+            monkeypatch.setattr(cls, "with_children", counting(cls.with_children))
+    monkeypatch.setattr(rules, "_Context", Context)
+    plan = QueryPipeline(domain, database=database, optimize=False).rewrite(query)
+    optimize(plan, database)
+    passes.append(rebuilt)
+    assert len(passes) >= 4
+    assert all(max(counts.values(), default=0) <= 1 for counts in passes)
+
+
+@pytest.mark.parametrize("database, domain, query", CASES)
+def test_optimize_is_idempotent_by_identity(database, domain, query):
+    plan = QueryPipeline(domain, database=database, optimize=False).rewrite(query)
+    optimized = optimize(plan, database)
+    assert optimize(optimized, database) is optimized
+
+
+def test_threads_sharing_one_rewriter_and_one_rewr_plan_plan_alike():
+    database = generate_catalog(SMALL)
+    session = connect("memory://", domain=SMALL.domain, database=database)
+    query = template(session).plan
+    rewriter = QueryPipeline(SMALL.domain, database=database, optimize=False).rewriter
+    shared = rewriter.rewrite(query)
+    fired: Dict[str, int] = {}
+    serial = optimize(shared, database, fired)
+    start = threading.Barrier(8)
+
+    def plan(rewritten):
+        # A memo shared between calls would hand one call another's rewrites,
+        # and its rules would fire fewer times than the serial call's.
+        statistics: Dict[str, int] = {}
+        optimized = optimize(rewritten, database, statistics)
+        assert statistics == fired
+        return optimized
+
+    def plan_both(_index):
+        start.wait(timeout=30)
+        return [(plan(shared), plan(rewriter.rewrite(query))) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the passes, not between them
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = pool.map(plan_both, range(8), timeout=120)
+            results = [pair for run in runs for pair in run]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 160
+    for plans in results:
+        for plan in plans:
+            assert plan == serial
+            assert plan.explain_tree() == serial.explain_tree()
+
+
+# -- (c) the engine runs a shared node once ------------------------------------------
 
 
 @pytest.mark.parametrize("database, domain, query", CASES)
@@ -201,7 +301,7 @@ def test_view_verify_runs_its_pinned_plan_once(monkeypatch):
     assert seen["batch.shared_reuse"] == 2 + inner  # the plan and the table, once each
 
 
-# -- (c) nothing outlives an execution -------------------------------------------------
+# -- (d) nothing outlives an execution -------------------------------------------------
 
 
 def test_a_held_relation_run_again_after_a_write_sees_the_write():
@@ -220,7 +320,7 @@ def test_a_held_relation_run_again_after_a_write_sees_the_write():
         before = after
 
 
-# -- (d) the row budget ----------------------------------------------------------------
+# -- (e) the row budget ----------------------------------------------------------------
 
 
 def test_a_shared_node_over_the_row_budget_still_raises():
