@@ -1,13 +1,19 @@
-"""Ablation benchmarks for the Section 9 optimisations (DESIGN.md design choices).
+"""Ablation benchmarks for the paper's Section 9 optimisations.
 
-* single final coalesce vs. coalescing after every operator,
-* fused pre-aggregation + split vs. naive split-then-aggregate,
+* single final coalesce vs. coalescing after every operator
+  (``repro.baselines.PerOperatorCoalesceRewriter``),
+* fused pre-aggregation + split vs. naive split-then-aggregate
+  (``repro.baselines.SplitThenAggregateRewriter``),
 * interval-based evaluation vs. the per-snapshot (point-wise) oracle.
 """
 
 import pytest
 
-from repro.baselines import NaiveSnapshotEvaluator
+from repro.baselines import (
+    NaiveSnapshotEvaluator,
+    PerOperatorCoalesceRewriter,
+    SplitThenAggregateRewriter,
+)
 from repro.datasets.workloads import EMPLOYEE_WORKLOAD
 from repro.rewriter import QueryPipeline
 
@@ -28,7 +34,9 @@ def test_optimized(benchmark, employee_config, employee_database, query_name):
 
 @pytest.mark.parametrize("query_name", ABLATION_QUERIES)
 def test_per_operator_coalesce(benchmark, employee_config, employee_database, query_name):
-    pipeline = _pipeline(employee_config, employee_database, coalesce="per-operator")
+    pipeline = _pipeline(
+        employee_config, employee_database, rewriter_cls=PerOperatorCoalesceRewriter
+    )
     query = EMPLOYEE_WORKLOAD[query_name]()
     benchmark.extra_info["configuration"] = "per-operator coalesce"
     benchmark.pedantic(lambda: pipeline.execute(query), rounds=1, iterations=1)
@@ -36,7 +44,9 @@ def test_per_operator_coalesce(benchmark, employee_config, employee_database, qu
 
 @pytest.mark.parametrize("query_name", ABLATION_QUERIES)
 def test_no_preaggregation(benchmark, employee_config, employee_database, query_name):
-    pipeline = _pipeline(employee_config, employee_database, use_temporal_aggregate=False)
+    pipeline = _pipeline(
+        employee_config, employee_database, rewriter_cls=SplitThenAggregateRewriter
+    )
     query = EMPLOYEE_WORKLOAD[query_name]()
     benchmark.extra_info["configuration"] = "no pre-aggregation"
     benchmark.pedantic(lambda: pipeline.execute(query), rounds=1, iterations=1)
@@ -45,7 +55,9 @@ def test_no_preaggregation(benchmark, employee_config, employee_database, query_
 def test_single_final_coalesce_is_not_slower(employee_config, employee_database, fastest):
     """The optimised plan should beat per-operator coalescing on the ablation set."""
     optimized = _pipeline(employee_config, employee_database)
-    unoptimized = _pipeline(employee_config, employee_database, coalesce="per-operator")
+    unoptimized = _pipeline(
+        employee_config, employee_database, rewriter_cls=PerOperatorCoalesceRewriter
+    )
     optimized_total = unoptimized_total = 0.0
     for name in ABLATION_QUERIES:
         query = EMPLOYEE_WORKLOAD[name]()

@@ -116,18 +116,16 @@ class TemporalRelation:
     :meth:`Session.query`, not directly.
     """
 
-    __slots__ = ("_session", "_plan", "_final_coalesce", "_policy")
+    __slots__ = ("_session", "_plan", "_policy")
 
     def __init__(
         self,
         session: "Session",
         plan: Operator,
-        final_coalesce: bool = False,
         policy: "Optional[ExecutionPolicy]" = None,
     ) -> None:
         self._session = session
         self._plan = plan
-        self._final_coalesce = final_coalesce
         self._policy = policy
 
     # -- introspection ----------------------------------------------------------------
@@ -145,7 +143,7 @@ class TemporalRelation:
         return f"TemporalRelation({self._plan!r})"
 
     def _derive(self, plan: Operator) -> "TemporalRelation":
-        return TemporalRelation(self._session, plan, self._final_coalesce, self._policy)
+        return TemporalRelation(self._session, plan, self._policy)
 
     # -- fluent algebra ---------------------------------------------------------------
 
@@ -260,18 +258,6 @@ class TemporalRelation:
         """
         return GroupedRelation(self, ()).agg(*specs, **aliases)
 
-    def coalesce(self) -> "TemporalRelation":
-        """Force the result encoding to be coalesced (unique normal form).
-
-        With the session default (``coalesce="final"``) results are already
-        coalesced and this is a no-op marker; it matters for sessions created
-        with ``coalesce="none"``, where it re-enables the final coalescing
-        step for this one query.
-        """
-        return TemporalRelation(
-            self._session, self._plan, final_coalesce=True, policy=self._policy
-        )
-
     def with_policy(self, policy: "Optional[ExecutionPolicy]") -> "TemporalRelation":
         """Attach a per-query :class:`~repro.execution.ExecutionPolicy`.
 
@@ -289,9 +275,7 @@ class TemporalRelation:
             raise FluentError(
                 f"with_policy expects an ExecutionPolicy or None, got {policy!r}"
             )
-        return TemporalRelation(
-            self._session, self._plan, self._final_coalesce, policy
-        )
+        return TemporalRelation(self._session, self._plan, policy)
 
     def _check_same_session(self, other: "TemporalRelation", verb: str) -> None:
         if not isinstance(other, TemporalRelation):
@@ -306,7 +290,6 @@ class TemporalRelation:
         return self._session.execute(
             self._plan,
             statistics=statistics,
-            final_coalesce=self._final_coalesce,
             policy=self._policy,
         )
 
@@ -319,7 +302,6 @@ class TemporalRelation:
         return self._session.execute_decoded(
             self._plan,
             statistics=statistics,
-            final_coalesce=self._final_coalesce,
             policy=self._policy,
         )
 
@@ -355,9 +337,7 @@ class TemporalRelation:
         outcome.  The query *is executed once* (on the session's backend) to
         observe the executor's counters.
         """
-        return self._session.call(
-            "explain", plan=self._plan, final_coalesce=self._final_coalesce
-        )
+        return self._session.call("explain", plan=self._plan)
 
 
 class GroupedRelation:

@@ -55,7 +55,6 @@ from ..execution import (
 from ..logical_model.period_relation import PeriodKRelation
 from ..rewriter.periodenc import T_BEGIN, T_END, period_decode, period_encode
 from ..rewriter.pipeline import PlanCacheInfo, QueryPipeline, check_planner_switch
-from ..rewriter.rewrite import SnapshotRewriter
 from ..semirings.standard import NATURAL
 from ..server.core import DEFAULT_PORT
 from ..server.verbs import VERBS
@@ -92,12 +91,11 @@ def _parse_dsn_domain(text: str) -> TimeDomain:
 _DSN_BOOL = {"1": True, "true": True, "on": True, "0": False, "false": False, "off": False}
 
 
-def _dsn_bool(name: str, text: str) -> bool:
+def _parse_dsn_planner(text: str) -> bool:
     value = _DSN_BOOL.get(text.lower())
     if value is None:
         raise FluentError(
-            f"DSN parameter {name}= must be a boolean (true/false, on/off, 1/0), "
-            f"got {text!r}"
+            f"DSN parameter planner= must be a boolean (true/false, on/off, 1/0), got {text!r}"
         )
     return value
 
@@ -106,13 +104,11 @@ def _dsn_bool(name: str, text: str) -> bool:
 #: :func:`connect` keyword of the same name.
 _DSN_PARSERS: Dict[str, Callable[[str], Any]] = {
     "domain": _parse_dsn_domain,
-    "planner": lambda text: _dsn_bool("planner", text),
-    "plan_cache": lambda text: _dsn_bool("plan_cache", text),
-    "coalesce": str,
+    "planner": _parse_dsn_planner,
     "backend": str,
 }
 
-_LOCAL_DSN_PARAMS = ("domain", "planner", "plan_cache", "coalesce")
+_LOCAL_DSN_PARAMS = ("domain", "planner")
 
 #: Scheme -> the DSN parameters it can honour; anything else is rejected.
 _DSN_PARAMS: Dict[str, Tuple[str, ...]] = {
@@ -131,11 +127,7 @@ def connect(
     target: Optional[str] = None,
     backend: "str | ExecutionBackend | None" = "memory",
     planner: bool = True,
-    coalesce: str = "final",
-    use_temporal_aggregate: bool = True,
     database: Optional[Database] = None,
-    plan_cache: bool = True,
-    rewriter_cls: type[SnapshotRewriter] = SnapshotRewriter,
     policy: Optional[ExecutionPolicy] = None,
     domain: "Union[TimeDomain, Tuple[int, int], int, None]" = None,
 ) -> "Session":
@@ -161,12 +153,14 @@ def connect(
     The time domain of an in-process session comes from the DSN's ``domain=lo:hi``
     query parameter or the ``domain=`` keyword (DSN wins); the other local
     DSN parameters -- ``planner=on|off`` (the rule fixpoint of
-    :mod:`repro.planner`; a boolean, anything else raises here),
-    ``coalesce=final|none|...``, ``plan_cache=on|off``, and on
+    :mod:`repro.planner`; a boolean, anything else raises here) and on
     ``memory://`` also ``backend=name`` -- likewise override their keyword
     counterparts.  A backend *name* nobody registered raises
     :class:`~repro.errors.BackendUnavailableError` here, not at the first
-    query.  Nothing tunes the in-memory engine: it takes no option.
+    query.  ``planner`` is the one tuning option left, kept for the server
+    CLI's ``--no-planner`` and ``examples/planner_stats.py``: a session
+    always rewrites with :class:`~repro.rewriter.rewrite.SnapshotRewriter`
+    and caches rewritten plans, and the in-memory engine takes no option.
 
     A ``repro://`` target has no local pipeline to configure: it takes no
     DSN parameter and honours only the ``policy`` keyword (which applies
@@ -178,11 +172,7 @@ def connect(
         "domain": domain,
         "backend": backend,
         "planner": planner,
-        "coalesce": coalesce,
-        "use_temporal_aggregate": use_temporal_aggregate,
         "database": database,
-        "plan_cache": plan_cache,
-        "rewriter_cls": rewriter_cls,
         "policy": policy,
     }
     if target is not None and not isinstance(target, str):
@@ -259,7 +249,7 @@ _CONNECT_DEFAULTS = {
 
 
 def _connect_local(domain: Any, planner: bool, **options: Any) -> "Session":
-    pipeline = QueryPipeline(_as_domain(domain), optimize=planner, **options)
+    pipeline = QueryPipeline(_as_domain(domain), optimize=planner, plan_cache=True, **options)
     return Session(LocalTransport(pipeline))
 
 
@@ -490,7 +480,6 @@ class Session:
         query: Operator,
         statistics: Optional[Dict[str, int]] = None,
         backend: "str | ExecutionBackend | None" = None,
-        final_coalesce: bool = False,
         policy: Optional[ExecutionPolicy] = None,
     ) -> Table:
         """Evaluate a logical query under snapshot semantics; a period table.
@@ -499,19 +488,18 @@ class Session:
         receives the server's per-request counters.
         """
         self._ensure_open()
-        return self._transport.query(query, statistics, backend, final_coalesce, policy)
+        return self._transport.query(query, statistics, backend, policy)
 
     def execute_decoded(
         self,
         query: Operator,
         statistics: Optional[Dict[str, int]] = None,
         backend: "str | ExecutionBackend | None" = None,
-        final_coalesce: bool = False,
         policy: Optional[ExecutionPolicy] = None,
     ) -> PeriodKRelation:
         """Evaluate and decode into a period K-relation (N^T)."""
         return period_decode(
-            self.execute(query, statistics, backend, final_coalesce, policy),
+            self.execute(query, statistics, backend, policy),
             self._semiring,
         )
 
@@ -519,9 +507,8 @@ class Session:
         """Snapshot-conformance check of one query against the oracle.
 
         Runs :func:`repro.conformance.check_conformance` over the executing
-        pipeline's catalog and domain, defaulting the rewriter configuration
-        (``rewriter_cls``, ``coalesce``, ``use_temporal_aggregate``) to that
-        pipeline's *own* settings -- so the certified configuration is the
+        pipeline's catalog and domain, defaulting ``rewriter_cls`` to that
+        pipeline's *own* rewriter -- so the certified configuration is the
         one this session actually executes.  In process any keyword argument
         passes through and overrides (``backends=``, ``optimize_modes=``,
         ``points=``, ``rewriter_cls=``, ...); over ``repro://`` the JSON-able
@@ -554,12 +541,7 @@ class Session:
             raise FluentError(
                 f"materialize expects a TemporalRelation, got {relation!r}"
             )
-        materialized = self.call(
-            "materialize",
-            name=name,
-            plan=relation.plan,
-            final_coalesce=relation._final_coalesce,
-        )
+        materialized = self.call("materialize", name=name, plan=relation.plan)
         return self._transport.view(self.call, name, materialized)
 
     def view(self, name: str) -> Any:

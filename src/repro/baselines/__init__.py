@@ -1,8 +1,9 @@
-"""Baseline snapshot-query evaluators used for correctness and performance comparison."""
+"""What the middleware is compared against: snapshot evaluators and unoptimised REWR variants."""
 
 from .base import BaselineError, BaselineEvaluator
 from .naive import NaiveSnapshotEvaluator
 from .native import IntervalPreservationEvaluator, TemporalAlignmentEvaluator
+from .rewriters import PerOperatorCoalesceRewriter, SplitThenAggregateRewriter
 
 __all__ = [
     "BaselineEvaluator",
@@ -10,4 +11,6 @@ __all__ = [
     "IntervalPreservationEvaluator",
     "TemporalAlignmentEvaluator",
     "NaiveSnapshotEvaluator",
+    "PerOperatorCoalesceRewriter",
+    "SplitThenAggregateRewriter",
 ]

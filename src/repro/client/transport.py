@@ -86,11 +86,10 @@ class WireTransport:
         plan: Operator,
         statistics: Optional[Dict[str, int]] = None,
         backend: Optional[Any] = None,
-        final_coalesce: bool = False,
         policy: Optional[ExecutionPolicy] = None,
     ) -> Table:
         def run(target: Optional[Any], limits: Optional[QueryLimits]) -> Table:
-            args = {"plan": plan, "final_coalesce": final_coalesce}
+            args = {"plan": plan}
             if target is not None:
                 args["backend"] = backend_name(target)
                 if not isinstance(args["backend"], str):

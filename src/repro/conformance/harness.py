@@ -124,8 +124,6 @@ class _Context:
     schemas: Dict[str, Tuple[str, ...]]
     periods: Dict[str, Optional[Tuple[str, str]]]
     rewriter_cls: type
-    coalesce: str
-    use_temporal_aggregate: bool
     oracle_cache: Dict[int, KRelation] = field(default_factory=dict)
 
 
@@ -144,8 +142,6 @@ def _execute_decoded(
     pipeline = QueryPipeline(
         context.domain,
         database=database,
-        coalesce=context.coalesce,
-        use_temporal_aggregate=context.use_temporal_aggregate,
         optimize=optimize,
         backend=None if backend == "memory" else backend,
         rewriter_cls=context.rewriter_cls,
@@ -212,8 +208,6 @@ def check_conformance(
     minimize: bool = True,
     shrink_budget: int = 200,
     rewriter_cls: type[SnapshotRewriter] = SnapshotRewriter,
-    coalesce: str = "final",
-    use_temporal_aggregate: bool = True,
 ) -> ConformanceReport:
     """Check snapshot-reducibility of ``query`` across configurations.
 
@@ -232,8 +226,6 @@ def check_conformance(
         schemas={name: database.table(name).schema for name in names},
         periods={name: database.period_of(name) for name in names},
         rewriter_cls=rewriter_cls,
-        coalesce=coalesce,
-        use_temporal_aggregate=use_temporal_aggregate,
     )
     if points is None:
         checked_points = distinct_time_points(database, names, domain, limit=max_points)

@@ -1,14 +1,16 @@
 """Ablation of the middleware's optimisations (paper Section 9).
 
 Two optimisations distinguish the middleware from a naive transcription of
-the rewrite rules, and DESIGN.md calls both out as design choices worth an
-ablation:
+the rewrite rules (paper Section 9); each is ablated by running the
+rewriter of :mod:`repro.baselines.rewriters` that leaves it out:
 
 * **single final coalesce** (Lemma 6.1 and its monus extension) -- coalesce
-  once at the top of the rewritten plan instead of after every operator;
+  once at the top of the rewritten plan instead of after every operator
+  (:class:`~repro.baselines.rewriters.PerOperatorCoalesceRewriter`);
 * **pre-aggregation fused with the split step** -- evaluate snapshot
   aggregation with one sweep over pre-aggregated events instead of
-  materialising the split input and aggregating it.
+  materialising the split input and aggregating it
+  (:class:`~repro.baselines.rewriters.SplitThenAggregateRewriter`).
 
 A third comparison pits the interval-based evaluation against the
 point-wise (per-snapshot) evaluation that defines the semantics, showing why
@@ -22,6 +24,7 @@ from dataclasses import replace
 from typing import Dict, List
 
 from ..baselines import NaiveSnapshotEvaluator
+from ..baselines.rewriters import PerOperatorCoalesceRewriter, SplitThenAggregateRewriter
 from ..datasets.employees import EmployeesConfig, generate_employees
 from ..datasets.workloads import employee_queries
 from ..rewriter.pipeline import QueryPipeline
@@ -55,10 +58,10 @@ def run_ablation(
     configurations = {
         "optimized": QueryPipeline(config.domain, database=database),
         "per-operator-coalesce": QueryPipeline(
-            config.domain, database=database, coalesce="per-operator"
+            config.domain, database=database, rewriter_cls=PerOperatorCoalesceRewriter
         ),
         "no-preaggregation": QueryPipeline(
-            config.domain, database=database, use_temporal_aggregate=False
+            config.domain, database=database, rewriter_cls=SplitThenAggregateRewriter
         ),
     }
 

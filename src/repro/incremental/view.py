@@ -113,17 +113,10 @@ class MaterializedView:
     reference it.
     """
 
-    def __init__(
-        self,
-        name: str,
-        query: Operator,
-        pipeline: "QueryPipeline",
-        final_coalesce: bool = False,
-    ) -> None:
+    def __init__(self, name: str, query: Operator, pipeline: "QueryPipeline") -> None:
         self.name = name
         self.query = query
         self._pipeline = pipeline
-        self._final_coalesce = final_coalesce
         self.counters: Dict[str, int] = {key: 0 for key in COUNTER_KEYS}
         self._rows: List[Row] = []
         self.refresh()
@@ -227,7 +220,7 @@ class MaterializedView:
         pipeline = self._pipeline
         database = pipeline.database
         with database.writing():
-            self._plan = pipeline.rewrite(self.query, final_coalesce=self._final_coalesce)
+            self._plan = pipeline.rewrite(self.query)
             self._key, held = infer_partition_key(self._plan, database)
             self._leaves: List[_Occurrence] = []
             self._base_tables: Dict[str, Table] = {}

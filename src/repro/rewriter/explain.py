@@ -16,9 +16,7 @@ from .pipeline import QueryPipeline
 __all__ = ["explain_query"]
 
 
-def explain_query(
-    pipeline: QueryPipeline, plan: Operator, final_coalesce: bool = False
-) -> str:
+def explain_query(pipeline: QueryPipeline, plan: Operator) -> str:
     """Logical ``plan`` -> REWR -> planner -> execution; see ``TemporalRelation.explain``.
 
     The query *is executed once* (on the pipeline's backend) to observe the
@@ -29,7 +27,7 @@ def explain_query(
     # The stages of the very rewrite execution caches (bypassing the cache
     # so both stages are visible).
     planner_statistics: Dict[str, int] = {}
-    stages = pipeline.rewrite_stages(plan, planner_statistics, final_coalesce)
+    stages = pipeline.rewrite_stages(plan, planner_statistics)
     sections += ["", "REWR plan:", _indent(stages[0].explain_tree())]
     if len(stages) > 1:
         sections += [
@@ -48,7 +46,7 @@ def explain_query(
     # identities line up with the recorded observations.
     execution_statistics: Dict[str, int] = {}
     observations: Dict[int, Dict[str, Any]] = {}
-    executed = pipeline.rewrite(plan, execution_statistics, final_coalesce)
+    executed = pipeline.rewrite(plan, execution_statistics)
     pipeline.execute_rewritten(
         executed, execution_statistics, observations=observations
     )

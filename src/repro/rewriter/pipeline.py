@@ -50,7 +50,6 @@ from ..planner import optimize as planner_optimize
 from ..semirings.standard import NATURAL
 from ..temporal.period_semiring import PeriodSemiring
 from ..temporal.timedomain import TimeDomain
-from .operators import CoalesceOperator
 from .periodenc import T_BEGIN, T_END, period_decode, period_encode
 from .rewrite import SnapshotRewriter
 
@@ -89,14 +88,6 @@ class QueryPipeline:
         The time domain queries are interpreted over.
     database:
         An existing engine catalog to attach to (a fresh one when omitted).
-    coalesce:
-        ``"final"`` (default, single coalesce as the last step),
-        ``"per-operator"`` (the un-optimised scheme, used by the ablation
-        experiments) or ``"none"`` (skip coalescing; results remain
-        snapshot-equivalent but their encoding is not unique).
-    use_temporal_aggregate:
-        Use the fused pre-aggregation + split implementation of snapshot
-        aggregation (Section 9) instead of naive split-then-aggregate.
     optimize:
         Run the planner's rule fixpoint (:func:`repro.planner.optimize`)
         over rewritten plans; ``False`` executes REWR's plan as it is.
@@ -109,9 +100,9 @@ class QueryPipeline:
         the in-memory engine -- there is one, the columnar engine behind
         :func:`repro.engine.execute`; :meth:`execute` can override per query.
     rewriter_cls:
-        The :class:`~repro.rewriter.rewrite.SnapshotRewriter` subclass that
-        performs REWR; the conformance harness injects deliberately broken
-        rewrite rules through it (mutation testing of its detection power).
+        The :class:`~repro.rewriter.rewrite.SnapshotRewriter` (sub)class that
+        performs REWR: the ablation passes :mod:`repro.baselines.rewriters`,
+        the mutation tests a deliberately broken one; sessions never pass one.
     plan_cache:
         Memoise rewritten plans across executions (off by default;
         :func:`repro.connect` sessions turn it on).
@@ -124,8 +115,6 @@ class QueryPipeline:
         self,
         domain: TimeDomain,
         database: Optional[Database] = None,
-        coalesce: str = "final",
-        use_temporal_aggregate: bool = True,
         optimize: bool = True,
         backend: "str | ExecutionBackend | None" = None,
         rewriter_cls: type[SnapshotRewriter] = SnapshotRewriter,
@@ -140,18 +129,7 @@ class QueryPipeline:
             check_backend_name(backend)  # likewise: not at the first query
         self.backend = backend
         self.policy = policy
-        # Kept alongside the rewriter instance so callers that re-create the
-        # configuration elsewhere (the conformance harness builds fresh
-        # pipelines per execution) can mirror this pipeline exactly.
-        self.coalesce = coalesce
-        self.use_temporal_aggregate = use_temporal_aggregate
-        self.rewriter_cls = rewriter_cls
-        self.rewriter = rewriter_cls(
-            self.database,
-            domain,
-            coalesce=coalesce,
-            use_temporal_aggregate=use_temporal_aggregate,
-        )
+        self.rewriter = rewriter_cls(self.database, domain)
         self._cache: Optional[Dict[Tuple[Any, ...], Operator]] = (
             {} if plan_cache else None
         )
@@ -186,7 +164,6 @@ class QueryPipeline:
         self,
         query: Operator,
         name: str,
-        final_coalesce: bool = False,
     ) -> "Any":
         """Register ``query`` as an incrementally maintained view.
 
@@ -211,7 +188,7 @@ class QueryPipeline:
                     f"cannot materialize as {name!r}: a catalog table of that "
                     "name already exists"
                 )
-            view = MaterializedView(name, query, self, final_coalesce=final_coalesce)
+            view = MaterializedView(name, query, self)
             self._views[name] = view
             self.database.add_dml_observer(view._observe_dml)
         return view
@@ -283,8 +260,8 @@ class QueryPipeline:
         # keyword once the next ``benchmark`` PR stops passing it.
         return "syntactic" if self.optimize else "off"
 
-    def _cache_key(self, query: Operator, final_coalesce: bool) -> Tuple[Any, ...]:
-        return (self.database.schema_version, self.optimize, final_coalesce, query)
+    def _cache_key(self, query: Operator) -> Tuple[Any, ...]:
+        return (self.database.schema_version, self.optimize, query)
 
     # -- rewriting --------------------------------------------------------------------
 
@@ -292,21 +269,16 @@ class QueryPipeline:
         self,
         query: Operator,
         statistics: Optional[Dict[str, int]] = None,
-        final_coalesce: bool = False,
     ) -> Operator:
         """REWR(query) after optimisation (if enabled), through the cache.
-
-        ``final_coalesce`` wraps the rewritten plan in one more coalesce
-        step -- the fluent API's ``.coalesce()``, meaningful when the
-        rewriter runs with ``coalesce="none"`` (idempotent otherwise).
 
         ``statistics`` receives ``planner.*`` rule counters on an actual
         rewrite, plus ``plan_cache.hits`` / ``plan_cache.misses`` when the
         cache is enabled and ``rewrite.invocations`` whenever REWR runs.
         """
         if self._cache is None:
-            return self.rewrite_stages(query, statistics, final_coalesce)[-1]
-        key = self._cache_key(query, final_coalesce)
+            return self.rewrite_stages(query, statistics)[-1]
+        key = self._cache_key(query)
         cached = self._cache.get(key)
         if cached is not None:
             self._cache_hits += 1
@@ -315,7 +287,7 @@ class QueryPipeline:
                     statistics.get("plan_cache.hits", 0) + 1
                 )
             return cached
-        plan = self.rewrite_stages(query, statistics, final_coalesce)[-1]
+        plan = self.rewrite_stages(query, statistics)[-1]
         self._cache_misses += 1
         if statistics is not None:
             statistics["plan_cache.misses"] = (
@@ -333,7 +305,6 @@ class QueryPipeline:
         self,
         query: Operator,
         statistics: Optional[Dict[str, int]] = None,
-        final_coalesce: bool = False,
     ) -> Tuple[Operator, ...]:
         """One uncached rewrite, stage by stage; the last plan is what executes.
 
@@ -342,8 +313,6 @@ class QueryPipeline:
         renders all of them, so what is shown is what runs.
         """
         plan = self.rewriter.rewrite(query)
-        if final_coalesce:
-            plan = CoalesceOperator(plan)
         if statistics is not None:
             statistics["rewrite.invocations"] = (
                 statistics.get("rewrite.invocations", 0) + 1
@@ -359,11 +328,10 @@ class QueryPipeline:
         query: Operator,
         statistics: Optional[Dict[str, int]] = None,
         backend: "str | ExecutionBackend | None" = None,
-        final_coalesce: bool = False,
         policy: Optional[ExecutionPolicy] = None,
     ) -> Table:
         """Evaluate ``query`` under snapshot semantics; return a period table."""
-        plan = self.rewrite(query, statistics, final_coalesce)
+        plan = self.rewrite(query, statistics)
         return self.execute_rewritten(plan, statistics, backend, policy)
 
     def execute_rewritten(
@@ -402,7 +370,6 @@ class QueryPipeline:
         query: Operator,
         statistics: Optional[Dict[str, int]] = None,
         backend: "str | ExecutionBackend | None" = None,
-        final_coalesce: bool = False,
         limits: Optional[QueryLimits] = None,
     ) -> Table:
         """One policy-free execution under externally owned :class:`QueryLimits`.
@@ -413,7 +380,7 @@ class QueryPipeline:
         (:meth:`repro.execution.Deadline.cancel`); retries and failover stay
         with the *client's* policy, which observes transport failures.
         """
-        plan = self.rewrite(query, statistics, final_coalesce)
+        plan = self.rewrite(query, statistics)
         chosen = backend if backend is not None else self.backend
         return self._run_plan(plan, statistics, chosen, limits)
 
@@ -469,12 +436,11 @@ class QueryPipeline:
         query: Operator,
         statistics: Optional[Dict[str, int]] = None,
         backend: "str | ExecutionBackend | None" = None,
-        final_coalesce: bool = False,
         policy: Optional[ExecutionPolicy] = None,
     ) -> PeriodKRelation:
         """Evaluate and decode the result into a period K-relation (N^T)."""
         return period_decode(
-            self.execute(query, statistics, backend, final_coalesce, policy),
+            self.execute(query, statistics, backend, policy),
             self.period_semiring,
         )
 

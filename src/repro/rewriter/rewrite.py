@@ -8,16 +8,10 @@ attributes ``t_begin`` / ``t_end``; the commutative diagram of Theorem 8.1
 then guarantees that decoding the executed result yields the logical-model
 (period K-relation) answer.
 
-Two of the paper's optimisations are implemented and individually
-switchable (used by the ablation benchmarks):
-
-* ``coalesce="final"`` (default) applies the coalesce operator once, as the
-  last step of the query, instead of after every operator
-  (``coalesce="per-operator"``), justified by Lemma 6.1 / its monus
-  extension.
-* ``use_temporal_aggregate=True`` (default) fuses pre-aggregation with the
-  split step through :class:`TemporalAggregateOperator`; the naive variant
-  materialises the split and feeds it to a standard aggregation.
+Both of the paper's Section 9 optimisations are always on: one final
+coalesce (Lemma 6.1 and its monus extension), and pre-aggregation fused
+with the split step (:class:`TemporalAggregateOperator`).  The ablation's
+unoptimised variants are :mod:`repro.baselines.rewriters`.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from ..algebra.operators import (
     Union,
 )
 from ..engine.catalog import DEFAULT_PERIOD, Database
-from ..errors import PlanError
 from ..temporal.timedomain import TimeDomain
 from .operators import CoalesceOperator, SplitOperator, TemporalAggregateOperator
 from .periodenc import T_BEGIN, T_END
@@ -76,35 +69,15 @@ _Memo = Dict[int, Tuple[Operator, _Rewritten]]
 class SnapshotRewriter:
     """Rewrites snapshot-semantics plans to plans over period tables."""
 
-    def __init__(
-        self,
-        database: Database,
-        domain: TimeDomain,
-        coalesce: str = "final",
-        use_temporal_aggregate: bool = True,
-    ) -> None:
-        if coalesce not in ("final", "per-operator", "none"):
-            raise PlanError(f"unknown coalesce mode {coalesce!r}")
+    def __init__(self, database: Database, domain: TimeDomain) -> None:
         self.database = database
         self.domain = domain
-        self.coalesce_mode = coalesce
-        self.use_temporal_aggregate = use_temporal_aggregate
 
     # -- public API -----------------------------------------------------------------------------
 
     def rewrite(self, plan: Operator) -> Operator:
-        """REWR(plan): the full rewritten plan, including the final coalesce."""
-        rewritten = self._rewrite(plan, {})
-        if self.coalesce_mode == "none":
-            return rewritten.plan
-        if self.coalesce_mode == "per-operator":
-            # every operator already appended its own coalesce
-            return rewritten.plan
-        return CoalesceOperator(rewritten.plan)
-
-    def rewritten_schema(self, plan: Operator) -> Tuple[str, ...]:
-        """The data-attribute schema of the rewritten plan."""
-        return self._rewrite(plan, {}).data_schema
+        """REWR(plan): the rewritten plan under its one final coalesce."""
+        return CoalesceOperator(self._rewrite(plan, {}).plan)
 
     # -- recursive rules (Fig. 4) ----------------------------------------------------------------------
 
@@ -122,8 +95,6 @@ class SnapshotRewriter:
         rule = self._rule(plan)
         children = [self._rewrite(child, memo) for child in plan.children()]
         rewritten = rule(plan, *children)
-        if self.coalesce_mode == "per-operator":
-            rewritten = _Rewritten(CoalesceOperator(rewritten.plan), rewritten.data_schema)
         memo[id(plan)] = (plan, rewritten)
         return rewritten
 
@@ -290,22 +261,13 @@ class SnapshotRewriter:
             for spec, name in zip(plan.aggregates, argument_names)
         )
         output_schema = tuple(plan.group_by) + tuple(s.alias for s in plan.aggregates)
+        return _Rewritten(self._aggregate(prepared, tuple(plan.group_by), specs), output_schema)
 
-        if self.use_temporal_aggregate:
-            aggregated: Operator = TemporalAggregateOperator(
-                prepared, tuple(plan.group_by), specs
-            )
-        else:
-            split = SplitOperator(prepared, prepared, tuple(plan.group_by))
-            grouped = Aggregation(
-                split, tuple(plan.group_by) + (T_BEGIN, T_END), specs
-            )
-            # Reorder to the canonical data-attributes-then-period layout.
-            aggregated = Projection(
-                grouped,
-                tuple((Attribute(a), a) for a in output_schema + (T_BEGIN, T_END)),
-            )
-        return _Rewritten(aggregated, output_schema)
+    def _aggregate(
+        self, prepared: Operator, group_by: Tuple[str, ...], specs: Tuple[AggregateSpec, ...]
+    ) -> Operator:
+        """Snapshot aggregation of the prepared input: pre-aggregation fused with the split."""
+        return TemporalAggregateOperator(prepared, group_by, specs)
 
     # -- helpers ---------------------------------------------------------------------------------------------------------
 

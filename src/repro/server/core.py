@@ -292,7 +292,6 @@ class QueryServer:
             "tables": list(pipeline.database.names()),
             "backend": backend_name(pipeline.backend),
             "planner": pipeline.optimize,
-            "coalesce": pipeline.coalesce,
             "views": list(pipeline.view_names()),
             "max_frame_bytes": self.max_frame_bytes,
         }
@@ -334,7 +333,6 @@ class QueryServer:
                         args["plan"],
                         statistics,
                         args.get("backend"),
-                        args.get("final_coalesce", False),
                         limits,
                     ),
                 )

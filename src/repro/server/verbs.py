@@ -66,13 +66,8 @@ class CheckOptions(TypedDict, total=False):
 def _check(
     pipeline: QueryPipeline, plan: Operator, options: Optional[Mapping[str, Any]] = None
 ) -> ConformanceReport:
-    """Conformance of one query under the pipeline's *own* rewriter settings."""
-    keywords = {
-        "rewriter_cls": pipeline.rewriter_cls,
-        "coalesce": pipeline.coalesce,
-        "use_temporal_aggregate": pipeline.use_temporal_aggregate,
-        **(options or {}),
-    }
+    """Conformance of one query under the pipeline's *own* rewriter."""
+    keywords = {"rewriter_cls": type(pipeline.rewriter), **(options or {})}
     return check_conformance(plan, pipeline.database, pipeline.domain, **keywords)
 
 
@@ -178,7 +173,10 @@ class Verb:
         return frame
 
     def arguments(self, frame: Mapping[str, Any]) -> Dict[str, Any]:
-        """Decode (and so validate) the arguments a request frame carries."""
+        """Decode (and so validate) the arguments a request frame carries.
+
+        A field no :class:`Arg` declares is ignored, so an older client's frame still decodes.
+        """
         args = {}
         for arg in self.args:
             value = frame.get(arg.name)
@@ -216,7 +214,6 @@ _NAME = Arg("name")
 _ANY_NAME = Arg("name", Optional[str])
 _ROWS = Arg("rows", List[Row])
 _PLAN = Arg("plan", Operator)
-_FINAL_COALESCE = Arg("final_coalesce", Optional[bool])
 
 # fmt: off
 VERBS: Dict[str, Verb] = {verb.name: verb for verb in (
@@ -226,16 +223,15 @@ VERBS: Dict[str, Verb] = {verb.name: verb for verb in (
          (_NAME, Arg("schema", Tuple[str, ...]), _ROWS, Arg("period", Optional[Tuple[str, str]]))),
     Verb("insert", QueryPipeline.insert, (_NAME, _ROWS), pooled=True),
     Verb("delete", QueryPipeline.delete, (_NAME, _ROWS), pooled=True),
-    Verb("explain", explain_query, (_PLAN, _FINAL_COALESCE), str, "text", pooled=True),
+    Verb("explain", explain_query, (_PLAN,), str, "text", pooled=True),
     Verb("check", _check, (_PLAN, Arg("options", Optional[CheckOptions])),
          ConformanceReport, "report", pooled=True),
     Verb("cache_info", QueryPipeline.cache_info, result=PlanCacheInfo),
     Verb("clear_cache", QueryPipeline.clear_plan_cache),
     Verb("execution_info", QueryPipeline.execution_info, result=ExecutionInfo),
     Verb("materialize",
-         lambda pipeline, name, plan, final_coalesce=False:
-             _describe_view(pipeline.materialize(plan, name, final_coalesce)),
-         (_NAME, _PLAN, _FINAL_COALESCE), ViewInfo, pooled=True),
+         lambda pipeline, name, plan: _describe_view(pipeline.materialize(plan, name)),
+         (_NAME, _PLAN), ViewInfo, pooled=True),
     Verb("view_info", _view_info, (_ANY_NAME,), ViewInfo),
     Verb("view_rows", _view_rows, (_NAME,), ViewRows),
     Verb("view_apply", _view_apply, (_NAME, Arg("deltas", List[Delta])), ViewApplied, pooled=True),
@@ -255,7 +251,6 @@ VERBS: Dict[str, Verb] = {verb.name: verb for verb in (
 #: refuses one below 1: it would stream no rows yet announce them all).
 QUERY = Verb("query", QueryPipeline.execute_limited, (
     _PLAN,
-    _FINAL_COALESCE,
     Arg("backend", Optional[str]),
     Arg("timeout_seconds", Optional[float]),
     Arg("max_result_rows", Optional[int]),

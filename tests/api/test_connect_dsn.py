@@ -27,10 +27,10 @@ class TestMemoryDsn:
         with connect("memory://?domain=0:8", domain=(0, 99)) as session:
             assert session.domain == TimeDomain(0, 8)
 
-    def test_planner_and_cache_params(self):
-        with connect("memory://?domain=0:8&planner=off&plan_cache=off") as session:
+    def test_planner_param(self):
+        with connect("memory://?domain=0:8&planner=off") as session:
             assert session.planner is False
-            assert not session.pipeline.caching
+            assert session.pipeline.caching  # a session always caches
 
     def test_backend_param(self):
         with connect("memory://?domain=0:8&backend=sqlite") as session:
@@ -45,7 +45,7 @@ class TestMemoryDsn:
         ids=["dsn", "keyword"],
     )
     def test_unknown_backend_name_fails_at_connect(self, open_session):
-        """Like a bad planner or coalesce mode: not at the first query."""
+        """Like a bad planner switch: not at the first query."""
         with pytest.raises(
             repro.BackendUnavailableError,
             match=r"unknown backend 'nope'; available: \[.*'memory', 'sqlite'",
@@ -68,9 +68,13 @@ class TestMemoryDsn:
         with pytest.raises(FluentError, match="needs a time domain"):
             connect("memory://")
 
-    def test_unknown_param_raises(self):
-        with pytest.raises(FluentError, match="unsupported"):
-            connect("memory://?domain=0:8&compression=lz4")
+    @pytest.mark.parametrize(
+        "query",
+        ["compression=lz4", "coalesce=none", "plan_cache=off", "use_temporal_aggregate=off"],
+    )
+    def test_unknown_param_raises(self, query):
+        with pytest.raises(FluentError, match=r"unsupported memory://.*\['domain', 'planner'"):
+            connect(f"memory://?domain=0:8&{query}")
 
     def test_memory_only_param_rejected_on_sqlite(self, tmp_path):
         with pytest.raises(FluentError, match="unsupported sqlite://"):
@@ -78,7 +82,7 @@ class TestMemoryDsn:
 
     @pytest.mark.parametrize(
         "query",
-        ["planner=off", "plan_cache=off&coalesce=none", "domain=0:5", "bogus=1"],
+        ["planner=off", "backend=sqlite", "domain=0:5", "bogus=1"],
     )
     def test_repro_dsn_rejects_params_it_cannot_honour(self, query):
         # Raised while parsing: no connection is attempted.
@@ -90,9 +94,7 @@ class TestMemoryDsn:
         [
             {"planner": False},
             {"backend": "sqlite"},
-            {"plan_cache": False},
             {"database": repro.Database()},
-            {"coalesce": "none"},
             {"domain": (0, 5)},
         ],
         ids=lambda keyword: next(iter(keyword)),
@@ -149,7 +151,7 @@ class TestTargetForms:
 
     def test_domain_keyword_with_keywords(self):
         session = connect(
-            domain=(0, 12), backend="sqlite", planner=False, plan_cache=False
+            domain=(0, 12), backend="sqlite", planner=False
         )
         assert session.backend == "sqlite"
         assert session.planner is False

@@ -75,11 +75,10 @@ class TestWarmCacheSkipsRewriteAndPlanner:
         session.table("works").where("skill = 'NS'").agg(cnt="count(*)").rows()
         assert session.cache_info().size == 2
 
-    def test_coalesce_marker_is_part_of_the_key(self, session):
-        relation = session.table("works").select("skill")
-        relation.rows()
-        relation.coalesce().rows()
-        assert session.cache_info().size == 2
+    def test_the_key_is_schema_version_planner_switch_and_query(self, session):
+        onduty(session).rows()
+        (key,) = session.pipeline._cache
+        assert key == (session.database.schema_version, True, query_onduty())
 
 
 class TestInvalidation:
@@ -168,16 +167,15 @@ class TestInvalidation:
 
 
 class TestCacheScope:
-    def test_cache_disabled(self):
-        session = connect(domain=TIME_DOMAIN, plan_cache=False)
+    @pytest.mark.parametrize("planner", [True, False])
+    def test_every_session_caches(self, planner):
+        session = connect(domain=TIME_DOMAIN, planner=planner)
         session.load("works", ["name", "skill"], WORKS_ROWS)
         statistics: dict = {}
         onduty(session).rows(statistics)
         onduty(session).rows(statistics)
-        assert "plan_cache.hits" not in statistics
-        assert "plan_cache.misses" not in statistics
-        assert statistics["rewrite.invocations"] == 2
-        assert session.cache_info() == (0, 0, 0)
+        assert statistics["rewrite.invocations"] == 1
+        assert session.cache_info() == (1, 1, 1)
 
     def test_bare_pipeline_stays_uncached_by_default(self):
         pipeline = QueryPipeline(TIME_DOMAIN)

@@ -223,27 +223,24 @@ class TestValidation:
 
 
 class TestCoalesceAndCheck:
-    def test_coalesce_marker_restores_unique_encoding(self):
+    def test_the_final_coalesce_makes_the_encoding_unique(self, session):
         from collections import Counter
 
-        session = connect(domain=TIME_DOMAIN, coalesce="none")
-        works = session.load("works", ["name", "skill"], WORKS_ROWS)
-        raw = works.select("skill").union(works.select("skill"))
-        # coalesce="none" leaves a non-canonical encoding; .coalesce()
-        # restores exactly the unique normal form a coalesce="final"
-        # session would produce...
-        canonical = connect(domain=TIME_DOMAIN)
-        canonical.load("works", ["name", "skill"], WORKS_ROWS)
-        canonical_rows = (
-            canonical.table("works")
-            .select("skill")
-            .union(canonical.table("works").select("skill"))
-            .rows()
-        )
-        assert Counter(raw.rows()) != Counter(canonical_rows)
-        assert Counter(raw.coalesce().rows()) == Counter(canonical_rows)
-        # ...and both encodings decode to the same period K-relation.
-        assert raw.decoded() == raw.coalesce().decoded()
+        from repro.rewriter import CoalesceOperator, period_decode
+
+        works = session.table("works")
+        relation = works.select("skill").union(works.select("skill"))
+        # The plan under REWR's final coalesce leaves a non-canonical
+        # encoding; the coalesce turns it into the unique normal form the
+        # session returns...
+        pipeline = session.pipeline
+        uncoalesced = pipeline.rewriter.rewrite(relation.plan).child
+        raw = pipeline.execute_rewritten(uncoalesced)
+        assert Counter(raw.rows) != Counter(relation.rows())
+        coalesced = pipeline.execute_rewritten(CoalesceOperator(uncoalesced))
+        assert Counter(coalesced.rows) == Counter(relation.rows())
+        # ...and both encodings decode to the same period K-relation (Lemma 6.1).
+        assert period_decode(raw, pipeline.period_semiring) == relation.decoded()
 
     def test_check_runs_the_conformance_oracle(self, session):
         report = session.table("works").where("skill = 'SP'").agg(
@@ -264,20 +261,20 @@ class TestCoalesceAndCheck:
         assert not report.ok
         assert report.counterexample is not None
 
-    def test_check_certifies_the_sessions_own_configuration(self):
-        # A session wired to a broken rewriter must FAIL its own check: the
-        # oracle certifies the configuration this session executes, not the
+    def test_check_certifies_the_pipelines_own_rewriter(self, session):
+        # The check verb over a pipeline wired to a broken rewriter must FAIL:
+        # the oracle certifies the rewriter that pipeline executes, not the
         # default one.
         from repro.conformance.mutations import BrokenDistinctRewriter
+        from repro.server.verbs import VERBS
 
-        session = connect(domain=TIME_DOMAIN, rewriter_cls=BrokenDistinctRewriter)
-        session.load("works", ["name", "skill"], WORKS_ROWS)
-        report = (
-            session.table("works").select("skill").distinct().check(
-                backends=("memory",)
-            )
+        pipeline = QueryPipeline(
+            TIME_DOMAIN, session.database, rewriter_cls=BrokenDistinctRewriter
         )
+        plan = session.table("works").select("skill").distinct().plan
+        report = VERBS["check"].run(pipeline, plan, {"backends": ("memory",)})
         assert not report.ok
+        assert VERBS["check"].run(session.pipeline, plan, {"backends": ("memory",)}).ok
 
 
 class TestExplain:
@@ -322,22 +319,19 @@ class TestExplain:
         loops = [step for step in steps if step[1:2] in (["__l"], ["__r"])]
         assert len(loops) == 2 and {step[0] for step in loops} <= {"SCAN", "SEARCH"}
 
-    @pytest.mark.parametrize("final_coalesce", [False, True], ids=["plain", "coalesced"])
     @pytest.mark.parametrize("planner", [True, False])
-    def test_explain_shows_the_plan_that_executes(self, planner, final_coalesce):
+    def test_explain_shows_the_plan_that_executes(self, planner):
         """The last staged plan is the rewrite execution caches, not a re-staging."""
-        session = connect(domain=TIME_DOMAIN, planner=planner, coalesce="none")
+        session = connect(domain=TIME_DOMAIN, planner=planner)
         works = session.load("works", ["name", "skill"], WORKS_ROWS)
         assign = session.load("assign", ["mach", "req_skill"], ASSIGN_ROWS)
         relation = works.join(assign, on="skill = req_skill").where("skill = 'SP'")
-        if final_coalesce:
-            relation = relation.coalesce()
         staged = [
             section.split("\n", 1)[1]
             for section in relation.explain().split("\n\n")
             if section.startswith(("REWR plan:", "optimized plan"))
         ]
-        executed = session.pipeline.rewrite(relation.plan, None, final_coalesce)
+        executed = session.pipeline.rewrite(relation.plan)
         assert len(staged) == (2 if planner else 1)
         assert staged[-1] == "\n".join(
             "  " + line for line in executed.explain_tree().splitlines()

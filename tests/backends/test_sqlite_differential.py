@@ -26,6 +26,7 @@ from repro.algebra.operators import (
     Selection,
 )
 from repro.backends import InMemoryBackend, SQLCompiler, SQLiteBackend, compile_plan
+from repro.baselines import PerOperatorCoalesceRewriter, SplitThenAggregateRewriter
 from repro.datasets.employees import EmployeesConfig, generate_employees
 from repro.datasets.running_example import (
     TIME_DOMAIN,
@@ -42,6 +43,7 @@ from repro.execution import available_backends, resolve_backend
 from repro.experiments.table1 import _fresh_database
 from repro.planner import optimize as planner_optimize
 from repro.planner.rules import split_conjuncts
+from repro.rewriter import SnapshotRewriter, period_decode
 from repro.rewriter.pipeline import QueryPipeline
 
 EMPLOYEE_CONFIG = EmployeesConfig(scale=0.05)
@@ -293,23 +295,27 @@ class TestJoinOrderOnThePaperQueries:
 
 
 class TestRewriterModes:
-    """The SQL lowering must agree in every rewriter configuration."""
+    """The SQL lowering must agree for REWR, its ablation baselines and their uncoalesced plans."""
 
-    @pytest.mark.parametrize("coalesce", ["final", "per-operator", "none"])
-    @pytest.mark.parametrize("use_temporal_aggregate", [True, False])
-    def test_onduty_decodes_identically(self, coalesce, use_temporal_aggregate):
+    @pytest.mark.parametrize(
+        "rewriter_cls",
+        [SnapshotRewriter, PerOperatorCoalesceRewriter, SplitThenAggregateRewriter],
+        ids=["rewr", "per-operator", "split-then-aggregate"],
+    )
+    @pytest.mark.parametrize("coalesced", [True, False], ids=["coalesced", "uncoalesced"])
+    def test_onduty_decodes_identically(self, rewriter_cls, coalesced):
         database = populate_database(Database())
-        pipeline = QueryPipeline(
-            TIME_DOMAIN,
-            database=database,
-            coalesce=coalesce,
-            use_temporal_aggregate=use_temporal_aggregate,
-        )
-        # coalesce="none" leaves a non-canonical encoding; compare decoded
-        # period relations (decoding coalesces), not raw rows.
-        memory = pipeline.execute_decoded(query_onduty())
-        via_sqlite = pipeline.execute_decoded(query_onduty(), backend="sqlite")
-        assert memory == via_sqlite
+        pipeline = QueryPipeline(TIME_DOMAIN, database=database, rewriter_cls=rewriter_cls)
+        plan = pipeline.rewriter.rewrite(query_onduty())
+        if not coalesced:
+            # The plan under the final coalesce leaves a non-canonical
+            # encoding; compare decoded period relations (decoding
+            # coalesces), not raw rows.
+            plan = plan.child
+        memory = pipeline.execute_rewritten(plan)
+        via_sqlite = pipeline.execute_rewritten(plan, backend="sqlite")
+        semiring = pipeline.period_semiring
+        assert period_decode(memory, semiring) == period_decode(via_sqlite, semiring)
 
     def test_distinct_rewrite(self):
         database = populate_database(Database())

@@ -35,6 +35,7 @@ from repro.algebra.operators import (
     RelationAccess,
     Union,
 )
+from repro.baselines import PerOperatorCoalesceRewriter, SplitThenAggregateRewriter
 from repro.conformance import assert_conformant
 from repro.datasets import INTERVAL_PROFILES, GeneratorConfig, generate_catalog
 
@@ -58,22 +59,12 @@ def test_randomized_plans_conform_on_generated_catalogs(config, query):
 @settings(max_examples=60)
 @given(config=generator_configs(), query=conformance_queries())
 def test_randomized_plans_conform_under_ablation_modes(config, query):
-    """The un-optimised rewrite variants satisfy the same property."""
+    """The un-optimised rewrite variants of ``repro.baselines`` satisfy the same property."""
     database = generate_catalog(config)
-    assert_conformant(
-        query,
-        database,
-        config.domain,
-        backends=("memory",),
-        coalesce="per-operator",
-    )
-    assert_conformant(
-        query,
-        database,
-        config.domain,
-        backends=("memory",),
-        use_temporal_aggregate=False,
-    )
+    for rewriter_cls in (PerOperatorCoalesceRewriter, SplitThenAggregateRewriter):
+        assert_conformant(
+            query, database, config.domain, backends=("memory",), rewriter_cls=rewriter_cls
+        )
 
 
 def _profile_queries():

@@ -17,6 +17,14 @@ class TestCommandLine:
         assert "Figure 5" in output
         assert "200" in output and "400" in output
 
+    def test_ablation_runs_the_baseline_rewriters(self, capsys):
+        assert main(["ablation", "--seed", "7"]) == 0
+        output = capsys.readouterr().out
+        assert "Ablation" in output
+        assert "per-operator-coalesce" in output and "no-preaggregation" in output
+        for query in ("join-1", "agg-1", "agg-2", "diff-2"):
+            assert query in output
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["tableX"])

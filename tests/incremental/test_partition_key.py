@@ -34,6 +34,7 @@ from repro.algebra.operators import (
 from repro.engine import Database, kernels
 from repro.engine import execute as engine_execute
 from repro.incremental.partition import partition_key
+from repro.planner import optimize
 
 R = RelationAccess("R")  # (k, v, t_begin, t_end)
 S = RelationAccess("S")  # (k2, w, t_begin, t_end)
@@ -170,32 +171,45 @@ REWRITTEN = [
 ]
 
 
-def _materialized(chain, coalesce, planner):
-    session = connect(domain=(0, 48), coalesce=coalesce, planner=planner)
+def _materialized(chain, planner):
+    session = connect(domain=(0, 48), planner=planner)
     session.load("R", ["k", "v"], [("a", 1, 0, 10), ("b", 2, 5, 20)])
     session.load("S", ["k2", "w"], [("a", 10, 0, 40)])
     return session, session.materialize(chain(session.table("R"), session.table("S")), name="V")
+
+
+def _uncoalesced(session, view):
+    """The view's query rewritten and planned like the view's, minus REWR's final coalesce."""
+    plan = session.pipeline.rewriter.rewrite(view.query).child
+    return optimize(plan, session.database) if session.planner else plan
 
 
 @pytest.mark.parametrize("planner", [True, False], ids=["planner", "no-planner"])
 @pytest.mark.parametrize("coalesce", ["final", "none"])
 @pytest.mark.parametrize("chain, key, leaves", REWRITTEN)
 def test_key_of_what_rewr_emits(chain, key, leaves, coalesce, planner):
-    session, view = _materialized(chain, coalesce, planner)
+    session, view = _materialized(chain, planner)
     with session:
-        assert (view.partition_key, [leaf.attributes for leaf in view._leaves]) == (key, leaves)
-        assert partition_key(view.plan, session.database) == (key, leaves)
+        if coalesce == "final":
+            assert (view.partition_key, [leaf.attributes for leaf in view._leaves]) == (
+                key,
+                leaves,
+            )
+            plan = view.plan
+        else:
+            plan = _uncoalesced(session, view)
+        assert partition_key(plan, session.database) == (key, leaves)
 
 
 @pytest.mark.parametrize("planner", [True, False], ids=["planner", "no-planner"])
 def test_coalescing_stops_the_period_attributes(planner):
     chain = lambda r, s: r.where("v >= 2")  # noqa: E731
-    session, view = _materialized(chain, "final", planner)
+    session, view = _materialized(chain, planner)
     with session:
         assert view.partition_key == ("k", "v")
-    session, view = _materialized(chain, "none", planner)
-    with session:  # a bare selection is keyed by everything its leaf holds
-        assert view.partition_key == ("k", "v", "t_begin", "t_end")
+        # a bare selection is keyed by everything its leaf holds
+        key, _ = partition_key(_uncoalesced(session, view), session.database)
+        assert key == ("k", "v", "t_begin", "t_end")
 
 
 # -- key values -------------------------------------------------------------------------------

@@ -4,16 +4,18 @@ For random period databases and random RA^agg queries, executing the
 rewritten plan over the PERIODENC encoding and decoding the result must
 yield exactly the coalesced logical-model result -- which in turn (tested in
 ``tests/logical_model``) equals the abstract-model (per-snapshot) oracle.
-The same property is verified for the un-optimised rewriting variants, which
-is the correctness half of the Section 9 optimisation argument.
+The same property is verified for the un-optimised rewriting variants of
+``repro.baselines``, which is the correctness half of the Section 9
+optimisation argument.
 """
 
 import pytest
 from hypothesis import given, settings
 
+from repro.baselines import PerOperatorCoalesceRewriter, SplitThenAggregateRewriter
 from repro.engine.catalog import Database
 from repro.logical_model import evaluate_period_query
-from repro.rewriter import QueryPipeline, period_encode
+from repro.rewriter import QueryPipeline, period_decode, period_encode
 
 from tests.strategies import PROPERTY_DOMAIN, period_databases, queries
 
@@ -38,7 +40,9 @@ def test_rewritten_plan_matches_logical_model(database, query):
 def test_per_operator_coalescing_gives_same_result(database, query):
     """The single-final-coalesce optimisation does not change results."""
     optimized = pipeline_for(database).execute_decoded(query)
-    unoptimized = pipeline_for(database, coalesce="per-operator").execute_decoded(query)
+    unoptimized = pipeline_for(
+        database, rewriter_cls=PerOperatorCoalesceRewriter
+    ).execute_decoded(query)
     assert optimized == unoptimized
 
 
@@ -47,17 +51,18 @@ def test_per_operator_coalescing_gives_same_result(database, query):
 def test_naive_aggregation_path_gives_same_result(database, query):
     """Fused pre-aggregation + split equals the naive split-then-aggregate plan."""
     optimized = pipeline_for(database).execute_decoded(query)
-    naive = pipeline_for(database, use_temporal_aggregate=False).execute_decoded(query)
+    naive = pipeline_for(database, rewriter_cls=SplitThenAggregateRewriter).execute_decoded(query)
     assert optimized == naive
 
 
 @settings(max_examples=25)
 @given(database=period_databases(), query=queries())
 def test_uncoalesced_results_are_snapshot_equivalent(database, query):
-    """Skipping coalescing loses uniqueness but not snapshot-equivalence."""
-    coalesced = pipeline_for(database).execute_decoded(query)
-    raw = pipeline_for(database, coalesce="none").execute_decoded(query)
-    assert raw.snapshot_equivalent(coalesced)
+    """Skipping the final coalesce loses uniqueness but not snapshot-equivalence (Lemma 6.1)."""
+    pipeline = pipeline_for(database)
+    coalesced = pipeline.execute_decoded(query)
+    raw = pipeline.execute_rewritten(pipeline.rewriter.rewrite(query).child)
+    assert period_decode(raw, pipeline.period_semiring).snapshot_equivalent(coalesced)
 
 
 @settings(max_examples=25)

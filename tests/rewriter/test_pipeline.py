@@ -25,9 +25,9 @@ from repro.datasets.running_example import (
     query_onduty,
     query_skillreq,
 )
-from repro.errors import PlanError
 from repro.logical_model import PeriodKRelation
-from repro.rewriter import QueryPipeline, RewriteError, T_BEGIN, T_END
+from repro.baselines import PerOperatorCoalesceRewriter, SplitThenAggregateRewriter
+from repro.rewriter import QueryPipeline, RewriteError, T_BEGIN, T_END, period_decode
 from repro.semirings import NATURAL
 from repro.temporal import Interval, TimeDomain
 
@@ -148,11 +148,6 @@ class TestRewriteErrors:
         with pytest.raises(RewriteError):
             pipeline.execute(plan)
 
-    def test_invalid_coalesce_mode(self):
-        # A PlanError from the taxonomy; the broad except for callers that
-        # predate it still works because the check below would catch it.
-        with pytest.raises(PlanError):
-            QueryPipeline(TIME_DOMAIN, coalesce="sometimes")
 
 
 class TestConfigurationVariants:
@@ -161,10 +156,11 @@ class TestConfigurationVariants:
         database = pipeline.database
         return {
             "default": pipeline,
-            "per-operator": QueryPipeline(TIME_DOMAIN, database, coalesce="per-operator"),
-            "no-coalesce": QueryPipeline(TIME_DOMAIN, database, coalesce="none"),
+            "per-operator": QueryPipeline(
+                TIME_DOMAIN, database, rewriter_cls=PerOperatorCoalesceRewriter
+            ),
             "naive-aggregate": QueryPipeline(
-                TIME_DOMAIN, database, use_temporal_aggregate=False
+                TIME_DOMAIN, database, rewriter_cls=SplitThenAggregateRewriter
             ),
             "no-optimizer": QueryPipeline(TIME_DOMAIN, database, optimize=False),
         }
@@ -178,10 +174,11 @@ class TestConfigurationVariants:
             result = variant.execute_decoded(query_factory())
             assert result.snapshot_equivalent(reference), name
 
-    def test_uncoalesced_variant_still_decodes_correctly(self, variants):
-        """coalesce='none' may emit fragmented rows but the decoded relation matches."""
-        reference = variants["default"].execute_decoded(query_onduty())
-        assert variants["no-coalesce"].execute_decoded(query_onduty()) == reference
+    def test_uncoalesced_variant_still_decodes_correctly(self, pipeline):
+        """The plan under the final coalesce may emit fragmented rows, but decodes the same."""
+        reference = pipeline.execute_decoded(query_onduty())
+        raw = pipeline.execute_rewritten(pipeline.rewriter.rewrite(query_onduty()).child)
+        assert period_decode(raw, pipeline.period_semiring) == reference
 
 
 class TestAdditionalOperators:

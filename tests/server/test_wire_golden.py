@@ -32,7 +32,7 @@ from repro.algebra.operators import RelationAccess
 from repro.client import RemoteConnection, connection
 from repro.engine.kernels import KERNEL_CUTOVER
 from repro.errors import IncrementalError
-from repro.server import core, protocol
+from repro.server import core, plan_to_json, protocol
 from repro.server.protocol import decode_frame, encode_frame
 
 ROWS = [("Ann", "SP", 3, 10), ("Joe", "NS", 8, 16)]
@@ -93,9 +93,8 @@ GOLDEN: Transcript = [
     ),
     (
         '<',
-        b'\x00\x00\x00\xb4{"type":"welcome","protocol":1,"server":"repro-server/1.0.0","domain":[0,24],"ta'
-        b'bles":[],"backend":"memory","planner":true,"coalesce":"final","views":[],"max_frame_'
-        b'bytes":33554432}',
+        b'\x00\x00\x00\xa1{"type":"welcome","protocol":1,"server":"repro-server/1.0.0","domain":[0,24],"ta'
+        b'bles":[],"backend":"memory","planner":true,"views":[],"max_frame_bytes":33554432}',
     ),
     (
         '>',
@@ -132,11 +131,10 @@ GOLDEN: Transcript = [
     ),
     (
         '>',
-        b'\x00\x00\x01Z{"type":"query","plan":{"op":"aggregation","child":{"op":"selection","child":{"o'
+        b'\x00\x00\x01C{"type":"query","plan":{"op":"aggregation","child":{"op":"selection","child":{"o'
         b'p":"relation","name":"works","alias":null,"period":null},"predicate":{"e":"cmp","op"'
         b':"=","left":{"e":"attr","name":"skill"},"right":{"e":"lit","value":"SP"}}},"group_by'
-        b'":[],"aggregates":[{"func":"count","argument":null,"alias":"cnt"}]},"final_coalesce"'
-        b':false,"id":5}',
+        b'":[],"aggregates":[{"func":"count","argument":null,"alias":"cnt"}]},"id":5}',
     ),
     (
         '<',
@@ -181,8 +179,8 @@ GOLDEN: Transcript = [
     ),
     (
         '>',
-        b'\x00\x00\x00s{"type":"explain","plan":{"op":"relation","name":"works","alias":null,"period":n'
-        b'ull},"final_coalesce":false,"id":9}',
+        b'\x00\x00\x00\\{"type":"explain","plan":{"op":"relation","name":"works","alias":null,"period":n'
+        b'ull},"id":9}',
     ),
     (
         '<',
@@ -223,10 +221,9 @@ GOLDEN: Transcript = [
     ),
     (
         '>',
-        b'\x00\x00\x01\x04{"type":"materialize","name":"sp","plan":{"op":"selection","child":{"op":"relati'
+        b'\x00\x00\x00\xed{"type":"materialize","name":"sp","plan":{"op":"selection","child":{"op":"relati'
         b'on","name":"works","alias":null,"period":null},"predicate":{"e":"cmp","op":"=","left'
-        b'":{"e":"attr","name":"skill"},"right":{"e":"lit","value":"SP"}}},"final_coalesce":fa'
-        b'lse,"id":13}',
+        b'":{"e":"attr","name":"skill"},"right":{"e":"lit","value":"SP"}}},"id":13}',
     ),
     (
         '<',
@@ -362,6 +359,59 @@ def test_an_old_clients_analyze_frame_is_an_unknown_type():
             )
             sock.sendall(GOLDEN[2][1])  # ping
             assert _read_frame(sock) == GOLDEN[3][1]
+
+
+@pytest.fixture
+def old_client():
+    """A raw connection to a server holding ``works``, and a plan whose rows coalescing merges."""
+    with _server() as server:
+        works = server.session.load("works", ["name", "skill"], ROWS + [("Sam", "SP", 8, 16)])
+        skills = works.select("skill")
+        connection = RemoteConnection(server.host, server.port)
+        try:
+            yield connection, plan_to_json(skills.union(skills).plan)
+        finally:
+            connection.close()
+
+
+#: ``final_coalesce`` left the query, explain and materialize verbs (every
+#: session rewrites with one final coalesce, so the flag changed nothing).  A
+#: frame of an older client still carrying it decodes, and the server
+#: ignores the field.
+OLD_FLAG = pytest.mark.parametrize("final_coalesce", [True, False])
+
+
+@OLD_FLAG
+def test_an_old_clients_final_coalesce_changes_no_query(old_client, final_coalesce):
+    connection, plan = old_client
+
+    def rows(**flag):
+        return connection.run_query({"type": "query", "plan": plan, **flag})[2]
+
+    assert rows(final_coalesce=final_coalesce) == rows()
+
+
+@OLD_FLAG
+def test_an_old_clients_final_coalesce_changes_no_explain(old_client, final_coalesce):
+    connection, plan = old_client
+
+    def explain(**flag):
+        connection.request({"type": "clear_cache"})  # both miss the plan cache
+        return connection.request({"type": "explain", "plan": plan, **flag})["text"]
+
+    assert explain(final_coalesce=final_coalesce) == explain()
+
+
+@OLD_FLAG
+def test_an_old_clients_final_coalesce_changes_no_view(old_client, final_coalesce):
+    connection, plan = old_client
+
+    def view(name, **flag):
+        described = connection.request({"type": "materialize", "name": name, "plan": plan, **flag})
+        rows = connection.request({"type": "view_rows", "name": name})["rows"]
+        return {key: described[key] for key in ("schema", "rows", "base_relations")}, rows
+
+    assert view("flagged", final_coalesce=final_coalesce) == view("plain")
 
 
 def test_in_process_session_runs_the_same_script_without_json(monkeypatch):

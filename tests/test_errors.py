@@ -110,8 +110,8 @@ class TestPublicBoundaries:
         from repro import TimeDomain
         from repro.rewriter import QueryPipeline
 
-        with pytest.raises(PlanError):
-            QueryPipeline(TimeDomain(0, 5), coalesce="sometimes")
+        with pytest.raises(ReproError):
+            QueryPipeline(TimeDomain(0, 5), backend="sometimes")
 
     def test_executing_bad_plan_raises_taxonomy_error(self):
         from repro import connect

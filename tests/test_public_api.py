@@ -462,7 +462,7 @@ class TestNoTuningOption:
             "optimize", "push_selections", "split_conjuncts",
             "available_attributes", "infer_schema",
         ]
-        assert len(inspect.signature(repro.connect).parameters) == 10
+        assert len(inspect.signature(repro.connect).parameters) == 6
         package = pathlib.Path(repro.__file__).parent
         for path in package.rglob("*.py"):
             where = path.relative_to(package).as_posix()
@@ -474,6 +474,31 @@ class TestNoTuningOption:
                 assert not (isinstance(node, ast.Constant) and node.value == "cost"), (
                     f"{at} spells a planner mode"
                 )
+
+    def test_a_session_has_one_rewriter(self):
+        """REWR is not a session setting: the ablation's variants live in ``repro.baselines``."""
+        import inspect
+
+        from repro.api import TemporalRelation
+        from repro.baselines import PerOperatorCoalesceRewriter, SplitThenAggregateRewriter
+        from repro.rewriter import SnapshotRewriter
+        from repro.server.verbs import QUERY, VERBS
+
+        assert list(inspect.signature(repro.connect).parameters) == [
+            "target", "backend", "planner", "database", "policy", "domain",
+        ]
+        for removed in ("coalesce", "use_temporal_aggregate", "rewriter_cls", "plan_cache"):
+            with pytest.raises(TypeError, match=removed):
+                repro.connect(domain=(0, 8), **{removed: None})
+        assert not hasattr(TemporalRelation, "coalesce")
+        for verb in (*VERBS.values(), QUERY):
+            assert "final_coalesce" not in [arg.name for arg in verb.args], verb.name
+        assert list(inspect.signature(SnapshotRewriter.__init__).parameters) == [
+            "self", "database", "domain",
+        ]
+        for baseline in (PerOperatorCoalesceRewriter, SplitThenAggregateRewriter):
+            assert issubclass(baseline, SnapshotRewriter)
+            assert baseline.__init__ is SnapshotRewriter.__init__
 
     def test_no_statistics_to_collect(self):
         """The SQL join order keeps no state: nothing analyzes, stores or estimates."""
