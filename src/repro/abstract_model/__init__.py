@@ -2,12 +2,7 @@
 
 from .evaluator import evaluate
 from .krelation import KRelation, aggregate_rows, aggregate_values
-from .snapshot import (
-    SnapshotDatabase,
-    SnapshotKRelation,
-    evaluate_snapshot_query,
-    evaluate_snapshot_query_at,
-)
+from .snapshot import SnapshotDatabase, SnapshotKRelation, evaluate_snapshot_query
 
 __all__ = [
     "KRelation",
@@ -17,5 +12,4 @@ __all__ = [
     "SnapshotKRelation",
     "SnapshotDatabase",
     "evaluate_snapshot_query",
-    "evaluate_snapshot_query_at",
 ]

@@ -25,7 +25,6 @@ __all__ = [
     "SnapshotKRelation",
     "SnapshotDatabase",
     "evaluate_snapshot_query",
-    "evaluate_snapshot_query_at",
 ]
 
 
@@ -202,17 +201,3 @@ def evaluate_snapshot_query(
         result.set_snapshot(point, relation)
     return result
 
-
-def evaluate_snapshot_query_at(
-    query: Operator, database: SnapshotDatabase, point: int
-) -> KRelation:
-    """The snapshot oracle at one time point: ``Q(tau_T(D))``.
-
-    Snapshot-reducibility states that any correct temporal evaluation,
-    sliced at ``point``, must equal this.  The conformance harness
-    (:mod:`repro.conformance`) compares rewritten-plan executions against
-    exactly this value, point by point, without materialising the full
-    snapshot history that :func:`evaluate_snapshot_query` builds.
-    """
-    database.domain.validate_point(point)
-    return evaluate(query, database.timeslice(point), database.semiring)

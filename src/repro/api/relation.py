@@ -37,6 +37,9 @@ from ..algebra.operators import (
     Union as UnionAll,
 )
 from ..errors import FluentError
+from ..rewriter.periodenc import period_decode, timeslice_table
+from ..semirings.standard import NATURAL
+from ..temporal.period_semiring import PeriodSemiring
 from .parser import as_expression, parse_expression
 
 if TYPE_CHECKING:  # session imports relation; annotation only, no runtime cycle
@@ -298,20 +301,17 @@ class TemporalRelation:
         return self.table(statistics).rows
 
     def decoded(self, statistics: Optional[Dict[str, int]] = None):
-        """Execute and decode into a period K-relation (N^T) for verification."""
-        return self._session.execute_decoded(
-            self._plan,
-            statistics=statistics,
-            policy=self._policy,
-        )
+        """Execute and decode (ENC^-1) into a period K-relation (N^T)."""
+        return period_decode(self.table(statistics), PeriodSemiring(NATURAL, self._session.domain))
 
     def snapshot(self, point: int):
-        """The non-temporal K-relation at one time point.
+        """The non-temporal K-relation of the result rows valid at ``point``.
 
         By snapshot-reducibility this equals running the query over the
         timeslice of the inputs at ``point``.
         """
-        return self.decoded().timeslice(point)
+        self._session.domain.validate_point(point)
+        return timeslice_table(self.table(), point)
 
     def pretty(self, limit: int = 20) -> str:
         """Execute and render the result as a small fixed-width table."""

@@ -53,12 +53,10 @@ from ..execution import (
     check_backend_name,
 )
 from ..logical_model.period_relation import PeriodKRelation
-from ..rewriter.periodenc import T_BEGIN, T_END, period_decode, period_encode
+from ..rewriter.periodenc import T_BEGIN, T_END, period_encode
 from ..rewriter.pipeline import PlanCacheInfo, QueryPipeline, check_planner_switch
-from ..semirings.standard import NATURAL
 from ..server.core import DEFAULT_PORT
 from ..server.verbs import VERBS
-from ..temporal.period_semiring import PeriodSemiring
 from ..temporal.timedomain import TimeDomain
 from .relation import FluentError, TemporalRelation
 
@@ -304,7 +302,6 @@ class Session:
     def __init__(self, transport: Any) -> None:
         self._transport = transport
         self._closed = False
-        self._semiring = PeriodSemiring(NATURAL, transport.domain)
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -489,19 +486,6 @@ class Session:
         """
         self._ensure_open()
         return self._transport.query(query, statistics, backend, policy)
-
-    def execute_decoded(
-        self,
-        query: Operator,
-        statistics: Optional[Dict[str, int]] = None,
-        backend: "str | ExecutionBackend | None" = None,
-        policy: Optional[ExecutionPolicy] = None,
-    ) -> PeriodKRelation:
-        """Evaluate and decode into a period K-relation (N^T)."""
-        return period_decode(
-            self.execute(query, statistics, backend, policy),
-            self._semiring,
-        )
 
     def check(self, query: Operator, **kwargs: Any):
         """Snapshot-conformance check of one query against the oracle.

@@ -1,28 +1,26 @@
 """The naive per-snapshot evaluator (SQL/TP-style point-wise evaluation).
 
 Evaluating a snapshot query literally -- once per time point over the
-timeslice of the database, then stitching the results back together -- is
-the semantics-defining strategy (it *is* the abstract model) and also what a
-point-based language such as SQL/TP effectively requires when snapshot
-semantics is emulated as a union of per-snapshot queries.  It is correct by
-construction but its cost is proportional to ``|T|``, which is why the paper
-treats it as impractical and why the benchmarks include it only at small
-time-domain sizes (the crossover against the interval-based middleware is
-part of the ablation experiment).
+timeslice of the database (the conformance oracle's
+:func:`~repro.conformance.oracle.oracle_at`), then stitching the results
+back together -- is the semantics-defining strategy (it *is* the abstract
+model) and also what a point-based language such as SQL/TP effectively
+requires when snapshot semantics is emulated as a union of per-snapshot
+queries.  It is correct by construction but its cost is proportional to
+``|T|``, which is why the paper treats it as impractical and why the
+benchmarks include it only at small time-domain sizes (the crossover
+against the interval-based middleware is part of the ablation experiment).
 """
 
 from __future__ import annotations
 
-from ..abstract_model.evaluator import evaluate as evaluate_krelation
-from ..abstract_model.krelation import KRelation
-from ..algebra.operators import Operator, RelationAccess
-from ..engine.catalog import DEFAULT_PERIOD
+from ..algebra.operators import Operator
+from ..conformance.oracle import oracle_at
 from ..engine.table import Table
-from ..rewriter.periodenc import T_BEGIN, T_END, period_encode
 from ..logical_model.period_relation import PeriodKRelation
+from ..rewriter.periodenc import period_encode
 from ..semirings.standard import NATURAL
 from ..temporal.elements import TemporalElement
-from ..temporal.intervals import Interval
 from .base import BaselineEvaluator
 
 __all__ = ["NaiveSnapshotEvaluator"]
@@ -38,55 +36,18 @@ class NaiveSnapshotEvaluator(BaselineEvaluator):
         return period_encode(self.execute_decoded(plan), "naive_result")
 
     def execute_decoded(self, plan: Operator) -> PeriodKRelation:
-        base_relations = {
-            name: self._decode_base(name)
-            for name in self._referenced_relations(plan)
-        }
-        result = None
-        schema = None
+        """The snapshot oracle at every time point, stitched into periods."""
+        schema: tuple = ()
         histories: dict = {}
         for point in self.domain.points():
-            snapshot_db = {
-                name: relation.timeslice(point)
-                for name, relation in base_relations.items()
-            }
-            snapshot_result = evaluate_krelation(plan, snapshot_db, NATURAL)
+            snapshot_result = oracle_at(plan, self.database, self.domain, point)
             schema = snapshot_result.schema
             for row, annotation in snapshot_result:
                 histories.setdefault(row, {})[point] = annotation
-        result = PeriodKRelation(self.period_semiring, schema or ())
+        result = PeriodKRelation(self.period_semiring, schema)
         for row, history in histories.items():
-            result.add(
-                row,
-                TemporalElement.from_points(NATURAL, self.domain, history),
-            )
+            result.add(row, TemporalElement.from_points(NATURAL, self.domain, history))
         return result
-
-    # -- helpers -----------------------------------------------------------------------------------
-
-    def _referenced_relations(self, plan: Operator) -> set:
-        return {
-            node.name for node in plan.walk() if isinstance(node, RelationAccess)
-        }
-
-    def _decode_base(self, name: str) -> PeriodKRelation:
-        table = self.database.table(name)
-        period = self.database.period_of(name) or DEFAULT_PERIOD
-        begin_attr, end_attr = period
-        data = tuple(a for a in table.schema if a not in period)
-        begin_index = table.column_index(begin_attr)
-        end_index = table.column_index(end_attr)
-        data_indexes = [table.column_index(a) for a in data]
-        relation = PeriodKRelation(self.period_semiring, data)
-        for row in table.rows:
-            begin, end = self.domain.clamp(row[begin_index], row[end_index])
-            if begin >= end:
-                continue
-            relation.add(
-                tuple(row[i] for i in data_indexes),
-                TemporalElement.singleton(NATURAL, self.domain, Interval(begin, end)),
-            )
-        return relation
 
     # The point-wise evaluator overrides execute() wholesale, so the
     # operator-level hooks of the base class are never used.

@@ -6,13 +6,14 @@ executing the original non-temporal query over the snapshot of the inputs.
 This package enforces that claim systematically:
 
 * :mod:`repro.conformance.oracle` -- the per-point snapshot oracle over
-  physical period tables, plus the enumeration (or seeded sampling) of the
-  distinct time points at which inputs can change;
+  physical period tables, the normal-form check of a result, and the
+  enumeration (or seeded sampling) of the distinct time points at which
+  inputs can change;
 * :mod:`repro.conformance.harness` -- :func:`check_conformance` /
-  :func:`assert_conformant`, which compare every execution configuration
-  (memory and SQLite backends, planner on and off) against the oracle at
-  every changepoint and shrink any violation to a minimized
-  :class:`Counterexample`;
+  :func:`assert_conformant`, which slice the result rows of every execution
+  configuration (memory and SQLite backends, planner on and off) at every
+  changepoint, compare with the oracle, check the rows' normal form, and
+  shrink any violation to a minimized :class:`Counterexample`;
 * :mod:`repro.conformance.mutations` -- deliberately broken rewrite rules
   proving that the harness actually catches the bug classes it exists for.
 

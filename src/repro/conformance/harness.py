@@ -4,20 +4,24 @@ For a non-temporal query ``Q`` over a catalog of period tables, the harness
 asserts the paper's central correctness property at every relevant time
 point and across every execution configuration::
 
-    timeslice(decode(execute(REWR(Q))), t)  ==  Q(timeslice(inputs, t))
+    timeslice(execute(REWR(Q)), t)  ==  Q(timeslice(inputs, t)),  in normal form
 
 The left-hand side runs through the production stack -- rewriter, planner
 (on and off), and any registered execution backend (the in-memory engine
-and SQLite by default); the right-hand side is the abstract-model oracle of
+and SQLite by default) -- and its period rows are sliced, never decoded;
+the right-hand side is the abstract-model oracle of
 :mod:`repro.conformance.oracle`.  Time points are the distinct interval end
 points of the inputs (one representative per maximal constant segment), so
-a passing check covers *every* snapshot of the domain.
+a passing check covers *every* snapshot of the domain.  Once every slice
+agrees, the rows must also be the unique coalesced encoding (Definition
+6.3), which decoding would have hidden.
 
-When a configuration disagrees with the oracle (or crashes), the harness
-shrinks the failing input greedily -- removing physical rows while the
-failure reproduces -- and reports a :class:`Counterexample` whose
-``describe()`` output names the configuration, the time point, the minimal
-rows and the two result relations.  This is the repo's standing safety net:
+On a violation (a mismatch, a crash or rows out of normal form), the
+harness shrinks the failing input greedily -- removing physical rows while
+the failure reproduces -- and reports a :class:`Counterexample` whose
+``describe()`` output names the configuration, the minimal rows and the
+time point with both result relations (or the offending periods).  This is
+the repo's standing safety net:
 any future rewrite rule, planner rule, kernel or backend change that breaks
 snapshot semantics surfaces here as a small, replayable witness.
 """
@@ -32,10 +36,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..abstract_model.krelation import KRelation
 from ..algebra.operators import Operator
 from ..engine.catalog import Database
+from ..rewriter.periodenc import timeslice_table
 from ..rewriter.pipeline import QueryPipeline
 from ..rewriter.rewrite import SnapshotRewriter
 from ..temporal.timedomain import TimeDomain
-from .oracle import distinct_time_points, oracle_at, referenced_tables
+from .oracle import (
+    distinct_time_points,
+    normal_form_violation,
+    oracle_at,
+    referenced_tables,
+)
 
 __all__ = [
     "ConformanceError",
@@ -49,6 +59,9 @@ __all__ = [
 #: each with the planner on and off.
 DEFAULT_BACKENDS: Tuple[str, ...] = ("memory", "sqlite")
 DEFAULT_OPTIMIZE_MODES: Tuple[bool, ...] = (True, False)
+
+#: The start of a normal-form witness's ``error``.
+NOT_NORMAL_FORM = "result not in normal form (Definition 6.3): "
 
 
 class ConformanceError(AssertionError):
@@ -70,23 +83,32 @@ class Counterexample:
     #: Minimized physical rows per referenced table (schema order).
     tables: Dict[str, List[Tuple[Any, ...]]]
     #: Oracle rows ``row -> multiplicity`` at the failing point.
-    expected: Dict[Tuple[Any, ...], Any]
+    expected: Dict[Tuple[Any, ...], Any] = field(default_factory=dict)
     #: Rewritten-plan rows at the failing point (empty when ``error``).
-    actual: Dict[Tuple[Any, ...], Any]
-    #: Traceback text when the configuration crashed instead of mismatching.
+    actual: Dict[Tuple[Any, ...], Any] = field(default_factory=dict)
+    #: Traceback text when the configuration crashed instead of mismatching,
+    #: or :data:`NOT_NORMAL_FORM` and the offending periods.
     error: Optional[str] = None
     shrink_checks: int = 0
 
+    @property
+    def normal_form(self) -> bool:
+        """Whether this witnesses a result out of normal form (every slice agreed)."""
+        return self.error is not None and self.error.startswith(NOT_NORMAL_FORM)
+
     def describe(self) -> str:
+        at = "" if self.normal_form else f" t={self.point}"
         lines = [
             "snapshot-conformance violation "
-            f"[backend={self.backend} optimize={self.optimize} t={self.point}]",
+            f"[backend={self.backend} optimize={self.optimize}{at}]",
             f"query: {self.query!r}",
         ]
         for name, rows in self.tables.items():
             lines.append(f"input {name} ({len(rows)} rows):")
             lines.extend(f"  {row}" for row in rows)
-        if self.error is not None:
+        if self.normal_form:
+            lines.append(str(self.error))
+        elif self.error is not None:
             lines.append("execution failed:")
             lines.append(self.error.rstrip())
         else:
@@ -124,7 +146,10 @@ class _Context:
     schemas: Dict[str, Tuple[str, ...]]
     periods: Dict[str, Optional[Tuple[str, str]]]
     rewriter_cls: type
-    oracle_cache: Dict[int, KRelation] = field(default_factory=dict)
+    #: Oracle slices of the checked catalog, per point, shared by the configurations.
+    oracles: Dict[int, KRelation] = field(default_factory=dict)
+    #: Slices compared with the oracle so far (``ConformanceReport.checks``).
+    slices: int = 0
 
 
 def _build_database(context: _Context, rows: Dict[str, List[Tuple[Any, ...]]]) -> Database:
@@ -136,9 +161,25 @@ def _build_database(context: _Context, rows: Dict[str, List[Tuple[Any, ...]]]) -
     return database
 
 
-def _execute_decoded(
-    context: _Context, database: Database, backend: str, optimize: bool
-):
+def _first_violation(
+    context: _Context,
+    database: Database,
+    backend: str,
+    optimize: bool,
+    points: Sequence[int],
+    oracles: Dict[int, KRelation],
+) -> Optional[Counterexample]:
+    """Run one configuration; its first violation as an unshrunk witness, or ``None``.
+
+    A crash fails at the first point.  Otherwise the result's slice at each
+    point is compared with the oracle (cached per point in ``oracles``), and
+    only when every slice agrees are the rows checked for the normal form.
+    """
+
+    def witness(point: int, **found: Any) -> Counterexample:
+        tables = {name: list(database.table(name).rows) for name in context.names}
+        return Counterexample(backend, optimize, point, context.query, tables, **found)
+
     pipeline = QueryPipeline(
         context.domain,
         database=database,
@@ -146,55 +187,59 @@ def _execute_decoded(
         backend=None if backend == "memory" else backend,
         rewriter_cls=context.rewriter_cls,
     )
-    return pipeline.execute_decoded(context.query)
-
-
-def _mismatch_at(
-    context: _Context, database: Database, backend: str, optimize: bool, point: int
-) -> bool:
-    """Does the configuration still disagree with the oracle at ``point``?"""
     try:
-        decoded = _execute_decoded(context, database, backend, optimize)
+        table = pipeline.execute(context.query)
     except Exception:  # noqa: BLE001 - a crash is a conformance failure too
-        return True
-    expected = oracle_at(context.query, database, context.domain, point)
-    return decoded.timeslice(point) != expected
+        return witness(points[0], error=traceback.format_exc())
+    for point in points:
+        if point not in oracles:
+            oracles[point] = oracle_at(context.query, database, context.domain, point)
+        actual = timeslice_table(table, point)
+        context.slices += 1
+        if actual != oracles[point]:
+            return witness(point, expected=dict(oracles[point]), actual=dict(actual))
+    defect = normal_form_violation(table)
+    return None if defect is None else witness(points[0], error=NOT_NORMAL_FORM + defect)
 
 
 def _shrink(
-    context: _Context,
-    rows: Dict[str, List[Tuple[Any, ...]]],
-    backend: str,
-    optimize: bool,
-    point: int,
-    budget: int,
-) -> Tuple[Dict[str, List[Tuple[Any, ...]]], int]:
+    context: _Context, violation: Counterexample, points: Sequence[int], budget: int
+) -> Counterexample:
     """Greedy one-row-at-a-time minimization of a failing input.
 
-    Removes any single physical row whose absence keeps the failure alive,
-    restarting the scan after each success, until a fixpoint or the
-    execution budget is exhausted.  The result is 1-minimal within budget:
-    no remaining single row can be dropped.
+    Removes any single physical row whose absence keeps a violation of the
+    same sort alive (a mismatch or crash at the failing point, or rows out
+    of normal form with every slice right), restarting the scan after each
+    success, until a fixpoint or the execution budget is exhausted.  The
+    witness is 1-minimal within budget: no remaining row can be dropped.
     """
+    if not violation.normal_form:
+        points = [violation.point]
     checks = 0
-    shrunk = {name: list(table_rows) for name, table_rows in rows.items()}
     progress = True
     while progress and checks < budget:
         progress = False
         for name in context.names:
             index = 0
-            while index < len(shrunk[name]) and checks < budget:
-                candidate = dict(shrunk)
-                candidate[name] = shrunk[name][:index] + shrunk[name][index + 1 :]
+            while index < len(violation.tables[name]) and checks < budget:
+                rows = violation.tables[name]
+                candidate = {**violation.tables, name: rows[:index] + rows[index + 1 :]}
                 checks += 1
-                if _mismatch_at(
-                    context, _build_database(context, candidate), backend, optimize, point
-                ):
-                    shrunk = candidate
+                found = _first_violation(
+                    context,
+                    _build_database(context, candidate),
+                    violation.backend,
+                    violation.optimize,
+                    points,
+                    {},
+                )
+                if found is not None and found.normal_form == violation.normal_form:
+                    violation = found
                     progress = True
                 else:
                     index += 1
-    return shrunk, checks
+    violation.shrink_checks = checks
+    return violation
 
 
 def check_conformance(
@@ -237,66 +282,19 @@ def check_conformance(
             # than return a vacuous ok-report.
             raise ValueError("points is empty: no time points to check")
     configurations = tuple(itertools.product(backends, optimize_modes))
-    original_rows = {name: list(database.table(name).rows) for name in names}
-
     report = ConformanceReport(
         points=tuple(checked_points), configurations=configurations
     )
     for backend, optimize in configurations:
-        error: Optional[str] = None
-        decoded = None
-        try:
-            decoded = _execute_decoded(context, database, backend, optimize)
-        except Exception:  # noqa: BLE001 - report, don't mask, harness-found crashes
-            error = traceback.format_exc()
-        failing_point: Optional[int] = None
-        expected: Dict[Tuple[Any, ...], Any] = {}
-        actual: Dict[Tuple[Any, ...], Any] = {}
-        if error is not None:
-            failing_point = checked_points[0]
-        else:
-            for point in checked_points:
-                oracle = context.oracle_cache.get(point)
-                if oracle is None:
-                    oracle = oracle_at(query, database, domain, point)
-                    context.oracle_cache[point] = oracle
-                sliced = decoded.timeslice(point)
-                report.checks += 1
-                if sliced != oracle:
-                    failing_point = point
-                    expected = dict(oracle)
-                    actual = dict(sliced)
-                    break
-        if failing_point is None:
-            continue
-        rows = original_rows
-        shrink_checks = 0
-        if minimize:
-            rows, shrink_checks = _shrink(
-                context, original_rows, backend, optimize, failing_point, shrink_budget
-            )
-            shrunk_db = _build_database(context, rows)
-            try:
-                shrunk_decoded = _execute_decoded(context, shrunk_db, backend, optimize)
-                expected = dict(
-                    oracle_at(query, shrunk_db, domain, failing_point)
-                )
-                actual = dict(shrunk_decoded.timeslice(failing_point))
-                error = None
-            except Exception:  # noqa: BLE001 - the minimal witness is the crash
-                error = traceback.format_exc()
-        report.counterexample = Counterexample(
-            backend=backend,
-            optimize=optimize,
-            point=failing_point,
-            query=query,
-            tables={name: list(table_rows) for name, table_rows in rows.items()},
-            expected=expected,
-            actual=actual,
-            error=error,
-            shrink_checks=shrink_checks,
+        violation = _first_violation(
+            context, database, backend, optimize, checked_points, context.oracles
         )
-        return report
+        report.checks = context.slices
+        if violation is not None:
+            if minimize:
+                violation = _shrink(context, violation, checked_points, shrink_budget)
+            report.counterexample = violation
+            return report
     return report
 
 

@@ -2,8 +2,9 @@
 
 A conformance harness is only trustworthy if it demonstrably *catches*
 broken rewrites.  Each class here reintroduces a realistic correctness bug
--- the very bugs the paper documents in native temporal implementations --
-by overriding one rule of :class:`~repro.rewriter.rewrite.SnapshotRewriter`.
+-- the very bugs the paper documents in native temporal implementations,
+and a result that is right at every snapshot but not coalesced -- by
+overriding one rule of :class:`~repro.rewriter.rewrite.SnapshotRewriter`.
 The mutation tests assert that :func:`repro.conformance.check_conformance`
 flags every one of them with a minimized counterexample; if a refactor ever
 makes a mutation pass, the harness itself has lost detection power.
@@ -17,13 +18,14 @@ from __future__ import annotations
 from typing import Dict, Type
 
 from ..algebra.expressions import FunctionCall
-from ..algebra.operators import Difference, Distinct, Projection
+from ..algebra.operators import Difference, Distinct, Operator, Projection
 from ..rewriter.rewrite import SnapshotRewriter, _Rewritten
 
 __all__ = [
     "BrokenDifferenceRewriter",
     "BrokenDistinctRewriter",
     "BrokenJoinPeriodRewriter",
+    "NoFinalCoalesceRewriter",
     "MUTATIONS",
 ]
 
@@ -84,9 +86,18 @@ class BrokenJoinPeriodRewriter(SnapshotRewriter):
         return _Rewritten(Projection(projection.child, columns), rewritten.data_schema)
 
 
+class NoFinalCoalesceRewriter(SnapshotRewriter):
+    """REWR without its final coalesce: every snapshot is right, but the rows
+    are not the unique coalesced encoding (Definition 6.3)."""
+
+    def rewrite(self, plan: Operator) -> Operator:
+        return super().rewrite(plan).child
+
+
 #: Name -> mutant class, for parameterized mutation tests.
 MUTATIONS: Dict[str, Type[SnapshotRewriter]] = {
     "difference-without-split": BrokenDifferenceRewriter,
     "distinct-without-split": BrokenDistinctRewriter,
     "join-period-union": BrokenJoinPeriodRewriter,
+    "no-final-coalesce": NoFinalCoalesceRewriter,
 }

@@ -1,14 +1,18 @@
-"""The per-point snapshot oracle over physical period tables.
+"""The per-point snapshot oracle and the normal-form check over period tables.
 
 Snapshot-reducibility (the paper's Definition 4.4 / Theorem 8.1) pins down
 what a rewritten plan must compute: slicing its result at any time point
 ``t`` has to equal evaluating the original non-temporal query over the
 ``t``-snapshot of the inputs.  This module provides the right-hand side of
 that equation directly on engine catalogs -- timeslice the referenced
-period tables into plain K-relations, then run the abstract-model
-interpreter -- without materialising a full
+period tables into plain K-relations
+(:func:`~repro.rewriter.periodenc.timeslice_table`), then run the
+abstract-model interpreter -- without materialising a full
 :class:`~repro.abstract_model.snapshot.SnapshotDatabase` (which is linear
 in ``|T|`` per relation and would dominate large sweeps).
+
+:func:`normal_form_violation` checks that a result is also the unique
+coalesced encoding (Definition 6.3), which equal slices do not imply.
 
 Rows whose period end points are NULL or degenerate (``begin >= end``) hold
 at no snapshot, mirroring the SQL three-valued semantics both execution
@@ -18,21 +22,23 @@ backends apply.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..abstract_model.evaluator import evaluate
 from ..abstract_model.krelation import KRelation
 from ..algebra.operators import Operator, RelationAccess
 from ..engine.catalog import DEFAULT_PERIOD, Database
 from ..engine.table import Table
+from ..rewriter.periodenc import T_BEGIN, T_END, timeslice_table
 from ..semirings.standard import NATURAL
 from ..temporal.timedomain import TimeDomain
 
 __all__ = [
     "referenced_tables",
-    "timeslice_table",
     "snapshot_inputs",
     "oracle_at",
+    "normal_form_violation",
     "distinct_time_points",
 ]
 
@@ -51,37 +57,13 @@ def _period_of(table: Table, database: Database) -> Tuple[str, str]:
     return database.period_of(table.name) or DEFAULT_PERIOD
 
 
-def timeslice_table(
-    table: Table, period: Tuple[str, str], point: int
-) -> KRelation:
-    """``tau_T`` of a physical period table: the N-relation valid at ``point``.
-
-    Each physical row contributes multiplicity 1 while
-    ``begin <= point < end``; NULL end points never hold (SQL comparison
-    semantics).
-    """
-    begin_index = table.column_index(period[0])
-    end_index = table.column_index(period[1])
-    data_indexes = [
-        i for i, attribute in enumerate(table.schema) if attribute not in period
-    ]
-    schema = tuple(table.schema[i] for i in data_indexes)
-    relation = KRelation(NATURAL, schema)
-    for row in table.rows:
-        begin, end = row[begin_index], row[end_index]
-        if begin is None or end is None or not (begin <= point < end):
-            continue
-        relation.add(tuple(row[i] for i in data_indexes), 1)
-    return relation
-
-
 def snapshot_inputs(
     database: Database, names: Iterable[str], point: int
 ) -> Dict[str, KRelation]:
     """The non-temporal K-database of the named tables at ``point``."""
     return {
         name: timeslice_table(
-            database.table(name), _period_of(database.table(name), database), point
+            database.table(name), point, _period_of(database.table(name), database)
         )
         for name in names
     }
@@ -94,6 +76,33 @@ def oracle_at(
     domain.validate_point(point)
     names = referenced_tables(query, database)
     return evaluate(query, snapshot_inputs(database, names, point), NATURAL)
+
+
+def normal_form_violation(table: Table) -> Optional[str]:
+    """Why result ``table`` is not the coalesced encoding (Definition 6.3), or ``None``.
+
+    Per value tuple, every period must be non-empty, distinct periods
+    pairwise disjoint, and two periods that meet must carry different row
+    counts.  The answer names the value tuple and its offending periods.
+    """
+    begin_index = table.column_index(T_BEGIN)
+    end_index = table.column_index(T_END)
+    data = [i for i, attribute in enumerate(table.schema) if attribute not in (T_BEGIN, T_END)]
+    counts: Dict[Tuple[Any, ...], Counter] = {}
+    for row in table.rows:
+        values = tuple(row[i] for i in data)
+        counts.setdefault(values, Counter())[row[begin_index], row[end_index]] += 1
+    for values, periods in counts.items():
+        for (begin, end), count in periods.items():
+            if begin is None or end is None or not begin < end:
+                return f"value {values} has an empty period [{begin}, {end}) x{count}"
+        spans = sorted(periods.items())
+        for ((b1, e1), c1), ((b2, e2), c2) in zip(spans, spans[1:]):
+            if b2 < e1 or (b2 == e1 and c1 == c2):
+                how = "overlap" if b2 < e1 else "meet with equal counts"
+                pair = f"[{b1}, {e1}) x{c1} and [{b2}, {e2}) x{c2}"
+                return f"value {values} has periods {pair} that {how}"
+    return None
 
 
 def distinct_time_points(

@@ -1,8 +1,9 @@
 """Command-line entry point: ``python -m repro.experiments [experiment ...]``.
 
 Runs the requested experiment drivers (default: all of them at small scale)
-and prints the paper-style tables/series to stdout.  Available experiment
-names: ``figure5``, ``table1``, ``table2``, ``table3``, ``ablation``.
+and prints the paper-style tables/series to stdout; exits 1 when a baseline
+of the ablation returns other rows than the optimized rewriter.  Available
+experiment names: ``figure5``, ``table1``, ``table2``, ``table3``, ``ablation``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ def main(argv: List[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     experiments = args.experiments or list(ALL_EXPERIMENTS)
+    status = 0
 
     for experiment in experiments:
         if experiment == "table1":
@@ -85,9 +87,19 @@ def main(argv: List[str] | None = None) -> int:
                 )
             )
         elif experiment == "ablation":
-            print(format_ablation(run_ablation(seed=args.seed)))
+            rows = run_ablation(seed=args.seed)
+            print(format_ablation(rows))
+            wrong = [
+                f"{row['query']} {key}"
+                for row in rows
+                for key in row
+                if key.endswith("_matches") and not row[key]
+            ]
+            if wrong:
+                print(f"ablation results differ: {', '.join(wrong)}", file=sys.stderr)
+                status = 1
         print()
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 the REWR rewriting and the :class:`QueryPipeline` that executes it."""
 
 from .operators import CoalesceOperator, SplitOperator, TemporalAggregateOperator
-from .periodenc import T_BEGIN, T_END, period_decode, period_encode, period_schema
+from .periodenc import T_BEGIN, T_END, period_decode, period_encode, period_schema, timeslice_table
 from .pipeline import PlanCacheInfo, QueryPipeline
 from .rewrite import RewriteError, SnapshotRewriter
 
@@ -17,6 +17,7 @@ __all__ = [
     "period_encode",
     "period_decode",
     "period_schema",
+    "timeslice_table",
     "T_BEGIN",
     "T_END",
 ]

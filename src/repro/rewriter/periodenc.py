@@ -8,14 +8,16 @@ points.  The inverse mapping rebuilds the temporal elements by summing the
 singleton annotations of duplicate rows.
 
 These conversions are used at the edges of the middleware (loading inputs,
-decoding results for verification against the logical/abstract models); the
-rewritten queries themselves never materialise temporal elements.
+decoding results for callers that want a :class:`PeriodKRelation`); the
+rewritten queries themselves never materialise temporal elements, and a
+snapshot needs no decoding: :func:`timeslice_table` reads it off the rows.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Tuple
 
+from ..abstract_model.krelation import KRelation
 from ..engine.table import Table
 from ..logical_model.period_relation import PeriodKRelation
 from ..semirings.standard import NATURAL
@@ -23,7 +25,9 @@ from ..temporal.elements import TemporalElement
 from ..temporal.intervals import Interval
 from ..temporal.period_semiring import PeriodSemiring
 
-__all__ = ["T_BEGIN", "T_END", "period_encode", "period_decode", "period_schema"]
+__all__ = [
+    "T_BEGIN", "T_END", "period_encode", "period_decode", "period_schema", "timeslice_table"
+]
 
 #: Canonical names of the period attributes in rewritten plans.
 T_BEGIN = "t_begin"
@@ -70,8 +74,8 @@ def period_decode(
 
     Duplicate rows add up; the resulting temporal elements are coalesced by
     :class:`PeriodKRelation` on insertion, so decoding an *uncoalesced*
-    table and decoding its coalesced form yield equal relations -- which is
-    how the tests check snapshot-equivalence of engine results.
+    table and decoding its coalesced form yield equal relations (so a check
+    through decoding cannot see the encoding).  NULL periods are dropped.
     """
     if period_semiring.base != NATURAL:
         raise ValueError("period tables decode to N^T-relations only")
@@ -87,6 +91,8 @@ def period_decode(
     domain = period_semiring.domain
     for row in table.rows:
         begin, end = row[begin_index], row[end_index]
+        if begin is None or end is None:
+            continue
         begin, end = domain.clamp(begin, end)
         if begin >= end:
             continue
@@ -95,4 +101,27 @@ def period_decode(
             data_row,
             TemporalElement.singleton(NATURAL, domain, Interval(begin, end)),
         )
+    return relation
+
+
+def timeslice_table(
+    table: Table, point: int, period: Tuple[str, str] = (T_BEGIN, T_END)
+) -> KRelation:
+    """``tau_T`` of a period table: the N-relation of the rows valid at ``point``.
+
+    Each row counts once while ``begin <= point < end``; NULL and degenerate
+    periods hold at no point (SQL comparison semantics).  For an in-domain
+    point this is ``period_decode(table, ...).timeslice(point)``.
+    """
+    begin_index = table.column_index(period[0])
+    end_index = table.column_index(period[1])
+    data_indexes = [
+        i for i, attribute in enumerate(table.schema) if attribute not in period
+    ]
+    relation = KRelation(NATURAL, tuple(table.schema[i] for i in data_indexes))
+    for row in table.rows:
+        begin, end = row[begin_index], row[end_index]
+        if begin is None or end is None or not (begin <= point < end):
+            continue
+        relation.add(tuple(row[i] for i in data_indexes), 1)
     return relation

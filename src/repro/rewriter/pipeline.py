@@ -444,10 +444,6 @@ class QueryPipeline:
             self.period_semiring,
         )
 
-    def execute_snapshot(self, query: Operator, point: int):
-        """Evaluate under snapshot semantics and slice the result at ``point``."""
-        return self.execute_decoded(query).timeslice(point)
-
     # -- introspection ----------------------------------------------------------------
 
     def explain(self, query: Operator) -> str:

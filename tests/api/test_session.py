@@ -110,6 +110,25 @@ class TestRunningExampleThroughFluentChains:
         assert dict(onduty.snapshot(8)) == {(2,): 1}
         assert dict(onduty.snapshot(0)) == {(0,): 1}
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_snapshot_is_the_decoded_timeslice(self, backend):
+        session = connect(domain=TIME_DOMAIN, backend=backend)
+        works = session.load("works", ["name", "skill"], WORKS_ROWS)
+        assign = session.load("assign", ["mach", "req_skill"], ASSIGN_ROWS)
+        relations = [
+            works.where("skill = 'SP'").agg(cnt="count(*)"),
+            works.join(assign, on="skill = req_skill").select("name", "mach"),
+            assign.select("req_skill").difference(
+                works.select("skill").rename(skill="req_skill")
+            ),
+        ]
+        for relation in relations:
+            decoded = relation.decoded()
+            for point in TIME_DOMAIN.points():
+                assert relation.snapshot(point) == decoded.timeslice(point)
+        with pytest.raises(ValueError):
+            relations[0].snapshot(TIME_DOMAIN.max_point)
+
     def test_join_with_predicate_string(self, session):
         pairs = (
             session.table("works")

@@ -10,6 +10,7 @@ when) a configuration disagrees with the snapshot oracle.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from repro.algebra.expressions import Comparison, attr, lit
 from repro.algebra.operators import (
@@ -28,7 +29,8 @@ from repro.conformance import (
     oracle_at,
     referenced_tables,
 )
-from repro.conformance.mutations import BrokenDistinctRewriter
+from repro.conformance.mutations import BrokenDistinctRewriter, NoFinalCoalesceRewriter
+from repro.conformance.oracle import normal_form_violation
 from repro.datasets import GeneratorConfig, generate_catalog
 from repro.datasets.running_example import (
     TIME_DOMAIN,
@@ -37,6 +39,13 @@ from repro.datasets.running_example import (
     query_skillreq,
 )
 from repro.engine.catalog import Database
+from repro.engine.table import Table
+from repro.logical_model import PeriodKRelation
+from repro.rewriter import T_BEGIN, T_END, period_encode
+from repro.semirings import NATURAL
+from repro.temporal import PeriodSemiring
+
+from tests.strategies import PROPERTY_DOMAIN, period_facts
 
 
 @pytest.fixture
@@ -154,3 +163,85 @@ def test_minimize_can_be_disabled(running_db):
     assert not report.ok
     assert report.counterexample.shrink_checks == 0
     assert len(report.counterexample.tables["works"]) == 4  # untouched input
+
+
+def test_a_wrong_snapshot_is_reported_before_the_normal_form():
+    class WrongAndUncoalesced(NoFinalCoalesceRewriter, BrokenDistinctRewriter):
+        pass
+
+    database = Database()
+    rows = [("A", "SP", 0, 5), ("B", "SP", 3, 8), ("C", "SP", 5, 10)]
+    database.create_table("works", ("name", "skill", T_BEGIN, T_END), rows)
+    query = Distinct(Projection.of_attributes(RelationAccess("works"), "skill"))
+    counterexample = check_conformance(
+        query, database, TIME_DOMAIN, rewriter_cls=WrongAndUncoalesced
+    ).counterexample
+    # SP holds twice at t=3.  Dropping A leaves B and C right at t=3 but
+    # overlapping: the shrinker must not trade the mismatch for that.
+    assert not counterexample.normal_form
+    assert counterexample.point == 3
+    assert counterexample.expected != counterexample.actual
+    assert counterexample.tables == {"works": rows[:2]}
+
+
+def test_a_normal_form_witness_names_the_value_and_its_periods(running_db):
+    query = Projection.of_attributes(RelationAccess("works"), "skill")
+    counterexample = check_conformance(
+        query, running_db, TIME_DOMAIN, rewriter_cls=NoFinalCoalesceRewriter
+    ).counterexample
+    assert counterexample.normal_form
+    assert counterexample.tables == {"works": [("Ann", "SP", 3, 10), ("Sam", "SP", 8, 16)]}
+    assert (
+        "value ('SP',) has periods [3, 10) x1 and [8, 16) x1 that overlap"
+        in counterexample.describe()
+    )
+
+
+# -- the normal-form check (Definition 6.3) -------------------------------------------------------
+
+
+def _period_table(rows):
+    return Table("t", ("x", T_BEGIN, T_END), rows)
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ([(1, 0, 5), (1, 3, 8)], "periods [0, 5) x1 and [3, 8) x1 that overlap"),
+        ([(1, 0, 5), (1, 0, 8)], "periods [0, 5) x1 and [0, 8) x1 that overlap"),
+        ([(2, 0, 9), (1, 2, 4), (1, 0, 9)], "periods [0, 9) x1 and [2, 4) x1 that overlap"),
+        ([(1, 0, 5), (1, 5, 8)], "periods [0, 5) x1 and [5, 8) x1 that meet with equal counts"),
+        (
+            [(1, 0, 5), (1, 5, 8), (1, 0, 5), (1, 5, 8)],
+            "periods [0, 5) x2 and [5, 8) x2 that meet with equal counts",
+        ),
+        ([(1, 4, 4)], "an empty period [4, 4) x1"),
+        ([(1, 6, 2), (1, 6, 2)], "an empty period [6, 2) x2"),
+        ([(1, None, 5)], "an empty period [None, 5) x1"),
+        ([(1, 3, None)], "an empty period [3, None) x1"),
+    ],
+)
+def test_normal_form_check_flags(rows, named):
+    assert normal_form_violation(_period_table(rows)) == f"value (1,) has {named}"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [(1, 0, 5), (1, 0, 5), (1, 5, 8)],  # they meet, with different counts
+        [(1, 0, 3), (1, 5, 8), (1, 8, 9), (1, 8, 9)],
+        [(1, 0, 5), (2, 0, 5), (2, 5, 9), (2, 5, 9)],  # other values never conflict
+    ],
+)
+def test_normal_form_check_accepts(rows):
+    assert normal_form_violation(_period_table(rows)) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(period_facts(("x", "n")))
+def test_normal_form_check_accepts_every_encoding(facts):
+    relation = PeriodKRelation.from_periods(
+        PeriodSemiring(NATURAL, PROPERTY_DOMAIN), ("x", "n"), facts
+    )
+    assert normal_form_violation(period_encode(relation)) is None

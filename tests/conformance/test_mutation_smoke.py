@@ -3,7 +3,9 @@
 Each mutant in :mod:`repro.conformance.mutations` reintroduces a documented
 temporal-correctness bug (bag difference / duplicate elimination without
 interval alignment, join periods combined with union instead of
-intersection).  For every mutant, the harness has to produce a minimized
+intersection) or drops REWR's final coalesce, which leaves every snapshot
+right but the result rows out of normal form.  For every mutant, the harness
+has to produce a minimized
 counterexample on a query exercising the broken rule -- on the running
 example *and* on generated adversarial data -- while the pristine rewriter
 passes the identical check.  If a mutant ever goes undetected, the safety
@@ -47,7 +49,21 @@ TRIGGER_QUERIES = {
         "name",
         "mach",
     ),
+    "no-final-coalesce": Projection.of_attributes(RelationAccess("works"), "skill"),
 }
+
+#: The mutant whose snapshots are all right: its witness is the normal form.
+NORMAL_FORM_MUTANT = "no-final-coalesce"
+
+
+def _assert_witness_kind(mutation, counterexample):
+    if mutation == NORMAL_FORM_MUTANT:
+        assert counterexample.normal_form, counterexample.describe()
+        assert counterexample.expected == counterexample.actual == {}
+        assert "result not in normal form" in counterexample.describe()
+    else:
+        assert not counterexample.normal_form
+        assert counterexample.expected != counterexample.actual
 
 
 def _generated_trigger_queries():
@@ -72,6 +88,7 @@ def _generated_trigger_queries():
             "r_cat",
             "s_val",
         ),
+        "no-final-coalesce": Projection.of_attributes(RelationAccess("R"), "r_cat"),
     }
 
 
@@ -87,7 +104,24 @@ def test_mutant_is_caught_on_running_example_with_minimized_witness(mutation):
     # Minimization must get well below the full input (4 + 3 rows).
     total_rows = sum(len(rows) for rows in counterexample.tables.values())
     assert total_rows <= 3
-    assert counterexample.expected != counterexample.actual
+    _assert_witness_kind(mutation, counterexample)
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_mutant_is_caught_on_each_backend(mutation, backend):
+    database = populate_database(Database())
+    report = check_conformance(
+        TRIGGER_QUERIES[mutation],
+        database,
+        TIME_DOMAIN,
+        backends=(backend,),
+        rewriter_cls=MUTATIONS[mutation],
+    )
+    assert not report.ok, f"harness failed to catch mutation {mutation!r} on {backend}"
+    assert report.counterexample.backend == backend
+    assert sum(len(rows) for rows in report.counterexample.tables.values()) <= 3
+    _assert_witness_kind(mutation, report.counterexample)
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
@@ -116,3 +150,4 @@ def test_mutant_is_caught_on_generated_heavy_overlap_data(mutation):
     )
     assert not report.ok, f"harness failed to catch mutation {mutation!r}"
     assert report.counterexample.shrink_checks > 0
+    _assert_witness_kind(mutation, report.counterexample)

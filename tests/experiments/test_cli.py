@@ -25,6 +25,21 @@ class TestCommandLine:
         for query in ("join-1", "agg-1", "agg-2", "diff-2"):
             assert query in output
 
+    def test_ablation_fails_when_a_baseline_differs(self, capsys, monkeypatch):
+        import repro.experiments.__main__ as cli
+
+        row = {
+            "query": "agg-1",
+            "optimized": 0.001,
+            "per-operator-coalesce": 0.002,
+            "no-preaggregation": 0.003,
+            "per-operator-coalesce_matches": True,
+            "no-preaggregation_matches": False,
+        }
+        monkeypatch.setattr(cli, "run_ablation", lambda seed=None: [row])
+        assert main(["ablation"]) == 1
+        assert "agg-1 no-preaggregation_matches" in capsys.readouterr().err
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["tableX"])

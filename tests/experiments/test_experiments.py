@@ -153,7 +153,13 @@ class TestAblation:
             assert row["no-preaggregation_matches"]
 
     def test_formatting(self, rows):
-        assert "Ablation" in format_ablation(rows)
+        text = format_ablation(rows)
+        assert "Ablation" in text and "no-preaggregation_matches" in text
+
+    def test_per_snapshot_baseline_is_bag_equal(self):
+        rows = run_ablation(EmployeesConfig(scale=0.02), include_naive=True)
+        assert all(row["per-snapshot_matches"] for row in rows)
+        assert "per-snapshot_matches" in format_ablation(rows)
 
 
 class TestReportHelpers:

@@ -1,9 +1,19 @@
 """Unit tests for the PERIODENC encoding and its inverse (Definition 8.1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine import Table
 from repro.logical_model import PeriodKRelation
-from repro.rewriter import T_BEGIN, T_END, period_decode, period_encode, period_schema
+from repro.rewriter import (
+    T_BEGIN,
+    T_END,
+    period_decode,
+    period_encode,
+    period_schema,
+    timeslice_table,
+)
 from repro.semirings import BOOLEAN, NATURAL
 from repro.temporal import Interval, PeriodSemiring, TimeDomain
 
@@ -88,3 +98,35 @@ class TestDecode:
         table = Table("t", ("x", T_BEGIN, T_END), [(1, 0, 5)])
         with pytest.raises(ValueError):
             period_decode(table, BT)
+
+    def test_null_and_degenerate_periods_hold_nowhere(self):
+        table = Table(
+            "t", ("x", T_BEGIN, T_END), [(1, None, 5), (2, 3, None), (3, 7, 7), (4, 9, 2)]
+        )
+        assert len(period_decode(table, NT)) == 0
+
+
+#: End points around, on and outside DOMAIN, and NULL.
+END_POINTS = st.one_of(st.none(), st.integers(-3, 27))
+
+
+class TestTimeslice:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("ab"), END_POINTS, END_POINTS), max_size=8),
+        st.integers(DOMAIN.min_point, DOMAIN.max_point - 1),
+    )
+    def test_equals_the_decoded_timeslice(self, rows, point):
+        """NULL, degenerate and out-of-domain periods included."""
+        table = Table("t", ("x", T_BEGIN, T_END), rows)
+        assert timeslice_table(table, point) == period_decode(table, NT).timeslice(point)
+
+    def test_counts_duplicate_rows(self):
+        table = Table("t", ("x", T_BEGIN, T_END), [(1, 0, 10), (1, 5, 15), (2, 9, 10)])
+        assert dict(timeslice_table(table, 9)) == {(1,): 2, (2,): 1}
+        assert dict(timeslice_table(table, 10)) == {(1,): 1}
+
+    def test_custom_period_attribute_names(self):
+        table = Table("t", ("vt_s", "x", "vt_e"), [(0, 1, 5)])
+        assert dict(timeslice_table(table, 4, period=("vt_s", "vt_e"))) == {(1,): 1}
+        assert len(timeslice_table(table, 5, period=("vt_s", "vt_e"))) == 0

@@ -27,7 +27,14 @@ from repro.datasets.running_example import (
 )
 from repro.logical_model import PeriodKRelation
 from repro.baselines import PerOperatorCoalesceRewriter, SplitThenAggregateRewriter
-from repro.rewriter import QueryPipeline, RewriteError, T_BEGIN, T_END, period_decode
+from repro.rewriter import (
+    QueryPipeline,
+    RewriteError,
+    T_BEGIN,
+    T_END,
+    period_decode,
+    timeslice_table,
+)
 from repro.semirings import NATURAL
 from repro.temporal import Interval, TimeDomain
 
@@ -92,10 +99,11 @@ class TestRunningExample:
         assert isinstance(relation, PeriodKRelation)
         assert relation.annotation((2,)).mapping == {Interval(8, 10): 1}
 
-    def test_execute_snapshot_slices_result(self, pipeline):
-        snapshot = pipeline.execute_snapshot(query_onduty(), 8)
+    def test_timeslice_table_slices_result(self, pipeline):
+        result = pipeline.execute(query_onduty())
+        snapshot = timeslice_table(result, 8)
         assert snapshot.annotation((2,)) == 1
-        snapshot_gap = pipeline.execute_snapshot(query_onduty(), 0)
+        snapshot_gap = timeslice_table(result, 0)
         assert snapshot_gap.annotation((0,)) == 1
 
     def test_explain_renders_plan(self, pipeline):
