@@ -23,7 +23,7 @@ from repro.datasets import (
     generate_tpcbih,
 )
 from repro.rewriter import QueryPipeline
-from repro.baselines import TemporalAlignmentEvaluator
+from repro.baselines import TemporalAlignmentRewriter
 
 EMPLOYEE_SCALE = float(os.environ.get("REPRO_EMPLOYEE_SCALE", "0.1"))
 TPCH_SCALE = float(os.environ.get("REPRO_TPCH_SCALE", "0.1"))
@@ -46,7 +46,9 @@ def employee_pipeline(employee_config, employee_database):
 
 @pytest.fixture(scope="session")
 def employee_native(employee_config, employee_database):
-    return TemporalAlignmentEvaluator(employee_database, employee_config.domain)
+    return QueryPipeline(
+        employee_config.domain, employee_database, rewriter_cls=TemporalAlignmentRewriter
+    )
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +68,7 @@ def tpch_pipeline(tpch_config, tpch_database):
 
 @pytest.fixture(scope="session")
 def tpch_native(tpch_config, tpch_database):
-    return TemporalAlignmentEvaluator(tpch_database, tpch_config.domain)
+    return QueryPipeline(tpch_config.domain, tpch_database, rewriter_cls=TemporalAlignmentRewriter)
 
 
 def _fastest(*runs: Callable[[], object], rounds: int = 3) -> List[float]:

@@ -11,11 +11,6 @@ import pytest
 
 from repro.datasets.workloads import EMPLOYEE_WORKLOAD
 
-#: The alignment baseline is quadratic-ish on the largest join inputs; keep
-#: the per-query benchmark list to what completes quickly at default scale.
-NATIVE_QUERIES = ("join-3", "join-4", "agg-1", "agg-2", "agg-3", "diff-1", "diff-2")
-
-
 @pytest.mark.parametrize("query_name", list(EMPLOYEE_WORKLOAD))
 def test_employee_seq(benchmark, employee_pipeline, query_name):
     query = EMPLOYEE_WORKLOAD[query_name]()
@@ -23,7 +18,7 @@ def test_employee_seq(benchmark, employee_pipeline, query_name):
     benchmark.pedantic(lambda: employee_pipeline.execute(query), rounds=1, iterations=1)
 
 
-@pytest.mark.parametrize("query_name", list(NATIVE_QUERIES))
+@pytest.mark.parametrize("query_name", list(EMPLOYEE_WORKLOAD))
 def test_employee_nat(benchmark, employee_native, query_name):
     query = EMPLOYEE_WORKLOAD[query_name]()
     benchmark.extra_info["system"] = "Nat (temporal alignment)"

@@ -19,7 +19,7 @@ Run with::
 """
 
 from repro import connect
-from repro.baselines import IntervalPreservationEvaluator, TemporalAlignmentEvaluator
+from repro.baselines import IntervalPreservationRewriter, TemporalAlignmentRewriter
 from repro.datasets.running_example import (
     TIME_DOMAIN,
     populate_database,
@@ -27,6 +27,7 @@ from repro.datasets.running_example import (
     query_skillreq,
 )
 from repro.engine import Database
+from repro.rewriter import QueryPipeline
 
 
 def evaluators():
@@ -34,11 +35,15 @@ def evaluators():
         "our approach (snapshot session)": lambda: connect(
             domain=TIME_DOMAIN, database=populate_database(Database())
         ),
-        "interval preservation (ATSQL-style)": lambda: IntervalPreservationEvaluator(
-            populate_database(Database()), TIME_DOMAIN
+        "interval preservation (ATSQL-style)": lambda: QueryPipeline(
+            TIME_DOMAIN,
+            populate_database(Database()),
+            rewriter_cls=IntervalPreservationRewriter,
         ),
-        "temporal alignment (PG-Nat-style)": lambda: TemporalAlignmentEvaluator(
-            populate_database(Database()), TIME_DOMAIN
+        "temporal alignment (PG-Nat-style)": lambda: QueryPipeline(
+            TIME_DOMAIN,
+            populate_database(Database()),
+            rewriter_cls=TemporalAlignmentRewriter,
         ),
     }
 

@@ -16,21 +16,25 @@ from __future__ import annotations
 
 from ..algebra.operators import Operator
 from ..conformance.oracle import oracle_at
+from ..engine.catalog import Database
 from ..engine.table import Table
 from ..logical_model.period_relation import PeriodKRelation
 from ..rewriter.periodenc import period_encode
 from ..semirings.standard import NATURAL
 from ..temporal.elements import TemporalElement
-from .base import BaselineEvaluator
+from ..temporal.period_semiring import PeriodSemiring
+from ..temporal.timedomain import TimeDomain
 
 __all__ = ["NaiveSnapshotEvaluator"]
 
 
-class NaiveSnapshotEvaluator(BaselineEvaluator):
+class NaiveSnapshotEvaluator:
     """Correct but point-wise: evaluates the query at every time point."""
 
-    name = "naive-per-snapshot"
-    produces_unique_encoding = True
+    def __init__(self, database: Database, domain: TimeDomain) -> None:
+        self.database = database
+        self.domain = domain
+        self.period_semiring = PeriodSemiring(NATURAL, domain)
 
     def execute(self, plan: Operator) -> Table:
         return period_encode(self.execute_decoded(plan), "naive_result")
@@ -48,11 +52,3 @@ class NaiveSnapshotEvaluator(BaselineEvaluator):
         for row, history in histories.items():
             result.add(row, TemporalElement.from_points(NATURAL, self.domain, history))
         return result
-
-    # The point-wise evaluator overrides execute() wholesale, so the
-    # operator-level hooks of the base class are never used.
-    def _aggregation(self, child: Table, plan) -> Table:  # pragma: no cover
-        raise NotImplementedError
-
-    def _difference(self, left: Table, right: Table) -> Table:  # pragma: no cover
-        raise NotImplementedError

@@ -1,8 +1,9 @@
 """Command-line entry point: ``python -m repro.experiments [experiment ...]``.
 
 Runs the requested experiment drivers (default: all of them at small scale)
-and prints the paper-style tables/series to stdout; exits 1 when a baseline
-of the ablation returns other rows than the optimized rewriter.  Available
+and prints the paper-style tables/series to stdout; exits 1 when the probed
+Table 1 differs from the paper's or a baseline of the ablation returns other
+rows than the optimized rewriter.  Available
 experiment names: ``figure5``, ``table1``, ``table2``, ``table3``, ``ablation``.
 """
 
@@ -26,6 +27,7 @@ from . import (
     run_table3_employee,
     run_table3_tpch,
 )
+from .table1 import table1_differences
 
 ALL_EXPERIMENTS = ("table1", "figure5", "table2", "table3", "ablation")
 
@@ -64,7 +66,12 @@ def main(argv: List[str] | None = None) -> int:
 
     for experiment in experiments:
         if experiment == "table1":
-            print(format_table1(run_table1()))
+            rows = run_table1()
+            print(format_table1(rows))
+            wrong = table1_differences(rows)
+            if wrong:
+                print(f"table1 differs from the paper: {', '.join(wrong)}", file=sys.stderr)
+                status = 1
         elif experiment == "figure5":
             figure5_kwargs = {} if args.seed is None else {"seed": args.seed}
             print(

@@ -16,6 +16,8 @@ on the running example:
 The middleware is expected to pass all three probes; the interval
 preservation and temporal alignment baselines reproduce the failures the
 paper attributes to ATSQL-style systems and to PG-Nat respectively.
+:data:`EXPECTED` is that matrix, and ``python -m repro.experiments table1``
+exits 1 when the probed one differs from it.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..baselines import (
-    IntervalPreservationEvaluator,
+    IntervalPreservationRewriter,
     NaiveSnapshotEvaluator,
-    TemporalAlignmentEvaluator,
+    TemporalAlignmentRewriter,
 )
 from ..datasets.running_example import (
     TIME_DOMAIN,
@@ -40,14 +42,29 @@ from ..rewriter.pipeline import QueryPipeline
 from ..rewriter.periodenc import T_BEGIN, T_END
 from .report import format_table
 
-__all__ = ["run_table1", "format_table1", "SYSTEMS"]
+__all__ = ["run_table1", "format_table1", "table1_differences", "SYSTEMS", "EXPECTED"]
 
 #: System name -> factory building an evaluator over a populated catalog.
 SYSTEMS = {
     "our-approach": lambda db: QueryPipeline(TIME_DOMAIN, database=db),
-    "interval-preservation": lambda db: IntervalPreservationEvaluator(db, TIME_DOMAIN),
-    "temporal-alignment": lambda db: TemporalAlignmentEvaluator(db, TIME_DOMAIN),
+    "interval-preservation": lambda db: QueryPipeline(
+        TIME_DOMAIN, database=db, rewriter_cls=IntervalPreservationRewriter
+    ),
+    "temporal-alignment": lambda db: QueryPipeline(
+        TIME_DOMAIN, database=db, rewriter_cls=TemporalAlignmentRewriter
+    ),
     "naive-per-snapshot": lambda db: NaiveSnapshotEvaluator(db, TIME_DOMAIN),
+}
+
+_CORRECT = {"multisets": True, "ag_bug_free": True, "bd_bug_free": True, "unique_encoding": True}
+_NATIVE = {**_CORRECT, "ag_bug_free": False, "bd_bug_free": False, "unique_encoding": False}
+
+#: The paper's Table 1 for the probed systems: system name -> column -> value.
+EXPECTED: Dict[str, Dict[str, bool]] = {
+    "our-approach": _CORRECT,
+    "interval-preservation": _NATIVE,
+    "temporal-alignment": _NATIVE,
+    "naive-per-snapshot": _CORRECT,
 }
 
 
@@ -145,6 +162,17 @@ def run_table1() -> List[Dict[str, object]]:
             }
         )
     return rows
+
+
+def table1_differences(rows: List[Dict[str, object]]) -> List[str]:
+    """``"system column"`` for every cell of ``rows`` that differs from :data:`EXPECTED`."""
+    probed = {row["approach"]: row for row in rows}
+    return [
+        f"{system} {column}"
+        for system, expected in EXPECTED.items()
+        for column, value in expected.items()
+        if system not in probed or probed[system][column] != value
+    ]
 
 
 def format_table1(rows: List[Dict[str, object]]) -> str:

@@ -13,8 +13,9 @@ Employee workload and against PG-Nat on TPC-BiH.  The headline findings are:
 * native approaches additionally exhibit the AG/BD bugs on the flagged
   queries.
 
-Here ``Seq`` is a :func:`repro.connect` session and ``Nat`` is the
-:class:`TemporalAlignmentEvaluator` baseline (the PG-Nat stand-in); the
+Here ``Seq`` is a :func:`repro.connect` session and ``Nat`` is a pipeline
+running :class:`~repro.baselines.TemporalAlignmentRewriter` (the PG-Nat
+stand-in) on the same engine, so the two differ only in their plans; the
 ``Seq-SQL`` column executes the same rewritten plans on the SQLite backend
 (the paper's actual deployment model: middleware over a host DBMS).  The
 driver reports wall-clock seconds per query and system plus the bug flags of
@@ -29,11 +30,12 @@ from typing import Callable, Dict, List, Optional
 
 from ..api import connect
 from ..backends import SQLiteBackend
-from ..baselines import TemporalAlignmentEvaluator
+from ..baselines import TemporalAlignmentRewriter
 from ..datasets.employees import EmployeesConfig, generate_employees
 from ..datasets.tpcbih import TPCBiHConfig, generate_tpcbih
 from ..datasets.workloads import employee_queries, tpch_queries
 from ..engine.catalog import Database
+from ..rewriter.pipeline import QueryPipeline
 from ..temporal.timedomain import TimeDomain
 from .report import format_seconds, format_table
 
@@ -76,7 +78,7 @@ def _run_workload(
     # ``*-Seq`` run just rewrote -- REWR and the planner drop out of the SQL
     # timing, which therefore isolates backend execution.
     session = connect(domain=domain, database=database)
-    native = TemporalAlignmentEvaluator(database, domain)
+    native = QueryPipeline(domain, database, rewriter_cls=TemporalAlignmentRewriter)
     # The ``*-SQL`` column: the same rewritten plans executed on SQLite (the
     # paper's actual deployment model -- middleware over a host DBMS).  The
     # catalog is loaded once up front so the timings isolate query execution.

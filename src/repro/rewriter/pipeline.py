@@ -101,8 +101,9 @@ class QueryPipeline:
         :func:`repro.engine.execute`; :meth:`execute` can override per query.
     rewriter_cls:
         The :class:`~repro.rewriter.rewrite.SnapshotRewriter` (sub)class that
-        performs REWR: the ablation passes :mod:`repro.baselines.rewriters`,
-        the mutation tests a deliberately broken one; sessions never pass one.
+        performs REWR: the ablation and the native baselines pass one of
+        :mod:`repro.baselines.rewriters`, the mutation tests a deliberately
+        broken one; sessions never pass one.
     plan_cache:
         Memoise rewritten plans across executions (off by default;
         :func:`repro.connect` sessions turn it on).

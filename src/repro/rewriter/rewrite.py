@@ -11,7 +11,8 @@ then guarantees that decoding the executed result yields the logical-model
 Both of the paper's Section 9 optimisations are always on: one final
 coalesce (Lemma 6.1 and its monus extension), and pre-aggregation fused
 with the split step (:class:`TemporalAggregateOperator`).  The ablation's
-unoptimised variants are :mod:`repro.baselines.rewriters`.
+unoptimised variants and the native baselines are subclasses that override
+rule methods (:mod:`repro.baselines.rewriters`).
 """
 
 from __future__ import annotations
@@ -248,13 +249,7 @@ class SnapshotRewriter:
         prepared_schema = tuple(plan.group_by) + argument_names
 
         if not plan.group_by:
-            # Gap coverage: a neutral row spanning the whole time domain.
-            tmin, tmax = self.domain.universe()
-            neutral = ConstantRelation(
-                prepared_schema + (T_BEGIN, T_END),
-                ((tuple([None] * len(prepared_schema)) + (tmin, tmax)),),
-            )
-            prepared = Union(prepared, neutral)
+            prepared = self._cover_gaps(prepared, prepared_schema)
 
         specs = tuple(
             AggregateSpec(spec.func, Attribute(name), spec.alias)
@@ -262,6 +257,18 @@ class SnapshotRewriter:
         )
         output_schema = tuple(plan.group_by) + tuple(s.alias for s in plan.aggregates)
         return _Rewritten(self._aggregate(prepared, tuple(plan.group_by), specs), output_schema)
+
+    def _cover_gaps(self, prepared: Operator, schema: Tuple[str, ...]) -> Operator:
+        """An ungrouped aggregation's input plus a neutral row spanning the whole time domain.
+
+        The neutral row makes every gap of the input a segment of its own,
+        so ``count(*)`` reads 0 there (the aggregation-gap bug's fix).
+        """
+        tmin, tmax = self.domain.universe()
+        neutral = ConstantRelation(
+            schema + (T_BEGIN, T_END), ((tuple([None] * len(schema)) + (tmin, tmax)),)
+        )
+        return Union(prepared, neutral)
 
     def _aggregate(
         self, prepared: Operator, group_by: Tuple[str, ...], specs: Tuple[AggregateSpec, ...]

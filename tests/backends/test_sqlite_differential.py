@@ -26,7 +26,12 @@ from repro.algebra.operators import (
     Selection,
 )
 from repro.backends import InMemoryBackend, SQLCompiler, SQLiteBackend, compile_plan
-from repro.baselines import PerOperatorCoalesceRewriter, SplitThenAggregateRewriter
+from repro.baselines import (
+    IntervalPreservationRewriter,
+    PerOperatorCoalesceRewriter,
+    SplitThenAggregateRewriter,
+    TemporalAlignmentRewriter,
+)
 from repro.datasets.employees import EmployeesConfig, generate_employees
 from repro.datasets.running_example import (
     TIME_DOMAIN,
@@ -316,6 +321,26 @@ class TestRewriterModes:
         via_sqlite = pipeline.execute_rewritten(plan, backend="sqlite")
         semiring = pipeline.period_semiring
         assert period_decode(memory, semiring) == period_decode(via_sqlite, semiring)
+
+    @pytest.mark.parametrize(
+        "rewriter_cls",
+        [IntervalPreservationRewriter, TemporalAlignmentRewriter],
+        ids=["interval-preservation", "temporal-alignment"],
+    )
+    @pytest.mark.parametrize(
+        "query_name",
+        ["onduty", "skillreq", *EMPLOYEE_WORKLOAD],
+    )
+    def test_native_baseline_rows_agree(self, employee_database, rewriter_cls, query_name):
+        """Memory and SQLite return the native baselines' rows alike, as bags."""
+        if query_name in ("onduty", "skillreq"):
+            database, domain = populate_database(Database()), TIME_DOMAIN
+            query = {"onduty": query_onduty, "skillreq": query_skillreq}[query_name]()
+        else:
+            database, domain = employee_database, EMPLOYEE_CONFIG.domain
+            query = EMPLOYEE_WORKLOAD[query_name]()
+        pipeline = QueryPipeline(domain, database=database, rewriter_cls=rewriter_cls)
+        assert_equivalent(pipeline.execute(query), pipeline.execute(query, backend="sqlite"))
 
     def test_distinct_rewrite(self):
         database = populate_database(Database())

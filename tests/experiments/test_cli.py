@@ -40,6 +40,16 @@ class TestCommandLine:
         assert main(["ablation"]) == 1
         assert "agg-1 no-preaggregation_matches" in capsys.readouterr().err
 
+    def test_table1_fails_when_the_matrix_differs_from_the_papers(self, capsys, monkeypatch):
+        import repro.experiments.__main__ as cli
+
+        probed = cli.run_table1()
+        alignment = next(row for row in probed if row["approach"] == "temporal-alignment")
+        alignment["bd_bug_free"] = True  # as if the set difference were a bag difference
+        monkeypatch.setattr(cli, "run_table1", lambda: probed)
+        assert main(["table1"]) == 1
+        assert "temporal-alignment bd_bug_free" in capsys.readouterr().err
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["tableX"])

@@ -48,6 +48,7 @@ class TestTable1:
         assert not preservation["bd_bug_free"]
         assert not preservation["unique_encoding"]
         assert not alignment["ag_bug_free"]
+        assert not alignment["bd_bug_free"]
         assert not alignment["unique_encoding"]
 
     def test_formatting(self, rows):
