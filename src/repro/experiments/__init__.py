@@ -1,4 +1,8 @@
-"""Experiment drivers reproducing every table and figure of the paper's evaluation."""
+"""Experiment drivers reproducing every table and figure of the paper's evaluation.
+
+The one harness of the evaluation: each driver times by :func:`.report.fastest`
+and checks the paper's shape on its rows (``*_differences``).
+"""
 
 from .ablation import format_ablation, run_ablation
 from .figure5 import DEFAULT_SIZES, build_salary_table, format_figure5, run_figure5

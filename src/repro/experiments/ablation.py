@@ -19,10 +19,9 @@ an interval encoding is needed at all once the time domain grows.
 
 from __future__ import annotations
 
-import math
-import time
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List
 
 from ..baselines import NaiveSnapshotEvaluator
@@ -30,41 +29,33 @@ from ..baselines.rewriters import PerOperatorCoalesceRewriter, SplitThenAggregat
 from ..datasets.employees import EmployeesConfig, generate_employees
 from ..datasets.workloads import employee_queries
 from ..rewriter.pipeline import QueryPipeline
-from .report import format_table
+from .report import fastest, format_seconds, format_table, prepared
 
-__all__ = ["run_ablation", "format_ablation"]
+__all__ = ["run_ablation", "ablation_differences", "format_ablation"]
 
-#: The queries used for the ablation (one join-heavy, two aggregation, one difference).
-ABLATION_QUERIES = ("join-1", "agg-1", "agg-2", "diff-2")
 #: The configurations that leave an optimisation out.
 BASELINES = ("per-operator-coalesce", "no-preaggregation")
-#: Timed runs per configuration and query; the fastest is reported.
-REPEATS = 5
+#: The one query the per-snapshot evaluation runs on: its cost grows with the
+#: time domain, 0.95 s on agg-2 at scale 2 and about 100x that on agg-1.
+PER_SNAPSHOT_QUERY = "agg-2"
 
 
 def run_ablation(
     config: EmployeesConfig | None = None,
-    include_naive: bool = False,
     seed: int | None = None,
 ) -> List[Dict[str, object]]:
-    """Time each ablation configuration on a subset of the Employee workload.
+    """Time each ablation configuration on the ten Employee queries.
 
-    Times are the best of :data:`REPEATS` warm ``execute`` calls, the
-    rewriters taking turns.  ``*_matches`` compare rows as bags with the
-    optimized rewriter's: results are the unique coalesced encoding (the
-    harness certifies it), so bag equality is snapshot equivalence.
-    ``seed`` overrides the generator seed of the (given or default) config.
+    Times come from :func:`~.report.fastest`, the rewriters taking turns.
+    ``*_matches`` compare rows as bags with the optimized rewriter's:
+    results are the unique coalesced encoding (the harness certifies it), so
+    bag equality is snapshot equivalence.  ``seed`` overrides the generator
+    seed of the (given or default) config.
     """
-    config = config or EmployeesConfig(scale=0.1)
+    config = config or EmployeesConfig(scale=2.0)
     if seed is not None:
         config = replace(config, seed=seed)
     database = generate_employees(config)
-    queries = {
-        name: query
-        for name, query in employee_queries().items()
-        if name in ABLATION_QUERIES
-    }
-
     configurations = {
         "optimized": QueryPipeline(config.domain, database=database),
         "per-operator-coalesce": QueryPipeline(
@@ -74,41 +65,64 @@ def run_ablation(
             config.domain, database=database, rewriter_cls=SplitThenAggregateRewriter
         ),
     }
+    naive = NaiveSnapshotEvaluator(database, config.domain)
 
     rows: List[Dict[str, object]] = []
-    for name, query in queries.items():
-        row: Dict[str, object] = {"query": name}
-        results = {
-            label: Counter(pipeline.execute(query).rows)
-            for label, pipeline in configurations.items()
-        }
-        best = dict.fromkeys(configurations, math.inf)
-        for _ in range(REPEATS):
-            for label, pipeline in configurations.items():
-                started = time.perf_counter()
-                pipeline.execute(query)
-                best[label] = min(best[label], time.perf_counter() - started)
-        row.update(best)
-        for label in BASELINES:
-            row[f"{label}_matches"] = results[label] == results["optimized"]
-        if include_naive:
-            naive = NaiveSnapshotEvaluator(database, config.domain)
-            started = time.perf_counter()
-            naive_rows = naive.execute(query).rows
-            row["per-snapshot"] = time.perf_counter() - started
-            row["per-snapshot_matches"] = Counter(naive_rows) == results["optimized"]
-        rows.append(row)
+    for name, query in employee_queries().items():
+        runs = {label: prepared(pipeline, query) for label, pipeline in configurations.items()}
+        if name == PER_SNAPSHOT_QUERY:
+            runs["per-snapshot"] = partial(naive.execute, query)
+        best, tables = fastest(runs)
+        expected = Counter(tables["optimized"].rows)
+        rows.append(
+            {
+                "query": name,
+                **best,
+                **{
+                    f"{label}_matches": Counter(tables[label].rows) == expected
+                    for label in runs
+                    if label != "optimized"
+                },
+            }
+        )
     return rows
 
 
+def ablation_differences(rows: List[Dict[str, object]]) -> List[str]:
+    """The Section 9 shapes ``rows`` miss, and every baseline whose rows differ.
+
+    Pre-aggregation fused with the split saves at least 3x on agg-1 and agg-3,
+    the single final coalesce at least 1.2x over the ten queries, and the
+    interval encoding beats point-wise evaluation.
+    """
+    by_query = {row["query"]: row for row in rows}
+    agg_1, agg_3, naive = (by_query[name] for name in ("agg-1", "agg-3", PER_SNAPSHOT_QUERY))
+    shapes = {
+        "agg-1: no-preaggregation >= 3x optimized": agg_1["no-preaggregation"]
+        >= 3 * agg_1["optimized"],
+        "agg-3: no-preaggregation >= 3x optimized": agg_3["no-preaggregation"]
+        >= 3 * agg_3["optimized"],
+        "per-operator-coalesce >= 1.2x optimized over all queries": sum(
+            row["per-operator-coalesce"] for row in rows
+        )
+        >= 1.2 * sum(row["optimized"] for row in rows),
+        f"{PER_SNAPSHOT_QUERY}: optimized < per-snapshot": naive["optimized"]
+        < naive["per-snapshot"],
+    }
+    return [shape for shape, holds in shapes.items() if not holds] + [
+        f"{row['query']} {key}"
+        for row in rows
+        for key in row
+        if key.endswith("_matches") and not row[key]
+    ]
+
+
 def format_ablation(rows: List[Dict[str, object]]) -> str:
-    """The best times in milliseconds, then whether each baseline's rows match."""
-    timed = ["optimized", *BASELINES]
-    if rows and "per-snapshot" in rows[0]:
-        timed.append("per-snapshot")
+    """The best times, then whether each baseline's rows match."""
+    timed = ["optimized", *BASELINES, "per-snapshot"]
     matches = [f"{label}_matches" for label in timed[1:]]
     pretty = [
-        {**row, **{label: f"{row[label] * 1000:.2f}ms" for label in timed}}
+        {**row, **{label: format_seconds(row[label]) for label in timed if label in row}}
         for row in rows
     ]
     return format_table(

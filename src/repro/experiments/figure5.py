@@ -11,26 +11,26 @@ This driver reproduces the same setup at laptop scale: it generates a
 salary-history table of ``n`` rows for each requested size, runs the
 identity snapshot query through the middleware (whose rewritten plan is
 exactly one coalesce over a scan) and reports wall-clock seconds per size.
+:func:`figure5_differences` checks the paper's shape on them.
 """
 
 from __future__ import annotations
 
-import gc
 import random
-import time
 from typing import Dict, Iterable, List, Sequence
 
 from ..engine.catalog import Database
-from ..engine.executor import execute as engine_execute
 from ..rewriter.pipeline import QueryPipeline
 from ..algebra.operators import Projection, RelationAccess
 from ..temporal.timedomain import TimeDomain
-from .report import format_table
+from .report import fastest, format_seconds, format_table, prepared
 
-__all__ = ["DEFAULT_SIZES", "run_figure5", "format_figure5", "build_salary_table"]
+__all__ = [
+    "DEFAULT_SIZES", "run_figure5", "figure5_differences", "format_figure5", "build_salary_table"
+]
 
 #: Input sizes (rows); the paper uses 1k .. 3M, scaled down here.
-DEFAULT_SIZES: Sequence[int] = (1_000, 5_000, 10_000, 30_000, 50_000, 100_000)
+DEFAULT_SIZES: Sequence[int] = (1_000, 5_000, 10_000, 30_000)
 
 
 def build_salary_table(
@@ -77,58 +77,50 @@ def build_salary_table(
 def run_figure5(
     sizes: Iterable[int] = DEFAULT_SIZES,
     months: int = 120,
-    repetitions: int = 1,
     seed: int = 7,
 ) -> List[Dict[str, object]]:
     """Measure coalescing runtime per input size; returns one dict per size.
 
     ``seed`` feeds the salary-table generator, so a recorded run is
     reproducible end to end from its ledger entry.  The snapshot rewrite runs
-    once outside the timed region, so the figure measures the coalescing
-    kernel (which the paper isolates), not the shared REWR front end.
+    once outside the timed region (:func:`~.report.fastest`), so the figure
+    measures the coalescing kernel (which the paper isolates), not the shared
+    REWR front end.
     """
     results: List[Dict[str, object]] = []
     domain = TimeDomain(0, months)
+    query = Projection.of_attributes(
+        RelationAccess("materialized_salaries"), "ms_emp_no", "ms_salary"
+    )
     for size in sizes:
         database = build_salary_table(size, domain, seed=seed)
-        pipeline = QueryPipeline(domain, database=database)
-        query = Projection.of_attributes(
-            RelationAccess("materialized_salaries"), "ms_emp_no", "ms_salary"
-        )
-        plan = pipeline.rewrite(query)
-        best = None
-        output_rows = 0
-        # Like timeit: collect up front and keep the collector out of the
-        # timed region, so the figure measures the coalescing kernel rather
-        # than whatever heap the surrounding process (e.g. a test suite)
-        # accumulated -- gen-2 pauses otherwise dwarf the small sizes.
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(max(1, repetitions)):
-                started = time.perf_counter()
-                table = engine_execute(plan, database)
-                elapsed = time.perf_counter() - started
-                best = elapsed if best is None else min(best, elapsed)
-                output_rows = len(table)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        best, tables = fastest({"seconds": prepared(QueryPipeline(domain, database), query)})
         results.append(
             {
                 "input_rows": size,
-                "output_rows": output_rows,
-                "seconds": best,
-                "seconds_per_1k_rows": best / (size / 1000),
+                "output_rows": len(tables["seconds"]),
+                "seconds": best["seconds"],
+                "seconds_per_1k_rows": best["seconds"] / (size / 1000),
             }
         )
     return results
 
 
+def figure5_differences(results: List[Dict[str, object]]) -> List[str]:
+    """The paper's shape (coalescing is linear in its input) where ``results`` miss it."""
+    smallest, largest = results[0], results[-1]
+    if largest["seconds_per_1k_rows"] > 3 * smallest["seconds_per_1k_rows"]:
+        return [
+            f"per-1k-row time at {largest['input_rows']} rows <= 3x"
+            f" that at {smallest['input_rows']}"
+        ]
+    return []
+
+
 def format_figure5(results: List[Dict[str, object]]) -> str:
+    timed = ("seconds", "seconds_per_1k_rows")
     return format_table(
-        ["input_rows", "output_rows", "seconds", "seconds_per_1k_rows"],
-        results,
+        ["input_rows", "output_rows", *timed],
+        [{**row, **{column: format_seconds(row[column]) for column in timed}} for row in results],
         title="Figure 5: multiset coalescing runtime for varying input size",
     )

@@ -6,8 +6,8 @@ the same queries through the middleware over the synthetic datasets and
 reports the cardinalities.  Absolute numbers differ from the paper (the
 synthetic data is smaller), but the relative pattern -- the join queries
 dominating, the grouped aggregations producing mid-sized results and the
-selective queries returning a handful of rows -- is preserved and is checked
-by the benchmark suite.
+selective queries returning a handful of rows -- is preserved, and
+:func:`table2_differences` checks it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ from ..datasets.workloads import employee_queries, tpch_queries
 from ..rewriter.pipeline import QueryPipeline
 from .report import format_table
 
-__all__ = ["run_table2_employee", "run_table2_tpch", "format_table2"]
+__all__ = ["run_table2_employee", "run_table2_tpch", "table2_differences", "format_table2"]
+
+#: The paper's ordering of Employee result sizes: (larger, smaller) pairs.
+LARGER = (("join-1", "join-4"), ("join-2", "join-3"), ("agg-1", "agg-3"), ("diff-2", "diff-1"))
 
 
 def run_table2_employee(
@@ -60,6 +63,14 @@ def run_table2_tpch(
         result = pipeline.execute(query)
         rows.append({"query": name, "result_rows": len(result)})
     return rows
+
+
+def table2_differences(employee_rows: List[Dict[str, object]]) -> List[str]:
+    """Each pair of :data:`LARGER` (and ``diff-1 > 0``) the Employee rows invert."""
+    counts = {row["query"]: row["result_rows"] for row in employee_rows}
+    shapes = {f"{big} > {small}": counts[big] > counts[small] for big, small in LARGER}
+    shapes["diff-1 > 0"] = counts["diff-1"] > 0
+    return [shape for shape, holds in shapes.items() if not holds]
 
 
 def format_table2(

@@ -13,22 +13,22 @@ Employee workload and against PG-Nat on TPC-BiH.  The headline findings are:
 * native approaches additionally exhibit the AG/BD bugs on the flagged
   queries.
 
-Here ``Seq`` is a :func:`repro.connect` session and ``Nat`` is a pipeline
-running :class:`~repro.baselines.TemporalAlignmentRewriter` (the PG-Nat
-stand-in) on the same engine, so the two differ only in their plans; the
-``Seq-SQL`` column executes the same rewritten plans on the SQLite backend
-(the paper's actual deployment model: middleware over a host DBMS).  The
-driver reports wall-clock seconds per query and system plus the bug flags of
-the paper's rightmost column.
+Here ``Seq`` is a pipeline running REWR and ``Nat`` is a pipeline running
+:class:`~repro.baselines.TemporalAlignmentRewriter` (the PG-Nat stand-in)
+on the same engine, so the two differ only in their plans; the ``Seq-SQL``
+column executes Seq's plans on the SQLite backend (the paper's actual
+deployment model: middleware over a host DBMS).  The driver reports the best
+wall-clock seconds per query and system (:func:`~.report.fastest`) plus the
+bug flags of the paper's rightmost column, and :func:`table3_differences`
+checks the findings above that this engine reproduces.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Tuple
 
-from ..api import connect
+from ..algebra.operators import Operator
 from ..backends import SQLiteBackend
 from ..baselines import TemporalAlignmentRewriter
 from ..datasets.employees import EmployeesConfig, generate_employees
@@ -37,13 +37,14 @@ from ..datasets.workloads import employee_queries, tpch_queries
 from ..engine.catalog import Database
 from ..rewriter.pipeline import QueryPipeline
 from ..temporal.timedomain import TimeDomain
-from .report import format_seconds, format_table
+from .report import fastest, format_seconds, format_table, prepared
 
 __all__ = [
     "EMPLOYEE_BUG_FLAGS",
     "TPCH_BUG_FLAGS",
     "run_table3_employee",
     "run_table3_tpch",
+    "table3_differences",
     "format_table3",
 ]
 
@@ -58,76 +59,43 @@ EMPLOYEE_BUG_FLAGS: Dict[str, str] = {
 TPCH_BUG_FLAGS: Dict[str, str] = {"Q6": "AG", "Q14": "AG", "Q19": "AG"}
 
 
-def _time_seconds(action: Callable[[], object]) -> float:
-    started = time.perf_counter()
-    action()
-    return time.perf_counter() - started
-
-
 def _run_workload(
     database: Database,
     domain: TimeDomain,
-    queries: Dict[str, object],
+    queries: Dict[str, Operator],
     bug_flags: Dict[str, str],
-    timeout_seconds: Optional[float] = None,
-    include_sql: bool = True,
 ) -> List[Dict[str, object]]:
-    # The driver runs through the fluent session (the canonical front door);
-    # hand-built workload queries wrap via session.query.  The plan cache is
-    # session-scoped, so the ``*-SQL`` run of each query reuses the plan the
-    # ``*-Seq`` run just rewrote -- REWR and the planner drop out of the SQL
-    # timing, which therefore isolates backend execution.
-    session = connect(domain=domain, database=database)
-    native = QueryPipeline(domain, database, rewriter_cls=TemporalAlignmentRewriter)
-    # The ``*-SQL`` column: the same rewritten plans executed on SQLite (the
-    # paper's actual deployment model -- middleware over a host DBMS).  The
-    # catalog is loaded once up front so the timings isolate query execution.
-    # Plans reaching this backend come out of the session's pipeline, which
-    # already ran the planner; optimize=False avoids a redundant pass.
-    sql_backend = (
-        SQLiteBackend.for_database(database, optimize=False) if include_sql else None
-    )
+    # One pipeline per column, each timed on its rewritten plan
+    # (:func:`~.report.fastest`).  The ``*-SQL`` column runs the same plans on
+    # SQLite (the paper's deployment model: middleware over a host DBMS); the
+    # catalog is loaded once up front, so its timings isolate query execution.
+    sql_backend = SQLiteBackend.for_database(database, optimize=False)
+    pipelines = {
+        "seq_seconds": QueryPipeline(domain, database),
+        "seq_sql_seconds": QueryPipeline(domain, database, backend=sql_backend),
+        "nat_seconds": QueryPipeline(domain, database, rewriter_cls=TemporalAlignmentRewriter),
+    }
     rows: List[Dict[str, object]] = []
-    budget_exhausted = False
     try:
         for name, query in queries.items():
-            relation = session.query(query)
-            seq_seconds = _time_seconds(relation.table)
-            seq_sql_seconds: object = None
-            if sql_backend is not None:
-                seq_sql_seconds = _time_seconds(
-                    lambda: session.execute(query, backend=sql_backend)
-                )
-            if budget_exhausted:
-                nat_seconds: object = "TO"
-            else:
-                nat_seconds = _time_seconds(lambda: native.execute(query))
-                if timeout_seconds is not None and nat_seconds > timeout_seconds:
-                    budget_exhausted = True
+            best, _ = fastest(
+                {label: prepared(pipeline, query) for label, pipeline in pipelines.items()}
+            )
             rows.append(
                 {
                     "query": name,
-                    "seq_seconds": seq_seconds,
-                    "seq_sql_seconds": seq_sql_seconds,
-                    "nat_seconds": nat_seconds,
-                    "speedup_vs_native": (
-                        nat_seconds / seq_seconds
-                        if isinstance(nat_seconds, float) and seq_seconds > 0
-                        else None
-                    ),
+                    **best,
+                    "speedup_vs_native": best["nat_seconds"] / best["seq_seconds"],
                     "native_bug": bug_flags.get(name, ""),
                 }
             )
     finally:
-        if sql_backend is not None:
-            sql_backend.close()
+        sql_backend.close()
     return rows
 
 
 def run_table3_employee(
     config: EmployeesConfig | None = None,
-    timeout_seconds: Optional[float] = 120.0,
-    include_sql: bool = True,
     seed: int | None = None,
 ) -> List[Dict[str, object]]:
     """Employee workload runtimes: middleware (Seq) vs. alignment baseline (Nat).
@@ -138,20 +106,11 @@ def run_table3_employee(
     if seed is not None:
         config = replace(config, seed=seed)
     database = generate_employees(config)
-    return _run_workload(
-        database,
-        config.domain,
-        employee_queries(),
-        EMPLOYEE_BUG_FLAGS,
-        timeout_seconds,
-        include_sql=include_sql,
-    )
+    return _run_workload(database, config.domain, employee_queries(), EMPLOYEE_BUG_FLAGS)
 
 
 def run_table3_tpch(
     config: TPCBiHConfig | None = None,
-    timeout_seconds: Optional[float] = 120.0,
-    include_sql: bool = True,
     seed: int | None = None,
 ) -> List[Dict[str, object]]:
     """TPC-BiH workload runtimes: middleware (Seq) vs. alignment baseline (Nat)."""
@@ -159,45 +118,55 @@ def run_table3_tpch(
     if seed is not None:
         config = replace(config, seed=seed)
     database = generate_tpcbih(config)
-    return _run_workload(
-        database,
-        config.domain,
-        tpch_queries(),
-        TPCH_BUG_FLAGS,
-        timeout_seconds,
-        include_sql=include_sql,
+    return _run_workload(database, config.domain, tpch_queries(), TPCH_BUG_FLAGS)
+
+
+def _sums(
+    rows: List[Dict[str, object]], queries: Tuple[str, ...] | None = None
+) -> Tuple[float, float]:
+    """Seq's and Nat's best seconds summed over ``queries`` (default: every row)."""
+    chosen = [row for row in rows if queries is None or row["query"] in queries]
+    return (
+        sum(row["seq_seconds"] for row in chosen),
+        sum(row["nat_seconds"] for row in chosen),
     )
+
+
+def table3_differences(
+    employee_rows: List[Dict[str, object]], tpch_rows: List[Dict[str, object]]
+) -> List[str]:
+    """The paper's Table 3 findings that the measured rows miss.
+
+    Seq wins the aggregations (agg-1 + agg-2, and the TPC-BiH workload, all
+    of which aggregates) and stays within 5x of Nat on joins (join-3 + join-4).
+    """
+    agg_seq, agg_nat = _sums(employee_rows, ("agg-1", "agg-2"))
+    join_seq, join_nat = _sums(employee_rows, ("join-3", "join-4"))
+    tpch_seq, tpch_nat = _sums(tpch_rows)
+    shapes = {
+        "agg-1 + agg-2: Seq < Nat": agg_seq < agg_nat,
+        "join-3 + join-4: Seq < 5x Nat": join_seq < 5 * join_nat,
+        "TPC-BiH: Seq < Nat": tpch_seq < tpch_nat,
+    }
+    return [shape for shape, holds in shapes.items() if not holds]
 
 
 def format_table3(
     employee_rows: List[Dict[str, object]], tpch_rows: List[Dict[str, object]]
 ) -> str:
-    def prettify(rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
-        pretty = []
-        for row in rows:
-            pretty.append(
-                {
-                    **row,
-                    "seq_seconds": format_seconds(row["seq_seconds"]),
-                    "seq_sql_seconds": format_seconds(row.get("seq_sql_seconds")),
-                    "nat_seconds": format_seconds(row["nat_seconds"]),
-                    "speedup_vs_native": (
-                        f"{row['speedup_vs_native']:.1f}x"
-                        if isinstance(row["speedup_vs_native"], float)
-                        else ""
-                    ),
-                }
-            )
-        return pretty
+    timed = ("seq_seconds", "seq_sql_seconds", "nat_seconds")
 
-    headers = [
-        "query",
-        "seq_seconds",
-        "seq_sql_seconds",
-        "nat_seconds",
-        "speedup_vs_native",
-        "native_bug",
-    ]
+    def prettify(rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
+        return [
+            {
+                **row,
+                **{column: format_seconds(row[column]) for column in timed},
+                "speedup_vs_native": f"{row['speedup_vs_native']:.1f}x",
+            }
+            for row in rows
+        ]
+
+    headers = ["query", *timed, "speedup_vs_native", "native_bug"]
     return "\n".join(
         [
             format_table(

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.datasets import EmployeesConfig, TPCBiHConfig
+from repro.datasets import EmployeesConfig, TPCBiHConfig, generate_tpcbih
+from repro.datasets.workloads import TPCH_WORKLOAD
 from repro.experiments import (
     format_ablation,
     format_figure5,
@@ -19,6 +20,8 @@ from repro.experiments import (
     run_table3_employee,
     run_table3_tpch,
 )
+from repro.experiments.report import REPEATS, fastest, prepared
+from repro.rewriter import QueryPipeline
 
 TINY_EMPLOYEES = EmployeesConfig(scale=0.02)
 TINY_TPCH = TPCBiHConfig(scale_factor=0.05)
@@ -105,17 +108,18 @@ class TestTable2:
 class TestTable3:
     @pytest.fixture(scope="class")
     def employee_rows(self):
-        return run_table3_employee(TINY_EMPLOYEES, timeout_seconds=60)
+        return run_table3_employee(TINY_EMPLOYEES)
 
     @pytest.fixture(scope="class")
     def tpch_rows(self):
-        return run_table3_tpch(TINY_TPCH, timeout_seconds=60)
+        return run_table3_tpch(TINY_TPCH)
 
     def test_every_query_timed_for_both_systems(self, employee_rows):
         assert len(employee_rows) == 10
         for row in employee_rows:
             assert row["seq_seconds"] > 0
-            assert row["nat_seconds"] == "TO" or row["nat_seconds"] > 0
+            assert row["seq_sql_seconds"] > 0
+            assert row["nat_seconds"] > 0
 
     def test_bug_flags_match_the_paper(self, employee_rows, tpch_rows):
         flags = {row["query"]: row["native_bug"] for row in employee_rows}
@@ -125,12 +129,18 @@ class TestTable3:
 
     def test_aggregation_queries_favour_the_middleware(self, tpch_rows):
         """All TPC-H queries aggregate; on average the middleware should win."""
-        speedups = [
-            row["speedup_vs_native"]
-            for row in tpch_rows
-            if isinstance(row["speedup_vs_native"], float)
-        ]
-        assert speedups and sum(speedups) / len(speedups) > 1.0
+        speedups = [row["speedup_vs_native"] for row in tpch_rows]
+        assert sum(speedups) / len(speedups) > 1.0
+
+    def test_tpch_runtime_grows_roughly_linearly(self):
+        """Q1 at 4x the data (scale factor 0.05 against 0.2) takes well under 40x the time."""
+        timings = []
+        for scale in (0.05, 0.2):
+            config = TPCBiHConfig(scale_factor=scale)
+            pipeline = QueryPipeline(config.domain, database=generate_tpcbih(config))
+            best, _ = fastest({"Q1": prepared(pipeline, TPCH_WORKLOAD["Q1"]())})
+            timings.append(best["Q1"])
+        assert timings[1] < timings[0] * 40
 
     def test_formatting(self, employee_rows, tpch_rows):
         text = format_table3(employee_rows, tpch_rows)
@@ -142,7 +152,8 @@ class TestAblation:
     def rows(self):
         return run_ablation(EmployeesConfig(scale=0.03))
 
-    def test_all_configurations_timed(self, rows):
+    def test_all_ten_queries_timed(self, rows):
+        assert len(rows) == 10
         for row in rows:
             assert row["optimized"] > 0
             assert row["per-operator-coalesce"] > 0
@@ -157,18 +168,29 @@ class TestAblation:
         text = format_ablation(rows)
         assert "Ablation" in text and "no-preaggregation_matches" in text
 
-    def test_per_snapshot_baseline_is_bag_equal(self):
-        rows = run_ablation(EmployeesConfig(scale=0.02), include_naive=True)
-        assert all(row["per-snapshot_matches"] for row in rows)
+    def test_per_snapshot_baseline_is_bag_equal(self, rows):
+        (naive,) = [row for row in rows if "per-snapshot" in row]
+        assert naive["query"] == "agg-2" and naive["per-snapshot_matches"]
         assert "per-snapshot_matches" in format_ablation(rows)
 
 
 class TestReportHelpers:
     def test_format_seconds(self):
-        assert format_seconds(None) == "N/A"
-        assert format_seconds("TO") == "TO"
-        assert format_seconds(0.001).endswith("ms")
-        assert format_seconds(1.5) == "1.50"
+        """Every timing in milliseconds, to 3 significant figures."""
+        assert format_seconds(0.0000123) == "0.0123ms"
+        assert format_seconds(0.0022) == "2.20ms"
+        assert format_seconds(0.0123) == "12.3ms"
+        assert format_seconds(0.015) == "15.0ms"
+        assert format_seconds(1.5) == "1500ms"
+
+    def test_fastest_reports_the_best_run_and_the_warm_up_result(self):
+        calls = []
+        best, results = fastest(
+            {"a": lambda: calls.append("a") or "A", "b": lambda: calls.append("b")}
+        )
+        assert calls == ["a", "b"] + ["a", "b"] * REPEATS
+        assert set(best) == {"a", "b"} and all(seconds >= 0 for seconds in best.values())
+        assert results == {"a": "A", "b": None}
 
     def test_format_table_renders_headers_and_rows(self):
         text = format_table(["a", "b"], [{"a": 1, "b": True}, {"a": None}], title="T")
