@@ -6,9 +6,10 @@ Relations*, PVLDB 12(6), 2019:
 
 * **abstract model** -- snapshot K-relations evaluated point-wise
   (:mod:`repro.abstract_model`), the correctness oracle;
-* **logical model** -- period K-relations annotated with coalesced temporal
-  K-elements, i.e. elements of the period semiring ``K^T``
-  (:mod:`repro.temporal`, :mod:`repro.logical_model`);
+* **logical model** -- period K-relations: the K-relations of the abstract
+  model over the period semiring ``K^T``, whose annotations are coalesced
+  temporal K-elements (:mod:`repro.temporal`, :mod:`repro.logical_model`),
+  evaluated by the same interpreter (:func:`repro.abstract_model.evaluate`);
 * **implementation** -- SQL period relations on a multiset engine
   (:mod:`repro.engine`) with the REWR query rewriting and the query
   pipeline that plays the paper's middleware (:mod:`repro.rewriter`), a
@@ -90,7 +91,7 @@ from .errors import (
 from .execution import ExecutionBackend, ExecutionPolicy, available_backends
 from .faultinject import FaultInjectingBackend, FaultSchedule
 from .incremental import Delta, MaterializedView
-from .logical_model import PeriodDatabase, PeriodKRelation, evaluate_period_query
+from .logical_model import PeriodDatabase, PeriodKRelation
 from .semirings import BOOLEAN, NATURAL, Semiring
 from .server import QueryServer
 from .temporal import Interval, PeriodSemiring, TemporalElement, TimeDomain
@@ -119,7 +120,6 @@ __all__ = [
     "evaluate_snapshot_query",
     "PeriodKRelation",
     "PeriodDatabase",
-    "evaluate_period_query",
     "Database",
     "Table",
     "ExecutionBackend",

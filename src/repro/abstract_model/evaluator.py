@@ -1,14 +1,17 @@
-"""Evaluation of logical algebra plans over (non-temporal) K-relations.
+"""Evaluation of logical algebra plans over K-relations, for any semiring K.
 
-This is the recursive interpreter mapping the operator AST of
+This is the one recursive interpreter mapping the operator AST of
 :mod:`repro.algebra.operators` to the K-relation operations of
-:mod:`repro.abstract_model.krelation`.  It is used in two roles:
+:mod:`repro.abstract_model.krelation`.  It serves both models of the paper:
 
-* directly, to evaluate a query over a single snapshot, and
-* inside :func:`repro.abstract_model.snapshot.evaluate_snapshot_query`,
-  which applies it to every snapshot of a snapshot K-database -- the paper's
-  *abstract model* and the ground truth against which the logical model and
-  the SQL-period-relation implementation are verified.
+* the *abstract model*: over the plain K-relation of a single snapshot,
+  which :func:`repro.abstract_model.snapshot.evaluate_snapshot_query`
+  applies at every time point -- the ground truth against which the logical
+  model and the SQL-period-relation implementation are verified;
+* the *logical model*: over period K-relations
+  (:class:`~repro.logical_model.PeriodKRelation`, K-relations over ``K^T``,
+  e.g. a :class:`~repro.logical_model.PeriodDatabase`), whose operators
+  return period K-relations again.
 """
 
 from __future__ import annotations
@@ -43,8 +46,10 @@ def evaluate(
     """Evaluate ``plan`` against a database of K-relations.
 
     ``semiring`` is only needed when the plan can be a pure
-    :class:`ConstantRelation` tree (otherwise it is taken from the first
-    base relation encountered).
+    :class:`ConstantRelation` tree over an empty database (otherwise it is
+    taken from the first base relation).  A constant is built with the
+    class of the database's relations, so over ``K^T`` each of its rows
+    carries ``1_{K^T}``, the element valid at every time point.
     """
     if isinstance(plan, RelationAccess):
         try:
@@ -54,9 +59,13 @@ def evaluate(
         return relation
 
     if isinstance(plan, ConstantRelation):
+        template = next(iter(database.values()), None)
         if semiring is None:
-            semiring = _infer_semiring(database)
-        return KRelation.from_rows(semiring, plan.schema, plan.rows)
+            if template is None:
+                raise AlgebraError("cannot infer semiring from an empty database")
+            semiring = template.semiring
+        relation_class = KRelation if template is None else type(template)
+        return relation_class.from_rows(semiring, plan.schema, plan.rows)
 
     if isinstance(plan, Selection):
         return evaluate(plan.child, database, semiring).select(plan.predicate)
@@ -90,9 +99,3 @@ def evaluate(
         return evaluate(plan.child, database, semiring).distinct()
 
     raise AlgebraError(f"unsupported operator {type(plan).__name__}")
-
-
-def _infer_semiring(database: Mapping[str, KRelation]) -> Semiring:
-    for relation in database.values():
-        return relation.semiring
-    raise AlgebraError("cannot infer semiring from an empty database")

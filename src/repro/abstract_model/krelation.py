@@ -8,8 +8,11 @@ annotations of the joined tuples, union adds, difference applies the monus
 (for m-semirings), and aggregation follows the multiset-friendly definition
 the paper uses in Section 7.2 (group results annotated with ``1_K``).
 
-These relations are *non-temporal*; the abstract temporal model wraps them
-per time point (see :mod:`repro.abstract_model.snapshot`).
+The operators are generic in K: the abstract temporal model wraps plain
+K-relations per time point (see :mod:`repro.abstract_model.snapshot`), and
+the logical model is this class over the period semiring ``K^T`` (see
+:mod:`repro.logical_model.period_relation`).  Results are built through
+``type(self)``, so an operator over a subclass returns that subclass.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ class KRelation:
         return relation
 
     def empty_like(self, schema: Optional[Iterable[str]] = None) -> "KRelation":
-        """An empty relation over the same semiring (optionally new schema)."""
-        return KRelation(self.semiring, self.schema if schema is None else schema)
+        """An empty relation of the same class and semiring (optionally new schema)."""
+        return type(self)(self.semiring, self.schema if schema is None else schema)
 
     # -- mutation (used only while building) ---------------------------------------------
 
@@ -130,7 +133,7 @@ class KRelation:
     def project(self, columns: Iterable[Tuple[Any, str]]) -> "KRelation":
         """``Pi_A``: evaluate projection expressions, summing over pre-images."""
         columns = list(columns)
-        result = KRelation(self.semiring, [name for _, name in columns])
+        result = self.empty_like([name for _, name in columns])
         for row, annotation in self._data.items():
             row_dict = self.to_row_dict(row)
             out = tuple(expr.evaluate(row_dict) for expr, _ in columns)
@@ -143,7 +146,7 @@ class KRelation:
         if missing:
             raise ValueError(f"cannot rename unknown attributes {sorted(missing)}")
         schema = tuple(renames.get(name, name) for name in self.schema)
-        return KRelation(self.semiring, schema, dict(self._data))
+        return type(self)(self.semiring, schema, dict(self._data))
 
     def join(self, other: "KRelation", predicate=None) -> "KRelation":
         """Theta join; annotations of join partners are multiplied."""
@@ -152,8 +155,7 @@ class KRelation:
             raise ValueError(
                 f"join inputs share attributes {sorted(overlap)}; rename first"
             )
-        schema = self.schema + other.schema
-        result = KRelation(self.semiring, schema)
+        result = self.empty_like(self.schema + other.schema)
         for left_row, left_annotation in self._data.items():
             left_dict = self.to_row_dict(left_row)
             for right_row, right_annotation in other._data.items():
@@ -168,7 +170,7 @@ class KRelation:
     def union(self, other: "KRelation") -> "KRelation":
         """``UNION ALL``: annotation addition (schemas must match by arity)."""
         self._check_union_compatible(other)
-        result = KRelation(self.semiring, self.schema, dict(self._data))
+        result = type(self)(self.semiring, self.schema, dict(self._data))
         for row, annotation in other._data.items():
             result.add(row, annotation)
         return result
@@ -248,7 +250,10 @@ class KRelation:
         return hash((self.semiring, self.schema, tuple(sorted(self._data.items(), key=repr))))
 
     def __repr__(self) -> str:
-        return f"KRelation({self.semiring.name}, {list(self.schema)}, {len(self._data)} rows)"
+        return (
+            f"{type(self).__name__}({self.semiring.name}, {list(self.schema)}, "
+            f"{len(self._data)} rows)"
+        )
 
     def _check_union_compatible(self, other: "KRelation") -> None:
         if self.semiring != other.semiring:

@@ -13,7 +13,7 @@ against the results produced here.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Tuple
 
 from ..algebra.operators import Operator
 from ..semirings.base import Semiring
@@ -53,15 +53,18 @@ class SnapshotKRelation:
         semiring: Semiring,
         domain: TimeDomain,
         schema: Iterable[str],
-        facts: Iterable[Tuple[Row, int, int, Any]],
+        facts: Iterable[Tuple[Row, Any, Any, Any]],
     ) -> "SnapshotKRelation":
         """Build from interval-stamped facts ``(row, begin, end, annotation)``.
 
         Each fact contributes its annotation to every snapshot in
         ``[begin, end)`` -- the natural reading of an SQL period relation.
+        A fact with a NULL end point holds at no point and is skipped.
         """
         relation = cls(semiring, domain, schema)
         for row, begin, end, annotation in facts:
+            if begin is None or end is None:
+                continue
             begin, end = domain.clamp(begin, end)
             for point in range(begin, end):
                 relation.snapshot(point).add(row, annotation)
@@ -105,6 +108,13 @@ class SnapshotKRelation:
                 f"snapshot schema {relation.schema} does not match {self.schema}"
             )
         self._snapshots[point] = relation
+
+    def populated(self) -> Iterator[Tuple[int, KRelation]]:
+        """``(point, snapshot)`` for every non-empty snapshot, in time order."""
+        for point in sorted(self._snapshots):
+            snapshot = self._snapshots[point]
+            if len(snapshot):
+                yield point, snapshot
 
     def annotation_history(self, row: Row) -> Dict[int, Any]:
         """Annotation of ``row`` at every point where it is non-zero."""

@@ -1,6 +1,10 @@
-"""Logical model: period K-relations annotated with elements of ``K^T``."""
+"""Logical model: K-relations over the period semiring ``K^T``.
 
-from .database import PeriodDatabase, evaluate_period_query
+Plans are evaluated over a :class:`PeriodDatabase` by the same interpreter
+as the abstract model, :func:`repro.abstract_model.evaluate`.
+"""
+
+from .database import PeriodDatabase
 from .period_relation import PeriodKRelation
 
-__all__ = ["PeriodKRelation", "PeriodDatabase", "evaluate_period_query"]
+__all__ = ["PeriodKRelation", "PeriodDatabase"]

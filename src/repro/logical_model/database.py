@@ -1,40 +1,30 @@
-"""Period K-databases and plan evaluation over the logical model.
+"""Period K-databases: named period K-relations over one period semiring.
 
-The evaluator mirrors :mod:`repro.abstract_model.evaluator` but interprets
-plans over :class:`~repro.logical_model.period_relation.PeriodKRelation`, so
-annotations are elements of the period semiring ``K^T`` and the result is an
-interval-encoded (and uniquely coalesced) temporal relation.
+A :class:`PeriodDatabase` is a read-only ``Mapping`` from relation names to
+:class:`~repro.logical_model.period_relation.PeriodKRelation`, so plans are
+evaluated over it by the one K-relation interpreter,
+:func:`repro.abstract_model.evaluate`: over ``K^T`` annotations the result
+is an interval-encoded (and uniquely coalesced) temporal relation, which by
+Theorems 6.6 / 7.3 of the paper is snapshot-equivalent to evaluating the
+same plan under snapshot semantics on the abstract model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterable, Iterator, Tuple
 
 from ..abstract_model.snapshot import SnapshotDatabase
-from ..algebra.operators import (
-    Aggregation,
-    AlgebraError,
-    ConstantRelation,
-    Difference,
-    Distinct,
-    Join,
-    Operator,
-    Projection,
-    RelationAccess,
-    Rename,
-    Selection,
-    Union,
-)
+from ..algebra.operators import AlgebraError
 from ..semirings.base import Semiring
-from ..temporal.elements import TemporalElement
 from ..temporal.period_semiring import PeriodSemiring
 from ..temporal.timedomain import TimeDomain
 from .period_relation import PeriodKRelation
 
-__all__ = ["PeriodDatabase", "evaluate_period_query"]
+__all__ = ["PeriodDatabase"]
 
 
-class PeriodDatabase:
+class PeriodDatabase(Mapping[str, PeriodKRelation]):
     """A named collection of period K-relations over one period semiring."""
 
     def __init__(self, base_semiring: Semiring, domain: TimeDomain) -> None:
@@ -52,7 +42,7 @@ class PeriodDatabase:
     # -- population ---------------------------------------------------------------------------
 
     def add_relation(self, name: str, relation: PeriodKRelation) -> None:
-        if relation.period_semiring != self.period_semiring:
+        if relation.semiring != self.period_semiring:
             raise ValueError("relation period semiring does not match the database's")
         self._relations[name] = relation
 
@@ -75,8 +65,14 @@ class PeriodDatabase:
     def names(self) -> Tuple[str, ...]:
         return tuple(self._relations)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._relations
+    def __getitem__(self, name: str) -> PeriodKRelation:
+        return self._relations[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._relations)
+
+    def __len__(self) -> int:
+        return len(self._relations)
 
     # -- conversions ------------------------------------------------------------------------------
 
@@ -86,72 +82,3 @@ class PeriodDatabase:
         for name, relation in self._relations.items():
             database.add_relation(name, relation.to_snapshot())
         return database
-
-    @classmethod
-    def encode(cls, snapshot_database: SnapshotDatabase) -> "PeriodDatabase":
-        """``ENC_K`` applied to a whole snapshot database."""
-        database = cls(snapshot_database.semiring, snapshot_database.domain)
-        for name in snapshot_database.names():
-            database.add_relation(
-                name,
-                PeriodKRelation.encode(
-                    database.period_semiring, snapshot_database.relation(name)
-                ),
-            )
-        return database
-
-
-def evaluate_period_query(
-    plan: Operator, database: PeriodDatabase | Mapping[str, PeriodKRelation]
-) -> PeriodKRelation:
-    """Evaluate a logical plan over period K-relations.
-
-    By Theorems 6.6 / 7.3 of the paper the result is snapshot-equivalent to
-    evaluating the same plan under snapshot semantics on the abstract model,
-    and its annotations are coalesced, hence the encoding is unique.
-    """
-    if isinstance(database, PeriodDatabase):
-        lookup = database.relation
-        period_semiring = database.period_semiring
-    else:
-        relations = dict(database)
-        if not relations:
-            raise AlgebraError("cannot evaluate over an empty database")
-        period_semiring = next(iter(relations.values())).period_semiring
-
-        def lookup(name: str) -> PeriodKRelation:
-            try:
-                return relations[name]
-            except KeyError as exc:
-                raise AlgebraError(f"unknown relation {name!r}") from exc
-
-    def recurse(node: Operator) -> PeriodKRelation:
-        if isinstance(node, RelationAccess):
-            return lookup(node.name)
-        if isinstance(node, ConstantRelation):
-            relation = PeriodKRelation(period_semiring, node.schema)
-            universe = TemporalElement.universe(
-                period_semiring.base, period_semiring.domain
-            )
-            for row in node.rows:
-                relation.add(row, universe)
-            return relation
-        if isinstance(node, Selection):
-            return recurse(node.child).select(node.predicate)
-        if isinstance(node, Projection):
-            return recurse(node.child).project(node.columns)
-        if isinstance(node, Rename):
-            return recurse(node.child).rename(dict(node.renames))
-        if isinstance(node, Join):
-            return recurse(node.left).join(recurse(node.right), node.predicate)
-        if isinstance(node, Union):
-            return recurse(node.left).union(recurse(node.right))
-        if isinstance(node, Difference):
-            return recurse(node.left).difference(recurse(node.right))
-        if isinstance(node, Aggregation):
-            return recurse(node.child).aggregate(node.group_by, node.aggregates)
-        if isinstance(node, Distinct):
-            return recurse(node.child).distinct()
-        raise AlgebraError(f"unsupported operator {type(node).__name__}")
-
-    return recurse(plan)

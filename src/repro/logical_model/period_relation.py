@@ -1,22 +1,33 @@
 """Period K-relations: the paper's logical model (Sections 6 and 7).
 
-A period K-relation annotates every tuple with a *coalesced temporal
-K-element*, i.e. an element of the period semiring ``K^T``.  Queries are
-evaluated with ordinary K-relation semantics, just over ``K^T`` annotations:
-join multiplies temporal elements, projection/union add them, difference
-applies the monus, and aggregation uses the changepoint-based definition of
-Section 7.2 (evaluated interval-wise here rather than per time point).
+A period K-relation is a K-relation whose annotations come from the period
+semiring ``K^T``: every tuple carries a *coalesced temporal K-element*.
+Queries are evaluated with ordinary K-relation semantics, just over ``K^T``
+annotations, so :class:`PeriodKRelation` inherits selection, projection,
+renaming, join, union and difference from
+:class:`~repro.abstract_model.krelation.KRelation` (join multiplies temporal
+elements, projection/union add them, difference applies the monus) and
+:func:`repro.abstract_model.evaluate` interprets plans over it.  Because
+``K^T`` arithmetic returns coalesced elements, every annotation stays in the
+unique normal form.
 
-The class also provides the two directions of the paper's ``ENC_K`` mapping
-(Definition 6.3): :meth:`PeriodKRelation.encode` builds the unique period
-K-relation representing a snapshot K-relation, and :meth:`to_snapshot`
-expands a period K-relation back to its snapshots.  :meth:`timeslice`
-applies the timeslice homomorphism to every annotation.
+What this class adds is what Sections 6-7 add on top of K-relations:
+
+* the two directions of ``ENC_K`` (Definition 6.3): :meth:`encode` builds
+  the unique period K-relation representing a snapshot K-relation,
+  :meth:`to_snapshot` expands back; :meth:`from_periods` reads
+  interval-stamped facts;
+* the timeslice homomorphism :meth:`timeslice` and
+  :meth:`snapshot_equivalent`;
+* the two operators whose ``K^T`` form is not the K-relation one: duplicate
+  elimination is point-wise (:meth:`distinct`), and aggregation uses the
+  changepoint definition of Section 7.2 (:meth:`aggregate`, evaluated
+  interval-wise rather than per time point).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..abstract_model.krelation import KRelation, Row, aggregate_rows
 from ..abstract_model.snapshot import SnapshotKRelation
@@ -30,35 +41,20 @@ from ..temporal.timedomain import TimeDomain
 __all__ = ["PeriodKRelation"]
 
 
-class PeriodKRelation:
-    """A relation annotated with coalesced temporal K-elements."""
+class PeriodKRelation(KRelation):
+    """A K-relation over ``K^T``: tuples annotated with coalesced temporal K-elements."""
 
-    __slots__ = ("period_semiring", "schema", "_data")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        period_semiring: PeriodSemiring,
-        schema: Iterable[str],
-        data: Mapping[Row, TemporalElement] | Iterable[Tuple[Row, TemporalElement]] = (),
-    ) -> None:
-        self.period_semiring = period_semiring
-        self.schema: Tuple[str, ...] = tuple(schema)
-        if len(set(self.schema)) != len(self.schema):
-            raise ValueError(f"duplicate attribute names in schema {self.schema}")
-        self._data: Dict[Row, TemporalElement] = {}
-        items = data.items() if isinstance(data, Mapping) else data
-        for row, element in items:
-            self.add(row, element)
-
-    # -- identity helpers ------------------------------------------------------------------
+    semiring: PeriodSemiring
 
     @property
     def base_semiring(self) -> Semiring:
-        return self.period_semiring.base
+        return self.semiring.base
 
     @property
     def domain(self) -> TimeDomain:
-        return self.period_semiring.domain
+        return self.semiring.domain
 
     # -- construction -----------------------------------------------------------------------
 
@@ -67,18 +63,21 @@ class PeriodKRelation:
         cls,
         period_semiring: PeriodSemiring,
         schema: Iterable[str],
-        facts: Iterable[Tuple[Row, int, int, Any]],
+        facts: Iterable[Tuple[Row, Any, Any, Any]],
     ) -> "PeriodKRelation":
         """Build from interval-stamped facts ``(row, begin, end, annotation)``.
 
         Facts for the same row accumulate (their temporal elements are
         added), so a SQL period relation with duplicate rows maps to the
-        expected multiplicities per snapshot.
+        expected multiplicities per snapshot.  A fact with a NULL end point
+        holds at no point (SQL comparison semantics) and is skipped.
         """
         relation = cls(period_semiring, schema)
         base = period_semiring.base
         domain = period_semiring.domain
         for row, begin, end, annotation in facts:
+            if begin is None or end is None:
+                continue
             begin, end = domain.clamp(begin, end)
             if begin >= end or base.is_zero(annotation):
                 continue
@@ -92,73 +91,40 @@ class PeriodKRelation:
     def encode(
         cls, period_semiring: PeriodSemiring, snapshot_relation: SnapshotKRelation
     ) -> "PeriodKRelation":
-        """``ENC_K``: the unique period K-relation encoding a snapshot K-relation."""
+        """``ENC_K``: the unique period K-relation encoding a snapshot K-relation.
+
+        One pass over the populated snapshots collects each row's
+        point -> annotation history; each history becomes one coalesced
+        temporal element.
+        """
         if snapshot_relation.semiring != period_semiring.base:
             raise SemiringError("snapshot relation semiring does not match K^T base")
         if snapshot_relation.domain != period_semiring.domain:
             raise SemiringError("snapshot relation time domain does not match K^T")
-        relation = cls(period_semiring, snapshot_relation.schema)
-        for row in snapshot_relation.all_rows():
-            history = snapshot_relation.annotation_history(row)
-            element = TemporalElement.from_points(
-                period_semiring.base, period_semiring.domain, history
-            )
-            relation.add(row, element)
-        return relation
-
-    def empty_like(self, schema: Optional[Iterable[str]] = None) -> "PeriodKRelation":
-        return PeriodKRelation(
-            self.period_semiring, self.schema if schema is None else schema
+        histories: Dict[Row, Dict[int, Any]] = {}
+        for point, snapshot in snapshot_relation.populated():
+            for row, annotation in snapshot:
+                histories.setdefault(row, {})[point] = annotation
+        base = period_semiring.base
+        domain = period_semiring.domain
+        return cls(
+            period_semiring,
+            snapshot_relation.schema,
+            {
+                row: TemporalElement.from_points(base, domain, history)
+                for row, history in histories.items()
+            },
         )
-
-    # -- mutation ----------------------------------------------------------------------------
-
-    def add(self, row: Row, element: TemporalElement) -> None:
-        """Add (semiring-plus) a temporal element to the annotation of ``row``."""
-        row = tuple(row)
-        if len(row) != len(self.schema):
-            raise ValueError(
-                f"row arity {len(row)} does not match schema arity {len(self.schema)}"
-            )
-        current = self._data.get(row)
-        updated = element.coalesce() if current is None else current.plus(element)
-        if updated.is_empty():
-            self._data.pop(row, None)
-        else:
-            self._data[row] = updated
-
-    # -- access -------------------------------------------------------------------------------
-
-    def annotation(self, row: Row) -> TemporalElement:
-        return self._data.get(
-            tuple(row), TemporalElement.empty(self.base_semiring, self.domain)
-        )
-
-    def __contains__(self, row: Row) -> bool:
-        return tuple(row) in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __iter__(self) -> Iterator[Tuple[Row, TemporalElement]]:
-        return iter(self._data.items())
-
-    def rows(self) -> List[Row]:
-        return list(self._data)
-
-    def to_row_dict(self, row: Row) -> Dict[str, Any]:
-        return dict(zip(self.schema, row))
 
     # -- model conversions ------------------------------------------------------------------------
 
     def timeslice(self, point: int) -> KRelation:
         """``tau_T``: the K-relation valid at ``point`` (Definition 6.2)."""
-        result = KRelation(self.base_semiring, self.schema)
-        for row, element in self._data.items():
-            value = element.at(point)
-            if not self.base_semiring.is_zero(value):
-                result.add(row, value)
-        return result
+        return KRelation(
+            self.base_semiring,
+            self.schema,
+            ((row, element.at(point)) for row, element in self._data.items()),
+        )
 
     def to_snapshot(self) -> SnapshotKRelation:
         """Expand to the snapshot K-relation this period K-relation encodes."""
@@ -177,67 +143,7 @@ class PeriodKRelation:
             for row in rows
         )
 
-    # -- RA+ / RA operators ---------------------------------------------------------------------------
-
-    def select(self, predicate) -> "PeriodKRelation":
-        result = self.empty_like()
-        for row, element in self._data.items():
-            if predicate.evaluate(self.to_row_dict(row)):
-                result.add(row, element)
-        return result
-
-    def project(self, columns: Iterable[Tuple[Any, str]]) -> "PeriodKRelation":
-        columns = list(columns)
-        result = PeriodKRelation(self.period_semiring, [name for _, name in columns])
-        for row, element in self._data.items():
-            row_dict = self.to_row_dict(row)
-            out = tuple(expr.evaluate(row_dict) for expr, _ in columns)
-            result.add(out, element)
-        return result
-
-    def rename(self, renames: Mapping[str, str]) -> "PeriodKRelation":
-        missing = set(renames) - set(self.schema)
-        if missing:
-            raise ValueError(f"cannot rename unknown attributes {sorted(missing)}")
-        schema = tuple(renames.get(name, name) for name in self.schema)
-        return PeriodKRelation(self.period_semiring, schema, dict(self._data))
-
-    def join(self, other: "PeriodKRelation", predicate=None) -> "PeriodKRelation":
-        overlap = set(self.schema) & set(other.schema)
-        if overlap:
-            raise ValueError(
-                f"join inputs share attributes {sorted(overlap)}; rename first"
-            )
-        result = PeriodKRelation(self.period_semiring, self.schema + other.schema)
-        for left_row, left_element in self._data.items():
-            left_dict = self.to_row_dict(left_row)
-            for right_row, right_element in other._data.items():
-                combined = {**left_dict, **other.to_row_dict(right_row)}
-                if predicate is None or predicate.evaluate(combined):
-                    product = left_element.times(right_element)
-                    if not product.is_empty():
-                        result.add(left_row + right_row, product)
-        return result
-
-    def union(self, other: "PeriodKRelation") -> "PeriodKRelation":
-        self._check_union_compatible(other)
-        result = PeriodKRelation(self.period_semiring, self.schema, dict(self._data))
-        for row, element in other._data.items():
-            result.add(row, element)
-        return result
-
-    def difference(self, other: "PeriodKRelation") -> "PeriodKRelation":
-        self._check_union_compatible(other)
-        if not self.base_semiring.has_monus:
-            raise SemiringError(
-                f"difference undefined: semiring {self.base_semiring.name} has no monus"
-            )
-        result = self.empty_like()
-        for row, element in self._data.items():
-            remaining = element.monus(other.annotation(row))
-            if not remaining.is_empty():
-                result.add(row, remaining)
-        return result
+    # -- the operators whose K^T form differs from the K-relation one -----------------------------
 
     def distinct(self) -> "PeriodKRelation":
         """Duplicate elimination: every non-zero snapshot annotation becomes 1_K."""
@@ -247,10 +153,8 @@ class PeriodKRelation:
             result.add(row, element.map_values(lambda _value: one))
         return result
 
-    # -- aggregation (Section 7.2, evaluated interval-wise) ---------------------------------------------
-
     def aggregate(self, group_by: Iterable[str], aggregates) -> "PeriodKRelation":
-        """Snapshot-reducible grouping aggregation.
+        """Snapshot-reducible grouping aggregation (Section 7.2).
 
         Result tuples are annotated with temporal elements built from the
         intervals between *annotation changepoints* of the relevant input
@@ -280,9 +184,7 @@ class PeriodKRelation:
         if not group_by and not groups:
             groups[()] = []
 
-        result = PeriodKRelation(
-            self.period_semiring, group_by + tuple(spec.alias for spec in aggregates)
-        )
+        result = self.empty_like(group_by + tuple(spec.alias for spec in aggregates))
         for key, members in groups.items():
             self._aggregate_group(key, members, group_by, aggregates, result)
         return result
@@ -329,28 +231,3 @@ class PeriodKRelation:
             element = TemporalElement(self.base_semiring, domain, entries).coalesce()
             if not element.is_empty():
                 result.add(out_row, element)
-
-    # -- comparisons --------------------------------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PeriodKRelation):
-            return NotImplemented
-        return (
-            self.period_semiring == other.period_semiring
-            and self.schema == other.schema
-            and self._data == other._data
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"PeriodKRelation({self.period_semiring.name}, {list(self.schema)}, "
-            f"{len(self._data)} rows)"
-        )
-
-    def _check_union_compatible(self, other: "PeriodKRelation") -> None:
-        if self.period_semiring != other.period_semiring:
-            raise SemiringError("cannot combine period relations over different K^T")
-        if len(self.schema) != len(other.schema):
-            raise ValueError(
-                f"union-incompatible schemas {self.schema} and {other.schema}"
-            )

@@ -21,8 +21,6 @@ from ..abstract_model.krelation import KRelation
 from ..engine.table import Table
 from ..logical_model.period_relation import PeriodKRelation
 from ..semirings.standard import NATURAL
-from ..temporal.elements import TemporalElement
-from ..temporal.intervals import Interval
 from ..temporal.period_semiring import PeriodSemiring
 
 __all__ = [
@@ -72,10 +70,11 @@ def period_decode(
 ) -> PeriodKRelation:
     """``PERIODENC^-1``: rebuild a period N-relation from a period table.
 
-    Duplicate rows add up; the resulting temporal elements are coalesced by
-    :class:`PeriodKRelation` on insertion, so decoding an *uncoalesced*
+    Each row is the fact ``(data row, begin, end, 1)`` of
+    :meth:`PeriodKRelation.from_periods`: duplicate rows add up, the
+    temporal elements come out coalesced, so decoding an *uncoalesced*
     table and decoding its coalesced form yield equal relations (so a check
-    through decoding cannot see the encoding).  NULL periods are dropped.
+    through decoding cannot see the encoding), and NULL periods are dropped.
     """
     if period_semiring.base != NATURAL:
         raise ValueError("period tables decode to N^T-relations only")
@@ -86,22 +85,14 @@ def period_decode(
         i for i, attribute in enumerate(table.schema)
         if attribute not in (begin_attr, end_attr)
     ]
-    schema = tuple(table.schema[i] for i in data_indexes)
-    relation = PeriodKRelation(period_semiring, schema)
-    domain = period_semiring.domain
-    for row in table.rows:
-        begin, end = row[begin_index], row[end_index]
-        if begin is None or end is None:
-            continue
-        begin, end = domain.clamp(begin, end)
-        if begin >= end:
-            continue
-        data_row = tuple(row[i] for i in data_indexes)
-        relation.add(
-            data_row,
-            TemporalElement.singleton(NATURAL, domain, Interval(begin, end)),
-        )
-    return relation
+    return PeriodKRelation.from_periods(
+        period_semiring,
+        tuple(table.schema[i] for i in data_indexes),
+        (
+            (tuple(row[i] for i in data_indexes), row[begin_index], row[end_index], 1)
+            for row in table.rows
+        ),
+    )
 
 
 def timeslice_table(

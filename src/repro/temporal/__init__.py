@@ -1,12 +1,11 @@
-"""Temporal core: time domains, intervals, temporal K-elements, K-coalescing
-and the period semiring construction ``K^T``."""
+"""Temporal core: time domains, intervals, temporal K-elements and the period
+semiring construction ``K^T``.
 
-from .coalesce import (
-    annotation_changepoints,
-    changepoint_intervals,
-    coalesce_annotations,
-    k_coalesce,
-)
+K-coalescing (``CK``) and annotation changepoints (``CP``) of Section 5.2
+are methods of :class:`TemporalElement`: ``element.coalesce()`` and
+``element.changepoints()``.
+"""
+
 from .elements import TemporalElement
 from .intervals import Interval, elementary_intervals, merge_adjacent
 from .period_semiring import PeriodSemiring, period_semiring, timeslice_homomorphism
@@ -19,10 +18,6 @@ __all__ = [
     "elementary_intervals",
     "merge_adjacent",
     "TemporalElement",
-    "k_coalesce",
-    "annotation_changepoints",
-    "changepoint_intervals",
-    "coalesce_annotations",
     "PeriodSemiring",
     "period_semiring",
     "timeslice_homomorphism",

@@ -73,6 +73,22 @@ class TestSnapshotKRelation:
             ("Sam", "SP"),
         }
 
+    def test_from_periods_skips_null_end_points(self):
+        """A fact with a NULL end point holds at no point (SQL comparison semantics)."""
+        relation = SnapshotKRelation.from_periods(
+            NATURAL,
+            DOMAIN,
+            ("a",),
+            [(("x",), None, 5, 1), (("y",), 3, None, 1), (("z",), 2, 4, 1)],
+        )
+        assert relation.all_rows() == {("z",)}
+
+    def test_populated_snapshots_in_time_order(self):
+        relation = works_snapshot_relation()
+        relation.snapshot(0)  # created lazily, still empty
+        points = [point for point, _snapshot in relation.populated()]
+        assert points == sorted(set(range(3, 16)) | set(range(18, 20)))
+
     def test_set_snapshot_schema_checked(self):
         relation = works_snapshot_relation()
         with pytest.raises(ValueError):

@@ -160,7 +160,8 @@ class TestWorkloads:
 
     def test_employee_workload_matches_logical_model_at_tiny_scale(self):
         """End-to-end correctness of a representative workload subset."""
-        from repro.logical_model import PeriodDatabase, evaluate_period_query
+        from repro.abstract_model import evaluate
+        from repro.logical_model import PeriodDatabase
         from repro.rewriter import periodenc
 
         config = EmployeesConfig(scale=0.01)
@@ -186,6 +187,6 @@ class TestWorkloads:
 
         queries = employee_queries()
         for name in ("join-3", "agg-2", "agg-3", "diff-1"):
-            assert pipeline.execute_decoded(queries[name]) == evaluate_period_query(
+            assert pipeline.execute_decoded(queries[name]) == evaluate(
                 queries[name], logical
             ), name

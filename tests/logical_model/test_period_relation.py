@@ -2,9 +2,24 @@
 
 import pytest
 
-from repro.abstract_model import SnapshotKRelation
-from repro.algebra import AggregateSpec, Comparison, attr, lit
-from repro.logical_model import PeriodKRelation
+from repro.abstract_model import SnapshotKRelation, evaluate
+from repro.algebra import (
+    AggregateSpec,
+    Aggregation,
+    Comparison,
+    ConstantRelation,
+    Difference,
+    Distinct,
+    Join,
+    Projection,
+    RelationAccess,
+    Rename,
+    Selection,
+    Union,
+    attr,
+    lit,
+)
+from repro.logical_model import PeriodDatabase, PeriodKRelation
 from repro.semirings import BOOLEAN, NATURAL, SemiringError
 from repro.temporal import Interval, PeriodSemiring, TemporalElement, TimeDomain
 
@@ -206,3 +221,77 @@ class TestAggregation:
         relation = PeriodKRelation.from_periods(tropical_t, ("x",), [((1,), 0, 5, 3)])
         with pytest.raises(SemiringError):
             relation.aggregate((), (AggregateSpec("count", None, "c"),))
+
+
+class TestNullEndPoints:
+    def test_from_periods_skips_null_end_points(self):
+        """A fact with a NULL end point holds at no point, as in ``period_decode``."""
+        relation = PeriodKRelation.from_periods(
+            NT, ("a",), [(("x",), None, 5, 1), (("y",), 3, None, 1), (("z",), 2, 4, 1)]
+        )
+        assert relation.rows() == [("z",)]
+        assert relation.annotation(("z",)).mapping == {Interval(2, 4): 1}
+
+
+class TestOneInterpreter:
+    """Plans over a :class:`PeriodDatabase` run on :func:`repro.abstract_model.evaluate`."""
+
+    @staticmethod
+    def database() -> PeriodDatabase:
+        database = PeriodDatabase(NATURAL, DOMAIN)
+        database.add_relation("works", works())
+        database.create_relation(
+            "assign", ("mach", "req_skill"), [(("M1", "SP"), 6, 14, 1)]
+        )
+        return database
+
+    def test_database_is_a_mapping_of_its_relations(self):
+        database = self.database()
+        assert set(database) == {"works", "assign"} and len(database) == 2
+        assert database["works"] == works()
+        assert "missing" not in database
+
+    def test_every_operator_returns_a_period_relation(self):
+        """Each RA operator keeps the K^T class, and an aggregation above it evaluates."""
+        works_access = RelationAccess("works")
+        sp = Comparison("=", attr("skill"), lit("SP"))
+        skills = Projection.of_attributes(works_access, "skill")
+        required = Rename(
+            Projection.of_attributes(RelationAccess("assign"), "req_skill"),
+            (("req_skill", "skill"),),
+        )
+        operators = {
+            "constant": ConstantRelation(("skill",), (("SP",), ("XX",))),
+            "selection": Selection(works_access, sp),
+            "projection": skills,
+            "rename": required,
+            "join": Join(
+                works_access,
+                RelationAccess("assign"),
+                Comparison("=", attr("skill"), attr("req_skill")),
+            ),
+            "union": Union(skills, required),
+            "difference": Difference(skills, required),
+            "distinct": Distinct(skills),
+            "aggregation": Aggregation(
+                works_access, ("skill",), (AggregateSpec("count", None, "cnt"),)
+            ),
+        }
+        database = self.database()
+        for name, plan in operators.items():
+            result = evaluate(plan, database)
+            assert type(result) is PeriodKRelation, name
+            counted = evaluate(
+                Aggregation(plan, (), (AggregateSpec("count", None, "cnt"),)), database
+            )
+            assert type(counted) is PeriodKRelation, name
+            # The ungrouped count covers the whole domain, gaps included.
+            total = TemporalElement.empty(NATURAL, DOMAIN)
+            for _row, element in counted:
+                total = total.plus(element)
+            assert total == NT.one, name
+
+    def test_constant_rows_hold_at_every_point(self):
+        constant = ConstantRelation(("skill",), (("SP",), ("SP",)))
+        result = evaluate(constant, self.database())
+        assert result.annotation(("SP",)) == NT.from_int(2)

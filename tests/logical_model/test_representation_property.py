@@ -12,42 +12,55 @@ period databases and random queries:
    point equals evaluating the query over the sliced inputs;
 3. snapshot-preservation -- ``ENC`` of a snapshot relation has the same
    timeslices as the original.
+
+Both models are evaluated by the one interpreter
+(:func:`repro.abstract_model.evaluate`), over K^T and over K; the
+reducibility and oracle properties run over N^T and over B^T databases, so
+point-wise duplicate elimination and the monus meet a second K.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.abstract_model import evaluate as evaluate_krelation
-from repro.abstract_model import evaluate_snapshot_query
-from repro.logical_model import PeriodKRelation, evaluate_period_query
+from repro.abstract_model import evaluate, evaluate_snapshot_query
+from repro.logical_model import PeriodKRelation
+from repro.semirings import BOOLEAN, NATURAL
 
 from tests.strategies import PROPERTY_DOMAIN, period_databases, queries
 
+BASE_SEMIRINGS = pytest.mark.parametrize("semiring", [NATURAL, BOOLEAN], ids=["N", "B"])
 
-@given(database=period_databases(), query=queries())
-def test_snapshot_reducibility(database, query):
+
+@BASE_SEMIRINGS
+@given(data=st.data(), query=queries())
+def test_snapshot_reducibility(semiring, data, query):
     """tau_T(Q(E)) == Q(tau_T(E)) for every T."""
-    result = evaluate_period_query(query, database)
+    database = data.draw(period_databases(semiring=semiring))
+    result = evaluate(query, database)
     for point in PROPERTY_DOMAIN.points():
         sliced_inputs = {
             name: database.relation(name).timeslice(point) for name in database.names()
         }
-        expected = evaluate_krelation(query, sliced_inputs, database.base_semiring)
+        expected = evaluate(query, sliced_inputs, database.base_semiring)
         assert result.timeslice(point) == expected
 
 
 @given(database=period_databases(), query=queries())
 def test_result_annotations_are_coalesced(database, query):
-    result = evaluate_period_query(query, database)
+    result = evaluate(query, database)
+    assert isinstance(result, PeriodKRelation)
     for _row, element in result:
         assert element.is_coalesced()
         assert not element.is_empty()
 
 
-@given(database=period_databases(), query=queries())
-def test_matches_abstract_model_oracle(database, query):
+@BASE_SEMIRINGS
+@given(data=st.data(), query=queries())
+def test_matches_abstract_model_oracle(semiring, data, query):
     """Q over the logical model equals ENC(Q over the abstract model)."""
-    logical = evaluate_period_query(query, database)
+    database = data.draw(period_databases(semiring=semiring))
+    logical = evaluate(query, database)
     oracle = evaluate_snapshot_query(query, database.to_snapshot_database())
     encoded_oracle = PeriodKRelation.encode(database.period_semiring, oracle)
     assert logical == encoded_oracle

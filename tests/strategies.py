@@ -16,6 +16,7 @@ from repro.datasets.generator import INTERVAL_PROFILES, GeneratorConfig
 from repro.algebra.operators import (
     AggregateSpec,
     Aggregation,
+    ConstantRelation,
     Difference,
     Distinct,
     Join,
@@ -135,14 +136,21 @@ SCHEMA_R = ("r_key", "r_cat", "r_val")
 SCHEMA_S = ("s_key", "s_cat", "s_val")
 
 
-def period_databases(domain: TimeDomain = PROPERTY_DOMAIN):
-    """A two-relation period N-database with schemas SCHEMA_R / SCHEMA_S."""
+def period_databases(domain: TimeDomain = PROPERTY_DOMAIN, semiring=NATURAL):
+    """A two-relation period K-database with schemas SCHEMA_R / SCHEMA_S.
+
+    ``semiring`` is N (multisets, the default) or B (sets); a fact's
+    multiplicity ``m`` becomes the annotation ``semiring.from_int(m)``.
+    """
 
     def build(facts_pair):
-        facts_r, facts_s = facts_pair
-        database = PeriodDatabase(NATURAL, domain)
-        database.create_relation("R", SCHEMA_R, facts_r)
-        database.create_relation("S", SCHEMA_S, facts_s)
+        database = PeriodDatabase(semiring, domain)
+        for name, schema, facts in zip(("R", "S"), (SCHEMA_R, SCHEMA_S), facts_pair):
+            database.create_relation(
+                name,
+                schema,
+                [(row, begin, end, semiring.from_int(m)) for row, begin, end, m in facts],
+            )
         return database
 
     return st.tuples(period_facts(SCHEMA_R), period_facts(SCHEMA_S)).map(build)
@@ -185,7 +193,11 @@ def queries(max_depth: int = 3):
     normalised_r = _selection(RelationAccess("R")).map(project_r) | st.just(
         project_r(RelationAccess("R"))
     )
-    normalised_s = st.just(project_s(RelationAccess("S")))
+    # Constant leaves of the same shape: over K^T each row is valid always.
+    constant = st.lists(
+        st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 3)), max_size=3
+    ).map(lambda rows: ConstantRelation(("cat", "val"), tuple(rows)))
+    normalised_s = st.just(project_s(RelationAccess("S"))) | constant
 
     binary = st.one_of(
         st.builds(Union, normalised_r, normalised_s),

@@ -1,15 +1,13 @@
-"""Unit tests for K-coalescing (Definition 5.3 and Example 5.3 of the paper)."""
+"""Unit tests for K-coalescing (Definition 5.3 and Example 5.3 of the paper).
 
+``CK`` is ``TemporalElement.coalesce()``, ``CP`` is
+``TemporalElement.changepoints()``; a period K-relation built from a
+tuple -> element mapping holds the coalesced, non-empty annotations.
+"""
+
+from repro.logical_model import PeriodKRelation
 from repro.semirings import BOOLEAN, NATURAL
-from repro.temporal import (
-    Interval,
-    TemporalElement,
-    TimeDomain,
-    annotation_changepoints,
-    changepoint_intervals,
-    coalesce_annotations,
-    k_coalesce,
-)
+from repro.temporal import Interval, PeriodSemiring, TemporalElement, TimeDomain
 
 DOMAIN = TimeDomain(0, 14)
 
@@ -21,19 +19,19 @@ class TestPaperExample53:
         t30k = TemporalElement(
             NATURAL, DOMAIN, [(Interval(3, 10), 1), (Interval(3, 13), 1)]
         )
-        assert k_coalesce(t30k).mapping == {Interval(3, 10): 2, Interval(10, 13): 1}
+        assert t30k.coalesce().mapping == {Interval(3, 10): 2, Interval(10, 13): 1}
 
     def test_b_coalesce(self):
         t30k_set = TemporalElement(
             BOOLEAN, DOMAIN, [(Interval(3, 10), True), (Interval(3, 13), True)]
         )
-        assert k_coalesce(t30k_set).mapping == {Interval(3, 13): True}
+        assert t30k_set.coalesce().mapping == {Interval(3, 13): True}
 
     def test_changepoints_of_30k(self):
         t30k = TemporalElement(
             NATURAL, DOMAIN, [(Interval(3, 10), 1), (Interval(3, 13), 1)]
         )
-        assert annotation_changepoints(t30k) == [0, 3, 10, 13]
+        assert t30k.changepoints() == [0, 3, 10, 13]
 
 
 class TestCoalescedShape:
@@ -69,26 +67,14 @@ class TestCoalescedShape:
         assert TemporalElement.empty(NATURAL, DOMAIN).is_coalesced()
 
 
-class TestChangepointIntervals:
-    def test_cover_whole_domain(self):
-        element = TemporalElement(NATURAL, DOMAIN, {Interval(3, 9): 2})
-        cpi = changepoint_intervals(element)
-        assert cpi == [Interval(0, 3), Interval(3, 9), Interval(9, 14)]
-
-    def test_empty_element(self):
-        assert changepoint_intervals(TemporalElement.empty(NATURAL, DOMAIN)) == [
-            Interval(0, 14)
-        ]
-
-
 class TestCoalesceAnnotations:
     def test_drops_empty_histories(self):
         annotations = {
             ("keep",): TemporalElement(NATURAL, DOMAIN, {Interval(0, 5): 1}),
             ("drop",): TemporalElement(NATURAL, DOMAIN, {}),
         }
-        coalesced = coalesce_annotations(annotations)
-        assert set(coalesced) == {("keep",)}
+        coalesced = PeriodKRelation(PeriodSemiring(NATURAL, DOMAIN), ("k",), annotations)
+        assert set(coalesced.rows()) == {("keep",)}
 
     def test_coalesces_every_value(self):
         annotations = {
@@ -96,5 +82,5 @@ class TestCoalesceAnnotations:
                 NATURAL, DOMAIN, [(Interval(0, 5), 1), (Interval(5, 9), 1)]
             )
         }
-        coalesced = coalesce_annotations(annotations)
-        assert coalesced[("t",)].mapping == {Interval(0, 9): 1}
+        coalesced = PeriodKRelation(PeriodSemiring(NATURAL, DOMAIN), ("k",), annotations)
+        assert coalesced.annotation(("t",)).mapping == {Interval(0, 9): 1}

@@ -48,7 +48,6 @@ EXPECTED_REPRO_EXPORTS = {
     # logical model
     "PeriodKRelation",
     "PeriodDatabase",
-    "evaluate_period_query",
     # implementation level
     "Database",
     "Table",
@@ -555,9 +554,8 @@ class TestReadmeQuickstart:
 class TestCrossLayerIntegration:
     def test_same_query_through_all_three_levels(self):
         """Abstract, logical and implementation level agree on one query."""
-        from repro.abstract_model import evaluate_snapshot_query
+        from repro.abstract_model import evaluate, evaluate_snapshot_query
         from repro.algebra import Projection, RelationAccess
-        from repro.logical_model import evaluate_period_query
         from repro.semirings import NATURAL
 
         domain = TimeDomain(0, 12)
@@ -567,7 +565,7 @@ class TestCrossLayerIntegration:
         logical_db = PeriodDatabase(NATURAL, domain)
         logical_db.create_relation("r", ("cat", "val"), facts)
         query = Projection.of_attributes(RelationAccess("r"), "cat")
-        logical = evaluate_period_query(query, logical_db)
+        logical = evaluate(query, logical_db)
 
         # abstract model (oracle)
         oracle = evaluate_snapshot_query(query, logical_db.to_snapshot_database())
