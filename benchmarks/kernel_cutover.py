@@ -5,8 +5,10 @@
 times the operators :func:`repro.engine.kernels.worthwhile` routes -- keyed
 interval join, split, ``count``/``sum`` and ``min``/``max`` temporal
 aggregation, coalescing, REWR's join -> period intersection -> coalesce
-chain (the typed columns handed from kernel to kernel), and bag difference,
-distinct and union -- on both routes at a ladder of input sizes and prints,
+chain (the typed columns handed from kernel to kernel), the monus sweep
+REWR runs for temporal bag difference and distinct, and the non-temporal
+bag difference, distinct and union -- on both routes at a ladder of input
+sizes and prints,
 per operator and input shape, the ratio scalar / kernel (above 1 the kernel
 wins; ``--repeats`` is how often the two routes alternate per cell).  The
 temporal operators read constant relations, so every run derives its typed
@@ -14,9 +16,12 @@ forms afresh: the worst case, a catalog table derives them once per version.
 The set operators consolidate on codes only what arrives as columns (row
 tuples keep the ``dict`` at every size, so a constant would time one route
 twice): they read catalog tables, once with the result taken as rows and
-once (``+c``) under the coalesce REWR puts above them, which reads the forms
-they hand on; a union alone does no work until its output is read.  Two
-shapes, the two the
+once (``+c``) under a coalesce, which reads the forms they hand on -- the
+ablation's split-based rewriting puts one above a difference or distinct,
+REWR one above every union; a union alone does no work until its output is
+read.  The monus rungs (``monus-diff``, ``monus-dist``) sweep the same
+catalog tables as ``difference`` and ``distinct``, and their output is
+already coalesced.  Two shapes, the two the
 suite's workloads have: ``adhoc`` is ``adhoc_small``'s generator catalog
 grown to N rows (string categories, 16 join keys, mixed interval profile, 64-point
 domain), ``employee`` is Table 3's (int keys with ~5 rows each, year-long
@@ -58,7 +63,12 @@ from repro.datasets.generator import GeneratorConfig, generate_rows
 from repro.engine import kernels, sweeps
 from repro.engine.catalog import Database
 from repro.engine.executor import execute
-from repro.rewriter.operators import CoalesceOperator, SplitOperator, TemporalAggregateOperator
+from repro.rewriter.operators import (
+    CoalesceOperator,
+    MonusOperator,
+    SplitOperator,
+    TemporalAggregateOperator,
+)
 
 SIZES = (32, 64, 96, 128, 192, 256, 384, 512, 1024, 4096)
 SCHEMA = ("key", "cat", "val", "t_begin", "t_end")
@@ -140,6 +150,8 @@ def plans(make: Callable[[int, str], List[Tuple]], n: int) -> Dict[str, object]:
         "difference+c": CoalesceOperator(difference),
         "distinct": distinct,
         "distinct+c": CoalesceOperator(distinct),
+        "monus-diff": MonusOperator(difference.left, difference.right),
+        "monus-dist": MonusOperator(distinct.child),
         "union+c": CoalesceOperator(Union(stored_left, stored_right)),
     }
 

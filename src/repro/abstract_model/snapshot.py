@@ -116,22 +116,6 @@ class SnapshotKRelation:
             if len(snapshot):
                 yield point, snapshot
 
-    def annotation_history(self, row: Row) -> Dict[int, Any]:
-        """Annotation of ``row`` at every point where it is non-zero."""
-        history: Dict[int, Any] = {}
-        for point in self.domain.points():
-            value = self.snapshot(point).annotation(row)
-            if not self.semiring.is_zero(value):
-                history[point] = value
-        return history
-
-    def all_rows(self) -> set:
-        """Every row appearing in at least one snapshot."""
-        rows: set = set()
-        for relation in self._snapshots.values():
-            rows.update(relation.rows())
-        return rows
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SnapshotKRelation):
             return NotImplemented

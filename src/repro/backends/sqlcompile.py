@@ -2,10 +2,12 @@
 
 This is the code generator the paper's middleware ships to the host DBMS:
 every operator of ``RA^agg`` maps to plain SQL with bag semantics, and the
-three physical temporal operators of the rewriting -- coalesce, split and
-the fused temporal aggregation of Section 9 -- are lowered to the paper's
+physical temporal operators of the rewriting -- coalesce, split and the
+fused temporal aggregation of Section 9 -- are lowered to the paper's
 window-function formulations (running sums over +1/-1 interval events,
-``LEAD`` to the next changepoint, per-group segmentation).
+``LEAD`` to the next changepoint, per-group segmentation).  The monus sweep
+(temporal bag difference and distinct) is lowered to the paper's split
+formulation, which a coalesce above it (REWR's final one) merges.
 
 Design notes -- the statement is shaped so that the host's planner can do
 its job; a rewriting middleware is only as fast as the host is allowed to be:
@@ -103,6 +105,7 @@ from ..errors import BackendError
 from ..planner.rules import _intern, substitute
 from ..rewriter.operators import (
     CoalesceOperator,
+    MonusOperator,
     SplitOperator,
     TemporalAggregateOperator,
 )
@@ -188,6 +191,9 @@ class SQLCompiler:
         self._memo: Dict[int, _Block] = {}  # id(sub-plan) -> its block
         self._versions: Mapping[str, TableVersion] = database.snapshot()
         self._base_rows: Dict[int, int] = {}  # id(sub-plan) -> rows beneath it
+        # Sub-plans built while compiling (a monus's split form), held so that
+        # no id() in the memos above is reused while the compile runs.
+        self._lowered: List[Operator] = []
 
     # -- plumbing --------------------------------------------------------------------------
 
@@ -333,6 +339,8 @@ class SQLCompiler:
             return self._distinct(plan)
         if isinstance(plan, CoalesceOperator):
             return self._coalesce(plan)
+        if isinstance(plan, MonusOperator):
+            return self._monus(plan)
         if isinstance(plan, SplitOperator):
             return self._split(plan)
         if isinstance(plan, TemporalAggregateOperator):
@@ -601,6 +609,30 @@ class SQLCompiler:
             f"WHERE __open > 0"
         )
         return _Block.over(self._cte("coal", body), data + plan.period)
+
+    def _monus(self, plan: MonusOperator) -> _Block:
+        """Temporal bag difference or distinct, lowered to the split formulation.
+
+        The host has no monus sweep, so the operator is spelled the way the
+        paper's rewriting spells it: ``N(L, R) - N(R, L)``, ``EXCEPT ALL``
+        between two splits grouped by the data attributes, and ``DISTINCT
+        N(X, X)``.  The rows are snapshot-equivalent to the sweep's but not
+        coalesced: REWR's final coalesce, which the engine skips over a
+        monus, merges them here (Lemma 6.1), and every operator between is
+        snapshot-reducible whatever the encoding of its input -- a coalesce
+        of each monus would only make the host pay for a second window
+        sweep and its counter.
+        """
+        data = tuple(a for a in self._compile(plan.left).schema if a not in plan.period)
+        if plan.right is None:
+            lowered: Operator = Distinct(SplitOperator(plan.left, plan.left, data, plan.period))
+        else:
+            lowered = Difference(
+                SplitOperator(plan.left, plan.right, data, plan.period),
+                SplitOperator(plan.right, plan.left, data, plan.period),
+            )
+        self._lowered.append(lowered)
+        return self._compile(lowered)
 
     def _split(self, plan: SplitOperator) -> _Block:
         """``N_G(R1, R2)``: split left rows at all group end points.

@@ -593,7 +593,8 @@ def _except_all(
     by :func:`repro.engine.kernels.consolidate` over the columns' codes
     (``batch.except_all_vectorized``) -- the same entries -- and the output
     is that input :meth:`~ColumnarBatch.taken` at the surviving rows, forms
-    included: the coalesce REWR puts above every difference derives nothing.
+    included: a coalesce above it (the ablation's split-based difference
+    has one) derives nothing.
     One that arrives as row tuples only (a constant, a hash join) keeps the
     ``dict``: over tuples already built it is the cheaper pass at every size
     (``benchmarks/kernel_cutover.py``).

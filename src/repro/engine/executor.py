@@ -24,8 +24,9 @@ batch to each parent: sharing one batch between parents is checked by the
 reference differential only because the reference does not share.
 
 Shared with the engine: :class:`ExecutionContext`, :class:`PhysicalOperator`
-(the rewriter's coalesce, split and temporal aggregation subclass it, with
-an ``execute`` for the reference and an ``execute_batch`` for the engine)
+(the rewriter's coalesce, split, temporal aggregation and monus sweep
+subclass it, with an ``execute`` for the reference and an ``execute_batch``
+for the engine)
 and the join-predicate analysis of :func:`_plan_join`.  A join whose
 predicate contains the interval-overlap pattern -- a pair of
 opposite-direction strict comparisons across the inputs, i.e. ``l.begin <
@@ -155,8 +156,8 @@ class ExecutionContext:
 class PhysicalOperator(Operator):
     """Extension hook: an operator that executes itself over its children's results.
 
-    The snapshot middleware adds coalesce, split and temporal aggregation
-    this way -- the integration path Section 10.5 of the paper sketches.  A
+    The snapshot middleware adds coalesce, split, temporal aggregation and
+    the monus sweep this way -- the integration path Section 10.5 of the paper sketches.  A
     subclass implements both methods: :meth:`execute` for the row reference
     and :meth:`execute_batch` for the engine.
     """

@@ -33,7 +33,10 @@ that primitive sit
   segments between a group's end points as one ``cumsum`` over its events,
   ``min``/``max`` as a range-update sweep over the same points,
 * :func:`coalesce_vectorized` -- multiset coalescing, one ``cumsum`` over
-  every group's packed events.
+  every group's packed events,
+* :func:`monus_vectorized` -- temporal bag difference and distinct, one
+  ``cumsum`` per input over both inputs' packed events, a segment wherever
+  the monus changes.
 
 The set operators need the factorise half alone:
 
@@ -52,8 +55,8 @@ Every kernel has a scalar twin in :mod:`repro.engine.sweeps` that defines
 its result and serves what it declines by returning ``None`` -- the one
 scalar definition of the algorithm, which the row reference runs too:
 ``join`` (``partition_by_keys`` + ``interval_sweep``), ``split``
-(``collect_group_endpoints`` + ``split_segments``), ``temporal_aggregate``
-and ``coalesce``; for :func:`consolidate`, ``except_all`` and the
+(``collect_group_endpoints`` + ``split_segments``), ``temporal_aggregate``,
+``coalesce`` and ``monus``; for :func:`consolidate`, ``except_all`` and the
 ``dict.fromkeys`` of :func:`repro.engine.batch._distinct`.  That kernel
 declines nothing (any value has a code, a tally past int64 is kept in Python
 ints): its twin serves below the cutover, without numpy, and an input that
@@ -62,9 +65,9 @@ end points (``bool`` and ``float`` included: the kernels would print them as
 ints), a packed code that would not fit (``codes * span >= 2**62``) and, for
 aggregation, a ``sum``/``avg``/``min``/``max`` argument that is not
 ``int``-or-NULL (``bool``/``float``, or past int64) or a sum that could
-leave int64.  Every caller -- join, split, aggregation, coalescing,
-difference, distinct, and the operators that merely carry forms along (a
-filtering selection, REWR's period intersection, a union) -- asks
+leave int64.  Every caller -- join, split, aggregation, coalescing, the
+monus sweep, difference, distinct, and the operators that merely carry
+forms along (a filtering selection, REWR's period intersection, a union) -- asks
 :func:`worthwhile` first, and of the sizes nothing else; that one rule also
 covers a numpy-less install, where no column ever has a typed form: below
 :data:`KERNEL_CUTOVER` input rows the array set-up costs more than the
@@ -102,6 +105,7 @@ __all__ = [
     "split_segments_vectorized",
     "temporal_aggregate_vectorized",
     "coalesce_vectorized",
+    "monus_vectorized",
     "consolidate",
     "rows_holding",
 ]
@@ -1089,7 +1093,167 @@ def coalesce_vectorized(
     )
 
 
-# -- (5) consolidation: bag difference and distinct -------------------------------------
+# -- (5) monus: temporal bag difference and distinct ------------------------------------
+
+
+#: The event kinds a monus event carries in its packed code's two low bits.
+_LEFT_END, _LEFT_BEGIN, _RIGHT_END, _RIGHT_BEGIN = range(4)
+
+
+def monus_vectorized(
+    key_columns: Sequence[Column],
+    begins: Column,
+    ends: Column,
+    counts: Optional[Sequence[int]],
+    subtrahend: Optional[
+        Tuple[Sequence[Column], Column, Column, Optional[Sequence[int]]]
+    ] = None,
+    checkpoint: Checkpoint = None,
+) -> Optional[Tuple[Any, Column, Column, List[int]]]:
+    """Temporal bag difference (or, without ``subtrahend``, distinct) over int64 arrays.
+
+    Vector twin of :func:`repro.engine.sweeps.monus`, with the same entries
+    in the same order: ``(rows, begins, ends, counts)``, ``rows`` an int64
+    array of the left rows the entries print under.  ``counts`` are the
+    multiplicities of each input (``None`` = all ones).  Declines (``None``)
+    what the coalesce kernel declines -- an end point that is not a plain
+    ``int``, a packed code that would not fit -- and a weighted input whose
+    multiplicities could sum past int64.
+
+    Both inputs' keys are factorised into one code space
+    (:func:`factorize`); a group's code becomes the index of its first valid
+    left row, which names the row it prints under and orders the groups as
+    the twin lists them.  Every valid row contributes a begin and an end
+    event packed as ``(gid * span + ts - lo) * 4 + kind``, the kind (left or
+    right, begin or end) in the two low bits: all-ones inputs sort the
+    codes themselves, weighted ones ``argsort`` them to carry the weights
+    along.  Runs of one ``(group, point)`` reduce to a net delta per input
+    (``np.add.reduceat``), one ``cumsum`` each gives both step functions,
+    and the points where the monus changes bound the output segments.
+    ``checkpoint`` is polled between the stages.
+    """
+    nothing = np.empty(0, dtype=np.int64)
+    empty = (nothing, Column(ints=nothing), Column(ints=nothing), [])
+    begin_array, end_array = begins.ints(), ends.ints()
+    if begin_array is None or end_array is None:
+        return None
+    if subtrahend is None:
+        right_begins = right_ends = nothing
+        right_counts = None
+    else:
+        right_keys, right_begin_column, right_end_column, right_counts = subtrahend
+        right_begins, right_ends = right_begin_column.ints(), right_end_column.ints()
+        if right_begins is None or right_ends is None:
+            return None
+    if counts is not None or right_counts is not None:
+        total = sum(counts or ()) + sum(right_counts or ())
+        if total >= PACK_LIMIT:
+            return None
+    if not len(begin_array):
+        return empty
+
+    if subtrahend is None:
+        (left_codes,), n_codes = factorize((key_columns,), (len(begin_array),), nulls_match=True)
+        right_codes = nothing
+    else:
+        (left_codes, right_codes), n_codes = factorize(
+            (key_columns, right_keys), (len(begin_array), len(right_begins)), nulls_match=True
+        )
+    left_rows = np.flatnonzero(begin_array < end_array)
+    if not len(left_rows):
+        return empty
+    left_codes = left_codes[left_rows]
+    # Per code, the index among the valid left rows of the first one holding
+    # it; a right row only counts where some valid left row holds its code.
+    first = first_rows(left_codes, n_codes)
+    held = np.zeros(n_codes, dtype=bool)
+    held[left_codes] = True
+    right_rows = np.flatnonzero((right_begins < right_ends) & held[right_codes])
+    left_gids = first[left_codes]
+    right_gids = first[right_codes[right_rows]]
+    lb, le = begin_array[left_rows], end_array[left_rows]
+    rb, re = right_begins[right_rows], right_ends[right_rows]
+    packing = pack_span(len(left_rows), (lb, le, rb, re))
+    if packing is None:
+        return None
+    lo, span = packing
+    if len(left_rows) * span >= PACK_LIMIT >> 1:
+        return None  # two kind bits would not fit
+    if checkpoint is not None:
+        checkpoint(0)
+
+    # -- events -----------------------------------------------------------------------
+    left_base = left_gids * span - lo
+    right_base = right_gids * span - lo
+    codes = np.concatenate(
+        [
+            ((left_base + lb) << 2) | _LEFT_BEGIN,
+            ((left_base + le) << 2) | _LEFT_END,
+            ((right_base + rb) << 2) | _RIGHT_BEGIN,
+            ((right_base + re) << 2) | _RIGHT_END,
+        ]
+    )
+    if counts is None and right_counts is None:
+        codes.sort()
+        weights = None
+    else:
+        order = np.argsort(codes)
+        codes = codes[order]
+        left_weights = (
+            np.ones(len(left_rows), dtype=np.int64)
+            if counts is None
+            else np.asarray(counts, dtype=np.int64)[left_rows]
+        )
+        right_weights = (
+            np.ones(len(right_rows), dtype=np.int64)
+            if right_counts is None
+            else np.asarray(right_counts, dtype=np.int64)[right_rows]
+        )
+        weights = np.concatenate([left_weights, left_weights, right_weights, right_weights])[
+            order
+        ]
+    if checkpoint is not None:
+        checkpoint(0)
+
+    # -- sweep ------------------------------------------------------------------------
+    kinds = codes & 3
+    signs = np.where((kinds & 1) != 0, np.int64(1), np.int64(-1))
+    if weights is not None:
+        signs *= weights
+    on_right = kinds >= _RIGHT_END
+    pairs = codes >> 2
+    starts = run_starts(pairs)
+    left_open = np.cumsum(np.add.reduceat(np.where(on_right, 0, signs), starts))
+    if subtrahend is None:
+        levels = np.minimum(left_open, 1)
+    else:
+        right_open = np.cumsum(np.add.reduceat(np.where(on_right, signs, 0), starts))
+        levels = np.maximum(left_open - right_open, 0)
+    # The monus is 0 before every group's first point and after its last, so
+    # the points where it changes, read as one sequence, bound the segments:
+    # a positive level runs to the next change, always in the same group.
+    changed = np.flatnonzero(levels != np.concatenate([[0], levels[:-1]]))
+    if not len(changed):
+        return empty
+    segment_levels = levels[changed[:-1]]
+    open_mask = segment_levels > 0
+    out_counts = segment_levels[open_mask]
+    if checkpoint is not None:
+        checkpoint(int(out_counts.sum()))
+
+    # -- decode: every group prints under its first valid left row ---------------------
+    points = pairs[starts[changed]]
+    segment_points = points[:-1][open_mask]
+    gids = segment_points // span
+    return (
+        left_rows[gids],
+        Column(ints=segment_points - gids * span + lo),
+        Column(ints=points[1:][open_mask] - gids * span + lo),
+        out_counts.tolist(),
+    )
+
+
+# -- (6) consolidation: bag difference and distinct -------------------------------------
 
 
 def consolidate(
@@ -1144,7 +1308,7 @@ def _tally(codes: Any, weights: Optional[Sequence[int]], n_codes: int) -> Any:
     return tally
 
 
-# -- (6) keyed rows: a view's dirty slice, a delete's candidates ---------------------------
+# -- (7) keyed rows: a view's dirty slice, a delete's candidates ---------------------------
 
 
 def rows_holding(columns: Sequence[Column], wanted: Sequence[Collection[Any]]) -> Any:

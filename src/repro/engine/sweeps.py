@@ -22,6 +22,8 @@ The algorithms:
   inputs (:func:`collect_group_endpoints`) and each row's interval is cut at
   them (:func:`split_segments`);
 * coalescing (:func:`coalesce`): one +1/-1 event sweep per value group;
+* temporal bag difference and distinct (:func:`monus`): one sweep per value
+  group over both inputs' events, carrying two running counts;
 * temporal aggregation (:func:`temporal_aggregate`): pre-aggregation of
   identical (group, arguments, period) rows, then one sweep per group over
   its end points with running aggregate state;
@@ -58,6 +60,7 @@ __all__ = [
     "collect_group_endpoints",
     "split_segments",
     "coalesce",
+    "monus",
     "temporal_aggregate",
     "except_all",
     "aggregate",
@@ -466,6 +469,101 @@ def coalesce(
     else:
         out_key_columns = [[] for _ in key_columns]
     return out_key_columns, out_begins, out_ends, out_counts
+
+
+# -- monus: temporal bag difference and distinct ----------------------------------------
+
+
+def monus(
+    key_columns: Sequence[Sequence[Any]],
+    begins: Sequence[Any],
+    ends: Sequence[Any],
+    counts: Sequence[int],
+    subtrahend: Optional[
+        Tuple[Sequence[Sequence[Any]], Sequence[Any], Sequence[Any], Sequence[int]]
+    ] = None,
+) -> Tuple[List[int], List[Any], List[Any], List[int]]:
+    """Temporal bag difference, or distinct, as one sweep over step functions.
+
+    Per value group (the grouping attributes' values, equal the way a
+    ``dict`` finds them equal), the left input is a step function ``l(t)``
+    from time to the multiplicity of the rows open at ``t``, and
+    ``subtrahend`` -- the right input's columns in the same layout -- is
+    ``r(t)``.  Difference is the pointwise monus ``max(l - r, 0)``; without
+    a ``subtrahend`` the operator is distinct, ``min(l, 1)``.  Rows with a
+    NULL or degenerate interval hold at no point and are dropped.  Every
+    row becomes a begin and an end event, one sort orders them by group and
+    time, and one pass keeps both running counts, emitting a segment
+    wherever the monus changes: the result is already the unique coalesced
+    encoding, one entry per maximal interval with the monus as its count.
+
+    A group prints under its first valid left row: group ids are those
+    rows' positions, so groups come out in that order and each group's
+    intervals in time order.  A right row whose group no valid left row
+    holds has nothing to take from and is skipped.  Returns ``(rows,
+    begins, ends, counts)``: per entry, the left row whose values it
+    prints, its interval and its count.
+    """
+    ids: Dict[Any, int] = {}
+    get_id = ids.get
+    events: List[Tuple[Any, ...]] = []
+    append = events.append
+    for position, (key, begin, end, count) in enumerate(
+        zip(_row_keys(key_columns, len(begins)), begins, ends, counts)
+    ):
+        if begin is None or end is None or begin >= end:
+            continue
+        gid = get_id(key)
+        if gid is None:
+            gid = ids[key] = position
+        append((gid, begin, count, 0))
+        append((gid, end, -count, 0))
+    if subtrahend is not None:
+        right_keys, right_begins, right_ends, right_counts = subtrahend
+        for key, begin, end, count in zip(
+            _row_keys(right_keys, len(right_begins)), right_begins, right_ends, right_counts
+        ):
+            if begin is None or end is None or begin >= end:
+                continue
+            gid = get_id(key)
+            if gid is None:
+                continue
+            append((gid, begin, 0, count))
+            append((gid, end, 0, -count))
+    events.sort()
+
+    out_rows: List[int] = []
+    out_begins: List[Any] = []
+    out_ends: List[Any] = []
+    out_counts: List[int] = []
+    # Settle each (group, time point) once its events are applied: the monus
+    # after it either holds the open segment's count or closes that segment
+    # (and opens the next one if positive).  A group's counts return to zero
+    # at its last point, so no segment stays open across groups; a sentinel
+    # event settles the last point.
+    left_open = right_open = held = 0
+    since: Any = None
+    gid: Any = None
+    ts: Any = None
+    for next_gid, next_ts, left_delta, right_delta in chain(events, [(None, None, 0, 0)]):
+        if next_gid != gid or next_ts != ts:
+            if gid is not None:
+                level = (
+                    min(left_open, 1)
+                    if subtrahend is None
+                    else max(left_open - right_open, 0)
+                )
+                if level != held:
+                    if held:
+                        out_rows.append(gid)
+                        out_begins.append(since)
+                        out_ends.append(ts)
+                        out_counts.append(held)
+                    since, held = ts, level
+            gid, ts = next_gid, next_ts
+        left_open += left_delta
+        right_open += right_delta
+    return out_rows, out_begins, out_ends, out_counts
 
 
 # -- temporal aggregation ---------------------------------------------------------------

@@ -10,7 +10,9 @@ rewriter of :mod:`repro.baselines.rewriters` that leaves it out:
 * **pre-aggregation fused with the split step** -- evaluate snapshot
   aggregation with one sweep over pre-aggregated events instead of
   materialising the split input and aggregating it
-  (:class:`~repro.baselines.rewriters.SplitThenAggregateRewriter`).
+  (:class:`~repro.baselines.rewriters.SplitThenAggregateRewriter`, which
+  also spells bag difference and distinct with splits where REWR runs one
+  monus sweep).
 
 A third comparison pits the interval-based evaluation against the
 point-wise (per-snapshot) evaluation that defines the semantics, showing why

@@ -2,12 +2,13 @@
 
 A :class:`MaterializedView` pins one rewritten snapshot plan (REWR +
 planner output, exactly what the pipeline would execute).  Everything REWR
-adds is defined *per group* -- coalescing per set of value-equivalent rows,
-the split and the fused temporal aggregation per grouping -- so restricting
-the view to some values of its **partition key** commutes with the whole
-plan: the key is the set of output attributes a selection could sink on to
-every leaf (:mod:`repro.incremental.partition` asks the planner).  The view
-keeps everything on the engine's own storage layout, table versions:
+adds is defined *per group* -- coalescing and the monus sweep per set of
+value-equivalent rows, the fused temporal aggregation per grouping -- so
+restricting the view to some values of its **partition key** commutes with
+the whole plan: the key is the set of output attributes a selection could
+sink on to every leaf (:mod:`repro.incremental.partition` asks the
+planner).  The view keeps everything on the engine's own storage layout,
+table versions:
 
 * per relation the plan reads, a :class:`~repro.engine.table.TableVersion`
   -- the catalog's own current version for as long as no *detached* delta

@@ -4,7 +4,8 @@ It provides:
 
 * **static schema inference** (:mod:`repro.planner.schema`) for every
   operator of the logical algebra *including* the rewriter's physical
-  temporal operators (coalesce, split, fused temporal aggregation), whose
+  temporal operators (coalesce, split, fused temporal aggregation, the
+  monus sweep), whose
   output schemas are derivable from their child schemas plus the period
   attributes.  Operators outside the core set plug in through the
   ``planner_schema`` / ``planner_selection_pushdown`` hooks on

@@ -3,10 +3,14 @@
 The paper's rewriting (Fig. 4) relies on two operators that ordinary SQL
 does not provide as primitives -- *coalesce* ``C`` and *split* ``N_G`` --
 plus the optimisation of Section 9 that fuses pre-aggregation with the
-split step.  In the real middleware these are emitted as SQL subqueries
-built from analytic window functions; here they are
-:class:`~repro.engine.executor.PhysicalOperator` subclasses with two entry
-points each:
+split step.  REWR emits coalesce, the fused aggregation and a fourth
+operator, the *monus sweep* that evaluates temporal bag difference and
+distinct pointwise without splitting; split remains for the ablation's
+split-based rewriting and the native baselines (:mod:`repro.baselines`) and
+for the monus sweep's SQL lowering.  In the real middleware these are
+emitted as SQL subqueries built from analytic window functions; here they
+are :class:`~repro.engine.executor.PhysicalOperator` subclasses with two
+entry points each:
 
 * ``execute_batch`` -- the engine: the operator's whole-column kernel
   (:mod:`repro.engine.kernels`) when :func:`repro.engine.kernels.worthwhile`
@@ -24,7 +28,7 @@ group, changepoint filter, ``lead`` to the next changepoint) fused into one
 sweep-line pass -- the same ``O(n log n)`` sort-based cost the paper reports
 (Figure 5) without materialising the three intermediate window tables.
 
-All three operators work on PERIODENC-encoded tables: data attributes plus
+All four operators work on PERIODENC-encoded tables: data attributes plus
 ``t_begin`` / ``t_end``.
 """
 
@@ -44,7 +48,7 @@ from .periodenc import T_BEGIN, T_END
 if TYPE_CHECKING:  # engine.batch imports this module's host package lazily
     from ..engine.batch import ColumnarBatch
 
-__all__ = ["CoalesceOperator", "SplitOperator", "TemporalAggregateOperator"]
+__all__ = ["CoalesceOperator", "MonusOperator", "SplitOperator", "TemporalAggregateOperator"]
 
 #: What a scalar route reads its columns from: the reference's table or the engine's batch.
 Relation = Union[Table, "ColumnarBatch"]
@@ -64,7 +68,8 @@ class CoalesceOperator(PhysicalOperator):
     changepoints of Definition 5.2) and emits one maximal interval per
     changepoint with a positive count, duplicated ``count`` times.  The
     result is the unique N-coalesced encoding of the input's temporal
-    N-elements.
+    N-elements.  A monus sweep's output is that encoding already, so over
+    one (:meth:`_passes_through`) both entry points return their input.
     """
 
     child: Operator
@@ -120,9 +125,19 @@ class CoalesceOperator(PhysicalOperator):
             return None
         return CoalesceOperator(Projection(self.child, tuple(columns)), self.period)
 
+    def _passes_through(self, schema: Sequence[str]) -> bool:
+        """Whether the input is a monus sweep's coalesced output, period last."""
+        return (
+            isinstance(self.child, MonusOperator)
+            and self.child.period == self.period
+            and tuple(schema[-2:]) == self.period
+        )
+
     def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
         """The row reference: :meth:`_scalar` over the table, each maximal interval ``count`` times."""
         (table,) = children
+        if self._passes_through(table.schema):
+            return table
         out_data, begins, ends, counts = self._scalar(table, [1] * len(table))
         result = Table("coalesce", _data_attributes(table.schema, self.period) + self.period)
         result.rows = _sweeps.expand(list(zip(*out_data, begins, ends)), counts)
@@ -148,6 +163,8 @@ class CoalesceOperator(PhysicalOperator):
         from ..engine.batch import ColumnarBatch
 
         (batch,) = children
+        if self._passes_through(batch.schema):
+            return batch
         data = _data_attributes(batch.schema, self.period)
         limited = context._limited
         if limited:
@@ -191,6 +208,193 @@ class CoalesceOperator(PhysicalOperator):
             relation.column(begin_attr),
             relation.column(end_attr),
             counts,
+        )
+
+
+@dataclass(frozen=True)
+class MonusOperator(PhysicalOperator):
+    """Temporal bag difference ``left - right`` or, with no ``right``, distinct.
+
+    Per value tuple, a PERIODENC input is a step function from time to a
+    multiplicity.  Difference is the pointwise monus ``max(l - r, 0)`` of
+    the two inputs' step functions and distinct is ``min(l, 1)``, the
+    semiring's monus applied to the annotations (Section 7) rather than
+    spelled with splits.  One sweep per value group merges both inputs'
+    begin and end events, carries the two running counts and emits a
+    segment wherever the monus changes
+    (:func:`repro.engine.sweeps.monus`, twin of the whole-column kernel), so
+    the output is already the unique N-coalesced encoding: one entry per
+    maximal interval, with the monus as its count, and the coalesce REWR
+    puts above a plan rooted in one passes it through.
+
+    The value groups are the left input's data attributes (every attribute
+    but the period); the right input must hold them under the same names.
+    The output keeps the left input's schema, and each group prints under
+    its first valid left row.
+    """
+
+    left: Operator
+    right: Optional[Operator] = None
+    period: Tuple[str, str] = (T_BEGIN, T_END)
+
+    def children(self) -> Tuple[Operator, ...]:
+        return (self.left,) if self.right is None else (self.left, self.right)
+
+    def with_children(self, *children: Operator) -> "MonusOperator":
+        return MonusOperator(*children, period=self.period)
+
+    def __repr__(self) -> str:
+        return f"Monus({'distinct' if self.right is None else 'difference'})"
+
+    # -- planner hooks -------------------------------------------------------------------
+
+    def planner_schema(self, child_schemas):
+        return child_schemas[0]
+
+    def planner_selection_pushdown(self, attributes):
+        # Value groups are swept independently, and a predicate over data
+        # attributes keeps or drops whole groups -- on both inputs alike,
+        # which hold them under the same names.  The sweep changes the
+        # intervals, so period predicates stay above.
+        if attributes & set(self.period):
+            return ()
+        return tuple(range(len(self.children())))
+
+    def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
+        """The row reference: :meth:`_scalar`, each maximal interval ``count`` times."""
+        left = children[0]
+        right = children[1] if len(children) > 1 else None
+        data = self._check_attributes(left, right)
+        rows, begins, ends, counts = self._scalar(
+            data, left, [1] * len(left), right, None if right is None else [1] * len(right)
+        )
+        columns = self._output_columns(
+            left.schema, [left.column(a) for a in left.schema], _kernels.gather, rows, begins, ends
+        )
+        result = Table("monus", left.schema)
+        result.rows = _sweeps.expand(list(zip(*columns)), counts)
+        return result
+
+    def execute_batch(
+        self, children: Sequence["ColumnarBatch"], context: ExecutionContext
+    ) -> "ColumnarBatch":
+        """Columnar monus: one entry per maximal interval, with the monus as its count.
+
+        Both inputs' multiplicity columns weight their events.  From the
+        kernel cutover on, :func:`repro.engine.kernels.monus_vectorized`
+        sweeps the columns' typed forms (counted as
+        ``batch.monus_vectorized``), and the output's data columns are the
+        left input's gathered at the rows the groups print under, forms
+        included; what it declines, and everything below the cutover, runs
+        :meth:`_scalar` on the value lists.
+        """
+        from ..engine.batch import ColumnarBatch
+
+        left = children[0]
+        right = children[1] if len(children) > 1 else None
+        data = self._check_attributes(left, right)
+        limited = context._limited
+        if limited:
+            context.checkpoint()
+        served = None
+        if _kernels.worthwhile(len(left) + (0 if right is None else len(right))):
+            begin_attr, end_attr = self.period
+
+            def typed(batch: "ColumnarBatch") -> Tuple[Any, ...]:
+                columns = batch.typed
+                return (
+                    [columns[batch.column_index(a)] for a in data],
+                    columns[batch.column_index(begin_attr)],
+                    columns[batch.column_index(end_attr)],
+                    None if batch.all_ones() else batch.counts,
+                )
+
+            served = _kernels.monus_vectorized(
+                *typed(left),
+                None if right is None else typed(right),
+                context.stage_checkpoint if limited else None,
+            )
+        vectorized = served is not None
+        if vectorized:
+            context.count("batch.monus_vectorized")
+            at, begins, ends, counts = served
+            columns = self._output_columns(
+                left.schema, left.typed, _kernels.Column.gathered, at, begins, ends
+            )
+        else:
+            at, begins, ends, counts = self._scalar(
+                data, left, left.counts, right, None if right is None else right.counts
+            )
+            columns = self._output_columns(
+                left.schema, left.columns, _kernels.gather, at, begins, ends
+            )
+        result = ColumnarBatch(
+            "monus",
+            left.schema,
+            columns,
+            counts,
+            True if right is None else None,
+            typed=vectorized,
+        )
+        if limited:
+            context.checkpoint(result.weight())
+        return result
+
+    def _output_columns(
+        self,
+        schema: Sequence[str],
+        columns: Sequence[Any],
+        gather: Any,
+        at: Any,
+        begins: Any,
+        ends: Any,
+    ) -> List[Any]:
+        """The left input's columns ``gather``-ed at the rows ``at``, the period the segments."""
+        begin_attr, end_attr = self.period
+        return [
+            begins
+            if attribute == begin_attr
+            else ends
+            if attribute == end_attr
+            else gather(column, at)
+            for attribute, column in zip(schema, columns)
+        ]
+
+    def _check_attributes(
+        self, left: Relation, right: Optional[Relation]
+    ) -> Tuple[str, ...]:
+        """The value-group attributes, which the right input must hold too."""
+        data = _data_attributes(left.schema, self.period)
+        for relation in (left,) if right is None else (left, right):
+            for attribute in data + self.period:
+                if not relation.has_attribute(attribute):
+                    raise ExecutorError(
+                        f"monus attribute {attribute!r} missing from {relation.schema}"
+                    )
+        return data
+
+    def _scalar(
+        self,
+        data: Sequence[str],
+        left: Relation,
+        left_counts: Sequence[int],
+        right: Optional[Relation],
+        right_counts: Optional[Sequence[int]],
+    ) -> Tuple[List[int], List[Any], List[Any], List[int]]:
+        """:func:`repro.engine.sweeps.monus` over both inputs' columns, grouped by ``data``."""
+        begin_attr, end_attr = self.period
+
+        def columns(relation: Relation, counts: Sequence[int]) -> Tuple[Any, ...]:
+            return (
+                [relation.column(a) for a in data],
+                relation.column(begin_attr),
+                relation.column(end_attr),
+                counts,
+            )
+
+        return _sweeps.monus(
+            *columns(left, left_counts),
+            None if right is None else columns(right, right_counts),
         )
 
 

@@ -9,10 +9,14 @@ then guarantees that decoding the executed result yields the logical-model
 (period K-relation) answer.
 
 Both of the paper's Section 9 optimisations are always on: one final
-coalesce (Lemma 6.1 and its monus extension), and pre-aggregation fused
-with the split step (:class:`TemporalAggregateOperator`).  The ablation's
-unoptimised variants and the native baselines are subclasses that override
-rule methods (:mod:`repro.baselines.rewriters`).
+coalesce (Lemma 6.1), and pre-aggregation fused with the split step
+(:class:`TemporalAggregateOperator`).  The same idea serves bag difference
+and distinct: each is the pointwise monus of step functions, evaluated by
+one sweep (:class:`MonusOperator`) instead of aligning both inputs with
+splits; the sweep's output is already coalesced, so the final coalesce
+passes a plan rooted in one through.  The ablation's unoptimised variants
+and the native baselines are subclasses that override rule methods
+(:mod:`repro.baselines.rewriters`).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from ..algebra.operators import (
 )
 from ..engine.catalog import DEFAULT_PERIOD, Database
 from ..temporal.timedomain import TimeDomain
-from .operators import CoalesceOperator, SplitOperator, TemporalAggregateOperator
+from .operators import CoalesceOperator, MonusOperator, TemporalAggregateOperator
 from .periodenc import T_BEGIN, T_END
 
 __all__ = ["SnapshotRewriter", "RewriteError"]
@@ -173,10 +177,8 @@ class SnapshotRewriter:
         return _Rewritten(Rename(child.plan, plan.renames), schema)
 
     def _rewrite_distinct(self, plan: Distinct, child: _Rewritten) -> _Rewritten:
-        # Align intervals of value-equivalent rows, then ordinary DISTINCT is
-        # per-snapshot duplicate elimination.
-        split = SplitOperator(child.plan, child.plan, child.data_schema)
-        return _Rewritten(Distinct(split), child.data_schema)
+        # Per-snapshot duplicate elimination is the pointwise min(k, 1).
+        return _Rewritten(MonusOperator(child.plan), child.data_schema)
 
     # -- binary operators --------------------------------------------------------------------------------------
 
@@ -219,12 +221,10 @@ class SnapshotRewriter:
     def _rewrite_difference(
         self, plan: Difference, left: _Rewritten, right: _Rewritten
     ) -> _Rewritten:
+        # Per-snapshot bag difference is the pointwise monus max(l - r, 0).
         self._check_union_compatible(left, right)
         right_plan = self._align_schema(right, left.data_schema)
-        schema = left.data_schema
-        left_split = SplitOperator(left.plan, right_plan, schema)
-        right_split = SplitOperator(right_plan, left.plan, schema)
-        return _Rewritten(Difference(left_split, right_split), schema)
+        return _Rewritten(MonusOperator(left.plan, right_plan), left.data_schema)
 
     # -- aggregation -------------------------------------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ are methods of :class:`TemporalElement`: ``element.coalesce()`` and
 
 from .elements import TemporalElement
 from .intervals import Interval, elementary_intervals, merge_adjacent
-from .period_semiring import PeriodSemiring, period_semiring, timeslice_homomorphism
+from .period_semiring import PeriodSemiring, timeslice_homomorphism
 from .timedomain import DAY_HOURS, TimeDomain
 
 __all__ = [
@@ -19,6 +19,5 @@ __all__ = [
     "merge_adjacent",
     "TemporalElement",
     "PeriodSemiring",
-    "period_semiring",
     "timeslice_homomorphism",
 ]

@@ -34,7 +34,7 @@ from .elements import TemporalElement
 from .intervals import Interval
 from .timedomain import TimeDomain
 
-__all__ = ["PeriodSemiring", "period_semiring", "timeslice_homomorphism"]
+__all__ = ["PeriodSemiring", "timeslice_homomorphism"]
 
 
 class PeriodSemiring(Semiring):
@@ -143,11 +143,6 @@ class PeriodSemiring(Semiring):
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<period semiring {self.name} over {self.domain}>"
-
-
-def period_semiring(base: Semiring, domain: TimeDomain) -> PeriodSemiring:
-    """Construct ``K^T`` for the given base semiring and time domain."""
-    return PeriodSemiring(base, domain)
 
 
 def timeslice_homomorphism(

@@ -61,18 +61,6 @@ class TestSnapshotKRelation:
         # At 00:00 nobody works.
         assert len(relation.snapshot(0)) == 0
 
-    def test_annotation_history(self):
-        history = works_snapshot_relation().annotation_history(("Ann", "SP"))
-        assert set(history) == set(range(3, 10)) | set(range(18, 20))
-        assert all(value == 1 for value in history.values())
-
-    def test_all_rows(self):
-        assert works_snapshot_relation().all_rows() == {
-            ("Ann", "SP"),
-            ("Joe", "NS"),
-            ("Sam", "SP"),
-        }
-
     def test_from_periods_skips_null_end_points(self):
         """A fact with a NULL end point holds at no point (SQL comparison semantics)."""
         relation = SnapshotKRelation.from_periods(
@@ -81,7 +69,9 @@ class TestSnapshotKRelation:
             ("a",),
             [(("x",), None, 5, 1), (("y",), 3, None, 1), (("z",), 2, 4, 1)],
         )
-        assert relation.all_rows() == {("z",)}
+        assert {row for _point, snapshot in relation.populated() for row in snapshot.rows()} == {
+            ("z",)
+        }
 
     def test_populated_snapshots_in_time_order(self):
         relation = works_snapshot_relation()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import inspect
 import textwrap
+from functools import partial
 
 import pytest
 
@@ -29,10 +30,12 @@ from repro.algebra.operators import (
     RelationAccess,
     Union,
 )
+from repro.baselines import SplitThenAggregateRewriter
 from repro.conformance import check_conformance
 from repro.datasets.running_example import TIME_DOMAIN, populate_database, query_skillreq
 from repro.engine import kernels, sweeps
 from repro.engine.catalog import Database
+from repro.rewriter import SnapshotRewriter
 
 
 def mutated(function, old: str, new: str):
@@ -91,6 +94,21 @@ MUTANTS = {
         ),
         "pre-aggregation keeps one duplicate's multiplicity instead of their sum",
     ),
+    "monus clamp": (
+        "monus",
+        "max(left_open - right_open, 0)",
+        "left_open - right_open",
+        Union(query_skillreq(), _skills("works", "skill")),
+        "no clamp at 0: where the right input holds more, a negative count "
+        "reaches the union above and cancels rows there",
+    ),
+    "monus right end": (
+        "monus",
+        "append((gid, end, 0, -count))",
+        "append((gid, end + 1, 0, -count))",
+        query_skillreq(),
+        "a right row's end event one step late: it removes its value one point too long",
+    ),
     "bag difference": (
         "except_all",
         "remaining[row] = get(row, 0) - count",
@@ -101,16 +119,32 @@ MUTANTS = {
 }
 
 
+#: REWR evaluates difference and distinct with the monus sweep; the split and
+#: ``EXCEPT ALL`` sweeps are reached through the ablation's split-based rewriting.
+REWRITERS = {
+    "split segments": SplitThenAggregateRewriter,
+    "bag difference": SplitThenAggregateRewriter,
+}
+
+
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_the_oracle_catches_a_bug_in_each_shared_sweep(name, monkeypatch):
     sweep, old, new, query, _bug = MUTANTS[name]
     monkeypatch.setattr(kernels, "KERNEL_CUTOVER", 10**9)
     database = populate_database(Database())
-    pristine = check_conformance(query, database, TIME_DOMAIN, backends=("memory",))
+    check = partial(
+        check_conformance,
+        query,
+        database,
+        TIME_DOMAIN,
+        backends=("memory",),
+        rewriter_cls=REWRITERS.get(name, SnapshotRewriter),
+    )
+    pristine = check()
     assert pristine.ok, pristine.counterexample and pristine.counterexample.describe()
 
     monkeypatch.setattr(sweeps, sweep, mutated(getattr(sweeps, sweep), old, new))
-    report = check_conformance(query, database, TIME_DOMAIN, backends=("memory",))
+    report = check()
     assert not report.ok, f"the oracle missed the {name} mutant: {MUTANTS[name][-1]}"
     counterexample = report.counterexample
     assert counterexample.error is None, counterexample.error

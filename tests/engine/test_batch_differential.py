@@ -44,6 +44,7 @@ from repro.engine.catalog import Database
 from repro import connect
 from repro.engine.executor import execute
 from repro.engine.kernels import KERNEL_CUTOVER
+from repro.rewriter.operators import SplitOperator
 from repro.rewriter.pipeline import QueryPipeline
 
 from tests.strategies import conformance_queries, generator_configs
@@ -146,7 +147,10 @@ def test_explain_names_the_route_each_temporal_operator_took():
         assert "batch.aggregate_vectorized = 1" in extremes
         assert "preaggregated_rows" not in extremes
         difference = works.select("w_key").difference(other.select("o_key")).explain()
-        assert "batch.split_vectorized = " in difference
+        assert "batch.monus_vectorized = 1" in difference
+        assert "split" not in difference
+        # The final coalesce passes the sweep's coalesced rows through.
+        assert "batch.coalesce_vectorized" not in difference
 
         small = session.load("small", ["s_key", "s_value"], rows[:8])
         scalar = small.join(other.where("o_value < 8"), on="s_key = o_key").explain()
@@ -242,11 +246,14 @@ def test_both_executors_call_the_same_sweep_functions_below_the_cutover(monkeypa
     """The reference and the engine share one definition per scalar algorithm.
 
     Every function of :mod:`repro.engine.sweeps` an operator dispatches to
-    is replaced by a spy; a plan with a join, a split, a bag difference, a
-    fused temporal aggregation, a grouping and coalescing runs on both
-    executors, and each spy must have been called by both.
+    is replaced by a spy; plans with a join, a split, a temporal bag
+    difference, a bag difference, a fused temporal aggregation, a grouping
+    and coalescing run on both executors, and each spy must have been
+    called by both.
     """
-    shared = ("join", "split", "coalesce", "temporal_aggregate", "except_all", "aggregate")
+    shared = (
+        "join", "split", "coalesce", "monus", "temporal_aggregate", "except_all", "aggregate",
+    )
     callers: Dict[str, set] = {name: set() for name in shared}
     running = []
     for name in shared:
@@ -270,7 +277,7 @@ def test_both_executors_call_the_same_sweep_functions_below_the_cutover(monkeypa
         "mach",
     )
     plans = [pipeline.rewrite(query) for query in (joined, query_skillreq(), query_onduty())]
-    # Grouping and bag difference as plain operators, outside REWR.
+    # Grouping, bag difference and split as plain operators, outside REWR.
     plans.append(
         Aggregation(
             Difference(RelationAccess("assign"), RelationAccess("assign")),
@@ -278,6 +285,7 @@ def test_both_executors_call_the_same_sweep_functions_below_the_cutover(monkeypa
             (AggregateSpec("count", None, "n"),),
         )
     )
+    plans.append(SplitOperator(RelationAccess("works"), RelationAccess("works"), ("skill",)))
     for executor in ("row", "batch"):
         running.append(executor)
         statistics: Dict[str, int] = {}

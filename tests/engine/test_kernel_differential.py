@@ -1,7 +1,8 @@
 """Each whole-column kernel against its scalar twin and the row reference.
 
 :mod:`repro.engine.kernels` serves the interval join, the split operator,
-the five temporal aggregates and coalescing above a fixed row-count cutover,
+the five temporal aggregates, coalescing and the monus sweep (temporal bag
+difference and distinct) above a fixed row-count cutover,
 over typed columns that one kernel hands the next; below it, and for
 whatever a kernel declines, the scalar sweeps run.  The hypothesis sweeps
 here execute one physical plan three ways -- row reference, engine with the
@@ -43,6 +44,7 @@ from repro.engine.sweeps import (
     coalesce,
     collect_group_endpoints,
     interval_sweep,
+    monus,
     partition_by_keys,
     split_segments,
 )
@@ -50,6 +52,7 @@ from repro.errors import QueryTimeoutError, ResourceLimitError
 from repro.execution import Deadline, QueryLimits
 from repro.rewriter.operators import (
     CoalesceOperator,
+    MonusOperator,
     SplitOperator,
     TemporalAggregateOperator,
 )
@@ -319,6 +322,53 @@ def test_coalesce_kernel_matches_scalar_and_reference(data):
         kernel_ends.values,
         kernel_counts,
     )
+    assert repr(kernel) == repr(twin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=tables(), distinct=st.booleans(), coalesce=st.booleans())
+def test_monus_kernel_matches_scalar_and_reference(data, distinct, coalesce):
+    """Difference and distinct three ways, and the kernel against its twin directly.
+
+    ``coalesce`` puts a coalesce under each input, so both sides carry
+    multiplicities above one; the twins must print every group under the
+    same left row (1 / 1.0 / True keys included).
+    """
+    left_rows, right_rows = data
+    left, right = _relation(left_rows, coalesce=coalesce), _relation(right_rows, coalesce=coalesce)
+    plan = MonusOperator(left) if distinct else MonusOperator(left, right)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        statistics = _three_ways(plan, monkeypatch)
+
+    def inputs(relation):
+        batch = batching.execute_batch_plan(relation, ExecutionContext(DATABASE))
+        typed = batch.typed
+        counts = None if batch.all_ones() else batch.counts
+        return [typed[0], typed[1], typed[2]], typed[3], typed[4], counts
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(kernels, "KERNEL_CUTOVER", 10**9)
+        left_in = inputs(left)
+        right_in = None if distinct else inputs(right)
+    served = kernels.monus_vectorized(*left_in, right_in)
+    end_points = [
+        value
+        for side in ((left_in,) if right_in is None else (left_in, right_in))
+        for column in side[1:3]
+        for value in column.values
+    ]
+    if not all(type(value) is int for value in end_points):
+        assert served is None
+        return
+    assert served is not None and statistics["batch.monus_vectorized"] == 1
+
+    def plain(keys, begins, ends, counts):
+        values = [column.values for column in keys]
+        return values, begins.values, ends.values, counts or [1] * len(begins)
+
+    twin = monus(*plain(*left_in), None if right_in is None else plain(*right_in))
+    rows, kernel_begins, kernel_ends, kernel_counts = served
+    kernel = (rows.tolist(), kernel_begins.values, kernel_ends.values, kernel_counts)
     assert repr(kernel) == repr(twin)
 
 
@@ -811,6 +861,9 @@ def test_an_expired_deadline_stops_a_kernel_between_stages():
             key, begins, ends, None, [("max", value)], checkpoint
         ),
         "coalesce": lambda: kernels.coalesce_vectorized(key, begins, ends, checkpoint),
+        "monus": lambda: kernels.monus_vectorized(
+            key, begins, ends, None, (key, begins, ends, [2] * len(begins)), checkpoint
+        ),
     }
     for name, call in calls.items():
         del polls_seen[:]

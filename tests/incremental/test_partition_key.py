@@ -35,6 +35,7 @@ from repro.engine import Database, kernels
 from repro.engine import execute as engine_execute
 from repro.incremental.partition import partition_key
 from repro.planner import optimize
+from repro.rewriter import MonusOperator
 
 R = RelationAccess("R")  # (k, v, t_begin, t_end)
 S = RelationAccess("S")  # (k2, w, t_begin, t_end)
@@ -72,6 +73,8 @@ def case(name, subject, key, *leaves):
     return pytest.param(subject, key, list(leaves), id=name)
 
 
+R_K = Projection(R, _columns(("k", "k"), ("t_begin", "t_begin"), ("t_end", "t_end")))
+S_K = Projection(S, _columns(("k2", "k"), ("t_begin", "t_begin"), ("t_end", "t_end")))
 R_RENAMED = Rename(R, (("k", "k_"), ("v", "v_"), ("t_begin", "b_"), ("t_end", "e_")))
 S_COUNTED = Rename(Aggregation(S, ("k2",), COUNT), (("k2", "g"),))
 
@@ -94,6 +97,9 @@ SHAPES = [
     case("union", Union(R_KV, S_AB), ("k", "v"), ("k", "v"), ("k2", "w")),
     case("difference", Difference(R_KV, S_AB), ("k", "v"), ("k", "v"), ("k2", "w")),
     case("distinct", Distinct(R_KV), ("k", "v"), ("k", "v")),
+    # The monus sweep sends data predicates to both inputs; the period stops.
+    case("monus", MonusOperator(R_K, S_K), ("k",), ("k",), ("k2",)),
+    case("monus-distinct", MonusOperator(R), ("k", "v"), ("k", "v")),
     case("grouped", Aggregation(R, ("k",), COUNT), ("k",), ("k",)),
     case("ungrouped", Aggregation(R, (), COUNT), (), ()),
     # The conjunct keys the other side; k2 traces to the same attributes and is kept once.
@@ -154,13 +160,13 @@ REWRITTEN = [
     case("agg-by-two", lambda r, s: r.group_by("v", "k").agg(n="count(*)"), ("v", "k"), ("v", "k")),
     # Ungrouped: REWR unions a constant gap row in, the aggregate stops every probe.
     case("agg-ungrouped", lambda r, s: r.agg(n="count(*)"), (), (), ()),
-    # Split-backed: four leaves, R and S twice each.
+    # One monus sweep: each input is read once, the probe reaches both.
     case(
         "difference",
         lambda r, s: r.select("k").difference(s.select("k2")),
-        ("k",), ("k",), ("k2",), ("k2",), ("k",),
+        ("k",), ("k",), ("k2",),
     ),
-    case("distinct", lambda r, s: r.select("k").distinct(), ("k",), ("k",), ("k",)),
+    case("distinct", lambda r, s: r.select("k").distinct(), ("k",), ("k",)),
     case("join", lambda r, s: r.join(s, "k = k2"), ("k",), ("k",), ("k2",)),
     case("theta-join", lambda r, s: r.join(s, "v < w"), (), (), ()),
     case(

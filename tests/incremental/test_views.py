@@ -326,3 +326,20 @@ class TestPlannerMatrix:
             assert view.verify()
             session.delete("R", [("b", 2, 5, 20)])
             assert view.verify()
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_monus_views_verify_on_either_backend(self, backend):
+        # One value whose left rows overlap: the sweep's coalesced rows and
+        # the host's split rows must both compare equal under verify().
+        with connect(domain=(0, 48), backend=backend) as session:
+            session.load("R", ["k"], [("a", 0, 10), ("a", 3, 5)])
+            session.load("S", ["k"], [("a", 3, 5)])
+            left, right = session.table("R"), session.table("S")
+            difference = session.materialize(left.difference(right), name="d")
+            distinct = session.materialize(left.distinct(), name="u")
+            assert sorted(difference.rows()) == [("a", 0, 10)]
+            assert sorted(distinct.rows()) == [("a", 0, 10)]
+            assert difference.verify() and distinct.verify()
+            session.insert("S", [("a", 0, 2)])
+            assert sorted(difference.rows()) == [("a", 2, 10)]
+            assert difference.verify() and distinct.verify()

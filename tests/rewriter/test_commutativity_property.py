@@ -13,7 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.abstract_model import evaluate
-from repro.algebra import Comparison, Difference, Join, Projection, RelationAccess, attr
+from repro.algebra import (
+    Comparison,
+    Difference,
+    Distinct,
+    Join,
+    Projection,
+    RelationAccess,
+    Union,
+    attr,
+)
 from repro.baselines import PerOperatorCoalesceRewriter, SplitThenAggregateRewriter
 from repro.engine.catalog import Database
 from repro.logical_model import PeriodDatabase
@@ -42,8 +51,8 @@ def overlapping_database() -> PeriodDatabase:
     """R and S overlapping in time, with one shared key / (cat, val) pair and one not.
 
     Random draws rarely give a join or a difference whose inputs meet, so
-    the explicit examples below make every run compare a join that drops
-    a pair and a difference that removes something.
+    every property below also runs the explicit examples of
+    :data:`MEETING_QUERIES` over it.
     """
     database = PeriodDatabase(NATURAL, PROPERTY_DOMAIN)
     database.create_relation(
@@ -63,10 +72,9 @@ def cat_val(relation: str) -> Projection:
     )
 
 
-@given(database=period_databases(), query=queries())
-@example(
-    database=overlapping_database(),
-    query=Projection(
+#: A join that drops a pair, a difference that removes something, a distinct that merges.
+MEETING_QUERIES = (
+    Projection(
         Join(
             RelationAccess("R"),
             RelationAccess("S"),
@@ -74,8 +82,20 @@ def cat_val(relation: str) -> Projection:
         ),
         ((attr("r_cat"), "cat"), (attr("s_val"), "val")),
     ),
+    Difference(cat_val("R"), cat_val("S")),
+    Distinct(Union(cat_val("R"), cat_val("S"))),
 )
-@example(database=overlapping_database(), query=Difference(cat_val("R"), cat_val("S")))
+
+
+def with_meeting_examples(test):
+    """``test`` run on :func:`overlapping_database` with each query of MEETING_QUERIES too."""
+    for query in reversed(MEETING_QUERIES):
+        test = example(database=overlapping_database(), query=query)(test)
+    return test
+
+
+@given(database=period_databases(), query=queries())
+@with_meeting_examples
 def test_rewritten_plan_matches_logical_model(database, query):
     pipeline = pipeline_for(database)
     assert pipeline.execute_decoded(query) == evaluate(query, database)
@@ -83,6 +103,7 @@ def test_rewritten_plan_matches_logical_model(database, query):
 
 @settings(max_examples=25)
 @given(database=period_databases(), query=queries())
+@with_meeting_examples
 def test_per_operator_coalescing_gives_same_result(database, query):
     """The single-final-coalesce optimisation does not change results."""
     optimized = pipeline_for(database).execute_decoded(query)
@@ -94,6 +115,7 @@ def test_per_operator_coalescing_gives_same_result(database, query):
 
 @settings(max_examples=25)
 @given(database=period_databases(), query=queries())
+@with_meeting_examples
 def test_naive_aggregation_path_gives_same_result(database, query):
     """Fused pre-aggregation + split equals the naive split-then-aggregate plan."""
     optimized = pipeline_for(database).execute_decoded(query)
@@ -103,6 +125,7 @@ def test_naive_aggregation_path_gives_same_result(database, query):
 
 @settings(max_examples=25)
 @given(database=period_databases(), query=queries())
+@with_meeting_examples
 def test_uncoalesced_results_are_snapshot_equivalent(database, query):
     """Skipping the final coalesce loses uniqueness but not snapshot-equivalence (Lemma 6.1)."""
     pipeline = pipeline_for(database)
@@ -113,6 +136,7 @@ def test_uncoalesced_results_are_snapshot_equivalent(database, query):
 
 @settings(max_examples=25)
 @given(database=period_databases(), query=queries())
+@with_meeting_examples
 def test_optimizer_does_not_change_results(database, query):
     with_optimizer = pipeline_for(database).execute_decoded(query)
     without_optimizer = pipeline_for(database, optimize=False).execute_decoded(query)

@@ -8,12 +8,11 @@ from repro.temporal import (
     PeriodSemiring,
     TemporalElement,
     TimeDomain,
-    period_semiring,
     timeslice_homomorphism,
 )
 
 DOMAIN = TimeDomain(0, 24)
-NT = period_semiring(NATURAL, DOMAIN)
+NT = PeriodSemiring(NATURAL, DOMAIN)
 
 
 class TestStructure:
@@ -51,7 +50,7 @@ class TestStructure:
         assert NT.monus(a, b).mapping == {Interval(0, 5): 2, Interval(5, 10): 1}
 
     def test_monus_requires_base_monus(self):
-        tropical_t = period_semiring(TROPICAL, DOMAIN)
+        tropical_t = PeriodSemiring(TROPICAL, DOMAIN)
         assert not tropical_t.has_monus
         with pytest.raises(SemiringError):
             tropical_t.monus(tropical_t.one, tropical_t.one)
@@ -91,12 +90,12 @@ class TestValueValidation:
 
 class TestIdentitySemantics:
     def test_equality_by_base_and_domain(self):
-        assert NT == period_semiring(NATURAL, DOMAIN)
-        assert NT != period_semiring(BOOLEAN, DOMAIN)
-        assert NT != period_semiring(NATURAL, TimeDomain(0, 10))
+        assert NT == PeriodSemiring(NATURAL, DOMAIN)
+        assert NT != PeriodSemiring(BOOLEAN, DOMAIN)
+        assert NT != PeriodSemiring(NATURAL, TimeDomain(0, 10))
 
     def test_hashable(self):
-        assert len({NT, period_semiring(NATURAL, DOMAIN)}) == 1
+        assert len({NT, PeriodSemiring(NATURAL, DOMAIN)}) == 1
 
     def test_repr(self):
         assert "N^T" in repr(NT)

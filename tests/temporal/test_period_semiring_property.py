@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.semirings.standard import BOOLEAN, NATURAL
-from repro.temporal.period_semiring import period_semiring
+from repro.temporal.period_semiring import PeriodSemiring
 
 from tests.strategies import (
     PROPERTY_DOMAIN,
@@ -21,8 +21,8 @@ from tests.strategies import (
     temporal_elements,
 )
 
-NT = period_semiring(NATURAL, PROPERTY_DOMAIN)
-BT = period_semiring(BOOLEAN, PROPERTY_DOMAIN)
+NT = PeriodSemiring(NATURAL, PROPERTY_DOMAIN)
+BT = PeriodSemiring(BOOLEAN, PROPERTY_DOMAIN)
 
 CASES = [
     pytest.param(NT, temporal_elements(NATURAL, natural_values()), id="N^T"),
