@@ -21,28 +21,20 @@ ablation's split-based rewriting puts one above a difference or distinct,
 REWR one above every union; a union alone does no work until its output is
 read.  The monus rungs (``monus-diff``, ``monus-dist``) sweep the same
 catalog tables as ``difference`` and ``distinct``, and their output is
-already coalesced.  Two shapes, the two the
+already coalesced; they and the ``coalesce`` rung run one step-function
+sweep on each route (:func:`repro.engine.sweeps.monus`,
+:func:`repro.engine.kernels.monus_vectorized`).  Two shapes, the two the
 suite's workloads have: ``adhoc`` is ``adhoc_small``'s generator catalog
 grown to N rows (string categories, 16 join keys, mixed interval profile, 64-point
 domain), ``employee`` is Table 3's (int keys with ~5 rows each, year-long
 intervals over two decades).  The route is forced by moving the module
 constant, which nothing but this script and the tests may do; the table in
 EXPERIMENTS.md ("The engine and its reference") is this script's output.
-
-    PYTHONPATH=src python benchmarks/kernel_cutover.py --int-path [--sizes 32,128,255]
-
-instead times, below the cutover, the scalar coalesce sweep
-(:func:`repro.engine.sweeps.coalesce`) against ``coalesce_int_packed``, a
-second path for all-ones, all-int inputs that sorts events packed into
-single ints: 8 groups, best of 5 x 200 calls per route, both routes
-alternated, sweep us / packed us per size (above 1 the packed path would be
-faster).  The packed path lives here only as that yardstick.
 """
 
 from __future__ import annotations
 
 import argparse
-import operator
 import random
 import time
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -60,7 +52,7 @@ from repro.algebra.operators import (
     Union,
 )
 from repro.datasets.generator import GeneratorConfig, generate_rows
-from repro.engine import kernels, sweeps
+from repro.engine import kernels
 from repro.engine.catalog import Database
 from repro.engine.executor import execute
 from repro.rewriter.operators import (
@@ -189,107 +181,11 @@ def ladder(sizes: Sequence[int], rounds: int) -> None:
         kernels.KERNEL_CUTOVER = shipped
 
 
-def coalesce_int_packed(keys, begins, ends, counts):
-    """The scalar coalesce over one key column, events packed into single ints.
-
-    ``(gid * span + ts - lo) * 2 + end_bit`` sorts as a plain int instead of a
-    tuple; the sweep settles each packed (group, time) run like
-    :func:`repro.engine.sweeps.coalesce` and returns the same four lists.
-    It applies only when every multiplicity is 1, every end point an ``int``
-    and every interval non-degenerate -- the checks it paid for on every call
-    are kept -- and returns ``None`` otherwise.
-    """
-    if set(map(type, begins)) != {int} or set(map(type, ends)) != {int}:
-        return None
-    if not all(count == 1 for count in counts) or any(map(operator.ge, begins, ends)):
-        return None
-    lo = min(begins)
-    span = max(ends) - lo + 1
-    ids: Dict = {}
-    setdefault = ids.setdefault
-    bases = [setdefault(key, len(ids)) * span - lo for key in keys]
-    events = [(base + begin) << 1 for base, begin in zip(bases, begins)]
-    events += [((base + end) << 1) | 1 for base, end in zip(bases, ends)]
-    group_keys = list(ids)
-    events.sort()
-    out_keys: List = []
-    out_begins: List = []
-    out_ends: List = []
-    out_counts: List = []
-    current_gid = (events[0] >> 1) // span
-    current_key = group_keys[current_gid]
-    shift = current_gid * span - lo
-    window = shift + lo + span
-    open_since = open_count = run_delta = prev_ts = 0
-    prev_pair = -1
-    for code in events:
-        pair = code >> 1
-        if pair == prev_pair:
-            run_delta += 1 - ((code & 1) << 1)
-            continue
-        if run_delta != 0:
-            if open_count > 0:
-                out_keys.append(current_key)
-                out_begins.append(open_since)
-                out_ends.append(prev_ts)
-                out_counts.append(open_count)
-            open_since = prev_ts
-            open_count += run_delta
-        if pair >= window:
-            current_gid = pair // span
-            current_key = group_keys[current_gid]
-            shift = current_gid * span - lo
-            window = shift + lo + span
-            open_count = 0
-        prev_pair = pair
-        prev_ts = pair - shift
-        run_delta = 1 - ((code & 1) << 1)
-    if run_delta != 0 and open_count > 0:
-        out_keys.append(current_key)
-        out_begins.append(open_since)
-        out_ends.append(prev_ts)
-        out_counts.append(open_count)
-    return [out_keys], out_begins, out_ends, out_counts
-
-
-def int_path(sizes: Sequence[int], rounds: int = 5, calls: int = 200) -> None:
-    print("scalar coalesce: sweep us / int-packed us per call (8 groups, all-ones counts)")
-    for n in sizes:
-        rng = random.Random(n)
-        keys = [position % 8 for position in range(n)]
-        begins = [rng.randrange(0, 64) for _ in range(n)]
-        ends = [begin + rng.randrange(1, 9) for begin in begins]
-        ones = [1] * n
-        routes = {
-            "sweep": lambda: sweeps.coalesce([keys], begins, ends, ones),
-            "int": lambda: coalesce_int_packed(keys, begins, ends, ones),
-        }
-        assert routes["sweep"]() == routes["int"]()
-        best = dict.fromkeys(routes, float("inf"))
-        for _ in range(rounds):
-            for name, route in routes.items():
-                started = time.perf_counter()
-                for _ in range(calls):
-                    route()
-                best[name] = min(best[name], (time.perf_counter() - started) / calls)
-        print(
-            f"{n:>6d} rows  sweep {best['sweep'] * 1e6:8.1f} us  int {best['int'] * 1e6:8.1f} us"
-            f"  ratio {best['sweep'] / best['int']:5.2f}"
-        )
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default=None)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--int-path", action="store_true",
-        help="time the scalar coalesce sweep against the integer-packed variant instead",
-    )
     arguments = parser.parse_args()
-    if arguments.int_path:
-        int_path([int(size) for size in (arguments.sizes or "32,128,255").split(",")])
-        return
     sizes = arguments.sizes or ",".join(map(str, SIZES))
     ladder([int(size) for size in sizes.split(",")], arguments.repeats)
 

@@ -118,9 +118,9 @@ class ColumnarBatch:
     (``typed=True``: base-table scans, kernel outputs, whatever passes
     those on), never a mix, and wraps its lists into columns only if a
     kernel asks for ``typed``: a plan below the cutover moves bare lists.
-    Operators that only reorder or merge intervals (the coalesce sweep above
-    all) emit one entry with ``counts[i] > 1`` instead of materialising
-    duplicate tuples; everything else keeps counts at 1 and takes the
+    Operators that only reorder or merge intervals (the step-function
+    sweep of coalescing and temporal difference above all) emit one entry
+    with ``counts[i] > 1`` instead of materialising duplicate tuples; everything else keeps counts at 1 and takes the
     all-ones fast paths.
 
     Columns are shared between batches (projection is zero-copy, base-table

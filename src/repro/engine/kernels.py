@@ -32,11 +32,10 @@ that primitive sit
 * :func:`temporal_aggregate_vectorized` -- ``count``/``sum``/``avg`` over the
   segments between a group's end points as one ``cumsum`` over its events,
   ``min``/``max`` as a range-update sweep over the same points,
-* :func:`coalesce_vectorized` -- multiset coalescing, one ``cumsum`` over
-  every group's packed events,
-* :func:`monus_vectorized` -- temporal bag difference and distinct, one
-  ``cumsum`` per input over both inputs' packed events, a segment wherever
-  the monus changes.
+* :func:`monus_vectorized` -- multiset coalescing, temporal bag difference
+  and distinct: one ``cumsum`` of ``l - r`` over every group's packed
+  events (the subtrahend's too, where there is one), a segment wherever
+  the level ``l``, ``max(l - r, 0)`` or ``min(l, 1)`` changes.
 
 The set operators need the factorise half alone:
 
@@ -55,18 +54,20 @@ Every kernel has a scalar twin in :mod:`repro.engine.sweeps` that defines
 its result and serves what it declines by returning ``None`` -- the one
 scalar definition of the algorithm, which the row reference runs too:
 ``join`` (``partition_by_keys`` + ``interval_sweep``), ``split``
-(``collect_group_endpoints`` + ``split_segments``), ``temporal_aggregate``,
-``coalesce`` and ``monus``; for :func:`consolidate`, ``except_all`` and the
+(``collect_group_endpoints`` + ``split_segments``), ``temporal_aggregate``
+and ``monus``; for :func:`consolidate`, ``except_all`` and the
 ``dict.fromkeys`` of :func:`repro.engine.batch._distinct`.  That kernel
 declines nothing (any value has a code, a tally past int64 is kept in Python
 ints): its twin serves below the cutover, without numpy, and an input that
 arrives as row tuples already built.  The others decline NULL or non-``int``
 end points (``bool`` and ``float`` included: the kernels would print them as
-ints), a packed code that would not fit (``codes * span >= 2**62``) and, for
+ints), a packed code that would not fit (``codes * span >= 2**62``), a
+weighted step function whose multiplicities could sum past int64 and, for
 aggregation, a ``sum``/``avg``/``min``/``max`` argument that is not
 ``int``-or-NULL (``bool``/``float``, or past int64) or a sum that could
-leave int64.  Every caller -- join, split, aggregation, coalescing, the
-monus sweep, difference, distinct, and the operators that merely carry
+leave int64.  Every caller -- join, split, aggregation, the step-function
+sweep (coalescing, temporal difference and distinct), bag difference,
+``DISTINCT``, and the operators that merely carry
 forms along (a filtering selection, REWR's period intersection, a union) -- asks
 :func:`worthwhile` first, and of the sizes nothing else; that one rule also
 covers a numpy-less install, where no column ever has a typed form: below
@@ -104,7 +105,6 @@ __all__ = [
     "paired_rows",
     "split_segments_vectorized",
     "temporal_aggregate_vectorized",
-    "coalesce_vectorized",
     "monus_vectorized",
     "consolidate",
     "rows_holding",
@@ -115,7 +115,7 @@ Row = Tuple[Any, ...]
 Checkpoint = Optional[Callable[[int], None]]
 
 #: Packed ``code * span + offset`` values stay below this, so one more
-#: doubling (the coalesce kernel's delta bit) still fits a signed 64-bit lane.
+#: doubling (the step-function kernel's rise bit) still fits a signed 64-bit lane.
 PACK_LIMIT = 1 << 62
 
 #: Combined input rows from which an operator tries its kernel.  Fixed, not
@@ -394,8 +394,8 @@ class Column:
 
 
 def gather(column: Sequence[Any], indexes: Sequence[int]) -> List[Any]:
-    """``[column[i] for i in indexes]`` over Python lists, at C speed."""
-    return list(map(column.__getitem__, indexes))
+    """The entries of a Python list at ``indexes``, in their order."""
+    return [column[i] for i in indexes]
 
 
 def kept_rows(mask: Sequence[Any]) -> Any:
@@ -994,110 +994,7 @@ def _segment_extremes(
     return cells
 
 
-# -- (4) coalescing ---------------------------------------------------------------------
-
-
-def coalesce_vectorized(
-    key_columns: Sequence[Column],
-    begins: Column,
-    ends: Column,
-    checkpoint: Checkpoint = None,
-) -> Optional[Tuple[List[Column], Column, Column, List[int]]]:
-    """Multiset coalescing of an all-ones batch, fully over int64 arrays.
-
-    Vector twin of :func:`repro.engine.sweeps.coalesce`, with the same
-    entries in the same order.  Preconditions (checked on the columns' typed
-    forms, ``None`` declines): every endpoint is a plain ``int`` --
-    ``bool``/``float`` are rejected exactly, because silently coercing them
-    would change output *values* even where hashing treats them as equal --
-    and every packed code fits a signed 64-bit lane.
-
-    One array op per step: group ids and the ``(gid, ts)`` packing come from
-    :func:`factorize` / :func:`pack_span` (the code the join, split and
-    aggregation kernels run on); events pack as ``(gid * span + ts - lo) * 2
-    + begin_bit`` and sort as int64; runs collapse with ``np.add.reduceat``;
-    depths are one ``cumsum`` (each group's deltas sum to zero, so depths
-    never leak across groups); the output intervals are three mask
-    selections -- handed on as int columns -- and their key columns the
-    inputs gathered at each group's first valid row.  ``checkpoint`` is
-    polled between the stages.
-    """
-    nothing = Column(ints=np.empty(0, dtype=np.int64))
-    empty: Tuple[List[Column], Column, Column, List[int]] = (
-        [nothing for _ in key_columns], nothing, nothing, [],
-    )
-    if not len(begins):
-        return empty
-    begin_array, end_array = begins.ints(), ends.ints()
-    if begin_array is None or end_array is None:
-        return None
-    (gids,), n_groups = factorize(
-        (key_columns,), (len(begin_array),), nulls_match=True
-    )
-
-    # -- events -----------------------------------------------------------------------
-    valid = begin_array < end_array
-    rows = None  # the surviving rows' original positions; None = all of them
-    if not valid.all():
-        rows = np.flatnonzero(valid)
-        if not len(rows):
-            return empty
-        begin_array, end_array, gids = begin_array[rows], end_array[rows], gids[rows]
-    # A group's code becomes the index of its first valid row: as unique as
-    # the code was, it names the row the group prints under, and it sorts the
-    # groups the way the scalar twin lists them (which of 1 / 1.0 a later
-    # group-by prints follows that order).
-    gids = first_rows(gids, n_groups)[gids]
-    packing = pack_span(len(gids), (begin_array, end_array))
-    if packing is None:
-        return None
-    lo, span = packing
-    if checkpoint is not None:
-        checkpoint(0)
-    base = gids * span - lo
-    codes = np.concatenate(
-        [((base + begin_array) << 1) | 1, (base + end_array) << 1]
-    )
-    codes.sort()
-    if checkpoint is not None:
-        checkpoint(0)
-
-    # -- sweep ------------------------------------------------------------------------
-    pairs = codes >> 1
-    deltas = np.where((codes & 1) != 0, np.int64(1), np.int64(-1))
-    starts = run_starts(pairs)
-    net = np.add.reduceat(deltas, starts)
-    changed = net != 0
-    change_pairs = pairs[starts[changed]]
-    if not len(change_pairs):
-        return empty
-    depths = np.cumsum(net[changed])
-    points = change_pairs % span + lo
-    # A maximal interval spans changepoint k -> k+1 whenever k's depth is
-    # positive; each group's last changepoint has depth 0 (deltas sum to
-    # zero), so positive-depth rows never pair across group boundaries.
-    open_mask = depths[:-1] > 0
-    out_counts = depths[:-1][open_mask]
-    if checkpoint is not None:
-        checkpoint(int(out_counts.sum()))
-
-    # -- decode: every group prints under its first valid row's key --------------------
-    key_rows = (change_pairs // span)[:-1][open_mask]
-    if rows is not None:
-        key_rows = rows[key_rows]
-    return (
-        [Column.gathered(column, key_rows) for column in key_columns],
-        Column(ints=points[:-1][open_mask]),
-        Column(ints=points[1:][open_mask]),
-        out_counts.tolist(),
-    )
-
-
-# -- (5) monus: temporal bag difference and distinct ------------------------------------
-
-
-#: The event kinds a monus event carries in its packed code's two low bits.
-_LEFT_END, _LEFT_BEGIN, _RIGHT_END, _RIGHT_BEGIN = range(4)
+# -- (4) step functions: coalescing, temporal bag difference and distinct ---------------
 
 
 def monus_vectorized(
@@ -1109,151 +1006,151 @@ def monus_vectorized(
         Tuple[Sequence[Column], Column, Column, Optional[Sequence[int]]]
     ] = None,
     checkpoint: Checkpoint = None,
+    *,
+    distinct: bool = False,
 ) -> Optional[Tuple[Any, Column, Column, List[int]]]:
-    """Temporal bag difference (or, without ``subtrahend``, distinct) over int64 arrays.
+    """Coalescing, temporal bag difference or distinct, over int64 arrays.
 
     Vector twin of :func:`repro.engine.sweeps.monus`, with the same entries
     in the same order: ``(rows, begins, ends, counts)``, ``rows`` an int64
-    array of the left rows the entries print under.  ``counts`` are the
-    multiplicities of each input (``None`` = all ones).  Declines (``None``)
-    what the coalesce kernel declines -- an end point that is not a plain
-    ``int``, a packed code that would not fit -- and a weighted input whose
-    multiplicities could sum past int64.
+    array of the first input's rows the entries print under.  The level is
+    ``l`` without a ``subtrahend`` (coalescing), ``max(l - r, 0)`` with one
+    and ``min(l, 1)`` with ``distinct``.  ``counts`` are each input's
+    multiplicities (``None`` = all ones).  Declines (``None``) an end point
+    that is not a plain ``int`` -- ``bool``/``float`` are rejected exactly,
+    because coercing them would change output *values* even where hashing
+    treats them as equal -- a packed code that would not fit and a weighted
+    input whose multiplicities could sum past int64.
 
     Both inputs' keys are factorised into one code space
     (:func:`factorize`); a group's code becomes the index of its first valid
-    left row, which names the row it prints under and orders the groups as
-    the twin lists them.  Every valid row contributes a begin and an end
-    event packed as ``(gid * span + ts - lo) * 4 + kind``, the kind (left or
-    right, begin or end) in the two low bits: all-ones inputs sort the
-    codes themselves, weighted ones ``argsort`` them to carry the weights
-    along.  Runs of one ``(group, point)`` reduce to a net delta per input
-    (``np.add.reduceat``), one ``cumsum`` each gives both step functions,
-    and the points where the monus changes bound the output segments.
-    ``checkpoint`` is polled between the stages.
+    row of the first input, which names the row it prints under and orders
+    the groups as the twin lists them.  Every valid row contributes two
+    events packed as ``(gid * span + ts - lo) * 2 + rise``, the low bit set
+    where the event raises ``l - r`` (a begin of the first input, an end of
+    the subtrahend): all-ones inputs sort the codes themselves, weighted
+    ones ``argsort`` them to carry the weights along.  Runs of one ``(group,
+    point)`` reduce to a net change (``np.add.reduceat``), one ``cumsum``
+    gives ``l - r`` (each group's changes sum to zero, so it never leaks
+    across groups), and the points where the level changes bound the
+    output segments.  ``checkpoint`` is polled between the stages.
     """
     nothing = np.empty(0, dtype=np.int64)
     empty = (nothing, Column(ints=nothing), Column(ints=nothing), [])
     begin_array, end_array = begins.ints(), ends.ints()
     if begin_array is None or end_array is None:
         return None
-    if subtrahend is None:
-        right_begins = right_ends = nothing
-        right_counts = None
-    else:
+    right_counts = None
+    if subtrahend is not None:
         right_keys, right_begin_column, right_end_column, right_counts = subtrahend
         right_begins, right_ends = right_begin_column.ints(), right_end_column.ints()
         if right_begins is None or right_ends is None:
             return None
-    if counts is not None or right_counts is not None:
-        total = sum(counts or ()) + sum(right_counts or ())
-        if total >= PACK_LIMIT:
-            return None
+    weighted = counts is not None or right_counts is not None
+    if weighted and sum(counts or ()) + sum(right_counts or ()) >= PACK_LIMIT:
+        return None
     if not len(begin_array):
         return empty
 
     if subtrahend is None:
         (left_codes,), n_codes = factorize((key_columns,), (len(begin_array),), nulls_match=True)
-        right_codes = nothing
     else:
         (left_codes, right_codes), n_codes = factorize(
             (key_columns, right_keys), (len(begin_array), len(right_begins)), nulls_match=True
         )
-    left_rows = np.flatnonzero(begin_array < end_array)
-    if not len(left_rows):
-        return empty
-    left_codes = left_codes[left_rows]
-    # Per code, the index among the valid left rows of the first one holding
-    # it; a right row only counts where some valid left row holds its code.
+    left_rows = None  # the valid rows' positions; None = all of them
+    weights = None if counts is None else np.asarray(counts, dtype=np.int64)
+    valid = begin_array < end_array
+    if not valid.all():
+        left_rows = np.flatnonzero(valid)
+        if not len(left_rows):
+            return empty
+        left_codes = left_codes[left_rows]
+        begin_array, end_array = begin_array[left_rows], end_array[left_rows]
+        if weights is not None:
+            weights = weights[left_rows]
     first = first_rows(left_codes, n_codes)
-    held = np.zeros(n_codes, dtype=bool)
-    held[left_codes] = True
-    right_rows = np.flatnonzero((right_begins < right_ends) & held[right_codes])
-    left_gids = first[left_codes]
-    right_gids = first[right_codes[right_rows]]
-    lb, le = begin_array[left_rows], end_array[left_rows]
-    rb, re = right_begins[right_rows], right_ends[right_rows]
-    packing = pack_span(len(left_rows), (lb, le, rb, re))
+    # Per input: group ids, the times its events raise l - r, the times they
+    # lower it, and its weights.
+    inputs = [(first[left_codes], begin_array, end_array, weights)]
+    if subtrahend is not None:
+        # A subtrahend row only counts where some valid row holds its code.
+        held = np.zeros(n_codes, dtype=bool)
+        held[left_codes] = True
+        right_rows = np.flatnonzero((right_begins < right_ends) & held[right_codes])
+        inputs.append(
+            (
+                first[right_codes[right_rows]],
+                right_ends[right_rows],
+                right_begins[right_rows],
+                None
+                if right_counts is None
+                else np.asarray(right_counts, dtype=np.int64)[right_rows],
+            )
+        )
+    times = [t for _gids, rise, fall, _weights in inputs for t in (rise, fall)]
+    packing = pack_span(len(begin_array), times)
     if packing is None:
         return None
     lo, span = packing
-    if len(left_rows) * span >= PACK_LIMIT >> 1:
-        return None  # two kind bits would not fit
     if checkpoint is not None:
         checkpoint(0)
 
     # -- events -----------------------------------------------------------------------
-    left_base = left_gids * span - lo
-    right_base = right_gids * span - lo
-    codes = np.concatenate(
-        [
-            ((left_base + lb) << 2) | _LEFT_BEGIN,
-            ((left_base + le) << 2) | _LEFT_END,
-            ((right_base + rb) << 2) | _RIGHT_BEGIN,
-            ((right_base + re) << 2) | _RIGHT_END,
-        ]
-    )
-    if counts is None and right_counts is None:
-        codes.sort()
-        weights = None
-    else:
+    rises, falls = [], []
+    for gids, rise, fall, _weights in inputs:
+        base = gids * span - lo
+        rises.append(((base + rise) << 1) | 1)
+        falls.append((base + fall) << 1)
+    codes = np.concatenate(rises + falls)
+    if weighted:
         order = np.argsort(codes)
         codes = codes[order]
-        left_weights = (
-            np.ones(len(left_rows), dtype=np.int64)
-            if counts is None
-            else np.asarray(counts, dtype=np.int64)[left_rows]
-        )
-        right_weights = (
-            np.ones(len(right_rows), dtype=np.int64)
-            if right_counts is None
-            else np.asarray(right_counts, dtype=np.int64)[right_rows]
-        )
-        weights = np.concatenate([left_weights, left_weights, right_weights, right_weights])[
-            order
+        magnitudes = [
+            np.ones(len(gids), dtype=np.int64) if w is None else w
+            for gids, _rise, _fall, w in inputs
         ]
+        signs = np.concatenate(magnitudes + magnitudes)[order]
+        signs[(codes & 1) == 0] *= -1
+    else:
+        codes.sort()
+        signs = np.where((codes & 1) != 0, np.int64(1), np.int64(-1))
     if checkpoint is not None:
         checkpoint(0)
 
     # -- sweep ------------------------------------------------------------------------
-    kinds = codes & 3
-    signs = np.where((kinds & 1) != 0, np.int64(1), np.int64(-1))
-    if weights is not None:
-        signs *= weights
-    on_right = kinds >= _RIGHT_END
-    pairs = codes >> 2
+    pairs = codes >> 1
     starts = run_starts(pairs)
-    left_open = np.cumsum(np.add.reduceat(np.where(on_right, 0, signs), starts))
-    if subtrahend is None:
-        levels = np.minimum(left_open, 1)
-    else:
-        right_open = np.cumsum(np.add.reduceat(np.where(on_right, signs, 0), starts))
-        levels = np.maximum(left_open - right_open, 0)
-    # The monus is 0 before every group's first point and after its last, so
+    levels = np.cumsum(np.add.reduceat(signs, starts))  # l - r after each point
+    if distinct:
+        levels = np.minimum(levels, 1)
+    elif subtrahend is not None:
+        levels = np.maximum(levels, 0)  # without one, l is never negative
+    # The level is 0 before every group's first point and after its last, so
     # the points where it changes, read as one sequence, bound the segments:
     # a positive level runs to the next change, always in the same group.
-    changed = np.flatnonzero(levels != np.concatenate([[0], levels[:-1]]))
-    if not len(changed):
-        return empty
+    # (The first point counts as a change even at level 0, which bounds no
+    # segment.)
+    changed = run_starts(levels)
     segment_levels = levels[changed[:-1]]
     open_mask = segment_levels > 0
     out_counts = segment_levels[open_mask]
     if checkpoint is not None:
         checkpoint(int(out_counts.sum()))
 
-    # -- decode: every group prints under its first valid left row ---------------------
+    # -- decode: every group prints under its first valid row --------------------------
     points = pairs[starts[changed]]
     segment_points = points[:-1][open_mask]
     gids = segment_points // span
     return (
-        left_rows[gids],
+        gids if left_rows is None else left_rows[gids],
         Column(ints=segment_points - gids * span + lo),
         Column(ints=points[1:][open_mask] - gids * span + lo),
         out_counts.tolist(),
     )
 
 
-# -- (6) consolidation: bag difference and distinct -------------------------------------
+# -- (5) consolidation: bag difference and distinct -------------------------------------
 
 
 def consolidate(

@@ -21,9 +21,9 @@ The algorithms:
 * split (:func:`split`): every group's end points are collected from both
   inputs (:func:`collect_group_endpoints`) and each row's interval is cut at
   them (:func:`split_segments`);
-* coalescing (:func:`coalesce`): one +1/-1 event sweep per value group;
-* temporal bag difference and distinct (:func:`monus`): one sweep per value
-  group over both inputs' events, carrying two running counts;
+* coalescing, temporal bag difference and distinct (:func:`monus`): one
+  +count/-count event sweep per value group over a step function's
+  changepoints, emitting the level ``l``, ``max(l - r, 0)`` or ``min(l, 1)``;
 * temporal aggregation (:func:`temporal_aggregate`): pre-aggregation of
   identical (group, arguments, period) rows, then one sweep per group over
   its end points with running aggregate state;
@@ -59,7 +59,6 @@ __all__ = [
     "split",
     "collect_group_endpoints",
     "split_segments",
-    "coalesce",
     "monus",
     "temporal_aggregate",
     "except_all",
@@ -384,94 +383,7 @@ def split_segments(
     return row_indexes, piece_begins, piece_ends
 
 
-# -- coalescing -------------------------------------------------------------------------
-
-
-def coalesce(
-    key_columns: Sequence[Sequence[Any]],
-    begins: Sequence[Any],
-    ends: Sequence[Any],
-    counts: Sequence[int],
-) -> Tuple[List[List[Any]], List[Any], List[Any], List[int]]:
-    """Multiset coalescing: one entry per maximal interval, with its open-interval count.
-
-    Inputs are parallel columns -- the grouping attributes' value lists,
-    interval begin, interval end and multiplicity per row.  Rows with a NULL
-    or degenerate interval are dropped (SQL's ``WHERE begin < end``
-    prefilter).  Group keys are mapped to dense integer ids in the order of
-    their first valid row (never comparing keys across groups -- data values
-    may contain NULL padding), every interval becomes two ``(gid, ts,
-    delta)`` events, and one sort orders them by group and time.  The sweep
-    keeps the running count of open intervals (the SQL formulation's
-    ``sum(delta) OVER (PARTITION BY data ORDER BY ts)``, its changepoint
-    filter and its ``lead(ts)`` fused into one pass): a point whose net
-    delta is non-zero is a changepoint, and one reached with open intervals
-    closes a maximal interval, emitted once with that count as its
-    multiplicity.
-
-    Returns ``(key_columns, begins, ends, counts)`` of the coalesced rows,
-    groups in first-valid-row order and each group's intervals in time order.
-    """
-    ids: Dict[Any, int] = {}
-    group_keys: List[Any] = []
-    get_id = ids.get
-    events: List[Tuple[int, Any, int]] = []
-    append_event = events.append
-    for key, begin, end, count in zip(_row_keys(key_columns, len(begins)), begins, ends, counts):
-        if begin is None or end is None or begin >= end:
-            continue
-        gid = get_id(key)
-        if gid is None:
-            gid = ids[key] = len(group_keys)
-            group_keys.append(key)
-        append_event((gid, begin, count))
-        append_event((gid, end, -count))
-    events.sort()
-
-    out_keys: List[Any] = []
-    out_begins: List[Any] = []
-    out_ends: List[Any] = []
-    out_counts: List[int] = []
-    # One linear pass: settle each (group, time point) once its events are
-    # exhausted; a point with a non-zero net delta is a changepoint, and a
-    # changepoint reached with open intervals closes one maximal interval.
-    # A sentinel event past the last group settles the last point.
-    current_gid = events[0][0] if events else 0
-    open_since: Any = None
-    open_count = 0
-    prev_ts: Any = None
-    run_delta = 0
-    for gid, ts, delta in chain(events, [(None, None, 0)]):
-        if gid == current_gid and ts == prev_ts:
-            run_delta += delta
-            continue
-        if run_delta != 0:
-            if open_count > 0:
-                out_keys.append(group_keys[current_gid])
-                out_begins.append(open_since)
-                out_ends.append(prev_ts)
-                out_counts.append(open_count)
-            open_since = prev_ts
-            open_count += run_delta
-        if gid != current_gid:
-            # The deltas of a group sum to zero, so the previous group's
-            # sweep closed (open_count is 0 again) before this reset.
-            current_gid = gid
-            open_since = None
-            open_count = 0
-        prev_ts = ts
-        run_delta = delta
-
-    if len(key_columns) == 1:
-        out_key_columns = [out_keys]
-    elif out_keys:
-        out_key_columns = [list(column) for column in zip(*out_keys)]
-    else:
-        out_key_columns = [[] for _ in key_columns]
-    return out_key_columns, out_begins, out_ends, out_counts
-
-
-# -- monus: temporal bag difference and distinct ----------------------------------------
+# -- step functions: coalescing, temporal bag difference and distinct -------------------
 
 
 def monus(
@@ -482,31 +394,39 @@ def monus(
     subtrahend: Optional[
         Tuple[Sequence[Sequence[Any]], Sequence[Any], Sequence[Any], Sequence[int]]
     ] = None,
+    *,
+    distinct: bool = False,
 ) -> Tuple[List[int], List[Any], List[Any], List[int]]:
-    """Temporal bag difference, or distinct, as one sweep over step functions.
+    """Coalescing, temporal bag difference or distinct, as one sweep over step functions.
 
     Per value group (the grouping attributes' values, equal the way a
-    ``dict`` finds them equal), the left input is a step function ``l(t)``
-    from time to the multiplicity of the rows open at ``t``, and
-    ``subtrahend`` -- the right input's columns in the same layout -- is
-    ``r(t)``.  Difference is the pointwise monus ``max(l - r, 0)``; without
-    a ``subtrahend`` the operator is distinct, ``min(l, 1)``.  Rows with a
-    NULL or degenerate interval hold at no point and are dropped.  Every
-    row becomes a begin and an end event, one sort orders them by group and
-    time, and one pass keeps both running counts, emitting a segment
-    wherever the monus changes: the result is already the unique coalesced
-    encoding, one entry per maximal interval with the monus as its count.
+    ``dict`` finds them equal), the input is a step function ``l(t)`` from
+    time to the multiplicity of the rows open at ``t``, and ``subtrahend``
+    -- a second input's columns in the same layout -- is ``r(t)``.  The
+    level at ``t`` is the monus ``max(l - r, 0)``: with nothing to subtract
+    it is ``l`` itself, which is multiset coalescing (Definition 5.3's
+    K-coalesced normal form), with a ``subtrahend`` it is temporal bag
+    difference, and ``distinct`` clamps it to ``min(l, 1)``.  Rows with a
+    NULL or degenerate interval hold at no point and are dropped (SQL's
+    ``WHERE begin < end``).  Every row becomes a begin and an end event
+    carrying its change to ``l - r`` -- all the monus needs of the two
+    counts -- one sort orders the events by group and time, and one pass
+    keeps the running ``l - r`` (the SQL formulation's ``sum(delta) OVER
+    (PARTITION BY data ORDER BY ts)``, its changepoint filter and its
+    ``lead(ts)`` fused), emitting a segment wherever the level changes: the
+    result is the unique coalesced encoding, one entry per maximal interval
+    with its level as the count.
 
-    A group prints under its first valid left row: group ids are those
-    rows' positions, so groups come out in that order and each group's
-    intervals in time order.  A right row whose group no valid left row
-    holds has nothing to take from and is skipped.  Returns ``(rows,
-    begins, ends, counts)``: per entry, the left row whose values it
-    prints, its interval and its count.
+    A group prints under its first valid row: group ids are those rows'
+    positions, so groups come out in that order and each group's intervals
+    in time order.  A subtrahend row whose group no valid row of the first
+    input holds has nothing to take from and is skipped.  Returns ``(rows,
+    begins, ends, counts)``: per entry, the row of the first input whose
+    values it prints, its interval and its count.
     """
     ids: Dict[Any, int] = {}
     get_id = ids.get
-    events: List[Tuple[Any, ...]] = []
+    events: List[Tuple[Any, Any, int]] = []
     append = events.append
     for position, (key, begin, end, count) in enumerate(
         zip(_row_keys(key_columns, len(begins)), begins, ends, counts)
@@ -516,8 +436,8 @@ def monus(
         gid = get_id(key)
         if gid is None:
             gid = ids[key] = position
-        append((gid, begin, count, 0))
-        append((gid, end, -count, 0))
+        append((gid, begin, count))
+        append((gid, end, -count))
     if subtrahend is not None:
         right_keys, right_begins, right_ends, right_counts = subtrahend
         for key, begin, end, count in zip(
@@ -528,41 +448,39 @@ def monus(
             gid = get_id(key)
             if gid is None:
                 continue
-            append((gid, begin, 0, count))
-            append((gid, end, 0, -count))
+            append((gid, begin, -count))
+            append((gid, end, count))
     events.sort()
 
     out_rows: List[int] = []
     out_begins: List[Any] = []
     out_ends: List[Any] = []
     out_counts: List[int] = []
-    # Settle each (group, time point) once its events are applied: the monus
-    # after it either holds the open segment's count or closes that segment
-    # (and opens the next one if positive).  A group's counts return to zero
-    # at its last point, so no segment stays open across groups; a sentinel
-    # event settles the last point.
-    left_open = right_open = held = 0
+    # ``open_count`` is the running l - r.  Settle each (group, time point)
+    # once its events are summed: a point whose net change is non-zero may
+    # change the level, which then closes
+    # the open segment (if any) and opens the next one (if positive).  A
+    # group's changes sum to zero, so no segment stays open across groups;
+    # a sentinel event settles the last point.
+    open_count = held = run = 0
     since: Any = None
     gid: Any = None
     ts: Any = None
-    for next_gid, next_ts, left_delta, right_delta in chain(events, [(None, None, 0, 0)]):
-        if next_gid != gid or next_ts != ts:
-            if gid is not None:
-                level = (
-                    min(left_open, 1)
-                    if subtrahend is None
-                    else max(left_open - right_open, 0)
-                )
-                if level != held:
-                    if held:
-                        out_rows.append(gid)
-                        out_begins.append(since)
-                        out_ends.append(ts)
-                        out_counts.append(held)
-                    since, held = ts, level
-            gid, ts = next_gid, next_ts
-        left_open += left_delta
-        right_open += right_delta
+    for next_gid, next_ts, delta in chain(events, [(None, None, 0)]):
+        if next_gid == gid and next_ts == ts:
+            run += delta
+            continue
+        if run:
+            open_count += run
+            level = (1 if distinct else open_count) if open_count > 0 else 0
+            if level != held:
+                if held:
+                    out_rows.append(gid)
+                    out_begins.append(since)
+                    out_ends.append(ts)
+                    out_counts.append(held)
+                since, held = ts, level
+        gid, ts, run = next_gid, next_ts, delta
     return out_rows, out_begins, out_ends, out_counts
 
 

@@ -22,11 +22,15 @@ entry points each:
 The scalar algorithms are defined once, in :mod:`repro.engine.sweeps`, and
 both entry points reach them through one ``_scalar`` method per operator
 that reads its inputs' columns by name (a :class:`~repro.engine.table.Table`
-and a ``ColumnarBatch`` both answer ``column(attribute)``).  Coalescing is
-the SQL window formulation (running count of open intervals per value
-group, changepoint filter, ``lead`` to the next changepoint) fused into one
-sweep-line pass -- the same ``O(n log n)`` sort-based cost the paper reports
-(Figure 5) without materialising the three intermediate window tables.
+and a ``ColumnarBatch`` both answer ``column(attribute)``).  Coalescing and
+the monus sweep are one operator algorithm (:class:`_StepSweep`): the SQL
+window formulation of coalescing (running count of open intervals per
+value group, changepoint filter, ``lead`` to the next changepoint) fused
+into one sweep-line pass -- the same ``O(n log n)`` sort-based cost the
+paper reports (Figure 5) without materialising the three intermediate
+window tables -- whose level is the running count for coalescing, its
+monus with a second input's for difference and its clamp to 1 for
+distinct.
 
 All four operators work on PERIODENC-encoded tables: data attributes plus
 ``t_begin`` / ``t_end``.
@@ -35,7 +39,7 @@ All four operators work on PERIODENC-encoded tables: data attributes plus
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, List, Optional, Sequence, Tuple, Union
 
 from ..algebra.expressions import Attribute
 from ..algebra.operators import AggregateSpec, Operator, Projection
@@ -58,19 +62,182 @@ def _data_attributes(schema: Sequence[str], period: Tuple[str, str]) -> Tuple[st
     return tuple(a for a in schema if a not in period)
 
 
+class _StepSweep(PhysicalOperator):
+    """What coalescing, temporal bag difference and distinct share: one sweep.
+
+    Per value tuple, a PERIODENC input is a step function from time to a
+    multiplicity, and each of the three operators emits the changepoints of
+    one level of it (Definition 5.3's K-coalesced normal form): ``l`` for
+    coalescing, ``max(l - r, 0)`` for difference, ``min(l, 1)`` for
+    distinct.  Both entry points run the one sweep,
+    :func:`repro.engine.sweeps.monus` or its whole-column twin
+    :func:`repro.engine.kernels.monus_vectorized`, and gather the first
+    input's data attributes at the rows the groups print under.  A subclass
+    names the result (:attr:`_name`, also its kernel counter
+    ``batch.<name>_vectorized``) and says what differs: its schema, its
+    level and its own counters.
+    """
+
+    _name: ClassVar[str]
+
+    def _schema(self, schema: Sequence[str]) -> Tuple[str, ...]:
+        """The output schema, given the first input's."""
+        return tuple(schema)
+
+    def _distinct(self) -> bool:
+        """Whether the level is clamped to ``min(l, 1)``."""
+        return False
+
+    def _passes_through(self, schema: Sequence[str]) -> bool:
+        """Whether the first input is already this operator's output."""
+        return False
+
+    def _count_rows(self, context: ExecutionContext, rows_in: int, rows_out: int) -> None:
+        """Count what a subclass reports of its input and output weight."""
+
+    def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
+        """The row reference: :meth:`_scalar`, each maximal interval ``count`` times."""
+        left = children[0]
+        if self._passes_through(left.schema):
+            return left
+        data = self._check_attributes(children)
+        inputs = [self._sweep_input(data, table.column, [1] * len(table)) for table in children]
+        at, begins, ends, counts = self._scalar(*inputs)
+        schema = self._schema(left.schema)
+        columns = self._output_columns(schema, data, inputs[0][0], _kernels.gather, at, begins, ends)
+        result = Table(self._name, schema)
+        result.rows = _sweeps.expand(list(zip(*columns)), counts)
+        self._count_rows(context, len(left), len(result))
+        return result
+
+    def execute_batch(
+        self, children: Sequence["ColumnarBatch"], context: ExecutionContext
+    ) -> "ColumnarBatch":
+        """Columnar sweep: one entry per maximal interval, with the level as its count.
+
+        The inputs' multiplicity columns weight their events, and no
+        duplicate tuple is materialised until the batch leaves the engine.
+        From the kernel cutover on, :func:`repro.engine.kernels
+        .monus_vectorized` sweeps the columns' typed forms (counted as
+        ``batch.<name>_vectorized``), and the output's data columns are the
+        first input's gathered at the rows the groups print under, forms
+        included; what it declines, and everything below the cutover, runs
+        :meth:`_scalar` on the value lists.
+        """
+        from ..engine.batch import ColumnarBatch
+
+        left = children[0]
+        if self._passes_through(left.schema):
+            return left
+        data = self._check_attributes(children)
+        distinct = self._distinct()
+        limited = context._limited
+        if limited:
+            context.checkpoint()
+        served = None
+        if _kernels.worthwhile(sum(len(batch) for batch in children)):
+            inputs = [
+                self._sweep_input(
+                    data,
+                    dict(zip(batch.schema, batch.typed)).__getitem__,
+                    None if batch.all_ones() else batch.counts,
+                )
+                for batch in children
+            ]
+            served = _kernels.monus_vectorized(
+                *inputs[0],
+                inputs[1] if len(inputs) > 1 else None,
+                context.stage_checkpoint if limited else None,
+                distinct=distinct,
+            )
+        vectorized = served is not None
+        if vectorized:
+            context.count(f"batch.{self._name}_vectorized")
+            gather = _kernels.Column.gathered
+        else:
+            inputs = [self._sweep_input(data, batch.column, batch.counts) for batch in children]
+            served = self._scalar(*inputs)
+            gather = _kernels.gather
+        at, begins, ends, counts = served
+        schema = self._schema(left.schema)
+        result = ColumnarBatch(
+            self._name,
+            schema,
+            self._output_columns(schema, data, inputs[0][0], gather, at, begins, ends),
+            counts,
+            True if distinct else None,
+            typed=vectorized,
+        )
+        self._count_rows(context, left.weight(), result.weight())
+        if limited:
+            context.checkpoint(result.weight())
+        return result
+
+    def _check_attributes(self, children: Sequence[Relation]) -> Tuple[str, ...]:
+        """The value-group attributes; every input must hold them and the period."""
+        data = _data_attributes(children[0].schema, self.period)
+        for relation in children:
+            for attribute in data + self.period:
+                if not relation.has_attribute(attribute):
+                    raise ExecutorError(
+                        f"{self._name} attribute {attribute!r} missing from {relation.schema}"
+                    )
+        return data
+
+    def _sweep_input(
+        self, data: Sequence[str], column: Callable[[str], Any], counts: Any
+    ) -> Tuple[Any, ...]:
+        """One input as the sweep takes it: its ``data`` columns, begins, ends and ``counts``."""
+        begin_attr, end_attr = self.period
+        return [column(a) for a in data], column(begin_attr), column(end_attr), counts
+
+    def _scalar(
+        self, left: Tuple[Any, ...], right: Optional[Tuple[Any, ...]] = None
+    ) -> Tuple[List[int], List[Any], List[Any], List[int]]:
+        """:func:`repro.engine.sweeps.monus` over the inputs' value lists."""
+        return _sweeps.monus(*left, right, distinct=self._distinct())
+
+    def _output_columns(
+        self,
+        schema: Sequence[str],
+        data: Sequence[str],
+        data_columns: Sequence[Any],
+        gather: Any,
+        at: Any,
+        begins: Any,
+        ends: Any,
+    ) -> List[Any]:
+        """The first input's data columns ``gather``-ed at ``at``, the period the segments."""
+        begin_attr, end_attr = self.period
+        source = dict(zip(data, data_columns))
+        return [
+            begins
+            if attribute == begin_attr
+            else ends
+            if attribute == end_attr
+            else gather(source[attribute], at)
+            for attribute in schema
+        ]
+
+
 @dataclass(frozen=True)
-class CoalesceOperator(PhysicalOperator):
+class CoalesceOperator(_StepSweep):
     """Multiset coalescing ``C`` over a PERIODENC-encoded input.
 
     For every group of value-equivalent rows the operator counts the number
     of open validity intervals per interval end point (a running sum over
-    +1/-1 events), keeps the points where that count changes (the annotation
-    changepoints of Definition 5.2) and emits one maximal interval per
-    changepoint with a positive count, duplicated ``count`` times.  The
+    +count/-count events), keeps the points where that count changes (the
+    annotation changepoints of Definition 5.2) and emits one maximal
+    interval per changepoint with a positive count, duplicated ``count``
+    times: the step sweep with nothing to subtract and no clamp.  The
     result is the unique N-coalesced encoding of the input's temporal
-    N-elements.  A monus sweep's output is that encoding already, so over
-    one (:meth:`_passes_through`) both entry points return their input.
+    N-elements, its data attributes first and the period last.  A monus
+    sweep's output is that encoding already, so over one
+    (:meth:`_passes_through`) both entry points return their input.  Both
+    count ``coalesce_input_rows`` and ``coalesce_output_rows``.
     """
+
+    _name: ClassVar[str] = "coalesce"
 
     child: Operator
     period: Tuple[str, str] = (T_BEGIN, T_END)
@@ -90,7 +257,7 @@ class CoalesceOperator(PhysicalOperator):
         (child,) = child_schemas
         if child is None or not set(self.period) <= set(child):
             return None
-        return tuple(a for a in child if a not in self.period) + self.period
+        return self._schema(child)
 
     def planner_selection_pushdown(self, attributes):
         # Coalescing partitions the input by its data attributes; a predicate
@@ -125,6 +292,11 @@ class CoalesceOperator(PhysicalOperator):
             return None
         return CoalesceOperator(Projection(self.child, tuple(columns)), self.period)
 
+    # -- the sweep -----------------------------------------------------------------------
+
+    def _schema(self, schema: Sequence[str]) -> Tuple[str, ...]:
+        return _data_attributes(schema, self.period) + self.period
+
     def _passes_through(self, schema: Sequence[str]) -> bool:
         """Whether the input is a monus sweep's coalesced output, period last."""
         return (
@@ -133,105 +305,32 @@ class CoalesceOperator(PhysicalOperator):
             and tuple(schema[-2:]) == self.period
         )
 
-    def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
-        """The row reference: :meth:`_scalar` over the table, each maximal interval ``count`` times."""
-        (table,) = children
-        if self._passes_through(table.schema):
-            return table
-        out_data, begins, ends, counts = self._scalar(table, [1] * len(table))
-        result = Table("coalesce", _data_attributes(table.schema, self.period) + self.period)
-        result.rows = _sweeps.expand(list(zip(*out_data, begins, ends)), counts)
-        context.count("coalesce_input_rows", len(table))
-        context.count("coalesce_output_rows", len(result))
-        return result
-
-    def execute_batch(
-        self, children: Sequence["ColumnarBatch"], context: ExecutionContext
-    ) -> "ColumnarBatch":
-        """Columnar coalescing: one entry per maximal interval, with its count.
-
-        The input multiplicity column feeds the +1/-1 events directly and
-        each maximal interval comes back as *one* batch entry carrying its
-        open-interval count -- no duplicate tuples are materialised until
-        the batch leaves the engine.  All-ones inputs at the kernel cutover
-        run :func:`repro.engine.kernels.coalesce_vectorized` over the
-        columns' typed forms (counted as ``batch.coalesce_vectorized``; the
-        grouping attributes come back gathered at each group's first row,
-        never as key tuples); what it declines, and everything else, runs
-        :meth:`_scalar` on the value lists.
-        """
-        from ..engine.batch import ColumnarBatch
-
-        (batch,) = children
-        if self._passes_through(batch.schema):
-            return batch
-        data = _data_attributes(batch.schema, self.period)
-        limited = context._limited
-        if limited:
-            context.checkpoint()
-        served = None
-        if batch.all_ones() and _kernels.worthwhile(len(batch)):
-            typed = batch.typed
-            begin_attr, end_attr = self.period
-            served = _kernels.coalesce_vectorized(
-                [typed[batch.column_index(a)] for a in data],
-                typed[batch.column_index(begin_attr)],
-                typed[batch.column_index(end_attr)],
-                context.stage_checkpoint if limited else None,
-            )
-        vectorized = served is not None
-        if vectorized:
-            context.count("batch.coalesce_vectorized")
-        else:
-            served = self._scalar(batch, batch.counts)
-        out_data, out_begins, out_ends, out_counts = served
-        result = ColumnarBatch(
-            "coalesce",
-            data + self.period,
-            [*out_data, out_begins, out_ends],
-            out_counts,
-            typed=vectorized,
-        )
-        context.count("coalesce_input_rows", batch.weight())
-        context.count("coalesce_output_rows", result.weight())
-        if limited:
-            context.checkpoint(result.weight())
-        return result
-
-    def _scalar(
-        self, relation: Relation, counts: Sequence[int]
-    ) -> Tuple[List[List[Any]], List[Any], List[Any], List[int]]:
-        """:func:`repro.engine.sweeps.coalesce` over the input's columns."""
-        begin_attr, end_attr = self.period
-        return _sweeps.coalesce(
-            [relation.column(a) for a in _data_attributes(relation.schema, self.period)],
-            relation.column(begin_attr),
-            relation.column(end_attr),
-            counts,
-        )
+    def _count_rows(self, context: ExecutionContext, rows_in: int, rows_out: int) -> None:
+        context.count("coalesce_input_rows", rows_in)
+        context.count("coalesce_output_rows", rows_out)
 
 
 @dataclass(frozen=True)
-class MonusOperator(PhysicalOperator):
+class MonusOperator(_StepSweep):
     """Temporal bag difference ``left - right`` or, with no ``right``, distinct.
 
-    Per value tuple, a PERIODENC input is a step function from time to a
-    multiplicity.  Difference is the pointwise monus ``max(l - r, 0)`` of
-    the two inputs' step functions and distinct is ``min(l, 1)``, the
-    semiring's monus applied to the annotations (Section 7) rather than
-    spelled with splits.  One sweep per value group merges both inputs'
-    begin and end events, carries the two running counts and emits a
-    segment wherever the monus changes
-    (:func:`repro.engine.sweeps.monus`, twin of the whole-column kernel), so
-    the output is already the unique N-coalesced encoding: one entry per
-    maximal interval, with the monus as its count, and the coalesce REWR
-    puts above a plan rooted in one passes it through.
+    Difference is the pointwise monus ``max(l - r, 0)`` of the two inputs'
+    step functions and distinct is ``min(l, 1)``, the semiring's monus and
+    δ applied to the annotations (Section 7) rather than spelled with
+    splits.  One sweep per value group merges both inputs' begin and end
+    events, carries the running ``l - r`` and emits a segment wherever the
+    level changes (:class:`_StepSweep`), so the output is already the
+    unique N-coalesced encoding: one entry per maximal interval, with the
+    level as its count, and the coalesce REWR puts above a plan rooted in
+    one passes it through.
 
     The value groups are the left input's data attributes (every attribute
     but the period); the right input must hold them under the same names.
     The output keeps the left input's schema, and each group prints under
     its first valid left row.
     """
+
+    _name: ClassVar[str] = "monus"
 
     left: Operator
     right: Optional[Operator] = None
@@ -260,142 +359,10 @@ class MonusOperator(PhysicalOperator):
             return ()
         return tuple(range(len(self.children())))
 
-    def execute(self, children: Sequence[Table], context: ExecutionContext) -> Table:
-        """The row reference: :meth:`_scalar`, each maximal interval ``count`` times."""
-        left = children[0]
-        right = children[1] if len(children) > 1 else None
-        data = self._check_attributes(left, right)
-        rows, begins, ends, counts = self._scalar(
-            data, left, [1] * len(left), right, None if right is None else [1] * len(right)
-        )
-        columns = self._output_columns(
-            left.schema, [left.column(a) for a in left.schema], _kernels.gather, rows, begins, ends
-        )
-        result = Table("monus", left.schema)
-        result.rows = _sweeps.expand(list(zip(*columns)), counts)
-        return result
+    # -- the sweep -----------------------------------------------------------------------
 
-    def execute_batch(
-        self, children: Sequence["ColumnarBatch"], context: ExecutionContext
-    ) -> "ColumnarBatch":
-        """Columnar monus: one entry per maximal interval, with the monus as its count.
-
-        Both inputs' multiplicity columns weight their events.  From the
-        kernel cutover on, :func:`repro.engine.kernels.monus_vectorized`
-        sweeps the columns' typed forms (counted as
-        ``batch.monus_vectorized``), and the output's data columns are the
-        left input's gathered at the rows the groups print under, forms
-        included; what it declines, and everything below the cutover, runs
-        :meth:`_scalar` on the value lists.
-        """
-        from ..engine.batch import ColumnarBatch
-
-        left = children[0]
-        right = children[1] if len(children) > 1 else None
-        data = self._check_attributes(left, right)
-        limited = context._limited
-        if limited:
-            context.checkpoint()
-        served = None
-        if _kernels.worthwhile(len(left) + (0 if right is None else len(right))):
-            begin_attr, end_attr = self.period
-
-            def typed(batch: "ColumnarBatch") -> Tuple[Any, ...]:
-                columns = batch.typed
-                return (
-                    [columns[batch.column_index(a)] for a in data],
-                    columns[batch.column_index(begin_attr)],
-                    columns[batch.column_index(end_attr)],
-                    None if batch.all_ones() else batch.counts,
-                )
-
-            served = _kernels.monus_vectorized(
-                *typed(left),
-                None if right is None else typed(right),
-                context.stage_checkpoint if limited else None,
-            )
-        vectorized = served is not None
-        if vectorized:
-            context.count("batch.monus_vectorized")
-            at, begins, ends, counts = served
-            columns = self._output_columns(
-                left.schema, left.typed, _kernels.Column.gathered, at, begins, ends
-            )
-        else:
-            at, begins, ends, counts = self._scalar(
-                data, left, left.counts, right, None if right is None else right.counts
-            )
-            columns = self._output_columns(
-                left.schema, left.columns, _kernels.gather, at, begins, ends
-            )
-        result = ColumnarBatch(
-            "monus",
-            left.schema,
-            columns,
-            counts,
-            True if right is None else None,
-            typed=vectorized,
-        )
-        if limited:
-            context.checkpoint(result.weight())
-        return result
-
-    def _output_columns(
-        self,
-        schema: Sequence[str],
-        columns: Sequence[Any],
-        gather: Any,
-        at: Any,
-        begins: Any,
-        ends: Any,
-    ) -> List[Any]:
-        """The left input's columns ``gather``-ed at the rows ``at``, the period the segments."""
-        begin_attr, end_attr = self.period
-        return [
-            begins
-            if attribute == begin_attr
-            else ends
-            if attribute == end_attr
-            else gather(column, at)
-            for attribute, column in zip(schema, columns)
-        ]
-
-    def _check_attributes(
-        self, left: Relation, right: Optional[Relation]
-    ) -> Tuple[str, ...]:
-        """The value-group attributes, which the right input must hold too."""
-        data = _data_attributes(left.schema, self.period)
-        for relation in (left,) if right is None else (left, right):
-            for attribute in data + self.period:
-                if not relation.has_attribute(attribute):
-                    raise ExecutorError(
-                        f"monus attribute {attribute!r} missing from {relation.schema}"
-                    )
-        return data
-
-    def _scalar(
-        self,
-        data: Sequence[str],
-        left: Relation,
-        left_counts: Sequence[int],
-        right: Optional[Relation],
-        right_counts: Optional[Sequence[int]],
-    ) -> Tuple[List[int], List[Any], List[Any], List[int]]:
-        """:func:`repro.engine.sweeps.monus` over both inputs' columns, grouped by ``data``."""
-        begin_attr, end_attr = self.period
-
-        def columns(relation: Relation, counts: Sequence[int]) -> Tuple[Any, ...]:
-            return (
-                [relation.column(a) for a in data],
-                relation.column(begin_attr),
-                relation.column(end_attr),
-                counts,
-            )
-
-        return _sweeps.monus(
-            *columns(left, left_counts),
-            None if right is None else columns(right, right_counts),
-        )
+    def _distinct(self) -> bool:
+        return self.right is None
 
 
 @dataclass(frozen=True)

@@ -76,12 +76,21 @@ MUTANTS = {
         query_skillreq(),
         "a row that is cut loses its last piece",
     ),
-    "coalesce sweep": (
-        "coalesce",
-        "out_counts.append(open_count)",
-        "out_counts.append(1)",
+    "coalesce level": (
+        "monus",
+        "else open_count)",
+        "else 1)",
         _skills("works", "skill"),
-        "set coalescing: each maximal interval once, whatever its multiplicity",
+        "a positive level is 1 instead of the open count: set coalescing, each "
+        "maximal interval once whatever its multiplicity",
+    ),
+    "level dispatch": (
+        "monus",
+        "1 if distinct else",
+        "1 if subtrahend is None else",
+        _skills("works", "skill"),
+        "the clamp follows a missing subtrahend instead of the distinct flag: "
+        "coalescing is given distinct's min(l, 1)",
     ),
     "temporal-aggregate sweep": (
         "temporal_aggregate",
@@ -96,16 +105,16 @@ MUTANTS = {
     ),
     "monus clamp": (
         "monus",
-        "max(left_open - right_open, 0)",
-        "left_open - right_open",
+        "if open_count > 0 else 0",
+        "if open_count else 0",
         Union(query_skillreq(), _skills("works", "skill")),
         "no clamp at 0: where the right input holds more, a negative count "
         "reaches the union above and cancels rows there",
     ),
     "monus right end": (
         "monus",
-        "append((gid, end, 0, -count))",
-        "append((gid, end + 1, 0, -count))",
+        "append((gid, end, count))",
+        "append((gid, end + 1, count))",
         query_skillreq(),
         "a right row's end event one step late: it removes its value one point too long",
     ),

@@ -248,20 +248,19 @@ def test_both_executors_call_the_same_sweep_functions_below_the_cutover(monkeypa
     Every function of :mod:`repro.engine.sweeps` an operator dispatches to
     is replaced by a spy; plans with a join, a split, a temporal bag
     difference, a bag difference, a fused temporal aggregation, a grouping
-    and coalescing run on both executors, and each spy must have been
-    called by both.
+    and coalescing (the step-function sweep ``monus``, like the temporal
+    difference) run on both executors, and each spy must have been called by
+    both.
     """
-    shared = (
-        "join", "split", "coalesce", "monus", "temporal_aggregate", "except_all", "aggregate",
-    )
+    shared = ("join", "split", "monus", "temporal_aggregate", "except_all", "aggregate")
     callers: Dict[str, set] = {name: set() for name in shared}
     running = []
     for name in shared:
         original = getattr(sweeps, name)
 
-        def spy(*args, _name=name, _original=original):
+        def spy(*args, _name=name, _original=original, **keywords):
             callers[_name].add(running[-1])
-            return _original(*args)
+            return _original(*args, **keywords)
 
         monkeypatch.setattr(sweeps, name, spy)
 

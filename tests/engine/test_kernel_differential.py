@@ -41,7 +41,6 @@ from repro.engine import kernels
 from repro.engine.catalog import Database
 from repro.engine.executor import ExecutionContext, execute
 from repro.engine.sweeps import (
-    coalesce,
     collect_group_endpoints,
     interval_sweep,
     monus,
@@ -299,29 +298,40 @@ def test_split_kernel_equals_its_scalar_twin_directly(data, n_keys):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=tables())
-def test_coalesce_kernel_matches_scalar_and_reference(data):
-    """Three ways through the operator, and the kernel against its twin directly."""
+@given(data=tables(), coalesce=st.booleans())
+def test_coalesce_kernel_matches_scalar_and_reference(data, coalesce):
+    """Three ways through the operator, and the kernel against its twin directly.
+
+    ``coalesce`` puts a coalesce under the one tested, so its input carries
+    multiplicities above one: it must take the kernel all the same and print
+    every group under the same row as the twin (1 / 1.0 / True keys
+    included).
+    """
     rows = data[0] + data[1]
+    relation = _relation(rows, coalesce=coalesce)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        statistics = _three_ways(CoalesceOperator(_relation(rows)), monkeypatch)
-    *key_columns, begins, ends = _columns(rows)
-    served = kernels.coalesce_vectorized(key_columns, begins, ends)
-    if not _plain_end_points(rows):
+        statistics = _three_ways(CoalesceOperator(relation), monkeypatch)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(kernels, "KERNEL_CUTOVER", 10**9)
+        batch = batching.execute_batch_plan(relation, ExecutionContext(DATABASE))
+    *key_columns, begins, ends = batch.typed
+    counts = None if batch.all_ones() else batch.counts
+    served = kernels.monus_vectorized(key_columns, begins, ends, counts)
+    if not all(type(value) is int for value in begins.values + ends.values):
         assert served is None
         return
-    assert served is not None and statistics["batch.coalesce_vectorized"] == 1
-    kernel_keys, kernel_begins, kernel_ends, kernel_counts = served
-    twin = coalesce(
-        [column.values for column in key_columns], begins.values, ends.values, [1] * len(rows)
+    # The coalesce under the tested one takes the kernel too where it can.
+    underneath = coalesce and _plain_end_points(rows)
+    assert served is not None and statistics["batch.coalesce_vectorized"] == 1 + underneath
+    twin = monus(
+        [column.values for column in key_columns],
+        begins.values,
+        ends.values,
+        counts or [1] * len(begins),
     )
     # Same entries in the same order (groups by first valid row), printed alike.
-    kernel = (
-        [column.values for column in kernel_keys],
-        kernel_begins.values,
-        kernel_ends.values,
-        kernel_counts,
-    )
+    at, kernel_begins, kernel_ends, kernel_counts = served
+    kernel = (at.tolist(), kernel_begins.values, kernel_ends.values, kernel_counts)
     assert repr(kernel) == repr(twin)
 
 
@@ -350,7 +360,7 @@ def test_monus_kernel_matches_scalar_and_reference(data, distinct, coalesce):
         monkeypatch.setattr(kernels, "KERNEL_CUTOVER", 10**9)
         left_in = inputs(left)
         right_in = None if distinct else inputs(right)
-    served = kernels.monus_vectorized(*left_in, right_in)
+    served = kernels.monus_vectorized(*left_in, right_in, distinct=distinct)
     end_points = [
         value
         for side in ((left_in,) if right_in is None else (left_in, right_in))
@@ -366,7 +376,9 @@ def test_monus_kernel_matches_scalar_and_reference(data, distinct, coalesce):
         values = [column.values for column in keys]
         return values, begins.values, ends.values, counts or [1] * len(begins)
 
-    twin = monus(*plain(*left_in), None if right_in is None else plain(*right_in))
+    twin = monus(
+        *plain(*left_in), None if right_in is None else plain(*right_in), distinct=distinct
+    )
     rows, kernel_begins, kernel_ends, kernel_counts = served
     kernel = (rows.tolist(), kernel_begins.values, kernel_ends.values, kernel_counts)
     assert repr(kernel) == repr(twin)
@@ -860,7 +872,7 @@ def test_an_expired_deadline_stops_a_kernel_between_stages():
         "max": lambda: kernels.temporal_aggregate_vectorized(
             key, begins, ends, None, [("max", value)], checkpoint
         ),
-        "coalesce": lambda: kernels.coalesce_vectorized(key, begins, ends, checkpoint),
+        "coalesce": lambda: kernels.monus_vectorized(key, begins, ends, None, None, checkpoint),
         "monus": lambda: kernels.monus_vectorized(
             key, begins, ends, None, (key, begins, ends, [2] * len(begins)), checkpoint
         ),
