@@ -55,8 +55,11 @@ SKIPPED = shutil.ignore_patterns(
     ".git", "__pycache__", "*.pyc", "out", ".hypothesis", ".pytest_cache"
 )
 RECORD_PREFIX = "record: "
-#: One row of compare.py's table: workload, metric, ..., verdict before "(base".
-VERDICT = re.compile(r"^(\S+)\s+(\S+)\s.*?\s(REGRESSED|unresolved|within bound)\s+\(base ")
+#: One row of compare.py's table: workload, metric, ..., verdict before "(base", or
+#: "missing from B", which compare.py counts as regressed.
+VERDICT = re.compile(
+    r"^(\S+)\s+(\S+)\s+(?:missing from B$|.*?\s(REGRESSED|unresolved|within bound)\s+\(base )"
+)
 
 
 def export(tree: str, into: str) -> str:
@@ -107,7 +110,7 @@ def verdicts(path_a: str, path_b: str) -> Tuple[int, Dict[Tuple[str, str], str]]
     for line in printed.getvalue().splitlines():
         match = VERDICT.match(line)
         if match:
-            found[(match.group(1), match.group(2))] = match.group(3)
+            found[(match.group(1), match.group(2))] = match.group(3) or "REGRESSED"
     return code, found
 
 
@@ -177,7 +180,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         workload, metric = key
         a, b = a_values[key], b_values.get(key, [])
         if len(a) != len(b):
-            print(f"{workload:16s} {metric:28s} runs differ: A {len(a)}, B {len(b)}")
+            print(f"{workload:16s} {metric:28s} runs differ: A {len(a)}, B {len(b)}  "
+                  f"{found.get(key, '-')}")
             continue
         lower = better.get(metric, "lower") == "lower"
         wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))

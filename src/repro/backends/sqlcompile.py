@@ -6,8 +6,8 @@ physical temporal operators of the rewriting -- coalesce, split and the
 fused temporal aggregation of Section 9 -- are lowered to the paper's
 window-function formulations (running sums over +1/-1 interval events,
 ``LEAD`` to the next changepoint, per-group segmentation).  The monus sweep
-(temporal bag difference and distinct) is lowered to the paper's split
-formulation, which a coalesce above it (REWR's final one) merges.
+(temporal bag difference and distinct) is the same window sweep as
+coalescing, as it is one sweep in the engine.
 
 Design notes -- the statement is shaped so that the host's planner can do
 its job; a rewriting middleware is only as fast as the host is allowed to be:
@@ -55,13 +55,16 @@ its job; a rewriting middleware is only as fast as the host is allowed to be:
   expressed with window counts -- rows of both sides are tagged and
   numbered per value group, and a left row survives while its per-group row
   number exceeds the right side's count;
-* coalescing and the temporal aggregation of ``count``/``sum``/``avg`` share
-  one sweep: +/- events per interval end point, net per point, running
-  ``SUM ... OVER`` and ``LEAD`` to the next point.  ``min``/``max`` are not
-  invertible, so they keep the join of segments with the rows covering them;
-* multiplicities in the coalesce output (a changepoint with ``n`` open
-  intervals emits ``n`` duplicate rows) come from a ``WITH RECURSIVE``
-  counter joined on ``n <= open_count``;
+* coalescing, temporal bag difference and distinct, and the temporal
+  aggregation of ``count``/``sum``/``avg`` share one sweep: +/- events per
+  interval end point, net per point, running ``SUM ... OVER`` and ``LEAD``
+  to the next point.  Difference sweeps both inputs at once, the right
+  one's events negated, so the running sum is ``l - r``; distinct clamps
+  it to 1.  ``min``/``max`` are not invertible, so they keep the join of
+  segments with the rows covering them;
+* multiplicities in the coalesce and monus output (a changepoint at level
+  ``n`` emits ``n`` duplicate rows) come from a ``WITH RECURSIVE`` counter
+  joined on ``n <= level``;
 * value-group equality uses SQLite's NULL-safe ``IS`` comparison so NULL
   padding rows group exactly like the engine's Python ``None`` keys.
 
@@ -191,9 +194,6 @@ class SQLCompiler:
         self._memo: Dict[int, _Block] = {}  # id(sub-plan) -> its block
         self._versions: Mapping[str, TableVersion] = database.snapshot()
         self._base_rows: Dict[int, int] = {}  # id(sub-plan) -> rows beneath it
-        # Sub-plans built while compiling (a monus's split form), held so that
-        # no id() in the memos above is reused while the compile runs.
-        self._lowered: List[Operator] = []
 
     # -- plumbing --------------------------------------------------------------------------
 
@@ -337,10 +337,8 @@ class SQLCompiler:
             return self._aggregation(plan)
         if isinstance(plan, Distinct):
             return self._distinct(plan)
-        if isinstance(plan, CoalesceOperator):
-            return self._coalesce(plan)
-        if isinstance(plan, MonusOperator):
-            return self._monus(plan)
+        if isinstance(plan, (CoalesceOperator, MonusOperator)):
+            return self._step_sweep(plan)
         if isinstance(plan, SplitOperator):
             return self._split(plan)
         if isinstance(plan, TemporalAggregateOperator):
@@ -526,17 +524,16 @@ class SQLCompiler:
 
     # -- temporal physical operators (Section 9 window SQL) -----------------------------------
 
-    def _period_columns(
-        self, plan: Operator, schema: Tuple[str, ...], period: Tuple[str, str]
-    ) -> Tuple[str, str]:
-        begin, end = period
-        for attribute in period:
+    def _require(
+        self, plan: Operator, schema: Tuple[str, ...], attributes: Sequence[str]
+    ) -> None:
+        """Raise :class:`BackendError` naming the first of ``attributes`` not in ``schema``."""
+        for attribute in attributes:
             if attribute not in schema:
                 raise BackendError(
-                    f"period attribute {attribute!r} missing from {schema} "
+                    f"attribute {attribute!r} missing from {schema} "
                     f"(while compiling {type(plan).__name__})"
                 )
-        return begin, end
 
     def _proper(self, block: _Block, period: Tuple[str, str]) -> _Block:
         """The block restricted to non-degenerate intervals (``begin < end``)."""
@@ -552,7 +549,7 @@ class SQLCompiler:
         carried: Sequence[str] = (),
         changepoints_only: bool = False,
     ) -> str:
-        """The +/- event sweep shared by coalescing and temporal aggregation.
+        """The +/- event sweep shared by coalescing, the monus and temporal aggregation.
 
         Every row of ``src`` contributes an event at its begin (``__sign``
         = 1) and at its end (-1).  ``deltas`` -- ``(quoted name, expression
@@ -560,7 +557,9 @@ class SQLCompiler:
         point) and then accumulated along each key's points, so in the
         returned CTE column ``name`` holds the running total *after* point
         ``__ts`` and ``__next`` the key's following point (NULL at the last).
-        ``changepoints_only`` drops the points whose events cancel out.
+        ``changepoints_only`` drops the points where the first delta's net
+        change is 0.  That is not where the signs cancel: where a left row
+        of a difference begins and a right row ends, ``l - r`` rises by 2.
         """
         begin, end = (quote_identifier(a) for a in period)
         key_list = "".join(quote_identifier(k) + ", " for k in keys)
@@ -576,7 +575,7 @@ class SQLCompiler:
             f"SELECT {key_list}{end}, -1{carried_list} FROM {src}\n"
             f")\n"
             f"GROUP BY {key_list}__ts"
-            + (" HAVING SUM(__sign) <> 0" if changepoints_only else ""),
+            + (f" HAVING SUM({deltas[0][1]}) <> 0" if changepoints_only else ""),
         )
         running = ",\n".join(f"  SUM({name}) {window} AS {name}" for name, _ in deltas)
         return self._cte(
@@ -585,54 +584,54 @@ class SQLCompiler:
             f"FROM {points}",
         )
 
-    def _coalesce(self, plan: CoalesceOperator) -> _Block:
-        """Multiset coalescing as the paper's window-function subquery.
+    def _step_sweep(self, plan: CoalesceOperator | MonusOperator) -> _Block:
+        """Coalescing, temporal bag difference and distinct as one window sweep.
 
-        The sweep's running ``__open`` is the number of open intervals after
-        each changepoint (points whose events cancel are not changepoints
-        and are dropped); a recursive counter joined on ``n <= __open``
-        restores the output multiplicities.
+        Per value group an input is a step function from time to the number
+        of its rows open at each point.  The sweep's running ``__open`` is
+        that number for coalescing and distinct; for difference both inputs
+        are unioned by name, the left rows with ``__side`` 1 and the right
+        rows with -1, so it is ``l - r``.  The level is ``__open``, or
+        ``MIN(__open, 1)`` for distinct, and a recursive counter joined on
+        ``__n <= level`` emits each positive level that many times.  A kept
+        point need not change the level (a distinct whose count drops from 2
+        to 1), so a monus's pieces may abut: REWR's final coalesce merges
+        them (Lemma 6.1), and every operator between is snapshot-reducible
+        whatever the encoding of its input.
         """
-        child = self._compile(plan.child)
-        begin, end = self._period_columns(plan, child.schema, plan.period)
-        data = tuple(a for a in child.schema if a not in plan.period)
-        src = self._name(self._proper(child, plan.period), "src")
+        inputs = [self._compile(child) for child in plan.children()]
+        left = inputs[0]
+        data = tuple(a for a in left.schema if a not in plan.period)
+        for block in inputs:
+            self._require(plan, block.schema, data + plan.period)
+        if len(inputs) == 1:
+            src = self._name(self._proper(left, plan.period), "src")
+            carried, delta = [], "__sign"
+        else:
+            columns = [(Attribute(name), name) for name in data + plan.period]
+            src = self._cte(
+                "src",
+                "\nUNION ALL\n".join(
+                    self._select(self._proper(self._project(block, columns), plan.period), [side])
+                    for block, side in zip(inputs, ("1 AS __side", "-1"))
+                ),
+            )
+            carried, delta = ["__side"], "__sign * __side"
         sweep = self._sweep(
-            src, data, plan.period, [("__open", "__sign")], changepoints_only=True
+            src, data, plan.period, [("__open", delta)], carried, changepoints_only=True
         )
-        counter = self._recursive_counter(f"SELECT COALESCE(MAX(__open), 0) FROM {sweep}")
-        data_prefix = "".join(quote_identifier(a) + ", " for a in data)
+        distinct = isinstance(plan, MonusOperator) and plan.right is None
+        level = "MIN(__open, 1)" if distinct else "__open"
+        counter = self._recursive_counter(f"SELECT COALESCE(MAX({level}), 0) FROM {sweep}")
+        schema = plan.planner_schema([block.schema for block in inputs])
+        period = dict(zip(plan.period, ("__ts AS ", "__next AS ")))
+        cells = [period.get(a, "") + quote_identifier(a) for a in schema]
         body = (
-            f"SELECT {data_prefix}__ts AS {quote_identifier(begin)}, "
-            f"__next AS {quote_identifier(end)}\n"
-            f"FROM {sweep} JOIN {counter} ON __n <= __open\n"
+            f"SELECT {', '.join(cells)}\n"
+            f"FROM {sweep} JOIN {counter} ON __n <= {level}\n"
             f"WHERE __open > 0"
         )
-        return _Block.over(self._cte("coal", body), data + plan.period)
-
-    def _monus(self, plan: MonusOperator) -> _Block:
-        """Temporal bag difference or distinct, lowered to the split formulation.
-
-        The host has no monus sweep, so the operator is spelled the way the
-        paper's rewriting spells it: ``N(L, R) - N(R, L)``, ``EXCEPT ALL``
-        between two splits grouped by the data attributes, and ``DISTINCT
-        N(X, X)``.  The rows are snapshot-equivalent to the sweep's but not
-        coalesced: REWR's final coalesce, which the engine skips over a
-        monus, merges them here (Lemma 6.1), and every operator between is
-        snapshot-reducible whatever the encoding of its input -- a coalesce
-        of each monus would only make the host pay for a second window
-        sweep and its counter.
-        """
-        data = tuple(a for a in self._compile(plan.left).schema if a not in plan.period)
-        if plan.right is None:
-            lowered: Operator = Distinct(SplitOperator(plan.left, plan.left, data, plan.period))
-        else:
-            lowered = Difference(
-                SplitOperator(plan.left, plan.right, data, plan.period),
-                SplitOperator(plan.right, plan.left, data, plan.period),
-            )
-        self._lowered.append(lowered)
-        return self._compile(lowered)
+        return _Block.over(self._cte("coal", body), schema)
 
     def _split(self, plan: SplitOperator) -> _Block:
         """``N_G(R1, R2)``: split left rows at all group end points.
@@ -645,14 +644,9 @@ class SQLCompiler:
         left_block = self._compile(plan.left)
         right_block = self._compile(plan.right)
         schema = left_block.schema
-        begin, end = self._period_columns(plan, schema, plan.period)
-        self._period_columns(plan, right_block.schema, plan.period)
-        for attribute in plan.group_by:
-            for side in (schema, right_block.schema):
-                if attribute not in side:
-                    raise BackendError(
-                        f"split group attribute {attribute!r} missing from {side}"
-                    )
+        begin, end = plan.period
+        for block in (left_block, right_block):
+            self._require(plan, block.schema, plan.period + tuple(plan.group_by))
         qb, qe = quote_identifier(begin), quote_identifier(end)
         left = self._name(left_block, "in")
         right = self._name(right_block, "in")
@@ -734,12 +728,7 @@ class SQLCompiler:
         with no open row produce nothing -- exactly the engine's sweep.
         """
         child = self._compile(plan.child)
-        self._period_columns(plan, child.schema, plan.period)
-        for attribute in plan.group_by:
-            if attribute not in child.schema:
-                raise BackendError(
-                    f"aggregate group attribute {attribute!r} missing from {child.schema}"
-                )
+        self._require(plan, child.schema, plan.period + tuple(plan.group_by))
         if all(spec.func in _SWEEPABLE for spec in plan.aggregates):
             body = self._swept_aggregate(plan, child)
         else:

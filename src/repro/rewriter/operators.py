@@ -6,11 +6,12 @@ plus the optimisation of Section 9 that fuses pre-aggregation with the
 split step.  REWR emits coalesce, the fused aggregation and a fourth
 operator, the *monus sweep* that evaluates temporal bag difference and
 distinct pointwise without splitting; split remains for the ablation's
-split-based rewriting and the native baselines (:mod:`repro.baselines`) and
-for the monus sweep's SQL lowering.  In the real middleware these are
-emitted as SQL subqueries built from analytic window functions; here they
-are :class:`~repro.engine.executor.PhysicalOperator` subclasses with two
-entry points each:
+split-based rewriting and the native baselines (:mod:`repro.baselines`).
+In the real middleware these are emitted as SQL subqueries built from
+analytic window functions (:mod:`repro.backends.sqlcompile`, where
+coalescing and the monus are one window sweep too); here they are
+:class:`~repro.engine.executor.PhysicalOperator` subclasses with two entry
+points each:
 
 * ``execute_batch`` -- the engine: the operator's whole-column kernel
   (:mod:`repro.engine.kernels`) when :func:`repro.engine.kernels.worthwhile`
@@ -327,7 +328,8 @@ class MonusOperator(_StepSweep):
     The value groups are the left input's data attributes (every attribute
     but the period); the right input must hold them under the same names.
     The output keeps the left input's schema, and each group prints under
-    its first valid left row.
+    its first valid left row.  In SQL it is coalescing's window sweep over
+    both inputs (:meth:`repro.backends.sqlcompile.SQLCompiler._step_sweep`).
     """
 
     _name: ClassVar[str] = "monus"

@@ -10,6 +10,12 @@ replaced), patched into the module while every operator is kept on its
 scalar route (``KERNEL_CUTOVER`` out of reach; without numpy that route is
 the only one).  The oracle must pass the pristine sweep on the trigger query
 and produce a counterexample for the mutant.
+
+The SQL lowering is checked the same way: a mutant of one
+:class:`~repro.backends.sqlcompile.SQLCompiler` method, its source
+recompiled with one snippet replaced, is patched into the class, and the
+oracle must tell the SQLite backend's rows from its snapshots.  The SQL
+path runs no numpy, so both jobs run it alike.
 """
 
 from __future__ import annotations
@@ -25,11 +31,13 @@ from repro.algebra.operators import (
     AggregateSpec,
     Aggregation,
     Difference,
+    Distinct,
     Join,
     Projection,
     RelationAccess,
     Union,
 )
+from repro.backends import sqlcompile
 from repro.baselines import SplitThenAggregateRewriter
 from repro.conformance import check_conformance
 from repro.datasets.running_example import TIME_DOMAIN, populate_database, query_skillreq
@@ -38,11 +46,11 @@ from repro.engine.catalog import Database
 from repro.rewriter import SnapshotRewriter
 
 
-def mutated(function, old: str, new: str):
-    """``function`` recompiled from its source with every ``old`` replaced by ``new``."""
+def mutated(function, old: str, new: str, module=sweeps):
+    """``function`` recompiled in ``module``'s namespace with every ``old`` replaced by ``new``."""
     source = textwrap.dedent(inspect.getsource(function))
     assert old in source, f"{function.__qualname__} no longer contains {old!r}: update the mutant"
-    namespace = dict(vars(sweeps))
+    namespace = dict(vars(module))
     exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
     return namespace[function.__name__]
 
@@ -155,6 +163,60 @@ def test_the_oracle_catches_a_bug_in_each_shared_sweep(name, monkeypatch):
     monkeypatch.setattr(sweeps, sweep, mutated(getattr(sweeps, sweep), old, new))
     report = check()
     assert not report.ok, f"the oracle missed the {name} mutant: {MUTANTS[name][-1]}"
+    counterexample = report.counterexample
+    assert counterexample.error is None, counterexample.error
+    assert counterexample.expected != counterexample.actual
+
+
+def _trap_database() -> Database:
+    """One value: L holds [0, 10) and [5, 8), R holds [0, 5).
+
+    At 5 a left row begins where the right row ends, so the events' signs
+    cancel while ``l - r`` rises by 2 (L - R is [5, 8) twice and [8, 10)).
+    The running example has no such point.
+    """
+    database = Database()
+    database.create_table(
+        "L", ["v", "t_begin", "t_end"], [(1, 0, 10), (1, 5, 8)], period=("t_begin", "t_end")
+    )
+    database.create_table("R", ["v", "t_begin", "t_end"], [(1, 0, 5)], period=("t_begin", "t_end"))
+    return database
+
+
+#: name -> (SQLCompiler method, snippet, its buggy replacement, trigger query,
+#: its catalog, what the bug is).
+SQL_MUTANTS = {
+    "distinct clamp": (
+        "_step_sweep",
+        '"MIN(__open, 1)" if distinct',
+        '"__open" if distinct',
+        Distinct(_skills("works", "skill")),
+        lambda: populate_database(Database()),
+        "distinct's level is the open count, not min(l, 1): an overlap keeps its duplicates",
+    ),
+    "changepoint filter": (
+        "_sweep",
+        "HAVING SUM({deltas[0][1]}) <> 0",
+        "HAVING SUM(__sign) <> 0",
+        Difference(RelationAccess("L"), RelationAccess("R")),
+        _trap_database,
+        "points are kept where the events' signs, not l - r, change: a left begin "
+        "at a right end is dropped",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQL_MUTANTS))
+def test_the_oracle_catches_a_bug_in_the_sql_sweep(name, monkeypatch):
+    method, old, new, query, build, _bug = SQL_MUTANTS[name]
+    check = partial(check_conformance, query, build(), TIME_DOMAIN, backends=("sqlite",))
+    pristine = check()
+    assert pristine.ok, pristine.counterexample and pristine.counterexample.describe()
+
+    compiler = sqlcompile.SQLCompiler
+    monkeypatch.setattr(compiler, method, mutated(getattr(compiler, method), old, new, sqlcompile))
+    report = check()
+    assert not report.ok, f"the oracle missed the SQL {name} mutant: {SQL_MUTANTS[name][-1]}"
     counterexample = report.counterexample
     assert counterexample.error is None, counterexample.error
     assert counterexample.expected != counterexample.actual

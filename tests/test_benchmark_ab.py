@@ -5,7 +5,9 @@ The A/B tool does not recompute the verdicts: it runs
 each printed row (``ab.VERDICT``).  Two synthetic record files -- one metric
 within its bound, one regressed, one too spread to tell, and the failed
 share -- must come back as compare.py's own exit code and one verdict per
-row it printed.
+row it printed.  A metric B's records lack is printed as ``missing from B``
+and counted as regressed, so it reads back as ``REGRESSED``, in ab.py's own
+table too.
 """
 
 from __future__ import annotations
@@ -100,3 +102,40 @@ def test_a_higher_failed_share_regresses_and_is_read_back(ab, tmp_path):
         (WORKLOAD, "op_ms"): "within bound",
         (WORKLOAD, "failed_ratio"): "REGRESSED",
     }
+
+
+def test_a_metric_missing_from_b_regresses_and_is_read_back(ab, tmp_path):
+    a = _records(
+        tmp_path / "a.json",
+        {"op_ms": [10.0, 10.1, 10.0, 10.1], "class_a_ms": [5.0, 5.1, 5.0, 5.1]},
+        failed=0.0,
+    )
+    b = _records(tmp_path / "b.json", {"op_ms": [10.0, 10.1, 10.0, 10.1]}, failed=0.0)
+
+    code, found = ab.verdicts(a, b)
+
+    assert code == 1
+    assert found == {
+        (WORKLOAD, "op_ms"): "within bound",
+        (WORKLOAD, "class_a_ms"): "REGRESSED",
+        (WORKLOAD, "failed_ratio"): "within bound",
+    }
+
+
+def test_the_ab_table_prints_regressed_for_a_metric_missing_from_b(ab, monkeypatch, capsys):
+    def run_once(tree, workload, seed):
+        metrics = {"op_ms": {"value": 10.0}}
+        if tree == "a":
+            metrics["class_a_ms"] = {"value": 5.0}
+        return {"workload": workload, "trace": False, "failed_ratio": 0.0,
+                "metrics": metrics, "detail": {}}
+
+    monkeypatch.setattr(ab, "export", lambda tree, into: tree)
+    monkeypatch.setattr(ab, "run_once", run_once)
+
+    code = ab.main(["--a", "a", "--b", "b", "--pairs", "2", "--workload", WORKLOAD])
+
+    assert code == 1
+    table = capsys.readouterr().out.split("B wins", 1)[1].splitlines()
+    row = next(line for line in table if line.split()[:2] == [WORKLOAD, "class_a_ms"])
+    assert "runs differ" in row and row.endswith("REGRESSED")
