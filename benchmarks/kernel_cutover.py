@@ -13,6 +13,12 @@ per operator and input shape, the ratio scalar / kernel (above 1 the kernel
 wins; ``--repeats`` is how often the two routes alternate per cell).  The
 temporal operators read constant relations, so every run derives its typed
 forms afresh: the worst case, a catalog table derives them once per version.
+The aggregation rungs mark with ``d`` the sizes at which the kernel counted
+its events on the packed ``(group, time)`` grid rather than sorting them
+(``kernels.DENSE_GRID``): ``aggregate`` and ``minmax`` group by the four
+``adhoc`` categories (a dense grid) or the nine ``employee`` departments
+over twenty years (sparse up to some thousand rows), ``agg-wide`` by
+``(key, val)``, many small groups on a wide grid.
 The set operators consolidate on codes only what arrives as columns (row
 tuples keep the ``dict`` at every size, so a constant would time one route
 twice): they read catalog tables, once with the result taken as rows and
@@ -137,6 +143,12 @@ def plans(make: Callable[[int, str], List[Tuple]], n: int) -> Dict[str, object]:
             ("cat",),
             (AggregateSpec("min", attr("val"), "low"), AggregateSpec("max", attr("val"), "high")),
         ),
+        # Many small groups: a wide packed grid with few events per cell.
+        "agg-wide": TemporalAggregateOperator(
+            relation(left + right),
+            ("key", "val"),
+            (AggregateSpec("count", None, "cnt"), AggregateSpec("sum", attr("val"), "total")),
+        ),
         "coalesce": CoalesceOperator(relation(left + right)),
         "difference": difference,
         "difference+c": CoalesceOperator(difference),
@@ -148,19 +160,20 @@ def plans(make: Callable[[int, str], List[Tuple]], n: int) -> Dict[str, object]:
     }
 
 
-def best_ms(plan, cutover: int, repeats: int) -> float:
+def best_ms(plan, cutover: int, repeats: int, statistics: Dict[str, int]) -> float:
     kernels.KERNEL_CUTOVER = cutover
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        execute(plan, DATABASE)
+        execute(plan, DATABASE, statistics)
         best = min(best, time.perf_counter() - started)
     return best * 1000.0
 
 
 def ladder(sizes: Sequence[int], rounds: int) -> None:
     shipped = kernels.KERNEL_CUTOVER
-    print(f"scalar ms / kernel ms per operator (shipped cutover: {shipped} rows)")
+    print(f"scalar ms / kernel ms per operator (shipped cutover: {shipped} rows;")
+    print("d: the aggregation kernel counted its events on the packed grid, else it sorted)")
     print(f"{'shape':9s}{'operator':11s}" + "".join(f"{n:>7d}" for n in sizes))
     try:
         for shape, make in (("adhoc", adhoc_rows), ("employee", employee_rows)):
@@ -172,10 +185,12 @@ def ladder(sizes: Sequence[int], rounds: int) -> None:
                     # Alternate the routes: the shared box drifts between a
                     # fast and a slow state within one cell's measurement.
                     scalar = kernel = float("inf")
+                    statistics: Dict[str, int] = {}
                     for _ in range(rounds):
-                        scalar = min(scalar, best_ms(built[operator], 10**9, repeats))
-                        kernel = min(kernel, best_ms(built[operator], 0, repeats))
-                    cells.append(f"{scalar / kernel:7.2f}")
+                        scalar = min(scalar, best_ms(built[operator], 10**9, repeats, {}))
+                        kernel = min(kernel, best_ms(built[operator], 0, repeats, statistics))
+                    counted = "d" if "batch.aggregate_dense" in statistics else " "
+                    cells.append(f"{scalar / kernel:6.2f}{counted}")
                 print(f"{shape:9s}{operator:11s}" + "".join(cells))
     finally:
         kernels.KERNEL_CUTOVER = shipped

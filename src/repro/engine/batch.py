@@ -25,7 +25,8 @@ either half may be missing until someone reads it.
 * the operators that only move rows carry the forms along: projections of
   plain attribute references and renames are **zero-copy** (the output
   batch shares the input's column objects), REWR's period intersection
-  (``greatest``/``least`` of two int columns) is one array operation, a
+  (``greatest``/``least`` of two int columns) is one array operation and
+  an ``int`` constant (REWR's ``1`` under ``count(*)``) one array fill, a
   filtering selection gathers every column at the kept rows' index, and a
   union of column-backed inputs lays their columns end to end;
 * everything else drops to lists: selections and other projections
@@ -41,7 +42,8 @@ either half may be missing until someone reads it.
   the row reference calls the very same functions.  Below the cutover, and
   without numpy, no column ever has a typed form;
 * coalescing emits one output row per maximal interval with a multiplicity
-  instead of duplicating tuples;
+  instead of duplicating tuples; over a temporal aggregate, whose output
+  lists each step function in order, it merges adjacent runs in one pass;
 * a node held by more than one parent runs once per execution -- the
   planner makes equal sub-plans one object (REWR's two split inputs, a
   sub-plan a query names twice) -- and its batch is kept, keyed on
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..algebra.expressions import Attribute, Expression, FunctionCall
+from ..algebra.expressions import Attribute, Expression, FunctionCall, Literal
 from ..algebra.operators import (
     Aggregation,
     ConstantRelation,
@@ -489,7 +491,8 @@ def _projection(
     schema = tuple(name for _, name in columns)
     n = len(batch.counts)
     # From the cutover on REWR's period intersection runs on (and hands on)
-    # arrays; typed in is typed out in any case.
+    # arrays and an int constant is born as one; typed in is typed out in
+    # any case.
     arrays = _kernels.worthwhile(n)
     typed = arrays or batch._is_typed
     source = batch.typed if typed else batch.columns
@@ -499,7 +502,13 @@ def _projection(
             # Zero-copy: reuse the input column object, typed forms and all.
             out_columns.append(source[batch.column_index(expression.name)])
             continue
-        column = _period_bound(expression, batch) if arrays else None
+        column = None
+        if arrays:
+            column = (
+                _kernels.constant_ints(expression.value, n)
+                if isinstance(expression, Literal)
+                else _period_bound(expression, batch)
+            )
         if column is None:
             column = expression.compile_batch(batch.schema)(batch.columns, n)
             if typed:

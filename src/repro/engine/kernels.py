@@ -14,8 +14,9 @@ of a delete -- only the tail is ever scanned again.  A column *gathered*
 from another at an index array (a join side, a split, a filtering selection,
 a group's first row, the rows a difference leaves) gets its forms by
 gathering the source's and produces ``values`` only if someone asks; two
-columns *concatenated* (a union) join theirs; a kernel's output column is
-born from its array and ``.tolist()``-ed on the same condition.
+columns *concatenated* (a union) join theirs; a kernel's output column, and
+an ``int`` constant projected from the cutover on (:func:`constant_ints`),
+is born from its array and ``.tolist()``-ed on the same condition.
 
 **The kernels.**  REWR's joins, splits and temporal aggregates all ask one
 question: *which entries of group g fall in the time range [a, b)?*  The
@@ -31,11 +32,17 @@ that primitive sit
 * :func:`split_segments_vectorized` -- the split operator's cut points,
 * :func:`temporal_aggregate_vectorized` -- ``count``/``sum``/``avg`` over the
   segments between a group's end points as one ``cumsum`` over its events,
-  ``min``/``max`` as a range-update sweep over the same points,
+  ``min``/``max`` as a range-update sweep over the same points.  Where the
+  packed grid is dense -- at most :data:`DENSE_GRID` cells per event -- the
+  events are *counted* per cell (exact int64 tallies, no sort) instead of
+  sorted; both routes give the same points and states bit for bit,
 * :func:`monus_vectorized` -- multiset coalescing, temporal bag difference
   and distinct: one ``cumsum`` of ``l - r`` over every group's packed
   events (the subtrahend's too, where there is one), a segment wherever
-  the level ``l``, ``max(l - r, 0)`` or ``min(l, 1)`` changes.
+  the level ``l``, ``max(l - r, 0)`` or ``min(l, 1)`` changes,
+* :func:`merge_runs_vectorized` -- coalescing of a temporal aggregate's
+  output, which lists each step function in order already: adjacent
+  entries join where they touch and hold equal values, one linear pass.
 
 The set operators need the factorise half alone:
 
@@ -54,8 +61,8 @@ Every kernel has a scalar twin in :mod:`repro.engine.sweeps` that defines
 its result and serves what it declines by returning ``None`` -- the one
 scalar definition of the algorithm, which the row reference runs too:
 ``join`` (``partition_by_keys`` + ``interval_sweep``), ``split``
-(``collect_group_endpoints`` + ``split_segments``), ``temporal_aggregate``
-and ``monus``; for :func:`consolidate`, ``except_all`` and the
+(``collect_group_endpoints`` + ``split_segments``), ``temporal_aggregate``,
+``monus`` and ``merge_runs``; for :func:`consolidate`, ``except_all`` and the
 ``dict.fromkeys`` of :func:`repro.engine.batch._distinct`.  That kernel
 declines nothing (any value has a code, a tally past int64 is kept in Python
 ints): its twin serves below the cutover, without numpy, and an input that
@@ -81,6 +88,7 @@ package.
 from __future__ import annotations
 
 from itertools import compress
+from operator import itemgetter
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 try:  # optional: every kernel declines without it and the scalar twin runs
@@ -97,15 +105,18 @@ __all__ = [
     "first_rows",
     "run_starts",
     "gather",
+    "gather_columns",
     "kept_rows",
     "rows_except",
     "expand_ranges",
+    "constant_ints",
     "period_bound",
     "interval_join_vectorized",
     "paired_rows",
     "split_segments_vectorized",
     "temporal_aggregate_vectorized",
     "monus_vectorized",
+    "merge_runs_vectorized",
     "consolidate",
     "rows_holding",
 ]
@@ -125,6 +136,15 @@ PACK_LIMIT = 1 << 62
 #: (``benchmarks/kernel_cutover.py``, table in EXPERIMENTS.md); 256 is past
 #: all of them and keeps 32-row plans entirely scalar.
 KERNEL_CUTOVER = 256
+
+#: Cells of the packed ``(group, time)`` grid per event up to which temporal
+#: aggregation counts its events per cell instead of sorting them.  Fixed,
+#: not settable: counting took 0.6-0.8x the sort's time at 8 cells per
+#: event from 256 to 64 000 rows, and 0.85-1.5x at 16 from 2 048 rows up
+#: (EXPERIMENTS.md, "Temporal aggregation counts, and its coalesce merges
+#: runs").  The grid's arrays then hold at most this many cells per event,
+#: so their memory is bounded by the input's.
+DENSE_GRID = 8
 
 #: Candidate pairs the join kernel expands between two limit checks.  A block
 #: is index arrays only (16 bytes a pair), so its size trades per-block numpy
@@ -395,7 +415,19 @@ class Column:
 
 def gather(column: Sequence[Any], indexes: Sequence[int]) -> List[Any]:
     """The entries of a Python list at ``indexes``, in their order."""
-    return [column[i] for i in indexes]
+    return gather_columns((column,), indexes)[0]
+
+
+def gather_columns(columns: Sequence[Sequence[Any]], indexes: Sequence[int]) -> List[List[Any]]:
+    """:func:`gather` of every list in ``columns`` at the same ``indexes``.
+
+    One ``itemgetter`` picks the entries of all of them at C speed (0.65-0.8x
+    the time of a list comprehension per column, 30 to 10 000 indexes).
+    """
+    if len(indexes) < 2:  # itemgetter returns a bare item for one index, and needs one
+        return [[column[i] for i in indexes] for column in columns]
+    pick = itemgetter(*indexes)
+    return [list(pick(column)) for column in columns]
 
 
 def kept_rows(mask: Sequence[Any]) -> Any:
@@ -408,6 +440,19 @@ def rows_except(count: int, doomed: Sequence[int]) -> Any:
     keep = np.ones(count, dtype=bool)
     keep[np.asarray(doomed, dtype=np.int64)] = False
     return np.flatnonzero(keep)
+
+
+def constant_ints(value: Any, n: int) -> Optional[Column]:
+    """``n`` copies of a plain ``int`` as a column born typed, or ``None``.
+
+    REWR's ``1 AS __agg_arg_0`` (Fig. 4's ``count(*)`` rule) above the
+    cutover: no values list is built unless someone reads it, and no kernel
+    scans one.  ``None`` for anything else -- ``True``, ``1.0``, a string,
+    NULL, an int past int64 -- which keeps its values list.
+    """
+    if type(value) is not int or not -(1 << 63) <= value < 1 << 63:
+        return None
+    return Column(ints=np.full(n, value, dtype=np.int64))
 
 
 def period_bound(latest: bool, first: Column, second: Column) -> Optional[Column]:
@@ -819,29 +864,42 @@ def temporal_aggregate_vectorized(
     counts: Optional[Sequence[int]],
     aggregates: Sequence[Tuple[str, Optional[Column]]],
     checkpoint: Checkpoint = None,
-) -> Optional[Tuple[Any, List[Column], Column, Column]]:
+) -> Optional[Tuple[Any, List[Column], Column, Column, bool]]:
     """The five aggregates per segment between a group's end points.
 
     Vector twin of :func:`repro.engine.sweeps.temporal_aggregate`: every valid
-    row becomes a ``+`` event at its begin and a ``-`` event at its end,
-    events sort by packed ``(group code, time)``, equal points collapse
-    with ``np.add.reduceat`` and one ``cumsum`` gives the state after each
-    point (a group's deltas sum to zero, so nothing leaks into the next
-    group).  A segment runs from a point with open rows to the next point.
-    ``min``/``max`` are not invertible, so they sweep differently: a row is
-    a range of its group's segments, and :func:`_segment_extremes` folds
-    every row's value into the segments it covers.
+    row becomes a ``+`` event at its begin and a ``-`` event at its end in the
+    packed ``(group code, time)`` grid, the events are tallied per point --
+    the grid cells some event falls in, ascending -- and one ``cumsum`` per
+    measure gives the state after each point (a group's deltas sum to zero,
+    so nothing leaks into the next group).  A segment runs from a point with
+    open rows to the next point.  ``min``/``max`` are not invertible, so
+    they sweep differently: a row is a range of its group's segments, and
+    :func:`_segment_extremes` folds every row's value into the segments it
+    covers.
+
+    The tally takes one of two routes with the same ``points`` and states,
+    bit for bit, chosen by the grid's shape alone: where the grid holds at
+    most :data:`DENSE_GRID` cells per event, the events are *counted* per
+    cell (:func:`_tally_dense`: no sort, exact int64 tallies), otherwise
+    they are sorted and equal points collapse with ``np.add.reduceat``
+    (:func:`_tally_sorted`).  Both run only where the packed code fits
+    (:func:`pack_span`), so they decline alike.
 
     ``aggregates`` pairs each function with its evaluated argument column
     (``None`` for ``count(*)``); ``counts`` are the row multiplicities
     (``None`` = all ones).  A NULL argument keeps its row open and takes no
     part in the value; a segment with no non-NULL argument prints ``None``
     (0 for ``count``).  Sums are exact int64 -- the kernel declines when
-    ``max|value| * total multiplicity`` could leave the lane -- and ``avg``
-    divides Python ints, so every value equals the scalar sweep's bit for
-    bit.  Returns ``(group_rows, value_columns, begins, ends)`` where
-    ``group_rows[k]`` indexes the first valid input row of segment k's
-    group (gather the group-by columns there), or ``None`` (declined).
+    ``max|value| * total multiplicity`` could leave the lane, or the
+    multiplicities could sum past it -- and ``avg`` divides Python ints, so
+    every value equals the scalar sweep's bit for bit.
+
+    Returns ``(group_rows, value_columns, begins, ends, dense)`` or ``None``
+    (declined).  The segments come out group by group, each group's in time
+    order: ``group_rows[k]`` indexes the first valid input row of segment
+    k's group (gather the group-by columns there), and ``dense`` says which
+    route tallied.
     """
     b, e = begins.ints(), ends.ints()
     if b is None or e is None:
@@ -849,11 +907,14 @@ def temporal_aggregate_vectorized(
     rows = np.flatnonzero(b < e)
     if not len(rows):
         nothing = Column(ints=rows)
-        return rows, [nothing for _ in aggregates], nothing, nothing
+        return rows, [nothing for _ in aggregates], nothing, nothing, False
+    weighted = counts is not None
+    if weighted and sum(counts) >= PACK_LIMIT:
+        return None
     weights = (
-        np.ones(len(rows), dtype=np.int64)
-        if counts is None
-        else np.asarray(counts, dtype=np.int64)[rows]
+        np.asarray(counts, dtype=np.int64)[rows]
+        if weighted
+        else np.ones(len(rows), dtype=np.int64)
     )
     total_weight = int(weights.sum())
 
@@ -894,17 +955,14 @@ def temporal_aggregate_vectorized(
     if checkpoint is not None:
         checkpoint(0)
     base = codes * span - lo
-    events = np.concatenate([base + b, base + e])
-    order = np.argsort(events)
-    events = events[order]
-    starts = run_starts(events)
-    points = events[starts]
+    cells = n_codes * span
+    dense = cells <= DENSE_GRID * 2 * len(rows)
+    if dense:
+        points, states = _tally_dense(base + b, base + e, cells, measures, weighted)
+    else:
+        points, states = _tally_sorted(base + b, base + e, measures)
     if checkpoint is not None:
         checkpoint(0)
-    states = [
-        np.cumsum(np.add.reduceat(np.concatenate([measure, -measure])[order], starts))
-        for measure in measures
-    ]
     # A group's last point closes everything, so an open point's successor
     # is always a point of the same group.
     open_points = np.flatnonzero(states[0][:-1] > 0)
@@ -952,7 +1010,60 @@ def temporal_aggregate_vectorized(
         value_columns,
         Column(ints=segment_begins),
         Column(ints=segment_ends),
+        dense,
     )
+
+
+def _tally_sorted(begins: Any, ends: Any, measures: Sequence[Any]) -> Tuple[Any, List[Any]]:
+    """``(points, states)`` of the packed events by sorting them.
+
+    The events sort by packed ``(group, time)``, equal points collapse with
+    ``np.add.reduceat`` and one ``cumsum`` per measure gives the state after
+    each point.
+    """
+    events = np.concatenate([begins, ends])
+    order = np.argsort(events)
+    events = events[order]
+    starts = run_starts(events)
+    states = [
+        np.cumsum(np.add.reduceat(np.concatenate([measure, -measure])[order], starts))
+        for measure in measures
+    ]
+    return events[starts], states
+
+
+def _tally_dense(
+    begins: Any, ends: Any, cells: int, measures: Sequence[Any], weighted: bool
+) -> Tuple[Any, List[Any]]:
+    """``(points, states)`` of the packed events by counting them per grid cell.
+
+    Same arrays as :func:`_tally_sorted`, with no sort: the points are the
+    cells of the ``cells``-long grid that some event marks, read off in
+    ascending order, and a table from cell to point index (written at the
+    points only) turns every event into its point's slot.  Each state is the
+    ``cumsum`` of a measure's net change per point, and every tally is exact
+    int64 -- ``np.bincount`` of the unweighted open-row count, ``np.add.at``
+    of any other measure (no float accumulator: a sum may pass 2**53).
+    """
+    occupied = np.zeros(cells, dtype=bool)
+    occupied[begins] = True
+    occupied[ends] = True
+    points = np.flatnonzero(occupied)
+    n_points = len(points)
+    slot = np.empty(cells, dtype=np.int64)
+    slot[points] = np.arange(n_points, dtype=np.int64)
+    opens, closes = slot[begins], slot[ends]
+    states = []
+    for position, measure in enumerate(measures):
+        if position == 0 and not weighted:
+            # Measure 0 counts open rows, each weighing 1 here.
+            net = np.bincount(opens, minlength=n_points) - np.bincount(closes, minlength=n_points)
+        else:
+            net = np.zeros(n_points, dtype=np.int64)
+            np.add.at(net, opens, measure)
+            np.subtract.at(net, closes, measure)
+        states.append(np.cumsum(net))
+    return points, states
 
 
 def _present(column: Column) -> Any:
@@ -1148,6 +1259,41 @@ def monus_vectorized(
         Column(ints=points[1:][open_mask] - gids * span + lo),
         out_counts.tolist(),
     )
+
+
+def merge_runs_vectorized(
+    columns: Sequence[Column], begins: Column, ends: Column
+) -> Optional[Tuple[Any, Any]]:
+    """Coalescing of entries that list their own step function in order, as runs.
+
+    Vector twin of :func:`repro.engine.sweeps.merge_runs`, over the data
+    ``columns`` and the period of a temporal aggregate's output: entry i
+    joins the run of entry i - 1 where it begins as that one ends and every
+    data column holds an equal value -- int forms compared with their
+    validity masks, anything else by its dict-equality codes.  Returns
+    ``(firsts, lasts)``, int64 arrays of each run's first and last entry (a
+    run prints under its first entry, from its begin to its last's end), or
+    ``None`` when an end point column is not int typed.
+    """
+    begin_array, end_array = begins.ints(), ends.ints()
+    if begin_array is None or end_array is None:
+        return None
+    n = len(begin_array)
+    if not n:
+        return begin_array, begin_array
+    joined = begin_array[1:] == end_array[:-1]
+    for column in columns:
+        form = column.nullable_ints()
+        if form is None:
+            codes = column.codes()[0]
+            joined &= codes[1:] == codes[:-1]
+            continue
+        values, valid = form
+        joined &= values[1:] == values[:-1]
+        if valid is not None:
+            joined &= valid[1:] == valid[:-1]
+    firsts = np.flatnonzero(np.concatenate([[True], ~joined]))
+    return firsts, np.append(firsts[1:], n) - 1
 
 
 # -- (5) consolidation: bag difference and distinct -------------------------------------

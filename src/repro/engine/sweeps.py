@@ -24,6 +24,9 @@ The algorithms:
 * coalescing, temporal bag difference and distinct (:func:`monus`): one
   +count/-count event sweep per value group over a step function's
   changepoints, emitting the level ``l``, ``max(l - r, 0)`` or ``min(l, 1)``;
+  coalescing a temporal aggregate's output, which lists its step functions
+  in order already, is one pass that joins adjacent equal rows
+  (:func:`merge_runs`);
 * temporal aggregation (:func:`temporal_aggregate`): pre-aggregation of
   identical (group, arguments, period) rows, then one sweep per group over
   its end points with running aggregate state;
@@ -44,7 +47,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..abstract_model.krelation import aggregate_values
 from .table import tuple_getter
@@ -60,6 +63,7 @@ __all__ = [
     "collect_group_endpoints",
     "split_segments",
     "monus",
+    "merge_runs",
     "temporal_aggregate",
     "except_all",
     "aggregate",
@@ -79,13 +83,13 @@ def expand(rows: Sequence[Row], counts: Sequence[int]) -> List[Row]:
     return list(chain.from_iterable(map(repeat, rows, counts)))
 
 
-def _row_keys(key_columns: Sequence[Sequence[Any]], n: int) -> Sequence[Any]:
-    """One group key per row: a lone column's values as they are, zipped tuples else."""
+def _row_keys(key_columns: Sequence[Sequence[Any]], n: int) -> Iterable[Any]:
+    """One group key per row, read once: a lone column's values as they are, zipped tuples else."""
     if len(key_columns) == 1:
         return key_columns[0]
     if key_columns:
-        return list(zip(*key_columns))
-    return [()] * n
+        return zip(*key_columns)
+    return repeat((), n)
 
 
 # -- joins ------------------------------------------------------------------------------
@@ -314,7 +318,7 @@ def split(
     ``(row_indexes, piece_begins, piece_ends)`` as :func:`split_segments`
     does.
     """
-    left_keys = _row_keys(left_key_columns, len(left_begins))
+    left_keys = list(_row_keys(left_key_columns, len(left_begins)))
     endpoints = collect_group_endpoints(left_keys, left_begins, left_ends)
     collect_group_endpoints(
         _row_keys(right_key_columns, len(right_begins)), right_begins, right_ends, into=endpoints
@@ -425,20 +429,19 @@ def monus(
     values it prints, its interval and its count.
     """
     ids: Dict[Any, int] = {}
-    get_id = ids.get
+    set_id = ids.setdefault
     events: List[Tuple[Any, Any, int]] = []
     append = events.append
-    for position, (key, begin, end, count) in enumerate(
-        zip(_row_keys(key_columns, len(begins)), begins, ends, counts)
+    for position, key, begin, end, count in zip(
+        range(len(begins)), _row_keys(key_columns, len(begins)), begins, ends, counts
     ):
         if begin is None or end is None or begin >= end:
             continue
-        gid = get_id(key)
-        if gid is None:
-            gid = ids[key] = position
+        gid = set_id(key, position)
         append((gid, begin, count))
         append((gid, end, -count))
     if subtrahend is not None:
+        get_id = ids.get
         right_keys, right_begins, right_ends, right_counts = subtrahend
         for key, begin, end, count in zip(
             _row_keys(right_keys, len(right_begins)), right_begins, right_ends, right_counts
@@ -452,36 +455,73 @@ def monus(
             append((gid, end, count))
     events.sort()
 
-    out_rows: List[int] = []
-    out_begins: List[Any] = []
-    out_ends: List[Any] = []
-    out_counts: List[int] = []
+    segments: List[Tuple[Any, Any, Any, int]] = []
+    emit = segments.append
     # ``open_count`` is the running l - r.  Settle each (group, time point)
     # once its events are summed: a point whose net change is non-zero may
-    # change the level, which then closes
-    # the open segment (if any) and opens the next one (if positive).  A
-    # group's changes sum to zero, so no segment stays open across groups;
-    # a sentinel event settles the last point.
+    # change the level, which then closes the open segment (if any) and
+    # opens the next one (if positive).  A group's changes sum to zero, so
+    # no segment stays open across groups; a sentinel event settles the last
+    # point.  Coalescing's level is ``l`` itself, which every net change
+    # moves: its loop skips the level's clamps and comparison.
     open_count = held = run = 0
     since: Any = None
     gid: Any = None
     ts: Any = None
-    for next_gid, next_ts, delta in chain(events, [(None, None, 0)]):
-        if next_gid == gid and next_ts == ts:
-            run += delta
-            continue
-        if run:
-            open_count += run
-            level = (1 if distinct else open_count) if open_count > 0 else 0
-            if level != held:
+    events.append((None, None, 0))
+    if subtrahend is None and not distinct:
+        for next_gid, next_ts, delta in events:
+            if next_ts == ts and next_gid == gid:
+                run += delta
+                continue
+            if run:
                 if held:
-                    out_rows.append(gid)
-                    out_begins.append(since)
-                    out_ends.append(ts)
-                    out_counts.append(held)
-                since, held = ts, level
-        gid, ts, run = next_gid, next_ts, delta
+                    emit((gid, since, ts, held))
+                open_count += run
+                since, held = ts, open_count
+            gid, ts, run = next_gid, next_ts, delta
+    else:
+        for next_gid, next_ts, delta in events:
+            if next_ts == ts and next_gid == gid:
+                run += delta
+                continue
+            if run:
+                open_count += run
+                level = (1 if distinct else open_count) if open_count > 0 else 0
+                if level != held:
+                    if held:
+                        emit((gid, since, ts, held))
+                    since, held = ts, level
+            gid, ts, run = next_gid, next_ts, delta
+    if not segments:
+        return [], [], [], []
+    out_rows, out_begins, out_ends, out_counts = map(list, zip(*segments))
     return out_rows, out_begins, out_ends, out_counts
+
+
+def merge_runs(rows: Sequence[Row]) -> List[Row]:
+    """Coalescing of rows that list their own step function in order: one pass, no sort.
+
+    ``rows`` end in ``(begin, end)``, hold each value tuple (the rest of
+    the row) at most once at any point, multiplicity 1, and list two rows
+    of one value tuple that touch next to each other -- the temporal
+    aggregate's output, each group's segments consecutive and in time
+    order.  Coalescing such an input only joins a *run*: consecutive rows
+    whose data values are equal the way a ``dict`` finds them equal and
+    where each row begins as the one before it ends.  A run prints under its
+    first row, spanning its first begin to its last end; a row that joins
+    no other comes back as it is.  Rows of equal values split by a gap stay
+    apart, as :func:`monus` would keep them.
+    """
+    out: List[Row] = []
+    previous: Any = None
+    for row in rows:
+        if previous is not None and row[-2] == previous[-1] and row[:-2] == previous[:-2]:
+            previous = out[-1] = previous[:-1] + row[-1:]
+        else:
+            out.append(row)
+            previous = row
+    return out
 
 
 # -- temporal aggregation ---------------------------------------------------------------

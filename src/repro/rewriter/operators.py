@@ -31,7 +31,9 @@ into one sweep-line pass -- the same ``O(n log n)`` sort-based cost the
 paper reports (Figure 5) without materialising the three intermediate
 window tables -- whose level is the running count for coalescing, its
 monus with a second input's for difference and its clamp to 1 for
-distinct.
+distinct.  Over a temporal aggregate, whose output lists each step function
+in order already, coalescing needs no sweep: it merges adjacent runs in one
+pass (:class:`CoalesceOperator`).
 
 All four operators work on PERIODENC-encoded tables: data attributes plus
 ``t_begin`` / ``t_end``.
@@ -60,6 +62,9 @@ Relation = Union[Table, "ColumnarBatch"]
 
 
 def _data_attributes(schema: Sequence[str], period: Tuple[str, str]) -> Tuple[str, ...]:
+    head = tuple(schema[:-2])
+    if tuple(schema[-2:]) == period and period[0] not in head and period[1] not in head:
+        return head  # the period last, as PERIODENC lays it out: no scan
     return tuple(a for a in schema if a not in period)
 
 
@@ -81,8 +86,8 @@ class _StepSweep(PhysicalOperator):
 
     _name: ClassVar[str]
 
-    def _schema(self, schema: Sequence[str]) -> Tuple[str, ...]:
-        """The output schema, given the first input's."""
+    def _schema(self, schema: Sequence[str], data: Tuple[str, ...]) -> Tuple[str, ...]:
+        """The output schema, given the first input's and its data attributes."""
         return tuple(schema)
 
     def _distinct(self) -> bool:
@@ -93,6 +98,10 @@ class _StepSweep(PhysicalOperator):
         """Whether the first input is already this operator's output."""
         return False
 
+    def _merges_runs(self, schema: Sequence[str]) -> bool:
+        """Whether the first input lists its step functions in order, so runs merge it."""
+        return False
+
     def _count_rows(self, context: ExecutionContext, rows_in: int, rows_out: int) -> None:
         """Count what a subclass reports of its input and output weight."""
 
@@ -101,11 +110,18 @@ class _StepSweep(PhysicalOperator):
         left = children[0]
         if self._passes_through(left.schema):
             return left
+        if self._merges_runs(left.schema):
+            result = Table(self._name, left.schema)
+            result.rows = _sweeps.merge_runs(left.rows)
+            self._count_rows(context, len(left), len(result))
+            return result
         data = self._check_attributes(children)
         inputs = [self._sweep_input(data, table.column, [1] * len(table)) for table in children]
         at, begins, ends, counts = self._scalar(*inputs)
-        schema = self._schema(left.schema)
-        columns = self._output_columns(schema, data, inputs[0][0], _kernels.gather, at, begins, ends)
+        schema = self._schema(left.schema, data)
+        columns = self._output_columns(
+            schema, data, _kernels.gather_columns(inputs[0][0], at), begins, ends
+        )
         result = Table(self._name, schema)
         result.rows = _sweeps.expand(list(zip(*columns)), counts)
         self._count_rows(context, len(left), len(result))
@@ -130,13 +146,15 @@ class _StepSweep(PhysicalOperator):
         left = children[0]
         if self._passes_through(left.schema):
             return left
+        if self._merges_runs(left.schema):
+            return self._merge_runs(left, context)
         data = self._check_attributes(children)
         distinct = self._distinct()
         limited = context._limited
         if limited:
             context.checkpoint()
         served = None
-        if _kernels.worthwhile(sum(len(batch) for batch in children)):
+        if _kernels.worthwhile(sum(map(len, children))):
             inputs = [
                 self._sweep_input(
                     data,
@@ -154,17 +172,22 @@ class _StepSweep(PhysicalOperator):
         vectorized = served is not None
         if vectorized:
             context.count(f"batch.{self._name}_vectorized")
-            gather = _kernels.Column.gathered
+            at, begins, ends, counts = served
+            gathered = [_kernels.Column.gathered(column, at) for column in inputs[0][0]]
         else:
-            inputs = [self._sweep_input(data, batch.column, batch.counts) for batch in children]
-            served = self._scalar(*inputs)
-            gather = _kernels.gather
-        at, begins, ends, counts = served
-        schema = self._schema(left.schema)
+            inputs = [
+                self._sweep_input(
+                    data, dict(zip(batch.schema, batch.columns)).__getitem__, batch.counts
+                )
+                for batch in children
+            ]
+            at, begins, ends, counts = self._scalar(*inputs)
+            gathered = _kernels.gather_columns(inputs[0][0], at)
+        schema = self._schema(left.schema, data)
         result = ColumnarBatch(
             self._name,
             schema,
-            self._output_columns(schema, data, inputs[0][0], gather, at, begins, ends),
+            self._output_columns(schema, data, gathered, begins, ends),
             counts,
             True if distinct else None,
             typed=vectorized,
@@ -176,13 +199,18 @@ class _StepSweep(PhysicalOperator):
 
     def _check_attributes(self, children: Sequence[Relation]) -> Tuple[str, ...]:
         """The value-group attributes; every input must hold them and the period."""
-        data = _data_attributes(children[0].schema, self.period)
+        schema = children[0].schema
+        data = _data_attributes(schema, self.period)
+        # The first input holds its own data attributes, and the period
+        # attributes once each when they are all its schema has besides.
+        needed = () if len(schema) == len(data) + 2 else self.period
         for relation in children:
-            for attribute in data + self.period:
+            for attribute in needed:
                 if not relation.has_attribute(attribute):
                     raise ExecutorError(
                         f"{self._name} attribute {attribute!r} missing from {relation.schema}"
                     )
+            needed = data + self.period
         return data
 
     def _sweep_input(
@@ -202,23 +230,16 @@ class _StepSweep(PhysicalOperator):
         self,
         schema: Sequence[str],
         data: Sequence[str],
-        data_columns: Sequence[Any],
-        gather: Any,
-        at: Any,
+        gathered: Sequence[Any],
         begins: Any,
         ends: Any,
     ) -> List[Any]:
-        """The first input's data columns ``gather``-ed at ``at``, the period the segments."""
-        begin_attr, end_attr = self.period
-        source = dict(zip(data, data_columns))
-        return [
-            begins
-            if attribute == begin_attr
-            else ends
-            if attribute == end_attr
-            else gather(source[attribute], at)
-            for attribute in schema
-        ]
+        """The output in ``schema`` order: the ``gathered`` data columns, the period the segments."""
+        columns = [*gathered, begins, ends]
+        if tuple(schema) == data + self.period:
+            return columns
+        source = dict(zip(data + self.period, columns))
+        return [source[attribute] for attribute in schema]
 
 
 @dataclass(frozen=True)
@@ -232,10 +253,24 @@ class CoalesceOperator(_StepSweep):
     interval per changepoint with a positive count, duplicated ``count``
     times: the step sweep with nothing to subtract and no clamp.  The
     result is the unique N-coalesced encoding of the input's temporal
-    N-elements, its data attributes first and the period last.  A monus
-    sweep's output is that encoding already, so over one
-    (:meth:`_passes_through`) both entry points return their input.  Both
-    count ``coalesce_input_rows`` and ``coalesce_output_rows``.
+    N-elements, its data attributes first and the period last.
+
+    Two children need less than the sweep, by the plan's shape alone:
+
+    * *pass-through* -- a monus sweep's output is that encoding already, so
+      over one (:meth:`_passes_through`) every entry point returns its input;
+    * *run merge* -- a temporal aggregate lists each value tuple's segments
+      consecutively, in time order, once each (its order contract), so
+      over one (:meth:`_merges_runs`) coalescing only joins adjacent
+      equal-valued segments that touch: one linear pass,
+      :func:`repro.engine.sweeps.merge_runs` on the row reference and the
+      scalar route, :func:`repro.engine.kernels.merge_runs_vectorized` on
+      the kernel route (counted as ``batch.coalesce_runs_merged``).  Its
+      rows come out in the aggregate's (group, time)
+      order, not the sweep's first-row order.
+
+    Every entry point that does work counts ``coalesce_input_rows`` and
+    ``coalesce_output_rows``.
     """
 
     _name: ClassVar[str] = "coalesce"
@@ -258,7 +293,7 @@ class CoalesceOperator(_StepSweep):
         (child,) = child_schemas
         if child is None or not set(self.period) <= set(child):
             return None
-        return self._schema(child)
+        return self._schema(child, _data_attributes(child, self.period))
 
     def planner_selection_pushdown(self, attributes):
         # Coalescing partitions the input by its data attributes; a predicate
@@ -295,8 +330,8 @@ class CoalesceOperator(_StepSweep):
 
     # -- the sweep -----------------------------------------------------------------------
 
-    def _schema(self, schema: Sequence[str]) -> Tuple[str, ...]:
-        return _data_attributes(schema, self.period) + self.period
+    def _schema(self, schema: Sequence[str], data: Tuple[str, ...]) -> Tuple[str, ...]:
+        return data + self.period
 
     def _passes_through(self, schema: Sequence[str]) -> bool:
         """Whether the input is a monus sweep's coalesced output, period last."""
@@ -306,9 +341,53 @@ class CoalesceOperator(_StepSweep):
             and tuple(schema[-2:]) == self.period
         )
 
+    def _merges_runs(self, schema: Sequence[str]) -> bool:
+        """Whether the input is a temporal aggregate's output, period last."""
+        return (
+            isinstance(self.child, TemporalAggregateOperator)
+            and self.child.period == self.period
+            and tuple(schema[-2:]) == self.period
+        )
+
     def _count_rows(self, context: ExecutionContext, rows_in: int, rows_out: int) -> None:
         context.count("coalesce_input_rows", rows_in)
         context.count("coalesce_output_rows", rows_out)
+
+    def _merge_runs(self, batch: "ColumnarBatch", context: ExecutionContext) -> "ColumnarBatch":
+        """The run merge of an aggregate's batch, on the route ``worthwhile`` picks.
+
+        :func:`repro.engine.kernels.merge_runs_vectorized` (counted as
+        ``batch.coalesce_runs_merged``) gathers the data columns and begins
+        at each run's first entry and the ends at its last, forms included;
+        :func:`repro.engine.sweeps.merge_runs` runs over the entries' row
+        tuples otherwise.
+        """
+        from ..engine.batch import ColumnarBatch
+
+        runs = None
+        if _kernels.worthwhile(len(batch)):
+            *data, begins, ends = batch.typed
+            runs = _kernels.merge_runs_vectorized(data, begins, ends)
+        if runs is None:
+            rows = _sweeps.merge_runs(batch.entry_rows())
+            result = ColumnarBatch.from_rows(self._name, batch.schema, rows)
+        else:
+            context.count("batch.coalesce_runs_merged")
+            firsts, lasts = runs
+            gathered = _kernels.Column.gathered
+            result = ColumnarBatch(
+                self._name,
+                batch.schema,
+                [gathered(column, firsts) for column in data + [begins]]
+                + [gathered(ends, lasts)],
+                [1] * len(firsts),
+                all_ones=True,
+                typed=True,
+            )
+        self._count_rows(context, len(batch), len(result))
+        if context._limited:
+            context.checkpoint(len(result))
+        return result
 
 
 @dataclass(frozen=True)
@@ -565,6 +644,13 @@ class TemporalAggregateOperator(PhysicalOperator):
     ``count(*)`` must have been pre-rewritten to ``count(A)`` over a
     constant attribute (Fig. 4's rule), so ``NULL`` padding rows added for
     gap coverage are not counted.
+
+    **Order contract.**  Every entry point -- the row reference, the scalar
+    route and the kernel -- emits each group's segments consecutively, in
+    ascending time order, each with multiplicity 1; segments of one group
+    never overlap.  The groups' own order differs between the routes.  The
+    coalesce above relies on this to merge runs in one pass instead of
+    sweeping again (:class:`CoalesceOperator`).
     """
 
     child: Operator
@@ -623,7 +709,9 @@ class TemporalAggregateOperator(PhysicalOperator):
         All five aggregates over int-or-NULL arguments run as whole-column
         sweeps over every group's events at once (:func:`repro.engine.kernels
         .temporal_aggregate_vectorized`, counted as
-        ``batch.aggregate_vectorized``).  Anything that kernel declines --
+        ``batch.aggregate_vectorized``, and as ``batch.aggregate_dense`` too
+        where it counted the events on the packed grid instead of sorting
+        them).  Anything that kernel declines --
         ``bool``/float arguments, NULL end points, small inputs -- runs
         :meth:`_scalar` over the value lists, weighting each row by its
         multiplicity.
@@ -651,7 +739,9 @@ class TemporalAggregateOperator(PhysicalOperator):
             )
             if served is not None:
                 context.count("batch.aggregate_vectorized")
-                group_rows, value_columns, out_begins, out_ends = served
+                group_rows, value_columns, out_begins, out_ends, dense = served
+                if dense:
+                    context.count("batch.aggregate_dense")
                 columns = [
                     _kernels.Column.gathered(column, group_rows) for column in group_columns
                 ]

@@ -9,7 +9,9 @@ shipped sweep with one realistic bug (its source recompiled with one snippet
 replaced), patched into the module while every operator is kept on its
 scalar route (``KERNEL_CUTOVER`` out of reach; without numpy that route is
 the only one).  The oracle must pass the pristine sweep on the trigger query
-and produce a counterexample for the mutant.
+and produce a counterexample for the mutant.  Kernel mutants are patched
+into :mod:`repro.engine.kernels` the same way, with every operator on its
+kernel route (``KERNEL_CUTOVER`` at 0; numpy only).
 
 The SQL lowering is checked the same way: a mutant of one
 :class:`~repro.backends.sqlcompile.SQLCompiler` method, its source
@@ -59,6 +61,11 @@ def _skills(relation: str, skill: str):
     return Projection(RelationAccess(relation), ((attr(skill), "skill"),))
 
 
+#: Skills on duty, counted per skill: REWR's coalesce over a temporal aggregate.
+SKILL_COUNTS = Aggregation(
+    _skills("works", "skill"), ("skill",), (AggregateSpec("count", None, "cnt"),)
+)
+
 #: name -> (sweep, snippet, its buggy replacement, trigger query, what the bug is).
 MUTANTS = {
     "interval sweep": (
@@ -86,19 +93,28 @@ MUTANTS = {
     ),
     "coalesce level": (
         "monus",
-        "else open_count)",
-        "else 1)",
+        "since, held = ts, open_count",
+        "since, held = ts, min(open_count, 1)",
         _skills("works", "skill"),
         "a positive level is 1 instead of the open count: set coalescing, each "
         "maximal interval once whatever its multiplicity",
     ),
     "level dispatch": (
         "monus",
-        "1 if distinct else",
-        "1 if subtrahend is None else",
-        _skills("works", "skill"),
-        "the clamp follows a missing subtrahend instead of the distinct flag: "
-        "coalescing is given distinct's min(l, 1)",
+        "if subtrahend is None and not distinct:",
+        "if not distinct:",
+        Union(query_skillreq(), _skills("works", "skill")),
+        "the loop is picked by the distinct flag alone: a difference runs "
+        "coalescing's loop, whose level l - r has no clamp at 0, and a negative "
+        "count reaches the union above",
+    ),
+    "merge across a gap": (
+        "merge_runs",
+        "row[-2] == previous[-1] and ",
+        "",
+        SKILL_COUNTS,
+        "the run merge joins equal adjacent rows whether or not they touch: "
+        "SP's count 1 on [10, 16) and [18, 20) becomes [10, 20)",
     ),
     "temporal-aggregate sweep": (
         "temporal_aggregate",
@@ -163,6 +179,62 @@ def test_the_oracle_catches_a_bug_in_each_shared_sweep(name, monkeypatch):
     monkeypatch.setattr(sweeps, sweep, mutated(getattr(sweeps, sweep), old, new))
     report = check()
     assert not report.ok, f"the oracle missed the {name} mutant: {MUTANTS[name][-1]}"
+    counterexample = report.counterexample
+    assert counterexample.error is None, counterexample.error
+    assert counterexample.expected != counterexample.actual
+
+
+def _touching_database() -> Database:
+    """Two SP workers, the second beginning one point before the first ends.
+
+    Its row's begin makes the first row's last point, ``end - 1``, one the
+    oracle looks at; the running example has no such point.
+    """
+    database = Database()
+    database.create_table(
+        "works",
+        ["name", "skill", "t_begin", "t_end"],
+        [("Ann", "SP", 0, 5), ("Joe", "SP", 4, 8)],
+        period=("t_begin", "t_end"),
+    )
+    return database
+
+
+#: name -> (kernel, snippet, its buggy replacement, trigger query, its catalog,
+#: what the bug is).  Patched into :mod:`repro.engine.kernels` with every
+#: operator on its kernel route.
+KERNEL_MUTANTS = {
+    "merge across a gap": (
+        "merge_runs_vectorized",
+        "joined = begin_array[1:] == end_array[:-1]",
+        "joined = np.ones(n - 1, dtype=bool)",
+        SKILL_COUNTS,
+        lambda: populate_database(Database()),
+        "the run merge joins equal adjacent entries whether or not they touch",
+    ),
+    "dense grid edge": (
+        "temporal_aggregate_vectorized",
+        "_tally_dense(base + b, base + e, cells",
+        "_tally_dense(base + b, base + e - 1, cells",
+        SKILL_COUNTS,
+        _touching_database,
+        "the counted tally closes every row one point early",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MUTANTS))
+def test_the_oracle_catches_a_bug_in_each_kernel(name, monkeypatch):
+    pytest.importorskip("numpy")
+    kernel, old, new, query, build, _bug = KERNEL_MUTANTS[name]
+    monkeypatch.setattr(kernels, "KERNEL_CUTOVER", 0)
+    check = partial(check_conformance, query, build(), TIME_DOMAIN, backends=("memory",))
+    pristine = check()
+    assert pristine.ok, pristine.counterexample and pristine.counterexample.describe()
+
+    monkeypatch.setattr(kernels, kernel, mutated(getattr(kernels, kernel), old, new, kernels))
+    report = check()
+    assert not report.ok, f"the oracle missed the kernel {name} mutant: {KERNEL_MUTANTS[name][-1]}"
     counterexample = report.counterexample
     assert counterexample.error is None, counterexample.error
     assert counterexample.expected != counterexample.actual

@@ -13,6 +13,10 @@ arguments and ``counts > 1`` inputs, singly and chained behind a join, and
 demand the same bag printed the same way.  The fixed cases pin the routes
 (which counter fires at cutover -1/0/+1, under limits, on overflow) and the
 digest-sensitive arithmetic (``avg`` above 2**53, ``sum`` at the int64 edge).
+Temporal aggregation has two tallies, counted on the packed grid or
+sorted, picked by the grid's shape: each is checked against the other bit
+for bit, and the aggregate's output order -- what lets the coalesce above
+it merge runs instead of sweeping -- is pinned on all three routes.
 """
 
 from __future__ import annotations
@@ -40,12 +44,14 @@ from repro.engine import batch as batching
 from repro.engine import kernels
 from repro.engine.catalog import Database
 from repro.engine.executor import ExecutionContext, execute
+from repro.conformance.oracle import normal_form_violation
 from repro.engine.sweeps import (
     collect_group_endpoints,
     interval_sweep,
     monus,
     partition_by_keys,
     split_segments,
+    temporal_aggregate,
 )
 from repro.errors import QueryTimeoutError, ResourceLimitError
 from repro.execution import Deadline, QueryLimits
@@ -488,6 +494,259 @@ def test_min_max_kernel_at_the_int64_edge(rows, grouped, coalesce):
     with pytest.MonkeyPatch.context() as monkeypatch:
         statistics = _three_ways(plan, monkeypatch)
     assert statistics["batch.aggregate_vectorized"] == 1
+
+
+# -- temporal aggregation: counted or sorted, and the run merge above it ----------------
+
+#: All five functions; ``v`` is int-or-NULL, so the kernel takes every one of them.
+ALL_FUNCTIONS = st.lists(
+    st.sampled_from(
+        [
+            AggregateSpec("count", None, "n"),
+            AggregateSpec("count", attr("v"), "nv"),
+            AggregateSpec("sum", attr("v"), "total"),
+            AggregateSpec("avg", attr("v"), "mean"),
+            AggregateSpec("min", attr("v"), "low"),
+            AggregateSpec("max", attr("v"), "top"),
+        ]
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda spec: spec.alias,
+)
+#: How far apart the drawn time points lie: a grid the kernel counts on (1),
+#: one it sorts (64) and, mostly, one whose packed codes would not fit.
+STRETCHES = st.sampled_from([1, 1, 64, 2**58])
+#: A group whose count of ``v`` goes 0 -> 1 -> 0, two equal segments split by a
+#: gap, two equal segments that touch, and a group of 1 / 1.0 / True keys.
+RUNS = [
+    (0, "x", None, 0, 10),
+    (0, "x", 3, 3, 6),
+    (2, "x", 2, 0, 3),
+    (2, "x", 2, 5, 8),
+    (3, "x", 1, 0, 4),
+    (3, "x", 1, 4, 9),
+    (True, "x", 5, 1, 3),
+    (1.0, "x", 5, 3, 4),
+    (1, "x", 5, 4, 6),
+]
+
+
+def _stretched(rows, stretch: int):
+    return [
+        (k1, k2, v, *(None if t is None else t * stretch for t in (begin, end)))
+        for k1, k2, v, begin, end in rows
+    ]
+
+
+def _aggregate_plan(rows, n_keys, aggregates, coalesce, stretch=1, padded=False):
+    relation = _relation(_stretched(rows, stretch), coalesce=coalesce)
+    if padded and not n_keys:
+        # REWR's gap padding under an ungrouped aggregate: a NULL row over the domain.
+        relation = Union(relation, ConstantRelation(SCHEMA, ((None, None, None, 0, 20 * stretch),)))
+    return TemporalAggregateOperator(relation, ("k1", "k2")[:n_keys], tuple(aggregates))
+
+
+def _same_tally(served, other) -> None:
+    """Two tallies' ``(points, states)``: equal bit for bit, int64 throughout."""
+    (points, states), (other_points, other_states) = served, other
+    assert points.dtype == other_points.dtype == "int64"
+    assert points.tolist() == other_points.tolist()
+    assert len(states) == len(other_states)
+    for state, other_state in zip(states, other_states):
+        assert state.dtype == other_state.dtype == "int64"
+        assert state.tolist() == other_state.tolist()
+
+
+def _cross_checked_tallies(monkeypatch, routes) -> None:
+    """Each tally the kernel runs is checked against the other one's on the same events."""
+    dense, ordered = kernels._tally_dense, kernels._tally_sorted
+
+    def spy_dense(begins, ends, cells, measures, weighted):
+        served = dense(begins, ends, cells, measures, weighted)
+        _same_tally(served, ordered(begins, ends, measures))
+        routes.append("dense")
+        return served
+
+    def spy_sorted(begins, ends, measures):
+        served = ordered(begins, ends, measures)
+        cells = int(max(begins.max(), ends.max())) + 1
+        if cells <= 1 << 20:  # a grid that far apart is not worth allocating here
+            _same_tally(served, dense(begins, ends, cells, measures, True))
+        routes.append("sorted")
+        return served
+
+    monkeypatch.setattr(kernels, "_tally_dense", spy_dense)
+    monkeypatch.setattr(kernels, "_tally_sorted", spy_sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=tables(),
+    n_keys=st.integers(0, 2),
+    aggregates=ALL_FUNCTIONS,
+    coalesce=st.booleans(),
+    stretch=STRETCHES,
+    padded=st.booleans(),
+)
+@example(data=(RUNS, []), n_keys=1, aggregates=[AggregateSpec("count", attr("v"), "nv")],
+         coalesce=True, stretch=1, padded=False)
+@example(data=(RUNS, []), n_keys=0, aggregates=[AggregateSpec("max", attr("v"), "top")],
+         coalesce=False, stretch=64, padded=True)
+@example(data=(RUNS, []), n_keys=1, aggregates=[AggregateSpec("sum", attr("v"), "total")],
+         coalesce=False, stretch=2**58, padded=False)
+def test_the_dense_and_the_sorted_tally_agree_with_the_sweep_and_the_reference(
+    data, n_keys, aggregates, coalesce, stretch, padded
+):
+    """Counted on the grid or sorted -- the grid's shape decides -- same rows as the sweep.
+
+    Three ways through the operator, each tally the kernel runs checked bit
+    for bit against the other one on its own events, and the kernel called
+    directly against :func:`repro.engine.sweeps.temporal_aggregate`.  The
+    kernel serves exactly where the packed code fits, on either route, and
+    counts exactly where the grid holds at most ``DENSE_GRID`` cells per event.
+    """
+    plan = _aggregate_plan(data[0], n_keys, aggregates, coalesce, stretch, padded)
+    routes: list = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _cross_checked_tallies(monkeypatch, routes)
+        statistics = _three_ways(plan, monkeypatch)
+    # An input with no valid row is served before any tally.
+    assert len(routes) <= statistics.get("batch.aggregate_vectorized", 0)
+    assert routes.count("dense") == statistics.get("batch.aggregate_dense", 0)
+
+    (relation,) = plan.children()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(kernels, "KERNEL_CUTOVER", 10**9)
+        batch = batching.execute_batch_plan(relation, ExecutionContext(DATABASE))
+    k1, k2, v, begins, ends = batch.typed
+    keys = [k1, k2][:n_keys]
+    counts = None if batch.all_ones() else batch.counts
+    functions = [(spec.func, None if spec.argument is None else v) for spec in aggregates]
+    served = kernels.temporal_aggregate_vectorized(keys, begins, ends, counts, functions)
+    if not all(type(t) is int for t in begins.values + ends.values):
+        assert served is None
+        return
+    b, e = begins.ints(), ends.ints()
+    valid = b < e
+    if not valid.any():
+        assert served is not None and not served[4] and not len(served[0])
+        return
+    (codes,), n_codes = kernels.factorize((keys,), (len(b),), nulls_match=True)
+    packing = kernels.pack_span(n_codes, (b[valid], e[valid]))
+    assert (served is None) == (packing is None)
+    if served is None:
+        return
+    group_rows, value_columns, out_begins, out_ends, dense = served
+    assert dense == (n_codes * packing[1] <= kernels.DENSE_GRID * 2 * int(valid.sum()))
+    listed = list(
+        zip(
+            *([key.values[i] for i in group_rows.tolist()] for key in keys),
+            *(column.values for column in value_columns),
+            out_begins.values,
+            out_ends.values,
+        )
+    )
+    twin, _buckets = temporal_aggregate(
+        [key.values for key in keys],
+        begins.values,
+        ends.values,
+        counts or [1] * len(b),
+        [(func, None if column is None else column.values) for func, column in functions],
+    )
+    assert Counter(map(repr, listed)) == Counter(map(repr, twin))
+
+
+def _routes(plan):
+    """``plan`` on the row reference, the kernels (cutover 0) and the scalar sweeps.
+
+    Per route, the result table and the statistics it counted.
+    """
+    statistics: Dict[str, int] = {}
+    tables = {"row": (execute(plan, DATABASE, statistics, executor="row"), statistics)}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for route, cutover in (("kernel", 0), ("scalar", 10**9)):
+            monkeypatch.setattr(kernels, "KERNEL_CUTOVER", cutover)
+            statistics = {}
+            tables[route] = (execute(plan, DATABASE, statistics), statistics)
+    return tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=tables(), n_keys=st.integers(0, 2), aggregates=ALL_FUNCTIONS, coalesce=st.booleans())
+@example(data=(RUNS, []), n_keys=1, aggregates=[AggregateSpec("count", attr("v"), "nv")],
+         coalesce=False)
+def test_a_temporal_aggregate_lists_each_group_in_time_order_once(
+    data, n_keys, aggregates, coalesce
+):
+    """The order contract the run merge relies on, on all three routes.
+
+    Each group's segments are consecutive (a group once left never comes
+    back), ascending and disjoint in time, and every entry has multiplicity 1.
+    """
+    plan = _aggregate_plan(data[0], n_keys, aggregates, coalesce)
+    for route, (table, _statistics) in _routes(plan).items():
+        finished: set = set()
+        current = previous_end = None
+        for row in table.rows:
+            group = row[:n_keys]
+            if group != current:
+                assert group not in finished, (route, table.rows)
+                if current is not None:
+                    finished.add(current)
+                current, previous_end = group, None
+            assert row[-2] < row[-1] and (previous_end is None or previous_end <= row[-2])
+            previous_end = row[-1]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for cutover in (0, 10**9):
+            monkeypatch.setattr(kernels, "KERNEL_CUTOVER", cutover)
+            batch = batching.execute_batch_plan(plan, ExecutionContext(DATABASE))
+            assert batch.all_ones()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=tables(), n_keys=st.integers(0, 2), aggregates=ALL_FUNCTIONS, coalesce=st.booleans())
+@example(data=(RUNS, []), n_keys=1, aggregates=[AggregateSpec("count", attr("v"), "nv")],
+         coalesce=False)
+@example(data=(RUNS, []), n_keys=1, aggregates=[AggregateSpec("sum", attr("v"), "total")],
+         coalesce=True)
+def test_the_run_merge_equals_the_full_step_sweep(data, n_keys, aggregates, coalesce):
+    """Coalesce over an aggregate merges runs; the step sweep over its rows agrees, as bags.
+
+    The sweep runs on the row reference over the very rows the route's
+    aggregate listed (a coalesce over a constant relation never merges runs).
+    """
+    aggregate = _aggregate_plan(data[0], n_keys, aggregates, coalesce)
+    listed = _routes(aggregate)
+    for route, (merged, statistics) in _routes(CoalesceOperator(aggregate)).items():
+        rows = listed[route][0]
+        swept = execute(
+            CoalesceOperator(ConstantRelation(rows.schema, tuple(rows.rows))),
+            DATABASE,
+            executor="row",
+        )
+        assert Counter(merged.rows) == Counter(swept.rows), route
+        assert normal_form_violation(merged) is None, route
+        assert statistics.get("batch.coalesce_runs_merged", 0) == (route == "kernel"), route
+        # The only step sweep is the one under the aggregate, if any.
+        assert statistics["coalesce_input_rows"] >= len(rows.rows) and (
+            coalesce or "batch.coalesce_vectorized" not in statistics
+        )
+
+
+def test_the_run_merge_keeps_gaps_and_a_return_to_zero_apart():
+    """0 -> 1 -> 0 stays three segments, a gap splits equal values, touching ones merge."""
+    plan = CoalesceOperator(
+        _aggregate_plan(RUNS, 1, [AggregateSpec("count", attr("v"), "nv")], False)
+    )
+    expected = [
+        (0, 0, 0, 3), (0, 1, 3, 6), (0, 0, 6, 10),
+        (2, 1, 0, 3), (2, 1, 5, 8),
+        (3, 1, 0, 9),
+        (True, 1, 1, 6),
+    ]
+    for route, (table, _statistics) in _routes(plan).items():
+        assert Counter(map(repr, table.rows)) == Counter(map(repr, expected)), route
 
 
 # -- chains: what one kernel hands the next ---------------------------------------------

@@ -388,6 +388,31 @@ def test_a_direct_append_outside_the_catalog_is_seen_by_the_next_kernel_served_q
     assert _kernel_served(_top_per_name(), database) == before
 
 
+def test_an_int_constant_is_projected_as_a_column_born_typed(derivations):
+    """REWR's ``1 AS __agg_arg_0`` from the cutover on: an array, no list, no scan."""
+    np = pytest.importorskip("numpy")
+    from repro.algebra.expressions import Literal
+    from repro.engine.batch import _projection
+
+    constants = (1, True, 1.0, "1", None, 2**63)
+    columns = tuple((Literal(value), f"c{position}") for position, value in enumerate(constants))
+    for n in (N - 1, N):
+        batch = ColumnarBatch("t", ("a",), [list(range(n))], [1] * n, all_ones=True)
+        projected = _projection(batch, columns)
+        one, *others = projected.typed
+        if n < N:
+            assert all(column._ints is kernels._UNSET for column in projected.typed)
+        else:
+            assert one._values is None and one.ints().dtype == np.int64
+            assert one.ints().tolist() == [1] * n
+        for column, value in zip(others, constants[1:]):
+            # True, 1.0, a string, NULL and an int past int64 keep their lists.
+            assert column._ints is kernels._UNSET
+            assert [type(v) for v in column.values] == [type(value)] * n
+        assert repr(one.values) == repr([1] * n)
+    assert derivations == []
+
+
 def test_a_32_row_plan_builds_no_array(derivations):
     """``adhoc_small``'s shape: every operator below the cutover, numpy or not."""
     with connect(domain=(0, 20)) as session:

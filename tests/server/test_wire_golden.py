@@ -143,7 +143,7 @@ GOLDEN: Transcript = [
     ),
     (
         '<',
-        b'\x00\x00\x00?{"type":"row_chunk","id":5,"rows":[[0,0,3],[0,10,24],[1,3,10]]}',
+        b'\x00\x00\x00?{"type":"row_chunk","id":5,"rows":[[0,0,3],[1,3,10],[0,10,24]]}',
     ),
     (
         '<',
