@@ -18,7 +18,11 @@ its events on the packed ``(group, time)`` grid rather than sorting them
 (``kernels.DENSE_GRID``): ``aggregate`` and ``minmax`` group by the four
 ``adhoc`` categories (a dense grid) or the nine ``employee`` departments
 over twenty years (sparse up to some thousand rows), ``agg-wide`` by
-``(key, val)``, many small groups on a wide grid.
+``(key, val)``, many small groups on a wide grid.  ``agg+c`` is
+``aggregate`` under REWR's coalesce, which merges the aggregate's runs in
+one pass (:func:`repro.engine.sweeps.merge_runs` on the scalar route,
+:func:`repro.engine.kernels.merge_runs_vectorized` on the kernel route);
+the rung times the two operators together.
 The set operators consolidate on codes only what arrives as columns (row
 tuples keep the ``dict`` at every size, so a constant would time one route
 twice): they read catalog tables, once with the result taken as rows and
@@ -129,15 +133,18 @@ def plans(make: Callable[[int, str], List[Tuple]], n: int) -> Dict[str, object]:
         (FunctionCall("greatest", (attr("l_t_begin"), attr("r_t_begin"))), "t_begin"),
         (FunctionCall("least", (attr("l_t_end"), attr("r_t_end"))), "t_end"),
     )
+    aggregate = TemporalAggregateOperator(
+        relation(left + right),
+        ("cat",),
+        (AggregateSpec("count", None, "cnt"), AggregateSpec("sum", attr("val"), "total")),
+    )
     return {
         "join": join,
         "chain": CoalesceOperator(Projection(join, intersection)),
         "split": SplitOperator(relation(left), relation(right), ("key",)),
-        "aggregate": TemporalAggregateOperator(
-            relation(left + right),
-            ("cat",),
-            (AggregateSpec("count", None, "cnt"), AggregateSpec("sum", attr("val"), "total")),
-        ),
+        "aggregate": aggregate,
+        # REWR's coalesce over the aggregate: the run merge.
+        "agg+c": CoalesceOperator(aggregate),
         "minmax": TemporalAggregateOperator(
             relation(left + right),
             ("cat",),

@@ -462,37 +462,24 @@ def monus(
     # change the level, which then closes the open segment (if any) and
     # opens the next one (if positive).  A group's changes sum to zero, so
     # no segment stays open across groups; a sentinel event settles the last
-    # point.  Coalescing's level is ``l`` itself, which every net change
-    # moves: its loop skips the level's clamps and comparison.
+    # point.
     open_count = held = run = 0
     since: Any = None
     gid: Any = None
     ts: Any = None
     events.append((None, None, 0))
-    if subtrahend is None and not distinct:
-        for next_gid, next_ts, delta in events:
-            if next_ts == ts and next_gid == gid:
-                run += delta
-                continue
-            if run:
+    for next_gid, next_ts, delta in events:
+        if next_ts == ts and next_gid == gid:
+            run += delta
+            continue
+        if run:
+            open_count += run
+            level = (1 if distinct else open_count) if open_count > 0 else 0
+            if level != held:
                 if held:
                     emit((gid, since, ts, held))
-                open_count += run
-                since, held = ts, open_count
-            gid, ts, run = next_gid, next_ts, delta
-    else:
-        for next_gid, next_ts, delta in events:
-            if next_ts == ts and next_gid == gid:
-                run += delta
-                continue
-            if run:
-                open_count += run
-                level = (1 if distinct else open_count) if open_count > 0 else 0
-                if level != held:
-                    if held:
-                        emit((gid, since, ts, held))
-                    since, held = ts, level
-            gid, ts, run = next_gid, next_ts, delta
+                since, held = ts, level
+        gid, ts, run = next_gid, next_ts, delta
     if not segments:
         return [], [], [], []
     out_rows, out_begins, out_ends, out_counts = map(list, zip(*segments))

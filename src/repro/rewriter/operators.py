@@ -62,9 +62,6 @@ Relation = Union[Table, "ColumnarBatch"]
 
 
 def _data_attributes(schema: Sequence[str], period: Tuple[str, str]) -> Tuple[str, ...]:
-    head = tuple(schema[:-2])
-    if tuple(schema[-2:]) == period and period[0] not in head and period[1] not in head:
-        return head  # the period last, as PERIODENC lays it out: no scan
     return tuple(a for a in schema if a not in period)
 
 
@@ -199,18 +196,13 @@ class _StepSweep(PhysicalOperator):
 
     def _check_attributes(self, children: Sequence[Relation]) -> Tuple[str, ...]:
         """The value-group attributes; every input must hold them and the period."""
-        schema = children[0].schema
-        data = _data_attributes(schema, self.period)
-        # The first input holds its own data attributes, and the period
-        # attributes once each when they are all its schema has besides.
-        needed = () if len(schema) == len(data) + 2 else self.period
+        data = _data_attributes(children[0].schema, self.period)
         for relation in children:
-            for attribute in needed:
+            for attribute in data + self.period:
                 if not relation.has_attribute(attribute):
                     raise ExecutorError(
                         f"{self._name} attribute {attribute!r} missing from {relation.schema}"
                     )
-            needed = data + self.period
         return data
 
     def _sweep_input(

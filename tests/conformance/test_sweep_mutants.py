@@ -93,20 +93,19 @@ MUTANTS = {
     ),
     "coalesce level": (
         "monus",
-        "since, held = ts, open_count",
-        "since, held = ts, min(open_count, 1)",
+        "else open_count)",
+        "else 1)",
         _skills("works", "skill"),
         "a positive level is 1 instead of the open count: set coalescing, each "
         "maximal interval once whatever its multiplicity",
     ),
     "level dispatch": (
         "monus",
-        "if subtrahend is None and not distinct:",
-        "if not distinct:",
-        Union(query_skillreq(), _skills("works", "skill")),
-        "the loop is picked by the distinct flag alone: a difference runs "
-        "coalescing's loop, whose level l - r has no clamp at 0, and a negative "
-        "count reaches the union above",
+        "1 if distinct else",
+        "1 if subtrahend is None else",
+        _skills("works", "skill"),
+        "the clamp follows a missing subtrahend instead of the distinct flag: "
+        "coalescing is given distinct's min(l, 1)",
     ),
     "merge across a gap": (
         "merge_runs",
