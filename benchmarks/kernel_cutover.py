@@ -19,10 +19,9 @@ its events on the packed ``(group, time)`` grid rather than sorting them
 ``adhoc`` categories (a dense grid) or the nine ``employee`` departments
 over twenty years (sparse up to some thousand rows), ``agg-wide`` by
 ``(key, val)``, many small groups on a wide grid.  ``agg+c`` is
-``aggregate`` under REWR's coalesce, which merges the aggregate's runs in
-one pass (:func:`repro.engine.sweeps.merge_runs` on the scalar route,
-:func:`repro.engine.kernels.merge_runs_vectorized` on the kernel route);
-the rung times the two operators together.
+``aggregate`` under REWR's coalesce: the aggregate joins its touching
+segments of equal values itself (the coalesced encoding) and the coalesce
+passes its rows through, so the rung times the aggregate with its merge.
 The set operators consolidate on codes only what arrives as columns (row
 tuples keep the ``dict`` at every size, so a constant would time one route
 twice): they read catalog tables, once with the result taken as rows and
@@ -143,7 +142,7 @@ def plans(make: Callable[[int, str], List[Tuple]], n: int) -> Dict[str, object]:
         "chain": CoalesceOperator(Projection(join, intersection)),
         "split": SplitOperator(relation(left), relation(right), ("key",)),
         "aggregate": aggregate,
-        # REWR's coalesce over the aggregate: the run merge.
+        # REWR's coalesce over the aggregate: a pass-through.
         "agg+c": CoalesceOperator(aggregate),
         "minmax": TemporalAggregateOperator(
             relation(left + right),

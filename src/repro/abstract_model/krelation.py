@@ -104,21 +104,8 @@ class KRelation:
         """All distinct rows with non-zero annotation."""
         return list(self._data)
 
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        """Rows as attribute-name dictionaries (annotations dropped)."""
-        return [dict(zip(self.schema, row)) for row in self._data]
-
     def to_row_dict(self, row: Row) -> Dict[str, Any]:
         return dict(zip(self.schema, row))
-
-    def multiplicity_expanded(self) -> List[Row]:
-        """For N-relations: each row repeated according to its multiplicity."""
-        if self.semiring != NATURAL:
-            raise SemiringError("multiplicity expansion requires the N semiring")
-        expanded: List[Row] = []
-        for row, count in self._data.items():
-            expanded.extend([row] * count)
-        return expanded
 
     # -- RA+ operators -----------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ against the results produced here.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Tuple
 
 from ..algebra.operators import Operator
 from ..semirings.base import Semiring
@@ -68,24 +68,6 @@ class SnapshotKRelation:
             begin, end = domain.clamp(begin, end)
             for point in range(begin, end):
                 relation.snapshot(point).add(row, annotation)
-        return relation
-
-    @classmethod
-    def from_function(
-        cls,
-        semiring: Semiring,
-        domain: TimeDomain,
-        schema: Iterable[str],
-        annotation_at: Callable[[int, Row], Any],
-        rows: Iterable[Row],
-    ) -> "SnapshotKRelation":
-        """Build by sampling an annotation function over points x rows."""
-        relation = cls(semiring, domain, schema)
-        rows = [tuple(r) for r in rows]
-        for point in domain.points():
-            snapshot = relation.snapshot(point)
-            for row in rows:
-                snapshot.add(row, annotation_at(point, row))
         return relation
 
     # -- access ----------------------------------------------------------------------------------

@@ -189,10 +189,6 @@ class RelationAccess(Operator):
     def with_children(self) -> "RelationAccess":
         return self
 
-    @property
-    def effective_name(self) -> str:
-        return self.alias or self.name
-
     def __repr__(self) -> str:
         alias = f" AS {self.alias}" if self.alias else ""
         return f"Relation({self.name}{alias})"

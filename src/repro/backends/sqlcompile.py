@@ -652,30 +652,13 @@ class SQLCompiler:
         right = self._name(right_block, "in")
 
         rid, point, seg_begin, seg_end = "__rid", "__pt", "__b", "__e"
-        group_aliases = [f"__g{position}" for position in range(len(plan.group_by))]
 
         rows = self._cte(
             "rows",
             f"SELECT {self._columns(schema)}, ROW_NUMBER() OVER () AS {rid} "
             f"FROM {left} WHERE {qb} < {qe}",
         )
-
-        def endpoint_select(source: str, attribute: str) -> str:
-            cells = [
-                f"{quote_identifier(g)} AS {alias}"
-                for g, alias in zip(plan.group_by, group_aliases)
-            ]
-            cells.append(f"{quote_identifier(attribute)} AS {point}")
-            return f"SELECT {', '.join(cells)} FROM {source}"
-
-        points = self._cte(
-            "pts",
-            "\nUNION\n".join(
-                endpoint_select(source, attribute)
-                for source in dict.fromkeys((left, right))
-                for attribute in (begin, end)
-            ),
-        )
+        points, group_aliases = self._endpoints(plan.group_by, plan.period, (left, right))
         group_match = " AND ".join(
             self._null_safe_equal(
                 f"{rows}.{quote_identifier(g)}", f"{points}.{alias}"
@@ -719,6 +702,29 @@ class SQLCompiler:
             f"WHERE {segments}.{seg_end} IS NOT NULL"
         )
         return _Block.over(self._cte("split", body), schema)
+
+    def _endpoints(
+        self, group_by: Sequence[str], period: Tuple[str, str], sources: Sequence[str]
+    ) -> Tuple[str, List[str]]:
+        """The ``pts`` CTE: every distinct (group, end point) of the ``sources``' rows.
+
+        Both period attributes of each source are listed as ``__pt``, under
+        the group attributes renamed ``__g0``, ``__g1``, ...; returns the
+        CTE's name and those aliases.
+        """
+        aliases = [f"__g{position}" for position in range(len(group_by))]
+        groups = "".join(
+            f"{quote_identifier(g)} AS {alias}, " for g, alias in zip(group_by, aliases)
+        )
+        points = self._cte(
+            "pts",
+            "\nUNION\n".join(
+                f"SELECT {groups}{quote_identifier(attribute)} AS __pt FROM {source}"
+                for source in dict.fromkeys(sources)
+                for attribute in period
+            ),
+        )
+        return points, aliases
 
     def _temporal_aggregate(self, plan: TemporalAggregateOperator) -> _Block:
         """Fused split + aggregation (Section 9): one row per group and segment.
@@ -794,20 +800,8 @@ class SQLCompiler:
         begin, end = plan.period
         qb, qe = quote_identifier(begin), quote_identifier(end)
         point, seg_begin, seg_end = "__pt", "__b", "__e"
-        group_aliases = [f"__g{position}" for position in range(len(plan.group_by))]
         src = self._name(self._proper(child, plan.period), "src")
-
-        def endpoint_select(attribute: str) -> str:
-            cells = [
-                f"{quote_identifier(g)} AS {alias}"
-                for g, alias in zip(plan.group_by, group_aliases)
-            ]
-            cells.append(f"{quote_identifier(attribute)} AS {point}")
-            return f"SELECT {', '.join(cells)} FROM {src}"
-
-        points = self._cte(
-            "pts", f"{endpoint_select(begin)}\nUNION\n{endpoint_select(end)}"
-        )
+        points, group_aliases = self._endpoints(plan.group_by, plan.period, (src,))
         seg_partition = (
             "PARTITION BY " + ", ".join(group_aliases) + " " if group_aliases else ""
         )

@@ -42,8 +42,8 @@ either half may be missing until someone reads it.
   the row reference calls the very same functions.  Below the cutover, and
   without numpy, no column ever has a typed form;
 * coalescing emits one output row per maximal interval with a multiplicity
-  instead of duplicating tuples; over a temporal aggregate, whose output
-  lists each step function in order, it merges adjacent runs in one pass;
+  instead of duplicating tuples; over a monus sweep or a temporal
+  aggregate, which emit that encoding themselves, it passes its input on;
 * a node held by more than one parent runs once per execution -- the
   planner makes equal sub-plans one object (REWR's two split inputs, a
   sub-plan a query names twice) -- and its batch is kept, keyed on

@@ -35,14 +35,13 @@ that primitive sit
   ``min``/``max`` as a range-update sweep over the same points.  Where the
   packed grid is dense -- at most :data:`DENSE_GRID` cells per event -- the
   events are *counted* per cell (exact int64 tallies, no sort) instead of
-  sorted; both routes give the same points and states bit for bit,
+  sorted; both routes give the same points and states bit for bit.  The
+  touching segments of equal values are then joined, so the output is the
+  coalesced encoding, as the monus's is,
 * :func:`monus_vectorized` -- multiset coalescing, temporal bag difference
   and distinct: one ``cumsum`` of ``l - r`` over every group's packed
   events (the subtrahend's too, where there is one), a segment wherever
-  the level ``l``, ``max(l - r, 0)`` or ``min(l, 1)`` changes,
-* :func:`merge_runs_vectorized` -- coalescing of a temporal aggregate's
-  output, which lists each step function in order already: adjacent
-  entries join where they touch and hold equal values, one linear pass.
+  the level ``l``, ``max(l - r, 0)`` or ``min(l, 1)`` changes.
 
 The set operators need the factorise half alone:
 
@@ -62,7 +61,7 @@ its result and serves what it declines by returning ``None`` -- the one
 scalar definition of the algorithm, which the row reference runs too:
 ``join`` (``partition_by_keys`` + ``interval_sweep``), ``split``
 (``collect_group_endpoints`` + ``split_segments``), ``temporal_aggregate``,
-``monus`` and ``merge_runs``; for :func:`consolidate`, ``except_all`` and the
+and ``monus``; for :func:`consolidate`, ``except_all`` and the
 ``dict.fromkeys`` of :func:`repro.engine.batch._distinct`.  That kernel
 declines nothing (any value has a code, a tally past int64 is kept in Python
 ints): its twin serves below the cutover, without numpy, and an input that
@@ -116,7 +115,6 @@ __all__ = [
     "split_segments_vectorized",
     "temporal_aggregate_vectorized",
     "monus_vectorized",
-    "merge_runs_vectorized",
     "consolidate",
     "rows_holding",
 ]
@@ -865,7 +863,7 @@ def temporal_aggregate_vectorized(
     aggregates: Sequence[Tuple[str, Optional[Column]]],
     checkpoint: Checkpoint = None,
 ) -> Optional[Tuple[Any, List[Column], Column, Column, bool]]:
-    """The five aggregates per segment between a group's end points.
+    """The five aggregates over the segments between a group's end points, coalesced.
 
     Vector twin of :func:`repro.engine.sweeps.temporal_aggregate`: every valid
     row becomes a ``+`` event at its begin and a ``-`` event at its end in the
@@ -895,11 +893,13 @@ def temporal_aggregate_vectorized(
     multiplicities could sum past it -- and ``avg`` divides Python ints, so
     every value equals the scalar sweep's bit for bit.
 
-    Returns ``(group_rows, value_columns, begins, ends, dense)`` or ``None``
-    (declined).  The segments come out group by group, each group's in time
-    order: ``group_rows[k]`` indexes the first valid input row of segment
-    k's group (gather the group-by columns there), and ``dense`` says which
-    route tallied.
+    A segment that touches the one before it in its group with equal values
+    joins its run (:func:`_runs`), so the output is the coalesced encoding
+    the scalar twin emits.  Returns ``(group_rows, value_columns, begins,
+    ends, dense)`` or ``None`` (declined).  The maximal intervals come out
+    group by group, each group's in time order: ``group_rows[k]`` indexes
+    the first valid input row of entry k's group (gather the group-by
+    columns there), and ``dense`` says which route tallied.
     """
     b, e = begins.ints(), ends.ints()
     if b is None or e is None:
@@ -1005,13 +1005,41 @@ def temporal_aggregate_vectorized(
             value_columns.append(Column(values))
         else:
             value_columns.append(Column(ints=values))
+    # The coalesced encoding: a segment continuing the one before it -- same
+    # group, touching, equal values -- joins its run (there is at least one
+    # segment: a valid row is open somewhere).
+    firsts, lasts = _runs([Column(ints=groups), *value_columns], segment_begins, segment_ends)
     return (
-        group_rows,
-        value_columns,
-        Column(ints=segment_begins),
-        Column(ints=segment_ends),
+        group_rows[firsts],
+        [Column.gathered(column, firsts) for column in value_columns],
+        Column(ints=segment_begins[firsts]),
+        Column(ints=segment_ends[lasts]),
         dense,
     )
+
+
+def _runs(columns: Sequence[Column], begins: Any, ends: Any) -> Tuple[Any, Any]:
+    """``(firsts, lasts)``: int64 arrays of each run's first and last entry.
+
+    Entry i joins the run of entry i - 1 where it begins as that one ends
+    (``begins`` and ``ends`` are int64 arrays, not empty) and every column
+    holds an equal value -- int forms compared with their validity masks,
+    anything else by its dict-equality codes.  A run prints under its first
+    entry, from its begin to its last entry's end.
+    """
+    joined = begins[1:] == ends[:-1]
+    for column in columns:
+        form = column.nullable_ints()
+        if form is None:
+            codes = column.codes()[0]
+            joined &= codes[1:] == codes[:-1]
+            continue
+        values, valid = form
+        joined &= values[1:] == values[:-1]
+        if valid is not None:
+            joined &= valid[1:] == valid[:-1]
+    firsts = np.flatnonzero(np.concatenate([[True], ~joined]))
+    return firsts, np.append(firsts[1:], len(begins)) - 1
 
 
 def _tally_sorted(begins: Any, ends: Any, measures: Sequence[Any]) -> Tuple[Any, List[Any]]:
@@ -1259,41 +1287,6 @@ def monus_vectorized(
         Column(ints=points[1:][open_mask] - gids * span + lo),
         out_counts.tolist(),
     )
-
-
-def merge_runs_vectorized(
-    columns: Sequence[Column], begins: Column, ends: Column
-) -> Optional[Tuple[Any, Any]]:
-    """Coalescing of entries that list their own step function in order, as runs.
-
-    Vector twin of :func:`repro.engine.sweeps.merge_runs`, over the data
-    ``columns`` and the period of a temporal aggregate's output: entry i
-    joins the run of entry i - 1 where it begins as that one ends and every
-    data column holds an equal value -- int forms compared with their
-    validity masks, anything else by its dict-equality codes.  Returns
-    ``(firsts, lasts)``, int64 arrays of each run's first and last entry (a
-    run prints under its first entry, from its begin to its last's end), or
-    ``None`` when an end point column is not int typed.
-    """
-    begin_array, end_array = begins.ints(), ends.ints()
-    if begin_array is None or end_array is None:
-        return None
-    n = len(begin_array)
-    if not n:
-        return begin_array, begin_array
-    joined = begin_array[1:] == end_array[:-1]
-    for column in columns:
-        form = column.nullable_ints()
-        if form is None:
-            codes = column.codes()[0]
-            joined &= codes[1:] == codes[:-1]
-            continue
-        values, valid = form
-        joined &= values[1:] == values[:-1]
-        if valid is not None:
-            joined &= valid[1:] == valid[:-1]
-    firsts = np.flatnonzero(np.concatenate([[True], ~joined]))
-    return firsts, np.append(firsts[1:], n) - 1
 
 
 # -- (5) consolidation: bag difference and distinct -------------------------------------

@@ -24,12 +24,10 @@ The algorithms:
 * coalescing, temporal bag difference and distinct (:func:`monus`): one
   +count/-count event sweep per value group over a step function's
   changepoints, emitting the level ``l``, ``max(l - r, 0)`` or ``min(l, 1)``;
-  coalescing a temporal aggregate's output, which lists its step functions
-  in order already, is one pass that joins adjacent equal rows
-  (:func:`merge_runs`);
 * temporal aggregation (:func:`temporal_aggregate`): pre-aggregation of
   identical (group, arguments, period) rows, then one sweep per group over
-  its end points with running aggregate state;
+  its end points with running aggregate state, emitting the coalesced
+  encoding: touching segments of equal values are one row;
 * bag difference (:func:`except_all`) and non-temporal grouping
   (:func:`aggregate`), weighted by the input multiplicities.
 
@@ -63,7 +61,6 @@ __all__ = [
     "collect_group_endpoints",
     "split_segments",
     "monus",
-    "merge_runs",
     "temporal_aggregate",
     "except_all",
     "aggregate",
@@ -486,31 +483,6 @@ def monus(
     return out_rows, out_begins, out_ends, out_counts
 
 
-def merge_runs(rows: Sequence[Row]) -> List[Row]:
-    """Coalescing of rows that list their own step function in order: one pass, no sort.
-
-    ``rows`` end in ``(begin, end)``, hold each value tuple (the rest of
-    the row) at most once at any point, multiplicity 1, and list two rows
-    of one value tuple that touch next to each other -- the temporal
-    aggregate's output, each group's segments consecutive and in time
-    order.  Coalescing such an input only joins a *run*: consecutive rows
-    whose data values are equal the way a ``dict`` finds them equal and
-    where each row begins as the one before it ends.  A run prints under its
-    first row, spanning its first begin to its last end; a row that joins
-    no other comes back as it is.  Rows of equal values split by a gap stay
-    apart, as :func:`monus` would keep them.
-    """
-    out: List[Row] = []
-    previous: Any = None
-    for row in rows:
-        if previous is not None and row[-2] == previous[-1] and row[:-2] == previous[:-2]:
-            previous = out[-1] = previous[:-1] + row[-1:]
-        else:
-            out.append(row)
-            previous = row
-    return out
-
-
 # -- temporal aggregation ---------------------------------------------------------------
 
 
@@ -529,9 +501,10 @@ def temporal_aggregate(
     on a much smaller input; rows with a NULL or degenerate interval are
     dropped (SQL's ``WHERE begin < end``).  Then each group's end points are
     swept once (:func:`_sweep_group`), emitting one row ``group key +
-    aggregate values + (begin, end)`` per segment with open rows.  Returns
-    those rows -- groups in first-valid-row order -- and the number of
-    pre-aggregated buckets.
+    aggregate values + (begin, end)`` per maximal interval of equal values
+    with open rows: the coalesced encoding (Definition 5.3), each group's
+    rows consecutive and in time order.  Returns those rows -- groups in
+    first-valid-row order -- and the number of pre-aggregated buckets.
     """
     n = len(counts)
     arguments = [[None] * n if values is None else values for _func, values in aggregates]
@@ -566,7 +539,12 @@ def _sweep_group(
     functions: Sequence[Tuple[str, bool]],
     append: Callable[[Row], None],
 ) -> None:
-    """One group's segments: ``facts`` are its (begin, end, arguments, multiplicity) buckets."""
+    """One group's maximal intervals, from its (begin, end, arguments, multiplicity) ``facts``.
+
+    A segment is held back while the next one touches it with equal values
+    (equal the way a tuple finds them equal) and then extends it; it prints
+    the values of its first segment.  Equal values split by a gap stay apart.
+    """
     events: Dict[Any, List[Tuple[int, Row, int]]] = {}
     for begin, end, args, multiplicity in facts:
         events.setdefault(begin, []).append((+1, args, multiplicity))
@@ -574,12 +552,21 @@ def _sweep_group(
 
     state = _AggregateState(functions)
     previous: Any = None
+    held: Any = None  # (values, begin, end) of the segment not yet emitted
     for ts in sorted(events):
         if previous is not None and previous < ts and state.open_rows > 0:
-            append(group_key + state.values() + (previous, ts))
+            values = state.values()
+            if held is not None and held[2] == previous and held[0] == values:
+                held = (held[0], held[1], ts)
+            else:
+                if held is not None:
+                    append(group_key + held[0] + held[1:])
+                held = (values, previous, ts)
         for sign, args, multiplicity in events[ts]:
             state.apply(sign, args, multiplicity)
         previous = ts
+    if held is not None:
+        append(group_key + held[0] + held[1:])
 
 
 class _AggregateState:

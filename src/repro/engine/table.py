@@ -300,14 +300,6 @@ class Table:
 
     # -- construction ---------------------------------------------------------------------
 
-    @classmethod
-    def from_dicts(
-        cls, name: str, schema: Iterable[str], rows: Iterable[Mapping[str, Any]]
-    ) -> "Table":
-        """Build a table from dictionaries (missing attributes become None)."""
-        schema = tuple(schema)
-        return cls(name, schema, ([row.get(a) for a in schema] for row in rows))
-
     def empty_copy(self, name: str | None = None) -> "Table":
         """A new empty table with the same schema."""
         return Table(name or self.name, self.schema)
@@ -380,37 +372,12 @@ class Table:
                 f"with schema {self.schema}"
             ) from exc
 
-    def column_getter(self, attribute: str) -> Callable[[Row], Any]:
-        """A fast positional accessor for one attribute."""
-        index = self.column_index(attribute)
-        return lambda row: row[index]
-
     def has_attribute(self, attribute: str) -> bool:
         return attribute in self._index
 
     def column(self, attribute: str) -> List[Any]:
         index = self.column_index(attribute)
         return [row[index] for row in self.rows]
-
-    # -- views ---------------------------------------------------------------------------------
-
-    def row_dict(self, row: Row) -> Dict[str, Any]:
-        return dict(zip(self.schema, row))
-
-    def iter_dicts(self) -> Iterator[Dict[str, Any]]:
-        schema = self.schema
-        for row in self.rows:
-            yield dict(zip(schema, row))
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return list(self.iter_dicts())
-
-    def sorted_rows(self, by: Sequence[str] | None = None) -> List[Row]:
-        """Rows sorted by the given attributes (or the full row) -- for tests."""
-        if by is None:
-            return sorted(self.rows, key=repr)
-        indexes = [self.column_index(a) for a in by]
-        return sorted(self.rows, key=lambda row: tuple(repr(row[i]) for i in indexes))
 
     # -- dunder plumbing --------------------------------------------------------------------------
 

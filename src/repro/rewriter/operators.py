@@ -31,9 +31,9 @@ into one sweep-line pass -- the same ``O(n log n)`` sort-based cost the
 paper reports (Figure 5) without materialising the three intermediate
 window tables -- whose level is the running count for coalescing, its
 monus with a second input's for difference and its clamp to 1 for
-distinct.  Over a temporal aggregate, whose output lists each step function
-in order already, coalescing needs no sweep: it merges adjacent runs in one
-pass (:class:`CoalesceOperator`).
+distinct.  The monus sweep and the temporal aggregate emit the coalesced
+encoding themselves, so a coalesce over either passes its input through
+(:class:`CoalesceOperator`).
 
 All four operators work on PERIODENC-encoded tables: data attributes plus
 ``t_begin`` / ``t_end``.
@@ -95,10 +95,6 @@ class _StepSweep(PhysicalOperator):
         """Whether the first input is already this operator's output."""
         return False
 
-    def _merges_runs(self, schema: Sequence[str]) -> bool:
-        """Whether the first input lists its step functions in order, so runs merge it."""
-        return False
-
     def _count_rows(self, context: ExecutionContext, rows_in: int, rows_out: int) -> None:
         """Count what a subclass reports of its input and output weight."""
 
@@ -106,10 +102,7 @@ class _StepSweep(PhysicalOperator):
         """The row reference: :meth:`_scalar`, each maximal interval ``count`` times."""
         left = children[0]
         if self._passes_through(left.schema):
-            return left
-        if self._merges_runs(left.schema):
-            result = Table(self._name, left.schema)
-            result.rows = _sweeps.merge_runs(left.rows)
+            result = left.clone(self._name)
             self._count_rows(context, len(left), len(result))
             return result
         data = self._check_attributes(children)
@@ -142,9 +135,9 @@ class _StepSweep(PhysicalOperator):
 
         left = children[0]
         if self._passes_through(left.schema):
-            return left
-        if self._merges_runs(left.schema):
-            return self._merge_runs(left, context)
+            result = left.relabelled(self._name, left.schema)
+            self._count_rows(context, left.weight(), result.weight())
+            return result
         data = self._check_attributes(children)
         distinct = self._distinct()
         limited = context._limited
@@ -247,22 +240,11 @@ class CoalesceOperator(_StepSweep):
     result is the unique N-coalesced encoding of the input's temporal
     N-elements, its data attributes first and the period last.
 
-    Two children need less than the sweep, by the plan's shape alone:
-
-    * *pass-through* -- a monus sweep's output is that encoding already, so
-      over one (:meth:`_passes_through`) every entry point returns its input;
-    * *run merge* -- a temporal aggregate lists each value tuple's segments
-      consecutively, in time order, once each (its order contract), so
-      over one (:meth:`_merges_runs`) coalescing only joins adjacent
-      equal-valued segments that touch: one linear pass,
-      :func:`repro.engine.sweeps.merge_runs` on the row reference and the
-      scalar route, :func:`repro.engine.kernels.merge_runs_vectorized` on
-      the kernel route (counted as ``batch.coalesce_runs_merged``).  Its
-      rows come out in the aggregate's (group, time)
-      order, not the sweep's first-row order.
-
-    Every entry point that does work counts ``coalesce_input_rows`` and
-    ``coalesce_output_rows``.
+    A child that emits that encoding already -- a monus sweep or a temporal
+    aggregate over the same period, with the period last -- needs no sweep:
+    over one (:meth:`_passes_through`) every entry point returns its input's
+    entries under this operator's name.  Every entry point counts
+    ``coalesce_input_rows`` and ``coalesce_output_rows``.
     """
 
     _name: ClassVar[str] = "coalesce"
@@ -326,17 +308,9 @@ class CoalesceOperator(_StepSweep):
         return data + self.period
 
     def _passes_through(self, schema: Sequence[str]) -> bool:
-        """Whether the input is a monus sweep's coalesced output, period last."""
+        """Whether the input is a monus sweep's or a temporal aggregate's output, period last."""
         return (
-            isinstance(self.child, MonusOperator)
-            and self.child.period == self.period
-            and tuple(schema[-2:]) == self.period
-        )
-
-    def _merges_runs(self, schema: Sequence[str]) -> bool:
-        """Whether the input is a temporal aggregate's output, period last."""
-        return (
-            isinstance(self.child, TemporalAggregateOperator)
+            isinstance(self.child, (MonusOperator, TemporalAggregateOperator))
             and self.child.period == self.period
             and tuple(schema[-2:]) == self.period
         )
@@ -344,42 +318,6 @@ class CoalesceOperator(_StepSweep):
     def _count_rows(self, context: ExecutionContext, rows_in: int, rows_out: int) -> None:
         context.count("coalesce_input_rows", rows_in)
         context.count("coalesce_output_rows", rows_out)
-
-    def _merge_runs(self, batch: "ColumnarBatch", context: ExecutionContext) -> "ColumnarBatch":
-        """The run merge of an aggregate's batch, on the route ``worthwhile`` picks.
-
-        :func:`repro.engine.kernels.merge_runs_vectorized` (counted as
-        ``batch.coalesce_runs_merged``) gathers the data columns and begins
-        at each run's first entry and the ends at its last, forms included;
-        :func:`repro.engine.sweeps.merge_runs` runs over the entries' row
-        tuples otherwise.
-        """
-        from ..engine.batch import ColumnarBatch
-
-        runs = None
-        if _kernels.worthwhile(len(batch)):
-            *data, begins, ends = batch.typed
-            runs = _kernels.merge_runs_vectorized(data, begins, ends)
-        if runs is None:
-            rows = _sweeps.merge_runs(batch.entry_rows())
-            result = ColumnarBatch.from_rows(self._name, batch.schema, rows)
-        else:
-            context.count("batch.coalesce_runs_merged")
-            firsts, lasts = runs
-            gathered = _kernels.Column.gathered
-            result = ColumnarBatch(
-                self._name,
-                batch.schema,
-                [gathered(column, firsts) for column in data + [begins]]
-                + [gathered(ends, lasts)],
-                [1] * len(firsts),
-                all_ones=True,
-                typed=True,
-            )
-        self._count_rows(context, len(batch), len(result))
-        if context._limited:
-            context.checkpoint(len(result))
-        return result
 
 
 @dataclass(frozen=True)
@@ -629,20 +567,19 @@ class TemporalAggregateOperator(PhysicalOperator):
     Rather than materialising the split of the input and feeding it to a
     standard aggregation grouped by ``(G, t_begin, t_end)``, this operator
     sweeps each group's interval end points once, maintaining running
-    aggregate state, and emits one result row per segment between
-    consecutive end points (:func:`repro.engine.sweeps.temporal_aggregate`,
-    twin of the whole-column kernel).
+    aggregate state, and emits one result row per maximal interval over
+    which the group has open rows and its aggregate values stay equal
+    (:func:`repro.engine.sweeps.temporal_aggregate`, twin of the
+    whole-column kernel).
 
     ``count(*)`` must have been pre-rewritten to ``count(A)`` over a
     constant attribute (Fig. 4's rule), so ``NULL`` padding rows added for
     gap coverage are not counted.
 
-    **Order contract.**  Every entry point -- the row reference, the scalar
-    route and the kernel -- emits each group's segments consecutively, in
-    ascending time order, each with multiplicity 1; segments of one group
-    never overlap.  The groups' own order differs between the routes.  The
-    coalesce above relies on this to merge runs in one pass instead of
-    sweeping again (:class:`CoalesceOperator`).
+    Every entry point -- the row reference, the scalar route and the kernel
+    -- emits the coalesced encoding: each row with multiplicity 1, no two
+    rows of equal values touching or overlapping (Definition 5.3), so the
+    coalesce REWR puts above it passes it through (:class:`CoalesceOperator`).
     """
 
     child: Operator

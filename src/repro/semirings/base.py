@@ -22,7 +22,7 @@ matters because relations store millions of them.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "Semiring",
@@ -237,17 +237,3 @@ class SemiringHomomorphism:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<homomorphism {self.name}: {self.source.name} -> {self.target.name}>"
-
-
-def ensure_hashable(value: Any) -> Hashable:
-    """Return ``value`` unchanged if hashable, otherwise raise.
-
-    Annotations are dictionary keys inside temporal K-elements, hence must be
-    hashable.  Centralising the check gives a clearer error than a bare
-    ``TypeError: unhashable type`` deep inside an operator.
-    """
-    try:
-        hash(value)
-    except TypeError as exc:
-        raise SemiringError(f"annotation value {value!r} is not hashable") from exc
-    return value

@@ -418,10 +418,6 @@ class TemporalElement:
                 merged.append(interval)
         return merged
 
-    def total_duration(self) -> int:
-        """Number of time points with a non-zero annotation."""
-        return sum(len(interval) for interval in self.support())
-
     def _check_compatible(self, other: "TemporalElement") -> None:
         if self.semiring != other.semiring:
             raise SemiringError(

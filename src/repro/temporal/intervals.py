@@ -50,19 +50,7 @@ class Interval:
         """True iff the intervals meet end-to-end without overlapping."""
         return self.end == other.begin or other.end == self.begin
 
-    def contains_interval(self, other: "Interval") -> bool:
-        """True iff ``other`` is fully covered by this interval."""
-        return self.begin <= other.begin and other.end <= self.end
-
     # -- constructive operations ----------------------------------------------------
-
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        """The interval covering exactly the common time points, or None."""
-        begin = max(self.begin, other.begin)
-        end = min(self.end, other.end)
-        if begin >= end:
-            return None
-        return Interval(begin, end)
 
     def union(self, other: "Interval") -> Optional["Interval"]:
         """The covering interval if the two overlap or are adjacent, else None.
@@ -73,16 +61,6 @@ class Interval:
         if not (self.overlaps(other) or self.adjacent(other)):
             return None
         return Interval(min(self.begin, other.begin), max(self.end, other.end))
-
-    def split_at(self, points: Iterable[int]) -> List["Interval"]:
-        """Split this interval at every point in ``points`` that falls inside it.
-
-        The result is an ordered partition of the interval.  Used by the
-        split operator N_G and by interval-based monus/aggregation.
-        """
-        cuts = sorted({p for p in points if self.begin < p < self.end})
-        bounds = [self.begin, *cuts, self.end]
-        return [Interval(b, e) for b, e in zip(bounds, bounds[1:])]
 
     def shifted(self, offset: int) -> "Interval":
         """The interval translated by ``offset`` time points."""

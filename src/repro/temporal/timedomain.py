@@ -69,17 +69,6 @@ class TimeDomain:
             )
         return point
 
-    def validate_bound(self, point: int) -> int:
-        """Like :meth:`validate_point` but also accepts ``max_point``.
-
-        Interval end points may equal the exclusive domain maximum.
-        """
-        if not (self.min_point <= point <= self.max_point):
-            raise ValueError(
-                f"time bound {point} outside domain [{self.min_point}, {self.max_point}]"
-            )
-        return point
-
     def clamp(self, begin: int, end: int) -> tuple[int, int]:
         """Clamp an arbitrary half-open range to the domain bounds."""
         return max(begin, self.min_point), min(end, self.max_point)

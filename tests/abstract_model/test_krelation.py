@@ -206,15 +206,6 @@ class TestAggregation:
 
 
 class TestViews:
-    def test_as_dicts_and_multiplicity_expansion(self):
-        relation = KRelation(NATURAL, ("x",), {(1,): 2})
-        assert relation.as_dicts() == [{"x": 1}]
-        assert sorted(relation.multiplicity_expanded()) == [(1,), (1,)]
-
-    def test_multiplicity_expansion_requires_n(self):
-        with pytest.raises(SemiringError):
-            KRelation(BOOLEAN, ("x",), {(1,): True}).multiplicity_expanded()
-
     def test_equality(self):
         assert works_relation() == works_relation()
         assert works_relation() != assign_relation()

@@ -88,13 +88,6 @@ class TestSnapshotKRelation:
         with pytest.raises(ValueError):
             works_snapshot_relation().snapshot(24)
 
-    def test_from_function(self):
-        relation = SnapshotKRelation.from_function(
-            NATURAL, DOMAIN, ("x",), lambda t, row: 1 if t % 2 == 0 else 0, [(1,)]
-        )
-        assert relation.snapshot(2).annotation((1,)) == 1
-        assert relation.snapshot(3).annotation((1,)) == 0
-
     def test_equality_is_pointwise(self):
         assert works_snapshot_relation() == works_snapshot_relation()
 

@@ -23,10 +23,6 @@ from repro.algebra.expressions import Comparison
 
 
 class TestRelationAccess:
-    def test_effective_name(self):
-        assert RelationAccess("works").effective_name == "works"
-        assert RelationAccess("works", alias="w").effective_name == "w"
-
     def test_no_children(self):
         assert RelationAccess("works").children() == ()
 

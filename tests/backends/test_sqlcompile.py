@@ -3,7 +3,9 @@
 Each operator (including the rewriter's physical coalesce/split/temporal
 aggregate) is compiled to SQL, run on sqlite3, and compared against the
 in-memory engine on the same hand-built inputs -- multiset equality, since
-both are bag-semantics evaluators.
+both are bag-semantics evaluators.  A temporal aggregate is compared under a
+coalesce, as REWR emits it: the engine's aggregate emits the coalesced
+encoding, SQL's one row per segment.
 """
 
 from __future__ import annotations
@@ -264,13 +266,13 @@ class TestTemporalOperators:
                 AggregateSpec("min", attr("y"), "low"),
             ),
         )
-        assert_same(plan, database)
+        assert_same(CoalesceOperator(plan), database)
 
     def test_temporal_aggregate_ungrouped(self, database):
         plan = TemporalAggregateOperator(
             RelationAccess("r"), (), (AggregateSpec("count", attr("x"), "cnt"),)
         )
-        assert_same(plan, database)
+        assert_same(CoalesceOperator(plan), database)
 
     def test_decomposable_aggregates_run_as_one_sweep(self, database):
         """count/sum/avg need no join of segments with the rows covering them."""
@@ -286,7 +288,7 @@ class TestTemporalOperators:
         )
         assert " JOIN " not in compile_plan(plan, database).sql
         # Group b holds a NULL y next to a 3: counted in rows, not in cnt.
-        assert_same(plan, database)
+        assert_same(CoalesceOperator(plan), database)
 
     def test_swept_sum_and_avg_of_all_null_segments_are_null(self, database):
         db = Database()
@@ -301,8 +303,8 @@ class TestTemporalOperators:
             ("g",),
             (AggregateSpec("sum", attr("v"), "total"), AggregateSpec("avg", attr("v"), "mean")),
         )
-        mem, sql = run_both(plan, db)
-        assert Counter(mem.rows) == Counter(sql.rows)
+        assert_same(CoalesceOperator(plan), db)
+        sql = SQLiteBackend().execute(plan, db)
         assert ("a", None, None, 0, 5) in sql.rows and ("b", None, None, 1, 2) in sql.rows
 
     def test_swept_aggregate_over_expression_arguments(self, database):
@@ -311,7 +313,7 @@ class TestTemporalOperators:
             ("x",),
             (AggregateSpec("sum", Arithmetic("*", attr("y"), lit(2)), "doubled"),),
         )
-        assert_same(plan, database)
+        assert_same(CoalesceOperator(plan), database)
 
 
 def _base_rows(plan, database):

@@ -61,7 +61,7 @@ def _skills(relation: str, skill: str):
     return Projection(RelationAccess(relation), ((attr(skill), "skill"),))
 
 
-#: Skills on duty, counted per skill: REWR's coalesce over a temporal aggregate.
+#: Skills on duty, counted per skill: a temporal aggregate under REWR's coalesce.
 SKILL_COUNTS = Aggregation(
     _skills("works", "skill"), ("skill",), (AggregateSpec("count", None, "cnt"),)
 )
@@ -108,12 +108,12 @@ MUTANTS = {
         "coalescing is given distinct's min(l, 1)",
     ),
     "merge across a gap": (
-        "merge_runs",
-        "row[-2] == previous[-1] and ",
+        "_sweep_group",
+        "held[2] == previous and ",
         "",
         SKILL_COUNTS,
-        "the run merge joins equal adjacent rows whether or not they touch: "
-        "SP's count 1 on [10, 16) and [18, 20) becomes [10, 20)",
+        "the aggregate joins a segment to the one before it whenever their values "
+        "are equal, touching or not: SP's count 1 on [10, 16) and [18, 20) becomes [10, 20)",
     ),
     "temporal-aggregate sweep": (
         "temporal_aggregate",
@@ -204,12 +204,12 @@ def _touching_database() -> Database:
 #: operator on its kernel route.
 KERNEL_MUTANTS = {
     "merge across a gap": (
-        "merge_runs_vectorized",
-        "joined = begin_array[1:] == end_array[:-1]",
-        "joined = np.ones(n - 1, dtype=bool)",
+        "_runs",
+        "joined = begins[1:] == ends[:-1]",
+        "joined = np.ones(len(begins) - 1, dtype=bool)",
         SKILL_COUNTS,
         lambda: populate_database(Database()),
-        "the run merge joins equal adjacent entries whether or not they touch",
+        "the aggregate joins equal adjacent segments whether or not they touch",
     ),
     "dense grid edge": (
         "temporal_aggregate_vectorized",

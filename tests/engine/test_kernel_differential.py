@@ -15,8 +15,8 @@ demand the same bag printed the same way.  The fixed cases pin the routes
 digest-sensitive arithmetic (``avg`` above 2**53, ``sum`` at the int64 edge).
 Temporal aggregation has two tallies, counted on the packed grid or
 sorted, picked by the grid's shape: each is checked against the other bit
-for bit, and the aggregate's output order -- what lets the coalesce above
-it merge runs instead of sweeping -- is pinned on all three routes.
+for bit, and the aggregate's output -- the coalesced encoding, which the
+coalesce above it passes through -- is pinned on all three routes.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from repro.engine.executor import ExecutionContext, execute
 from repro.conformance.oracle import normal_form_violation
 from repro.engine.sweeps import (
     collect_group_endpoints,
+    expand,
     interval_sweep,
     monus,
     partition_by_keys,
@@ -496,7 +497,7 @@ def test_min_max_kernel_at_the_int64_edge(rows, grouped, coalesce):
     assert statistics["batch.aggregate_vectorized"] == 1
 
 
-# -- temporal aggregation: counted or sorted, and the run merge above it ----------------
+# -- temporal aggregation: counted or sorted, and emitted coalesced ---------------------
 
 #: All five functions; ``v`` is int-or-NULL, so the kernel takes every one of them.
 ALL_FUNCTIONS = st.lists(
@@ -679,10 +680,10 @@ def _routes(plan):
 def test_a_temporal_aggregate_lists_each_group_in_time_order_once(
     data, n_keys, aggregates, coalesce
 ):
-    """The order contract the run merge relies on, on all three routes.
+    """The aggregate's output order, on all three routes.
 
-    Each group's segments are consecutive (a group once left never comes
-    back), ascending and disjoint in time, and every entry has multiplicity 1.
+    Each group's rows are consecutive (a group once left never comes back),
+    ascending and disjoint in time, and every entry has multiplicity 1.
     """
     plan = _aggregate_plan(data[0], n_keys, aggregates, coalesce)
     for route, (table, _statistics) in _routes(plan).items():
@@ -704,41 +705,72 @@ def test_a_temporal_aggregate_lists_each_group_in_time_order_once(
             assert batch.all_ones()
 
 
+def _swept(table) -> Counter:
+    """``table``'s rows coalesced by the step sweep (:func:`monus`, nothing to subtract)."""
+    *data, begins, ends = (table.column(attribute) for attribute in table.schema)
+    at, out_begins, out_ends, counts = monus(data, begins, ends, [1] * len(table))
+    rows = [
+        tuple(column[i] for column in data) + (begin, end)
+        for i, begin, end in zip(at, out_begins, out_ends)
+    ]
+    return Counter(expand(rows, counts))
+
+
+#: Beside RUNS, two groups whose segments merge: a NULL argument enters group
+#: 4 without changing ``count(v)``, and group 5's ``avg(v)`` is 4/2, then 6/3.
+MERGES = RUNS + [
+    (4, "x", 7, 0, 10),
+    (4, "x", None, 5, 12),
+    (5, "x", 1, 0, 8),
+    (5, "x", 3, 0, 8),
+    (5, "x", 2, 4, 8),
+]
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=tables(), n_keys=st.integers(0, 2), aggregates=ALL_FUNCTIONS, coalesce=st.booleans())
-@example(data=(RUNS, []), n_keys=1, aggregates=[AggregateSpec("count", attr("v"), "nv")],
-         coalesce=False)
-@example(data=(RUNS, []), n_keys=1, aggregates=[AggregateSpec("sum", attr("v"), "total")],
-         coalesce=True)
-def test_the_run_merge_equals_the_full_step_sweep(data, n_keys, aggregates, coalesce):
-    """Coalesce over an aggregate merges runs; the step sweep over its rows agrees, as bags.
+@given(
+    data=tables(),
+    n_keys=st.integers(0, 2),
+    aggregates=ALL_FUNCTIONS,
+    coalesce=st.booleans(),
+    padded=st.booleans(),
+)
+@example(data=(MERGES, []), n_keys=1, aggregates=[AggregateSpec("count", attr("v"), "nv")],
+         coalesce=False, padded=False)
+@example(data=(MERGES, []), n_keys=1, aggregates=[AggregateSpec("avg", attr("v"), "mean")],
+         coalesce=False, padded=False)
+@example(data=(MERGES + MERGES[:6], []), n_keys=1,
+         aggregates=[AggregateSpec("sum", attr("v"), "total"), AggregateSpec("count", None, "n")],
+         coalesce=True, padded=False)
+@example(data=(MERGES, []), n_keys=0, aggregates=[AggregateSpec("count", attr("v"), "nv")],
+         coalesce=False, padded=True)
+def test_a_temporal_aggregate_emits_the_coalesced_encoding(
+    data, n_keys, aggregates, coalesce, padded
+):
+    """On all three routes the aggregate's rows are their own coalescing; a coalesce passes them.
 
-    The sweep runs on the row reference over the very rows the route's
-    aggregate listed (a coalesce over a constant relation never merges runs).
+    No two rows of equal values overlap or touch, and the step sweep over
+    the rows returns the same bag.  A coalesce above the aggregate returns
+    the very rows the route's aggregate emitted, counts them, and sweeps
+    nothing.
     """
-    aggregate = _aggregate_plan(data[0], n_keys, aggregates, coalesce)
-    listed = _routes(aggregate)
-    for route, (merged, statistics) in _routes(CoalesceOperator(aggregate)).items():
-        rows = listed[route][0]
-        swept = execute(
-            CoalesceOperator(ConstantRelation(rows.schema, tuple(rows.rows))),
-            DATABASE,
-            executor="row",
-        )
-        assert Counter(merged.rows) == Counter(swept.rows), route
-        assert normal_form_violation(merged) is None, route
-        assert statistics.get("batch.coalesce_runs_merged", 0) == (route == "kernel"), route
-        # The only step sweep is the one under the aggregate, if any.
-        assert statistics["coalesce_input_rows"] >= len(rows.rows) and (
-            coalesce or "batch.coalesce_vectorized" not in statistics
-        )
+    aggregate = _aggregate_plan(data[0], n_keys, aggregates, coalesce, padded=padded)
+    bare = _routes(aggregate)
+    for route, (table, _statistics) in bare.items():
+        assert normal_form_violation(table) is None, (route, table.rows)
+        assert Counter(table.rows) == _swept(table), route
+    for route, (table, statistics) in _routes(CoalesceOperator(aggregate)).items():
+        emitted, below = bare[route]
+        assert table.name == "coalesce" and table.rows == emitted.rows, route
+        n = len(table.rows)
+        assert Counter(statistics) - Counter(below) == Counter(
+            {"coalesceoperator": 1, "coalesce_input_rows": n, "coalesce_output_rows": n}
+        ), route
 
 
-def test_the_run_merge_keeps_gaps_and_a_return_to_zero_apart():
+def test_the_aggregate_keeps_gaps_and_a_return_to_zero_apart():
     """0 -> 1 -> 0 stays three segments, a gap splits equal values, touching ones merge."""
-    plan = CoalesceOperator(
-        _aggregate_plan(RUNS, 1, [AggregateSpec("count", attr("v"), "nv")], False)
-    )
+    plan = _aggregate_plan(RUNS, 1, [AggregateSpec("count", attr("v"), "nv")], False)
     expected = [
         (0, 0, 0, 3), (0, 1, 3, 6), (0, 0, 6, 10),
         (2, 1, 0, 3), (2, 1, 5, 8),

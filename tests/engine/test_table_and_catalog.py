@@ -24,22 +24,12 @@ class TestTable:
         table = Table("t", ("a",), [(1,), (1,)])
         assert table.rows == [(1,), (1,)]
 
-    def test_from_dicts_fills_missing_with_none(self):
-        table = Table.from_dicts("t", ("a", "b"), [{"a": 1}, {"a": 2, "b": 3}])
-        assert table.rows == [(1, None), (2, 3)]
-
     def test_column_access(self):
         table = Table("t", ("a", "b"), [(1, 2), (3, 4)])
         assert table.column_index("b") == 1
         assert table.column("a") == [1, 3]
-        assert table.column_getter("b")((1, 2)) == 2
         with pytest.raises(TableError):
             table.column_index("missing")
-
-    def test_row_dict_views(self):
-        table = Table("t", ("a", "b"), [(1, 2)])
-        assert table.to_dicts() == [{"a": 1, "b": 2}]
-        assert table.row_dict((3, 4)) == {"a": 3, "b": 4}
 
     def test_clone_and_empty_copy(self):
         table = Table("t", ("a",), [(1,)])
@@ -47,10 +37,6 @@ class TestTable:
         clone.append((2,))
         assert len(table) == 1 and len(clone) == 2
         assert len(table.empty_copy()) == 0
-
-    def test_sorted_rows(self):
-        table = Table("t", ("a", "b"), [(2, "x"), (1, "y")])
-        assert table.sorted_rows(["a"]) == [(1, "y"), (2, "x")]
 
     def test_pretty_truncates(self):
         table = Table("t", ("a",), [(i,) for i in range(30)])

@@ -150,10 +150,9 @@ class TestOperations:
 
 
 class TestSupport:
-    def test_support_and_duration(self):
+    def test_support(self):
         built = element({Interval(0, 5): 1, Interval(3, 8): 1, Interval(10, 12): 4})
         assert built.support() == [Interval(0, 8), Interval(10, 12)]
-        assert built.total_duration() == 10
 
     def test_len_and_bool(self):
         assert len(element({Interval(0, 5): 1, Interval(7, 9): 1})) == 2

@@ -46,18 +46,8 @@ class TestRelationships:
         assert not Interval(0, 5).adjacent(Interval(6, 8))
         assert not Interval(0, 5).adjacent(Interval(4, 8))
 
-    def test_contains_interval(self):
-        assert Interval(0, 10).contains_interval(Interval(2, 5))
-        assert not Interval(2, 5).contains_interval(Interval(0, 10))
-        assert Interval(0, 10).contains_interval(Interval(0, 10))
-
 
 class TestConstructiveOperations:
-    def test_intersection(self):
-        assert Interval(0, 5).intersect(Interval(3, 8)) == Interval(3, 5)
-        assert Interval(0, 5).intersect(Interval(5, 8)) is None
-        assert Interval(0, 10).intersect(Interval(2, 4)) == Interval(2, 4)
-
     def test_union_of_overlapping(self):
         assert Interval(0, 5).union(Interval(3, 8)) == Interval(0, 8)
 
@@ -66,13 +56,6 @@ class TestConstructiveOperations:
 
     def test_union_of_disjoint_is_undefined(self):
         assert Interval(0, 3).union(Interval(5, 8)) is None
-
-    def test_split_at(self):
-        pieces = Interval(0, 10).split_at([3, 7, 12, -1, 0, 10])
-        assert pieces == [Interval(0, 3), Interval(3, 7), Interval(7, 10)]
-
-    def test_split_at_no_cuts(self):
-        assert Interval(0, 10).split_at([]) == [Interval(0, 10)]
 
     def test_shifted(self):
         assert Interval(2, 5).shifted(3) == Interval(5, 8)

@@ -55,12 +55,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             domain.validate_point(-1)
 
-    def test_validate_bound_allows_max(self):
-        domain = TimeDomain(0, 10)
-        assert domain.validate_bound(10) == 10
-        with pytest.raises(ValueError):
-            domain.validate_bound(11)
-
     def test_clamp(self):
         domain = TimeDomain(0, 10)
         assert domain.clamp(-5, 20) == (0, 10)
