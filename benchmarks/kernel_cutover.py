@@ -30,9 +30,10 @@ ablation's split-based rewriting puts one above a difference or distinct,
 REWR one above every union; a union alone does no work until its output is
 read.  The monus rungs (``monus-diff``, ``monus-dist``) sweep the same
 catalog tables as ``difference`` and ``distinct``, and their output is
-already coalesced; they and the ``coalesce`` rung run one step-function
-sweep on each route (:func:`repro.engine.sweeps.monus`,
-:func:`repro.engine.kernels.monus_vectorized`).  Two shapes, the two the
+already coalesced; they and the ``coalesce`` rung run
+:func:`repro.engine.sweeps.monus` on the scalar route and, on the kernel
+route, :func:`repro.engine.kernels.monus_vectorized` -- the aggregation
+rungs' kernel, ``count(*)`` over signed multiplicities.  Two shapes, the two the
 suite's workloads have: ``adhoc`` is ``adhoc_small``'s generator catalog
 grown to N rows (string categories, 16 join keys, mixed interval profile, 64-point
 domain), ``employee`` is Table 3's (int keys with ~5 rows each, year-long

@@ -30,18 +30,15 @@ that primitive sit
 * :func:`interval_join_vectorized` -- the interval-overlap join with any
   number of equality keys (zero included), as index pairs,
 * :func:`split_segments_vectorized` -- the split operator's cut points,
-* :func:`temporal_aggregate_vectorized` -- ``count``/``sum``/``avg`` over the
-  segments between a group's end points as one ``cumsum`` over its events,
-  ``min``/``max`` as a range-update sweep over the same points.  Where the
-  packed grid is dense -- at most :data:`DENSE_GRID` cells per event -- the
-  events are *counted* per cell (exact int64 tallies, no sort) instead of
-  sorted; both routes give the same points and states bit for bit.  The
-  touching segments of equal values are then joined, so the output is the
-  coalesced encoding, as the monus's is,
-* :func:`monus_vectorized` -- multiset coalescing, temporal bag difference
-  and distinct: one ``cumsum`` of ``l - r`` over every group's packed
-  events (the subtrahend's too, where there is one), a segment wherever
-  the level ``l``, ``max(l - r, 0)`` or ``min(l, 1)`` changes.
+* the step sweep (:func:`_step_sweep`) -- per group, one ``cumsum`` per
+  measure over its packed events, counted per cell where the grid holds at
+  most :data:`DENSE_GRID` cells per event and sorted otherwise, and the
+  touching segments of equal values joined: the coalesced encoding.  It
+  serves :func:`temporal_aggregate_vectorized` (``count``/``sum``/``avg``
+  as running sums, ``min``/``max`` as a range-update sweep over the same
+  points) and :func:`monus_vectorized` -- coalescing, temporal bag
+  difference and distinct, ``count(*)`` over signed multiplicities: the
+  subtrahend's rows weigh ``-count``, and distinct counts nothing.
 
 The set operators need the factorise half alone:
 
@@ -60,9 +57,10 @@ Every kernel has a scalar twin in :mod:`repro.engine.sweeps` that defines
 its result and serves what it declines by returning ``None`` -- the one
 scalar definition of the algorithm, which the row reference runs too:
 ``join`` (``partition_by_keys`` + ``interval_sweep``), ``split``
-(``collect_group_endpoints`` + ``split_segments``), ``temporal_aggregate``,
-and ``monus``; for :func:`consolidate`, ``except_all`` and the
-``dict.fromkeys`` of :func:`repro.engine.batch._distinct`.  That kernel
+(``collect_group_endpoints`` + ``split_segments``), and for the step sweep
+``temporal_aggregate`` and ``monus``, whose entries it lists in the same
+order; for :func:`consolidate`, ``except_all`` and the ``dict.fromkeys`` of
+:func:`repro.engine.batch._distinct`.  That kernel
 declines nothing (any value has a code, a tally past int64 is kept in Python
 ints): its twin serves below the cutover, without numpy, and an input that
 arrives as row tuples already built.  The others decline NULL or non-``int``
@@ -852,7 +850,7 @@ def split_segments_vectorized(
     )
 
 
-# -- (3) temporal aggregation -----------------------------------------------------------
+# -- (3) step functions: temporal aggregation, coalescing, difference and distinct ------
 
 
 def temporal_aggregate_vectorized(
@@ -865,60 +863,114 @@ def temporal_aggregate_vectorized(
 ) -> Optional[Tuple[Any, List[Column], Column, Column, bool]]:
     """The five aggregates over the segments between a group's end points, coalesced.
 
-    Vector twin of :func:`repro.engine.sweeps.temporal_aggregate`: every valid
-    row becomes a ``+`` event at its begin and a ``-`` event at its end in the
-    packed ``(group code, time)`` grid, the events are tallied per point --
-    the grid cells some event falls in, ascending -- and one ``cumsum`` per
-    measure gives the state after each point (a group's deltas sum to zero,
-    so nothing leaks into the next group).  A segment runs from a point with
-    open rows to the next point.  ``min``/``max`` are not invertible, so
-    they sweep differently: a row is a range of its group's segments, and
-    :func:`_segment_extremes` folds every row's value into the segments it
-    covers.
+    Vector twin of :func:`repro.engine.sweeps.temporal_aggregate`: the step
+    sweep's ``(group_rows, value_columns, begins, ends, dense)`` of one
+    input (:func:`_step_sweep`).  ``aggregates`` pairs each function with
+    its evaluated argument column (``None`` for ``count(*)``).
+    A NULL argument keeps its row open and takes no part in the value; a
+    segment with no non-NULL argument prints ``None`` (0 for ``count``).
+    Sums are exact int64 -- the kernel declines when ``max|value| * total
+    multiplicity`` could leave the lane -- and ``avg`` divides Python ints,
+    so every value equals the scalar sweep's bit for bit.
+    """
+    served = _step_sweep(key_columns, begins, ends, counts, None, aggregates, checkpoint)
+    if served is not None and checkpoint is not None:
+        checkpoint(len(served[0]))
+    return served
 
-    The tally takes one of two routes with the same ``points`` and states,
-    bit for bit, chosen by the grid's shape alone: where the grid holds at
-    most :data:`DENSE_GRID` cells per event, the events are *counted* per
-    cell (:func:`_tally_dense`: no sort, exact int64 tallies), otherwise
-    they are sorted and equal points collapse with ``np.add.reduceat``
-    (:func:`_tally_sorted`).  Both run only where the packed code fits
-    (:func:`pack_span`), so they decline alike.
 
-    ``aggregates`` pairs each function with its evaluated argument column
-    (``None`` for ``count(*)``); ``counts`` are the row multiplicities
-    (``None`` = all ones).  A NULL argument keeps its row open and takes no
-    part in the value; a segment with no non-NULL argument prints ``None``
-    (0 for ``count``).  Sums are exact int64 -- the kernel declines when
-    ``max|value| * total multiplicity`` could leave the lane, or the
-    multiplicities could sum past it -- and ``avg`` divides Python ints, so
-    every value equals the scalar sweep's bit for bit.
+def monus_vectorized(
+    key_columns: Sequence[Column],
+    begins: Column,
+    ends: Column,
+    counts: Optional[Sequence[int]],
+    subtrahend: Optional[
+        Tuple[Sequence[Column], Column, Column, Optional[Sequence[int]]]
+    ] = None,
+    checkpoint: Checkpoint = None,
+    *,
+    distinct: bool = False,
+) -> Optional[Tuple[Any, Column, Column, List[int]]]:
+    """Coalescing, temporal bag difference or distinct: ``(rows, begins, ends, counts)``.
 
-    A segment that touches the one before it in its group with equal values
-    joins its run (:func:`_runs`), so the output is the coalesced encoding
-    the scalar twin emits.  Returns ``(group_rows, value_columns, begins,
-    ends, dense)`` or ``None`` (declined).  The maximal intervals come out
-    group by group, each group's in time order: ``group_rows[k]`` indexes
-    the first valid input row of entry k's group (gather the group-by
-    columns there), and ``dense`` says which route tallied.
+    Vector twin of :func:`repro.engine.sweeps.monus`: the step sweep
+    (:func:`_step_sweep`) with ``count(*)`` over signed multiplicities as
+    the level -- the first input's rows weigh ``+count``, the
+    ``subtrahend``'s ``-count``, so it is ``l`` or ``max(l - r, 0)`` where
+    a segment is open -- and, for ``distinct``, no aggregate at all: its
+    level is 1 wherever a segment is open.  ``checkpoint`` sees the output
+    weight, the sum of the levels, last.
+    """
+    level_of = () if distinct else (("count", None),)
+    served = _step_sweep(key_columns, begins, ends, counts, subtrahend, level_of, checkpoint)
+    if served is None:
+        return None
+    rows, levels, segment_begins, segment_ends, _dense = served
+    level = levels[0].ints() if levels else np.ones(len(rows), dtype=np.int64)
+    if checkpoint is not None:
+        checkpoint(int(level.sum()))
+    return rows, segment_begins, segment_ends, level.tolist()
+
+
+def _step_sweep(
+    key_columns: Sequence[Column],
+    begins: Column,
+    ends: Column,
+    counts: Optional[Sequence[int]],
+    subtrahend: Optional[Tuple[Sequence[Column], Column, Column, Optional[Sequence[int]]]],
+    aggregates: Sequence[Tuple[str, Optional[Column]]],
+    checkpoint: Checkpoint,
+) -> Optional[Tuple[Any, List[Column], Column, Column, bool]]:
+    """Per value group, the maximal intervals of equal aggregates over open rows.
+
+    Every valid row (``begin < end``) is a rise of its group's step function
+    at its begin and a fall at its end, weighing its multiplicity
+    (``counts``, ``None`` = all ones); a ``subtrahend`` row, in the same
+    layout, rises at its end and falls at its begin, and counts only where
+    a valid row of the first input holds its key.  The keys of both inputs
+    are factorised into one code space, the groups numbered by their first
+    valid row (what the scalar twins list them by) and the events packed as
+    ``(group, time)`` (:func:`pack_span`).  Their tally per point -- the
+    grid cells some event falls in, ascending -- takes one of three routes
+    with the same points and states bit for bit: counted per cell where the
+    grid holds at most :data:`DENSE_GRID` cells per event
+    (:func:`_tally_dense`), plain-sorted where every event weighs one and
+    nothing else is measured (:func:`_tally_plain`), ``argsort``-ed
+    otherwise (:func:`_tally_sorted`).  One ``cumsum`` per measure gives
+    the state after each point; a segment runs from a point whose open
+    weight is positive to the next point.  ``min``/``max`` are not
+    invertible: a row is a range of its group's segments, and
+    :func:`_segment_extremes` folds every row's value into them.  A segment
+    touching the one before it in its group with equal values joins its run
+    (:func:`_runs`), so the output is the coalesced encoding.
+
+    Returns ``(group_rows, value_columns, begins, ends, dense)`` -- group by
+    group, each in time order; ``group_rows[k]`` is the first valid row of
+    entry k's group, and ``dense`` says which route tallied -- or ``None``
+    (declined) as the module docstring lists.  ``checkpoint`` is polled
+    between the stages.
     """
     b, e = begins.ints(), ends.ints()
     if b is None or e is None:
+        return None
+    right_counts = None
+    if subtrahend is not None:
+        right_keys, right_begin_column, right_end_column, right_counts = subtrahend
+        right_b, right_e = right_begin_column.ints(), right_end_column.ints()
+        if right_b is None or right_e is None:
+            return None
+    weighted = counts is not None or right_counts is not None
+    if weighted and sum(counts or ()) + sum(right_counts or ()) >= PACK_LIMIT:
         return None
     rows = np.flatnonzero(b < e)
     if not len(rows):
         nothing = Column(ints=rows)
         return rows, [nothing for _ in aggregates], nothing, nothing, False
-    weighted = counts is not None
-    if weighted and sum(counts) >= PACK_LIMIT:
-        return None
-    weights = (
-        np.asarray(counts, dtype=np.int64)[rows]
-        if weighted
-        else np.ones(len(rows), dtype=np.int64)
-    )
-    total_weight = int(weights.sum())
+    weights = None if counts is None else np.asarray(counts, dtype=np.int64)[rows]
+    scale = 1 if weights is None else weights
 
-    # One int64 measure per running quantity; measure 0 counts open rows.
+    # One int64 measure per running quantity; measure 0 is the open weight
+    # (``None`` while every event weighs one).
     # plan: (func, count measure, sum measure or -- min/max -- argument slot).
     measures = [weights]
     arguments: List[Tuple[Any, Any]] = []  # (values, present) of the valid rows
@@ -932,48 +984,75 @@ def temporal_aggregate_vectorized(
             present = _present(column) if form is None else form[1]
             if present is not None:
                 present = present[rows]
-                measures.append(weights * present)
+                measures.append(scale * present)
                 count_at = len(measures) - 1
             if func in ("sum", "avg"):
                 values = form[0][rows]
                 largest = max(abs(int(values.max())), abs(int(values.min())))
-                if largest * total_weight >= PACK_LIMIT:
+                if largest * (len(rows) if weights is None else int(weights.sum())) >= PACK_LIMIT:
                     return None
-                measures.append(weights * values)
+                measures.append(scale * values)
                 value_at = len(measures) - 1
             elif func != "count":
                 arguments.append((form[0][rows], present))
                 value_at = len(arguments) - 1
         plan.append((func, count_at, value_at))
 
-    (codes,), n_codes = factorize((key_columns,), (len(b),), nulls_match=True)
+    if subtrahend is None:
+        (codes,), n_codes = factorize((key_columns,), (len(b),), nulls_match=True)
+    else:
+        (codes, right_codes), n_codes = factorize(
+            (key_columns, right_keys), (len(b), len(right_b)), nulls_match=True
+        )
     codes, b, e = codes[rows], b[rows], e[rows]
-    packing = pack_span(n_codes, (b, e))
+    # Groups are numbered by their first valid row, the order the twins list them in.
+    first = openers = first_rows(codes, n_codes)
+    gids = codes
+    if not (first[1:] > first[:-1]).all():  # unless every code is held, in that order
+        opening = np.zeros(len(rows), dtype=bool)
+        opening[first] = True  # a code no row holds points at row 0, which opens anyway
+        openers = np.flatnonzero(opening)
+        number = np.full(n_codes, -1, dtype=np.int64)
+        number[codes[openers]] = np.arange(len(openers), dtype=np.int64)
+        gids = number[codes]
+        if subtrahend is not None:
+            right_codes = number[right_codes]  # -1: no valid row holds the code
+    if subtrahend is not None:
+        kept = np.flatnonzero((right_b < right_e) & (right_codes >= 0))
+        gids = np.concatenate([gids, right_codes[kept]])
+        # Mirrored: a subtrahend row raises l - r at its end and lowers it at its begin.
+        b, e = np.concatenate([b, right_e[kept]]), np.concatenate([e, right_b[kept]])
+        if weighted:
+            left = np.ones(len(rows), dtype=np.int64) if weights is None else weights
+            right = np.asarray(right_counts or [1] * len(right_b), dtype=np.int64)[kept]
+            measures[0] = np.concatenate([left, right])
+    packing = pack_span(len(openers), (b, e))
     if packing is None:
         return None
     lo, span = packing
     if checkpoint is not None:
         checkpoint(0)
-    base = codes * span - lo
-    cells = n_codes * span
-    dense = cells <= DENSE_GRID * 2 * len(rows)
+    base = gids * span - lo
+    rises, falls = base + b, base + e
+    cells = len(openers) * span
+    dense = cells <= DENSE_GRID * 2 * len(rises)
     if dense:
-        points, states = _tally_dense(base + b, base + e, cells, measures, weighted)
+        points, states = _tally_dense(rises, falls, cells, measures)
+    elif len(measures) == 1 and measures[0] is None:
+        points, states = _tally_plain(rises, falls)
     else:
-        points, states = _tally_sorted(base + b, base + e, measures)
+        points, states = _tally_sorted(rises, falls, measures)
     if checkpoint is not None:
         checkpoint(0)
     # A group's last point closes everything, so an open point's successor
     # is always a point of the same group.
     open_points = np.flatnonzero(states[0][:-1] > 0)
-    if checkpoint is not None:
-        checkpoint(len(open_points))
     if arguments:
         # A row spans the segments from its begin's point up to its end's.
-        first_segment = np.searchsorted(points, base + b)
-        last_segment = np.searchsorted(points, base + e)
+        first_segment = np.searchsorted(points, rises)
+        last_segment = np.searchsorted(points, falls)
     groups = points[open_points] // span
-    group_rows = rows[first_rows(codes, n_codes)[groups]]
+    group_rows = rows[openers[groups]]
     segment_begins = points[open_points] - groups * span + lo
     segment_ends = points[open_points + 1] - groups * span + lo
     value_columns: List[Column] = []
@@ -1022,11 +1101,13 @@ def _runs(columns: Sequence[Column], begins: Any, ends: Any) -> Tuple[Any, Any]:
     """``(firsts, lasts)``: int64 arrays of each run's first and last entry.
 
     Entry i joins the run of entry i - 1 where it begins as that one ends
-    (``begins`` and ``ends`` are int64 arrays, not empty) and every column
-    holds an equal value -- int forms compared with their validity masks,
-    anything else by its dict-equality codes.  A run prints under its first
-    entry, from its begin to its last entry's end.
+    (``begins`` and ``ends`` are int64 arrays) and every column holds an
+    equal value -- int forms compared with their validity masks, anything
+    else by its dict-equality codes.  A run prints under its first entry,
+    from its begin to its last entry's end.
     """
+    if not len(begins):
+        return begins, begins
     joined = begins[1:] == ends[:-1]
     for column in columns:
         form = column.nullable_ints()
@@ -1042,26 +1123,46 @@ def _runs(columns: Sequence[Column], begins: Any, ends: Any) -> Tuple[Any, Any]:
     return firsts, np.append(firsts[1:], len(begins)) - 1
 
 
-def _tally_sorted(begins: Any, ends: Any, measures: Sequence[Any]) -> Tuple[Any, List[Any]]:
-    """``(points, states)`` of the packed events by sorting them.
+def _tally_sorted(rises: Any, falls: Any, measures: Sequence[Any]) -> Tuple[Any, List[Any]]:
+    """``(points, states)`` of the packed events by ``argsort``-ing them.
 
-    The events sort by packed ``(group, time)``, equal points collapse with
+    The events sort by packed ``(group, time)``, each carrying its
+    measures' values (``None``: one per event), equal points collapse with
     ``np.add.reduceat`` and one ``cumsum`` per measure gives the state after
     each point.
     """
-    events = np.concatenate([begins, ends])
+    events = np.concatenate([rises, falls])
     order = np.argsort(events)
     events = events[order]
     starts = run_starts(events)
-    states = [
-        np.cumsum(np.add.reduceat(np.concatenate([measure, -measure])[order], starts))
-        for measure in measures
-    ]
+    states = []
+    for measure in measures:
+        if measure is None:
+            measure = np.ones(len(rises), dtype=np.int64)
+        states.append(
+            np.cumsum(np.add.reduceat(np.concatenate([measure, -measure])[order], starts))
+        )
     return events[starts], states
 
 
+def _tally_plain(rises: Any, falls: Any) -> Tuple[Any, List[Any]]:
+    """``(points, [state])`` of events that each weigh one, by one plain sort.
+
+    The sign rides in the low bit of the doubled packed code (set on a rise;
+    :data:`PACK_LIMIT` leaves room for it), so the codes sort themselves
+    with no index array to carry along; a point's signs collapse with
+    ``np.add.reduceat`` and one ``cumsum`` gives the open weight after it.
+    """
+    events = np.concatenate([(rises << 1) | 1, falls << 1])
+    events.sort()
+    pairs = events >> 1
+    starts = run_starts(pairs)
+    signs = (events & 1) * 2 - 1
+    return pairs[starts], [np.cumsum(np.add.reduceat(signs, starts))]
+
+
 def _tally_dense(
-    begins: Any, ends: Any, cells: int, measures: Sequence[Any], weighted: bool
+    rises: Any, falls: Any, cells: int, measures: Sequence[Any]
 ) -> Tuple[Any, List[Any]]:
     """``(points, states)`` of the packed events by counting them per grid cell.
 
@@ -1070,26 +1171,25 @@ def _tally_dense(
     ascending order, and a table from cell to point index (written at the
     points only) turns every event into its point's slot.  Each state is the
     ``cumsum`` of a measure's net change per point, and every tally is exact
-    int64 -- ``np.bincount`` of the unweighted open-row count, ``np.add.at``
-    of any other measure (no float accumulator: a sum may pass 2**53).
+    int64 -- ``np.bincount`` of a unit measure (``None``), ``np.add.at`` of
+    any other (no float accumulator: a sum may pass 2**53).
     """
     occupied = np.zeros(cells, dtype=bool)
-    occupied[begins] = True
-    occupied[ends] = True
+    occupied[rises] = True
+    occupied[falls] = True
     points = np.flatnonzero(occupied)
     n_points = len(points)
     slot = np.empty(cells, dtype=np.int64)
     slot[points] = np.arange(n_points, dtype=np.int64)
-    opens, closes = slot[begins], slot[ends]
+    up, down = slot[rises], slot[falls]
     states = []
-    for position, measure in enumerate(measures):
-        if position == 0 and not weighted:
-            # Measure 0 counts open rows, each weighing 1 here.
-            net = np.bincount(opens, minlength=n_points) - np.bincount(closes, minlength=n_points)
+    for measure in measures:
+        if measure is None:
+            net = np.bincount(up, minlength=n_points) - np.bincount(down, minlength=n_points)
         else:
             net = np.zeros(n_points, dtype=np.int64)
-            np.add.at(net, opens, measure)
-            np.subtract.at(net, closes, measure)
+            np.add.at(net, up, measure)
+            np.subtract.at(net, down, measure)
         states.append(np.cumsum(net))
     return points, states
 
@@ -1133,163 +1233,7 @@ def _segment_extremes(
     return cells
 
 
-# -- (4) step functions: coalescing, temporal bag difference and distinct ---------------
-
-
-def monus_vectorized(
-    key_columns: Sequence[Column],
-    begins: Column,
-    ends: Column,
-    counts: Optional[Sequence[int]],
-    subtrahend: Optional[
-        Tuple[Sequence[Column], Column, Column, Optional[Sequence[int]]]
-    ] = None,
-    checkpoint: Checkpoint = None,
-    *,
-    distinct: bool = False,
-) -> Optional[Tuple[Any, Column, Column, List[int]]]:
-    """Coalescing, temporal bag difference or distinct, over int64 arrays.
-
-    Vector twin of :func:`repro.engine.sweeps.monus`, with the same entries
-    in the same order: ``(rows, begins, ends, counts)``, ``rows`` an int64
-    array of the first input's rows the entries print under.  The level is
-    ``l`` without a ``subtrahend`` (coalescing), ``max(l - r, 0)`` with one
-    and ``min(l, 1)`` with ``distinct``.  ``counts`` are each input's
-    multiplicities (``None`` = all ones).  Declines (``None``) an end point
-    that is not a plain ``int`` -- ``bool``/``float`` are rejected exactly,
-    because coercing them would change output *values* even where hashing
-    treats them as equal -- a packed code that would not fit and a weighted
-    input whose multiplicities could sum past int64.
-
-    Both inputs' keys are factorised into one code space
-    (:func:`factorize`); a group's code becomes the index of its first valid
-    row of the first input, which names the row it prints under and orders
-    the groups as the twin lists them.  Every valid row contributes two
-    events packed as ``(gid * span + ts - lo) * 2 + rise``, the low bit set
-    where the event raises ``l - r`` (a begin of the first input, an end of
-    the subtrahend): all-ones inputs sort the codes themselves, weighted
-    ones ``argsort`` them to carry the weights along.  Runs of one ``(group,
-    point)`` reduce to a net change (``np.add.reduceat``), one ``cumsum``
-    gives ``l - r`` (each group's changes sum to zero, so it never leaks
-    across groups), and the points where the level changes bound the
-    output segments.  ``checkpoint`` is polled between the stages.
-    """
-    nothing = np.empty(0, dtype=np.int64)
-    empty = (nothing, Column(ints=nothing), Column(ints=nothing), [])
-    begin_array, end_array = begins.ints(), ends.ints()
-    if begin_array is None or end_array is None:
-        return None
-    right_counts = None
-    if subtrahend is not None:
-        right_keys, right_begin_column, right_end_column, right_counts = subtrahend
-        right_begins, right_ends = right_begin_column.ints(), right_end_column.ints()
-        if right_begins is None or right_ends is None:
-            return None
-    weighted = counts is not None or right_counts is not None
-    if weighted and sum(counts or ()) + sum(right_counts or ()) >= PACK_LIMIT:
-        return None
-    if not len(begin_array):
-        return empty
-
-    if subtrahend is None:
-        (left_codes,), n_codes = factorize((key_columns,), (len(begin_array),), nulls_match=True)
-    else:
-        (left_codes, right_codes), n_codes = factorize(
-            (key_columns, right_keys), (len(begin_array), len(right_begins)), nulls_match=True
-        )
-    left_rows = None  # the valid rows' positions; None = all of them
-    weights = None if counts is None else np.asarray(counts, dtype=np.int64)
-    valid = begin_array < end_array
-    if not valid.all():
-        left_rows = np.flatnonzero(valid)
-        if not len(left_rows):
-            return empty
-        left_codes = left_codes[left_rows]
-        begin_array, end_array = begin_array[left_rows], end_array[left_rows]
-        if weights is not None:
-            weights = weights[left_rows]
-    first = first_rows(left_codes, n_codes)
-    # Per input: group ids, the times its events raise l - r, the times they
-    # lower it, and its weights.
-    inputs = [(first[left_codes], begin_array, end_array, weights)]
-    if subtrahend is not None:
-        # A subtrahend row only counts where some valid row holds its code.
-        held = np.zeros(n_codes, dtype=bool)
-        held[left_codes] = True
-        right_rows = np.flatnonzero((right_begins < right_ends) & held[right_codes])
-        inputs.append(
-            (
-                first[right_codes[right_rows]],
-                right_ends[right_rows],
-                right_begins[right_rows],
-                None
-                if right_counts is None
-                else np.asarray(right_counts, dtype=np.int64)[right_rows],
-            )
-        )
-    times = [t for _gids, rise, fall, _weights in inputs for t in (rise, fall)]
-    packing = pack_span(len(begin_array), times)
-    if packing is None:
-        return None
-    lo, span = packing
-    if checkpoint is not None:
-        checkpoint(0)
-
-    # -- events -----------------------------------------------------------------------
-    rises, falls = [], []
-    for gids, rise, fall, _weights in inputs:
-        base = gids * span - lo
-        rises.append(((base + rise) << 1) | 1)
-        falls.append((base + fall) << 1)
-    codes = np.concatenate(rises + falls)
-    if weighted:
-        order = np.argsort(codes)
-        codes = codes[order]
-        magnitudes = [
-            np.ones(len(gids), dtype=np.int64) if w is None else w
-            for gids, _rise, _fall, w in inputs
-        ]
-        signs = np.concatenate(magnitudes + magnitudes)[order]
-        signs[(codes & 1) == 0] *= -1
-    else:
-        codes.sort()
-        signs = np.where((codes & 1) != 0, np.int64(1), np.int64(-1))
-    if checkpoint is not None:
-        checkpoint(0)
-
-    # -- sweep ------------------------------------------------------------------------
-    pairs = codes >> 1
-    starts = run_starts(pairs)
-    levels = np.cumsum(np.add.reduceat(signs, starts))  # l - r after each point
-    if distinct:
-        levels = np.minimum(levels, 1)
-    elif subtrahend is not None:
-        levels = np.maximum(levels, 0)  # without one, l is never negative
-    # The level is 0 before every group's first point and after its last, so
-    # the points where it changes, read as one sequence, bound the segments:
-    # a positive level runs to the next change, always in the same group.
-    # (The first point counts as a change even at level 0, which bounds no
-    # segment.)
-    changed = run_starts(levels)
-    segment_levels = levels[changed[:-1]]
-    open_mask = segment_levels > 0
-    out_counts = segment_levels[open_mask]
-    if checkpoint is not None:
-        checkpoint(int(out_counts.sum()))
-
-    # -- decode: every group prints under its first valid row --------------------------
-    points = pairs[starts[changed]]
-    segment_points = points[:-1][open_mask]
-    gids = segment_points // span
-    return (
-        gids if left_rows is None else left_rows[gids],
-        Column(ints=segment_points - gids * span + lo),
-        Column(ints=points[1:][open_mask] - gids * span + lo),
-        out_counts.tolist(),
-    )
-
-
-# -- (5) consolidation: bag difference and distinct -------------------------------------
+# -- (4) consolidation: bag difference and distinct -------------------------------------
 
 
 def consolidate(
@@ -1344,7 +1288,7 @@ def _tally(codes: Any, weights: Optional[Sequence[int]], n_codes: int) -> Any:
     return tally
 
 
-# -- (7) keyed rows: a view's dirty slice, a delete's candidates ---------------------------
+# -- (5) keyed rows: a view's dirty slice, a delete's candidates ---------------------------
 
 
 def rows_holding(columns: Sequence[Column], wanted: Sequence[Collection[Any]]) -> Any:

@@ -74,11 +74,12 @@ class _StepSweep(PhysicalOperator):
     coalescing, ``max(l - r, 0)`` for difference, ``min(l, 1)`` for
     distinct.  Both entry points run the one sweep,
     :func:`repro.engine.sweeps.monus` or its whole-column twin
-    :func:`repro.engine.kernels.monus_vectorized`, and gather the first
-    input's data attributes at the rows the groups print under.  A subclass
-    names the result (:attr:`_name`, also its kernel counter
-    ``batch.<name>_vectorized``) and says what differs: its schema, its
-    level and its own counters.
+    :func:`repro.engine.kernels.monus_vectorized` -- the temporal
+    aggregate's step sweep with ``count(*)`` over signed multiplicities as
+    the level -- and gather the first input's data attributes at the rows
+    the groups print under.  A subclass names the result (:attr:`_name`,
+    also its kernel counter ``batch.<name>_vectorized``) and says what
+    differs: its schema, its level and its own counters.
     """
 
     _name: ClassVar[str]
@@ -122,10 +123,11 @@ class _StepSweep(PhysicalOperator):
     ) -> "ColumnarBatch":
         """Columnar sweep: one entry per maximal interval, with the level as its count.
 
-        The inputs' multiplicity columns weight their events, and no
-        duplicate tuple is materialised until the batch leaves the engine.
-        From the kernel cutover on, :func:`repro.engine.kernels
-        .monus_vectorized` sweeps the columns' typed forms (counted as
+        The inputs' multiplicity columns weight their events (a
+        subtrahend's negatively), and no duplicate tuple is materialised
+        until the batch leaves the engine.  From the kernel cutover on,
+        :func:`repro.engine.kernels.monus_vectorized` sweeps the columns'
+        typed forms with the temporal aggregate's kernel (counted as
         ``batch.<name>_vectorized``), and the output's data columns are the
         first input's gathered at the rows the groups print under, forms
         included; what it declines, and everything below the cutover, runs

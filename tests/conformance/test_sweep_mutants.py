@@ -199,6 +199,21 @@ def _touching_database() -> Database:
     return database
 
 
+def _trap_database() -> Database:
+    """One value: L holds [0, 10) and [5, 8), R holds [0, 5).
+
+    At 5 a left row begins where the right row ends, so the events' signs
+    cancel while ``l - r`` rises by 2 (L - R is [5, 8) twice and [8, 10)).
+    The running example has no such point.
+    """
+    database = Database()
+    database.create_table(
+        "L", ["v", "t_begin", "t_end"], [(1, 0, 10), (1, 5, 8)], period=("t_begin", "t_end")
+    )
+    database.create_table("R", ["v", "t_begin", "t_end"], [(1, 0, 5)], period=("t_begin", "t_end"))
+    return database
+
+
 #: name -> (kernel, snippet, its buggy replacement, trigger query, its catalog,
 #: what the bug is).  Patched into :mod:`repro.engine.kernels` with every
 #: operator on its kernel route.
@@ -212,12 +227,35 @@ KERNEL_MUTANTS = {
         "the aggregate joins equal adjacent segments whether or not they touch",
     ),
     "dense grid edge": (
-        "temporal_aggregate_vectorized",
-        "_tally_dense(base + b, base + e, cells",
-        "_tally_dense(base + b, base + e - 1, cells",
+        "_step_sweep",
+        "_tally_dense(rises, falls, cells",
+        "_tally_dense(rises, falls - 1, cells",
         SKILL_COUNTS,
         _touching_database,
         "the counted tally closes every row one point early",
+    ),
+    "subtrahend sign": (
+        "_step_sweep",
+        "[b, right_e[kept]]), np.concatenate([e, right_b[kept]])",
+        "[b, right_b[kept]]), np.concatenate([e, right_e[kept]])",
+        Difference(RelationAccess("L"), RelationAccess("R")),
+        _trap_database,
+        "the subtrahend weighs +count: L - R sweeps as L + R",
+    ),
+    "distinct level": (
+        "monus_vectorized",
+        "() if distinct else ",
+        "",
+        Union(
+            Distinct(_skills("works", "skill")),
+            Difference(
+                Union(_skills("works", "skill"), _skills("works", "skill")),
+                _skills("assign", "req_skill"),
+            ),
+        ),
+        lambda: populate_database(Database()),
+        "distinct keeps the count as its level: where a union reads the counts (beside "
+        "a difference that holds duplicates), an overlap keeps its duplicates",
     ),
 }
 
@@ -237,21 +275,6 @@ def test_the_oracle_catches_a_bug_in_each_kernel(name, monkeypatch):
     counterexample = report.counterexample
     assert counterexample.error is None, counterexample.error
     assert counterexample.expected != counterexample.actual
-
-
-def _trap_database() -> Database:
-    """One value: L holds [0, 10) and [5, 8), R holds [0, 5).
-
-    At 5 a left row begins where the right row ends, so the events' signs
-    cancel while ``l - r`` rises by 2 (L - R is [5, 8) twice and [8, 10)).
-    The running example has no such point.
-    """
-    database = Database()
-    database.create_table(
-        "L", ["v", "t_begin", "t_end"], [(1, 0, 10), (1, 5, 8)], period=("t_begin", "t_end")
-    )
-    database.create_table("R", ["v", "t_begin", "t_end"], [(1, 0, 5)], period=("t_begin", "t_end"))
-    return database
 
 
 #: name -> (SQLCompiler method, snippet, its buggy replacement, trigger query,

@@ -13,10 +13,11 @@ arguments and ``counts > 1`` inputs, singly and chained behind a join, and
 demand the same bag printed the same way.  The fixed cases pin the routes
 (which counter fires at cutover -1/0/+1, under limits, on overflow) and the
 digest-sensitive arithmetic (``avg`` above 2**53, ``sum`` at the int64 edge).
-Temporal aggregation has two tallies, counted on the packed grid or
-sorted, picked by the grid's shape: each is checked against the other bit
-for bit, and the aggregate's output -- the coalesced encoding, which the
-coalesce above it passes through -- is pinned on all three routes.
+The step sweep under temporal aggregation and the monus has three
+tallies -- counted on the packed grid, plain-sorted or ``argsort``-ed,
+picked by the grid's shape and the measures -- each checked against
+another bit for bit, and the aggregate's output -- the coalesced encoding,
+which the coalesce above it passes through -- is pinned on all three routes.
 """
 
 from __future__ import annotations
@@ -560,25 +561,34 @@ def _same_tally(served, other) -> None:
 
 
 def _cross_checked_tallies(monkeypatch, routes) -> None:
-    """Each tally the kernel runs is checked against the other one's on the same events."""
-    dense, ordered = kernels._tally_dense, kernels._tally_sorted
+    """Each tally the step sweep runs is checked against another one's on the same events."""
+    dense, ordered, plain = kernels._tally_dense, kernels._tally_sorted, kernels._tally_plain
 
-    def spy_dense(begins, ends, cells, measures, weighted):
-        served = dense(begins, ends, cells, measures, weighted)
-        _same_tally(served, ordered(begins, ends, measures))
+    def grid(rises, falls):
+        return int(max(rises.max(), falls.max())) + 1
+
+    def spy_dense(rises, falls, cells, measures):
+        served = dense(rises, falls, cells, measures)
+        _same_tally(served, ordered(rises, falls, measures))
         routes.append("dense")
         return served
 
-    def spy_sorted(begins, ends, measures):
-        served = ordered(begins, ends, measures)
-        cells = int(max(begins.max(), ends.max())) + 1
-        if cells <= 1 << 20:  # a grid that far apart is not worth allocating here
-            _same_tally(served, dense(begins, ends, cells, measures, True))
+    def spy_sorted(rises, falls, measures):
+        served = ordered(rises, falls, measures)
+        if grid(rises, falls) <= 1 << 20:  # a grid that far apart is not worth allocating here
+            _same_tally(served, dense(rises, falls, grid(rises, falls), measures))
         routes.append("sorted")
+        return served
+
+    def spy_plain(rises, falls):
+        served = plain(rises, falls)
+        _same_tally(served, ordered(rises, falls, [None]))
+        routes.append("plain")
         return served
 
     monkeypatch.setattr(kernels, "_tally_dense", spy_dense)
     monkeypatch.setattr(kernels, "_tally_sorted", spy_sorted)
+    monkeypatch.setattr(kernels, "_tally_plain", spy_plain)
 
 
 @settings(max_examples=200, deadline=None)
@@ -602,9 +612,10 @@ def test_the_dense_and_the_sorted_tally_agree_with_the_sweep_and_the_reference(
     """Counted on the grid or sorted -- the grid's shape decides -- same rows as the sweep.
 
     Three ways through the operator, each tally the kernel runs checked bit
-    for bit against the other one on its own events, and the kernel called
-    directly against :func:`repro.engine.sweeps.temporal_aggregate`.  The
-    kernel serves exactly where the packed code fits, on either route, and
+    for bit against another one on its own events, and the kernel called
+    directly against :func:`repro.engine.sweeps.temporal_aggregate`: the
+    same entries in the same order, printed alike.  The kernel serves
+    exactly where the packed code of its groups fits, on every route, and
     counts exactly where the grid holds at most ``DENSE_GRID`` cells per event.
     """
     plan = _aggregate_plan(data[0], n_keys, aggregates, coalesce, stretch, padded)
@@ -612,9 +623,14 @@ def test_the_dense_and_the_sorted_tally_agree_with_the_sweep_and_the_reference(
     with pytest.MonkeyPatch.context() as monkeypatch:
         _cross_checked_tallies(monkeypatch, routes)
         statistics = _three_ways(plan, monkeypatch)
-    # An input with no valid row is served before any tally.
-    assert len(routes) <= statistics.get("batch.aggregate_vectorized", 0)
-    assert routes.count("dense") == statistics.get("batch.aggregate_dense", 0)
+    # An input with no valid row is served before any tally; a coalesce
+    # under the aggregate runs the same sweep, and may count its events too.
+    swept = statistics.get("batch.aggregate_vectorized", 0)
+    if coalesce:
+        swept += statistics.get("batch.coalesce_vectorized", 0)
+    assert len(routes) <= swept
+    dense = routes.count("dense") - statistics.get("batch.aggregate_dense", 0)
+    assert dense >= 0 if coalesce else dense == 0
 
     (relation,) = plan.children()
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -633,13 +649,14 @@ def test_the_dense_and_the_sorted_tally_agree_with_the_sweep_and_the_reference(
     if not valid.any():
         assert served is not None and not served[4] and not len(served[0])
         return
-    (codes,), n_codes = kernels.factorize((keys,), (len(b),), nulls_match=True)
-    packing = kernels.pack_span(n_codes, (b[valid], e[valid]))
+    (codes,), _n_codes = kernels.factorize((keys,), (len(b),), nulls_match=True)
+    n_groups = len(set(codes[valid].tolist()))
+    packing = kernels.pack_span(n_groups, (b[valid], e[valid]))
     assert (served is None) == (packing is None)
     if served is None:
         return
     group_rows, value_columns, out_begins, out_ends, dense = served
-    assert dense == (n_codes * packing[1] <= kernels.DENSE_GRID * 2 * int(valid.sum()))
+    assert dense == (n_groups * packing[1] <= kernels.DENSE_GRID * 2 * int(valid.sum()))
     listed = list(
         zip(
             *([key.values[i] for i in group_rows.tolist()] for key in keys),
@@ -655,7 +672,7 @@ def test_the_dense_and_the_sorted_tally_agree_with_the_sweep_and_the_reference(
         counts or [1] * len(b),
         [(func, None if column is None else column.values) for func, column in functions],
     )
-    assert Counter(map(repr, listed)) == Counter(map(repr, twin))
+    assert repr(listed) == repr(twin)
 
 
 def _routes(plan):
@@ -703,6 +720,27 @@ def test_a_temporal_aggregate_lists_each_group_in_time_order_once(
             monkeypatch.setattr(kernels, "KERNEL_CUTOVER", cutover)
             batch = batching.execute_batch_plan(plan, ExecutionContext(DATABASE))
             assert batch.all_ones()
+
+
+def test_a_group_above_an_aggregate_prints_under_its_first_row(monkeypatch):
+    """The aggregate lists its groups by first valid row, as the reference does.
+
+    ``(2, 1.0)`` comes first, so the aggregate by ``k2`` above it prints its
+    one group, ``1.0 == 1``, as ``1.0``.  Listed in key-code order, the
+    groups would put ``(1, 1)`` first and the engine would print ``1``.
+    """
+    rows = ((2, 1.0, 0, 1), (1, 1, 0, 1))
+    relation = ConstantRelation(("k1", "k2", "t_begin", "t_end"), rows)
+    count = (AggregateSpec("count", None, "n"),)
+    plan = TemporalAggregateOperator(
+        TemporalAggregateOperator(relation, ("k1", "k2"), count), ("k2",), count
+    )
+    reference = execute(plan, DATABASE, executor="row").rows
+    monkeypatch.setattr(kernels, "KERNEL_CUTOVER", 0)
+    statistics: Dict[str, int] = {}
+    served = execute(plan, DATABASE, statistics).rows
+    assert statistics["batch.aggregate_vectorized"] == 2
+    assert repr(served) == repr(reference) == repr([(1.0, 2, 0, 1)])
 
 
 def _swept(table) -> Counter:
@@ -1138,6 +1176,25 @@ def test_a_tiny_row_budget_stops_the_join_before_any_tuple_is_built(monkeypatch)
     )
     assert len(left_index) == len(right_index) == 0 and counts is None
     assert sum(blocks) > 1000
+
+
+def test_a_row_budget_refuses_a_step_sweep_on_its_output_weight():
+    """The monus's last limit check sees the sum of the levels, not the entry count.
+
+    256 input entries weighing 1000 each: the output has far fewer entries
+    than the budget and far more weight, so the kernel itself must refuse it.
+    """
+    columns = _columns(_keyed_rows(kernels.KERNEL_CUTOVER))
+    inputs = ([columns[0]], columns[3], columns[4])
+    context = ExecutionContext(DATABASE, row_budget=10_000)
+    with pytest.raises(ResourceLimitError, match="exceeding the 10000-row budget"):
+        kernels.monus_vectorized(
+            *inputs, [1000] * len(columns[0]), None, context.stage_checkpoint
+        )
+    rows, _begins, _ends, counts = kernels.monus_vectorized(
+        *inputs, None, None, context.stage_checkpoint
+    )
+    assert len(rows) < sum(counts) < 10_000 < 1000 * sum(counts)
 
 
 def test_an_expired_deadline_stops_a_kernel_between_stages():
