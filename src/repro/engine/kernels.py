@@ -873,10 +873,7 @@ def temporal_aggregate_vectorized(
     multiplicity`` could leave the lane -- and ``avg`` divides Python ints,
     so every value equals the scalar sweep's bit for bit.
     """
-    served = _step_sweep(key_columns, begins, ends, counts, None, aggregates, checkpoint)
-    if served is not None and checkpoint is not None:
-        checkpoint(len(served[0]))
-    return served
+    return _step_sweep(key_columns, begins, ends, counts, None, aggregates, checkpoint)
 
 
 def monus_vectorized(
@@ -899,10 +896,12 @@ def monus_vectorized(
     ``subtrahend``'s ``-count``, so it is ``l`` or ``max(l - r, 0)`` where
     a segment is open -- and, for ``distinct``, no aggregate at all: its
     level is 1 wherever a segment is open.  ``checkpoint`` sees the output
-    weight, the sum of the levels, last.
+    weight, the sum of the levels, last; the core's count of segments is
+    not a monus's output.
     """
     level_of = () if distinct else (("count", None),)
-    served = _step_sweep(key_columns, begins, ends, counts, subtrahend, level_of, checkpoint)
+    polled = None if checkpoint is None else (lambda _segments: checkpoint(0))
+    served = _step_sweep(key_columns, begins, ends, counts, subtrahend, level_of, polled)
     if served is None:
         return None
     rows, levels, segment_begins, segment_ends, _dense = served
@@ -948,7 +947,7 @@ def _step_sweep(
     group, each in time order; ``group_rows[k]`` is the first valid row of
     entry k's group, and ``dense`` says which route tallied -- or ``None``
     (declined) as the module docstring lists.  ``checkpoint`` is polled
-    between the stages.
+    between the stages, last with the segments about to be valued.
     """
     b, e = begins.ints(), ends.ints()
     if b is None or e is None:
@@ -1047,6 +1046,8 @@ def _step_sweep(
     # A group's last point closes everything, so an open point's successor
     # is always a point of the same group.
     open_points = np.flatnonzero(states[0][:-1] > 0)
+    if checkpoint is not None:
+        checkpoint(len(open_points))
     if arguments:
         # A row spans the segments from its begin's point up to its end's.
         first_segment = np.searchsorted(points, rises)

@@ -561,8 +561,21 @@ def _same_tally(served, other) -> None:
 
 
 def _cross_checked_tallies(monkeypatch, routes) -> None:
-    """Each tally the step sweep runs is checked against another one's on the same events."""
+    """Each tally the step sweep runs is checked against another one's on the same events.
+
+    ``routes`` gets ``(route, aggregating)`` per tally: ``aggregating`` says
+    whether :func:`kernels.temporal_aggregate_vectorized` ran it, rather
+    than the monus of a coalesce beneath it.
+    """
     dense, ordered, plain = kernels._tally_dense, kernels._tally_sorted, kernels._tally_plain
+    aggregate, aggregating = kernels.temporal_aggregate_vectorized, []
+
+    def tagged(*args, **kwargs):
+        aggregating.append(True)
+        try:
+            return aggregate(*args, **kwargs)
+        finally:
+            aggregating.pop()
 
     def grid(rises, falls):
         return int(max(rises.max(), falls.max())) + 1
@@ -570,22 +583,23 @@ def _cross_checked_tallies(monkeypatch, routes) -> None:
     def spy_dense(rises, falls, cells, measures):
         served = dense(rises, falls, cells, measures)
         _same_tally(served, ordered(rises, falls, measures))
-        routes.append("dense")
+        routes.append(("dense", bool(aggregating)))
         return served
 
     def spy_sorted(rises, falls, measures):
         served = ordered(rises, falls, measures)
         if grid(rises, falls) <= 1 << 20:  # a grid that far apart is not worth allocating here
             _same_tally(served, dense(rises, falls, grid(rises, falls), measures))
-        routes.append("sorted")
+        routes.append(("sorted", bool(aggregating)))
         return served
 
     def spy_plain(rises, falls):
         served = plain(rises, falls)
         _same_tally(served, ordered(rises, falls, [None]))
-        routes.append("plain")
+        routes.append(("plain", bool(aggregating)))
         return served
 
+    monkeypatch.setattr(kernels, "temporal_aggregate_vectorized", tagged)
     monkeypatch.setattr(kernels, "_tally_dense", spy_dense)
     monkeypatch.setattr(kernels, "_tally_sorted", spy_sorted)
     monkeypatch.setattr(kernels, "_tally_plain", spy_plain)
@@ -625,12 +639,10 @@ def test_the_dense_and_the_sorted_tally_agree_with_the_sweep_and_the_reference(
         statistics = _three_ways(plan, monkeypatch)
     # An input with no valid row is served before any tally; a coalesce
     # under the aggregate runs the same sweep, and may count its events too.
-    swept = statistics.get("batch.aggregate_vectorized", 0)
-    if coalesce:
-        swept += statistics.get("batch.coalesce_vectorized", 0)
-    assert len(routes) <= swept
-    dense = routes.count("dense") - statistics.get("batch.aggregate_dense", 0)
-    assert dense >= 0 if coalesce else dense == 0
+    aggregated = [route for route, aggregating in routes if aggregating]
+    assert len(aggregated) <= statistics.get("batch.aggregate_vectorized", 0)
+    assert len(routes) - len(aggregated) <= statistics.get("batch.coalesce_vectorized", 0)
+    assert aggregated.count("dense") == statistics.get("batch.aggregate_dense", 0)
 
     (relation,) = plan.children()
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -1195,6 +1207,22 @@ def test_a_row_budget_refuses_a_step_sweep_on_its_output_weight():
         *inputs, None, None, context.stage_checkpoint
     )
     assert len(rows) < sum(counts) < 10_000 < 1000 * sum(counts)
+
+
+def test_a_row_budget_refuses_an_aggregate_on_its_segments_before_valuing_them():
+    """The aggregate's last limit check counts the segments, before their runs merge.
+
+    300 touching rows of one group: 300 segments of ``count = 1`` that merge
+    into one output row.  A 100-row budget refuses them all the same.
+    """
+    n = 300
+    inputs = ([kernels.Column([0] * n)], kernels.Column(list(range(n))),
+              kernels.Column(list(range(1, n + 1))), None, [("count", None)])
+    served = kernels.temporal_aggregate_vectorized(*inputs)
+    assert served is not None and len(served[0]) == 1
+    context = ExecutionContext(DATABASE, row_budget=100)
+    with pytest.raises(ResourceLimitError, match="produced 300 rows"):
+        kernels.temporal_aggregate_vectorized(*inputs, context.stage_checkpoint)
 
 
 def test_an_expired_deadline_stops_a_kernel_between_stages():
